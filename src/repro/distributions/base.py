@@ -39,6 +39,20 @@ class Distribution(abc.ABC):
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile, ``q`` in [0, 100]."""
 
+    def percentiles(self, qs) -> np.ndarray:
+        """The percentiles at every ``q`` of ``qs`` as a 1-D float array.
+
+        Contract: element for element *exactly* ``percentile(q)`` -- a
+        batch form, not an approximation.  This default is that loop;
+        families whose quantile function is a ufunc override it with
+        one vectorised call (what makes discretizing a distribution
+        cost milliseconds instead of thousands of scalar calls).
+        """
+        return np.asarray(
+            [self.percentile(float(q)) for q in np.asarray(qs, dtype=float).ravel()],
+            dtype=float,
+        )
+
     def variance(self) -> float:
         """Var[X]; default derives from :meth:`std`."""
         return self.std() ** 2

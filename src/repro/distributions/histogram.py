@@ -17,6 +17,7 @@ Monte Carlo evaluator.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -111,24 +112,20 @@ class Histogram(Distribution):
         Bin centers are evenly spaced between the ``q_lo`` and ``q_hi``
         percentiles; bin probabilities come from percentile inversion on
         a dense grid, which avoids needing an explicit pdf.
+
+        Results are memoised per process by ``(dist, bins, q_lo, q_hi)``:
+        the parametric families are frozen dataclasses and key by value,
+        :class:`~repro.distributions.parametric.Empirical` keys by
+        identity.  Histograms are immutable, so equal requests share one
+        object; an unhashable distribution is discretized every time.
         """
         if isinstance(dist, Histogram):
             return dist
-        lo = dist.percentile(q_lo)
-        hi = dist.percentile(q_hi)
-        if hi <= lo:  # degenerate (zero-variance) distribution
-            return cls.point(dist.mean())
-        edges = np.linspace(lo, hi, bins + 1)
-        centers = (edges[:-1] + edges[1:]) / 2.0
-        # CDF via bisection on percentile(): evaluate the quantile function
-        # on a fine grid once and interpolate the inverse.
-        qs = np.linspace(0.0, 100.0, 4001)
-        xs = np.asarray([dist.percentile(q) for q in qs])
-        cdf_at_edges = np.interp(edges, xs, qs / 100.0, left=0.0, right=1.0)
-        probs = np.diff(cdf_at_edges)
-        probs[0] += cdf_at_edges[0]        # tail mass below the first edge
-        probs[-1] += 1.0 - cdf_at_edges[-1]  # tail mass above the last edge
-        return cls(centers, probs)
+        try:
+            hash(dist)
+        except TypeError:
+            return _discretize.__wrapped__(dist, bins, q_lo, q_hi)
+        return _discretize(dist, bins, q_lo, q_hi)
 
     # Distribution protocol ---------------------------------------------
 
@@ -245,3 +242,22 @@ class Histogram(Distribution):
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Histogram(bins={len(self)}, mean={self.mean():.4g}, std={self.std():.4g})"
+
+
+@lru_cache(maxsize=256)
+def _discretize(dist: Distribution, bins: int, q_lo: float, q_hi: float) -> Histogram:
+    """The work behind :meth:`Histogram.from_distribution`, one call per key."""
+    lo = dist.percentile(q_lo)
+    hi = dist.percentile(q_hi)
+    if hi <= lo:  # degenerate (zero-variance) distribution
+        return Histogram.point(dist.mean())
+    edges = np.linspace(lo, hi, bins + 1)
+    centers = (edges[:-1] + edges[1:]) / 2.0
+    # CDF by inverting the quantile function: one batch of quantiles on a
+    # fine grid, interpolated at the bin edges.
+    qs = np.linspace(0.0, 100.0, 4001)
+    cdf_at_edges = np.interp(edges, dist.percentiles(qs), qs / 100.0, left=0.0, right=1.0)
+    probs = np.diff(cdf_at_edges)
+    probs[0] += cdf_at_edges[0]        # tail mass below the first edge
+    probs[-1] += 1.0 - cdf_at_edges[-1]  # tail mass above the last edge
+    return Histogram(centers, probs)

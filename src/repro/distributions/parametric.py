@@ -49,6 +49,9 @@ class Deterministic(Distribution):
         _check_q(q)
         return float(self.value)
 
+    def percentiles(self, qs) -> np.ndarray:
+        return np.full(_check_qs(qs).size, self.value, dtype=float)
+
 
 @dataclass(frozen=True)
 class NormalDistribution(Distribution):
@@ -73,6 +76,9 @@ class NormalDistribution(Distribution):
     def percentile(self, q: float) -> float:
         _check_q(q)
         return float(stats.norm.ppf(q / 100.0, loc=self.mu, scale=self.sigma))
+
+    def percentiles(self, qs) -> np.ndarray:
+        return stats.norm.ppf(_check_qs(qs) / 100.0, loc=self.mu, scale=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -124,6 +130,12 @@ class TruncatedNormal(Distribution):
             return max(self.mu, self.lower)
         return float(self._frozen.ppf(q / 100.0))
 
+    def percentiles(self, qs) -> np.ndarray:
+        qs = _check_qs(qs)
+        if self.sigma == 0:
+            return np.full(qs.size, max(self.mu, self.lower), dtype=float)
+        return self._frozen.ppf(qs / 100.0)
+
 
 @dataclass(frozen=True)
 class GammaDistribution(Distribution):
@@ -153,6 +165,9 @@ class GammaDistribution(Distribution):
         _check_q(q)
         return float(stats.gamma.ppf(q / 100.0, a=self.k, scale=self.theta))
 
+    def percentiles(self, qs) -> np.ndarray:
+        return stats.gamma.ppf(_check_qs(qs) / 100.0, a=self.k, scale=self.theta)
+
 
 @dataclass(frozen=True)
 class UniformDistribution(Distribution):
@@ -177,6 +192,9 @@ class UniformDistribution(Distribution):
     def percentile(self, q: float) -> float:
         _check_q(q)
         return self.low + (self.high - self.low) * q / 100.0
+
+    def percentiles(self, qs) -> np.ndarray:
+        return self.low + (self.high - self.low) * _check_qs(qs) / 100.0
 
 
 class Empirical(Distribution):
@@ -217,6 +235,9 @@ class Empirical(Distribution):
         _check_q(q)
         return float(np.percentile(self._samples, q))
 
+    def percentiles(self, qs) -> np.ndarray:
+        return np.percentile(self._samples, _check_qs(qs))
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Empirical(n={len(self)}, mean={self.mean():.4g}, std={self.std():.4g})"
 
@@ -224,3 +245,11 @@ class Empirical(Distribution):
 def _check_q(q: float) -> None:
     if not 0.0 <= q <= 100.0:
         raise ValidationError(f"percentile must be in [0, 100], got {q}")
+
+
+def _check_qs(qs) -> np.ndarray:
+    """``qs`` as a validated 1-D float array (NaN fails the range test)."""
+    arr = np.asarray(qs, dtype=float).ravel()
+    if not np.all((arr >= 0.0) & (arr <= 100.0)):
+        raise ValidationError(f"percentiles must all be in [0, 100], got {qs!r}")
+    return arr

@@ -655,13 +655,12 @@ class Deco:
 
         With ``analyze=True`` (the default) the semantic pass framework
         (:func:`repro.analysis.analyze_semantics`) then runs interval
-        inference over the imported workflow/cloud *before* the
-        expensive IR translation: a provably unreachable deadline,
-        budget, or reliability requirement (E401-E403) is rejected in
-        milliseconds instead of after a full histogram materialization
-        and doomed solve.  ``strict=True`` rejects its W4xx warnings
-        (vacuous constraints, dead rules) too; ``analyze=False`` skips
-        the semantic gate entirely.
+        inference over the imported workflow/cloud *before* IR
+        translation: a provably unreachable deadline, budget, or
+        reliability requirement (E401-E403) is rejected in milliseconds
+        instead of after a doomed solve.  ``strict=True`` rejects its
+        W4xx warnings (vacuous constraints, dead rules) too;
+        ``analyze=False`` skips the semantic gate entirely.
         """
         program = (
             WLogProgram.from_source(source_or_program)

@@ -12,12 +12,16 @@ produces:
   ``regionprice/3``, ``bandwidth/3``, ``netprice/3``;
 * probabilistic facts: ``exetime(Tid, Vid, T_j)`` with probability
   ``p_j`` per histogram bin (consumed by the probabilistic IR), along
-  with their deterministic means for p=1.0 mode.
+  with their deterministic means for p=1.0 mode.  Their histograms are
+  resolved lazily through the registry's per-catalog
+  :class:`~repro.workflow.runtime_model.RuntimeModel`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable
 
 from repro.common.errors import WLogRuntimeError
 from repro.cloud.instance_types import Catalog
@@ -74,11 +78,24 @@ def region_atom(region_name: str) -> Atom:
 
 @dataclass(frozen=True)
 class ProbFactSpec:
-    """One probabilistic fact family: ``p_j : functor(*key, value_j)``."""
+    """One probabilistic fact family: ``p_j : functor(*key, value_j)``.
+
+    The bins are materialized on the first read of :attr:`histogram`,
+    not when the import list is expanded: the interpreter path
+    (:meth:`~repro.wlog.probir.ProbabilisticIR.evaluate`,
+    :meth:`mean_rule`) reads every family, the compiled path
+    (:func:`~repro.engine.compiler.compile_or_raise`) only looks at
+    ``(functor, len(key) + 1)`` and so pays nothing per task.
+    """
 
     functor: str
     key: tuple
-    histogram: Histogram
+    histogram_source: Callable[[], Histogram]
+
+    @cached_property
+    def histogram(self) -> Histogram:
+        """The family's discretized distribution (one fact per bin)."""
+        return self.histogram_source()
 
     def mean_rule(self) -> Rule:
         """The deterministic (p = 1.0) collapse used for static goals."""
@@ -102,6 +119,7 @@ class ImportRegistry:
         self._workflows: dict[str, Workflow] = {}
         self._clouds: dict[str, tuple[Catalog, str | None]] = {}
         self._runtime_model = runtime_model
+        self._models: dict[Catalog, RuntimeModel] = {}
 
     # Registration --------------------------------------------------------
 
@@ -131,8 +149,8 @@ class ImportRegistry:
         """The registered workflow behind ``import(name)``, if any.
 
         The semantic passes in :mod:`repro.analysis` resolve imports
-        straight off the registry -- bound inference must not pay the
-        histogram materialization that :meth:`materialize` performs.
+        straight off the registry -- bound inference needs the objects,
+        not the fact list :meth:`materialize` expands them to.
         """
         return self._workflows.get(name)
 
@@ -157,9 +175,18 @@ class ImportRegistry:
         return out
 
     def runtime_model_for(self, catalog: Catalog) -> RuntimeModel:
+        """The one runtime model this registry uses for ``catalog``.
+
+        Lazy ``exetime`` facts keep a reference to it, and its histogram
+        and mean memos are what repeated ``materialize`` / ``translate``
+        calls on one registry share.
+        """
         if self._runtime_model is not None:
             return self._runtime_model
-        return RuntimeModel(catalog)
+        model = self._models.get(catalog)
+        if model is None:
+            model = self._models[catalog] = RuntimeModel(catalog)
+        return model
 
     # Materialization ------------------------------------------------------
 
@@ -295,7 +322,7 @@ class ImportRegistry:
                     ProbFactSpec(
                         functor="exetime",
                         key=(Atom(tid), vm_atom(type_name)),
-                        histogram=model.cached_histogram(task, type_name),
+                        histogram_source=partial(model.cached_histogram, task, type_name),
                     )
                 )
         return facts

@@ -53,7 +53,7 @@ class RuntimeModel:
             raise ValidationError(f"histogram_bins must be >= 1, got {histogram_bins}")
         self.catalog = catalog
         self.histogram_bins = histogram_bins
-        self._hist_cache: dict[tuple[str, str], Histogram] = {}
+        self._hist_cache: dict[tuple[float, float, float, str], Histogram] = {}
         self._mean_cache: dict[tuple[float, float, str], float] = {}
 
     # Components ------------------------------------------------------------
@@ -112,7 +112,9 @@ class RuntimeModel:
 
         The CPU point mass is convolved with the I/O-time and network-time
         histograms (each obtained by transforming the bandwidth histogram
-        through ``t = bytes / bw``).
+        through ``t = bytes / bw``).  The bandwidth histograms themselves
+        are per-process memos of :meth:`Histogram.from_distribution`, so
+        this is transform + convolve only.
         """
         bins = bins or self.histogram_bins
         itype = self.catalog.type(type_name)
@@ -133,7 +135,7 @@ class RuntimeModel:
         scientific workflows -- share one histogram.
         """
         comp = self.components(task, type_name)
-        key = (f"{comp.cpu_seconds:.6g}/{comp.io_bytes:.6g}/{comp.net_bytes:.6g}", type_name)
+        key = (comp.cpu_seconds, comp.io_bytes, comp.net_bytes, type_name)
         hist = self._hist_cache.get(key)
         if hist is None:
             hist = self.histogram(task, type_name)

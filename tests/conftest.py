@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.cloud.instance_types import ec2_catalog
 from repro.common.rng import RngService
@@ -11,6 +12,13 @@ from repro.workflow.dag import FileSpec, Task, Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
 MB = 1_000_000
+
+# Tier-1 must be the same run every time: examples are derived from the
+# test itself instead of a random seed, and no example database carries
+# one host's failures into its next run.  Loaded before any test module
+# is imported, so every ``@settings(...)`` in the suite inherits it.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

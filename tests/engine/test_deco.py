@@ -7,7 +7,7 @@ from repro.engine.deco import Deco
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
-from repro.workflow.generators import montage, pipeline
+from repro.workflow.generators import epigenomics, montage, pipeline
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,25 @@ class TestDeclarativePath:
         direct = deco.schedule(wf, d, deadline_percentile=96.0)
         assert from_program.expected_cost == pytest.approx(direct.expected_cost)
         assert from_program.assignment == direct.assignment
+
+    @pytest.mark.parametrize(
+        "workflow",
+        [montage(degrees=1, seed=0), montage(degrees=1, seed=1), montage(degrees=1, seed=2),
+         epigenomics(100, seed=1)],
+        ids=["montage-1/s0", "montage-1/s1", "montage-1/s2", "epigenomics-100/s1"],
+    )
+    def test_fresh_engines_decide_identically(self, catalog, workflow):
+        """The declarative and the direct entry point share the solver, so
+        on fresh engines every decision -- not just the cost -- is equal."""
+        knobs = dict(seed=1, num_samples=100, max_evaluations=800)
+        d = Deco(catalog, **knobs).presets(workflow).medium
+        reg = ImportRegistry()
+        reg.register_cloud("amazonec2", catalog)
+        reg.register_workflow("wf", workflow)
+        src = scheduling_program(workflow="wf", percentile=96.0, deadline_seconds=d)
+        from_program = Deco(catalog, **knobs).solve_program(src, reg)
+        direct = Deco(catalog, **knobs).schedule(workflow, d, deadline_percentile=96.0)
+        assert from_program.decision_dict() == direct.decision_dict()
 
     def test_unrecognized_program_raises(self, catalog, deco):
         from repro.common.errors import WLogError

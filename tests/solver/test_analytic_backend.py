@@ -9,7 +9,7 @@ tier-0 screening cascade (which must never change the winning plan).
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.instance_types import ec2_catalog
@@ -86,6 +86,22 @@ class TestClarkMax:
 
 
 class TestMomentsVsMonteCarlo:
+    # ROADMAP item 5: on these two chains one m1.small Monte Carlo draw has
+    # a non-positive Normal bandwidth clamped to the 1 kB/s numerical floor
+    # (3 GB at 1 kB/s, a 35-day task), which drags the MC mean far above
+    # what the quantile grid reports.  The sampler fix changes every sample
+    # tensor, so it is its own change; until then the inputs are pinned.
+    TAIL_OUTLIER_CHAINS = ((7, 14), (8, 32))
+
+    @staticmethod
+    def _chain_means(n, seed):
+        wf = pipeline(n, seed=seed, runtime=600.0, data_mb=1500.0)
+        problem = compile_wf(wf, num_samples=60, seed=seed)
+        states = uniform_states(problem)
+        a_mean, a_var = AnalyticBackend().makespan_moments(problem, states)
+        rows = VectorizedBackend().makespan_samples(problem, states)
+        return a_mean, a_var, rows.mean(axis=1)
+
     @given(
         st.integers(min_value=2, max_value=8),
         st.integers(min_value=0, max_value=50),
@@ -94,13 +110,16 @@ class TestMomentsVsMonteCarlo:
     def test_exact_on_chains(self, n, seed):
         """No joins -> pure convolution: the mean is exact (within the
         quantile grid's discretization of the common sample tensor)."""
-        wf = pipeline(n, seed=seed, runtime=600.0, data_mb=1500.0)
-        problem = compile_wf(wf, num_samples=60, seed=seed)
-        states = uniform_states(problem)
-        a_mean, a_var = AnalyticBackend().makespan_moments(problem, states)
-        rows = VectorizedBackend().makespan_samples(problem, states)
-        np.testing.assert_allclose(a_mean, rows.mean(axis=1), rtol=0.01)
+        assume((n, seed) not in self.TAIL_OUTLIER_CHAINS)
+        a_mean, a_var, mc_mean = self._chain_means(n, seed)
+        np.testing.assert_allclose(a_mean, mc_mean, rtol=0.01)
         assert np.all(a_var >= 0.0)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 5: clamped-bandwidth tail draw")
+    @pytest.mark.parametrize("n, seed", TAIL_OUTLIER_CHAINS)
+    def test_exact_on_chains_tail_outliers(self, n, seed):
+        a_mean, _a_var, mc_mean = self._chain_means(n, seed)
+        np.testing.assert_allclose(a_mean, mc_mean, rtol=0.01)
 
     @given(st.integers(min_value=0, max_value=50))
     @settings(max_examples=10, deadline=None)

@@ -54,6 +54,26 @@ class TestMaterialize:
         both = registry.materialize(("amazonec2", "pipe"))
         assert len(both.prob_facts) == 3 * len(catalog)
 
+    def test_exetime_histograms_resolve_on_first_read(self, registry, catalog):
+        """``materialize`` builds no histogram; reading a fact does, through
+        the registry's one runtime model, and a second ``materialize`` on
+        the same registry hands out the very same objects."""
+        model = registry.runtime_model_for(catalog)
+        assert registry.runtime_model_for(catalog) is model
+        first = registry.materialize(("amazonec2", "pipe"))
+        assert not model._hist_cache
+        wf = first.workflows["pipe"]
+        fact = first.prob_facts[0]
+        hist = fact.histogram
+        assert fact.histogram is hist
+        assert hist is model.cached_histogram(wf.task(wf.task_ids[0]), catalog.type_names[0])
+        second = registry.materialize(("amazonec2", "pipe"))
+        assert second.prob_facts[0].histogram is hist
+
+    def test_explicit_runtime_model_is_used_for_every_catalog(self, catalog, runtime_model):
+        reg = ImportRegistry(runtime_model=runtime_model)
+        assert reg.runtime_model_for(catalog) is runtime_model
+
     def test_exetime_histogram_means_sane(self, registry, runtime_model):
         mat = registry.materialize(("amazonec2", "pipe"))
         wf = mat.workflows["pipe"]

@@ -3,12 +3,15 @@
 import pytest
 
 from repro.common.errors import WLogError
+from repro.distributions import histogram as histogram_module
+from repro.distributions.histogram import Histogram
+from repro.engine.compiler import compile_or_raise
 from repro.wlog.imports import ImportRegistry, vm_atom
 from repro.wlog.library import scheduling_program
 from repro.wlog.probir import translate
 from repro.wlog.program import WLogProgram
 from repro.wlog.terms import Atom, Num, Rule, Struct
-from repro.workflow.generators import pipeline
+from repro.workflow.generators import montage, pipeline
 
 
 @pytest.fixture()
@@ -32,6 +35,33 @@ class TestTranslate:
         wf, reg = setup
         ir = translate(WLogProgram.from_source(scheduling_program()), reg)
         assert len(ir.prob_facts) == len(wf) * len(catalog)
+
+    def test_histograms_are_built_only_for_the_path_that_reads_them(self, catalog, monkeypatch):
+        """Translation cost follows what is read (a call count, no wall
+        clock): the compiled path reads no ``exetime`` histogram; the
+        interpreter then discretizes each distinct catalog bandwidth
+        distribution at most once."""
+        calls = []
+        original = Histogram.from_distribution.__func__
+
+        def counting(cls, dist, *args, **kwargs):
+            calls.append(dist)
+            return original(cls, dist, *args, **kwargs)
+
+        monkeypatch.setattr(Histogram, "from_distribution", classmethod(counting))
+        wf = montage(degrees=1, seed=2)
+        reg = ImportRegistry()
+        reg.register_cloud("amazonec2", catalog)
+        reg.register_workflow("montage", wf)
+        ir = translate(WLogProgram.from_source(scheduling_program(deadline_seconds=1e9)), reg)
+        compile_or_raise(ir, num_samples=20, seed=1)
+        assert calls == []
+
+        histogram_module._discretize.cache_clear()
+        ir.evaluate(configs_rules(wf, "m1.small"), max_iter=1)
+        distinct = {d for itype in catalog for d in (itype.seq_io, itype.network)}
+        assert calls and set(calls) <= distinct
+        assert 0 < histogram_module._discretize.cache_info().misses <= len(distinct)
 
     def test_deterministic_mode_flag(self, setup):
         wf, reg = setup

@@ -93,6 +93,16 @@ class TestHistogram:
         b = Task(task_id="b", runtime_ref=10.0, inputs=(FileSpec("y", MB),))
         assert model.cached_histogram(a, "m1.small") is model.cached_histogram(b, "m1.small")
 
+    def test_cached_histogram_keys_on_exact_profile(self, model):
+        """Byte counts that agree to six significant digits are still
+        different profiles: each gets its own histogram, not a neighbour's."""
+        a = Task(task_id="a", runtime_ref=10.0, inputs=(FileSpec("x", 1_234_567_000),))
+        b = Task(task_id="b", runtime_ref=10.0, inputs=(FileSpec("y", 1_234_567_999),))
+        ha, hb = model.cached_histogram(a, "m1.small"), model.cached_histogram(b, "m1.small")
+        assert ha is not hb
+        assert hb.mean() > ha.mean()
+        assert hb.mean() == model.histogram(b, "m1.small").mean()
+
     def test_percentile_ordering(self, model, data_task):
         p50 = model.percentile(data_task, "m1.small", 50)
         p95 = model.percentile(data_task, "m1.small", 95)
