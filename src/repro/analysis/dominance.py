@@ -49,6 +49,7 @@ from repro.analysis.passes import AnalysisContext, AnalysisPass
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.solver.backends import CompiledProblem
+    from repro.solver.levels import LevelSchedule
 
 __all__ = [
     "OpMask",
@@ -187,54 +188,46 @@ def futile_offpath_promotes(
     mask: OpMask,
     parent_indices: tuple[tuple[int, ...], ...],
     assignment: np.ndarray,
+    levels: "LevelSchedule | None" = None,
 ) -> np.ndarray:
-    """``(N,)`` bools: promoting task ``i`` cannot change any makespan sample.
+    """Bools per task: promoting task ``i`` cannot change any makespan sample.
 
     True when task ``i`` is provably never critical under the widened
     upper bound (see the module docstring); the caller applies it to
     off-critical-path exploration promotes only -- a critical-path
     promote is by construction aimed at a task that *is* critical.
+
+    ``assignment`` is one ``(N,)`` state or a ``(B, N)`` batch (the
+    result has the same shape).  The lo/hi forward bounds and the hi
+    tail bound are level passes over the whole batch; ``levels`` is the
+    DAG's level schedule when the caller has one (the search passes the
+    compiled problem's), otherwise it is built from ``parent_indices``.
     """
-    n = len(parent_indices)
+    if levels is None:
+        from repro.solver.levels import LevelSchedule
+
+        levels = LevelSchedule.from_parent_indices(parent_indices)
+    a = np.atleast_2d(np.asarray(assignment))
+    b, n = a.shape
+    if not n:
+        return np.zeros(np.shape(assignment), dtype=bool)
     idx = np.arange(n)
-    k = mask.num_types
-    lo_now = mask.lo[assignment, idx]
-    hi_now = mask.hi[assignment, idx]
+    lo_now = mask.lo[a, idx]
+    hi_now = mask.hi[a, idx]
 
-    # Forward longest-path finish times under lo / hi cell bounds, and
-    # children lists for the backward tail pass.
-    lo_list = lo_now.tolist()
-    hi_list = hi_now.tolist()
-    fin_lo = [0.0] * n
-    fin_hi = [0.0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, parents in enumerate(parent_indices):
-        s_lo = 0.0
-        s_hi = 0.0
-        for p in parents:
-            children[p].append(i)
-            if fin_lo[p] > s_lo:
-                s_lo = fin_lo[p]
-            if fin_hi[p] > s_hi:
-                s_hi = fin_hi[p]
-        fin_lo[i] = s_lo + lo_list[i]
-        fin_hi[i] = s_hi + hi_list[i]
-    tail_hi = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        best = 0.0
-        for c in children[i]:
-            v = tail_hi[c] + hi_list[c]
-            if v > best:
-                best = v
-        tail_hi[i] = best
-
-    lb_makespan = max(fin_lo, default=0.0)
+    # Longest paths under lo / hi cell bounds, lo and hi lanes side by
+    # side in one forward pass, then the hi tail after each task.
+    lanes = np.concatenate([lo_now, hi_now]).T[levels.order]
+    finish = levels.propagate_permuted(lanes)[levels.rank]
+    tail_hi = levels.tail_permuted(lanes[:, b:])[levels.rank].T
+    fin_hi = finish[:, b:].T
+    lb_makespan = finish[:, :b].max(axis=0)[:, None]
     # Widen task i's own cell to the promoted type's upper bound: the
     # path-through-i bound must cover the child's assignment too.
-    next_type = np.minimum(assignment + 1, k - 1)
+    next_type = np.minimum(a + 1, mask.num_types - 1)
     hi_widened = np.maximum(hi_now, mask.hi[next_type, idx])
-    through_hi = np.asarray(fin_hi) - hi_now + hi_widened + np.asarray(tail_hi)
-    return np.asarray(through_hi < lb_makespan)
+    through_hi = fin_hi - hi_now + hi_widened + tail_hi
+    return (through_hi < lb_makespan).reshape(np.shape(assignment))
 
 
 class DominancePass(AnalysisPass):

@@ -21,9 +21,11 @@ probabilistic deadlines and to over-spend under loose ones.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.common.errors import ValidationError
 from repro.cloud.instance_types import Catalog
-from repro.workflow.critical_path import task_levels
+from repro.solver.levels import workflow_layout
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -41,45 +43,37 @@ def autoscaling_plan(
     Returns task id -> instance type name.  ``deadline`` is the
     deterministic deadline; for a probabilistic requirement of p%, the
     paper sets this to the same D the probabilistic constraint uses.
+
+    Everything that does not depend on the deadline -- the ``(K, N)``
+    mean matrix and the level index -- is memoised per workflow (on the
+    model and in :func:`~repro.solver.levels.workflow_layout`), so a
+    call is a handful of array operations; Deco's warm-start ladder
+    makes eight per solve.
     """
     if deadline <= 0:
         raise ValidationError(f"deadline must be > 0, got {deadline}")
     model = runtime_model or RuntimeModel(catalog)
-    levels = task_levels(workflow)
-    num_levels = max(levels.values(), default=-1) + 1
-    if num_levels == 0:
+    if not len(workflow):
         return {}
-
-    fastest = catalog.fastest().name
-    type_names = catalog.type_names  # cheapest -> priciest
+    mean = model.mean_matrix(workflow)
+    _, levels = workflow_layout(workflow)
+    fastest = catalog.index_of(catalog.fastest().name)
 
     # Step 1: deadline assignment.  A level's floor duration is its
     # longest task on the fastest type (tasks within a level run in
     # parallel); the workflow deadline is split proportionally.
-    floor = [0.0] * num_levels
-    for tid in workflow.task_ids:
-        t = model.mean(workflow.task(tid), fastest)
-        lv = levels[tid]
-        if t > floor[lv]:
-            floor[lv] = t
+    starts = [lo for lo, _ in levels.level_bounds]
+    floor = np.maximum.reduceat(mean[fastest][levels.order], starts).tolist()
     total_floor = sum(floor) or 1.0
-    level_deadline = [deadline * f / total_floor for f in floor]
     # Degenerate levels (all-zero tasks) still get an even share.
-    for lv in range(num_levels):
-        if level_deadline[lv] <= 0:
-            level_deadline[lv] = deadline / num_levels
+    level_deadline = [deadline * f / total_floor or deadline / len(floor) for f in floor]
 
-    # Step 2: cheapest type fitting each task's level deadline.
-    plan: dict[str, str] = {}
-    for tid in workflow.task_ids:
-        budget_t = level_deadline[levels[tid]]
-        chosen = fastest
-        for name in type_names:
-            if model.mean(workflow.task(tid), name) <= budget_t:
-                chosen = name
-                break
-        plan[tid] = chosen
-    return plan
+    # Step 2: cheapest type fitting each task's level deadline (types
+    # are ordered cheapest -> priciest), else the fastest.
+    fits = mean <= np.array(level_deadline)[levels.depth]
+    choice = np.where(fits.any(axis=0), fits.argmax(axis=0), fastest)
+    names = np.array(catalog.type_names, dtype=object)[choice].tolist()
+    return dict(zip(workflow.task_ids, names))
 
 
 def autoscaling_plan_calibrated(

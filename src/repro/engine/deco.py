@@ -14,6 +14,7 @@ Two entry points:
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 
 from repro.analysis.dominance import OpMask, compute_op_mask
@@ -186,6 +187,10 @@ class Deco:
         # (id(workflow), region) -> (workflow, base CompiledProblem); the
         # stored workflow reference pins the id and guards against reuse.
         self._problems: OrderedDict[tuple, tuple[Workflow, CompiledProblem]] = OrderedDict()
+        # Workflow object -> DeadlinePresets (weak-keyed).
+        self._presets: weakref.WeakKeyDictionary[Workflow, DeadlinePresets] = (
+            weakref.WeakKeyDictionary()
+        )
         # sample_token -> OpMask; deadline sweeps over one workflow share
         # the tensor (and so the token), so the mask is computed once.
         self._op_masks: OrderedDict[int | None, "OpMask"] = OrderedDict()
@@ -463,6 +468,7 @@ class Deco:
         self.cache.clear()
         self.eval_context.clear()
         self._problems.clear()
+        self._presets.clear()
         self._op_masks.clear()
         release = getattr(self.backend, "release_buffers", None)
         if release is not None:
@@ -527,8 +533,13 @@ class Deco:
     # Deadline helpers ------------------------------------------------------
 
     def presets(self, workflow: Workflow) -> DeadlinePresets:
-        """Dmin/Dmax-based deadline presets for ``workflow``."""
-        return deadline_presets(workflow, self.catalog, self.runtime_model)
+        """Dmin/Dmax-based deadline presets for ``workflow`` (memoised)."""
+        presets = self._presets.get(workflow)
+        if presets is None:
+            presets = self._presets[workflow] = deadline_presets(
+                workflow, self.catalog, self.runtime_model
+            )
+        return presets
 
     def _resolve_deadline(self, workflow: Workflow, deadline: float | str) -> float:
         if isinstance(deadline, str):
@@ -711,17 +722,20 @@ class Deco:
         transformation operations start from a competitive plan)."""
         from repro.baselines.autoscaling import autoscaling_plan
 
-        wf = problem.workflow
-        states = []
+        # The ladder is built for the catalog the problem was compiled
+        # from (a WLog program may import a cloud that is not this
+        # engine's), from that catalog's fault-free mean times.
+        catalog = problem.catalog
+        model = self.runtime_model if catalog is self.catalog else RuntimeModel(catalog)
         # Deadline-assignment plans at several tightenings; evaluating the
         # whole ladder lets the search start from the cheapest feasible
         # heuristic plan and improve it with transformation operations.
-        for factor in (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4):
-            plan = autoscaling_plan(
-                wf, self.catalog, problem.deadline * factor, self.runtime_model
+        return tuple(
+            problem.state_from_assignment(
+                autoscaling_plan(problem.workflow, catalog, problem.deadline * factor, model)
             )
-            states.append(problem.state_from_assignment(plan))
-        return tuple(states)
+            for factor in (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4)
+        )
 
     def _op_mask(self, problem: CompiledProblem) -> OpMask | None:
         """The memoized dominance mask for ``problem``'s tensor generation.

@@ -8,7 +8,7 @@ from typing import Mapping
 
 from repro.common.errors import ValidationError
 from repro.cloud.instance_types import Catalog
-from repro.workflow.critical_path import static_makespan
+from repro.solver.levels import workflow_layout
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -153,12 +153,20 @@ def deadline_presets(
     catalog: Catalog,
     runtime_model: RuntimeModel | None = None,
 ) -> DeadlinePresets:
-    """Compute Dmin/Dmax for a workflow on a catalog."""
+    """Compute Dmin/Dmax for a workflow on a catalog.
+
+    The two mean-time critical-path lengths (every task on the fastest /
+    on the cheapest type) come out of one level-parallel forward pass
+    over the model's mean-matrix rows -- the same ``max`` and the same
+    one add per task as :func:`~repro.workflow.critical_path.static_makespan`.
+    """
     model = runtime_model or RuntimeModel(catalog)
-    fastest = catalog.fastest().name
-    cheapest = catalog.cheapest().name
-    dmin = static_makespan(workflow, {t: model.mean(workflow.task(t), fastest) for t in workflow.task_ids})
-    dmax = static_makespan(workflow, {t: model.mean(workflow.task(t), cheapest) for t in workflow.task_ids})
+    if not len(workflow):
+        return DeadlinePresets(dmin=0.0, dmax=0.0)
+    rows = [catalog.index_of(catalog.fastest().name), catalog.index_of(catalog.cheapest().name)]
+    _, levels = workflow_layout(workflow)
+    lanes = model.mean_matrix(workflow)[rows].T[levels.order]
+    dmin, dmax = levels.makespan(lanes).tolist()
     if dmin > dmax:  # catalog where the "fastest" type loses on I/O-bound work
         dmin, dmax = dmax, dmin
     return DeadlinePresets(dmin=dmin, dmax=dmax)

@@ -60,7 +60,7 @@ from repro.cloud.instance_types import Catalog
 from repro.faults.model import FaultModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.solver.cache import EvalContext, MakespanCache, ScratchPool
-from repro.solver.levels import _COLUMN_FANIN_MAX, LevelSchedule
+from repro.solver.levels import _COLUMN_FANIN_MAX, LevelSchedule, workflow_layout
 from repro.solver.state import PlanState, StateEval
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
@@ -154,10 +154,7 @@ class CompiledProblem:
         prices = np.asarray(
             [catalog.price(name, region) for name in catalog.type_names], dtype=float
         )
-        parents = tuple(
-            tuple(workflow.index_of(p) for p in workflow.parents(tid))
-            for tid in workflow.task_ids
-        )
+        parents, levels = workflow_layout(workflow)
         return cls(
             workflow=workflow,
             catalog=catalog,
@@ -167,7 +164,7 @@ class CompiledProblem:
             parent_indices=parents,
             deadline=float(deadline),
             required_probability=percentile / 100.0,
-            levels=LevelSchedule.from_parent_indices(parents),
+            levels=levels,
         )
 
     @property
@@ -195,11 +192,9 @@ class CompiledProblem:
 
     def state_from_assignment(self, assignment) -> PlanState:
         """Build a :class:`PlanState` from a task->type-name mapping."""
-        wf = self.workflow
-        arr = np.empty(self.num_tasks, dtype=np.int16)
-        for tid in wf.task_ids:
-            arr[wf.index_of(tid)] = self.catalog.index_of(assignment[tid])
-        return PlanState(arr)
+        # ``task_ids`` is the topological order the dense indices follow.
+        names = map(assignment.__getitem__, self.workflow.task_ids)
+        return PlanState(np.array(list(map(self.catalog.index_of, names)), dtype=np.int16))
 
     def with_deadline(self, deadline: float, percentile: float | None = None) -> "CompiledProblem":
         """Same problem under a different deadline requirement.

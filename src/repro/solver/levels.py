@@ -33,14 +33,19 @@ reference backend, which the test suite asserts.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from repro.common.errors import SolverError
 
-__all__ = ["LevelSchedule"]
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.workflow.dag import Workflow
+
+__all__ = ["LevelSchedule", "workflow_layout"]
 
 # Fan-in at or below this uses per-parent-slot column takes; above it,
 # a single 3-D gather + max reduction (big fan-in, few tasks).
@@ -209,6 +214,33 @@ class LevelSchedule:
         """D, the DAG depth (Python-loop trip count of the propagation)."""
         return len(self.level_bounds)
 
+    @cached_property
+    def level_children(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, ...]:
+        """Per level, the child-side gather table of :meth:`tail_permuted`.
+
+        ``(parents, children, starts)`` in permuted slots: the level's
+        edges sorted by parent slot, so ``children[starts[j]:starts[j+1]]``
+        are the children of ``parents[j]`` -- one ``maximum.reduceat``
+        per level, sized by the edge count rather than by a padded
+        ``(tasks, max fan-out)`` matrix.  ``None`` for a level whose
+        tasks are all sinks.  Built on first use: only the dominance
+        tier walks the DAG backwards.
+        """
+        tables: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * len(
+            self.level_bounds
+        )
+        child, slot = np.nonzero(self.parent_matrix >= 0)  # one row per edge
+        parent_slots = self.rank[self.parent_matrix[child, slot]]
+        by_parent = np.argsort(parent_slots, kind="stable")
+        parent_slots, child_slots = parent_slots[by_parent], self.rank[child][by_parent]
+        for lv, (lo, hi) in enumerate(self.level_bounds):
+            a, b = np.searchsorted(parent_slots, (lo, hi))
+            if a == b:
+                continue
+            parents, starts = np.unique(parent_slots[a:b], return_index=True)
+            tables[lv] = (parents, child_slots[a:b], starts)
+        return tuple(tables)
+
     @property
     def max_width(self) -> int:
         """Widest level -- the amount of per-iteration parallelism."""
@@ -286,6 +318,30 @@ class LevelSchedule:
                 finish[lo:hi] = finish[gather].max(axis=1) + lanes_permuted[lo:hi]
         return finish
 
+    def tail_permuted(self, lanes_permuted: np.ndarray) -> np.ndarray:
+        """Longest path strictly *after* each task, ``(N, M)`` permuted.
+
+        The backward twin of :meth:`propagate_permuted`:
+        ``tail[r] = max(0, max over children c of tail[c] + lanes[c])``,
+        one ``maximum.reduceat`` per level from the deepest up.
+        """
+        n = self.num_tasks
+        if lanes_permuted.shape[0] != n:
+            raise SolverError(
+                f"lanes have {lanes_permuted.shape[0]} tasks, schedule has {n}"
+            )
+        tail = np.zeros(lanes_permuted.shape, dtype=lanes_permuted.dtype)
+        through = lanes_permuted.copy()  # tail[c] + lanes[c]; exact for sinks already
+        for (lo, hi), table in zip(
+            reversed(self.level_bounds), reversed(self.level_children)
+        ):
+            if table is None:
+                continue
+            parents, children, starts = table
+            tail[parents] = np.maximum.reduceat(through[children], starts, axis=0)
+            np.add(tail[lo:hi], lanes_permuted[lo:hi], out=through[lo:hi])
+        return tail
+
     def propagate(self, lanes: np.ndarray) -> np.ndarray:
         """Finish times for an ``(M, N)`` lane-major, original-order matrix.
 
@@ -308,3 +364,30 @@ class LevelSchedule:
         """Per-lane makespans ``(M,)`` for a permuted task-major matrix."""
         finish = self.propagate_permuted(lanes_permuted, **kwargs)
         return finish[: self.num_tasks].max(axis=0)
+
+
+#: Workflow -> (parent index tuples, schedule).  Weak-keyed: an entry
+#: lives exactly as long as its workflow object, and a schedule holds
+#: index arrays only, so nothing here keeps a workflow (or a compiled
+#: problem) alive.
+_LAYOUTS: "weakref.WeakKeyDictionary[Workflow, tuple]" = weakref.WeakKeyDictionary()
+
+
+def workflow_layout(
+    workflow: "Workflow",
+) -> tuple[tuple[tuple[int, ...], ...], LevelSchedule]:
+    """``(parent_indices, schedule)`` of ``workflow``, built once per object.
+
+    A workflow is immutable after construction, so its dense parent
+    tuples (topological order, the compiler's layout) and level
+    schedule are too; every compile, deadline preset and warm-start
+    ladder over the same workflow object shares one copy.
+    """
+    layout = _LAYOUTS.get(workflow)
+    if layout is None:
+        index_of = workflow.index_of
+        parents = tuple(
+            tuple(index_of(p) for p in workflow.parents(tid)) for tid in workflow.task_ids
+        )
+        layout = _LAYOUTS[workflow] = (parents, LevelSchedule.from_parent_indices(parents))
+    return layout

@@ -35,54 +35,15 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from repro.analysis.dominance import OpMask, futile_offpath_promotes
+from repro.analysis.dominance import OpMask
 from repro.common.errors import SolverError, ValidationError
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
+from repro.solver.expand import expand_batch
 from repro.solver.state import PlanState, StateEval
 
 if TYPE_CHECKING:  # import cycle guard (shards import the worker module)
     from repro.solver.shards import ShardedEvaluator
 
-
-def _critical_indices(
-    parent_indices: tuple[tuple[int, ...], ...], task_times: np.ndarray
-) -> list[int]:
-    """Dense-index critical path under per-task times.
-
-    Semantically identical to
-    :func:`repro.workflow.critical_path.critical_path` (same first-tie
-    argmax over the same parent order, same topological end-tie rule)
-    but operating on the compiled problem's index tuples -- this runs
-    once per beam expansion, and the id<->index dict traffic of the
-    workflow-level function dominated expansion cost on large DAGs.
-    """
-    times = task_times.tolist()
-    n = len(times)
-    if not n:
-        return []
-    finish = [0.0] * n
-    best = [-1] * n
-    for i, parents in enumerate(parent_indices):
-        if parents:
-            bp = parents[0]
-            bf = finish[bp]
-            for p in parents[1:]:
-                f = finish[p]
-                if f > bf:
-                    bf = f
-                    bp = p
-            finish[i] = bf + times[i]
-            best[i] = bp
-        else:
-            finish[i] = times[i]
-    end = max(range(n), key=finish.__getitem__)
-    path: list[int] = []
-    cur = end
-    while cur >= 0:
-        path.append(cur)
-        cur = best[cur]
-    path.reverse()
-    return path
 
 __all__ = ["SearchResult", "GenericSearch", "AStarSearch", "AStarResult"]
 
@@ -412,10 +373,10 @@ class GenericSearch:
         dry_screens = 0
         dry_analytic = 0
         # Speculative expansion memo: (parent key, incumbent feasibility)
-        # -> raw ``_children`` output, populated while shards evaluate
-        # and consumed (or discarded) by the very next iteration.  The
-        # key carries the only input ``_children`` reads from the
-        # incumbent -- its feasibility flag -- so a hit is *provably*
+        # -> that parent's ``expand_batch`` child list, populated while
+        # shards evaluate and consumed (or discarded) by the very next
+        # iteration.  The key carries the only input child generation
+        # reads from the incumbent -- its feasibility flag -- so a hit is *provably*
         # what the fresh call would return; everything else it depends
         # on (problem, the parent's state and eval, the op mask) is
         # frozen for the solve.
@@ -454,13 +415,22 @@ class GenericSearch:
             # the parent's); the exact cost is filled in below.
             children: list[PlanState] = []
             inherited: dict[bytes, StateEval] = {}
+            expansions += len(batch)
+            # One array pass generates the child lists of every parent
+            # the speculation memo does not already hold.
+            fresh = [
+                se for se in batch if (se[0].key, best_eval.feasible) not in spec_memo
+            ]
+            speculation_hits += len(batch) - len(fresh)
+            generated = iter(
+                expand_batch(
+                    problem, fresh, best_eval.feasible, self.children_per_state, op_mask
+                )
+            )
             for state, ev in batch:
-                expansions += 1
                 kids = spec_memo.pop((state.key, best_eval.feasible), None)
                 if kids is None:
-                    kids = self._children(problem, state, ev, best_eval, op_mask)
-                else:
-                    speculation_hits += 1
+                    kids = next(generated)
                 for c, dominated in kids:
                     if c.key not in seen:
                         seen.add(c.key)
@@ -659,15 +629,18 @@ class GenericSearch:
                     jobs = dist.submit_eval(
                         to_eval, [state for state, _ in batch], self.incremental
                     )
-                    for st, sev in sorted(frontier, key=sort_key)[
-                        : self.expand_per_iter
-                    ]:
-                        memo_key = (st.key, best_eval.feasible)
-                        if memo_key not in spec_memo:
-                            spec_memo[memo_key] = self._children(
-                                problem, st, sev, best_eval, op_mask
-                            )
-                            speculated += 1
+                    ahead = sorted(frontier, key=sort_key)[: self.expand_per_iter]
+                    spec_memo.update(
+                        ((st.key, best_eval.feasible), kids)
+                        for (st, _), kids in zip(
+                            ahead,
+                            expand_batch(
+                                problem, ahead, best_eval.feasible,
+                                self.children_per_state, op_mask,
+                            ),
+                        )
+                    )
+                    speculated += len(ahead)
                     child_evals = dist.gather_eval(jobs)
                 else:
                     # Pin the expanded parents' finish-time frontiers so
@@ -849,94 +822,6 @@ class GenericSearch:
         grouping and still reproduce the serial beam exactly.
         """
         return (*cls._priority(se[1]), se[0].key)
-
-    def _children(
-        self,
-        problem: CompiledProblem,
-        state: PlanState,
-        ev: StateEval,
-        best: StateEval | None,
-        op_mask: OpMask | None = None,
-    ) -> list[tuple[PlanState, bool]]:
-        """Transformation children: Promote when infeasible, Demote when feasible.
-
-        Promote targets the tasks dominating the (mean-time) critical
-        path under the current assignment; Demote targets off-path tasks
-        with the largest cost saving.  Both directions are generated for
-        feasible states so the search can trade off around the incumbent.
-
-        Each child is returned with a *dominated* flag: ``True`` means
-        the dominance mask proved the child's makespan samples are
-        bitwise the parent's (only off-path exploration promotes
-        qualify -- see
-        :func:`repro.analysis.dominance.futile_offpath_promotes`), so
-        the caller may settle it with the parent's evaluation.  The
-        flag requires an exact (``"mc"``) parent evaluation: inheriting
-        from an analytically settled parent would propagate tier-0
-        approximations into numbers the mask promises to be exact.
-        """
-        n = problem.num_tasks
-        idx = np.arange(n)
-        mean_now = problem.mean_times[state.assignment, idx]
-        cp_idx = _critical_indices(problem.parent_indices, mean_now)
-        cp_set = set(cp_idx)
-
-        children: list[tuple[PlanState, bool]] = []
-
-        if not ev.feasible:
-            # Promote critical tasks, largest time first.
-            order = sorted(cp_idx, key=lambda i: -mean_now[i])
-            for i in order[: self.children_per_state]:
-                child = state.promote(i, problem.num_types)
-                if child is not None:
-                    children.append((child, False))
-            # A couple of off-path promotes for exploration (the
-            # per-sample critical path can differ from the mean one).
-            futile = None
-            if (
-                op_mask is not None
-                and ev.source == "mc"
-                and op_mask.allows("promote")
-                and problem.num_types > 1
-            ):
-                futile = futile_offpath_promotes(
-                    op_mask, problem.parent_indices, state.assignment
-                )
-            off = sorted((i for i in range(n) if i not in cp_set), key=lambda i: -mean_now[i])
-            for i in off[: max(2, self.children_per_state // 4)]:
-                child = state.promote(i, problem.num_types)
-                if child is not None:
-                    children.append((child, futile is not None and bool(futile[i])))
-            return children
-
-        # Feasible: demote to cut cost; off-path tasks have slack.
-        cost_now = problem.mean_times[state.assignment, idx] * problem.prices[state.assignment]
-        demote_saving = np.full(n, -np.inf)
-        for i in range(n):
-            t = int(state.assignment[i])
-            if t > 0:
-                demote_saving[i] = cost_now[i] - (
-                    problem.mean_times[t - 1, i] * problem.prices[t - 1]
-                )
-        off_order = sorted(
-            (i for i in range(n) if i not in cp_set and demote_saving[i] > 0),
-            key=lambda i: -demote_saving[i],
-        )
-        on_order = sorted(
-            (i for i in cp_idx if demote_saving[i] > 0), key=lambda i: -demote_saving[i]
-        )
-        half = max(1, self.children_per_state // 2)
-        for i in off_order[:half] + on_order[:half]:
-            child = state.demote(i)
-            if child is not None:
-                children.append((child, False))
-        # Keep one promote direction alive for robustness near the boundary.
-        if cp_idx:
-            i = max(cp_idx, key=lambda j: mean_now[j])
-            child = state.promote(i, problem.num_types)
-            if child is not None and (best is None or not best.feasible):
-                children.append((child, False))
-        return children
 
 
 # ---------------------------------------------------------------------------

@@ -71,10 +71,23 @@ class PlanState:
         return self._key
 
     def with_type(self, task_index: int, type_index: int) -> "PlanState":
-        """A copy with one task reassigned (lineage records the dirty task)."""
+        """A copy with one task reassigned (lineage records the dirty task).
+
+        The search builds every child through here, so the edit of an
+        already validated state skips the constructor's re-validation
+        and second copy.
+        """
+        if type_index < 0:
+            raise SolverError("assignment contains negative type indices")
         arr = self.assignment.copy()
         arr[task_index] = type_index
-        return PlanState(arr, parent_key=self._key, dirty=(int(task_index),))
+        arr.setflags(write=False)
+        child = object.__new__(PlanState)
+        child.assignment = arr
+        child._key = arr.tobytes()
+        child.parent_key = self._key
+        child.dirty = (int(task_index),)
+        return child
 
     def promote(self, task_index: int, num_types: int) -> "PlanState | None":
         """Promote one task (None when already on the top type)."""

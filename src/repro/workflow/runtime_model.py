@@ -20,6 +20,7 @@ vectorized samples (for the Monte Carlo evaluator) and as a histogram
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -55,6 +56,24 @@ class RuntimeModel:
         self.histogram_bins = histogram_bins
         self._hist_cache: dict[tuple[float, float, float, str], Histogram] = {}
         self._mean_cache: dict[tuple[float, float, str], float] = {}
+        # Workflow object -> mean matrix; weak-keyed, so an entry lives
+        # as long as its workflow does.
+        self._matrix_memo: weakref.WeakKeyDictionary[Workflow, np.ndarray] = (
+            weakref.WeakKeyDictionary()
+        )
+
+    # The model is pickled into simulator worker processes; the matrix
+    # memo is keyed by object identity, which does not survive the trip
+    # (nor do weak references), so it starts empty on the other side.
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_matrix_memo"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._matrix_memo = weakref.WeakKeyDictionary()
 
     # Components ------------------------------------------------------------
 
@@ -146,11 +165,31 @@ class RuntimeModel:
 
     def mean_vector(self, workflow: Workflow, type_name: str) -> np.ndarray:
         """Mean task times for all tasks (topological order) on one type."""
-        return np.asarray([self.mean(workflow.task(tid), type_name) for tid in workflow.task_ids])
+        return self.mean_matrix(workflow)[self.catalog.index_of(type_name)]
 
     def mean_matrix(self, workflow: Workflow) -> np.ndarray:
-        """``(K, N)`` matrix of mean times: rows are catalog types in order."""
-        return np.stack([self.mean_vector(workflow, name) for name in self.catalog.type_names])
+        """``(K, N)`` matrix of mean times: rows are catalog types in order.
+
+        Entry ``[k, i]`` is bit-equal to :meth:`mean` of task ``i`` on
+        type ``k`` (the same divisions and additions, in the same order,
+        over whole rows).  Read-only and memoised per workflow object:
+        compilation, deadline presets and the warm-start ladder all read
+        the one copy.
+        """
+        matrix = self._matrix_memo.get(workflow)
+        if matrix is not None:
+            return matrix
+        tasks = list(workflow)
+        ref = np.array([t.runtime_ref for t in tasks], dtype=float)
+        data = np.array([float(t.input_bytes + t.output_bytes) for t in tasks], dtype=float)
+        types = list(self.catalog)
+        speed = np.array([[t.cpu_speed] for t in types], dtype=float)
+        io_bw = np.array([[max(t.seq_io.mean(), _MIN_BANDWIDTH)] for t in types], dtype=float)
+        net_bw = np.array([[max(t.network.mean(), _MIN_BANDWIDTH)] for t in types], dtype=float)
+        matrix = ref / speed + data / io_bw + data / net_bw
+        matrix.setflags(write=False)
+        self._matrix_memo[workflow] = matrix
+        return matrix
 
     def sample_tensor(
         self,

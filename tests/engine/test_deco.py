@@ -260,3 +260,87 @@ class TestDominanceMask:
         assert len(deco._op_masks) == 1
         deco.clear_caches()
         assert len(deco._op_masks) == 0
+
+
+class TestForeignCatalog:
+    def test_program_importing_another_cloud_solves(self, catalog, wf):
+        """Regression: the warm-start ladder was built from the *engine's*
+        catalog while the problem was compiled from the registry's, so a
+        program importing any other cloud died with ``unknown instance
+        type 'm1.medium'``."""
+        import dataclasses
+
+        from repro.cloud.instance_types import Catalog, Region
+
+        types = [
+            dataclasses.replace(t, name=f"mycloud.{t.name.split('.')[1]}")
+            for t in list(catalog)[:3]
+        ]
+        prices = {t.name: 0.05 * 2**i for i, t in enumerate(types)}
+        mycloud = Catalog(types, [Region("home", prices)], "home")
+        knobs = dict(seed=1, num_samples=100, max_evaluations=400)
+        reg = ImportRegistry()
+        reg.register_cloud("mycloud", mycloud)
+        reg.register_workflow("wf", wf)
+        src = scheduling_program(
+            cloud="mycloud", workflow="wf", percentile=96.0,
+            deadline_seconds=Deco(mycloud, **knobs).presets(wf).medium,
+        )
+        foreign = Deco(catalog, **knobs).solve_program(src, reg)
+        assert set(foreign.assignment.values()) <= set(mycloud.type_names)
+        # Same seeds, same search: the engine's own catalog plays no part.
+        assert foreign.decision_dict() == Deco(mycloud, **knobs).solve_program(src, reg).decision_dict()
+
+
+class TestCandidateGenerationCost:
+    """Perf guards that need no clock: call counts (DESIGN.md §17)."""
+
+    def test_presets_memoised_per_workflow(self, catalog, wf):
+        deco = Deco(catalog)
+        first = deco.presets(wf)
+        assert deco.presets(wf) is first
+        deco.clear_caches()
+        assert deco.presets(wf) is not first and deco.presets(wf) == first
+
+    def test_second_schedule_reads_no_per_task_means(self, catalog, wf, monkeypatch):
+        """Presets, compilation and the 8-rung ladder all read the memoised
+        mean matrix: a warm request never calls the scalar estimators (the
+        ladder alone made ~25 000 such calls per Montage-8 request)."""
+        from repro.workflow.runtime_model import RuntimeModel
+
+        calls = {"mean": 0, "components": 0}
+        for name in calls:
+            raw = getattr(RuntimeModel, name)
+
+            def counted(self, *args, _raw=raw, _name=name, **kwargs):
+                calls[_name] += 1
+                return _raw(self, *args, **kwargs)
+
+            monkeypatch.setattr(RuntimeModel, name, counted)
+        deco = Deco(catalog, seed=1, num_samples=50, max_evaluations=200)
+        deco.schedule(wf, "medium")
+        assert calls["components"] > 0  # the counters are live: sampling reads components
+        calls.update(mean=0, components=0)
+        deco.schedule(wf, "tight", deadline_percentile=90.0)
+        assert calls == {"mean": 0, "components": 0}
+
+    def test_children_generated_once_per_iteration(self, catalog, monkeypatch):
+        import repro.solver.search as search
+
+        sizes = []
+        raw = search.expand_batch
+
+        def counted(problem, parents, *args, **kwargs):
+            sizes.append(len(parents))
+            return raw(problem, parents, *args, **kwargs)
+
+        monkeypatch.setattr(search, "expand_batch", counted)
+        deco = Deco(catalog, seed=7, num_samples=50, max_evaluations=600)
+        deco.schedule(montage(degrees=8, seed=7), "tight", deadline_percentile=90.0)
+        result = deco.last_result
+        assert sum(sizes) == result.expansions
+        per_iter = deco._search.expand_per_iter
+        assert max(sizes) == per_iter
+        # One call per beam iteration, each carrying a whole batch -- not
+        # one per expanded state.
+        assert len(sizes) <= -(-result.expansions // per_iter) + 2

@@ -4,7 +4,10 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.engine.plan import DeadlinePresets, ProvisioningPlan, deadline_presets
-from repro.workflow.generators import montage
+from repro.workflow.critical_path import static_makespan
+from repro.workflow.dag import Workflow
+from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline
+from repro.workflow.runtime_model import RuntimeModel
 
 
 class TestProvisioningPlan:
@@ -58,3 +61,27 @@ class TestDeadlinePresets:
         assert 0 < p.dmin < p.dmax
         # Dmin is the fastest type's critical path; it must beat Dmax.
         assert p.tight < p.loose
+
+    @pytest.mark.parametrize(
+        "workflow",
+        [montage(degrees=1, seed=3), ligo(60, seed=3), epigenomics(60, seed=3),
+         cybershake(60, seed=3), pipeline(6, seed=3)],
+        ids=["montage", "ligo", "epigenomics", "cybershake", "pipeline"],
+    )
+    def test_level_pass_is_bit_equal_to_the_scalar_critical_path(self, catalog, workflow):
+        """Dmin/Dmax used to be two dict-based critical paths over 2 x N
+        ``model.mean`` calls; the level forward pass returns the same floats."""
+        model = RuntimeModel(catalog)
+
+        def scalar(type_name):
+            return static_makespan(
+                workflow, {t: model.mean(workflow.task(t), type_name) for t in workflow.task_ids}
+            )
+
+        dmin, dmax = scalar(catalog.fastest().name), scalar(catalog.cheapest().name)
+        got = deadline_presets(workflow, catalog, RuntimeModel(catalog))
+        assert (got.dmin, got.dmax) == (min(dmin, dmax), max(dmin, dmax))
+        assert type(got.dmin) is float and type(got.dmax) is float
+
+    def test_empty_workflow(self, catalog):
+        assert deadline_presets(Workflow("none", []), catalog) == DeadlinePresets(0.0, 0.0)

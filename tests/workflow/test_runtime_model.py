@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import ValidationError
 from repro.workflow.dag import FileSpec, Task
-from repro.workflow.generators import pipeline
+from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline
 from repro.workflow.runtime_model import RuntimeModel
 
 MB = 1_000_000
@@ -141,6 +141,43 @@ class TestTensors:
     def test_invalid_num_samples(self, model):
         with pytest.raises(ValidationError):
             model.sample_tensor(pipeline(2, seed=0), 0)
+
+    @pytest.mark.parametrize(
+        "workflow",
+        [montage(degrees=1.0, seed=1), ligo(40, seed=1), epigenomics(40, seed=1),
+         cybershake(40, seed=1), pipeline(5, seed=1)],
+        ids=["montage", "ligo", "epigenomics", "cybershake", "pipeline"],
+    )
+    def test_mean_matrix_is_bit_equal_to_scalar_mean(self, catalog, workflow):
+        matrix = RuntimeModel(catalog).mean_matrix(workflow)
+        scalar = RuntimeModel(catalog)
+        want = [[scalar.mean(task, name) for task in workflow] for name in catalog.type_names]
+        assert matrix.tolist() == want
+        assert np.array_equal(
+            RuntimeModel(catalog).mean_vector(workflow, "m1.large"),
+            want[catalog.index_of("m1.large")],
+        )
+
+    def test_mean_matrix_is_memoised_per_workflow_object(self, catalog):
+        model = RuntimeModel(catalog)
+        wf, twin = pipeline(3, seed=0), pipeline(3, seed=0)
+        first = model.mean_matrix(wf)
+        assert model.mean_matrix(wf) is first
+        assert not first.flags.writeable
+        assert model.mean_matrix(twin) is not first  # keyed by identity, not by value
+        assert len(model._matrix_memo) == 2
+        del twin  # weak-keyed: the entry goes with its workflow
+        assert len(model._matrix_memo) == 1
+
+    def test_pickled_model_drops_the_identity_keyed_memo(self, catalog):
+        import pickle
+
+        model = RuntimeModel(catalog)
+        wf = pipeline(3, seed=0)
+        model.mean_matrix(wf)
+        clone = pickle.loads(pickle.dumps(model))
+        assert not clone._matrix_memo and len(model._matrix_memo) == 1
+        assert np.array_equal(clone.mean_matrix(wf), model.mean_matrix(wf))
 
     def test_invalid_bins(self, catalog):
         with pytest.raises(ValidationError):
