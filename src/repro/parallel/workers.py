@@ -429,9 +429,8 @@ def beam_eval_job(
     deco, problem = _beam_context(solve_key)
     before = _beam_counters(deco)
     t0 = time.perf_counter()
-    if incremental and parents and hasattr(deco.backend, "ensure_frontier"):
-        for parent in parents:
-            deco.backend.ensure_frontier(problem, parent)
+    if incremental:
+        deco.backend.ensure_frontier(problem, *parents)
     evals = list(deco.backend.evaluate_batch(problem, list(states))) if states else []
     delta = _beam_delta(before, _beam_counters(deco))
     delta["eval_elapsed_us"] = int((time.perf_counter() - t0) * 1e6)

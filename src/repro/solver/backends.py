@@ -34,8 +34,9 @@ frontiers that powers **incremental (delta) evaluation**: a search
 child that differs from its parent in a known dirty task set re-uses
 the parent's cached frontier below the first dirty level and
 recomputes only the affected suffix rows -- bit-identical to a full
-propagation, at a fraction of the work (see
-:meth:`VectorizedBackend.ensure_frontier`).
+propagation, at a fraction of the work.  As on the paper's GPU, one
+launch takes all the states of a search iteration, whichever parents
+they descend from (see :meth:`VectorizedBackend.ensure_frontier`).
 
 The **scalar backend** computes the same quantities with pure-Python
 loops -- the single-thread CPU baseline of the paper's speedup numbers.
@@ -83,6 +84,17 @@ __all__ = [
 #: collide on recycled object ids and tensor identity is declared
 #: explicitly rather than inferred from object aliasing.
 _SAMPLE_TOKENS = itertools.count()
+
+
+#: The delta kernel works through a level's pairs in tiles whose gathered
+#: operands take about this many bytes, so a tile's lane rows, its two
+#: gather buffers and its result stay in a core's L2 between the take,
+#: the max and the add: measured on a 6000-pair, fan-in-3 level at
+#: S = 150, 0.3-0.6 MB tiles run 25% faster than the untiled level, and
+#: a wide-fan-in level (one 402-parent pair is 0.5 MB) is insensitive
+#: from one pair per tile upwards.  It also bounds the kernel's pooled
+#: temporaries whatever the batch size.
+_TILE_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -374,6 +386,13 @@ class EvaluationBackend(abc.ABC):
     def evaluate(self, problem: CompiledProblem, state: PlanState) -> StateEval:
         return self.evaluate_batch(problem, [state])[0]
 
+    def ensure_frontier(self, problem: CompiledProblem, *states: PlanState) -> None:
+        """Prepare to evaluate single-edit children of ``states`` cheaply.
+
+        A hint the search gives before it expands ``states``; backends
+        with nothing to prepare ignore it.
+        """
+
     def counters_snapshot(self) -> dict[str, int]:
         """Flat monotone work counters, for cross-process aggregation.
 
@@ -437,6 +456,27 @@ def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
     return assign
 
 
+def validated_dirty_sets(states, num_tasks: int) -> tuple[np.ndarray, np.ndarray]:
+    """The states' dirty task sets, flattened: ``(sizes, tasks)``.
+
+    ``tasks`` concatenates every state's dirty tuple and ``sizes[j]`` is
+    the length of state ``j``'s.  Raises :class:`SolverError` when a set
+    is empty or names a task outside the problem.
+    """
+    sizes = np.fromiter((len(st.dirty) for st in states), np.int64, len(states))
+    tasks = np.fromiter(
+        itertools.chain.from_iterable(st.dirty for st in states),
+        np.int64, int(sizes.sum()),
+    )
+    if sizes.min() == 0 or tasks.min() < 0 or tasks.max() >= num_tasks:
+        bad = next(
+            st.dirty for st in states
+            if not st.dirty or min(st.dirty) < 0 or max(st.dirty) >= num_tasks
+        )
+        raise SolverError(f"dirty task set {bad!r} out of range for {num_tasks} tasks")
+    return sizes, tasks
+
+
 def _propagate_taskloop(lanes: np.ndarray, parent_indices) -> np.ndarray:
     """Pre-level-parallel reference: one Python iteration per task.
 
@@ -474,8 +514,9 @@ class VectorizedBackend(EvaluationBackend):
 
     With an ``eval_context``, :meth:`makespan_samples` takes the
     **delta-propagation** path for every state whose parent frontier is
-    cached: copy the parent's finish rows, recompute only the dirty
-    tasks' rows and their (transitive) descendants level by level, and
+    cached: read the parent's finish rows in place, recompute only the
+    dirty tasks' rows and their (transitive) descendants level by level
+    -- for all such states of the batch in one kernel launch -- and
     reduce the makespan over the sink rows alone.  Every recomputed row
     applies the identical gather + ``max`` + ``add`` arithmetic to the
     identical float64 operands, so the result is bit-identical to the
@@ -540,33 +581,39 @@ class VectorizedBackend(EvaluationBackend):
         if not incremental or ctx is None:
             return self._makespan_full(problem, states)
 
-        # Incremental partition: states whose parent frontier is cached
-        # take the delta path -- grouped by parent, so siblings share
-        # one batched sparse kernel -- and the rest share one fused
-        # full-batch kernel.
-        out = np.empty((b, s))
-        full_states: list[PlanState] = []
+        # Incremental partition: every state whose parent frontier is
+        # resident joins the one delta launch, whichever parent it has;
+        # the rest share one fused full-batch kernel.
+        token = problem.sample_token
+        delta_at: list[int] = []
+        slots: list[int] = []
         full_at: list[int] = []
-        groups: dict[bytes, tuple[np.ndarray, list[int]]] = {}
         for i, st in enumerate(states):
-            frontier = None
+            slot = None
             if st.parent_key is not None and st.dirty:
-                frontier = ctx.get(problem.sample_token, st.parent_key)
-            if frontier is None:
-                full_states.append(st)
+                slot = ctx.find(token, st.parent_key)
+            if slot is None:
                 full_at.append(i)
             else:
-                groups.setdefault(st.parent_key, (frontier, []))[1].append(i)
-        for frontier, idxs in groups.values():
-            out[np.asarray(idxs)] = self._makespan_delta_group(
-                problem, [states[i] for i in idxs], frontier
+                delta_at.append(i)
+                slots.append(slot)
+        out = np.empty((b, s))
+        if delta_at:
+            chosen = [states[i] for i in delta_at]
+            delta = self._delta_launch(
+                problem,
+                self._validated_assignments(problem, chosen),
+                *validated_dirty_sets(chosen, n),
+                slots,
             )
-        if full_states:
-            out[np.asarray(full_at)] = self._makespan_full(problem, full_states)
-            sched = problem.levels
-            self.delta_counters["states_full"] += len(full_states)
-            self.delta_counters["levels_total"] += len(full_states) * sched.num_levels
-            self.delta_counters["rows_total"] += len(full_states) * n
+            if not full_at:
+                return delta
+            out[delta_at] = delta
+        if full_at:
+            out[full_at] = self._makespan_full(problem, [states[i] for i in full_at])
+            self.delta_counters["states_full"] += len(full_at)
+            self.delta_counters["levels_total"] += len(full_at) * problem.levels.num_levels
+            self.delta_counters["rows_total"] += len(full_at) * n
         return out
 
     def _makespan_full(self, problem: CompiledProblem, states) -> np.ndarray:
@@ -629,308 +676,219 @@ class VectorizedBackend(EvaluationBackend):
 
     # Incremental (delta) evaluation ------------------------------------
 
-    def _makespan_delta_group(
+    def _delta_launch(
         self,
         problem: CompiledProblem,
-        states: list[PlanState],
-        parent_frontier: np.ndarray,
-    ) -> np.ndarray:
-        """``(B', S)`` makespans for siblings of one cached parent frontier.
+        assign: np.ndarray,
+        sizes: np.ndarray,
+        dirty: np.ndarray,
+        slots: list[int],
+        in_place: bool = False,
+    ) -> np.ndarray | None:
+        """The delta kernel: one launch for any batch of lineage states.
 
-        The batched delta kernel: all B' states share ``parent_frontier``
-        (their common parent's permuted ``(N, S)`` finish matrix) and
-        each differs in its own dirty task set.  Work is organized over
-        *(slot, child)* pairs -- exactly the finish rows whose value can
-        differ from the parent's -- so each level is a handful of fused
-        flat-index gathers over all affected pairs at once, instead of a
-        Python loop per child.  Gather sources read the shared parent
-        frontier directly, with a sparse fix-up for the (few) sources a
-        child has itself recomputed, so unchanged rows are never copied
-        anywhere; the final reduction runs over the sink rows alone.
-        Every recomputed pair applies the identical gather + ``max`` +
-        ``add`` arithmetic to the identical float64 operands as the full
-        fused kernel, so results are bit-identical (asserted by the
-        tests).
+        State ``j`` (row ``j`` of the validated ``(B, N)`` ``assign``,
+        dirty set ``sizes`` / ``dirty`` as :func:`validated_dirty_sets`
+        returns them) differs in its dirty tasks from the frontier in
+        slab slot ``slots[j]``; any number of states may share a slot,
+        and the slots may all differ.  Work is organized over *(slot,
+        child)* pairs -- exactly the finish rows whose value can differ
+        from the source frontier's -- so each level is a handful of
+        fused flat-index gathers over the affected pairs of the whole
+        batch.  ``addr[r, j]`` is the row of the slab matrix that holds
+        child ``j``'s finish time in permuted slot ``r``: the source
+        frontier's own row until the pair is recomputed, a workspace row
+        afterwards.  Levels run in order and a row reads lower levels
+        only, so every gather finds its operands in place, unchanged
+        rows are never copied anywhere, and the final reduction runs
+        over the sink rows alone.  Every recomputed pair applies the
+        identical gather + ``max`` + ``add`` arithmetic to the identical
+        float64 operands as the full fused kernel, so results are
+        bit-identical (asserted by the tests).
+
+        Returns the fresh ``(B, S)`` makespans.  With ``in_place``,
+        ``slots`` are frontiers the caller has just copied from each
+        state's parent: recomputed rows overwrite them, turning each
+        into its state's own frontier, and nothing is returned.
         """
         n = problem.num_tasks
         s = problem.num_samples
-        bp = len(states)
+        b = len(slots)
         sched = problem.levels
-        assign = self._validated_assignments(problem, states)  # (B', N)
+        slab = self.eval_context.slab(problem.sample_token)
+        rows, stride = slab.rows, slab.stride
 
-        # Pass 1 (boolean only): per-child affected masks, propagated
-        # level by level across the whole sibling batch at once.  After
-        # the loop ``mask[slot, child]`` marks every recomputed pair.
-        mask = np.zeros((n + 1, bp), dtype=bool)
-        first = sched.num_levels
-        for j, st in enumerate(states):
-            d = np.asarray(st.dirty, dtype=np.int64)
-            if d.size == 0 or d.min() < 0 or d.max() >= n:
-                raise SolverError(
-                    f"dirty task set {st.dirty!r} out of range for {n} tasks"
-                )
-            mask[sched.rank[d], j] = True
-            first = min(first, int(sched.depth[d].min()))
-        plan: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]] = []
+        # Pass 1 (boolean only): the affected pairs -- dirty tasks plus
+        # anything with an affected ancestor -- closed level by level
+        # over the whole batch at once.
+        mask = self._buf("delta_mask", (stride, b), dtype=bool)
+        mask[...] = False
+        mask[sched.dirty_slots(dirty), np.repeat(np.arange(b), sizes)] = True
+        first = sched.first_dirty_level(dirty)
         child_level_runs = 0  # (level, child) pairs with recomputed rows
         for lv in range(first, sched.num_levels):
             lo, hi = sched.level_bounds[lv]
             gather = sched.level_parents[lv]
             sub = mask[lo:hi]
-            aff = sub | mask[gather].any(axis=1) if gather.shape[1] else sub
-            rows, childs = np.nonzero(aff)
-            if rows.size == 0:
-                continue
-            mask[lo + rows, childs] = True
-            child_level_runs += int(np.unique(childs).size)
-            plan.append((lo, gather, rows, childs))
-
-        # The parent frontier with the zero sentinel row appended (one
-        # contiguous copy per sibling group, amortized over B' states);
-        # ``buf`` holds ONLY the recomputed pairs -- every other entry
-        # is stale scratch that is never read.
-        parent_ext = self._buf("delta_parent", (n + 1, s))
-        np.copyto(parent_ext[:n], parent_frontier)
-        parent_ext[n] = 0.0
-        buf = self._buf("delta_group", ((n + 1) * bp, s))
-        buf3 = buf.reshape(n + 1, bp, s)
-
-        # Pass 2: re-propagate the affected pairs.  Flat row index into
-        # ``buf`` is ``slot * B' + child``; lanes, gathers and scatters
-        # all run over a level's whole pair list in one call.  Sources
-        # come from the shared parent rows, sparsely overridden where
-        # the reading child recomputed that source at an earlier level
-        # (pass 2 runs in level order, so those pairs are already
-        # written by the time they are read).
-        rows_matrix = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
-        recomputed = 0
-        for lo, gather, rows, childs in plan:
-            recomputed += int(rows.size)
-            slots = lo + rows
-            tasks = sched.order[slots]
-            lanes = rows_matrix.take(assign[childs, tasks] * n + tasks, axis=0)  # (p, S)
-            width = gather.shape[1]
-            if width == 0:
-                vals = lanes
-            elif width <= _COLUMN_FANIN_MAX:
-                src = gather[rows]  # (p, P) parent slots
-                ready: np.ndarray | None = None
-                for c in range(width):
-                    col_slots = src[:, c]
-                    rec = mask[col_slots, childs]
-                    # Bulk-read from whichever store holds the majority
-                    # of this column's sources, sparse-fix the rest --
-                    # dense suffix regions read mostly recomputed pairs,
-                    # sparse prefixes mostly shared parent rows.
-                    if np.count_nonzero(rec) * 2 > rec.size:
-                        col = buf.take(col_slots * bp + childs, axis=0)  # (p, S)
-                        sel = np.nonzero(~rec)[0]
-                        if sel.size:
-                            col[sel] = parent_ext.take(col_slots[sel], axis=0)
-                    else:
-                        col = parent_ext.take(col_slots, axis=0)  # (p, S)
-                        sel = np.nonzero(rec)[0]
-                        if sel.size:
-                            col[sel] = buf.take(
-                                col_slots[sel] * bp + childs[sel], axis=0
-                            )
-                    if ready is None:
-                        ready = col
-                    else:
-                        np.maximum(ready, col, out=ready)
-                np.add(ready, lanes, out=lanes)
-                vals = lanes
-            else:
-                # Big fan-in, few rows: one 3-D gather + max reduction.
-                src = gather[rows]  # (p, P)
-                rec = mask[src, childs[:, None]]
-                if np.count_nonzero(rec) * 2 > rec.size:
-                    gathered = buf.take(
-                        (src * bp + childs[:, None]).reshape(-1), axis=0
-                    ).reshape(rows.size, width, s)
-                    i1, i2 = np.nonzero(~rec)
-                    if i1.size:
-                        gathered[i1, i2] = parent_ext.take(src[i1, i2], axis=0)
-                else:
-                    gathered = parent_ext.take(src.reshape(-1), axis=0).reshape(
-                        rows.size, width, s
-                    )
-                    i1, i2 = np.nonzero(rec)
-                    if i1.size:
-                        gathered[i1, i2] = buf.take(
-                            src[i1, i2] * bp + childs[i1], axis=0
-                        )
-                np.add(gathered.max(axis=1), lanes, out=lanes)
-                vals = lanes
-            buf[slots * bp + childs] = vals
-
-        self.delta_counters["states_incremental"] += bp
-        self.delta_counters["levels_total"] += bp * sched.num_levels
-        self.delta_counters["levels_skipped"] += bp * sched.num_levels - child_level_runs
-        self.delta_counters["rows_total"] += bp * n
-        self.delta_counters["rows_recomputed"] += recomputed
-
-        # Sink-row reduction: recomputed pairs read ``buf``, untouched
-        # pairs the shared parent row -- max over partitions = the max.
-        sinks = sched.sink_slots
-        out = np.where(
-            mask[sinks[0]][:, None], buf3[sinks[0]], parent_ext[sinks[0]][None, :]
-        )
-        for t in sinks[1:]:
-            np.maximum(
-                out,
-                np.where(mask[t][:, None], buf3[t], parent_ext[t][None, :]),
-                out=out,
-            )
-        return out  # fresh (B', S)
-
-    def _makespan_delta(
-        self,
-        problem: CompiledProblem,
-        state: PlanState,
-        parent_frontier: np.ndarray,
-        return_frontier: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Makespan row of ``state`` by delta propagation from its parent.
-
-        ``parent_frontier`` is the parent's permuted ``(N, S)`` finish
-        matrix.  Levels below the first dirty level are copied verbatim;
-        from there on, only rows whose task is dirty or has a recomputed
-        ancestor are re-propagated (same gather + ``max`` + ``add``
-        arithmetic as the full kernel, hence bit-identical).  The final
-        reduction runs over the sink rows alone -- with non-negative
-        task times every inner task's finish is dominated by some sink's.
-
-        Returns ``(makespan_row, frontier)``; ``frontier`` is a fresh
-        ``(N, S)`` copy of the child's finish matrix when
-        ``return_frontier`` is set, else ``None``.
-        """
-        n = problem.num_tasks
-        s = problem.num_samples
-        sched = problem.levels
-        assign = self._validated_assignments(problem, [state])[0]
-        dirty = np.asarray(state.dirty, dtype=np.int64)
-        if dirty.size == 0 or dirty.min() < 0 or dirty.max() >= n:
-            raise SolverError(f"dirty task set {state.dirty!r} out of range for {n} tasks")
-
-        # Pass 1 (boolean only, no sample data): discover the affected
-        # slots per level -- dirty tasks plus anything with a recomputed
-        # ancestor.  After the loop ``mask`` is the full recompute set.
-        mask = self._buf("delta_mask", (n + 1,), dtype=bool)
-        mask[:] = False
-        mask[sched.rank[dirty]] = True
-        first = int(sched.depth[dirty].min())
-        plan: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for lv in range(first, sched.num_levels):
-            lo, hi = sched.level_bounds[lv]
-            gather = sched.level_parents[lv]
             if gather.shape[1]:
-                aff = mask[lo:hi] | mask[gather].any(axis=1)
+                sub |= mask[gather].any(axis=1)
+            child_level_runs += int(np.count_nonzero(sub.any(axis=0)))
+        pairs = np.cumsum(mask.sum(axis=0))  # running pair count by child
+
+        self.delta_counters["states_incremental"] += b
+        self.delta_counters["levels_total"] += b * sched.num_levels
+        self.delta_counters["levels_skipped"] += b * sched.num_levels - child_level_runs
+        self.delta_counters["rows_total"] += b * n
+        self.delta_counters["rows_recomputed"] += int(pairs[-1])
+
+        # Pass 2: re-propagate the affected pairs, as many children at a
+        # time as the workspace has rows for.  ``np.nonzero`` lists a
+        # chunk's pairs by slot, hence level by level; pair ``i`` of the
+        # list is recomputed into workspace row ``work + i`` (or, in
+        # place, into the frontier row it was read from), each level in
+        # cache-sized tiles.  Indices come from validated assignments
+        # and the address table, so the takes skip bounds checks.
+        base = np.asarray(slots, dtype=np.int64) * stride
+        slot_column = np.arange(stride)[:, None]
+        table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
+        lane_rows = assign * n + np.arange(n)  # (B, N) rows of ``table``
+        work = slab.workspace_start
+        capacity = rows.shape[0] - work
+        tile = max(1, _TILE_BYTES // (8 * s))  # rows per tile
+        ready_buf = self._buf("delta_ready", (tile, s))
+        other_buf = self._buf("delta_other", (tile, s))
+        vals_buf = self._buf("delta_vals", (tile, s)) if in_place else None
+        out = None if in_place else np.empty((b, s))
+        lo_first = sched.level_bounds[first][0]
+        c0 = 0
+        while c0 < b:
+            done = int(pairs[c0 - 1]) if c0 else 0
+            c1 = int(np.searchsorted(pairs, done + capacity, side="right"))
+            addr = self._buf("delta_addr", (stride, c1 - c0), dtype=np.int64)
+            np.add(slot_column, base[c0:c1], out=addr)
+            slot, child = np.nonzero(mask[lo_first:n, c0:c1])
+            slot += lo_first
+            lanes = lane_rows[c0 + child, sched.order[slot]]
+            if in_place:
+                dst = addr[slot, child]
             else:
-                aff = mask[lo:hi]
-            rows = np.nonzero(aff)[0]
-            if rows.size == 0:
-                continue
-            mask[lo + rows] = True
-            plan.append((lo, gather, rows))
+                addr[slot, child] = np.arange(work, work + slot.size)
+                slab.workspace_touched = max(slab.workspace_touched, slot.size)
+            ends = np.searchsorted(slot, sched.level_starts[first + 1 :]).tolist()
+            begin = 0
+            for lv, end in enumerate(ends, start=first):
+                if begin == end:
+                    continue
+                gather = sched.level_parents[lv]
+                width = gather.shape[1]
+                wide = width > _COLUMN_FANIN_MAX
+                step = max(1, tile // width) if wide else tile
+                if width:
+                    # (P, p): the row now holding each source of each pair.
+                    level_slots = slot[begin:end] - sched.level_bounds[lv][0]
+                    src = addr[gather[level_slots].T, child[begin:end]]
+                if wide:
+                    wide_buf = self._buf("delta_wide", (width * step, s))
+                for i in range(begin, end, step):
+                    k = min(step, end - i)
+                    part = vals_buf[:k] if in_place else rows[work + i : work + i + k]
+                    np.take(table, lanes[i : i + k], axis=0, out=part, mode="clip")
+                    if width:
+                        j = i - begin
+                        ready = ready_buf[:k]
+                        if wide:
+                            # Big fan-in, few pairs: 3-D gather + max reduction.
+                            gathered = wide_buf[: width * k]
+                            np.take(
+                                rows, src[:, j : j + k].reshape(-1), axis=0,
+                                out=gathered, mode="clip",
+                            )
+                            np.max(gathered.reshape(width, k, s), axis=0, out=ready)
+                        else:
+                            np.take(rows, src[0, j : j + k], axis=0, out=ready, mode="clip")
+                            for col in src[1:]:
+                                other = other_buf[:k]
+                                np.take(rows, col[j : j + k], axis=0, out=other, mode="clip")
+                                np.maximum(ready, other, out=ready)
+                        np.add(ready, part, out=part)
+                    if in_place:
+                        rows[dst[i : i + k]] = part
+                begin = end
+            if not in_place:
+                # Sink-row reduction, each sink read wherever it now lives.
+                part = out[c0:c1]
+                sinks = sched.sink_slots
+                np.take(rows, addr[sinks[0]], axis=0, out=part, mode="clip")
+                for t in sinks[1:]:
+                    np.maximum(part, rows.take(addr[t], axis=0), out=part)
+            c0 = c1
+        return out
 
-        # Stage the finish buffer.  Only the parent rows the suffix will
-        # actually *read* -- unrecomputed gather sources and sinks -- are
-        # copied in; every other unchanged row is never touched, so the
-        # full (N, S) memcpy of the naive approach disappears.  (The
-        # frontier-returning path still needs every row: a later delta
-        # from this child may read any of them.)
-        buf = self._buf("delta_finish", (n + 1, s))
-        buf[n] = 0.0  # the sentinel row every padded parent slot reads
-        if return_frontier:
-            np.copyto(buf[:n], parent_frontier)
-        else:
-            reads = [sched.sink_slots]
-            for _, gather, rows in plan:
-                if gather.shape[1]:
-                    reads.append(gather[rows].ravel())
-            read_slots = np.unique(np.concatenate(reads))
-            # Recomputed slots are written before any later level (or the
-            # sink reduction) reads them; the sentinel row is set above.
-            needed = read_slots[(read_slots < n) & ~mask[read_slots]]
-            buf[needed] = parent_frontier[needed]
+    def ensure_frontier(self, problem: CompiledProblem, *states: PlanState) -> None:
+        """Cache the states' finish-time frontiers ahead of their expansion.
 
-        # Pass 2: re-propagate the affected rows with the identical
-        # gather + max + add arithmetic the full kernel uses (column
-        # takes for narrow fan-in, 3-D gather for wide), hence
-        # bit-identical finish times.
-        rows_matrix = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
-        w = sched.max_width
-        ready_buf = self._buf("delta_ready", (w, s))
-        other_buf = self._buf("delta_other", (w, s))
-        recomputed = 0
-        for lo, gather, rows in plan:
-            r = int(rows.size)
-            recomputed += r
-            slots = lo + rows
-            tasks = sched.order[slots]
-            lanes = rows_matrix.take(assign[tasks] * n + tasks, axis=0)  # (r, S)
-            width = gather.shape[1]
-            if width == 0:
-                buf[slots] = lanes
-            elif width <= _COLUMN_FANIN_MAX:
-                g = gather[rows]
-                ready = ready_buf[:r]
-                np.take(buf, np.ascontiguousarray(g[:, 0]), axis=0, out=ready)
-                for c in range(1, width):
-                    other = other_buf[:r]
-                    np.take(buf, np.ascontiguousarray(g[:, c]), axis=0, out=other)
-                    np.maximum(ready, other, out=ready)
-                np.add(ready, lanes, out=lanes)
-                buf[slots] = lanes
-            else:
-                # Big fan-in, few rows: one 3-D gather + max reduction.
-                np.add(buf[gather[rows]].max(axis=1), lanes, out=lanes)
-                buf[slots] = lanes
-
-        self.delta_counters["states_incremental"] += 1
-        self.delta_counters["levels_total"] += sched.num_levels
-        self.delta_counters["levels_skipped"] += sched.num_levels - len(plan)
-        self.delta_counters["rows_total"] += n
-        self.delta_counters["rows_recomputed"] += recomputed
-
-        makespan = buf[sched.sink_slots].max(axis=0)  # fresh (S,) row
-        frontier = buf[:n].copy() if return_frontier else None
-        return makespan, frontier
-
-    def ensure_frontier(self, problem: CompiledProblem, state: PlanState) -> None:
-        """Cache ``state``'s finish-time frontier ahead of its expansion.
-
-        The search calls this for each beam state it is about to expand,
-        so the children generated from it can all take the delta path.
-        Chains stay cheap: a state whose *own* parent frontier is still
-        cached is itself delta-propagated rather than recomputed.
+        The search calls this with the beam states it is about to
+        expand, so the children generated from them can all take the
+        delta path.  Chains stay cheap: every state whose *own* parent
+        frontier is still cached is delta-propagated from it -- all of
+        them in one launch of the delta kernel, writing the new
+        frontiers in place -- and only the rest are propagated in full.
+        Every parent is looked up before any frontier is stored, and a
+        store never evicts a frontier this call reads or writes: a state
+        that does not fit beside them goes unpinned (its children take
+        the full kernel).
         """
         ctx = self.eval_context
         n = problem.num_tasks
         if ctx is None or not self.level_parallel or n == 0:
             return
+        s = problem.num_samples
         token = problem.sample_token
-        if ctx.peek(token, state.key):
-            return
-        if (
-            state.parent_key is not None
-            and state.dirty
-            and ctx.peek(token, state.parent_key)
-        ):
-            parent = ctx.get(token, state.parent_key)
-            _, frontier = self._makespan_delta(
-                problem, state, parent, return_frontier=True
-            )
-            ctx.put(token, state.key, frontier)
-            return
+        pending = list(
+            {st.key: st for st in states if not ctx.peek(token, st.key)}.values()
+        )
+        sources = [
+            ctx.find(token, st.parent_key)
+            if st.parent_key is not None and st.dirty and ctx.peek(token, st.parent_key)
+            else None
+            for st in pending
+        ]
+        keep = {st.key for st in pending}
+        keep.update(st.parent_key for st, src in zip(pending, sources) if src is not None)
         sched = problem.levels
-        assign = self._validated_assignments(problem, [state])[0]
-        perm_tasks = sched.order
-        rows_matrix = problem.tensor_taskmajor.reshape(problem.num_types * n, problem.num_samples)
-        lanes = rows_matrix.take(assign[perm_tasks] * n + perm_tasks, axis=0)
-        finish = sched.propagate_permuted(lanes)
-        ctx.put(token, state.key, finish[:n].copy())
+        order = sched.order
+        table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
+        reserved: list[bytes] = []
+        chained: list[PlanState] = []
+        slots: list[int] = []
+        try:
+            for st, src in zip(pending, sources):
+                slot = ctx.reserve(token, st.key, n, s, keep)
+                if slot is None:
+                    continue
+                reserved.append(st.key)
+                slab = ctx.slab(token)
+                if src is None:
+                    assign = self._validated_assignments(problem, [st])[0]
+                    lanes = table.take(assign[order] * n + order, axis=0)
+                    sched.propagate_permuted(lanes, finish=slab.frontier(slot))
+                else:
+                    np.copyto(slab.frontier(slot), slab.frontier(src))
+                    chained.append(st)
+                    slots.append(slot)
+            if chained:
+                self._delta_launch(
+                    problem,
+                    self._validated_assignments(problem, chained),
+                    *validated_dirty_sets(chained, n),
+                    slots,
+                    in_place=True,
+                )
+        except BaseException:
+            # A reserved slot is resident: never leave one half written.
+            for key in reserved:
+                ctx.discard(token, key)
+            raise
 
     def delta_stats(self) -> dict[str, int]:
         """A copy of the monotone incremental-work counters."""

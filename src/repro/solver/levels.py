@@ -215,6 +215,12 @@ class LevelSchedule:
         return len(self.level_bounds)
 
     @cached_property
+    def level_starts(self) -> np.ndarray:
+        """``(D+1,)`` first permuted slot of every level, then ``num_tasks``:
+        ``searchsorted`` against it cuts a sorted slot list into levels."""
+        return np.array([lo for lo, _ in self.level_bounds] + [self.num_tasks], dtype=np.int64)
+
+    @cached_property
     def level_children(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, ...]:
         """Per level, the child-side gather table of :meth:`tail_permuted`.
 

@@ -650,11 +650,11 @@ class GenericSearch:
                     # hint, not a correctness requirement, and pinning a
                     # parent whose whole brood was settled above would
                     # be pure wasted propagation.
-                    if self.incremental and hasattr(self.backend, "ensure_frontier"):
+                    if self.incremental:
                         needed = {c.parent_key for c in to_eval}
-                        for state, _ in batch:
-                            if state.key in needed:
-                                self.backend.ensure_frontier(problem, state)
+                        self.backend.ensure_frontier(
+                            problem, *(st for st, _ in batch if st.key in needed)
+                        )
 
                     child_evals = self.backend.evaluate_batch(problem, to_eval)
                 exact_evals += len(to_eval)

@@ -58,17 +58,26 @@ class TestCacheMechanics:
         assert cache.misses == 4
 
     def test_rows_are_copies_not_views(self, problem):
-        """Cached rows must not alias backend scratch buffers."""
+        """Cached rows own their memory: whatever the producer does with
+        its output afterwards -- hand it out again as pooled scratch, or
+        just drop it -- neither reaches the cache nor stays alive in it."""
         cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
-        st = PlanState.uniform(problem.num_tasks, 0)
-        row = backend.cached_makespan_samples(problem, [st])[0].copy()
-        # Evaluate something else through the same backend (reuses pool).
-        other = PlanState.uniform(problem.num_tasks, problem.num_types - 1)
-        backend.cached_makespan_samples(problem, [other])
-        np.testing.assert_array_equal(
-            backend.cached_makespan_samples(problem, [st])[0], row
-        )
+        states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
+        expected = VectorizedBackend().makespan_samples(problem, states)
+        produced = []
+
+        def compute(_problem, _missing):
+            produced.append(expected.copy())
+            return produced[-1]
+
+        first = cache.fetch(problem, states, compute)
+        produced[0][...] = 99.0  # the producer reuses its buffer
+        np.testing.assert_array_equal(first, expected)
+        np.testing.assert_array_equal(cache.fetch(problem, states, compute), expected)
+        assert len(produced) == 1  # the second fetch was all hits
+        for row in cache._rows.values():
+            assert row.base is None and not row.flags.writeable
+        assert cache.nbytes() == expected.nbytes
 
     def test_clear_resets_entries_not_counters(self, problem):
         cache = MakespanCache()

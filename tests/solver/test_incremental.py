@@ -80,14 +80,39 @@ class TestEvalContext:
         np.testing.assert_array_equal(got, frontier)
         assert not got.flags.writeable
         assert ctx.counters() == {"hits": 1, "misses": 1, "entries": 1}
-        assert ctx.nbytes() == frontier.nbytes
+        # The slot also stores the zero sentinel row.
+        assert ctx.nbytes() == frontier.nbytes + frontier[0].nbytes
+        assert ctx.find(1, b"k") == 0 and ctx.slab(1).frontier(0)[-1].tolist() == [0.0, 0.0]
 
     def test_lru_eviction(self):
         ctx = EvalContext(max_entries=2)
         for i in range(3):
-            ctx.put(0, bytes([i]), np.zeros(1))
+            ctx.put(0, bytes([i]), np.full((1, 1), float(i)))
         assert not ctx.peek(0, b"\x00")  # oldest evicted
         assert ctx.peek(0, b"\x01") and ctx.peek(0, b"\x02")
+        # The evicted frontier's slot was reused in place.
+        assert ctx.get(0, b"\x02").tolist() == [[2.0]] and ctx.find(0, b"\x02") == 0
+        assert ctx.get(0, b"\x01").tolist() == [[1.0]]
+
+    def test_tokens_of_one_shape_share_a_slab(self):
+        # A warm engine's next same-sized workflow (a service worker's next
+        # job) must land in the pages the last one touched, not a new mapping.
+        ctx = EvalContext(max_entries=2)
+        ctx.put(1, b"a", np.full((3, 2), 1.0))
+        ctx.put(1, b"b", np.full((3, 2), 2.0))
+        slab, held = ctx.slab(1), ctx.nbytes()
+        ctx.put(2, b"a", np.full((3, 2), 3.0))  # evicts (1, a) into its slot
+        assert ctx.slab(2) is slab and ctx.find(2, b"a") == 0
+        assert ctx.get(1, b"b").tolist() == [[2.0, 2.0]] * 3
+        assert ctx.get(2, b"a").tolist() == [[3.0, 3.0]] * 3
+        assert ctx.nbytes() == held  # one slab, counted once, nothing new touched
+        ctx.put(2, b"b", np.full((3, 2), 4.0))  # token 1's last frontier goes
+        assert ctx.slab(1) is None and ctx.slab(2) is slab and ctx.nbytes() == held
+        # Another shape gets a slab of its own.
+        ctx.put(3, b"a", np.zeros((4, 2)))
+        assert ctx.slab(3) is not slab and ctx.slab(3).stride == 5
+        ctx.discard(2, b"b")
+        assert ctx.slab(2) is None and len(ctx) == 1
 
     def test_invalid_capacity_rejected(self):
         from repro.common.errors import SolverError
