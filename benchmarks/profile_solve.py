@@ -2,6 +2,7 @@
 
     python3 benchmarks/profile_solve.py montage-8 --deadline tight --percentile 90 --warm
     python3 benchmarks/profile_solve.py montage-1 --kernel
+    python3 benchmarks/profile_solve.py --imports
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays); without it the
@@ -16,19 +17,33 @@ pairs sits on wide-fan-in levels, then the kernel's time per state on a
 what one beam iteration evaluates -- against the fused full kernel on
 the same states.  The two must agree ``np.array_equal``: exit status 1
 if they do not.  No timing threshold.
+
+``--imports`` looks at the cold path instead (DESIGN.md §19): the median
+of five fresh-interpreter wall times of ``import repro.engine.deco``,
+``repro schedule`` on Montage-1 and ``repro lint --bundled`` (with
+``import numpy`` beside them, the floor this host sets), the ten largest
+cumulative non-stdlib entries of ``-X importtime``, and which of
+``scipy`` / ``scipy.special`` / ``scipy.stats`` are loaded after the
+import, after a Montage-1 solve and after a Montage-8 solve.  Exit
+status 1 if ``scipy.stats`` is loaded at any of the three points or
+``scipy.special`` at the first two.  No timing threshold.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
+import json
+import os
 import pstats
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+sys.path.insert(0, SRC)
 
 import numpy as np  # noqa: E402
 
@@ -125,9 +140,82 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     return 0 if identical else 1
 
 
+COLD_COMMANDS = {
+    "import numpy": ["-c", "import numpy"],
+    "import repro.engine.deco": ["-c", "import repro.engine.deco"],
+    "repro schedule (Montage-1)": ["-m", "repro", "schedule", "--app", "montage", "--degrees", "1",
+                                   "--samples", "150", "--evals", "1500"],
+    "repro lint --bundled": ["-m", "repro", "lint", "--bundled"],
+}
+
+# Runs in a fresh interpreter: which SciPy packages each point has loaded.
+SCIPY_PROBE = """
+import json, sys
+import repro.engine.deco
+from repro.cloud import ec2_catalog
+from repro.engine.deco import Deco
+from repro.workflow.generators import montage
+
+def loaded():
+    return sorted(m for m in sys.modules if m in ("scipy", "scipy.special", "scipy.stats"))
+
+points = {"after import": loaded()}
+deco = Deco(ec2_catalog(), seed=7, num_samples=150, max_evaluations=1500)
+for label, degrees in (("after a Montage-1 solve", 1.0), ("after a Montage-8 solve", 8.0)):
+    deco.schedule(montage(degrees=degrees, seed=7), "medium", deadline_percentile=96.0)
+    points[label] = loaded()
+print(json.dumps(points))
+"""
+
+
+def imports_report(repeats: int = 5, top: int = 10) -> int:
+    """Cold-path wall times, the import-time table and the SciPy gate."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+
+    def fresh(args):
+        return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                              text=True, check=True)
+
+    print(f"fresh-interpreter wall time, median of {repeats}")
+    for label, args in COLD_COMMANDS.items():
+        times = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            fresh(args)
+            times.append(time.perf_counter() - t0)
+        print(f"  {label:<28} {statistics.median(times):6.3f} s   "
+              f"(min {min(times):.3f}, max {max(times):.3f})")
+
+    entries = []
+    for line in fresh(["-X", "importtime", "-c", "import repro.engine.deco"]).stderr.splitlines():
+        fields = line.removeprefix("import time:").split("|")
+        if len(fields) == 3 and fields[1].strip().isdigit():
+            name = fields[2].strip()
+            if name.partition(".")[0] not in sys.stdlib_module_names:
+                entries.append((int(fields[1]), int(fields[0]), name))
+    print(f"-X importtime of `import repro.engine.deco`: {top} largest cumulative, stdlib left out")
+    print(f"  {'cumulative ms':>13} {'self ms':>8}  module")
+    for cumulative, own, name in sorted(entries, reverse=True)[:top]:
+        print(f"  {cumulative / 1e3:13.1f} {own / 1e3:8.1f}  {name}")
+
+    points = json.loads(fresh(["-c", SCIPY_PROBE]).stdout.splitlines()[-1])
+    print("SciPy packages loaded")
+    failures = []
+    for index, (label, loaded) in enumerate(points.items()):
+        print(f"  {label:<24} {', '.join(loaded) or 'none'}")
+        banned = {"scipy.stats"} | ({"scipy.special"} if index < 2 else set())
+        failures += [f"{name} is loaded {label}" for name in sorted(banned & set(loaded))]
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("workflow", choices=sorted(WORKFLOWS))
+    ap.add_argument("workflow", choices=sorted(WORKFLOWS), nargs="?")
+    ap.add_argument("--imports", action="store_true",
+                    help="cold-path report: fresh-interpreter wall times, -X importtime, "
+                         "SciPy gate")
     ap.add_argument("--deadline", default="medium", help="tight / medium / loose or seconds")
     ap.add_argument("--percentile", type=float, default=96.0)
     ap.add_argument("--seed", type=int, default=7, help="workflow generator seed")
@@ -137,6 +225,10 @@ def main() -> int:
                     help="delta-kernel counts and delta-vs-full timing instead of cProfile")
     args = ap.parse_args()
 
+    if args.imports:
+        return imports_report()
+    if args.workflow is None:
+        ap.error("a workflow is required unless --imports is given")
     workflow = WORKFLOWS[args.workflow](args.seed)
     deadline = args.deadline if args.deadline.isalpha() else float(args.deadline)
     # The engine knobs of benchmarks/e2e/workloads.py.

@@ -388,8 +388,7 @@ def _cmd_run(args, out) -> int:
 
 
 def _cmd_schedule(args, out) -> int:
-    from repro.cloud import CloudSimulator, ec2_catalog
-    from repro.common.rng import RngService
+    from repro.cloud import ec2_catalog
     from repro.engine import Deco
     from repro.workflow import generators, parse_dax
 
@@ -484,6 +483,9 @@ def _cmd_schedule(args, out) -> int:
           f"{plan.evaluations} evaluations)", file=out)
 
     if args.execute:
+        from repro.cloud import CloudSimulator
+        from repro.common.rng import RngService
+
         sim = CloudSimulator(catalog, RngService(args.seed + 1), deco.runtime_model)
         results = sim.run_many(
             workflow,

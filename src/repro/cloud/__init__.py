@@ -21,6 +21,9 @@ scratch:
   used to *execute* workflows under a provisioning plan.
 """
 
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
 from repro.cloud.instance_types import (
     InstanceType,
     Catalog,
@@ -31,9 +34,25 @@ from repro.cloud.instance_types import (
 from repro.cloud.pricing import PricingModel
 from repro.cloud.network import NetworkModel
 from repro.cloud.metadata import MetadataStore, PerfRecord
-from repro.cloud.calibration import Calibrator, CalibrationResult
-from repro.cloud.simulator import CloudSimulator, ExecutionResult, TaskRecord
 from repro.cloud.spot import SpotPriceProcess, SpotOutcome, simulate_spot_run
+
+if TYPE_CHECKING:
+    from repro.cloud.calibration import Calibrator, CalibrationResult
+    from repro.cloud.simulator import CloudSimulator, ExecutionResult, TaskRecord
+
+# Planning reads the catalog and the price/network models; the simulator
+# (with the fault, recovery and process-pool modules it drives) and the
+# calibration campaign load when a caller executes or calibrates.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "Calibrator": "repro.cloud.calibration",
+        "CalibrationResult": "repro.cloud.calibration",
+        "CloudSimulator": "repro.cloud.simulator",
+        "ExecutionResult": "repro.cloud.simulator",
+        "TaskRecord": "repro.cloud.simulator",
+    },
+)
 
 __all__ = [
     "InstanceType",

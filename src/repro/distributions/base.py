@@ -15,6 +15,20 @@ import numpy as np
 __all__ = ["Distribution"]
 
 
+def scipy_stats():
+    """``scipy.stats``, imported by the first call that needs it.
+
+    The import costs about a second and 50 MB, and no ``schedule()``,
+    compiled ``solve_program()`` or simulator run reaches a quantile
+    function, a truncated draw or a fit -- only histograms and the
+    calibration analysis do.  Callers use the module and drop it; a
+    distribution never stores it, so pickles stay plain values.
+    """
+    from scipy import stats
+
+    return stats
+
+
 class Distribution(abc.ABC):
     """A one-dimensional probability distribution.
 

@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.common.errors import ValidationError
-from repro.distributions.base import Distribution
+from repro.distributions.base import Distribution, scipy_stats
 
 __all__ = [
     "Deterministic",
@@ -75,10 +74,15 @@ class NormalDistribution(Distribution):
 
     def percentile(self, q: float) -> float:
         _check_q(q)
-        return float(stats.norm.ppf(q / 100.0, loc=self.mu, scale=self.sigma))
+        if self.sigma == 0:
+            return float(self.mu)  # point mass: norm.ppf(scale=0) is NaN
+        return float(scipy_stats().norm.ppf(q / 100.0, loc=self.mu, scale=self.sigma))
 
     def percentiles(self, qs) -> np.ndarray:
-        return stats.norm.ppf(_check_qs(qs) / 100.0, loc=self.mu, scale=self.sigma)
+        qs = _check_qs(qs)
+        if self.sigma == 0:
+            return np.full(qs.size, self.mu, dtype=float)
+        return scipy_stats().norm.ppf(qs / 100.0, loc=self.mu, scale=self.sigma)
 
 
 @dataclass(frozen=True)
@@ -104,7 +108,7 @@ class TruncatedNormal(Distribution):
         if self.sigma == 0:
             return None
         a = (self.lower - self.mu) / self.sigma
-        return stats.truncnorm(a, np.inf, loc=self.mu, scale=self.sigma)
+        return scipy_stats().truncnorm(a, np.inf, loc=self.mu, scale=self.sigma)
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         if self.sigma == 0:
@@ -163,10 +167,10 @@ class GammaDistribution(Distribution):
 
     def percentile(self, q: float) -> float:
         _check_q(q)
-        return float(stats.gamma.ppf(q / 100.0, a=self.k, scale=self.theta))
+        return float(scipy_stats().gamma.ppf(q / 100.0, a=self.k, scale=self.theta))
 
     def percentiles(self, qs) -> np.ndarray:
-        return stats.gamma.ppf(_check_qs(qs) / 100.0, a=self.k, scale=self.theta)
+        return scipy_stats().gamma.ppf(_check_qs(qs) / 100.0, a=self.k, scale=self.theta)
 
 
 @dataclass(frozen=True)

@@ -12,14 +12,33 @@
   migration across regions (paper Section 3.3 / 6.3.3).
 """
 
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
 from repro.engine.plan import ProvisioningPlan, DeadlinePresets, deadline_presets
 from repro.engine.compiler import try_compile
 from repro.engine.deco import Deco
-from repro.engine.ensemble import EnsembleDriver, EnsembleDecision, MemberOutcome
-from repro.engine.followcost import (
-    FollowCostDriver,
-    FollowCostResult,
-    WorkflowDeployment,
+
+if TYPE_CHECKING:
+    from repro.engine.ensemble import EnsembleDriver, EnsembleDecision, MemberOutcome
+    from repro.engine.followcost import (
+        FollowCostDriver,
+        FollowCostResult,
+        WorkflowDeployment,
+    )
+
+# Use case 1 (`Deco.schedule`) needs neither driver, and the ensemble
+# driver brings the simulator and the worker pools with it.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "EnsembleDriver": "repro.engine.ensemble",
+        "EnsembleDecision": "repro.engine.ensemble",
+        "MemberOutcome": "repro.engine.ensemble",
+        "FollowCostDriver": "repro.engine.followcost",
+        "FollowCostResult": "repro.engine.followcost",
+        "WorkflowDeployment": "repro.engine.followcost",
+    },
 )
 
 __all__ = [

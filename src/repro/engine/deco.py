@@ -207,9 +207,11 @@ class Deco:
         # (one resident engine per shard), a monotone per-solve id that
         # stamps every shard job, and the lifetime aggregate of the
         # worker-side cache/delta counters (cache_stats "distributed").
-        from repro.parallel.executor import resolve_workers
+        self.workers = 1
+        if workers is not None:  # a serial engine never loads the pool modules
+            from repro.parallel.executor import resolve_workers
 
-        self.workers = 1 if workers is None else resolve_workers(workers)
+            self.workers = resolve_workers(workers)
         self._shard_pool = None
         self._solve_key = 0
         self._distributed_solves = 0

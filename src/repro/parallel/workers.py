@@ -288,6 +288,12 @@ def beam_begin_solve(
         problem = problem.with_faults(
             faults, recovery, reliability_percentile=reliability_percentile
         )
+    if deco._calibration_shipped(problem):
+        # Tier 0 can run on this shard, and a worker forked before the
+        # parent first built it has not imported `scipy.special`: resolve
+        # the evaluator here (the arena prologue does, adopting the
+        # calibration), not inside the first timed screening round.
+        deco._search._analytic_evaluator()
     global _BEAM_PROBLEM
     _BEAM_PROBLEM = (solve_key, problem)
     return True

@@ -23,6 +23,9 @@
   with user-supplied g/h scores.
 """
 
+from typing import TYPE_CHECKING
+
+from repro.common.lazy import lazy_exports
 from repro.solver.state import PlanState, StateEval
 from repro.solver.backends import (
     CompiledProblem,
@@ -36,7 +39,15 @@ from repro.solver.cache import MakespanCache, ScratchPool
 from repro.solver.levels import LevelSchedule
 from repro.solver.search import GenericSearch, AStarSearch, SearchResult
 from repro.solver.analytic import analytic_makespan, analytic_deadline_probability
-from repro.solver.analytic_backend import AnalyticBackend
+
+if TYPE_CHECKING:
+    from repro.solver.analytic_backend import AnalyticBackend
+
+# Tier 0 is the one module here that imports SciPy (`scipy.special`); a
+# solve below the analytic gate never builds it.
+__getattr__, __dir__ = lazy_exports(
+    __name__, {"AnalyticBackend": "repro.solver.analytic_backend"}
+)
 
 __all__ = [
     "PlanState",

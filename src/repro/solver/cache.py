@@ -31,6 +31,7 @@ in place and writes pinned frontiers in place.
 from __future__ import annotations
 
 import heapq
+import math
 import mmap
 from collections import OrderedDict
 from typing import Callable, Collection, Sequence
@@ -40,6 +41,8 @@ import numpy as np
 from repro.common.errors import SolverError
 
 __all__ = ["MakespanCache", "EvalContext", "ScratchPool"]
+
+_FLOAT64 = np.dtype(np.float64)
 
 
 class ScratchPool:
@@ -63,7 +66,7 @@ class ScratchPool:
         if max_buffers < 1:
             raise SolverError("max_buffers must be >= 1")
         self.max_buffers = int(max_buffers)
-        self._bufs: dict[tuple[str, str], np.ndarray] = {}
+        self._bufs: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def __len__(self) -> int:
         return len(self._bufs)
@@ -74,14 +77,17 @@ class ScratchPool:
 
     def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
         """A pooled scratch view of ``shape`` (contents undefined)."""
-        dt = np.dtype(dtype)
-        key = (name, dt.str)
-        size = max(1, int(np.prod(shape)))
+        # Called ~2000 times per Montage-8 solve: no array round trip
+        # (`np.prod`) for a product of two or three ints, and no dtype
+        # construction for the default.
+        dt = _FLOAT64 if dtype is np.float64 else np.dtype(dtype)
+        key = (name, dt)
+        size = math.prod(shape)
         backing = self._bufs.get(key)
         if backing is None or backing.size < size:
             if backing is None and len(self._bufs) >= self.max_buffers:
                 self._bufs.clear()
-            backing = np.empty(size, dtype=dt)
+            backing = np.empty(max(1, size), dtype=dt)
             self._bufs[key] = backing
         return backing[:size].reshape(shape)
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from repro.analysis.dominance import OpMask
 from repro.common.errors import SolverError, ValidationError
@@ -505,6 +504,11 @@ class GenericSearch:
             if dry_analytic < self._DRY_SCREEN_LIMIT and self._analytic_active(
                 problem, best_eval, len(survivors)
             ):
+                # SciPy loads with the tier: a solve below the size gate
+                # imports none of it (sharded moments arrive without
+                # `_analytic_evaluator`, so the names are taken here).
+                from repro.solver.analytic_backend import ndtr, ndtri
+
                 if a_mean is None:
                     a_mean, a_var = self._analytic_evaluator().makespan_moments(
                         problem, survivors

@@ -56,13 +56,13 @@ class RuntimeModel:
         self.histogram_bins = histogram_bins
         self._hist_cache: dict[tuple[float, float, float, str], Histogram] = {}
         self._mean_cache: dict[tuple[float, float, str], float] = {}
-        # Workflow object -> mean matrix; weak-keyed, so an entry lives
-        # as long as its workflow does.
-        self._matrix_memo: weakref.WeakKeyDictionary[Workflow, np.ndarray] = (
-            weakref.WeakKeyDictionary()
-        )
+        # Workflow object -> (ref, data, mean matrix), see `_task_arrays`;
+        # weak-keyed, so an entry lives as long as its workflow does.
+        self._matrix_memo: weakref.WeakKeyDictionary[
+            Workflow, tuple[np.ndarray, np.ndarray, np.ndarray]
+        ] = weakref.WeakKeyDictionary()
 
-    # The model is pickled into simulator worker processes; the matrix
+    # The model is pickled into simulator worker processes; the array
     # memo is keyed by object identity, which does not survive the trip
     # (nor do weak references), so it starts empty on the other side.
 
@@ -176,9 +176,19 @@ class RuntimeModel:
         compilation, deadline presets and the warm-start ladder all read
         the one copy.
         """
-        matrix = self._matrix_memo.get(workflow)
-        if matrix is not None:
-            return matrix
+        return self._task_arrays(workflow)[2]
+
+    def _task_arrays(self, workflow: Workflow) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ref, data, mean matrix)`` of ``workflow``, one pass, memoised.
+
+        ``ref[i]`` / ``data[i]`` are task ``i``'s ``runtime_ref`` and
+        staged bytes in topological order -- what :meth:`components`
+        reads per task -- so the mean matrix and the sample tensor are
+        built from whole rows instead of N scalar calls per type.
+        """
+        arrays = self._matrix_memo.get(workflow)
+        if arrays is not None:
+            return arrays
         tasks = list(workflow)
         ref = np.array([t.runtime_ref for t in tasks], dtype=float)
         data = np.array([float(t.input_bytes + t.output_bytes) for t in tasks], dtype=float)
@@ -187,9 +197,10 @@ class RuntimeModel:
         io_bw = np.array([[max(t.seq_io.mean(), _MIN_BANDWIDTH)] for t in types], dtype=float)
         net_bw = np.array([[max(t.network.mean(), _MIN_BANDWIDTH)] for t in types], dtype=float)
         matrix = ref / speed + data / io_bw + data / net_bw
-        matrix.setflags(write=False)
-        self._matrix_memo[workflow] = matrix
-        return matrix
+        for arr in (ref, data, matrix):
+            arr.setflags(write=False)
+        arrays = self._matrix_memo[workflow] = (ref, data, matrix)
+        return arrays
 
     def sample_tensor(
         self,
@@ -213,6 +224,7 @@ class RuntimeModel:
             raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
         names = tuple(type_names or self.catalog.type_names)
         n = len(workflow)
+        ref, data, _ = self._task_arrays(workflow)
         tensor = np.empty((len(names), num_samples, n), dtype=float)
         for k, type_name in enumerate(names):
             itype = self.catalog.type(type_name)
@@ -225,12 +237,8 @@ class RuntimeModel:
                 np.asarray(itype.network.sample(rng, (num_samples, n)), dtype=float),
                 _MIN_BANDWIDTH,
             )
-            cpu = np.empty(n)
-            data = np.empty(n)
-            for i, tid in enumerate(workflow.task_ids):
-                comp = self.components(workflow.task(tid), type_name)
-                cpu[i] = comp.cpu_seconds
-                data[i] = comp.io_bytes  # == net_bytes under the staging model
+            cpu = ref / itype.cpu_speed
+            # `data` is both io_bytes and net_bytes under the staging model.
             tensor[k] = cpu[None, :] + data[None, :] / io_bw + data[None, :] / net_bw
         return tensor
 

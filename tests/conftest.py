@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401  (see the note below)
+import scipy.stats  # noqa: F401
 from hypothesis import settings
 
 from repro.cloud.instance_types import ec2_catalog
@@ -19,6 +21,12 @@ MB = 1_000_000
 # is imported, so every ``@settings(...)`` in the suite inherits it.
 settings.register_profile("repro", derandomize=True, database=None)
 settings.load_profile("repro")
+
+# The library imports SciPy on first use (DESIGN.md §19).  The suite loads
+# it up front, so a hypothesis deadline times the code under test and never
+# a one-second import that happens to land in one example -- which example
+# would depend on test selection and order.  What is loaded when is checked
+# in fresh interpreters by tests/test_import_hygiene.py.
 
 
 @pytest.fixture(scope="session")

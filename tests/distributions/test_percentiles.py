@@ -57,13 +57,23 @@ def scalar_loop(dist, qs) -> np.ndarray:
 
 @given(families, quantiles)
 def test_batch_equals_scalar_loop_exactly(dist, qs):
-    with warnings.catch_warnings():
-        # scipy warns (and returns NaN) for Normal(mu, 0); both forms must agree there too.
-        warnings.simplefilter("ignore", RuntimeWarning)
-        batch = dist.percentiles(qs)
-        reference = scalar_loop(dist, qs)
+    batch = dist.percentiles(qs)
+    reference = scalar_loop(dist, qs)
     assert isinstance(batch, np.ndarray) and batch.shape == (len(qs),)
-    assert np.array_equal(batch, reference, equal_nan=True)
+    assert not np.isnan(reference).any()
+    assert np.array_equal(batch, reference)
+
+
+@pytest.mark.parametrize("family", [NormalDistribution, TruncatedNormal])
+def test_zero_sigma_is_the_point_mass(family):
+    """``sigma == 0`` is accepted by both constructors, so every quantile is
+    ``mu`` (``norm.ppf(scale=0)`` is NaN) and the histogram is that point."""
+    dist = family(5.0, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert dist.percentile(0.0) == dist.percentile(50.0) == dist.percentile(100.0) == 5.0
+        np.testing.assert_array_equal(dist.percentiles([0.0, 12.5, 100.0]), [5.0, 5.0, 5.0])
+        assert Histogram.from_distribution(dist) == Histogram.point(5.0)
 
 
 ALL_FAMILIES = [

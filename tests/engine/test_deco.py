@@ -303,9 +303,10 @@ class TestCandidateGenerationCost:
         assert deco.presets(wf) is not first and deco.presets(wf) == first
 
     def test_second_schedule_reads_no_per_task_means(self, catalog, wf, monkeypatch):
-        """Presets, compilation and the 8-rung ladder all read the memoised
-        mean matrix: a warm request never calls the scalar estimators (the
-        ladder alone made ~25 000 such calls per Montage-8 request)."""
+        """Presets, compilation, sampling and the 8-rung ladder all read the
+        memoised per-workflow arrays: a request never calls the scalar
+        estimators (the ladder alone made ~25 000 such calls per Montage-8
+        request, the sample tensor 4 x N)."""
         from repro.workflow.runtime_model import RuntimeModel
 
         calls = {"mean": 0, "components": 0}
@@ -318,9 +319,10 @@ class TestCandidateGenerationCost:
 
             monkeypatch.setattr(RuntimeModel, name, counted)
         deco = Deco(catalog, seed=1, num_samples=50, max_evaluations=200)
-        deco.schedule(wf, "medium")
-        assert calls["components"] > 0  # the counters are live: sampling reads components
+        deco.runtime_model.mean(next(iter(wf)), catalog.type_names[0])
+        assert calls == {"mean": 1, "components": 1}  # the counters are live
         calls.update(mean=0, components=0)
+        deco.schedule(wf, "medium")
         deco.schedule(wf, "tight", deadline_percentile=90.0)
         assert calls == {"mean": 0, "components": 0}
 

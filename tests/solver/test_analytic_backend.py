@@ -7,6 +7,8 @@ the backend registry, ``Deco(backend="analytic")``, and the search's
 tier-0 screening cascade (which must never change the winning plan).
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -224,6 +226,55 @@ class TestBackendInterface:
             AnalyticBackend(quantile_points=3)
         with pytest.raises(SolverError):
             AnalyticBackend(max_calibrations=0)
+
+
+def quantile_calibration(tensor, q):
+    """``AnalyticBackend._calibration`` as it was before the single sort:
+    one ``np.quantile`` call over the sample axis.  Kept as the reference
+    the sort-based grids must reproduce bit for bit."""
+    levels = (np.arange(q) + 0.5) / q
+    grids = np.quantile(tensor, levels, axis=1)  # (Q, K, N)
+    grids = np.ascontiguousarray(grids.transpose(1, 2, 0))  # (K, N, Q)
+    means = np.ascontiguousarray(grids.mean(axis=2).reshape(-1))
+    variances = np.ascontiguousarray(grids.var(axis=2).reshape(-1))
+    return grids, means, variances
+
+
+class TestCalibrationBitIdentity:
+    """Tier-0 decisions and adopted shard calibrations rest on the grids:
+    the one-sort formulation may not move a bit of them."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 4),
+        s=st.sampled_from([1, 2, 31, 150, 200]),
+        n=st.integers(1, 6),
+        q=st.sampled_from([4, 32]),
+        shape=st.sampled_from(["continuous", "ties", "constant-columns"]),
+    )
+    def test_equals_np_quantile_formulation(self, seed, k, s, n, q, shape):
+        rng = np.random.default_rng(seed)
+        tensor = rng.gamma(2.0, 300.0, size=(k, s, n))
+        if shape == "ties":
+            tensor = np.round(tensor, -2)  # a handful of distinct values per cell
+        elif shape == "constant-columns":
+            tensor[:, :, ::2] = tensor[:, :1, ::2]
+        problem = SimpleNamespace(sample_token=seed, tensor=tensor)
+        backend = AnalyticBackend(quantile_points=q)
+        got = backend._calibration(problem)
+        assert backend._calibration(problem) is got  # memoised by token
+        for ours, ref in zip(got, quantile_calibration(tensor, q)):
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.flags.c_contiguous and not ours.flags.writeable
+            assert np.array_equal(ours, ref)
+
+    @pytest.mark.parametrize("degrees", [1.0, 8.0])
+    def test_equals_np_quantile_on_compiled_tensors(self, degrees):
+        problem = compile_wf(montage(degrees=degrees, seed=3), num_samples=150, seed=7)
+        got = AnalyticBackend()._calibration(problem)
+        for ours, ref in zip(got, quantile_calibration(problem.tensor, 32)):
+            assert np.array_equal(ours, ref)
 
 
 class TestDecoAnalytic:

@@ -5,7 +5,7 @@ import pytest
 
 from repro.common.errors import SolverError
 from repro.solver.backends import CompiledProblem, VectorizedBackend
-from repro.solver.cache import MakespanCache
+from repro.solver.cache import MakespanCache, ScratchPool
 from repro.solver.state import PlanState
 from repro.workflow.generators import montage, random_dag
 
@@ -132,3 +132,38 @@ class TestWithDeadlineReuse:
         backend.cached_makespan_samples(problem, [st])
         backend.cached_makespan_samples(other, [st])
         assert cache.hits == 0 and cache.misses == 2
+
+
+class TestScratchPool:
+    @pytest.mark.parametrize("dtype", [None, np.float64, bool, np.int64, "float32"])
+    @pytest.mark.parametrize(
+        "shape", [(), (7,), (3, 4, 5), (0,), (0, 3), (3, 0, 2), (np.int64(2), np.intp(3))]
+    )
+    def test_take_is_shaped_like_np_empty(self, shape, dtype):
+        pool = ScratchPool()
+        got = pool.take("buf", shape) if dtype is None else pool.take("buf", shape, dtype)
+        want = np.empty(shape, dtype=np.float64 if dtype is None else dtype)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous and got.flags.writeable
+
+    def test_one_backing_per_name_and_dtype_grow_only(self):
+        pool = ScratchPool()
+        big = pool.take("a", (4, 6))
+        small = pool.take("a", (2, 3))
+        assert np.shares_memory(big, small) and len(pool) == 1
+        assert not np.shares_memory(pool.take("a", (5, 6)), big)  # grew: new backing
+        assert pool.nbytes() == 30 * 8
+        pool.take("a", (2, 3), bool)
+        pool.take("b", (2, 3))
+        assert len(pool) == 3
+        # The default dtype and its spellings name the same buffer.
+        assert np.shares_memory(pool.take("b", (6,)), pool.take("b", (6,), "float64"))
+
+    def test_buffer_cap_drops_the_pool(self):
+        pool = ScratchPool(max_buffers=2)
+        pool.take("a", (1,))
+        pool.take("b", (1,))
+        pool.take("c", (1,))
+        assert len(pool) == 1
+        with pytest.raises(SolverError):
+            ScratchPool(max_buffers=0)

@@ -26,6 +26,35 @@ def data_task():
     )
 
 
+def components_sample_tensor(model, workflow, num_samples, seed, type_names=None):
+    """``RuntimeModel.sample_tensor`` as it was before the shared array pass:
+    one ``components()`` call per (task, type).  Same RNG streams and draw
+    order; kept as the reference the vectorised rows must equal bit for bit."""
+    from repro.common.rng import spawn_rng
+    from repro.workflow.runtime_model import _MIN_BANDWIDTH
+
+    names = tuple(type_names or model.catalog.type_names)
+    n = len(workflow)
+    tensor = np.empty((len(names), num_samples, n), dtype=float)
+    for k, type_name in enumerate(names):
+        itype = model.catalog.type(type_name)
+        rng = spawn_rng(seed, f"runtime-model/{workflow.name}/{type_name}")
+        io_bw = np.maximum(
+            np.asarray(itype.seq_io.sample(rng, (num_samples, n)), dtype=float), _MIN_BANDWIDTH
+        )
+        net_bw = np.maximum(
+            np.asarray(itype.network.sample(rng, (num_samples, n)), dtype=float), _MIN_BANDWIDTH
+        )
+        cpu = np.empty(n)
+        data = np.empty(n)
+        for i, tid in enumerate(workflow.task_ids):
+            comp = model.components(workflow.task(tid), type_name)
+            cpu[i] = comp.cpu_seconds
+            data[i] = comp.io_bytes
+        tensor[k] = cpu[None, :] + data[None, :] / io_bw + data[None, :] / net_bw
+    return tensor
+
+
 class TestComponents:
     def test_cpu_scales_with_speed(self, model, data_task, catalog):
         small = model.components(data_task, "m1.small")
@@ -157,6 +186,22 @@ class TestTensors:
             RuntimeModel(catalog).mean_vector(workflow, "m1.large"),
             want[catalog.index_of("m1.large")],
         )
+
+    @pytest.mark.parametrize(
+        "workflow, type_names",
+        [
+            (montage(degrees=1.0, seed=2), None),
+            (montage(degrees=8.0, seed=2), None),
+            (epigenomics(100, seed=2), None),
+            (montage(degrees=1.0, seed=2), ("m1.large", "m1.small")),
+            (pipeline(1, seed=2), None),
+        ],
+        ids=["montage-1", "montage-8", "epigenomics-100", "type-subset", "pipeline-1"],
+    )
+    def test_sample_tensor_is_bit_equal_to_per_task_components(self, catalog, workflow, type_names):
+        got = RuntimeModel(catalog).sample_tensor(workflow, 20, seed=11, type_names=type_names)
+        want = components_sample_tensor(RuntimeModel(catalog), workflow, 20, 11, type_names)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
 
     def test_mean_matrix_is_memoised_per_workflow_object(self, catalog):
         model = RuntimeModel(catalog)
