@@ -29,8 +29,8 @@ Two granularities share the :class:`OpMask` product:
   evaluation budget, enters the visited set, and passes the analytic
   and prefix screening tiers like any other candidate -- only the
   final full-MC evaluation is replaced -- so the search trajectory is
-  provably unchanged; plan identity with the mask off is asserted by
-  the property tests and the solver bench.
+  provably unchanged; plan identity with ``op_mask=None`` is asserted
+  by ``tests/analysis/test_dominance.py``.
 
 The per-cell bounds come from the sample tensor when a compiled
 problem is at hand (:func:`compute_op_mask` -- tight, what the solver

@@ -21,32 +21,14 @@ from repro.bench.fig08 import fig08_probabilistic_deadline_sweep
 from repro.bench.fig09 import fig09_ensemble_scores
 from repro.bench.fig10 import fig10_follow_the_cost
 from repro.bench.fig11 import fig11_deadline_sensitivity
-from repro.bench.parallel import (
-    bench_parallel,
-    write_bench_parallel_json,
-)
-from repro.bench.perf import (
-    solver_speedup,
-    incremental_speedup,
-    incremental_search,
-    analytic_speedup,
-    analytic_accuracy,
-    cascade_search,
-    dominance_search,
-    distributed_search,
-    optimization_overhead,
-    write_bench_solver_json,
-)
-from repro.bench.faults import (
-    bench_faults,
-    write_bench_faults_json,
-)
+from repro.bench.perf import optimization_overhead, solver_speedup
 from repro.bench.ablations import (
     ablation_probabilistic_vs_deterministic,
     ablation_mc_iterations,
     ablation_astar_pruning,
     ablation_search_seeds,
     ablation_failure_injection,
+    ablation_fault_aware,
 )
 
 __all__ = [
@@ -62,23 +44,12 @@ __all__ = [
     "fig09_ensemble_scores",
     "fig10_follow_the_cost",
     "fig11_deadline_sensitivity",
-    "bench_parallel",
-    "write_bench_parallel_json",
     "solver_speedup",
-    "incremental_speedup",
-    "incremental_search",
-    "analytic_speedup",
-    "analytic_accuracy",
-    "cascade_search",
-    "dominance_search",
-    "distributed_search",
     "optimization_overhead",
-    "write_bench_solver_json",
-    "bench_faults",
-    "write_bench_faults_json",
     "ablation_probabilistic_vs_deterministic",
     "ablation_mc_iterations",
     "ablation_astar_pruning",
     "ablation_search_seeds",
     "ablation_failure_injection",
+    "ablation_fault_aware",
 ]

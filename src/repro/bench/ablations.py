@@ -10,6 +10,7 @@ import numpy as np
 
 from repro.bench.harness import BenchConfig
 from repro.engine.ensemble import EnsembleDriver
+from repro.faults import FaultModel, RecoveryPolicy
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
 from repro.workflow.generators import montage
@@ -20,6 +21,7 @@ __all__ = [
     "ablation_astar_pruning",
     "ablation_search_seeds",
     "ablation_failure_injection",
+    "ablation_fault_aware",
 ]
 
 
@@ -235,6 +237,64 @@ def ablation_failure_injection(
                 "deadline_hit_rate": float(
                     np.mean([r.makespan <= plan.deadline for r in results])
                 ),
+            }
+        )
+    return rows
+
+
+def ablation_fault_aware(
+    config: BenchConfig | None = None,
+    degrees: float = 1.0,
+    failure_rate: float = 0.12,
+    max_retries: int = 3,
+) -> list[dict]:
+    """Fault-oblivious vs fault-aware provisioning under the same faults.
+
+    Both plans are solved for the same workflow and deadline: the
+    *oblivious* one assumes a perfect cloud, the *aware* one prices
+    candidates under the declared :class:`~repro.faults.FaultModel`
+    (expected retries inflate the task-time tensor via
+    :meth:`CompiledProblem.with_faults`).  Both are then executed under
+    the same injected faults.  Expected shape: the aware plan meets the
+    deadline at least as often as the oblivious one.
+    """
+    config = config or BenchConfig()
+    faults = FaultModel(task_failure_rate=failure_rate)
+    recovery = RecoveryPolicy(max_retries=max_retries)
+    wf = montage(degrees=degrees, seed=config.seed)
+    deco = config.deco()
+    sim = config.simulator()
+    rows = []
+    for label, solve_faults in (("oblivious", None), ("aware", faults)):
+        plan = deco.schedule(
+            wf,
+            "medium",
+            deadline_percentile=config.deadline_percentile,
+            faults=solve_faults,
+            recovery=recovery,  # read only when the solve has a fault model
+        )
+        results = sim.run_many(
+            wf,
+            plan.assignment,
+            max(20, config.runs_per_plan),
+            faults=faults,
+            recovery=recovery,
+            on_abort="record",
+            workers=config.workers,
+        )
+        completed = [r for r in results if not r.aborted] or results
+        rows.append(
+            {
+                "plan": label,
+                "planned_cost": plan.expected_cost,
+                "deadline": plan.deadline,
+                "runs": len(results),
+                "aborted": sum(r.aborted for r in results),
+                "p_deadline": float(
+                    np.mean([r.meets_deadline(plan.deadline) for r in results])
+                ),
+                "mean_makespan": float(np.mean([r.makespan for r in completed])),
+                "mean_cost": float(np.mean([r.cost for r in completed])),
             }
         )
     return rows

@@ -1,90 +1,29 @@
 """Solver performance: backend speedup and optimization overhead.
 
-* :func:`solver_speedup` -- two comparisons per workflow scale:
-
-  - the paper's GPU-vs-CPU gap (Sections 6.3.1-6.3.2 report 10x-36x for
-    the K40 over a 6-core CPU): vectorized NumPy backend vs the
-    deliberately scalar Python backend, identical numerics;
-  - the level-parallel fast path vs the pre-optimization per-task
-    propagation loop (``VectorizedBackend(level_parallel=False)``),
-    measured at a search-shaped batch (Deco's default sample count and
-    a frontier-sized state batch), reported as ``taskloop_before_ms`` /
-    ``level_after_ms`` / ``level_speedup``.
-
-* :func:`incremental_speedup` -- this PR's before/after: per-state
-  delta propagation (dirty-level suffix recompute from the parent's
-  cached finish-time frontier) against the full fused level kernel, at
-  the search's child-evaluation shape, with bit-identity asserted.
-
-* :func:`incremental_search` -- the end-to-end comparison: one Deco
-  solve with the incremental engine (delta propagation + two-stage
-  fidelity screening) vs one with ``incremental=False``, reporting
-  wall-clock and an ``identical`` flag over the plans' decision dicts.
-
-* :func:`dominance_search` -- the dominance analysis's end-to-end
-  comparison: one Deco solve with the op mask (futile-promote settling)
-  and one with ``dominance_mask=False``, decision dicts compared byte
-  for byte, with the ``pruned_candidates`` counter showing how many
-  full evaluations the mask proved away.
-
-* :func:`distributed_search` -- the distributed beam solve's
-  end-to-end comparison: one Deco solve per worker count, byte-identical
-  decision dicts asserted (the ``distributed.identical`` CI gate),
-  wall-clock speedup/efficiency and speculation/shard-cache counters
-  reported per width.
+* :func:`solver_speedup` -- the paper's GPU-vs-CPU gap (Sections
+  6.3.1-6.3.2 report 10x-36x for the K40 over a 6-core CPU): vectorized
+  NumPy backend vs the deliberately scalar Python backend, identical
+  numerics.
 
 * :func:`optimization_overhead` -- the paper's end-to-end figure of
   merit: 4.3-63.17 ms of optimization time per task for 20-1000-task
   workflows.  Rows carry the makespan-cache hit/miss counters of the
   solve, showing how much propagation the memoization avoided.
 
-* :func:`write_bench_solver_json` -- machine-readable dump of the
-  tables (the repo's ``BENCH_solver.json``), stamped with git SHA +
-  UTC timestamp provenance.
+How fast the engine's own layers are is judged end to end by
+``benchmarks/e2e`` (``BENCHMARK.json``), not here.
 """
 
 from __future__ import annotations
 
-import datetime
-import json
-import subprocess
 import time
-from pathlib import Path
-
-import numpy as np
 
 from repro.bench.harness import BenchConfig
-from repro.parallel.executor import host_cpu_count
-from repro.solver.analytic_backend import AnalyticBackend
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
-from repro.solver.cache import EvalContext
 from repro.solver.state import PlanState
 from repro.workflow.generators import ligo, montage
 
-__all__ = [
-    "ANALYTIC_PROB_ERROR_BOUND",
-    "solver_speedup",
-    "incremental_speedup",
-    "incremental_search",
-    "analytic_speedup",
-    "analytic_accuracy",
-    "cascade_search",
-    "dominance_search",
-    "distributed_search",
-    "arena_bench",
-    "adaptive_sharding_bench",
-    "optimization_overhead",
-    "write_bench_solver_json",
-]
-
-#: Documented upper bound on ``analytic_accuracy``'s worst-case absolute
-#: deadline-probability deviation (analytic normal CDF vs full Monte
-#: Carlo) over the benched workflow catalog.  Measured maxima are ~0.17
-#: (montage-1) / ~0.09 (montage-4) / ~0.03 (montage-8); the bound has
-#: slack for sampling noise but a genuine propagation regression (wrong
-#: variance algebra, broken calibration) lands far above it.  The CI
-#: bench gate fails when a measured error exceeds this.
-ANALYTIC_PROB_ERROR_BOUND = 0.25
+__all__ = ["solver_speedup", "optimization_overhead"]
 
 
 def _best_of(fn, repeats: int) -> float:
@@ -97,41 +36,20 @@ def _best_of(fn, repeats: int) -> float:
     return best
 
 
-def _median_spread(fn, repeats: int) -> tuple[float, float, float]:
-    """(median, min, max) wall-clock seconds over ``repeats`` calls.
-
-    The CLI's ``--repeat N`` reports this instead of best-of: the median
-    resists one lucky (or unlucky) run, and the min/max spread makes
-    noisy hosts visible in the recorded JSON instead of hidden by it.
-    """
-    times = []
-    for _ in range(max(1, repeats)):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return float(np.median(times)), min(times), max(times)
-
-
 def solver_speedup(
     config: BenchConfig | None = None,
     degrees: tuple[float, ...] = (1.0, 4.0, 8.0),
     batch: int = 4,
     num_samples: int = 50,
-    level_batch: int = 32,
-    level_samples: int = 200,
     repeats: int = 5,
 ) -> list[dict]:
-    """Per workflow scale: evaluation throughput of the backend variants.
+    """Per workflow scale: evaluation time of the vectorized vs scalar backend.
 
-    The scalar comparison runs at a small shape (``batch`` x
-    ``num_samples``) because the pure-Python backend is slow by design;
-    the level-parallel before/after comparison runs at the shape the
-    search actually evaluates (``level_batch`` states x
-    ``level_samples`` Monte Carlo realizations, Deco's defaults).
+    The comparison runs at a small shape (``batch`` x ``num_samples``)
+    because the pure-Python backend is slow by design.
     """
     config = config or BenchConfig()
     gpu, cpu = VectorizedBackend(), ScalarBackend()
-    taskloop = VectorizedBackend(level_parallel=False)
     rows = []
     for deg in degrees:
         wf = montage(degrees=deg, seed=config.seed)
@@ -153,26 +71,6 @@ def solver_speedup(
             for a, b in zip(gpu_out, cpu_out)
         ), "backends disagree"
 
-        # Level-parallel fast path vs the pre-optimization per-task loop,
-        # at the search's evaluation shape.
-        lvl_problem = CompiledProblem.compile(
-            wf, config.catalog, deadline=1.0e9, percentile=96.0,
-            num_samples=level_samples, seed=config.seed,
-            runtime_model=config.runtime_model,
-        )
-        lvl_states = [
-            PlanState.uniform(len(wf), t % lvl_problem.num_types)
-            for t in range(level_batch)
-        ]
-        assert np.array_equal(
-            gpu.makespan_samples(lvl_problem, lvl_states),
-            taskloop.makespan_samples(lvl_problem, lvl_states),
-        ), "level-parallel path disagrees with the per-task loop"
-        t_level = _best_of(lambda: gpu.makespan_samples(lvl_problem, lvl_states), repeats)
-        t_taskloop = _best_of(
-            lambda: taskloop.makespan_samples(lvl_problem, lvl_states), repeats
-        )
-
         rows.append(
             {
                 "workflow": wf.name,
@@ -182,606 +80,8 @@ def solver_speedup(
                 "vectorized_ms": t_gpu * 1000,
                 "scalar_ms": t_cpu * 1000,
                 "speedup": t_cpu / t_gpu,
-                "level_batch": level_batch,
-                "level_samples": level_samples,
-                "taskloop_before_ms": t_taskloop * 1000,
-                "level_after_ms": t_level * 1000,
-                "level_speedup": t_taskloop / t_level,
             }
         )
-    return rows
-
-
-def incremental_speedup(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (8.0,),
-    batch: int = 32,
-    num_samples: int = 200,
-    repeats: int = 5,
-) -> list[dict]:
-    """Per-state evaluation: delta propagation vs the full level kernel.
-
-    The measured shape is exactly what the search pays per expansion: a
-    beam parent's frontier is cached (``ensure_frontier``), then a batch
-    of single-task children is evaluated -- once through the full fused
-    kernel (the PR-1 level-parallel path) and once through the dirty-
-    level delta path.  Both produce bit-identical makespan samples
-    (asserted here and by the test suite); ``incremental_speedup`` is
-    the full/delta wall-clock ratio per state.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        problem = CompiledProblem.compile(
-            wf, config.catalog, deadline=1.0e9, percentile=96.0,
-            num_samples=num_samples, seed=config.seed,
-            runtime_model=config.runtime_model,
-        )
-        full = VectorizedBackend()
-        delta = VectorizedBackend(eval_context=EvalContext())
-        parent = PlanState.uniform(len(wf), 1)
-        # One single-task edit per child, spread across the whole DAG --
-        # the shape of a search expansion (critical-path promotes plus
-        # off-path demotes at every depth), alternating direction.
-        children = []
-        stride = max(1, len(wf) // batch)
-        for j, i in enumerate(range(0, len(wf), stride)):
-            child = (
-                parent.promote(i, problem.num_types) if j % 2 else parent.demote(i)
-            )
-            if child is not None:
-                children.append(child)
-            if len(children) == batch:
-                break
-        delta.ensure_frontier(problem, parent)
-
-        ref = full.makespan_samples(problem, children, incremental=False)
-        inc = delta.makespan_samples(problem, children)
-        assert np.array_equal(ref, inc), "delta propagation is not bit-identical"
-
-        t_full = _best_of(
-            lambda: full.makespan_samples(problem, children, incremental=False), repeats
-        )
-        t_delta = _best_of(lambda: delta.makespan_samples(problem, children), repeats)
-        stats = delta.delta_stats()
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "batch": len(children),
-                "samples": num_samples,
-                "full_ms": t_full * 1000,
-                "delta_ms": t_delta * 1000,
-                "incremental_speedup": t_full / t_delta,
-                "identical": True,  # asserted above, on the same operands
-                "levels_skipped_frac": (
-                    stats["levels_skipped"] / stats["levels_total"]
-                    if stats["levels_total"]
-                    else 0.0
-                ),
-                "rows_recomputed_frac": (
-                    stats["rows_recomputed"] / stats["rows_total"]
-                    if stats["rows_total"]
-                    else 0.0
-                ),
-            }
-        )
-    return rows
-
-
-def incremental_search(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (8.0,),
-    repeats: int = 3,
-    backend: str = "gpu",
-) -> list[dict]:
-    """End-to-end solve: incremental engine on vs off, same plan either way.
-
-    Runs :meth:`Deco.schedule` twice per workflow -- once with the
-    incremental evaluation engine (delta propagation + two-stage
-    fidelity screening), once with ``incremental=False`` -- and
-    compares the plans' *decision dicts* byte for byte.  ``identical``
-    must be True: the incremental engine is a pure evaluation
-    optimization, never a search-behaviour change.  Counter columns
-    come from the incremental run's :class:`SearchResult`.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-
-        # Best-of-``repeats``, fresh engine per solve (cold caches both
-        # ways); plans must agree across every repetition.
-        deco_off = config.deco(backend=backend, incremental=False)
-        plan_off = deco_off.schedule(wf, "medium", deadline_percentile=config.deadline_percentile)
-        t_off = _best_of(
-            lambda: config.deco(backend=backend, incremental=False).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        deco_inc = config.deco(backend=backend, incremental=True)
-        plan_inc = deco_inc.schedule(wf, "medium", deadline_percentile=config.deadline_percentile)
-        t_inc = _best_of(
-            lambda: config.deco(backend=backend, incremental=True).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        result = deco_inc.last_result
-        assert result is not None
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "full_s": t_off,
-                "incremental_s": t_inc,
-                "search_speedup": t_off / t_inc,
-                "identical": plan_inc.decision_dict() == plan_off.decision_dict(),
-                "evaluations": result.evaluations,
-                "exact_evals": result.exact_evals,
-                "screen_evals": result.screen_evals,
-                "screened_out": result.screened_out,
-                "states_incremental": result.states_incremental,
-                "levels_skipped": result.levels_skipped,
-                "levels_total": result.levels_total,
-            }
-        )
-    return rows
-
-
-def _search_shaped_children(problem: CompiledProblem, num_tasks: int, batch: int):
-    """A parent plus ``batch`` single-task edits (the expansion shape)."""
-    parent = PlanState.uniform(num_tasks, 1)
-    children = []
-    stride = max(1, num_tasks // batch)
-    for j, i in enumerate(range(0, num_tasks, stride)):
-        child = parent.promote(i, problem.num_types) if j % 2 else parent.demote(i)
-        if child is not None:
-            children.append(child)
-        if len(children) == batch:
-            break
-    return parent, children
-
-
-def analytic_speedup(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (8.0,),
-    batch: int = 32,
-    num_samples: int = 150,
-    repeats: int = 5,
-) -> list[dict]:
-    """Per-state evaluation: moment propagation vs the incremental MC kernel.
-
-    This PR's per-state before/after: the same search-shaped child batch
-    evaluated once through the delta-propagation Monte Carlo path (the
-    PR-5 fast path, parent frontier pre-cached) and once through the
-    analytic moment propagation.  The analytic pass is warmed first so
-    the one-off quantile calibration is not billed to the steady state
-    (exactly as the search amortizes it).
-
-    Call this before other bench sections in a process: the MC gather
-    kernel runs ~2x faster when its sample tensors land in heap pages
-    recycled from earlier (freed) allocations, a regime a single solve
-    -- which compiles its tensors into fresh memory -- never reaches.
-    The analytic kernel's pooled working set is cache-sized either way,
-    so a warmed heap only deflates the MC baseline.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        problem = CompiledProblem.compile(
-            wf, config.catalog, deadline=1.0e9, percentile=96.0,
-            num_samples=num_samples, seed=config.seed,
-            runtime_model=config.runtime_model,
-        )
-        delta = VectorizedBackend(eval_context=EvalContext())
-        analytic = AnalyticBackend(pool=delta.pool)
-        parent, children = _search_shaped_children(problem, len(wf), batch)
-        delta.ensure_frontier(problem, parent)
-        analytic.makespan_moments(problem, children)  # calibrate once
-
-        t_delta = _best_of(lambda: delta.makespan_samples(problem, children), repeats)
-        t_analytic = _best_of(
-            lambda: analytic.makespan_moments(problem, children), repeats
-        )
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "batch": len(children),
-                "samples": num_samples,
-                "quantile_points": analytic.quantile_points,
-                "mc_delta_us_per_state": t_delta * 1e6 / len(children),
-                "analytic_us_per_state": t_analytic * 1e6 / len(children),
-                "analytic_speedup": t_delta / t_analytic,
-            }
-        )
-    return rows
-
-
-def analytic_accuracy(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (1.0, 4.0, 8.0),
-    batch: int = 32,
-    num_samples: int = 150,
-) -> list[dict]:
-    """Measured analytic-vs-MC error at the deadline the search uses.
-
-    For a search-shaped state batch at the workflow's ``medium``
-    deadline preset: the absolute deviation between the analytic
-    deadline probability (normal CDF on propagated moments) and the
-    Monte Carlo estimate, plus the relative error of the makespan mean.
-    These are the documented error bounds the CI gate holds the backend
-    to -- the cascade margins in DESIGN.md §11 are calibrated against
-    exactly these distributions.
-
-    ``max_rel_mean_error`` can be large (0.83 on montage-4) on exactly
-    one kind of state: all tasks on the slowest type, where a handful
-    of Monte Carlo draws sit ~750x above the median and dominate the
-    sample mean.  The Q-point midpoint-quantile calibration truncates
-    mass beyond the ``1 - 1/(2Q)`` quantile, so the analytic mean
-    tracks the median instead.  The *probability* error on the same
-    state stays below 0.09: feasibility at the deadline depends on the
-    bulk of the distribution, which the grid represents faithfully --
-    this is why the CI gate bounds probability error, not mean error.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        deco = config.deco()
-        deadline = deco.presets(wf).medium
-        problem = CompiledProblem.compile(
-            wf, config.catalog, deadline=deadline, percentile=96.0,
-            num_samples=num_samples, seed=config.seed,
-            runtime_model=config.runtime_model,
-        )
-        mc = VectorizedBackend()
-        analytic = AnalyticBackend(pool=mc.pool)
-        _, children = _search_shaped_children(problem, len(wf), batch)
-        states = [PlanState.uniform(len(wf), 0), PlanState.uniform(len(wf), 1)] + children
-
-        mc_evals = mc.evaluate_batch(problem, states)
-        a_mean, _ = analytic.makespan_moments(problem, states)
-        a_prob = analytic.deadline_probabilities(problem, states)
-        prob_err = [abs(float(p) - e.probability) for p, e in zip(a_prob, mc_evals)]
-        mean_rel = [
-            abs(float(m) - e.mean_makespan) / max(e.mean_makespan, 1e-9)
-            for m, e in zip(a_mean, mc_evals)
-        ]
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "states": len(states),
-                "samples": num_samples,
-                "max_abs_prob_error": max(prob_err),
-                "mean_abs_prob_error": sum(prob_err) / len(prob_err),
-                "max_rel_mean_error": max(mean_rel),
-            }
-        )
-    return rows
-
-
-def cascade_search(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (1.0, 4.0, 8.0),
-    repeats: int = 3,
-    backend: str = "gpu",
-) -> list[dict]:
-    """End-to-end solve: three-tier cascade on vs off, same plan either way.
-
-    The cascade analogue of :func:`incremental_search`: one
-    :meth:`Deco.schedule` per workflow with the analytic tier enabled
-    (the default) and one with ``analytic_screen=False``, decision
-    dicts compared byte for byte.  ``identical`` must be True -- tier 0
-    settles states with closed-form evaluations but never changes which
-    plan wins.  Counter columns come from the cascade run's
-    :class:`SearchResult`.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-
-        plan_off = config.deco(backend=backend, analytic_screen=False).schedule(
-            wf, "medium", deadline_percentile=config.deadline_percentile
-        )
-        t_off = _best_of(
-            lambda: config.deco(backend=backend, analytic_screen=False).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        deco_on = config.deco(backend=backend, analytic_screen=True)
-        plan_on = deco_on.schedule(wf, "medium", deadline_percentile=config.deadline_percentile)
-        t_on = _best_of(
-            lambda: config.deco(backend=backend, analytic_screen=True).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        result = deco_on.last_result
-        assert result is not None
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "cascade_off_s": t_off,
-                "cascade_on_s": t_on,
-                "cascade_speedup": t_off / t_on,
-                "identical": plan_on.decision_dict() == plan_off.decision_dict(),
-                "evaluations": result.evaluations,
-                "analytic_evals": result.analytic_evals,
-                "analytic_rejected": result.analytic_screened_out,
-                "analytic_accepted": result.analytic_accepted,
-                "exact_evals": result.exact_evals,
-                "screen_evals": result.screen_evals,
-                "pruned_candidates": result.pruned_candidates,
-            }
-        )
-    return rows
-
-
-def dominance_search(
-    config: BenchConfig | None = None,
-    repeats: int = 3,
-    backend: str = "gpu",
-) -> list[dict]:
-    """End-to-end solve: dominance mask on vs off, same plan either way.
-
-    One :meth:`Deco.schedule` per case with the op mask enabled (the
-    default) and one with ``dominance_mask=False``, decision dicts
-    compared byte for byte.  ``identical`` must be True: a masked child
-    inherits an evaluation that is provably bitwise what the backend
-    would have computed, so the mask can never change which plan wins.
-
-    Two cases probe the two regimes.  Montage runs with the full
-    incremental engine -- there the prefix screen already discards the
-    hopeless candidates at 32-sample fidelity, so the mask's skip count
-    is expected to be ~0 and the row is a pure identity check.  LIGO
-    runs with ``incremental=False`` (no screening tiers): its long
-    chains make most off-path exploration promotes provably
-    never-critical, and the mask is what stands between them and a
-    full Monte Carlo evaluation -- ``pruned_candidates`` counts the
-    full evaluations it proved away.
-    """
-    config = config or BenchConfig()
-    cases = [
-        (montage(degrees=4.0, seed=config.seed), True),
-        (ligo(num_tasks=100, seed=config.seed), False),
-    ]
-    rows = []
-    for wf, incremental in cases:
-        common = dict(backend=backend, incremental=incremental)
-
-        plan_off = config.deco(dominance_mask=False, **common).schedule(
-            wf, "medium", deadline_percentile=config.deadline_percentile
-        )
-        t_off = _best_of(
-            lambda: config.deco(dominance_mask=False, **common).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        deco_on = config.deco(dominance_mask=True, **common)
-        plan_on = deco_on.schedule(wf, "medium", deadline_percentile=config.deadline_percentile)
-        t_on = _best_of(
-            lambda: config.deco(dominance_mask=True, **common).schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            ),
-            repeats,
-        )
-
-        result = deco_on.last_result
-        assert result is not None
-        rows.append(
-            {
-                "workflow": wf.name,
-                "tasks": len(wf),
-                "incremental": incremental,
-                "mask_off_s": t_off,
-                "mask_on_s": t_on,
-                "mask_speedup": t_off / t_on,
-                "identical": plan_on.decision_dict() == plan_off.decision_dict(),
-                "evaluations": result.evaluations,
-                "exact_evals": result.exact_evals,
-                "pruned_candidates": result.pruned_candidates,
-            }
-        )
-    return rows
-
-
-def distributed_search(
-    config: BenchConfig | None = None,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    degrees: tuple[float, ...] = (4.0,),
-    repeats: int = 2,
-) -> list[dict]:
-    """End-to-end solve: sharded beam evaluation, same plan at any width.
-
-    One :meth:`Deco.schedule` per (workflow, worker count): the
-    ``workers=1`` row is the serial reference; wider rows shard each
-    beam iteration's candidate batch across that many persistent worker
-    processes (DESIGN.md §13) and must produce a byte-identical
-    decision dict -- ``identical`` is the regression gate, speedup is
-    the prize.  ``efficiency`` is speedup per worker; on a single-core
-    host (see the payload's ``host_cpu_count``) expect efficiency well
-    below 1 -- the workers time-share one CPU and the row documents the
-    honest overhead, while the identity gate still binds.
-
-    Timing is median-of-``repeats`` (min/max spread recorded alongside)
-    with a fresh engine per solve (cold
-    caches, pool spawn included -- the cost a first-time caller pays);
-    counters come from one extra measured solve per width.
-    ``speculation_hit_rate`` is the fraction of the parent's
-    speculative child expansions the next iteration actually consumed;
-    ``cache_hit_rate`` aggregates the shard-resident makespan caches.
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        reference = None
-        t_serial = None
-        for workers in worker_counts:
-            def solve_once():
-                with config.deco(workers=workers) as deco:
-                    return deco.schedule(
-                        wf, "medium", deadline_percentile=config.deadline_percentile
-                    )
-
-            deco = config.deco(workers=workers)
-            plan = deco.schedule(
-                wf, "medium", deadline_percentile=config.deadline_percentile
-            )
-            result = deco.last_result
-            deco.close()
-            assert result is not None
-            t_solve, t_min, t_max = _median_spread(solve_once, repeats)
-            if reference is None:
-                reference = plan.decision_dict()
-                t_serial = t_solve
-            hits, misses = result.cache_hits, result.cache_misses
-            rows.append(
-                {
-                    "workflow": wf.name,
-                    "tasks": len(wf),
-                    "workers": workers,
-                    "solve_s": t_solve,
-                    "solve_s_min": t_min,
-                    "solve_s_max": t_max,
-                    "repeats": max(1, repeats),
-                    "speedup": t_serial / t_solve,
-                    "efficiency": t_serial / t_solve / workers,
-                    "identical": plan.decision_dict() == reference,
-                    "evaluations": result.evaluations,
-                    "speculated": result.speculated,
-                    "speculation_hits": result.speculation_hits,
-                    "speculation_hit_rate": (
-                        result.speculation_hits / result.speculated
-                        if result.speculated
-                        else 0.0
-                    ),
-                    "cache_hits": hits,
-                    "cache_misses": misses,
-                    "cache_hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-                }
-            )
-    return rows
-
-
-def arena_bench(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (8.0,),
-    workers: int = 2,
-) -> list[dict]:
-    """Broadcast bytes + wall-clock: zero-copy arena vs pickled prologue.
-
-    One fresh-engine solve per (workflow, transport).  The arena row
-    broadcasts only the content key plus scalar deltas (the tensors ride
-    shared memory); the pickled row ships the whole prologue payload.
-    ``broadcast_reduction_x`` is the headline -- the ISSUE's >= 10x gate
-    on Montage-8 -- and ``identical`` is the regression gate: both
-    transports rebuild the same compiled problem, so the plan may not
-    move by a byte.  ``arena_used`` distinguishes a real reduction from
-    an environment where shared memory is unavailable and the arena
-    engine silently fell back to pickling (the gate is waived there).
-    """
-    from repro.parallel.arena import arena_available
-
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        row: dict = {"workflow": wf.name, "tasks": len(wf), "workers": workers}
-        plans = {}
-        for label, use_arena in (("arena", True), ("pickled", False)):
-            t0 = time.perf_counter()
-            with config.deco(workers=workers, arena=use_arena) as deco:
-                plan = deco.schedule(
-                    wf, "medium", deadline_percentile=config.deadline_percentile
-                )
-                elapsed = time.perf_counter() - t0
-                dist = deco.cache_stats().get("distributed", {})
-                if label == "arena":
-                    # A second solve at another deadline derives from the
-                    # same base problem: the segment is reused (a hit),
-                    # never re-published.  Outside the timed window and
-                    # after the broadcast-bytes snapshot, so both
-                    # transports compare exactly one solve.
-                    deco.schedule(wf, "medium", deadline_percentile=90.0)
-                    sweep = deco.cache_stats().get("distributed", {})
-            row[f"{label}_solve_s"] = elapsed
-            row[f"{label}_broadcast_bytes"] = int(dist.get("broadcast_bytes", 0))
-            if label == "arena":
-                row["arena_publishes"] = int(sweep.get("arena_publishes", 0))
-                row["arena_hits"] = int(sweep.get("arena_hits", 0))
-                row["arena_bytes"] = int(sweep.get("arena_bytes", 0))
-            plans[label] = plan.decision_dict()
-        on_bytes = row["arena_broadcast_bytes"]
-        off_bytes = row["pickled_broadcast_bytes"]
-        row["arena_used"] = bool(
-            arena_available() and row["arena_publishes"] > 0 and on_bytes < off_bytes
-        )
-        row["broadcast_reduction_x"] = (off_bytes / on_bytes) if on_bytes else 0.0
-        row["identical"] = plans["arena"] == plans["pickled"]
-        rows.append(row)
-    return rows
-
-
-def adaptive_sharding_bench(
-    config: BenchConfig | None = None,
-    degrees: tuple[float, ...] = (4.0,),
-    workers: int = 2,
-    solves: int = 2,
-) -> list[dict]:
-    """Cost-model sharding vs even chunking: imbalance, steals, identity.
-
-    ``solves`` back-to-back schedules per engine: the first trains the
-    per-shard cost EWMAs (partitions are still even until the model has
-    data), later ones run weighted.  ``*_imbalance`` is the mean per
-    round of max/mean per-shard elapsed (1.0 == perfect balance);
-    ``steals`` counts tail chunks re-routed to early-finishing shards.
-    ``identical`` gates that every solve's plan matches the even-chunked
-    engine's -- partitioning and stealing only move *where* chunks are
-    computed (DESIGN.md §15).
-    """
-    config = config or BenchConfig()
-    rows = []
-    for deg in degrees:
-        wf = montage(degrees=deg, seed=config.seed)
-        row: dict = {
-            "workflow": wf.name,
-            "tasks": len(wf),
-            "workers": workers,
-            "solves": solves,
-        }
-        plans: dict[str, list] = {}
-        for label, flag in (("adaptive", True), ("even", False)):
-            t0 = time.perf_counter()
-            with config.deco(workers=workers, adaptive_sharding=flag) as deco:
-                plans[label] = [
-                    deco.schedule(
-                        wf, "medium", deadline_percentile=config.deadline_percentile
-                    ).decision_dict()
-                    for _ in range(solves)
-                ]
-                dist = deco.cache_stats().get("distributed", {})
-            row[f"{label}_solve_s"] = time.perf_counter() - t0
-            row[f"{label}_imbalance"] = float(dist.get("shard_imbalance", 0.0))
-            if label == "adaptive":
-                row["steals"] = int(dist.get("steals", 0))
-        row["identical"] = plans["adaptive"] == plans["even"]
-        rows.append(row)
     return rows
 
 
@@ -811,115 +111,3 @@ def optimization_overhead(
             }
         )
     return rows
-
-
-def _git_provenance() -> dict:
-    """Best-effort git SHA of the tree the numbers were measured on."""
-    try:
-        sha = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True, text=True, timeout=10,
-            cwd=Path(__file__).resolve().parent,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        sha = ""
-    return {
-        "git_sha": sha or "unknown",
-        "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(
-            timespec="seconds"
-        ),
-    }
-
-
-def write_bench_solver_json(
-    path: str | Path,
-    config: BenchConfig | None = None,
-    speedup_rows: list[dict] | None = None,
-    overhead_rows: list[dict] | None = None,
-    incremental_rows: list[dict] | None = None,
-    incremental_search_rows: list[dict] | None = None,
-    analytic_rows: list[dict] | None = None,
-    analytic_accuracy_rows: list[dict] | None = None,
-    cascade_rows: list[dict] | None = None,
-    dominance_rows: list[dict] | None = None,
-    distributed_rows: list[dict] | None = None,
-    arena_rows: list[dict] | None = None,
-    adaptive_rows: list[dict] | None = None,
-) -> dict:
-    """Write the machine-readable solver benchmark (``BENCH_solver.json``).
-
-    ``before``/``after`` of the level-parallel optimization are the
-    ``taskloop_before_ms`` / ``level_after_ms`` fields of the speedup
-    rows; the incremental engine's before/after are ``full_ms`` /
-    ``delta_ms`` (per-state) and ``full_s`` / ``incremental_s``
-    (end-to-end search).  Pass precomputed rows to reuse measurements a
-    caller already made (the benchmark suite does).  The payload is
-    stamped with git SHA + UTC timestamp provenance.
-    """
-    config = config or BenchConfig()
-    payload = {
-        "benchmark": "solver",
-        "unit": "ms",
-        **_git_provenance(),
-        "host_cpu_count": host_cpu_count(),
-        "workers": config.workers,
-        "solver_speedup": speedup_rows if speedup_rows is not None else solver_speedup(config),
-        "incremental": {
-            "per_state": (
-                incremental_rows
-                if incremental_rows is not None
-                else incremental_speedup(config)
-            ),
-            "search": (
-                incremental_search_rows
-                if incremental_search_rows is not None
-                else incremental_search(config)
-            ),
-        },
-        "analytic": {
-            "per_state": (
-                analytic_rows if analytic_rows is not None else analytic_speedup(config)
-            ),
-            "accuracy": (
-                analytic_accuracy_rows
-                if analytic_accuracy_rows is not None
-                else analytic_accuracy(config)
-            ),
-            "cascade": cascade_rows if cascade_rows is not None else cascade_search(config),
-        },
-        "dominance": {
-            "search": (
-                dominance_rows if dominance_rows is not None else dominance_search(config)
-            ),
-        },
-        "optimization_overhead": (
-            overhead_rows if overhead_rows is not None else optimization_overhead(config)
-        ),
-    }
-    dist_rows = (
-        distributed_rows if distributed_rows is not None else distributed_search(config)
-    )
-    payload["distributed"] = {
-        # The regression gate: sharding may never change which plan
-        # wins, at any worker count (CI fails the bench otherwise).
-        "identical": all(r["identical"] for r in dist_rows),
-        "search": dist_rows,
-    }
-    a_rows = arena_rows if arena_rows is not None else arena_bench(config)
-    payload["arena"] = {
-        "identical": all(r["identical"] for r in a_rows),
-        # Only meaningful where shared memory works: rows with
-        # arena_used=False measured the fallback against itself.
-        "broadcast_reduction_x": min(
-            (r["broadcast_reduction_x"] for r in a_rows if r["arena_used"]),
-            default=0.0,
-        ),
-        "rows": a_rows,
-    }
-    s_rows = adaptive_rows if adaptive_rows is not None else adaptive_sharding_bench(config)
-    payload["adaptive_sharding"] = {
-        "identical": all(r["identical"] for r in s_rows),
-        "rows": s_rows,
-    }
-    Path(path).write_text(json.dumps(payload, indent=2, default=float) + "\n")
-    return payload

@@ -6,14 +6,10 @@ Usage::
     python -m repro run fig01 [--seed 7] [--samples 100] [--evals 800]
     python -m repro run all --workers 4
     python -m repro schedule --app montage --degrees 1 --deadline medium \
-        --percentile 96 [--no-incremental] [--no-analytic-screen]
+        --percentile 96 [--workers 2]
     python -m repro schedule --backend analytic --app montage --degrees 4
     python -m repro schedule --dax workflow.xml --deadline 36000
     python -m repro schedule --faults --failure-rate 0.1 --execute
-    python -m repro bench parallel [--workers 4] [--runs 100] [--out PATH]
-    python -m repro bench solver [--backend gpu|cpu|analytic] [--no-analytic-screen] \
-        [--no-dominance-mask]
-    python -m repro bench faults [--failure-rate 0.12] [--mtbf 36000]
     python -m repro lint program.wlog [--format json|sarif] [--strict]
     python -m repro lint --bundled
     python -m repro lint --explain
@@ -23,18 +19,19 @@ Usage::
 
 ``run`` regenerates a paper table/figure through the same drivers the
 benchmark harness uses and prints the table; ``schedule`` runs one Deco
-optimization and prints the plan; ``bench`` emits the machine-readable
-benchmark JSON files (``BENCH_parallel.json`` / ``BENCH_solver.json``);
-``lint`` runs the WLog static analyzer (:mod:`repro.wlog.analysis`)
-over program files or the bundled templates; ``analyze`` runs the
-lint checks *plus* the semantic pass framework (:mod:`repro.analysis`:
-interval feasibility proofs, dead-rule elimination) in one diagnostic
-stream; ``calibrate`` reproduces Table 2.
+optimization and prints the plan; ``lint`` runs the WLog static
+analyzer (:mod:`repro.wlog.analysis`) over program files or the bundled
+templates; ``analyze`` runs the lint checks *plus* the semantic pass
+framework (:mod:`repro.analysis`: interval feasibility proofs,
+dead-rule elimination) in one diagnostic stream; ``calibrate``
+reproduces Table 2.  Engine speed is measured by ``benchmarks/e2e``
+(``BENCHMARK.json``), not by a subcommand.
 
 ``--workers N`` (or the ``REPRO_WORKERS`` environment variable) fans
-the embarrassingly parallel stages -- simulation replications and
-per-member solves -- over N processes; outputs are bit-identical for
-any worker count.
+the embarrassingly parallel stages of ``run`` -- simulation
+replications and per-member solves -- over N processes, with outputs
+bit-identical for any worker count; on ``schedule`` it shards the beam
+search's candidate evaluation over N processes.
 
 Exit codes: 0 success, 1 infeasible plan / lint findings, 2 usage error
 (unknown experiment, unreadable file, bad argument).
@@ -72,6 +69,7 @@ EXPERIMENTS: dict[str, str] = {
     "ablation-mc": "Ablation: Monte Carlo iterations",
     "ablation-astar": "Ablation: A* pruning",
     "ablation-seeds": "Ablation: warm-start seeds",
+    "ablation-faults": "Ablation: fault-oblivious vs fault-aware",
 }
 
 
@@ -102,6 +100,7 @@ def _experiment_driver(name: str):
         "ablation-mc": bench.ablation_mc_iterations,
         "ablation-astar": bench.ablation_astar_pruning,
         "ablation-seeds": bench.ablation_search_seeds,
+        "ablation-faults": bench.ablation_fault_aware,
     }
     return drivers[name]
 
@@ -141,30 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--seed", type=int, default=7)
     sched.add_argument("--samples", type=int, default=150)
     sched.add_argument("--evals", type=int, default=1500)
-    sched.add_argument("--no-incremental", action="store_true",
-                       help="disable the incremental evaluation engine (delta "
-                            "propagation + fidelity screening); slower, plans "
-                            "are identical either way")
     sched.add_argument("--backend", default="gpu", metavar="NAME",
                        help="evaluation backend: gpu (vectorized Monte Carlo, "
                             "default), cpu (scalar reference), or analytic "
                             "(moment propagation, no sampling)")
-    sched.add_argument("--no-analytic-screen", action="store_true",
-                       help="disable tier 0 of the screening cascade (analytic "
-                            "classification); slower on large workflows, plans "
-                            "are identical either way")
-    sched.add_argument("--no-arena", action="store_true",
-                       help="disable the shared-memory tensor plane for the "
-                            "distributed solve (workers > 1): broadcast pickled "
-                            "prologues instead of zero-copy segment keys; plans "
-                            "are identical either way")
-    sched.add_argument("--no-adaptive-sharding", action="store_true",
-                       help="disable cost-model weighted shard partitioning and "
-                            "work stealing (workers > 1): chunk candidate "
-                            "batches evenly; plans are identical either way")
-    sched.add_argument("--no-dominance-mask", action="store_true",
-                       help="disable the dominance analysis (futile-promote "
-                            "settling); plans are identical either way")
     sched.add_argument("--solve-deadline", type=float, default=None, metavar="SECONDS",
                        help="wall-clock watchdog for the solve: return the best "
                             "incumbent (timed_out flagged) instead of running the "
@@ -231,53 +210,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="poll until the job is terminal and print the result")
     submit.add_argument("--timeout", type=float, default=600.0, metavar="SECONDS",
                         help="how long --wait polls before giving up")
-
-    bench = sub.add_parser("bench", help="emit machine-readable benchmark JSON")
-    bench.add_argument("target", choices=("parallel", "solver", "faults", "service"),
-                       help="which benchmark to run")
-    bench.add_argument("--out", default=None, metavar="PATH",
-                       help="output path (default: BENCH_<target>.json)")
-    bench.add_argument("--seed", type=int, default=7)
-    bench.add_argument("--samples", type=int, default=150)
-    bench.add_argument("--evals", type=int, default=1500)
-    bench.add_argument("--runs", type=int, default=100,
-                       help="replications for the run_many site (parallel/faults bench)")
-    bench.add_argument("--degrees", type=float, default=4.0,
-                       help="montage scale (parallel/faults bench)")
-    bench.add_argument("--workers", default=None, metavar="N",
-                       help="worker count to compare against serial "
-                            "(default: min(4, host CPUs))")
-    bench.add_argument("--failure-rate", type=float, default=0.12, metavar="F",
-                       help="injected task failure probability (faults bench)")
-    bench.add_argument("--mtbf", type=float, default=None, metavar="SECONDS",
-                       help="injected instance MTBF (faults bench; default: no crashes)")
-    bench.add_argument("--no-incremental", action="store_true",
-                       help="skip the incremental-engine section of the solver "
-                            "bench (and its on/off plan-identity gate)")
-    bench.add_argument("--backend", default="gpu", metavar="NAME",
-                       help="evaluation backend for the solver bench's search "
-                            "sections (gpu|cpu|analytic; default gpu)")
-    bench.add_argument("--no-analytic-screen", action="store_true",
-                       help="skip the analytic-cascade section of the solver "
-                            "bench (and its on/off plan-identity + error-bound "
-                            "gates)")
-    bench.add_argument("--no-dominance-mask", action="store_true",
-                       help="skip the dominance-mask section of the solver "
-                            "bench (and its on/off plan-identity gate)")
-    bench.add_argument("--no-arena", action="store_true",
-                       help="skip the shared-memory arena section of the solver "
-                            "bench (and its plan-identity + broadcast-bytes "
-                            "reduction gates)")
-    bench.add_argument("--no-adaptive-sharding", action="store_true",
-                       help="skip the adaptive-sharding section of the solver "
-                            "bench (and its on/off plan-identity gate)")
-    bench.add_argument("--repeat", type=int, default=2, metavar="N",
-                       help="timing repetitions for the distributed solver "
-                            "bench: solve_s is the median of N with min/max "
-                            "spread recorded (default 2)")
-    bench.add_argument("--jobs", type=int, default=8,
-                       help="batch size for the service bench's latency/cache "
-                            "sections")
 
     lint = sub.add_parser("lint", help="statically analyze WLog program files")
     analyze = sub.add_parser(
@@ -435,13 +367,8 @@ def _cmd_schedule(args, out) -> int:
     deco = Deco(catalog, seed=args.seed, num_samples=args.samples,
                 max_evaluations=args.evals,
                 backend=args.backend,
-                incremental=not args.no_incremental,
-                analytic_screen=not args.no_analytic_screen,
-                dominance_mask=not args.no_dominance_mask,
                 workers=workers,
-                solve_deadline_s=args.solve_deadline,
-                arena=not args.no_arena,
-                adaptive_sharding=not args.no_adaptive_sharding)
+                solve_deadline_s=args.solve_deadline)
     try:
         deadline: float | str = float(args.deadline)
     except ValueError:
@@ -660,230 +587,6 @@ def _cmd_analyze(args, out) -> int:
     return _emit_findings(args, out, targets, findings)
 
 
-def _cmd_bench(args, out) -> int:
-    if args.runs < 1:
-        return _usage_error(out, f"--runs must be >= 1, got {args.runs}")
-    workers = _workers_arg(args)
-    from repro.bench import BenchConfig, format_table
-
-    # --runs sizes the run_many replication site, not the per-plan
-    # repetition count of the driver site -- keep the harness default.
-    config = BenchConfig(
-        seed=args.seed, num_samples=args.samples, max_evaluations=args.evals
-    )
-    if args.target == "parallel":
-        from repro.bench.parallel import bench_parallel, write_bench_parallel_json
-
-        rows = bench_parallel(config, workers=workers, runs=args.runs, degrees=args.degrees)
-        path = Path(args.out or "BENCH_parallel.json")
-        payload = write_bench_parallel_json(path, rows=rows)
-        print(format_table(rows, "Parallel runtime: serial vs multi-worker"), file=out)
-        print(
-            f"\nwrote {path} (workers={payload['workers']}, "
-            f"cpus={payload['host_cpu_count']}, "
-            f"run_many speedup={payload['speedup']:.2f}x, "
-            f"identical={payload['identical']})",
-            file=out,
-        )
-        return 0 if payload["identical"] else 1
-    if args.target == "service":
-        from repro.bench.service import write_bench_service_json
-
-        path = Path(args.out or "BENCH_service.json")
-        payload = write_bench_service_json(
-            path, config, jobs=args.jobs, workers=(workers or 2)
-        )
-        lat = payload["latency"]
-        print(
-            f"service bench: {payload['jobs']} jobs on {payload['workers']} workers\n"
-            f"  latency p50={lat['p50_s']:.3f}s p99={lat['p99_s']:.3f}s "
-            f"throughput={lat['throughput_jobs_per_s']:.2f} jobs/s\n"
-            f"  cache hit rate={payload['cache']['hit_rate']:.2f} "
-            f"degraded={payload['degradation']['degraded_jobs']}/"
-            f"{payload['degradation']['burst']}\n"
-            f"  recovery after SIGKILL={payload['recovery']['recovery_s']:.3f}s "
-            f"(state={payload['recovery']['terminal_state']})",
-            file=out,
-        )
-        print(f"\nwrote {path} (ok={payload['ok']})", file=out)
-        return 0 if payload["ok"] else 1
-    if args.target == "faults":
-        from repro.bench.faults import bench_faults, write_bench_faults_json
-
-        rate, mtbf = _fault_args(args)
-        rows = bench_faults(
-            config,
-            workers=workers,
-            runs=args.runs,
-            degrees=args.degrees,
-            failure_rate=rate,
-            mtbf=mtbf,
-        )
-        path = Path(args.out or "BENCH_faults.json")
-        payload = write_bench_faults_json(path, rows=rows)
-        print(format_table(rows, "Fault ablation: oblivious vs fault-aware"), file=out)
-        print(
-            f"\nwrote {path} (P(deadline) oblivious="
-            f"{payload['p_deadline_oblivious']:.2f} vs aware="
-            f"{payload['p_deadline_aware']:.2f}, "
-            f"identical={payload['identical']})",
-            file=out,
-        )
-        return 0 if payload["identical"] else 1
-    if args.repeat < 1:
-        return _usage_error(out, f"--repeat must be >= 1, got {args.repeat}")
-    from repro.bench import (
-        analytic_accuracy,
-        analytic_speedup,
-        cascade_search,
-        distributed_search,
-        dominance_search,
-        incremental_search,
-        incremental_speedup,
-        write_bench_solver_json,
-    )
-    from repro.bench.perf import (
-        ANALYTIC_PROB_ERROR_BOUND,
-        adaptive_sharding_bench,
-        arena_bench,
-    )
-    from repro.solver import BACKEND_NAMES
-
-    if args.backend not in BACKEND_NAMES:
-        return _usage_error(
-            out,
-            f"--backend must be one of {'|'.join(BACKEND_NAMES)}, got {args.backend!r}",
-        )
-    path = Path(args.out or "BENCH_solver.json")
-    skipped = []
-    # The per-state kernel comparison runs FIRST, on a cold heap: a real
-    # solve compiles its tensors into fresh memory, and the MC gather
-    # kernel measures ~2x faster when its arrays land in pages recycled
-    # from earlier bench sections -- a regime no single solve ever sees.
-    # (The analytic kernel's pooled working set is cache-sized either
-    # way, so ordering only affects the MC baseline's honesty.)
-    if args.no_analytic_screen:
-        an_rows: list[dict] = []
-        acc_rows: list[dict] = []
-        cascade_rows: list[dict] = []
-        skipped.append("analytic")
-    else:
-        an_rows = analytic_speedup(config)
-    if args.no_incremental:
-        inc_rows: list[dict] = []
-        search_rows: list[dict] = []
-        skipped.append("incremental")
-    else:
-        inc_rows = incremental_speedup(config)
-        search_rows = incremental_search(config, backend=args.backend)
-    if not args.no_analytic_screen:
-        acc_rows = analytic_accuracy(config)
-        cascade_rows = cascade_search(config, backend=args.backend)
-    if args.no_dominance_mask:
-        dominance_rows: list[dict] = []
-        skipped.append("dominance")
-    else:
-        dominance_rows = dominance_search(config, backend=args.backend)
-    # Distributed beam solve: an explicit --workers N measures the
-    # (1, N) pair -- how CI pins its quick profile -- while the default
-    # sweeps the standard widths.
-    if workers is not None:
-        counts = (1,) if workers == 1 else (1, workers)
-    else:
-        counts = (1, 2, 4)
-    distributed_rows = distributed_search(
-        config, worker_counts=counts, repeats=args.repeat
-    )
-    # Arena + adaptive sharding run at the sharded width CI pins (or 2):
-    # both compare a multi-worker engine against itself with the
-    # optimization off, so a width of 1 would measure nothing.
-    shard_width = workers if workers and workers > 1 else 2
-    if args.no_arena:
-        arena_rows: list[dict] = []
-        skipped.append("arena")
-    else:
-        arena_rows = arena_bench(config, workers=shard_width)
-    if args.no_adaptive_sharding:
-        adaptive_rows: list[dict] = []
-        skipped.append("adaptive-sharding")
-    else:
-        adaptive_rows = adaptive_sharding_bench(config, workers=shard_width)
-    payload = write_bench_solver_json(
-        path,
-        config,
-        incremental_rows=inc_rows,
-        incremental_search_rows=search_rows,
-        analytic_rows=an_rows,
-        analytic_accuracy_rows=acc_rows,
-        cascade_rows=cascade_rows,
-        dominance_rows=dominance_rows,
-        distributed_rows=distributed_rows,
-        arena_rows=arena_rows,
-        adaptive_rows=adaptive_rows,
-    )
-    print(format_table(payload["solver_speedup"], "Solver speedup"), file=out)
-    if inc_rows:
-        print(
-            format_table(inc_rows, "Incremental evaluation: delta vs full kernel"),
-            file=out,
-        )
-        print(
-            format_table(search_rows, "Incremental search: engine on vs off"),
-            file=out,
-        )
-    if an_rows:
-        print(
-            format_table(an_rows, "Analytic evaluation: moments vs MC delta kernel"),
-            file=out,
-        )
-        print(format_table(acc_rows, "Analytic accuracy vs full Monte Carlo"), file=out)
-        print(format_table(cascade_rows, "Screening cascade: tier 0 on vs off"), file=out)
-    if dominance_rows:
-        print(format_table(dominance_rows, "Dominance mask: on vs off"), file=out)
-    print(
-        format_table(distributed_rows, "Distributed beam solve: per worker count"),
-        file=out,
-    )
-    if arena_rows:
-        print(
-            format_table(arena_rows, "Shared-memory arena: zero-copy vs pickled"),
-            file=out,
-        )
-    if adaptive_rows:
-        print(
-            format_table(adaptive_rows, "Adaptive sharding: cost model vs even"),
-            file=out,
-        )
-    # Neither optimization may ever change a decision: fail the bench
-    # (exit 1) on any plan/sample divergence, or on an analytic error
-    # above the documented bound.
-    identical = all(
-        r["identical"]
-        for r in inc_rows + search_rows + cascade_rows + dominance_rows
-        + distributed_rows + arena_rows + adaptive_rows
-    )
-    max_err = max((r["max_abs_prob_error"] for r in acc_rows), default=0.0)
-    within_bound = max_err <= ANALYTIC_PROB_ERROR_BOUND
-    # The arena's headline claim: where shared memory works, the
-    # begin-solve broadcast must shrink >= 10x vs the pickled prologue.
-    # Fallback environments (arena_used=False) measured pickling against
-    # itself, so the gate is waived there (the JSON still records it).
-    arena_gate = all(
-        r["broadcast_reduction_x"] >= 10.0
-        for r in arena_rows
-        if r["arena_used"]
-    )
-    note = f" ({', '.join(skipped)} section skipped)" if skipped else ""
-    print(
-        f"\nwrote {path} (identical={identical}, "
-        f"max analytic prob error={max_err:.3f} "
-        f"<= bound {ANALYTIC_PROB_ERROR_BOUND:g}: {within_bound}, "
-        f"arena broadcast gate={arena_gate}){note}",
-        file=out,
-    )
-    return 0 if identical and within_bound and arena_gate else 1
-
-
 def _cmd_serve(args, out) -> int:
     workers = _workers_arg(args)
     for name, value in (("--degrade-depth", args.degrade_depth),
@@ -1029,8 +732,6 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
             return _cmd_serve(args, out)
         if args.command == "submit":
             return _cmd_submit(args, out)
-        if args.command == "bench":
-            return _cmd_bench(args, out)
         if args.command == "lint":
             return _cmd_lint(args, out)
         if args.command == "analyze":

@@ -225,7 +225,6 @@ def problem_from_segment(
     segment,
     catalog,
     *,
-    workflow=None,
     deadline: float = 1.0,
     required_probability: float = 0.96,
     faults=None,
@@ -255,11 +254,8 @@ def problem_from_segment(
     parents = tuple(
         tuple(int(p) for p in row[row >= 0]) for row in parent_matrix
     )
-    wf = workflow if workflow is not None else ArenaWorkflowStub(
-        meta["workflow_name"], int(meta["num_tasks"])
-    )
     return CompiledProblem(
-        workflow=wf,
+        workflow=ArenaWorkflowStub(meta["workflow_name"], int(meta["num_tasks"])),
         catalog=catalog,
         mean_times=arrays["mean_times"],
         tensor=arrays["tensor"],

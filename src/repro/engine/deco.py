@@ -51,43 +51,26 @@ class Deco:
     backend:
         ``"gpu"`` (vectorized, default), ``"cpu"`` (scalar reference) or
         ``"analytic"`` (moment propagation, no sampling -- deterministic
-        and fastest, with the approximation error bounds documented in
-        BENCH_solver.json's ``analytic`` section).
+        and fastest; its deadline-probability error against full Monte
+        Carlo is held below ``ANALYTIC_PROB_ERROR_BOUND`` by
+        ``tests/solver/test_analytic_backend.py::TestErrorBound``).
     num_samples:
         Monte Carlo realizations per state evaluation.
     max_evaluations / beam_width / children_per_state / expand_per_iter:
         Search budget knobs (see :class:`~repro.solver.search.GenericSearch`).
-    incremental:
-        Enable the incremental evaluation engine (delta propagation from
-        dirty levels + two-stage sample-fidelity screening).  Plans are
-        bit-identical either way; ``False`` is the escape hatch (the
-        CLI's ``--no-incremental``).
-    analytic_screen:
-        Enable tier 0 of the evaluation cascade: a calibrated-margin
-        analytic screen ahead of the prefix-MC and full-MC tiers.  Plans
-        are identical either way (asserted by the solver bench);
-        ``False`` is the escape hatch (the CLI's
-        ``--no-analytic-screen``).  Ignored when ``backend`` is already
-        ``"analytic"``.
-    dominance_mask:
-        Enable the dominance analysis
-        (:func:`repro.analysis.dominance.compute_op_mask`): per-solve,
-        an op mask computed from the sample tensor's per-cell bounds
-        lets the search settle provably futile exploration promotes
-        with the parent's evaluation instead of full Monte Carlo.
-        Plans are identical either way (asserted by the property tests
-        and the solver bench); ``False`` is the escape hatch (the
-        CLI's ``--no-dominance-mask``).
     workers:
         Shard the beam search's candidate evaluation across this many
         persistent worker processes (the distributed beam solve,
         DESIGN.md §13).  ``None`` or ``1`` keeps the solve in-process.
         Each shard holds a worker-resident engine rebuilt once from
-        :meth:`spec` whose caches stay warm across beam iterations;
-        plans are bit-identical at any worker count (asserted by the
-        shard test matrix and the solver bench's
-        ``distributed.identical`` gate).  Environments that cannot run
-        process pools downgrade to in-process evaluation with one
+        :meth:`spec` whose caches stay warm across beam iterations; a
+        cold sharded solve picks the serial solve's plan (the shard
+        test matrix), a warm one need not (ROADMAP item 1).  The
+        solve's tensors reach the shards through a shared-memory arena
+        where the platform has one
+        (:func:`~repro.parallel.arena.arena_available`) and as a
+        pickled prologue where it does not.  Environments that cannot
+        run process pools downgrade to in-process evaluation with one
         warning; call :meth:`close` (or use the engine as a context
         manager) to release the worker processes.
     solve_deadline_s:
@@ -98,29 +81,6 @@ class Deco:
         per-call ``solve_deadline_s`` on :meth:`schedule` overrides it;
         ``None`` (the default) solves unbounded.  A budget the solve
         never exhausts leaves plans bit-identical to the unbounded run.
-    arena:
-        On a sharded engine, host the solve's immutable tensors (the
-        sample tensor, level-schedule matrices, calibrated quantile
-        grids) in a content-addressed shared-memory arena that worker
-        processes map read-only zero-copy (DESIGN.md §15) -- the
-        begin-solve broadcast shrinks from a pickled compiled problem
-        to a 64-hex key plus scalar deltas.  Plans are bit-identical
-        either way (the workers rebuild the same
-        :class:`CompiledProblem` views over the same bytes); ``False``
-        is the escape hatch (the CLI's ``--no-arena``), and
-        environments without ``multiprocessing.shared_memory`` fall
-        back to the pickled-prologue path with one warning.
-    adaptive_sharding:
-        Size the per-shard candidate chunks by each shard's measured
-        per-candidate cost (an EWMA fed by every job's reported
-        wall-clock) instead of evenly, and let shards that finish a
-        tier-2 round early steal the held-back tail of a straggler's
-        chunk.  Both layers only re-route *where* chunks are computed
-        -- shards return pure per-candidate numbers and the parent
-        makes every decision -- so plans stay bit-identical (asserted
-        by the shard test matrix and the solver bench's
-        ``adaptive_sharding.identical`` gate).  ``False`` restores
-        even chunking (the CLI's ``--no-adaptive-sharding``).
 
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
@@ -151,13 +111,8 @@ class Deco:
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
         reliability_percentile: float | None = None,
-        incremental: bool = True,
-        analytic_screen: bool = True,
-        dominance_mask: bool = True,
         workers: int | None = None,
         solve_deadline_s: float | None = None,
-        arena: bool = True,
-        adaptive_sharding: bool = True,
     ):
         self.catalog = catalog
         self.seed = int(seed)
@@ -166,9 +121,6 @@ class Deco:
         self.backend = get_backend(backend, cache=self.cache, eval_context=self.eval_context)
         self.num_samples = int(num_samples)
         self.require_feasible = require_feasible
-        self.incremental = bool(incremental)
-        self.analytic_screen = bool(analytic_screen)
-        self.dominance_mask = bool(dominance_mask)
         if solve_deadline_s is not None and solve_deadline_s <= 0:
             raise ValidationError(
                 f"solve_deadline_s must be > 0 seconds, got {solve_deadline_s!r}"
@@ -200,8 +152,6 @@ class Deco:
             beam_width=beam_width,
             max_evaluations=max_evaluations,
             expand_per_iter=expand_per_iter,
-            incremental=self.incremental,
-            analytic_screen=self.analytic_screen,
         )
         # Distributed beam solve: a lazily created shard-affine pool
         # (one resident engine per shard), a monotone per-solve id that
@@ -221,8 +171,6 @@ class Deco:
         # shard workers map zero-copy, a fingerprint memo so repeat
         # solves don't re-hash unchanged tensors, and the cost model
         # feeding the weighted shard partitioner.
-        self.arena = bool(arena)
-        self.adaptive_sharding = bool(adaptive_sharding)
         self._arena = None
         self._arena_warned = False
         self._fingerprints: OrderedDict[tuple, str] = OrderedDict()
@@ -255,12 +203,7 @@ class Deco:
             "faults": self.faults,
             "recovery": self.recovery,
             "reliability_percentile": self.reliability_percentile,
-            "incremental": self.incremental,
-            "analytic_screen": self.analytic_screen,
-            "dominance_mask": self.dominance_mask,
             "solve_deadline_s": self.solve_deadline_s,
-            "arena": self.arena,
-            "adaptive_sharding": self.adaptive_sharding,
         }
 
     @classmethod
@@ -278,8 +221,7 @@ class Deco:
         bit-identical grids (``np.quantile`` over the same bytes).
         """
         return (
-            self._search.analytic_screen
-            and problem.num_tasks >= self._search.analytic_min_tasks
+            problem.num_tasks >= self._search.analytic_min_tasks
             and 0.0 < problem.required_probability < 1.0
             and getattr(self.backend, "name", "") != "analytic"
         )
@@ -335,24 +277,26 @@ class Deco:
         rebuilds an engine from :meth:`spec` exactly once), then
         installs the solve's compiled problem on every shard as the
         pool's prologue -- a worker respawned after a crash replays it
-        before its first job.  Two transports:
+        before its first job.  The platform selects one of two
+        transports:
 
-        * **arena** (default when shared memory works): the parent
-          publishes ``problem``'s immutable tensors into the
-          content-addressed :class:`~repro.parallel.TensorArena` and
-          broadcasts only the content key plus the deadline/faults
-          scalars; workers map the segment read-only zero-copy and
-          rebuild the same :class:`CompiledProblem` over those bytes.
+        * **arena** (where :func:`~repro.parallel.arena.arena_available`
+          finds POSIX shared memory): the parent publishes ``problem``'s
+          immutable tensors into the content-addressed
+          :class:`~repro.parallel.TensorArena` and broadcasts only the
+          content key plus the deadline/faults scalars; workers map the
+          segment read-only zero-copy and rebuild the same
+          :class:`CompiledProblem` over those bytes.
           The broadcast is stamped with the context key, so repeat
           solves of an unchanged problem skip serialization entirely.
-        * **legacy pickle** (``arena=False``, no ``/dev/shm``, or any
-          arena failure -- one warning, then transparent fallback):
-          broadcast the full compile/with_deadline/with_faults recipe
-          and let each shard derive the problem itself.
+        * **pickled prologue** (no ``/dev/shm``, or any arena failure
+          -- one warning, then transparent fallback): broadcast the
+          full compile/with_deadline/with_faults recipe and let each
+          shard derive the problem itself.
 
         ``wf_key`` hashes the pickled workflow *content* (not its
         object identity); it keys both the shards' base-compilation
-        reuse (legacy path) and the cost model's per-workflow EWMAs.
+        reuse (pickled path) and the cost model's per-workflow EWMAs.
         """
         if self.workers <= 1:
             return None
@@ -381,42 +325,41 @@ class Deco:
         deadline = problem.deadline
         percentile = problem.required_probability * 100.0
         shipped = False
-        if self.arena:
-            try:
-                from repro.parallel.arena import arena_available
+        try:
+            from repro.parallel.arena import arena_available
 
-                if arena_available():
-                    arena_key = self._publish_problem(problem)
-                    ctx_key = (
-                        f"{arena_key}:{problem.deadline!r}"
-                        f":{problem.required_probability!r}"
-                    )
-                    self._shard_pool.broadcast(
-                        beam_begin_solve_arena,
-                        (
-                            ctx_key,
-                            arena_key,
-                            problem.deadline,
-                            problem.required_probability,
-                            problem.faults,
-                            problem.recovery,
-                            problem.reliability_required,
-                        ),
-                        stamp=ctx_key,
-                    )
-                    solve_token = ctx_key
-                    shipped = True
-            except Exception as exc:
-                if not self._arena_warned:
-                    self._arena_warned = True
-                    import warnings
+            if arena_available():
+                arena_key = self._publish_problem(problem)
+                ctx_key = (
+                    f"{arena_key}:{problem.deadline!r}"
+                    f":{problem.required_probability!r}"
+                )
+                self._shard_pool.broadcast(
+                    beam_begin_solve_arena,
+                    (
+                        ctx_key,
+                        arena_key,
+                        problem.deadline,
+                        problem.required_probability,
+                        problem.faults,
+                        problem.recovery,
+                        problem.reliability_required,
+                    ),
+                    stamp=ctx_key,
+                )
+                solve_token = ctx_key
+                shipped = True
+        except Exception as exc:
+            if not self._arena_warned:
+                self._arena_warned = True
+                import warnings
 
-                    warnings.warn(
-                        f"shared-memory arena unavailable ({exc!r}); "
-                        "falling back to pickled-prologue broadcasts",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
+                warnings.warn(
+                    f"shared-memory arena unavailable ({exc!r}); "
+                    "falling back to pickled-prologue broadcasts",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         if not shipped:
             self._shard_pool.broadcast(
                 beam_begin_solve,
@@ -431,7 +374,6 @@ class Deco:
             solve_token,
             cost_model=self._cost_model,
             wf_key=wf_key,
-            adaptive=self.adaptive_sharding,
         )
 
     def close(self) -> None:
@@ -512,8 +454,6 @@ class Deco:
             distributed: dict = {
                 "workers": self.workers,
                 "solves": self._distributed_solves,
-                "arena_enabled": self.arena,
-                "adaptive_sharding": self.adaptive_sharding,
             }
             distributed.update(self._shard_counters)
             if self._shard_pool is not None:
@@ -628,26 +568,6 @@ class Deco:
             self._problems.popitem(last=False)
         return problem
 
-    def adopt_problem(
-        self,
-        workflow: Workflow,
-        problem: CompiledProblem,
-        region: str | None = None,
-    ) -> None:
-        """Install a pre-compiled base problem for ``workflow``.
-
-        The service's shared-memory problem store uses this to hand an
-        engine a :class:`CompiledProblem` attached zero-copy from an
-        arena segment, so :meth:`schedule` skips compilation (and the
-        sample-tensor materialization) entirely.  The problem must be a
-        *base* compilation (placeholder deadline) for this exact
-        workflow; deadlines derive via ``with_deadline`` as usual.
-        """
-        key = (id(workflow), region)
-        self._problems[key] = (workflow, problem)
-        while len(self._problems) > self._PROBLEM_CACHE_SIZE:
-            self._problems.popitem(last=False)
-
     # Declarative API -----------------------------------------------------------
 
     def solve_program(
@@ -739,15 +659,13 @@ class Deco:
             for factor in (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4)
         )
 
-    def _op_mask(self, problem: CompiledProblem) -> OpMask | None:
+    def _op_mask(self, problem: CompiledProblem) -> OpMask:
         """The memoized dominance mask for ``problem``'s tensor generation.
 
         Keyed by ``sample_token``: deadline/percentile sweeps share the
         tensor, so the per-cell bounds (a full tensor reduction) are
         paid once per workflow compilation, not once per solve.
         """
-        if not self.dominance_mask:
-            return None
         token = getattr(problem, "sample_token", None)
         mask = self._op_masks.get(token)
         if mask is None:

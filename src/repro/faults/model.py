@@ -30,8 +30,8 @@ The model also exposes its own *analytic expectation* (:meth:`inflate`)
 so the optimizer can score plans under it: per-task runtimes are
 inflated by the expected-retry geometric series, the expected straggler
 slowdown, steady-state checkpoint overhead, and a first-order
-crash-rework term -- the fault-aware provisioning path benchmarked by
-``repro bench faults``.
+crash-rework term -- the fault-aware provisioning path compared with
+the fault-oblivious one by ``repro run ablation-faults``.
 """
 
 from __future__ import annotations

@@ -1,14 +1,15 @@
 """Content-addressed shared-memory tensor plane.
 
-The distributed beam solve (DESIGN.md §13) and the job service's warm
-worker pool both ship a *compiled problem* -- multi-megabyte immutable
-numpy tensors -- into worker processes.  Before this module they shipped
-it by pickling the prologue payload into every worker on every solve
-(and again on every respawn).  The arena replaces that with **zero-copy
-attachment**: the parent publishes each problem's arrays once into a
-POSIX shared-memory segment named by a SHA-256 content key, and workers
-map the segment read-only -- the broadcast payload shrinks to the key
-plus small per-solve deltas (deadline, fault metadata).
+The distributed beam solve (DESIGN.md §13) ships a *compiled problem*
+-- multi-megabyte immutable numpy tensors -- into its shard processes.
+Where POSIX shared memory is missing it does so by pickling the
+prologue payload into every worker on every solve (and again on every
+respawn); where :func:`arena_available` finds it, the arena replaces
+that with **zero-copy attachment**: the parent publishes each problem's
+arrays once into a POSIX shared-memory segment named by a SHA-256
+content key, and workers map the segment read-only -- the broadcast
+payload shrinks to the key plus small per-solve deltas (deadline, fault
+metadata).
 
 Layout of one segment (all offsets 64-byte aligned)::
 
@@ -295,7 +296,7 @@ def attach_segment(key: str) -> AttachedSegment:
 class TensorArena:
     """Owns published segments with LRU lifetime and publish/hit counters.
 
-    One per engine (or service): :meth:`publish` is idempotent per
+    One per sharded engine: :meth:`publish` is idempotent per
     content key; eviction and :meth:`close` unlink the segment name --
     POSIX keeps existing worker mappings valid until *they* close, so
     eviction can never invalidate an in-flight solve.

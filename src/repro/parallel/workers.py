@@ -421,22 +421,21 @@ def beam_screen_job(
 
 
 def beam_eval_job(
-    payload: "tuple[int, list[PlanState], list[PlanState], bool]",
+    payload: "tuple[int, list[PlanState], list[PlanState]]",
 ) -> "tuple[list[StateEval], dict[str, int]]":
     """Tier-2 full-fidelity evaluation of one chunk.
 
-    Pins the chunk's expanded parents first (when incremental), so the
-    shard-resident EvalContext serves the delta-propagation path; a
+    Pins the chunk's expanded parents first, so the shard-resident
+    EvalContext serves the delta-propagation path; a
     parent first seen by this shard is propagated in full -- slower,
     never different, because the delta path is bit-identical to the full
     kernel by construction.
     """
-    solve_key, states, parents, incremental = payload
+    solve_key, states, parents = payload
     deco, problem = _beam_context(solve_key)
     before = _beam_counters(deco)
     t0 = time.perf_counter()
-    if incremental:
-        deco.backend.ensure_frontier(problem, *parents)
+    deco.backend.ensure_frontier(problem, *parents)
     evals = list(deco.backend.evaluate_batch(problem, list(states))) if states else []
     delta = _beam_delta(before, _beam_counters(deco))
     delta["eval_elapsed_us"] = int((time.perf_counter() - t0) * 1e6)

@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 from repro.common.errors import ValidationError
 
-__all__ = ["canonical_key", "problem_store_key", "PlanCache"]
+__all__ = ["canonical_key", "PlanCache"]
 
 #: Payload fields that affect the resulting plan.  ``solve_deadline_s``
 #: and chaos hooks are deliberately absent (wall-clock / test-only).
@@ -33,28 +33,6 @@ def canonical_key(payload: Mapping[str, Any], *, engine_config: Mapping[str, Any
     material = {field: payload.get(field) for field in _KEY_FIELDS}
     if engine_config:
         material["engine"] = dict(engine_config)
-    blob = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def problem_store_key(payload: Mapping[str, Any], *, engine_spec: Mapping[str, Any]) -> str:
-    """Content key for the shared-memory compiled-problem store.
-
-    Coarser than :func:`canonical_key` on purpose: the store hosts the
-    *base* compilation (sample tensors, level schedule -- everything
-    upstream of deadline/faults derivation), which depends only on the
-    workflow reference and the tensor-generation knobs of the engine
-    spec.  Workflow building is deterministic
-    (:func:`~repro.service.worker.build_workflow`), so identical keys
-    guarantee bitwise-identical tensors -- jobs that differ only in
-    deadline, percentile, backend or faults all attach one segment.
-    """
-    material = {
-        "store": "problem-store-v1",
-        "workflow": payload.get("workflow"),
-        "seed": engine_spec.get("seed", 0),
-        "num_samples": engine_spec.get("num_samples"),
-    }
     blob = json.dumps(material, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 

@@ -110,19 +110,10 @@ class WarmWorkerPool:
         payload: dict,
         *,
         hang_after_s: float = 600.0,
-        extras: Mapping[str, Any] | None = None,
     ) -> ActiveJob:
-        """Start ``payload`` on ``slot``; never blocks.
-
-        ``extras`` are dispatch-time annotations (e.g. the shared-memory
-        problem-store key) merged into a *copy* of the payload -- the
-        journaled payload stays exactly what the client submitted, and a
-        retried job recomputes its extras at its next dispatch.
-        """
+        """Start ``payload`` on ``slot``; never blocks."""
         if slot in self._busy:
             raise ValueError(f"slot {slot} already has job {self._busy[slot].job_id}")
-        if extras:
-            payload = {**payload, **extras}
         shard_job = self._pool.submit(slot, solve_job, payload)
         active = ActiveJob(job_id, slot, shard_job, hang_after_s)
         self._busy[slot] = active

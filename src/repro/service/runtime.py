@@ -35,7 +35,7 @@ from typing import Any
 
 from repro.common.errors import ValidationError
 
-from .cache import PlanCache, canonical_key, problem_store_key
+from .cache import PlanCache, canonical_key
 from .jobs import JobRecord, validate_payload
 from .journal import JobJournal
 from .pool import WarmWorkerPool
@@ -65,15 +65,6 @@ class ServiceConfig:
     cache_capacity: int = 128
     #: Dispatcher idle sleep between step()s in the background thread.
     poll_interval_s: float = 0.02
-    #: Share compiled problems across jobs and workers through the
-    #: shared-memory arena (DESIGN.md §15): dispatch stamps each solve
-    #: job with a content-addressed store key, the first worker to
-    #: compile a workflow publishes its tensors, and every later job on
-    #: the same workflow -- any worker, any deadline/backend/faults --
-    #: attaches them zero-copy instead of recompiling.  Disable for
-    #: environments without ``/dev/shm`` (workers also degrade to plain
-    #: compilation on their own if shared memory fails at runtime).
-    arena: bool = True
     #: Deco constructor overrides for the worker engines (seed,
     #: num_samples, max_evaluations, beam_width...).
     engine: dict = field(default_factory=dict)
@@ -114,21 +105,9 @@ class DecoService:
         )
         self.cache = PlanCache(self.config.cache_capacity)
         self._spec = _engine_spec(dict(self.config.engine))
-        if self.config.arena:
-            # Probe (and start the resource tracker) in the parent BEFORE
-            # any worker forks -- a worker-private tracker would unlink
-            # store segments when that worker dies (see arena docs).
-            from repro.parallel.arena import arena_available
-
-            arena_available()
         self.pool = WarmWorkerPool(self._spec, workers=self.config.workers)
         self.started_at = time.time()
         self.degrade_admissions = 0
-        # Problem-store bookkeeping: every key this dispatcher issued
-        # (unlinked at close -- workers publish, the service owns the
-        # namespace) and the lifetime attach/publish tallies.
-        self._store_keys: set[str] = set()
-        self._store_counters = {"hits": 0, "publishes": 0, "errors": 0}
         self._closed = False
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
@@ -224,32 +203,12 @@ class DecoService:
                 # plus slack; a generous multiple still beats the global
                 # hang limit for interactive jobs.
                 hang = min(hang, float(sd) * 10.0 + 30.0)
-            extras = None
-            if (
-                self.config.arena
-                and job.payload.get("workflow")
-                and not job.payload.get("wlog")
-            ):
-                skey = problem_store_key(job.payload, engine_spec=self._spec)
-                self._store_keys.add(skey)
-                extras = {"_problem_store": {"key": skey}}
-            self.pool.dispatch(
-                job.job_id, slot, job.payload, hang_after_s=hang, extras=extras
-            )
+            self.pool.dispatch(job.job_id, slot, job.payload, hang_after_s=hang)
             transitions += 1
         return transitions
 
     def _finish_solved(self, job_id: str, envelope: dict) -> None:
         job = self.queue.get(job_id)
-        store = envelope.get("problem_store")
-        if store:
-            event = store.get("event")
-            if event in ("hit", "race"):
-                self._store_counters["hits"] += 1
-            elif event == "publish":
-                self._store_counters["publishes"] += 1
-            elif event == "error":
-                self._store_counters["errors"] += 1
         timed_out = bool(envelope.get("timed_out"))
         if job.degraded or timed_out:
             reason = job.degrade_reason or ("solve_timeout" if timed_out else "")
@@ -341,19 +300,6 @@ class DecoService:
         self._closed = True
         self.stop()
         self.pool.close()
-        # The workers published under keys this dispatcher issued; with
-        # the workers gone, unlink the names so nothing persists in
-        # /dev/shm past the service (POSIX drops the backing pages once
-        # the last mapping -- if any -- goes away).
-        if self._store_keys:
-            try:
-                from repro.parallel.arena import unlink_segment
-
-                for skey in self._store_keys:
-                    unlink_segment(skey)
-            except Exception:
-                pass
-            self._store_keys.clear()
         self.journal.close()
 
     def __enter__(self) -> "DecoService":
@@ -400,11 +346,6 @@ class DecoService:
             "worker_pids": self.pool.worker_pids(),
             "serial_fallback": self.pool.is_serial,
             "cache": self.cache.stats(),
-            "problem_store": {
-                "enabled": self.config.arena,
-                "keys": len(self._store_keys),
-                **self._store_counters,
-            },
             "journal_appends": self.journal.appends,
         }
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.common.errors import ValidationError
@@ -30,12 +29,6 @@ __all__ = ["init_service_worker", "ping_job", "solve_job", "build_workflow"]
 
 _SPEC: dict | None = None
 _ENGINES: "dict[str, Deco]" = {}
-# Shared-memory problem store (worker side): store key -> (segment or
-# owning handle, base CompiledProblem).  Holding the mapping keeps the
-# zero-copy arrays valid; dropping an entry lets its finalizer close the
-# mapping lazily once no solve aliases it.
-_STORE: "OrderedDict[str, tuple[object, object]]" = OrderedDict()
-_STORE_LIMIT = 4
 
 
 def init_service_worker(spec: Mapping[str, object]) -> None:
@@ -43,7 +36,6 @@ def init_service_worker(spec: Mapping[str, object]) -> None:
     global _SPEC
     _SPEC = dict(spec)
     _ENGINES.clear()
-    _STORE.clear()
 
 
 def _engine(backend: str) -> "Deco":
@@ -108,67 +100,6 @@ def _run_injection(inject: str) -> None:
         raise ValidationError(f"unknown chaos injection {inject!r}")
 
 
-def _store_remember(skey: str, handle: object, problem: object) -> None:
-    _STORE[skey] = (handle, problem)
-    _STORE.move_to_end(skey)
-    while len(_STORE) > _STORE_LIMIT:
-        _STORE.popitem(last=False)
-
-
-def _adopt_stored_problem(engine: "Deco", workflow: "Workflow", skey: str) -> str:
-    """Attach (or remember to publish) the job's base compiled problem.
-
-    Returns the event for the result envelope: ``"hit"`` -- the base
-    problem was mapped zero-copy from the store and compilation is
-    skipped; ``"publish"`` -- nobody has compiled this key yet, so this
-    worker will publish its compilation after the solve (the caller
-    invokes :func:`_publish_stored_problem`); ``"off"`` -- shared
-    memory is unavailable here.  Any arena hiccup degrades to a plain
-    compile -- the store is purely an optimization.
-    """
-    from repro.engine.compiler import problem_from_segment
-    from repro.parallel.arena import ArenaError, arena_available, attach_segment
-
-    if not arena_available():
-        return "off"
-    cached = _STORE.get(skey)
-    if cached is not None:
-        _STORE.move_to_end(skey)
-        engine.adopt_problem(workflow, cached[1])
-        return "hit"
-    try:
-        segment = attach_segment(skey)
-    except ArenaError:
-        return "publish"
-    base = problem_from_segment(segment, engine.catalog, workflow=workflow)
-    _store_remember(skey, segment, base)
-    engine.adopt_problem(workflow, base)
-    return "hit"
-
-
-def _publish_stored_problem(engine: "Deco", workflow: "Workflow", skey: str) -> str:
-    """Publish the engine's (now memoized) base compilation under ``skey``.
-
-    Runs after the solve so the compile cost is paid exactly where it
-    always was; a concurrent worker winning the publish race just means
-    this one attaches next job.  The runtime unlinks every key it issued
-    at shutdown, so SIGKILLing this worker leaks nothing persistent.
-    """
-    from repro.engine.compiler import export_problem_arrays
-    from repro.parallel.arena import publish_segment
-
-    base = engine._compiled(workflow, None)
-    arrays, meta = export_problem_arrays(base)
-    try:
-        handle = publish_segment(skey, arrays, meta)
-    except FileExistsError:
-        return "race"
-    except Exception:
-        return "error"
-    _store_remember(skey, handle, base)
-    return "publish"
-
-
 def ping_job(_payload: object = None) -> dict:
     """Heartbeat: proves the worker is alive and reports its pid."""
     return {"pid": os.getpid(), "engines": sorted(_ENGINES)}
@@ -189,14 +120,6 @@ def solve_job(payload: dict) -> dict:
     engine = _engine(backend)
     workflow = build_workflow(payload["workflow"])
     faults = _build_faults(payload.get("faults"))
-    store = payload.get("_problem_store")
-    store_event = None
-    if store and not payload.get("wlog"):
-        skey = str(store["key"])
-        try:
-            store_event = _adopt_stored_problem(engine, workflow, skey)
-        except Exception:
-            store_event = "error"
     t0 = time.monotonic()
     if payload.get("wlog"):
         from repro.wlog.imports import ImportRegistry
@@ -215,11 +138,6 @@ def solve_job(payload: dict) -> dict:
             faults=faults,
             solve_deadline_s=payload.get("solve_deadline_s"),
         )
-    if store_event == "publish":
-        try:
-            store_event = _publish_stored_problem(engine, workflow, skey)
-        except Exception:
-            store_event = "error"
     envelope = {
         "plan": plan.decision_dict(),
         "timed_out": plan.timed_out,
@@ -228,10 +146,8 @@ def solve_job(payload: dict) -> dict:
         "workflow_tasks": len(plan.assignment),
         "worker_pid": os.getpid(),
     }
-    if store_event is not None:
-        envelope["problem_store"] = {"key": skey, "event": store_event}
     if backend == "analytic":
-        from repro.bench.perf import ANALYTIC_PROB_ERROR_BOUND
+        from repro.solver.analytic_backend import ANALYTIC_PROB_ERROR_BOUND
 
         envelope["probability_error_bound"] = ANALYTIC_PROB_ERROR_BOUND
     return envelope

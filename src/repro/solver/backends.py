@@ -42,9 +42,7 @@ The **scalar backend** computes the same quantities with pure-Python
 loops -- the single-thread CPU baseline of the paper's speedup numbers.
 Both backends are bit-identical on the same problem (asserted in the
 test suite) and statistically consistent with the WLog interpreter's
-Algorithm-1 evaluation.  The pre-level-parallel per-task loop is kept
-as ``VectorizedBackend(level_parallel=False)`` so the speedup of the
-fast path stays measurable (see ``repro.bench.perf``).
+Algorithm-1 evaluation.
 """
 
 from __future__ import annotations
@@ -477,24 +475,6 @@ def validated_dirty_sets(states, num_tasks: int) -> tuple[np.ndarray, np.ndarray
     return sizes, tasks
 
 
-def _propagate_taskloop(lanes: np.ndarray, parent_indices) -> np.ndarray:
-    """Pre-level-parallel reference: one Python iteration per task.
-
-    Kept as the "before" of the level-parallel speedup measurement
-    (``repro.bench.perf.solver_speedup``); numerically identical.
-    """
-    finish = np.empty_like(lanes)
-    for i, parents in enumerate(parent_indices):
-        if parents:
-            ready = finish[:, parents[0]]
-            for p in parents[1:]:
-                ready = np.maximum(ready, finish[:, p])
-            finish[:, i] = ready + lanes[:, i]
-        else:
-            finish[:, i] = lanes[:, i]
-    return finish
-
-
 class VectorizedBackend(EvaluationBackend):
     """The "GPU" backend: batched array evaluation (see module docstring).
 
@@ -507,10 +487,6 @@ class VectorizedBackend(EvaluationBackend):
     every evaluation costs page faults that dominate the kernel at
     search-sized batches.  The pool makes the backend non-reentrant
     (one evaluation at a time per instance), matching a CUDA stream.
-
-    ``level_parallel=False`` selects the pre-optimization per-task
-    propagation loop -- same numbers, N instead of D Python iterations --
-    used by the benchmarks as the speedup baseline of the fast path.
 
     With an ``eval_context``, :meth:`makespan_samples` takes the
     **delta-propagation** path for every state whose parent frontier is
@@ -531,12 +507,10 @@ class VectorizedBackend(EvaluationBackend):
     def __init__(
         self,
         cache: MakespanCache | None = None,
-        level_parallel: bool = True,
         eval_context: EvalContext | None = None,
         pool: ScratchPool | None = None,
     ):
         super().__init__(cache=cache, eval_context=eval_context)
-        self.level_parallel = bool(level_parallel)
         #: Shared grow-only scratch pool (see
         #: :class:`~repro.solver.cache.ScratchPool`); the analytic
         #: screening tier reuses the same pool during a search.
@@ -567,13 +541,6 @@ class VectorizedBackend(EvaluationBackend):
         b = len(states)
         n = problem.num_tasks
         s = problem.num_samples
-        if not self.level_parallel:
-            # Pre-level-parallel reference path, kept measurable.
-            assign = self._validated_assignments(problem, states)
-            times = problem.tensor[assign, :, np.arange(n)[None, :]]  # (B, N, S)
-            lanes = times.transpose(0, 2, 1).reshape(b * s, n)  # (B*S, N)
-            finish = _propagate_taskloop(lanes, problem.parent_indices)
-            return finish.max(axis=1).reshape(b, s)
         if n == 0:
             return np.zeros((b, s))
 
@@ -840,7 +807,7 @@ class VectorizedBackend(EvaluationBackend):
         """
         ctx = self.eval_context
         n = problem.num_tasks
-        if ctx is None or not self.level_parallel or n == 0:
+        if ctx is None or n == 0:
             return
         s = problem.num_samples
         token = problem.sample_token

@@ -52,9 +52,9 @@ class SearchResult:
     """Outcome of a generic search run.
 
     ``evaluations`` counts every candidate that consumed evaluation
-    budget -- including candidates the fidelity screens discarded -- so
-    the number (and the search trajectory it gates) is identical with
-    screening on or off.  ``exact_evals`` is the subset actually
+    budget -- including candidates the fidelity screens discarded, so
+    the budget trajectory does not depend on which tier settled a
+    candidate.  ``exact_evals`` is the subset actually
     evaluated at full Monte Carlo fidelity; ``screen_evals`` the
     prefix-fidelity screenings; ``screened_out`` the candidates the
     prefix screen discarded.  ``analytic_evals`` / ``analytic_screened_out`` /
@@ -62,15 +62,16 @@ class SearchResult:
     counterparts: candidates the moment-propagation tier evaluated,
     settled as clearly infeasible, or settled as clearly feasible --
     settled either way means no Monte Carlo was spent on them (zero
-    when the analytic screen is off or never activated).
+    when the tier never activated).
     ``pruned_candidates`` counts candidates whose tier-2 full-MC
     evaluation the dominance
     :class:`~repro.analysis.dominance.OpMask` replaced with the
     parent's evaluation (their makespan samples are provably bitwise
     the parent's); they consume budget and pass the screening tiers
-    like every other candidate, so the trajectory is identical with
-    the mask on or off.  The ``states_incremental`` / ``levels_skipped`` /
-    ``levels_total`` / ``rows_recomputed`` / ``rows_total`` counters
+    like every other candidate, so the trajectory is the one a solve
+    without an ``op_mask`` takes.  The ``states_incremental`` /
+    ``levels_skipped`` / ``levels_total`` / ``rows_recomputed`` /
+    ``rows_total`` counters
     come from the backend's delta-propagation path (zero when the
     backend has no :class:`~repro.solver.cache.EvalContext`).
 
@@ -82,7 +83,7 @@ class SearchResult:
     the next iteration's expansion (the rest were reconciled away).
     All *trajectory* counters (evaluations, expansions, the tier
     counters, ``screened_out``, ``pruned_candidates``) are parent-side
-    decisions and therefore identical at any worker count.
+    decisions over the per-candidate numbers the shards return.
     """
 
     best_state: PlanState
@@ -139,24 +140,20 @@ class GenericSearch:
     expand_per_iter:
         How many beam states expand per iteration; their children are
         deduped and evaluated as one backend batch (block-per-state).
-    incremental:
-        Enable the incremental evaluation engine: parent finish-time
-        frontiers are pinned before expansion (so children take the
-        backend's delta-propagation path) and beam candidates are
-        screened at prefix fidelity before full evaluation.  The
-        returned plan is bit-identical either way (asserted by the test
-        suite and the solver bench); ``False`` is the escape hatch.
     screen_samples / screen_margin:
-        Two-stage fidelity knobs: candidates are first evaluated on the
-        first ``screen_samples`` Monte Carlo draws (the same draws for
-        every state -- common random numbers), and discarded when that
-        screened deadline probability trails the requirement by more
-        than ``screen_margin``.  The margin is deliberately generous
+        Tier 1 of the cascade.  Parent finish-time frontiers are pinned
+        before expansion (so children take the backend's
+        delta-propagation path, bit-identical to the full kernel), and
+        candidates are first evaluated on the first ``screen_samples``
+        Monte Carlo draws (the same draws for every state -- common
+        random numbers) and discarded when that screened deadline
+        probability trails the requirement by more than
+        ``screen_margin``.  The margin is deliberately generous
         (~5 binomial standard errors at the default prefix), so only
         candidates that are hopeless at full fidelity too are dropped;
         survivors -- and therefore the returned winner -- are always
         re-evaluated at full fidelity.
-    analytic_screen / analytic_margin / analytic_accept_margin:
+    analytic_margin / analytic_accept_margin:
         Tier 0 of the three-tier cascade (analytic -> prefix MC ->
         full MC): before the prefix screen, candidates are evaluated by
         the moment-propagation
@@ -189,22 +186,25 @@ class GenericSearch:
         cascade trajectories over the workflow catalog: across 15
         searches (Montage-1/4/8 x 5 seeds) the worst MC-feasible state
         sat at ``z - z_req = -0.025``, ~10x inside the default reject
-        margin of 0.3 (see BENCH_solver.json's ``analytic.accuracy``
-        section and DESIGN.md §11).  ``analytic_sd_floor`` guards the
-        z-space test on near-deterministic workflows: the
-        classification sd is floored at that fraction of the analytic
-        mean, so a margin of ``m`` always demands at least
-        ``m * floor`` *relative* slack and a sub-percent Clark mean
-        bias (makespan cv << 1%, e.g. LIGO-style chain ensembles)
+        margin of 0.3 (DESIGN.md §11; the raw analytic-vs-MC
+        probability error is bounded by
+        ``tests/solver/test_analytic_backend.py::TestErrorBound``).
+        ``analytic_sd_floor`` guards the z-space test on
+        near-deterministic workflows: the classification sd is floored
+        at that fraction of the analytic mean, so a margin of ``m``
+        always demands at least ``m * floor`` *relative* slack and a
+        sub-percent Clark mean bias (makespan cv << 1%, e.g.
+        LIGO-style chain ensembles)
         cannot masquerade as many sigmas -- and when even the batch
         *median* sd falls below the floor, the tier stands down for
         good rather than mirror degenerate 0/1 Monte Carlo
         probabilities with a continuous surrogate.  The same
         feasible-incumbent gate and dry-batch standdown as the prefix
-        screen apply, and the returned plan is identical with the tier
-        on or off (asserted by the test suite and the solver bench).
-        The tier disables itself when the main backend is already
-        analytic, when the problem has fewer than
+        screen apply.  The tier is an approximation, so it keeps a
+        reference comparison: ``test_cascade_identity_montage8`` solves
+        once with ``analytic_min_tasks`` above the workflow's size and
+        expects the same plan.  The tier gates itself off when the main
+        backend is already analytic, when the problem has fewer than
         ``analytic_min_tasks`` tasks (the delta-MC path is already
         cheap there; the tier measured net-negative on Montage-1/4),
         and when ``required_probability`` is 0 or 1 (``z_req`` is not
@@ -224,10 +224,8 @@ class GenericSearch:
         beam_width: int = 24,
         max_evaluations: int = 4000,
         expand_per_iter: int = 8,
-        incremental: bool = True,
         screen_samples: int = 32,
         screen_margin: float = 0.25,
-        analytic_screen: bool = True,
         analytic_margin: float = 0.3,
         analytic_accept_margin: float = 1.5,
         analytic_sd_floor: float = 0.02,
@@ -255,10 +253,8 @@ class GenericSearch:
         self.beam_width = beam_width
         self.max_evaluations = max_evaluations
         self.expand_per_iter = expand_per_iter
-        self.incremental = bool(incremental)
         self.screen_samples = int(screen_samples)
         self.screen_margin = float(screen_margin)
-        self.analytic_screen = bool(analytic_screen)
         self.analytic_margin = float(analytic_margin)
         self.analytic_accept_margin = float(analytic_accept_margin)
         self.analytic_sd_floor = float(analytic_sd_floor)
@@ -290,17 +286,16 @@ class GenericSearch:
         bitwise what full evaluation would return) with its own exact
         Eq.-1 cost.  It consumes budget and passes the screening
         tiers like every other candidate -- only the tier-2 full-MC
-        call is skipped -- so the returned plan is identical with the
-        mask on or off (asserted by the property tests and the solver
-        bench).
+        call is skipped -- so the returned plan is the one
+        ``op_mask=None`` returns (asserted by
+        ``tests/analysis/test_dominance.py``).
 
         ``distributor`` (a
         :class:`~repro.solver.shards.ShardedEvaluator`) shards each
         iteration's candidate batch across the engine's worker pool.
         Shards compute only pure per-candidate numbers; every decision
-        stays here, so the returned plan is bit-identical to the serial
-        path at any worker count (asserted by the shard test matrix and
-        the solver bench's ``distributed.identical`` gate).  While
+        stays here, so a cold sharded solve returns the cold serial
+        solve's plan (asserted by the shard test matrix).  While
         shards run the tier-2 batch, the parent speculatively expands
         the current frontier's top states -- memoized child lists that
         the next iteration consumes if those parents survive the merge
@@ -444,15 +439,15 @@ class GenericSearch:
                 continue
             budget = self.max_evaluations - evaluations
             children = children[:budget]
-            # Every candidate consumes budget whether or not the screen
-            # later discards it -- keeping the budget trajectory (and so
-            # the search decisions) identical with screening on or off.
+            # Every candidate consumes budget whether or not a screen
+            # later discards it, so the budget trajectory does not
+            # depend on which tier settles a candidate.
             evaluations += len(children)
 
             # Dominance-flagged children flow through tiers 0 and 1
             # exactly like everyone else -- the screening batches (and
-            # so every screening decision) are byte-identical with the
-            # mask on or off -- and only skip the tier-2 full-MC call,
+            # so every screening decision) are byte-identical with or
+            # without a mask -- and only skip the tier-2 full-MC call,
             # where their inherited evaluation is provably what the
             # backend would have returned.
             settled: dict[bytes, StateEval] = {}
@@ -574,8 +569,7 @@ class GenericSearch:
             # convergence every candidate is a one-step edit of a
             # feasible state, so the prefix pass is pure overhead.  The
             # trigger counts rejections only -- deterministic, so the
-            # trajectory stays run-to-run stable (and plan-identical:
-            # screening never changes selections).
+            # trajectory stays run-to-run stable.
             if survivors and dry_screens < self._DRY_SCREEN_LIMIT and self._screen_active(
                 problem, best_eval, len(survivors)
             ):
@@ -630,9 +624,7 @@ class GenericSearch:
                     # order the next sort will use.  Child generation
                     # (critical paths, dominance masks) thus overlaps
                     # shard evaluation instead of serializing after it.
-                    jobs = dist.submit_eval(
-                        to_eval, [state for state, _ in batch], self.incremental
-                    )
+                    jobs = dist.submit_eval(to_eval, [state for state, _ in batch])
                     ahead = sorted(frontier, key=sort_key)[: self.expand_per_iter]
                     spec_memo.update(
                         ((st.key, best_eval.feasible), kids)
@@ -654,11 +646,10 @@ class GenericSearch:
                     # hint, not a correctness requirement, and pinning a
                     # parent whose whole brood was settled above would
                     # be pure wasted propagation.
-                    if self.incremental:
-                        needed = {c.parent_key for c in to_eval}
-                        self.backend.ensure_frontier(
-                            problem, *(st for st, _ in batch if st.key in needed)
-                        )
+                    needed = {c.parent_key for c in to_eval}
+                    self.backend.ensure_frontier(
+                        problem, *(st for st, _ in batch if st.key in needed)
+                    )
 
                     child_evals = self.backend.evaluate_batch(problem, to_eval)
                 exact_evals += len(to_eval)
@@ -781,8 +772,7 @@ class GenericSearch:
         final evaluation).
         """
         return (
-            self.analytic_screen
-            and best is not None
+            best is not None
             and best.feasible
             and batch_size >= 4
             and problem.num_tasks >= self.analytic_min_tasks
@@ -800,8 +790,7 @@ class GenericSearch:
         undercuts, and enough candidates to amortize the extra kernel.
         """
         return (
-            self.incremental
-            and best is not None
+            best is not None
             and best.feasible
             and problem.num_samples >= 2 * self.screen_samples
             and batch_size >= 4

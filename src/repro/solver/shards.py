@@ -14,8 +14,8 @@ Two layers of adaptivity sit on top of the even split (DESIGN.md §15):
   per-(workflow, tier, shard) EWMA of per-candidate cost, and
   :func:`~repro.parallel.partition_weighted` sizes the next round's
   chunks proportionally to each shard's measured speed.  The partition
-  is deterministic given the recorded weights (which ride bench/journal
-  provenance via :meth:`ShardCostModel.snapshot`).
+  is deterministic given the recorded weights
+  (:meth:`ShardCostModel.snapshot`).
 * **Bounded work stealing** -- large tier-2 chunks are split into a
   primary and a tail; a shard that finishes early takes its own tail
   first, then the largest remaining tail of a straggler.  Each tail is
@@ -65,7 +65,7 @@ class ShardCostModel:
     until a (workflow, tier) pair has at least one observation the
     model abstains (``None``) and callers fall back to even chunking.
     ``snapshot``/``restore`` round-trip the recorded state so a
-    partition can be reproduced exactly from bench/journal provenance.
+    partition can be reproduced exactly.
     """
 
     def __init__(self, alpha: float = 0.3, max_workflows: int = 8):
@@ -145,12 +145,11 @@ class ShardedEvaluator:
         path -- so a stale worker (respawned, or recycled across
         solves) fails loudly instead of evaluating against the wrong
         problem.
-    cost_model / wf_key / adaptive:
-        The engine's persistent :class:`ShardCostModel`, the workflow's
-        content key within it, and whether weighted partitioning plus
-        work stealing are active this solve.  Timing observations are
-        recorded regardless (so turning adaptivity on later starts
-        warm); only the *use* of weights and stealing is gated.
+    cost_model / wf_key:
+        The engine's persistent :class:`ShardCostModel` and the
+        workflow's content key within it.  Chunks are weighted by the
+        model once it has an observation for the (workflow, tier) and
+        split evenly until then.
 
     :attr:`counters` accumulates the worker-side monotone counter
     deltas (makespan/frontier cache hits, delta-propagation work, tier-0
@@ -169,13 +168,11 @@ class ShardedEvaluator:
         *,
         cost_model: ShardCostModel | None = None,
         wf_key: str = "",
-        adaptive: bool = False,
     ):
         self.pool = pool
         self.solve_key = solve_key
         self.cost_model = cost_model
         self.wf_key = wf_key
-        self.adaptive = bool(adaptive)
         self.counters: dict[str, int] = {}
         self.imbalance_sum = 0.0
         self.imbalance_rounds = 0
@@ -219,10 +216,10 @@ class ShardedEvaluator:
         """Contiguous chunks for this round: weighted when the model can.
 
         Weighted partitions keep empty chunks (slot alignment); callers
-        skip them at dispatch.  Even chunking stays the fallback -- and
-        the escape hatch (``adaptive_sharding=False``).
+        skip them at dispatch.  Even chunking is what a model without
+        data (or a downgraded pool) falls back to.
         """
-        if self.adaptive and self.cost_model is not None and not self.pool.is_serial:
+        if self.cost_model is not None and not self.pool.is_serial:
             weights = self.cost_model.weights(self.wf_key, tier, self.pool.workers)
             if weights is not None:
                 return partition_weighted(states, weights)
@@ -283,40 +280,32 @@ class ShardedEvaluator:
         shard: int,
         chunk: list[PlanState],
         parents: list[PlanState],
-        incremental: bool,
     ) -> _ShardJob:
         """One eval job: the chunk plus the expanded parents it descends
         from, so the shard-resident EvalContext can pin frontiers and
         serve the delta-propagation path."""
         need = {c.parent_key for c in chunk}
         pins = [p for p in parents if p.key in need]
-        return self.pool.submit(
-            shard, beam_eval_job, (self.solve_key, chunk, pins, incremental)
-        )
+        return self.pool.submit(shard, beam_eval_job, (self.solve_key, chunk, pins))
 
     def submit_eval(
         self,
         states: list[PlanState],
         parents: list[PlanState],
-        incremental: bool,
     ) -> list[_ShardJob]:
         """Dispatch tier-2 full evaluation; pair with :meth:`gather_eval`.
 
         The split submit/gather lets the search run speculative child
-        expansion in the parent while shards evaluate.  With adaptive
-        sharding on, large chunks are split into a primary plus a tail
-        held back for work stealing at gather time.
+        expansion in the parent while shards evaluate.  Large chunks
+        are split into a primary plus a tail held back for work
+        stealing at gather time.
         """
         chunks = self._partition(states, "eval")
         self._steal = None
-        stealing = (
-            self.adaptive
-            and not self.pool.is_serial
-            and sum(1 for c in chunks if c) > 1
-        )
+        stealing = not self.pool.is_serial and sum(1 for c in chunks if c) > 1
         if not stealing:
             return [
-                self._submit_chunk(shard, chunk, parents, incremental)
+                self._submit_chunk(shard, chunk, parents)
                 for shard, chunk in enumerate(chunks)
                 if chunk
             ]
@@ -329,22 +318,17 @@ class ShardedEvaluator:
                 continue
             if len(chunk) >= _STEAL_MIN_CHUNK:
                 cut = len(chunk) - len(chunk) // 3
-                job = self._submit_chunk(shard, chunk[:cut], parents, incremental)
+                job = self._submit_chunk(shard, chunk[:cut], parents)
                 entries.append({"job": job, "seq": seq, "shard": shard})
                 jobs.append(job)
                 tails.append({"origin": shard, "chunk": chunk[cut:], "seq": seq + 1})
                 seq += 2
             else:
-                job = self._submit_chunk(shard, chunk, parents, incremental)
+                job = self._submit_chunk(shard, chunk, parents)
                 entries.append({"job": job, "seq": seq, "shard": shard})
                 jobs.append(job)
                 seq += 1
-        self._steal = {
-            "entries": entries,
-            "tails": tails,
-            "parents": parents,
-            "incremental": incremental,
-        }
+        self._steal = {"entries": entries, "tails": tails, "parents": parents}
         return jobs
 
     def _next_tail(self, tails: list[dict], shard: int) -> dict:
@@ -383,7 +367,7 @@ class ShardedEvaluator:
 
         entries = list(steal["entries"])
         tails = list(steal["tails"])
-        parents, incremental = steal["parents"], steal["incremental"]
+        parents = steal["parents"]
         results: dict[int, list[StateEval]] = {}
         while entries:
             ready = [
@@ -402,9 +386,7 @@ class ShardedEvaluator:
                 results[entry["seq"]] = chunk_evals
                 if tails:
                     tail = self._next_tail(tails, entry["shard"])
-                    job = self._submit_chunk(
-                        entry["shard"], tail["chunk"], parents, incremental
-                    )
+                    job = self._submit_chunk(entry["shard"], tail["chunk"], parents)
                     entries.append(
                         {"job": job, "seq": tail["seq"], "shard": entry["shard"]}
                     )
@@ -418,7 +400,6 @@ class ShardedEvaluator:
         self,
         states: list[PlanState],
         parents: list[PlanState] = (),
-        incremental: bool = False,
     ) -> list[StateEval]:
         """Barrier convenience: submit + gather in one call."""
-        return self.gather_eval(self.submit_eval(states, list(parents), incremental))
+        return self.gather_eval(self.submit_eval(states, list(parents)))

@@ -40,17 +40,28 @@ def _compile(wf, catalog, seed, num_samples=64):
     )
 
 
+def _search(problem, prefix_screen: bool) -> GenericSearch:
+    """The default search, or one whose tier 1 stays below its own size gate.
+
+    The prefix screen runs only while the prefix undercuts the sample
+    budget (``num_samples >= 2 * screen_samples``).  With the default
+    32-sample prefix it rejects the futile promotes before tier 2, so
+    the mask has nothing left to prune; a prefix as long as the budget
+    lets them reach tier 2, where the mask acts.
+    """
+    screen_samples = 32 if prefix_screen else problem.num_samples
+    return GenericSearch(max_evaluations=400, screen_samples=screen_samples)
+
+
 class TestSearchIdentity:
     @pytest.mark.parametrize("name", sorted(WORKFLOWS))
     @pytest.mark.parametrize("seed", [0, 1])
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_masked_search_is_bit_identical(self, catalog, name, seed, incremental):
+    @pytest.mark.parametrize("prefix_screen", [True, False])
+    def test_masked_search_is_bit_identical(self, catalog, name, seed, prefix_screen):
         problem = _compile(WORKFLOWS[name](seed), catalog, seed)
         mask = compute_op_mask(problem)
         results = [
-            GenericSearch(max_evaluations=400, incremental=incremental).solve(
-                problem, op_mask=m
-            )
+            _search(problem, prefix_screen).solve(problem, op_mask=m)
             for m in (mask, None)
         ]
         on, off = results
@@ -61,14 +72,13 @@ class TestSearchIdentity:
         assert on.trace == off.trace
         assert off.pruned_candidates == 0
 
+
     def test_pruning_fires_on_ligo(self, catalog):
-        """With the screening tiers off, the mask is the only thing
+        """With tier 1 below its size gate, the mask is the only thing
         standing between futile promotes and full MC -- and it fires."""
         problem = _compile(ligo(num_tasks=60, seed=0), catalog, 0)
         mask = compute_op_mask(problem)
-        result = GenericSearch(max_evaluations=400, incremental=False).solve(
-            problem, op_mask=mask
-        )
+        result = _search(problem, prefix_screen=False).solve(problem, op_mask=mask)
         assert result.pruned_candidates > 0
         assert result.exact_evals + result.pruned_candidates >= result.evaluations
 
@@ -121,9 +131,7 @@ class TestOpMaskConstruction:
             disabled_ops=mask.disabled_ops, source=mask.source,
             sample_token=(mask.sample_token or 0) + 1,
         )
-        result = GenericSearch(max_evaluations=400, incremental=False).solve(
-            problem, op_mask=stale
-        )
+        result = _search(problem, prefix_screen=False).solve(problem, op_mask=stale)
         assert result.pruned_candidates == 0
 
 

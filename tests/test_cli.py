@@ -2,6 +2,8 @@
 
 import io
 
+import pytest
+
 from repro.cli import EXPERIMENTS, main
 
 
@@ -285,44 +287,25 @@ class TestWorkersOption:
         assert code == 0
 
 
-class TestBench:
-    def test_parallel_target(self, tmp_path):
-        import json
+class TestRemovedSurface:
+    """The engine has one configuration: the switches and `repro bench` are gone."""
 
-        out_path = tmp_path / "BENCH_parallel.json"
-        code, text = run_cli(
-            ["bench", "parallel", "--out", str(out_path), "--seed", "7",
-             "--samples", "30", "--evals", "80", "--runs", "4",
-             "--degrees", "1", "--workers", "2"]
-        )
-        assert code == 0
-        assert "Parallel runtime" in text
-        assert "identical=True" in text
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "parallel_runtime"
-        assert payload["workers"] == 2
-        assert payload["identical"] is True
+    @pytest.mark.parametrize(
+        "switch",
+        ["incremental", "analytic-screen", "dominance-mask", "arena", "adaptive-sharding"],
+    )
+    def test_schedule_rejects_removed_switch(self, switch, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["schedule", "--app", "montage", "--workers", "2", f"--no-{switch}"])
+        assert info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
-    def test_solver_target(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_solver.json"
-        code, text = run_cli(
-            ["bench", "solver", "--out", str(out_path),
-             "--samples", "20", "--evals", "50"]
-        )
-        assert code == 0
-        assert "wrote" in text
-        payload = json.loads(out_path.read_text())
-        assert "solver_speedup" in payload
-        assert "host_cpu_count" in payload
-
-    def test_rejects_bad_runs(self, tmp_path):
-        code, text = run_cli(
-            ["bench", "parallel", "--out", str(tmp_path / "x.json"), "--runs", "0"]
-        )
-        assert code == 2
-        assert "--runs must be >= 1" in text
+    @pytest.mark.parametrize("target", ["solver", "parallel", "service", "faults"])
+    def test_bench_subcommand_is_gone(self, target, capsys):
+        with pytest.raises(SystemExit) as info:
+            run_cli(["bench", target])
+        assert info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
 
 
 class TestCalibrate:
@@ -373,22 +356,6 @@ class TestFaultFlags:
         assert code == 2
         assert "--on-abort" in text
 
-    def test_bench_faults_target(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_faults.json"
-        code, text = run_cli(
-            ["bench", "faults", "--out", str(out_path), "--seed", "7",
-             "--samples", "30", "--evals", "150", "--runs", "6",
-             "--degrees", "1", "--workers", "2", "--failure-rate", "0.12"]
-        )
-        assert code == 0
-        assert "Fault ablation" in text
-        payload = json.loads(out_path.read_text())
-        assert payload["benchmark"] == "fault_ablation"
-        assert payload["failure_rate"] == 0.12
-        assert payload["identical"] is True
-
 
 class TestBackendFlags:
     def test_schedule_analytic_backend(self):
@@ -408,38 +375,6 @@ class TestBackendFlags:
         assert "--backend must be one of" in text
         assert "analytic" in text  # the message names the valid choices
         assert text.count("\n") == 1  # one-line usage error, no traceback
-
-    def test_bench_solver_rejects_unknown_backend(self, tmp_path):
-        code, text = run_cli(
-            ["bench", "solver", "--out", str(tmp_path / "x.json"),
-             "--backend", "turbo"]
-        )
-        assert code == 2
-        assert "--backend must be one of" in text
-
-    def test_bench_solver_skips_sections(self, tmp_path):
-        import json
-
-        out_path = tmp_path / "BENCH_solver.json"
-        code, text = run_cli(
-            ["bench", "solver", "--out", str(out_path),
-             "--no-incremental", "--no-analytic-screen",
-             "--samples", "20", "--evals", "50"]
-        )
-        assert code == 0
-        assert "section skipped" in text
-        payload = json.loads(out_path.read_text())
-        assert payload["incremental"]["per_state"] == []
-        assert payload["analytic"]["per_state"] == []
-        assert payload["analytic"]["accuracy"] == []
-
-    def test_schedule_no_analytic_screen(self):
-        code, text = run_cli(
-            ["schedule", "--app", "montage", "--degrees", "1",
-             "--no-analytic-screen", "--samples", "40", "--evals", "150"]
-        )
-        assert code == 0
-        assert "feasible:        True" in text
 
 
 class TestAnalyze:

@@ -108,6 +108,29 @@ class TestSolvePathImports:
         )
         assert doc == {"feasible": True, "scipy": []}
 
+    def test_degraded_service_job_does_not_import_the_bench_package(self):
+        """The load-shed path runs when the queue is deep: it must not pull
+        the figure drivers and their imports into a warm worker."""
+        doc = run_fresh(
+            """
+            import repro.service.worker as worker
+            from repro.cloud import ec2_catalog
+            from repro.engine.deco import Deco
+
+            worker.init_service_worker(
+                Deco(ec2_catalog(), seed=7, num_samples=50, max_evaluations=200).spec()
+            )
+            envelope = worker.solve_job({
+                "workflow": {"app": "montage", "degrees": 1.0, "seed": 7},
+                "deadline": "medium", "backend": "analytic",
+            })
+            report(bound=envelope["probability_error_bound"],
+                   backend=envelope["plan"]["backend"],
+                   bench=sorted(m for m in sys.modules if m.startswith("repro.bench")))
+            """
+        )
+        assert doc == {"bound": 0.25, "backend": "analytic", "bench": []}
+
 
 ON_DEMAND = {
     # snippet -> whether it needs scipy.stats (the simulator draws its
