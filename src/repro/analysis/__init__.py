@@ -9,10 +9,9 @@ problem can possibly do, before any solve:
   makespan and cost propagated through the task graph and compared
   against the program's ``deadline``/``budget``/``reliability``
   constraints (checks E401-E403, W401-W402);
-* :mod:`repro.analysis.dominance` -- the :class:`OpMask`: per-program
-  proofs that some transformation ops cannot help, consumed by
-  :class:`~repro.solver.search.GenericSearch` to prune child
-  generation without changing the returned plan;
+* :mod:`repro.analysis.dominance` -- the :class:`OpMask`: structural
+  per-program proofs that some transformation op families have no
+  moves (one instance type, a pure chain);
 * :mod:`repro.analysis.deadcode` -- dead-rule elimination and constant
   folding on the WLog program itself (W403-W405);
 * :mod:`repro.analysis.passes` -- the pass manager: a fixpoint driver
@@ -29,13 +28,7 @@ from __future__ import annotations
 from repro.analysis.bounds import BoundsPass, cost_interval, makespan_interval, support_bounds
 from repro.analysis.deadcode import ConstantConditionPass, DeadRulePass, ShadowedFactPass, fold_program
 from repro.analysis.domain import Interval
-from repro.analysis.dominance import (
-    DominancePass,
-    OpMask,
-    compute_op_mask,
-    futile_offpath_promotes,
-    op_mask_from_bounds,
-)
+from repro.analysis.dominance import DominancePass, OpMask, compute_op_mask
 from repro.analysis.passes import (
     AnalysisContext,
     AnalysisPass,
@@ -61,8 +54,6 @@ __all__ = [
     "DominancePass",
     "OpMask",
     "compute_op_mask",
-    "op_mask_from_bounds",
-    "futile_offpath_promotes",
     "ConstantConditionPass",
     "DeadRulePass",
     "ShadowedFactPass",

@@ -152,15 +152,7 @@ class BoundsPass(AnalysisPass):
     """Interval inference + the E401-E403 / W401-W402 checks."""
 
     name = "bounds"
-    provides = (
-        "support_lo",
-        "support_hi",
-        "mean_times",
-        "prices",
-        "parent_indices",
-        "makespan_interval",
-        "cost_interval",
-    )
+    provides = ("prices", "parent_indices", "makespan_interval", "cost_interval")
 
     def run(self, ctx: AnalysisContext) -> bool:
         if "makespan_interval" in ctx.facts:
@@ -175,9 +167,6 @@ class BoundsPass(AnalysisPass):
         parents = parent_index_tuples(wf)
         mk = makespan_interval(parents, lo, hi)
         cost = cost_interval(mean_times, prices)
-        ctx.put("support_lo", lo)
-        ctx.put("support_hi", hi)
-        ctx.put("mean_times", mean_times)
         ctx.put("prices", prices)
         ctx.put("parent_indices", parents)
         ctx.put("makespan_interval", mk)

@@ -60,7 +60,7 @@ class AnalysisContext:
     region: str | None = None
     runtime_model: "RuntimeModel | None" = None
     #: Write-once inter-pass products, keyed by the names passes declare
-    #: in ``provides`` (e.g. ``"support_lo"``, ``"makespan_interval"``).
+    #: in ``provides`` (e.g. ``"prices"``, ``"makespan_interval"``).
     facts: dict[str, object] = field(default_factory=dict)
     diagnostics: list[Diagnostic] = field(default_factory=list)
 

@@ -391,10 +391,7 @@ def _cmd_schedule(args, out) -> int:
     print(f"workflow:        {workflow.name} ({len(workflow)} tasks)", file=out)
     print(f"backend:         {deco.backend.name}", file=out)
     if deco.workers > 1:
-        result = deco.last_result
-        print(f"workers:         {deco.workers} beam shards "
-              f"({result.speculated} speculative expansions, "
-              f"{result.speculation_hits} consumed)", file=out)
+        print(f"workers:         {deco.last_result.workers} beam shards", file=out)
     if faults is not None:
         print(f"fault model:     {faults.describe()}", file=out)
     print(f"deadline:        {plan.deadline:.0f} s @ {plan.deadline_percentile:.1f}%", file=out)

@@ -3,12 +3,17 @@
 Two entry points:
 
 * :meth:`Deco.schedule` -- programmatic: give it a workflow and a
-  deadline, get a :class:`~repro.engine.plan.ProvisioningPlan`.  Under
-  the hood this emits the paper's Example 1 WLog program, translates it
-  to the probabilistic IR, compiles the IR to arrays and runs the
+  deadline, get a :class:`~repro.engine.plan.ProvisioningPlan`.  It
+  compiles the workflow straight to arrays
+  (:meth:`CompiledProblem.compile`; no WLog text, no IR) and runs the
   transformation-driven search on the vectorized backend.
 * :meth:`Deco.solve_program` -- declarative: hand it WLog source (plus
-  an import registry) exactly as a Pegasus user would.
+  an import registry) exactly as a Pegasus user would.  The program is
+  checked, translated to the probabilistic IR and compiled to the same
+  arrays; ``tests/engine/test_deco.py::TestDeclarativePath`` holds
+  ``solve_program`` on the Example 1 program
+  (:meth:`Deco.example1_source`) decision-for-decision equal to
+  ``schedule``.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ import time
 import weakref
 from collections import OrderedDict
 
-from repro.analysis.dominance import OpMask, compute_op_mask
+# Uncalled here: benchmarks/e2e/tracing.py::LAYER_SPANS wraps this name as
+# an attribute of this module, so it stays importable until that table drops it.
+from repro.analysis.dominance import compute_op_mask  # noqa: F401
 from repro.common.errors import InfeasibleError, ValidationError, WLogAnalysisError
 from repro.cloud.instance_types import Catalog
 from repro.engine.compiler import compile_or_raise
@@ -143,9 +150,6 @@ class Deco:
         self._presets: weakref.WeakKeyDictionary[Workflow, DeadlinePresets] = (
             weakref.WeakKeyDictionary()
         )
-        # sample_token -> OpMask; deadline sweeps over one workflow share
-        # the tensor (and so the token), so the mask is computed once.
-        self._op_masks: OrderedDict[int | None, "OpMask"] = OrderedDict()
         self._search = GenericSearch(
             backend=self.backend,
             children_per_state=children_per_state,
@@ -168,15 +172,11 @@ class Deco:
         self._shard_counters: dict[str, int] = {}
         # Shared-memory tensor plane (DESIGN.md §15): a lazily created
         # content-addressed arena hosting compiled-problem tensors that
-        # shard workers map zero-copy, a fingerprint memo so repeat
-        # solves don't re-hash unchanged tensors, and the cost model
-        # feeding the weighted shard partitioner.
+        # shard workers map zero-copy, and a fingerprint memo so repeat
+        # solves don't re-hash unchanged tensors.
         self._arena = None
         self._arena_warned = False
         self._fingerprints: OrderedDict[tuple, str] = OrderedDict()
-        self._cost_model = None
-        self._imbalance_sum = 0.0
-        self._imbalance_rounds = 0
 
     # Worker-process rebuilding --------------------------------------------
 
@@ -295,8 +295,8 @@ class Deco:
           shard derive the problem itself.
 
         ``wf_key`` hashes the pickled workflow *content* (not its
-        object identity); it keys both the shards' base-compilation
-        reuse (pickled path) and the cost model's per-workflow EWMAs.
+        object identity); it keys the shards' base-compilation reuse on
+        the pickled path.
         """
         if self.workers <= 1:
             return None
@@ -309,14 +309,12 @@ class Deco:
             beam_begin_solve_arena,
             init_beam_worker,
         )
-        from repro.solver.shards import ShardCostModel, ShardedEvaluator
+        from repro.solver.shards import ShardedEvaluator
 
         if self._shard_pool is None:
             self._shard_pool = ShardPool(
                 self.workers, initializer=init_beam_worker, initargs=(self.spec(),)
             )
-        if self._cost_model is None:
-            self._cost_model = ShardCostModel()
         wf_key = hashlib.sha1(
             pickle.dumps((workflow, region), protocol=4)
         ).hexdigest()
@@ -369,12 +367,7 @@ class Deco:
                 ),
             )
         self._distributed_solves += 1
-        return ShardedEvaluator(
-            self._shard_pool,
-            solve_token,
-            cost_model=self._cost_model,
-            wf_key=wf_key,
-        )
+        return ShardedEvaluator(self._shard_pool, solve_token)
 
     def close(self) -> None:
         """Release the shard pool's worker processes (idempotent).
@@ -413,7 +406,6 @@ class Deco:
         self.eval_context.clear()
         self._problems.clear()
         self._presets.clear()
-        self._op_masks.clear()
         release = getattr(self.backend, "release_buffers", None)
         if release is not None:
             release()
@@ -465,10 +457,6 @@ class Deco:
                 distributed["arena_hits"] = arena_stats["hits"]
                 distributed["arena_evictions"] = arena_stats["evictions"]
                 distributed["arena_bytes"] = arena_stats["bytes_published"]
-            if self._imbalance_rounds:
-                distributed["shard_imbalance"] = (
-                    self._imbalance_sum / self._imbalance_rounds
-                )
             stats["distributed"] = distributed
         return stats
 
@@ -659,24 +647,6 @@ class Deco:
             for factor in (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4)
         )
 
-    def _op_mask(self, problem: CompiledProblem) -> OpMask:
-        """The memoized dominance mask for ``problem``'s tensor generation.
-
-        Keyed by ``sample_token``: deadline/percentile sweeps share the
-        tensor, so the per-cell bounds (a full tensor reduction) are
-        paid once per workflow compilation, not once per solve.
-        """
-        token = getattr(problem, "sample_token", None)
-        mask = self._op_masks.get(token)
-        if mask is None:
-            mask = compute_op_mask(problem)
-            self._op_masks[token] = mask
-            while len(self._op_masks) > self._PROBLEM_CACHE_SIZE:
-                self._op_masks.popitem(last=False)
-        else:
-            self._op_masks.move_to_end(token)
-        return mask
-
     def _solve(
         self,
         problem: CompiledProblem,
@@ -688,7 +658,6 @@ class Deco:
         result = self._search.solve(
             problem,
             seeds=seeds,
-            op_mask=self._op_mask(problem),
             distributor=distributor,
             deadline_s=(
                 solve_deadline_s
@@ -701,8 +670,6 @@ class Deco:
         if distributor is not None:
             for key, value in distributor.counters.items():
                 self._shard_counters[key] = self._shard_counters.get(key, 0) + value
-            self._imbalance_sum += getattr(distributor, "imbalance_sum", 0.0)
-            self._imbalance_rounds += getattr(distributor, "imbalance_rounds", 0)
         if self.require_feasible and not result.feasible_found:
             raise InfeasibleError(
                 f"no plan meets P(makespan <= {problem.deadline:g}s) >= "

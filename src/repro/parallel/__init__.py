@@ -33,7 +33,6 @@ from repro.parallel.executor import (
     ShardPool,
     chunk_evenly,
     map_tasks,
-    partition_weighted,
     resolve_workers,
     workers_from_env,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "arena_available",
     "chunk_evenly",
     "map_tasks",
-    "partition_weighted",
     "resolve_workers",
     "workers_from_env",
 ]

@@ -22,9 +22,9 @@ Design notes
 
 from __future__ import annotations
 
-import math
 import os
 import pickle
+import time
 import warnings
 import weakref
 from concurrent.futures import FIRST_COMPLETED, wait
@@ -40,7 +40,6 @@ __all__ = [
     "chunk_evenly",
     "host_cpu_count",
     "map_tasks",
-    "partition_weighted",
     "resolve_workers",
     "workers_from_env",
 ]
@@ -58,6 +57,10 @@ _warned_fallback = False
 
 # Same policy for the oversubscription notice in resolve_workers.
 _warned_oversubscription = False
+
+#: How long :meth:`ShardPool.close` waits for its workers to leave on
+#: their own before it terminates them.
+_CLOSE_GRACE_S = 2.0
 
 
 def host_cpu_count() -> int:
@@ -622,9 +625,30 @@ class ShardPool:
             self._discard(shard)
 
     def close(self) -> None:
-        """Shut down the pool for good (idempotent and re-entrant)."""
+        """Shut down the pool for good; no worker it started outlives the call.
+
+        ``shutdown(wait=False)`` only *asks* the workers to exit, so the
+        processes are joined here: one bounded wait shared by all of
+        them (an idle worker leaves within milliseconds), then
+        ``terminate()`` and finally ``kill()`` for one still busy with a
+        job nobody will collect.  Idempotent and re-entrant.
+        """
+        owned = [
+            proc
+            for executor in self._executors
+            for proc in list((getattr(executor, "_processes", None) or {}).values())
+        ]
         self.close_executors()
         self._closed = True
+        deadline = time.monotonic() + _CLOSE_GRACE_S
+        for proc in owned:
+            proc.join(max(0.0, deadline - time.monotonic()))
+        for stop in ("terminate", "kill"):
+            stragglers = [proc for proc in owned if proc.is_alive()]
+            for proc in stragglers:
+                getattr(proc, stop)()
+            for proc in stragglers:
+                proc.join(_CLOSE_GRACE_S)
 
 
 def chunk_evenly(items: Sequence[_T], chunks: int) -> list[list[_T]]:
@@ -641,44 +665,6 @@ def chunk_evenly(items: Sequence[_T], chunks: int) -> list[list[_T]]:
     start = 0
     for i in range(chunks):
         size = n // chunks + (1 if i < n % chunks else 0)
-        out.append(list(items[start : start + size]))
-        start += size
-    return out
-
-
-def partition_weighted(items: Sequence[_T], weights: Sequence[float]) -> list[list[_T]]:
-    """Split ``items`` into ``len(weights)`` contiguous runs sized by weight.
-
-    The cost-model partitioner behind adaptive sharding: chunk ``j``
-    targets the exact quota ``n * w_j / sum(w)`` and receives its floor
-    plus at most one largest-remainder item, so every chunk size is
-    within one item of its quota.  The partition is total and
-    order-preserving (concatenating the chunks reproduces ``items``),
-    may contain empty chunks (slot alignment matters to shard-affine
-    pools), and is deterministic given ``(items, weights)`` --
-    remainder ties break toward the lower index.  Non-finite or
-    non-positive weights are replaced by the mean of the valid ones
-    (even split when none are valid).
-    """
-    if not len(weights):
-        raise ValidationError("weights must be non-empty")
-    ws = [float(w) for w in weights]
-    valid = [w for w in ws if math.isfinite(w) and w > 0.0]
-    fallback = (sum(valid) / len(valid)) if valid else 1.0
-    ws = [w if (math.isfinite(w) and w > 0.0) else fallback for w in ws]
-    n = len(items)
-    total = sum(ws)
-    quotas = [n * w / total for w in ws]
-    sizes = [int(q) for q in quotas]
-    leftover = n - sum(sizes)
-    by_remainder = sorted(
-        range(len(ws)), key=lambda j: (sizes[j] - quotas[j], j)
-    )
-    for j in by_remainder[:leftover]:
-        sizes[j] += 1
-    out: list[list[_T]] = []
-    start = 0
-    for size in sizes:
         out.append(list(items[start : start + size]))
         start += size
     return out

@@ -20,7 +20,6 @@ objects) is what makes the determinism contract auditable:
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
@@ -401,7 +400,6 @@ def beam_screen_job(
     solve_key, states, want_moments, want_screen, screen_samples = payload
     deco, problem = _beam_context(solve_key)
     before = _beam_counters(deco)
-    t0 = time.perf_counter()
     a_mean = a_var = probs = None
     if want_moments and states:
         a_mean, a_var = deco._search._analytic_evaluator().makespan_moments(
@@ -411,13 +409,7 @@ def beam_screen_job(
         probs = deco.backend.screen_probabilities(
             problem, list(states), screen_samples
         )
-    delta = _beam_delta(before, _beam_counters(deco))
-    # Fuel for the parent's shard cost model (per-candidate EWMA): how
-    # long this chunk took and how many candidates it covered.  Monotone
-    # like every other counter, so absorbing sums them into totals.
-    delta["screen_elapsed_us"] = int((time.perf_counter() - t0) * 1e6)
-    delta["screen_candidates"] = len(states)
-    return a_mean, a_var, probs, delta
+    return a_mean, a_var, probs, _beam_delta(before, _beam_counters(deco))
 
 
 def beam_eval_job(
@@ -434,10 +426,6 @@ def beam_eval_job(
     solve_key, states, parents = payload
     deco, problem = _beam_context(solve_key)
     before = _beam_counters(deco)
-    t0 = time.perf_counter()
     deco.backend.ensure_frontier(problem, *parents)
     evals = list(deco.backend.evaluate_batch(problem, list(states))) if states else []
-    delta = _beam_delta(before, _beam_counters(deco))
-    delta["eval_elapsed_us"] = int((time.perf_counter() - t0) * 1e6)
-    delta["eval_candidates"] = len(states)
-    return evals, delta
+    return evals, _beam_delta(before, _beam_counters(deco))

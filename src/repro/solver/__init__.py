@@ -16,8 +16,8 @@
 * :mod:`~repro.solver.cache` -- makespan memoization keyed by
   ``(tensor id, state key)``, reused across ``with_deadline`` sweeps.
 * :mod:`~repro.solver.expand` -- candidate generation: the critical
-  paths, Promote/Demote rankings and dominance bounds of a whole batch
-  of beam parents as one array pass per DAG level.
+  paths and Promote/Demote rankings of a whole batch of beam parents
+  as one array pass per DAG level.
 * :mod:`~repro.solver.search` -- the generic transformation-driven
   search (paper Algorithm 2, batched frontier expansion) and A* search
   with user-supplied g/h scores.

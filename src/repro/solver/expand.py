@@ -3,10 +3,10 @@
 :class:`~repro.solver.search.GenericSearch` expands ``expand_per_iter``
 beam states per iteration.  Everything it needs to pick their
 transformation children -- the mean-time critical path of every parent,
-the Promote / Demote rankings, the demote savings and the dominance
-tier's futility bounds -- is computed here for the **whole batch at
-once** on its ``(B, N)`` assignment matrix, one NumPy pass per DAG
-*level* instead of one interpreter iteration per *task* per *state*.
+the Promote / Demote rankings and the demote savings -- is computed
+here for the **whole batch at once** on its ``(B, N)`` assignment
+matrix, one NumPy pass per DAG *level* instead of one interpreter
+iteration per *task* per *state*.
 :class:`~repro.solver.state.PlanState` objects are built only for the
 handful of edits each parent finally emits.
 
@@ -24,7 +24,6 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.analysis.dominance import OpMask, futile_offpath_promotes
 from repro.solver.levels import LevelSchedule
 from repro.solver.state import PlanState, StateEval
 
@@ -104,8 +103,7 @@ def expand_batch(
     parents: Sequence[tuple[PlanState, StateEval]],
     incumbent_feasible: bool,
     children_per_state: int,
-    op_mask: OpMask | None = None,
-) -> list[list[tuple[PlanState, bool]]]:
+) -> list[list[PlanState]]:
     """Transformation children of every ``(state, evaluation)`` in ``parents``.
 
     Promote when infeasible, Demote when feasible.  Promote targets the
@@ -117,15 +115,7 @@ def expand_batch(
     still infeasible a feasible parent also keeps one promote alive, for
     robustness near the boundary.
 
-    One child list per parent, in emission order.  Each child carries a
-    *dominated* flag: ``True`` means the dominance mask proved the
-    child's makespan samples are bitwise the parent's (only off-path
-    exploration promotes qualify -- see
-    :func:`repro.analysis.dominance.futile_offpath_promotes`), so the
-    caller may settle it with the parent's evaluation.  The flag
-    requires an exact (``"mc"``) parent evaluation: inheriting from an
-    analytically settled parent would propagate tier-0 approximations
-    into numbers the mask promises to be exact.
+    One child list per parent, in emission order.
 
     Both directions are one ranking: a stable ``argsort`` of the negated
     key (mean time, or saving) over all tasks, cut into an on-path and
@@ -133,7 +123,7 @@ def expand_batch(
     critical path is also path order (a parent's index is below its
     child's).
     """
-    out: list[list[tuple[PlanState, bool]]] = [[] for _ in parents]
+    out: list[list[PlanState]] = [[] for _ in parents]
     n, k = problem.num_tasks, problem.num_types
     if not parents or not n:
         return out
@@ -163,32 +153,19 @@ def expand_batch(
     half = max(1, children_per_state // 2)
     lead_count = np.where(demote, half, children_per_state)
     rest_count = np.where(demote, half, max(2, children_per_state // 4))
-    group, owner, pos = np.nonzero(
+    _, owner, pos = np.nonzero(
         np.stack([_first(worth & lead, lead_count), _first(worth & ~lead, rest_count)])
     )
     tasks = order[owner, pos]
     new_type = assign[owner, tasks] + np.where(feasible, -1, 1)[owner]
 
-    dominated = np.zeros(len(tasks), dtype=bool)
-    if op_mask is not None and op_mask.allows("promote") and k > 1:
-        exact = np.array([ev.source == "mc" for _, ev in parents])
-        explore = (group == 1) & (exact & ~feasible)[owner]
-        if explore.any():
-            rows = np.unique(owner[explore])
-            futile = futile_offpath_promotes(
-                op_mask, problem.parent_indices, assign[rows], problem.levels
-            )
-            dominated[explore] = futile[np.searchsorted(rows, owner[explore]), tasks[explore]]
-
-    for b, i, t, flag in zip(
-        owner.tolist(), tasks.tolist(), new_type.tolist(), dominated.tolist()
-    ):
+    for b, i, t in zip(owner.tolist(), tasks.tolist(), new_type.tolist()):
         if t < k:  # no promote above the top type
-            out[b].append((parents[b][0].with_type(i, t), flag))
+            out[b].append(parents[b][0].with_type(i, t))
     if not incumbent_feasible:
         for b in np.flatnonzero(feasible).tolist():
             path = paths[b][paths[b] >= 0]
             child = parents[b][0].promote(int(path[np.argmax(mean_now[b, path])]), k)
             if child is not None:
-                out[b].append((child, False))
+                out[b].append(child)
     return out

@@ -220,33 +220,6 @@ class LevelSchedule:
         ``searchsorted`` against it cuts a sorted slot list into levels."""
         return np.array([lo for lo, _ in self.level_bounds] + [self.num_tasks], dtype=np.int64)
 
-    @cached_property
-    def level_children(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray] | None, ...]:
-        """Per level, the child-side gather table of :meth:`tail_permuted`.
-
-        ``(parents, children, starts)`` in permuted slots: the level's
-        edges sorted by parent slot, so ``children[starts[j]:starts[j+1]]``
-        are the children of ``parents[j]`` -- one ``maximum.reduceat``
-        per level, sized by the edge count rather than by a padded
-        ``(tasks, max fan-out)`` matrix.  ``None`` for a level whose
-        tasks are all sinks.  Built on first use: only the dominance
-        tier walks the DAG backwards.
-        """
-        tables: list[tuple[np.ndarray, np.ndarray, np.ndarray] | None] = [None] * len(
-            self.level_bounds
-        )
-        child, slot = np.nonzero(self.parent_matrix >= 0)  # one row per edge
-        parent_slots = self.rank[self.parent_matrix[child, slot]]
-        by_parent = np.argsort(parent_slots, kind="stable")
-        parent_slots, child_slots = parent_slots[by_parent], self.rank[child][by_parent]
-        for lv, (lo, hi) in enumerate(self.level_bounds):
-            a, b = np.searchsorted(parent_slots, (lo, hi))
-            if a == b:
-                continue
-            parents, starts = np.unique(parent_slots[a:b], return_index=True)
-            tables[lv] = (parents, child_slots[a:b], starts)
-        return tuple(tables)
-
     @property
     def max_width(self) -> int:
         """Widest level -- the amount of per-iteration parallelism."""
@@ -323,30 +296,6 @@ class LevelSchedule:
                 # Big fan-in, few tasks: one 3-D gather + max reduction.
                 finish[lo:hi] = finish[gather].max(axis=1) + lanes_permuted[lo:hi]
         return finish
-
-    def tail_permuted(self, lanes_permuted: np.ndarray) -> np.ndarray:
-        """Longest path strictly *after* each task, ``(N, M)`` permuted.
-
-        The backward twin of :meth:`propagate_permuted`:
-        ``tail[r] = max(0, max over children c of tail[c] + lanes[c])``,
-        one ``maximum.reduceat`` per level from the deepest up.
-        """
-        n = self.num_tasks
-        if lanes_permuted.shape[0] != n:
-            raise SolverError(
-                f"lanes have {lanes_permuted.shape[0]} tasks, schedule has {n}"
-            )
-        tail = np.zeros(lanes_permuted.shape, dtype=lanes_permuted.dtype)
-        through = lanes_permuted.copy()  # tail[c] + lanes[c]; exact for sinks already
-        for (lo, hi), table in zip(
-            reversed(self.level_bounds), reversed(self.level_children)
-        ):
-            if table is None:
-                continue
-            parents, children, starts = table
-            tail[parents] = np.maximum.reduceat(through[children], starts, axis=0)
-            np.add(tail[lo:hi], lanes_permuted[lo:hi], out=through[lo:hi])
-        return tail
 
     def propagate(self, lanes: np.ndarray) -> np.ndarray:
         """Finish times for an ``(M, N)`` lane-major, original-order matrix.

@@ -34,7 +34,6 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable
 
 import numpy as np
 
-from repro.analysis.dominance import OpMask
 from repro.common.errors import SolverError, ValidationError
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
 from repro.solver.expand import expand_batch
@@ -62,28 +61,20 @@ class SearchResult:
     counterparts: candidates the moment-propagation tier evaluated,
     settled as clearly infeasible, or settled as clearly feasible --
     settled either way means no Monte Carlo was spent on them (zero
-    when the tier never activated).
-    ``pruned_candidates`` counts candidates whose tier-2 full-MC
-    evaluation the dominance
-    :class:`~repro.analysis.dominance.OpMask` replaced with the
-    parent's evaluation (their makespan samples are provably bitwise
-    the parent's); they consume budget and pass the screening tiers
-    like every other candidate, so the trajectory is the one a solve
-    without an ``op_mask`` takes.  The ``states_incremental`` /
+    when the tier never activated).  The ``states_incremental`` /
     ``levels_skipped`` / ``levels_total`` / ``rows_recomputed`` /
-    ``rows_total`` counters
-    come from the backend's delta-propagation path (zero when the
-    backend has no :class:`~repro.solver.cache.EvalContext`).
+    ``rows_total`` counters come from the backend's delta-propagation
+    path (zero when the backend has no
+    :class:`~repro.solver.cache.EvalContext`).
 
     On a sharded solve (``workers > 1``) the cache and delta counters
     aggregate the per-shard deltas each worker reports, so sharded and
-    serial solves report comparable work totals; ``speculated`` /
-    ``speculation_hits`` count the speculative child expansions the
-    parent ran while shards evaluated, and how many were consumed by
-    the next iteration's expansion (the rest were reconciled away).
-    All *trajectory* counters (evaluations, expansions, the tier
-    counters, ``screened_out``, ``pruned_candidates``) are parent-side
-    decisions over the per-candidate numbers the shards return.
+    serial solves report comparable work totals.  All *trajectory*
+    counters (evaluations, expansions, the tier counters,
+    ``screened_out``) are parent-side decisions over the per-candidate
+    numbers the shards return.  ``workers`` is the number of shard
+    processes the solve dispatched to: 1 for a serial solve and for a
+    sharded engine whose pool downgraded to in-process evaluation.
     """
 
     best_state: PlanState
@@ -100,15 +91,12 @@ class SearchResult:
     analytic_evals: int = 0        # tier-0 analytic evaluations performed
     analytic_screened_out: int = 0  # candidates settled clearly infeasible (no MC)
     analytic_accepted: int = 0      # candidates settled clearly feasible (no MC)
-    pruned_candidates: int = 0      # candidates settled by the dominance mask
     states_incremental: int = 0  # states evaluated via delta propagation
     levels_skipped: int = 0      # level recomputations the delta path avoided
     levels_total: int = 0        # level recomputations a full pass would do
     rows_recomputed: int = 0     # task rows actually re-propagated
     rows_total: int = 0          # task rows a full pass would propagate
-    workers: int = 1             # shard count the solve actually ran with
-    speculated: int = 0          # speculative child expansions performed
-    speculation_hits: int = 0    # speculations consumed by the next iteration
+    workers: int = 1             # shard processes the solve dispatched to
     #: The cooperative watchdog fired: the wall-clock budget passed to
     #: :meth:`GenericSearch.solve` expired at an iteration boundary and
     #: the search returned its best incumbent instead of running the
@@ -268,7 +256,6 @@ class GenericSearch:
         problem: CompiledProblem,
         initial: PlanState | None = None,
         seeds: Iterable[PlanState] = (),
-        op_mask: OpMask | None = None,
         distributor: "ShardedEvaluator | None" = None,
         deadline_s: float | None = None,
     ) -> SearchResult:
@@ -279,27 +266,13 @@ class GenericSearch:
         callers may pass extra warm-start ``seeds`` (e.g. a heuristic
         baseline's plan, which the search then strictly improves).
 
-        ``op_mask`` (see :func:`repro.analysis.dominance.compute_op_mask`)
-        lets the dominance analysis settle provably futile exploration
-        promotes without full evaluation: a masked child inherits its
-        parent's feasibility/probability/mean makespan (provably
-        bitwise what full evaluation would return) with its own exact
-        Eq.-1 cost.  It consumes budget and passes the screening
-        tiers like every other candidate -- only the tier-2 full-MC
-        call is skipped -- so the returned plan is the one
-        ``op_mask=None`` returns (asserted by
-        ``tests/analysis/test_dominance.py``).
-
         ``distributor`` (a
         :class:`~repro.solver.shards.ShardedEvaluator`) shards each
         iteration's candidate batch across the engine's worker pool.
         Shards compute only pure per-candidate numbers; every decision
         stays here, so a cold sharded solve returns the cold serial
-        solve's plan (asserted by the shard test matrix).  While
-        shards run the tier-2 batch, the parent speculatively expands
-        the current frontier's top states -- memoized child lists that
-        the next iteration consumes if those parents survive the merge
-        and discards otherwise.
+        solve's plan (asserted by the shard test matrix); one whose
+        pool downgraded to in-process evaluation is ignored.
 
         ``deadline_s`` is the cooperative watchdog: a wall-clock budget
         (seconds, measured on the monotonic clock from entry) checked at
@@ -320,13 +293,6 @@ class GenericSearch:
         )
         n = problem.num_tasks
         k = problem.num_types
-        if op_mask is not None and op_mask.sample_token != getattr(
-            problem, "sample_token", None
-        ):
-            # A mask is only exact for the tensor generation it was
-            # computed from (with_faults inflates the cells); a stale or
-            # support-bound mask silently degrades to no pruning.
-            op_mask = None
         start = initial or PlanState.uniform(n, 0)
         seed_states = [start] + [PlanState.uniform(n, t) for t in range(k)] + list(seeds)
         # Dedupe while preserving order.
@@ -354,7 +320,6 @@ class GenericSearch:
         analytic_evals = 0
         analytic_screened_out = 0
         analytic_accepted = 0
-        pruned_candidates = 0
         best_state, best_eval = None, None
         for st, ev in zip(frontier_states, evals):
             if ev.better_than(best_eval):
@@ -366,19 +331,7 @@ class GenericSearch:
         expansions = 0
         dry_screens = 0
         dry_analytic = 0
-        # Speculative expansion memo: (parent key, incumbent feasibility)
-        # -> that parent's ``expand_batch`` child list, populated while
-        # shards evaluate and consumed (or discarded) by the very next
-        # iteration.  The key carries the only input child generation
-        # reads from the incumbent -- its feasibility flag -- so a hit is *provably*
-        # what the fresh call would return; everything else it depends
-        # on (problem, the parent's state and eval, the op mask) is
-        # frozen for the solve.
-        spec_memo: dict[tuple[bytes, bool], list[tuple[PlanState, bool]]] = {}
-        speculated = 0
-        speculation_hits = 0
         timed_out = False
-        sort_key = self._frontier_key
 
         while frontier and evaluations < self.max_evaluations:
             if t_deadline is not None and time.monotonic() >= t_deadline:
@@ -392,7 +345,7 @@ class GenericSearch:
             # the tiebreak, so the ranking is a function of the
             # frontier *set* -- never of the insertion order a shard
             # merge (or any future refactor) might perturb.
-            frontier.sort(key=sort_key)
+            frontier.sort(key=self._frontier_key)
             frontier = frontier[: self.beam_width]
             batch = frontier[: self.expand_per_iter]
             frontier = frontier[self.expand_per_iter :]
@@ -402,39 +355,18 @@ class GenericSearch:
                 else None
             )
 
-            # Children of every expanded state, deduped against the
-            # visited set, form one backend batch (block-per-state).
-            # ``inherited`` holds the parent evaluation of children the
-            # dominance mask settled (probability provably identical to
-            # the parent's); the exact cost is filled in below.
+            # Children of every expanded state (one array pass), deduped
+            # against the visited set, form one backend batch
+            # (block-per-state).
             children: list[PlanState] = []
-            inherited: dict[bytes, StateEval] = {}
             expansions += len(batch)
-            # One array pass generates the child lists of every parent
-            # the speculation memo does not already hold.
-            fresh = [
-                se for se in batch if (se[0].key, best_eval.feasible) not in spec_memo
-            ]
-            speculation_hits += len(batch) - len(fresh)
-            generated = iter(
-                expand_batch(
-                    problem, fresh, best_eval.feasible, self.children_per_state, op_mask
-                )
-            )
-            for state, ev in batch:
-                kids = spec_memo.pop((state.key, best_eval.feasible), None)
-                if kids is None:
-                    kids = next(generated)
-                for c, dominated in kids:
+            for kids in expand_batch(
+                problem, batch, best_eval.feasible, self.children_per_state
+            ):
+                for c in kids:
                     if c.key not in seen:
                         seen.add(c.key)
                         children.append(c)
-                        if dominated:
-                            inherited[c.key] = ev
-            # Reconcile: speculations whose parent did not make this
-            # batch (pruned, outranked, or the incumbent's feasibility
-            # flipped) are stale one-step lookahead -- discard them.
-            spec_memo.clear()
             if not children:
                 continue
             budget = self.max_evaluations - evaluations
@@ -444,12 +376,6 @@ class GenericSearch:
             # depend on which tier settles a candidate.
             evaluations += len(children)
 
-            # Dominance-flagged children flow through tiers 0 and 1
-            # exactly like everyone else -- the screening batches (and
-            # so every screening decision) are byte-identical with or
-            # without a mask -- and only skip the tier-2 full-MC call,
-            # where their inherited evaluation is provably what the
-            # backend would have returned.
             settled: dict[bytes, StateEval] = {}
 
             # Tier 0: two-sided analytic classification (no sampling).
@@ -591,53 +517,15 @@ class GenericSearch:
                 else:
                     dry_screens += 1
 
-            # Tier 2: full-fidelity evaluation -- except for survivors
-            # the dominance mask flagged, whose makespan samples are
-            # provably bitwise the parent's: they settle with the
-            # parent's probability/feasibility/mean makespan and their
-            # own exact Eq.-1 cost (the same function the backends
-            # use), bit-for-bit what ``evaluate_batch`` would return,
-            # at zero propagation cost.
-            to_eval = [c for c in survivors if c.key not in inherited]
-            dominated_states = [c for c in survivors if c.key in inherited]
-            if dominated_states:
-                pruned_candidates += len(dominated_states)
-                exact_costs = problem.expected_cost_batch(
-                    np.stack([c.assignment for c in dominated_states])
-                )
-                for c, cost in zip(dominated_states, exact_costs):
-                    pev = inherited[c.key]
-                    settled[c.key] = StateEval(
-                        cost=float(cost),
-                        probability=pev.probability,
-                        feasible=pev.feasible,
-                        mean_makespan=pev.mean_makespan,
-                        source=pev.source,
-                    )
-            if to_eval:
+            # Tier 2: full-fidelity evaluation of whatever tiers 0 and 1
+            # left undecided.
+            if survivors:
                 if dist is not None:
                     # Distributed round B: shards pin their own chunk's
-                    # parents and evaluate at full fidelity; meanwhile
-                    # the parent speculatively expands the states most
-                    # likely to top the next iteration's batch -- the
-                    # current frontier's best under the same total
-                    # order the next sort will use.  Child generation
-                    # (critical paths, dominance masks) thus overlaps
-                    # shard evaluation instead of serializing after it.
-                    jobs = dist.submit_eval(to_eval, [state for state, _ in batch])
-                    ahead = sorted(frontier, key=sort_key)[: self.expand_per_iter]
-                    spec_memo.update(
-                        ((st.key, best_eval.feasible), kids)
-                        for (st, _), kids in zip(
-                            ahead,
-                            expand_batch(
-                                problem, ahead, best_eval.feasible,
-                                self.children_per_state, op_mask,
-                            ),
-                        )
+                    # parents and evaluate at full fidelity.
+                    child_evals = dist.gather_eval(
+                        dist.submit_eval(survivors, [state for state, _ in batch])
                     )
-                    speculated += len(ahead)
-                    child_evals = dist.gather_eval(jobs)
                 else:
                     # Pin the expanded parents' finish-time frontiers so
                     # the full evaluation takes the delta-propagation
@@ -646,15 +534,15 @@ class GenericSearch:
                     # hint, not a correctness requirement, and pinning a
                     # parent whose whole brood was settled above would
                     # be pure wasted propagation.
-                    needed = {c.parent_key for c in to_eval}
+                    needed = {c.parent_key for c in survivors}
                     self.backend.ensure_frontier(
                         problem, *(st for st, _ in batch if st.key in needed)
                     )
 
-                    child_evals = self.backend.evaluate_batch(problem, to_eval)
-                exact_evals += len(to_eval)
+                    child_evals = self.backend.evaluate_batch(problem, survivors)
+                exact_evals += len(survivors)
                 settled.update(
-                    (cst.key, cev) for cst, cev in zip(to_eval, child_evals)
+                    (cst.key, cev) for cst, cev in zip(survivors, child_evals)
                 )
             if not settled:
                 continue
@@ -710,7 +598,6 @@ class GenericSearch:
             analytic_evals=analytic_evals,
             analytic_screened_out=analytic_screened_out,
             analytic_accepted=analytic_accepted,
-            pruned_candidates=pruned_candidates,
             states_incremental=delta1.get("states_incremental", 0)
             - delta0.get("states_incremental", 0)
             + shard.get("states_incremental", 0),
@@ -726,9 +613,9 @@ class GenericSearch:
             rows_total=delta1.get("rows_total", 0)
             - delta0.get("rows_total", 0)
             + shard.get("rows_total", 0),
-            workers=distributor.workers if distributor is not None else 1,
-            speculated=speculated,
-            speculation_hits=speculation_hits,
+            workers=(
+                1 if distributor is None or distributor.is_serial else distributor.workers
+            ),
             timed_out=timed_out,
         )
 

@@ -61,7 +61,6 @@ def _record(deco, workflow, deadline: str, percentile: float) -> dict:
         "feasible": plan.feasible,
         "evaluations": result.evaluations,
         "expansions": result.expansions,
-        "pruned_candidates": result.pruned_candidates,
         "trace": [[int(n), float(c)] for n, c in result.trace],
     }
 

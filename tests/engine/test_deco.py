@@ -1,5 +1,6 @@
 """Tests for the Deco facade (use case 1)."""
 
+import dataclasses
 import inspect
 
 import pytest
@@ -246,6 +247,8 @@ class TestOneConfiguration:
         (GenericSearch, "analytic_screen"),
         (VectorizedBackend, "level_" "parallel"),
         (ShardedEvaluator, "adaptive"),
+        (ShardedEvaluator, "cost_model"),
+        (ShardedEvaluator, "wf_key"),
         (ServiceConfig, "arena"),
     ]
 
@@ -256,27 +259,30 @@ class TestOneConfiguration:
         with pytest.raises(TypeError, match=keyword):
             cls(**{keyword: True})
 
+    def test_solve_takes_no_op_mask(self, catalog, wf):
+        problem = CompiledProblem.compile(wf, catalog, deadline=1.0, num_samples=8)
+        with pytest.raises(TypeError, match="op_mask"):
+            GenericSearch().solve(problem, op_mask=None)
+
+    def test_removed_lanes_left_no_name_behind(self):
+        """The dominance lane, speculation and adaptive partitioning are gone,
+        not parked: no result field, no module attribute."""
+        import repro.analysis
+        import repro.parallel
+        import repro.solver.shards
+        from repro.solver.search import SearchResult
+
+        fields = {f.name for f in dataclasses.fields(SearchResult)}
+        assert not fields & {"pruned_candidates", "speculated", "speculation_hits"}
+        assert not hasattr(repro.parallel, "partition_weighted")
+        assert not hasattr(repro.analysis, "futile_offpath_promotes")
+        assert not hasattr(repro.solver.shards, "ShardCostModel")
+
     def test_spec_covers_every_constructor_argument(self, catalog):
         """A constructor argument that misses ``spec()`` would silently
         not reach the worker processes that rebuild the engine from it."""
         parameters = set(inspect.signature(Deco.__init__).parameters)
         assert set(Deco(catalog).spec()) == parameters - {"self", "workers"}
-
-
-class TestDominanceMask:
-    def test_mask_memoized_across_deadline_sweep(self, catalog, wf):
-        deco = Deco(catalog, seed=0, num_samples=64, max_evaluations=100)
-        deco.schedule(wf, "tight")
-        deco.schedule(wf, "loose")
-        # Same compiled tensor generation -> one mask for the whole sweep.
-        assert len(deco._op_masks) == 1
-
-    def test_clear_caches_drops_masks(self, catalog, wf):
-        deco = Deco(catalog, seed=0, num_samples=64, max_evaluations=100)
-        deco.schedule(wf, "medium")
-        assert len(deco._op_masks) == 1
-        deco.clear_caches()
-        assert len(deco._op_masks) == 0
 
 
 class TestForeignCatalog:

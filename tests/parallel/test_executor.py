@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import time
 
 import pytest
 
@@ -16,7 +17,6 @@ from repro.parallel.executor import (
     ShardPool,
     chunk_evenly,
     map_tasks,
-    partition_weighted,
     resolve_workers,
     workers_from_env,
 )
@@ -204,6 +204,19 @@ class TestSerialFallback:
             assert executor.map_tasks(read_context, [5]* 2) == [(11, 5), (11, 5)]
 
 
+def _sleep(seconds):
+    time.sleep(seconds)
+
+
+def _alive(pid: int) -> bool:
+    """Whether ``pid`` still names a process (running or unreaped)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
 def _context_square(x):
     # Pure function of (payload, replayed context): what shard jobs are.
     return (_CONTEXT.get("value"), x * x)
@@ -292,6 +305,18 @@ class TestShardPool:
         pool.close()
         with pytest.raises(RuntimeError, match="closed"):
             pool.submit(0, square, 1)
+
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle", "job-in-flight"])
+    def test_close_leaves_no_worker_alive(self, busy):
+        pool = ShardPool(2)
+        pool.run(square, [1, 2])  # spawn both workers
+        pids = pool.worker_pids()
+        assert all(pid is not None for pid in pids)
+        if busy:
+            pool.submit(0, _sleep, 30.0)
+        pool.close()
+        assert [pid for pid in pids if _alive(pid)] == []
+        pool.close()  # idempotent
 
     def test_broadcast_stamp_skips_reserialization(self):
         pool = ShardPool(2, initializer=set_context, initargs=(0,))
@@ -384,73 +409,6 @@ def test_chunk_evenly_partitions_totally_and_in_order(n, chunks):
     if out:
         sizes = [len(chunk) for chunk in out]
         assert max(sizes) - min(sizes) <= 1
-
-
-weight_values = st.one_of(
-    st.floats(min_value=1e-6, max_value=1e6, allow_nan=False, allow_infinity=False),
-    # Degenerate weights the partitioner must sanitize to the mean.
-    st.sampled_from([0.0, -1.0, float("nan"), float("inf")]),
-)
-
-
-@given(
-    n=st.integers(min_value=0, max_value=200),
-    weights=st.lists(weight_values, min_size=1, max_size=12),
-)
-@settings(max_examples=100, deadline=None)
-def test_partition_weighted_is_total_ordered_and_quota_bounded(n, weights):
-    import math
-
-    items = list(range(n))
-    out = partition_weighted(items, weights)
-    # Total, order-preserving, exactly one (possibly empty) chunk per
-    # weight -- slot alignment is what the shard-affine pool relies on.
-    assert len(out) == len(weights)
-    assert [x for chunk in out for x in chunk] == items
-    # Every chunk within one item of its exact quota (after the same
-    # degenerate-weight sanitization the partitioner applies).
-    ws = [float(w) for w in weights]
-    valid = [w for w in ws if math.isfinite(w) and w > 0.0]
-    fallback = (sum(valid) / len(valid)) if valid else 1.0
-    ws = [w if (math.isfinite(w) and w > 0.0) else fallback for w in ws]
-    total = sum(ws)
-    for chunk, w in zip(out, ws):
-        assert abs(len(chunk) - n * w / total) <= 1.0
-
-
-@given(
-    n=st.integers(min_value=0, max_value=120),
-    weights=st.lists(
-        st.floats(min_value=0.1, max_value=10.0, allow_nan=False),
-        min_size=1,
-        max_size=8,
-    ),
-)
-@settings(max_examples=60, deadline=None)
-def test_partition_weighted_is_deterministic(n, weights):
-    items = list(range(n))
-    assert partition_weighted(items, weights) == partition_weighted(items, weights)
-
-
-class TestPartitionWeighted:
-    def test_rejects_empty_weights(self):
-        with pytest.raises(ValidationError):
-            partition_weighted([1, 2], [])
-
-    def test_uniform_weights_match_even_quota(self):
-        out = partition_weighted(list(range(10)), [1.0, 1.0, 1.0])
-        assert [len(c) for c in out] == [4, 3, 3]
-        assert [x for c in out for x in c] == list(range(10))
-
-    def test_faster_shard_gets_more_items(self):
-        out = partition_weighted(list(range(12)), [3.0, 1.0])
-        assert len(out[0]) > len(out[1])
-        assert [x for c in out for x in c] == list(range(12))
-
-    def test_keeps_empty_chunk_slots(self):
-        out = partition_weighted([1], [1.0, 1.0, 1.0])
-        assert len(out) == 3
-        assert sorted(len(c) for c in out) == [0, 0, 1]
 
 
 class TestOversubscriptionWarning:

@@ -1,8 +1,8 @@
 """The array kernels of candidate generation against their scalar originals.
 
-``repro.solver.expand`` (batched critical paths and child lists),
-``futile_offpath_promotes`` (level passes) and ``autoscaling_plan``
-(broadcast compare + argmax) replaced per-task Python loops.  The loops
+``repro.solver.expand`` (batched critical paths and child lists) and
+``autoscaling_plan`` (broadcast compare + argmax) replaced per-task
+Python loops.  The loops
 live on here, verbatim, as the references: the kernels must reproduce
 them tie for tie and bit for bit, because the search trajectory -- and
 so every plan -- is a function of their output.
@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.dominance import compute_op_mask, futile_offpath_promotes
 from repro.baselines.autoscaling import autoscaling_plan
 from repro.common.errors import ValidationError
 from repro.engine.plan import deadline_presets
@@ -66,70 +65,21 @@ def critical_indices_ref(parent_indices, task_times) -> list[int]:
     return path
 
 
-def futile_ref(mask, parent_indices, assignment) -> np.ndarray:
-    n = len(parent_indices)
-    idx = np.arange(n)
-    k = mask.num_types
-    lo_now = mask.lo[assignment, idx]
-    hi_now = mask.hi[assignment, idx]
-    lo_list = lo_now.tolist()
-    hi_list = hi_now.tolist()
-    fin_lo = [0.0] * n
-    fin_hi = [0.0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for i, parents in enumerate(parent_indices):
-        s_lo = 0.0
-        s_hi = 0.0
-        for p in parents:
-            children[p].append(i)
-            if fin_lo[p] > s_lo:
-                s_lo = fin_lo[p]
-            if fin_hi[p] > s_hi:
-                s_hi = fin_hi[p]
-        fin_lo[i] = s_lo + lo_list[i]
-        fin_hi[i] = s_hi + hi_list[i]
-    tail_hi = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        best = 0.0
-        for c in children[i]:
-            v = tail_hi[c] + hi_list[c]
-            if v > best:
-                best = v
-        tail_hi[i] = best
-    lb_makespan = max(fin_lo, default=0.0)
-    next_type = np.minimum(assignment + 1, k - 1)
-    hi_widened = np.maximum(hi_now, mask.hi[next_type, idx])
-    through_hi = np.asarray(fin_hi) - hi_now + hi_widened + np.asarray(tail_hi)
-    return np.asarray(through_hi < lb_makespan)
-
-
-def children_ref(problem, state, ev, best, children_per_state, op_mask=None):
+def children_ref(problem, state, ev, best, children_per_state):
     n = problem.num_tasks
     idx = np.arange(n)
     mean_now = problem.mean_times[state.assignment, idx]
     cp_idx = critical_indices_ref(problem.parent_indices, mean_now)
     cp_set = set(cp_idx)
-    children: list[tuple[PlanState, bool]] = []
+    children: list[PlanState] = []
 
     if not ev.feasible:
         order = sorted(cp_idx, key=lambda i: -mean_now[i])
-        for i in order[:children_per_state]:
-            child = state.promote(i, problem.num_types)
-            if child is not None:
-                children.append((child, False))
-        futile = None
-        if (
-            op_mask is not None
-            and ev.source == "mc"
-            and op_mask.allows("promote")
-            and problem.num_types > 1
-        ):
-            futile = futile_ref(op_mask, problem.parent_indices, state.assignment)
         off = sorted((i for i in range(n) if i not in cp_set), key=lambda i: -mean_now[i])
-        for i in off[: max(2, children_per_state // 4)]:
+        for i in order[:children_per_state] + off[: max(2, children_per_state // 4)]:
             child = state.promote(i, problem.num_types)
             if child is not None:
-                children.append((child, futile is not None and bool(futile[i])))
+                children.append(child)
         return children
 
     cost_now = problem.mean_times[state.assignment, idx] * problem.prices[state.assignment]
@@ -151,12 +101,12 @@ def children_ref(problem, state, ev, best, children_per_state, op_mask=None):
     for i in off_order[:half] + on_order[:half]:
         child = state.demote(i)
         if child is not None:
-            children.append((child, False))
+            children.append(child)
     if cp_idx:
         i = max(cp_idx, key=lambda j: mean_now[j])
         child = state.promote(i, problem.num_types)
         if child is not None and (best is None or not best.feasible):
-            children.append((child, False))
+            children.append(child)
     return children
 
 
@@ -293,46 +243,38 @@ def _synthetic_problem(workflow: Workflow, catalog, rng, num_samples: int = 6) -
     )
 
 
-def _eval(feasible: bool, source: str = "mc") -> StateEval:
+def _eval(feasible: bool) -> StateEval:
     return StateEval(
         cost=1.0, probability=1.0 if feasible else 0.0, feasible=feasible,
-        mean_makespan=1.0, source=source,
+        mean_makespan=1.0,
     )
 
 
-def _assert_children_match(problem, parents, incumbent_feasible, op_mask, cps=12):
+def _assert_children_match(problem, parents, incumbent_feasible, cps=12):
     best = _eval(incumbent_feasible)
-    got = expand_batch(problem, parents, incumbent_feasible, cps, op_mask)
+    got = expand_batch(problem, parents, incumbent_feasible, cps)
     assert len(got) == len(parents)
-    flagged = 0
     for (state, ev), kids in zip(parents, got):
-        want = children_ref(problem, state, ev, best, cps, op_mask)
-        assert [c.key for c, _ in kids] == [c.key for c, _ in want]
-        assert [d for _, d in kids] == [d for _, d in want]
-        for child, _ in kids:
+        want = children_ref(problem, state, ev, best, cps)
+        assert [c.key for c in kids] == [c.key for c in want]
+        for child in kids:
             assert child.parent_key == state.key
             (task,) = child.dirty
             assert np.flatnonzero(child.assignment != state.assignment).tolist() == [task]
-        flagged += sum(d for _, d in kids)
-    return flagged
 
 
 class TestChildLists:
-    @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
-    def test_matches_scalar_on_drawn_dags(self, catalog, workflow, seed, masked, incumbent):
+    def test_matches_scalar_on_drawn_dags(self, catalog, workflow, seed, incumbent):
         rng = np.random.default_rng(seed)
         problem = _synthetic_problem(workflow, catalog, rng)
         n, k = problem.num_tasks, problem.num_types
         states = [PlanState(rng.integers(0, k, n)) for _ in range(5)]
         states += [PlanState.uniform(n, 0), PlanState.uniform(n, k - 1), states[0]]
-        parents = [
-            (s, _eval(bool(rng.integers(2)), "analytic" if rng.integers(4) == 0 else "mc"))
-            for s in states
-        ]
-        mask = compute_op_mask(problem) if masked else None
-        _assert_children_match(problem, parents, incumbent, mask, cps=int(rng.integers(1, 13)))
-        _assert_children_match(problem, parents[:1], incumbent, mask)
+        parents = [(s, _eval(bool(rng.integers(2)))) for s in states]
+        _assert_children_match(problem, parents, incumbent, cps=int(rng.integers(1, 13)))
+        _assert_children_match(problem, parents[:1], incumbent)
 
     @pytest.mark.parametrize(
         "make",
@@ -346,50 +288,13 @@ class TestChildLists:
             workflow, catalog, deadline=deadline_presets(workflow, catalog).medium,
             percentile=90.0, num_samples=32, seed=5,
         )
-        mask = compute_op_mask(problem)
         n, k = problem.num_tasks, problem.num_types
         states = [PlanState(rng.integers(0, k, n)) for _ in range(6)]
         states += [PlanState.uniform(n, 0), PlanState.uniform(n, k - 1)]
+        parents = [(s, _eval(i % 2 == 0)) for i, s in enumerate(states)]
+        parents += [(s, _eval(i % 2 == 1)) for i, s in enumerate(states)]
         for incumbent in (False, True):
-            for source in ("mc", "analytic"):
-                parents = [(s, _eval(i % 2 == 0, source)) for i, s in enumerate(states)]
-                parents += [(s, _eval(i % 2 == 1, source)) for i, s in enumerate(states)]
-                for m in (mask, None):
-                    _assert_children_match(problem, parents, incumbent, m)
-
-    def test_dominated_flags_fire_and_match(self, catalog):
-        """LIGO is where the mask proves promotes futile (test_dominance)."""
-        flagged = 0
-        for seed in range(3):
-            workflow = ligo(40, seed=seed)
-            problem = CompiledProblem.compile(
-                workflow, catalog, deadline=deadline_presets(workflow, catalog).medium,
-                percentile=90.0, num_samples=64, seed=seed,
-            )
-            mask = compute_op_mask(problem)
-            rng = np.random.default_rng(seed)
-            parents = [
-                (PlanState(rng.integers(0, problem.num_types - 1, problem.num_tasks)),
-                 _eval(False))
-                for _ in range(8)
-            ]
-            flagged += _assert_children_match(problem, parents, False, mask)
-        assert flagged > 0, "no dominated child in the sample -- the flag path went untested"
-
-    def test_futility_predicate_matches_scalar_in_batch(self, catalog, rng):
-        workflow = ligo(40, seed=0)
-        problem = CompiledProblem.compile(
-            workflow, catalog, deadline=1.0, num_samples=64, seed=0,
-        )
-        mask = compute_op_mask(problem)
-        batch = rng.integers(0, problem.num_types, (8, problem.num_tasks)).astype(np.int16)
-        want = np.stack([futile_ref(mask, problem.parent_indices, row) for row in batch])
-        assert want.any()
-        got = futile_offpath_promotes(mask, problem.parent_indices, batch, problem.levels)
-        assert np.array_equal(got, want)
-        # One state, and no schedule handed in: the public three-argument form.
-        one = futile_offpath_promotes(mask, problem.parent_indices, batch[0])
-        assert one.shape == (problem.num_tasks,) and np.array_equal(one, want[0])
+            _assert_children_match(problem, parents, incumbent)
 
     def test_no_parents_no_children(self, catalog, rng):
         problem = _synthetic_problem(_fan_in(5), catalog, rng)

@@ -25,7 +25,7 @@ from repro.engine.deco import Deco
 from repro.parallel.executor import chunk_evenly
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.search import GenericSearch
-from repro.solver.shards import ShardCostModel, ShardedEvaluator
+from repro.solver.shards import ShardedEvaluator
 from repro.solver.state import PlanState, StateEval
 from repro.workflow.generators import montage
 from repro.workflow.runtime_model import RuntimeModel
@@ -43,7 +43,6 @@ TRAJECTORY_COUNTERS = (
     "analytic_evals",
     "analytic_screened_out",
     "analytic_accepted",
-    "pruned_candidates",
 )
 
 
@@ -86,12 +85,24 @@ class TestBitIdentityAcrossWorkers:
         assert sharded.cache_hits + sharded.cache_misses > 0
         assert sharded.cache_misses == serial.cache_misses
 
-    def test_speculation_counters_populated(self, wf):
-        _, result = solve_once(wf, 2)
-        assert result.speculated > 0
-        assert 0 <= result.speculation_hits <= result.speculated
-        _, serial = solve_once(wf, 1)
-        assert serial.speculated == 0  # serial path never speculates
+    def test_downgraded_pool_reports_one_worker(self, wf, monkeypatch):
+        """``workers`` is what the solve ran on, not what was asked for."""
+        import concurrent.futures
+
+        from repro.parallel import executor as executor_mod
+
+        def unavailable(*args, **kwargs):
+            raise NotImplementedError("no process pools in this sandbox")
+
+        reference, _ = solve_once(wf, 1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
+        monkeypatch.setattr(executor_mod, "_warned_fallback", False)
+        with Deco(CATALOG, workers=2, seed=7, num_samples=100, max_evaluations=250) as deco:
+            with pytest.warns(RuntimeWarning, match="falling back to serial"):
+                plan = deco.schedule(wf, "medium")
+            assert deco._shard_pool.is_serial
+            assert deco.last_result.workers == 1
+        assert plan.decision_dict() == reference
 
 
 class TestBitIdentityAnalyticTier:
@@ -320,90 +331,6 @@ class TestArenaWorkerKillReattach:
         # content key), not a re-pickled problem.
         assert stats["prologue_replays"] >= 1
         assert stats["arena_publishes"] == 1
-
-
-class TestAdaptiveShardingIdentity:
-    """Weighted partitions + stealing only move where chunks run."""
-
-    KW = dict(num_samples=60, max_evaluations=120)
-
-    def test_weighted_and_even_partitions_agree(self):
-        wf = montage(degrees=1, seed=2)
-        reference, _ = solve_once(wf, 1, **self.KW)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            with Deco(CATALOG, workers=2, seed=7, **self.KW) as deco:
-                # A fresh cost model abstains, so the first solve opens
-                # on even chunks and trains the EWMAs; the second runs
-                # weighted from its first round.
-                plans = [deco.schedule(wf, "medium").decision_dict() for _ in range(2)]
-                assert deco._cost_model.observations > 0
-        assert plans == [reference, reference]
-
-
-class TestShardCostModel:
-    def test_abstains_before_data(self):
-        model = ShardCostModel()
-        assert model.weights("wf", "eval", 2) is None
-        assert model.observations == 0
-
-    def test_weights_favor_faster_shard(self):
-        model = ShardCostModel(alpha=1.0)
-        model.observe("wf", "eval", 0, candidates=10, elapsed_us=1000)  # 100 us/cand
-        model.observe("wf", "eval", 1, candidates=10, elapsed_us=4000)  # 400 us/cand
-        w = model.weights("wf", "eval", 2)
-        assert w is not None
-        assert w[0] == pytest.approx(4.0 * w[1])
-
-    def test_unseen_shard_gets_mean_cost(self):
-        model = ShardCostModel()
-        model.observe("wf", "eval", 0, candidates=10, elapsed_us=1000)
-        w = model.weights("wf", "eval", 3)
-        assert len(w) == 3
-        assert w[1] == w[2] == pytest.approx(1.0 / 100.0)
-
-    def test_ewma_blends_repeat_observations(self):
-        model = ShardCostModel(alpha=0.5)
-        model.observe("wf", "eval", 0, candidates=1, elapsed_us=100)
-        model.observe("wf", "eval", 0, candidates=1, elapsed_us=200)
-        w = model.weights("wf", "eval", 1)
-        assert w[0] == pytest.approx(1.0 / 150.0)
-
-    def test_ignores_degenerate_observations(self):
-        model = ShardCostModel()
-        model.observe("wf", "eval", 0, candidates=0, elapsed_us=100)
-        model.observe("wf", "eval", 0, candidates=10, elapsed_us=0)
-        model.observe("wf", "eval", -1, candidates=10, elapsed_us=100)
-        assert model.observations == 0
-        assert model.weights("wf", "eval", 2) is None
-
-    def test_tiers_are_independent(self):
-        model = ShardCostModel()
-        model.observe("wf", "screen", 0, candidates=100, elapsed_us=500)
-        assert model.weights("wf", "eval", 2) is None
-        assert model.weights("wf", "screen", 2) is not None
-
-    def test_snapshot_restore_roundtrip(self):
-        model = ShardCostModel()
-        model.observe("wf", "eval", 1, candidates=10, elapsed_us=3000)
-        model.observe("wf", "screen", 0, candidates=100, elapsed_us=500)
-        clone = ShardCostModel()
-        clone.restore(model.snapshot())
-        assert clone.weights("wf", "eval", 3) == model.weights("wf", "eval", 3)
-        assert clone.weights("wf", "screen", 2) == model.weights("wf", "screen", 2)
-
-    def test_lru_evicts_oldest_workflow(self):
-        model = ShardCostModel(max_workflows=2)
-        for i in range(3):
-            model.observe(f"wf{i}", "eval", 0, candidates=1, elapsed_us=100)
-        assert model.weights("wf0", "eval", 1) is None
-        assert model.weights("wf2", "eval", 1) is not None
-
-    def test_rejects_bad_alpha(self):
-        with pytest.raises(ValueError):
-            ShardCostModel(alpha=0.0)
-        with pytest.raises(ValueError):
-            ShardCostModel(alpha=1.5)
 
 
 def compile_small(num_samples=48, seed=3):

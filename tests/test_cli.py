@@ -92,7 +92,6 @@ class TestSchedule:
             code, sharded = run_cli(args + ["--workers", "2"])
         assert code == code_serial == 0
         assert "workers:         2 beam shards" in sharded
-        assert "speculative expansions" in sharded
         # Every decision line (cost, mix, probability) is byte-identical;
         # only the workers line and the wall-clock line may differ.
         decisions = [
