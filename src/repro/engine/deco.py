@@ -21,6 +21,7 @@ from __future__ import annotations
 import time
 import weakref
 from collections import OrderedDict
+from typing import TYPE_CHECKING
 
 # Uncalled here: benchmarks/e2e/tracing.py::LAYER_SPANS wraps this name as
 # an attribute of this module, so it stays importable until that table drops it.
@@ -35,6 +36,7 @@ from repro.solver.backends import CompiledProblem, get_backend
 from repro.solver.cache import EvalContext, MakespanCache
 from repro.solver.search import GenericSearch, SearchResult
 from repro.solver.state import PlanState
+from repro.solver.tiers import AnalyticTier
 from repro.wlog.analysis import check_program
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
@@ -42,6 +44,9 @@ from repro.wlog.probir import translate
 from repro.wlog.program import WLogProgram
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
+
+if TYPE_CHECKING:  # a serial engine never loads the pool modules
+    from repro.solver.shards import ShardedEvaluator
 
 __all__ = ["Deco"]
 
@@ -214,16 +219,14 @@ class Deco:
     def _calibration_shipped(self, problem: CompiledProblem) -> bool:
         """Whether the arena segment should carry tier-0 quantile grids.
 
-        Mirrors :meth:`GenericSearch._analytic_active`'s static gates --
-        if the analytic tier can run on any shard, ship the calibration
-        so no worker pays the ``np.quantile`` pass.  Shipping is a pure
-        transfer optimization: a worker that calibrates locally gets
-        bit-identical grids (``np.quantile`` over the same bytes).
+        Exactly when tier 0's static gate passes -- if the analytic tier
+        can run on any shard, ship the calibration so no worker pays the
+        ``np.quantile`` pass.  Shipping is a pure transfer optimization:
+        a worker that calibrates locally gets bit-identical grids
+        (``np.quantile`` over the same bytes).
         """
-        return (
-            problem.num_tasks >= self._search.analytic_min_tasks
-            and 0.0 < problem.required_probability < 1.0
-            and getattr(self.backend, "name", "") != "analytic"
+        return AnalyticTier.static_gate(
+            problem, self._search.analytic_min_tasks, self.backend
         )
 
     def _publish_problem(self, problem: CompiledProblem) -> str:
@@ -262,7 +265,7 @@ class Deco:
         self._arena.publish(key, arrays, meta)
         return key
 
-    def _distributor(
+    def _sharded_evaluator(
         self,
         workflow: Workflow,
         region: str | None,
@@ -270,7 +273,7 @@ class Deco:
         faults: FaultModel | None,
         recovery: RecoveryPolicy | None,
         reliability_percentile: float | None,
-    ):
+    ) -> ShardedEvaluator | None:
         """This solve's sharded evaluator, or ``None`` when serial.
 
         Spins up the persistent shard pool on first use (each worker
@@ -367,7 +370,9 @@ class Deco:
                 ),
             )
         self._distributed_solves += 1
-        return ShardedEvaluator(self._shard_pool, solve_token)
+        return ShardedEvaluator(
+            self._shard_pool, solve_token, self._search.evaluator(problem)
+        )
 
     def close(self) -> None:
         """Release the shard pool's worker processes (idempotent).
@@ -517,11 +522,10 @@ class Deco:
         )
         if f is not None:
             problem = problem.with_faults(f, r, reliability_percentile=rp)
-        distributor = self._distributor(workflow, region, problem, f, r, rp)
         return self._solve(
             problem,
             seeds=tuple(seeds) + self._warm_starts(problem),
-            distributor=distributor,
+            sharded=self._sharded_evaluator(workflow, region, problem, f, r, rp),
             solve_deadline_s=(
                 solve_deadline_s
                 if solve_deadline_s is not None
@@ -651,14 +655,14 @@ class Deco:
         self,
         problem: CompiledProblem,
         seeds: tuple[PlanState, ...] = (),
-        distributor=None,
+        sharded: ShardedEvaluator | None = None,
         solve_deadline_s: float | None = None,
     ) -> ProvisioningPlan:
         t0 = time.perf_counter()
         result = self._search.solve(
             problem,
             seeds=seeds,
-            distributor=distributor,
+            evaluator=sharded,
             deadline_s=(
                 solve_deadline_s
                 if solve_deadline_s is not None
@@ -667,8 +671,8 @@ class Deco:
         )
         elapsed = time.perf_counter() - t0
         self.last_result = result
-        if distributor is not None:
-            for key, value in distributor.counters.items():
+        if sharded is not None:
+            for key, value in sharded.shard_counters.items():
                 self._shard_counters[key] = self._shard_counters.get(key, 0) + value
         if self.require_feasible and not result.feasible_found:
             raise InfeasibleError(

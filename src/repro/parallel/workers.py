@@ -31,13 +31,12 @@ from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
 if TYPE_CHECKING:  # import cycle guard (parallel <-> engine), typing only
-    import numpy as np
-
     from repro.engine.deco import Deco
     from repro.engine.plan import ProvisioningPlan
     from repro.faults.model import FaultModel
     from repro.faults.recovery import RecoveryPolicy
     from repro.solver.backends import CompiledProblem
+    from repro.solver.search import LocalEvaluator
     from repro.solver.state import PlanState, StateEval
 
 __all__ = [
@@ -197,14 +196,9 @@ def solve_plans(
 #
 # The distributed beam solve (see DESIGN.md §13) keeps one Deco engine
 # resident per shard process and, per solve, one compiled problem derived
-# from the engine's base compilation -- exactly mirroring
-# ``Deco.schedule``'s compile/with_deadline/with_faults pipeline so every
-# per-state number a shard returns is bitwise what the serial loop would
-# compute.  Shards return raw per-candidate values only (moments, prefix
-# probabilities, StateEvals, monotone counter deltas); every *decision*
-# -- tier classification, keep masks, incumbent updates, frontier merge
-# -- happens in the parent, which is what makes plans bit-identical at
-# any worker count.
+# exactly as ``Deco.schedule`` derives it (compile/with_deadline/
+# with_faults).  A job runs that engine's in-process evaluator over its
+# chunk; every decision stays with the tiers in the parent.
 
 _BEAM_DECO: "Deco | None" = None
 #: wf_key (content hash of the pickled workflow/region) -> base problem.
@@ -361,7 +355,8 @@ def beam_begin_solve_arena(
     return True
 
 
-def _beam_context(token: object) -> "tuple[Deco, CompiledProblem]":
+def _beam_evaluator(token: object) -> "LocalEvaluator":
+    """A fresh in-process evaluator of the installed problem (one per job)."""
     if _BEAM_DECO is None:
         raise RuntimeError("beam worker used before init_beam_worker")
     if _BEAM_PROBLEM is None or _BEAM_PROBLEM[0] != token:
@@ -369,51 +364,25 @@ def _beam_context(token: object) -> "tuple[Deco, CompiledProblem]":
             f"beam worker has no problem for solve {token} "
             "(begin-solve prologue missing or stale)"
         )
-    return _BEAM_DECO, _BEAM_PROBLEM[1]
-
-
-def _beam_counters(deco: "Deco") -> dict[str, int]:
-    """This shard's flat monotone work counters (caches + delta + tier 0)."""
-    snap = deco.backend.counters_snapshot()
-    tier0 = deco._search.analytic_stats()
-    if tier0:
-        for key, value in tier0.items():
-            snap[key] = int(value)
-    return snap
-
-
-def _beam_delta(before: dict[str, int], after: dict[str, int]) -> dict[str, int]:
-    return {key: value - before.get(key, 0) for key, value in after.items()}
+    return _BEAM_DECO._search.evaluator(_BEAM_PROBLEM[1])
 
 
 def beam_screen_job(
-    payload: "tuple[int, list[PlanState], bool, bool, int]",
-) -> "tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None, dict[str, int]]":
-    """Tier-0 moments and/or tier-1 prefix probabilities for one chunk.
+    payload: "tuple[object, list[PlanState], str]",
+) -> "tuple[object, dict[str, int]]":
+    """One chunk of a screening call: ``"moments"`` (tier 0) or ``"screen"`` (tier 1).
 
-    Pure per-candidate numbers: analytic makespan moments and prefix-MC
-    deadline probabilities are per-state values independent of batch
-    composition, so the parent can classify/keep against the *global*
-    batch (median standdown, survivor gates) after concatenating chunk
-    results in order.
+    Returns the call's per-candidate values and the counter delta the
+    chunk cost.
     """
-    solve_key, states, want_moments, want_screen, screen_samples = payload
-    deco, problem = _beam_context(solve_key)
-    before = _beam_counters(deco)
-    a_mean = a_var = probs = None
-    if want_moments and states:
-        a_mean, a_var = deco._search._analytic_evaluator().makespan_moments(
-            problem, list(states)
-        )
-    if want_screen and states:
-        probs = deco.backend.screen_probabilities(
-            problem, list(states), screen_samples
-        )
-    return a_mean, a_var, probs, _beam_delta(before, _beam_counters(deco))
+    solve_key, states, call = payload
+    evaluator = _beam_evaluator(solve_key)
+    value = getattr(evaluator, call)(list(states))
+    return value, evaluator.counters()
 
 
 def beam_eval_job(
-    payload: "tuple[int, list[PlanState], list[PlanState]]",
+    payload: "tuple[object, list[PlanState], list[PlanState]]",
 ) -> "tuple[list[StateEval], dict[str, int]]":
     """Tier-2 full-fidelity evaluation of one chunk.
 
@@ -424,8 +393,6 @@ def beam_eval_job(
     kernel by construction.
     """
     solve_key, states, parents = payload
-    deco, problem = _beam_context(solve_key)
-    before = _beam_counters(deco)
-    deco.backend.ensure_frontier(problem, *parents)
-    evals = list(deco.backend.evaluate_batch(problem, list(states))) if states else []
-    return evals, _beam_delta(before, _beam_counters(deco))
+    evaluator = _beam_evaluator(solve_key)
+    evals = evaluator.evaluate(list(states), parents) if states else []
+    return evals, evaluator.counters()

@@ -21,6 +21,9 @@
 * :mod:`~repro.solver.search` -- the generic transformation-driven
   search (paper Algorithm 2, batched frontier expansion) and A* search
   with user-supplied g/h scores.
+* :mod:`~repro.solver.tiers` -- the three evaluation tiers of a beam
+  iteration (analytic, prefix screen, full Monte Carlo) and the
+  ``Evaluator`` interface they draw their numbers from.
 """
 
 from typing import TYPE_CHECKING

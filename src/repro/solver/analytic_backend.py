@@ -368,38 +368,7 @@ class AnalyticBackend(EvaluationBackend):
                 fm[lo:hi] = m_lanes[lo:hi]
                 fv[lo:hi] = v_lanes[lo:hi]
             elif columns is not None:
-                # Column 0 is always a real parent (levels > 0 hold only
-                # tasks with >= 1 parent); later columns may pad with the
-                # sentinel, where the ready moments pass through exactly
-                # instead of Clark-maxing against N(0, 0).  All the
-                # intermediates live in pooled double buffers: the Clark
-                # steps here are the kernel's hot loop, and letting each
-                # one churn ~10 ufunc temporaries would dominate the
-                # per-state cost.
-                w = hi - lo
-                rm = self.pool.take("an_rm", (w, b))
-                rv = self.pool.take("an_rv", (w, b))
-                cm = self.pool.take("an_cm", (w, b))
-                cv = self.pool.take("an_cv", (w, b))
-                om = self.pool.take("an_om", (w, b))
-                ov = self.pool.take("an_ov", (w, b))
-                ws = (
-                    self.pool.take("an_ws0", (w, b)),
-                    self.pool.take("an_ws1", (w, b)),
-                    self.pool.take("an_ws2", (w, b)),
-                )
-                np.take(fm, columns[0], axis=0, mode="clip", out=rm)
-                np.take(fv, columns[0], axis=0, mode="clip", out=rv)
-                for col in columns[1:]:
-                    np.take(fm, col, axis=0, mode="clip", out=om)
-                    np.take(fv, col, axis=0, mode="clip", out=ov)
-                    _clark_max_into(rm, rv, om, ov, cm, cv, ws)
-                    pad = col == n
-                    if pad.any():
-                        cm[pad] = rm[pad]
-                        cv[pad] = rv[pad]
-                    rm, cm = cm, rm
-                    rv, cv = cv, rv
+                rm, rv = self._join_columns(fm, fv, columns, hi - lo)
                 np.add(rm, m_lanes[lo:hi], out=fm[lo:hi])
                 np.add(rv, v_lanes[lo:hi], out=fv[lo:hi])
             else:
@@ -418,6 +387,45 @@ class AnalyticBackend(EvaluationBackend):
             mm, mv = clark_max(mm, mv, fm[t], fv[t])
         self.counters["states_analytic"] += b
         return mm, mv
+
+    def _join_columns(
+        self, fm: np.ndarray, fv: np.ndarray, columns, w: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Clark-max of a narrow fan-in level's parent columns: ``(w, B)`` moments.
+
+        Column 0 is always a real parent (levels > 0 hold only tasks
+        with >= 1 parent); later columns may pad with the sentinel row
+        ``n``, where the ready moments pass through exactly instead of
+        Clark-maxing against N(0, 0).  All the intermediates live in
+        pooled double buffers: the Clark steps here are the kernel's hot
+        loop, and letting each one churn ~10 ufunc temporaries would
+        dominate the per-state cost.
+        """
+        n, b = fm.shape[0] - 1, fm.shape[1]
+        rm = self.pool.take("an_rm", (w, b))
+        rv = self.pool.take("an_rv", (w, b))
+        cm = self.pool.take("an_cm", (w, b))
+        cv = self.pool.take("an_cv", (w, b))
+        om = self.pool.take("an_om", (w, b))
+        ov = self.pool.take("an_ov", (w, b))
+        ws = (
+            self.pool.take("an_ws0", (w, b)),
+            self.pool.take("an_ws1", (w, b)),
+            self.pool.take("an_ws2", (w, b)),
+        )
+        np.take(fm, columns[0], axis=0, mode="clip", out=rm)
+        np.take(fv, columns[0], axis=0, mode="clip", out=rv)
+        for col in columns[1:]:
+            np.take(fm, col, axis=0, mode="clip", out=om)
+            np.take(fv, col, axis=0, mode="clip", out=ov)
+            _clark_max_into(rm, rv, om, ov, cm, cv, ws)
+            pad = col == n
+            if pad.any():
+                cm[pad] = rm[pad]
+                cv[pad] = rv[pad]
+            rm, cm = cm, rm
+            rv, cv = cv, rv
+        return rm, rv
 
     def deadline_probabilities(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B,)`` analytic P(makespan <= deadline): a closed-form CDF."""

@@ -392,14 +392,11 @@ class EvaluationBackend(abc.ABC):
         """
 
     def counters_snapshot(self) -> dict[str, int]:
-        """Flat monotone work counters, for cross-process aggregation.
+        """Flat monotone work counters (cache hits/misses, delta work).
 
-        Beam-shard workers diff this snapshot around each job and ship
-        the delta back, so a sharded solve can report cache and
-        delta-propagation totals comparable to a serial one's
-        (``SearchResult`` / ``Deco.cache_stats``).  Only monotone
-        counters belong here -- sizes like ``entries`` do not aggregate
-        across processes.
+        An evaluator diffs two snapshots for one solve's work, and shard
+        jobs ship that delta back to the parent, so only monotone
+        counters belong here -- sizes like ``entries`` do not aggregate.
         """
         snap: dict[str, int] = {}
         if self.cache is not None:
@@ -684,10 +681,87 @@ class VectorizedBackend(EvaluationBackend):
         sched = problem.levels
         slab = self.eval_context.slab(problem.sample_token)
         rows, stride = slab.rows, slab.stride
+        mask, first, pairs = self._affected_pairs(problem, stride, sizes, dirty)
 
-        # Pass 1 (boolean only): the affected pairs -- dirty tasks plus
-        # anything with an affected ancestor -- closed level by level
-        # over the whole batch at once.
+        # Pass 2: re-propagate the affected pairs, as many children at a
+        # time as the workspace has rows for.  ``np.nonzero`` lists a
+        # chunk's pairs by slot, hence level by level; pair ``i`` is
+        # recomputed into workspace row ``work + i`` (or, in place, into
+        # the frontier row it was read from).
+        base = np.asarray(slots, dtype=np.int64) * stride
+        slot_column = np.arange(stride)[:, None]
+        table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
+        lane_rows = assign * n + np.arange(n)  # (B, N) rows of ``table``
+        work = slab.workspace_start
+        capacity = rows.shape[0] - work
+        out = None if in_place else np.empty((b, s))
+        lo_first = sched.level_bounds[first][0]
+        c0 = 0
+        while c0 < b:
+            done = int(pairs[c0 - 1]) if c0 else 0
+            c1 = int(np.searchsorted(pairs, done + capacity, side="right"))
+            addr = self._buf("delta_addr", (stride, c1 - c0), dtype=np.int64)
+            np.add(slot_column, base[c0:c1], out=addr)
+            slot, child = np.nonzero(mask[lo_first:n, c0:c1])
+            slot += lo_first
+            lanes = lane_rows[c0 + child, sched.order[slot]]
+            dst = addr[slot, child] if in_place else None
+            if not in_place:
+                addr[slot, child] = np.arange(work, work + slot.size)
+                slab.workspace_touched = max(slab.workspace_touched, slot.size)
+            self._delta_levels(sched, first, rows, table, addr, slot, child, lanes, work, dst)
+            if out is not None:
+                # Sink-row reduction, each sink read wherever it now lives.
+                part = out[c0:c1]
+                sinks = sched.sink_slots
+                np.take(rows, addr[sinks[0]], axis=0, out=part, mode="clip")
+                for t in sinks[1:]:
+                    np.maximum(part, rows.take(addr[t], axis=0), out=part)
+            c0 = c1
+        return out
+
+    def _delta_levels(
+        self, sched: LevelSchedule, first: int, rows: np.ndarray, table: np.ndarray,
+        addr: np.ndarray, slot: np.ndarray, child: np.ndarray, lanes: np.ndarray,
+        work: int, dst: np.ndarray | None,
+    ) -> None:
+        """Recompute one chunk's pairs (sorted by slot) level by level."""
+        s = rows.shape[1]
+        tile = max(1, _TILE_BYTES // (8 * s))  # rows per tile
+        bufs = (
+            self._buf("delta_ready", (tile, s)),
+            self._buf("delta_other", (tile, s)),
+            self._buf("delta_vals", (tile, s)) if dst is not None else None,
+        )
+        ends = np.searchsorted(slot, sched.level_starts[first + 1 :]).tolist()
+        begin = 0
+        for lv, end in enumerate(ends, start=first):
+            if begin == end:
+                continue
+            gather = sched.level_parents[lv]
+            src = None
+            if gather.shape[1]:
+                # (P, p): the row now holding each source of each pair.
+                level_slots = slot[begin:end] - sched.level_bounds[lv][0]
+                src = addr[gather[level_slots].T, child[begin:end]]
+            self._delta_tiles(
+                rows, table, lanes[begin:end], src, work + begin,
+                None if dst is None else dst[begin:end], bufs,
+            )
+            begin = end
+
+    def _affected_pairs(
+        self, problem: CompiledProblem, stride: int, sizes: np.ndarray, dirty: np.ndarray
+    ) -> tuple[np.ndarray, int, np.ndarray]:
+        """Pass 1 of the delta kernel (boolean only): the affected pairs.
+
+        Dirty tasks plus anything with an affected ancestor, closed level
+        by level over the whole batch at once.  Returns the ``(stride,
+        B)`` mask, the first dirty level and the running pair count by
+        child, and counts the work in :attr:`delta_counters`.
+        """
+        sched = problem.levels
+        b = len(sizes)
         mask = self._buf("delta_mask", (stride, b), dtype=bool)
         mask[...] = False
         mask[sched.dirty_slots(dirty), np.repeat(np.arange(b), sizes)] = True
@@ -700,96 +774,59 @@ class VectorizedBackend(EvaluationBackend):
             if gather.shape[1]:
                 sub |= mask[gather].any(axis=1)
             child_level_runs += int(np.count_nonzero(sub.any(axis=0)))
-        pairs = np.cumsum(mask.sum(axis=0))  # running pair count by child
+        pairs = np.cumsum(mask.sum(axis=0))
 
         self.delta_counters["states_incremental"] += b
         self.delta_counters["levels_total"] += b * sched.num_levels
         self.delta_counters["levels_skipped"] += b * sched.num_levels - child_level_runs
-        self.delta_counters["rows_total"] += b * n
+        self.delta_counters["rows_total"] += b * problem.num_tasks
         self.delta_counters["rows_recomputed"] += int(pairs[-1])
+        return mask, first, pairs
 
-        # Pass 2: re-propagate the affected pairs, as many children at a
-        # time as the workspace has rows for.  ``np.nonzero`` lists a
-        # chunk's pairs by slot, hence level by level; pair ``i`` of the
-        # list is recomputed into workspace row ``work + i`` (or, in
-        # place, into the frontier row it was read from), each level in
-        # cache-sized tiles.  Indices come from validated assignments
-        # and the address table, so the takes skip bounds checks.
-        base = np.asarray(slots, dtype=np.int64) * stride
-        slot_column = np.arange(stride)[:, None]
-        table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
-        lane_rows = assign * n + np.arange(n)  # (B, N) rows of ``table``
-        work = slab.workspace_start
-        capacity = rows.shape[0] - work
-        tile = max(1, _TILE_BYTES // (8 * s))  # rows per tile
-        ready_buf = self._buf("delta_ready", (tile, s))
-        other_buf = self._buf("delta_other", (tile, s))
-        vals_buf = self._buf("delta_vals", (tile, s)) if in_place else None
-        out = None if in_place else np.empty((b, s))
-        lo_first = sched.level_bounds[first][0]
-        c0 = 0
-        while c0 < b:
-            done = int(pairs[c0 - 1]) if c0 else 0
-            c1 = int(np.searchsorted(pairs, done + capacity, side="right"))
-            addr = self._buf("delta_addr", (stride, c1 - c0), dtype=np.int64)
-            np.add(slot_column, base[c0:c1], out=addr)
-            slot, child = np.nonzero(mask[lo_first:n, c0:c1])
-            slot += lo_first
-            lanes = lane_rows[c0 + child, sched.order[slot]]
-            if in_place:
-                dst = addr[slot, child]
-            else:
-                addr[slot, child] = np.arange(work, work + slot.size)
-                slab.workspace_touched = max(slab.workspace_touched, slot.size)
-            ends = np.searchsorted(slot, sched.level_starts[first + 1 :]).tolist()
-            begin = 0
-            for lv, end in enumerate(ends, start=first):
-                if begin == end:
-                    continue
-                gather = sched.level_parents[lv]
-                width = gather.shape[1]
-                wide = width > _COLUMN_FANIN_MAX
-                step = max(1, tile // width) if wide else tile
-                if width:
-                    # (P, p): the row now holding each source of each pair.
-                    level_slots = slot[begin:end] - sched.level_bounds[lv][0]
-                    src = addr[gather[level_slots].T, child[begin:end]]
-                if wide:
-                    wide_buf = self._buf("delta_wide", (width * step, s))
-                for i in range(begin, end, step):
-                    k = min(step, end - i)
-                    part = vals_buf[:k] if in_place else rows[work + i : work + i + k]
-                    np.take(table, lanes[i : i + k], axis=0, out=part, mode="clip")
-                    if width:
-                        j = i - begin
-                        ready = ready_buf[:k]
-                        if wide:
-                            # Big fan-in, few pairs: 3-D gather + max reduction.
-                            gathered = wide_buf[: width * k]
-                            np.take(
-                                rows, src[:, j : j + k].reshape(-1), axis=0,
-                                out=gathered, mode="clip",
-                            )
-                            np.max(gathered.reshape(width, k, s), axis=0, out=ready)
-                        else:
-                            np.take(rows, src[0, j : j + k], axis=0, out=ready, mode="clip")
-                            for col in src[1:]:
-                                other = other_buf[:k]
-                                np.take(rows, col[j : j + k], axis=0, out=other, mode="clip")
-                                np.maximum(ready, other, out=ready)
-                        np.add(ready, part, out=part)
-                    if in_place:
-                        rows[dst[i : i + k]] = part
-                begin = end
-            if not in_place:
-                # Sink-row reduction, each sink read wherever it now lives.
-                part = out[c0:c1]
-                sinks = sched.sink_slots
-                np.take(rows, addr[sinks[0]], axis=0, out=part, mode="clip")
-                for t in sinks[1:]:
-                    np.maximum(part, rows.take(addr[t], axis=0), out=part)
-            c0 = c1
-        return out
+    def _delta_tiles(
+        self, rows: np.ndarray, table: np.ndarray, lanes: np.ndarray,
+        src: np.ndarray | None, first_row: int, dst: np.ndarray | None,
+        bufs: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+    ) -> None:
+        """Recompute one level's pairs of a delta chunk, in cache-sized tiles.
+
+        Pair ``i`` adds its own task-time lane (row ``lanes[i]`` of
+        ``table``) to the max of its parents' finish rows ``src[:, i]``
+        (no parents when ``src`` is ``None``) and lands in row
+        ``first_row + i`` of ``rows`` -- or, in place, in frontier row
+        ``dst[i]``, using the chunk's tile ``bufs`` (ready, other, vals).
+        Indices come from validated assignments and the address table, so
+        the takes skip bounds checks.
+        """
+        ready_buf, other_buf, vals_buf = bufs
+        tile, s = ready_buf.shape
+        width = 0 if src is None else src.shape[0]
+        wide = width > _COLUMN_FANIN_MAX
+        step = max(1, tile // width) if wide else tile
+        wide_buf = self._buf("delta_wide", (width * step, s)) if wide else None
+        for i in range(0, len(lanes), step):
+            k = min(step, len(lanes) - i)
+            part = rows[first_row + i : first_row + i + k] if vals_buf is None else vals_buf[:k]
+            np.take(table, lanes[i : i + k], axis=0, out=part, mode="clip")
+            if src is not None:
+                ready = ready_buf[:k]
+                if wide_buf is not None:
+                    # Big fan-in, few pairs: 3-D gather + max reduction.
+                    gathered = wide_buf[: width * k]
+                    np.take(
+                        rows, src[:, i : i + k].reshape(-1), axis=0,
+                        out=gathered, mode="clip",
+                    )
+                    np.max(gathered.reshape(width, k, s), axis=0, out=ready)
+                else:
+                    np.take(rows, src[0, i : i + k], axis=0, out=ready, mode="clip")
+                    for col in src[1:]:
+                        other = other_buf[:k]
+                        np.take(rows, col[i : i + k], axis=0, out=other, mode="clip")
+                        np.maximum(ready, other, out=ready)
+                np.add(ready, part, out=part)
+            if dst is not None:
+                rows[dst[i : i + k]] = part
 
     def ensure_frontier(self, problem: CompiledProblem, *states: PlanState) -> None:
         """Cache the states' finish-time frontiers ahead of their expansion.

@@ -1,31 +1,32 @@
 """Parent-side coordinator for the distributed beam solve.
 
-:class:`ShardedEvaluator` is the thin bridge between
-:meth:`GenericSearch.solve` and a :class:`~repro.parallel.ShardPool`:
-it splits each beam iteration's candidate batch into contiguous, even
-chunks, dispatches chunk ``j`` to shard ``j`` (stable affinity keeps the
+:class:`ShardedEvaluator` is the sharded
+:class:`~repro.solver.tiers.Evaluator`: it splits each call's states
+into contiguous, even chunks, dispatches chunk ``j`` to shard ``j`` of
+a :class:`~repro.parallel.ShardPool` (stable affinity keeps the
 shard-resident evaluation caches warm across iterations), and
 concatenates chunk results back in input order.
 
-The determinism contract (DESIGN.md §13): shards return only *pure
-per-candidate numbers* -- analytic makespan moments, prefix-MC
-probabilities, full-fidelity
-:class:`~repro.solver.state.StateEval`\\ s, and monotone counter deltas.
-Each of those is a function of (compiled problem, state) alone -- never
-of batch composition, worker count, or cache temperature -- so any
-partition of the batch, evaluated anywhere, concatenates back to the
-serial batch bit for bit, and every search *decision* (tier
-classification, keep masks, incumbent updates, frontier merge) stays in
-the parent process.
+Each shard answers with the in-process
+:class:`~repro.solver.search.LocalEvaluator` over its chunk (DESIGN.md
+§13), so it returns only *pure per-candidate numbers* -- analytic
+makespan moments, prefix-MC probabilities, full-fidelity
+:class:`~repro.solver.state.StateEval`\\ s -- plus monotone counter
+deltas.  Each is a function of (compiled problem, state) alone, so any
+partition of a batch concatenates back to the serial numbers bit for
+bit, and every search decision stays with the tiers in the parent.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from repro.parallel.executor import ShardPool, _ShardJob, chunk_evenly
 from repro.parallel.workers import beam_eval_job, beam_screen_job
 from repro.solver.state import PlanState, StateEval
+from repro.solver.tiers import Evaluator
 
 __all__ = ["ShardedEvaluator"]
 
@@ -38,87 +39,82 @@ class ShardedEvaluator:
     pool:
         The engine's persistent :class:`ShardPool`; the current solve's
         compiled problem must already be installed on every shard (the
-        begin-solve prologue broadcast by :meth:`Deco._distributor`).
+        begin-solve prologue broadcast by :meth:`Deco._sharded_evaluator`).
     solve_key:
         Per-solve context token stamped on every job -- a monotone int
         on the legacy path, the arena context key on the shared-memory
         path -- so a stale worker (respawned, or recycled across
         solves) fails loudly instead of evaluating against the wrong
         problem.
+    local:
+        The parent's in-process evaluator of the same problem.  Once the
+        pool runs in-process (it downgraded, possibly mid-solve) every
+        call goes there instead.
 
-    :attr:`counters` accumulates the worker-side monotone counter
-    deltas (makespan/frontier cache hits, delta-propagation work, tier-0
-    analytic work) that each job reports -- the parent's own caches see
-    none of that traffic, so without this the sharded solve would
-    silently under-report its work relative to the serial one.
+    :attr:`shard_counters` accumulates the counter deltas the shard jobs
+    report -- the parent's own caches see none of that traffic;
+    :meth:`counters` adds them to the local evaluator's.
     """
 
-    def __init__(self, pool: ShardPool, solve_key):
+    def __init__(self, pool: ShardPool, solve_key: object, local: Evaluator):
         self.pool = pool
         self.solve_key = solve_key
-        self.counters: dict[str, int] = {}
-
-    @property
-    def is_serial(self) -> bool:
-        """Whether jobs currently run in-process (pool downgraded or 1 worker)."""
-        return self.pool.is_serial
+        self.local = local
+        self.shard_counters: dict[str, int] = {}
 
     @property
     def workers(self) -> int:
-        return self.pool.workers
+        return 1 if self.pool.is_serial else self.pool.workers
+
+    def moments(self, states: list[PlanState]) -> tuple[np.ndarray, np.ndarray]:
+        if self.pool.is_serial:
+            return self.local.moments(states)
+        parts = self.screen_round(states, "moments")
+        return np.concatenate([m for m, _ in parts]), np.concatenate([v for _, v in parts])
+
+    def screen(self, states: list[PlanState]) -> np.ndarray:
+        if self.pool.is_serial:
+            return self.local.screen(states)
+        return np.concatenate(self.screen_round(states, "screen"))
+
+    def evaluate(
+        self, states: list[PlanState], parents: Sequence[PlanState] = ()
+    ) -> list[StateEval]:
+        if self.pool.is_serial:
+            return self.local.evaluate(states, parents)
+        return self.eval_round(states, parents)
+
+    def counters(self) -> dict[str, int]:
+        totals = self.local.counters()
+        for key, value in self.shard_counters.items():
+            totals[key] = totals.get(key, 0) + value
+        return totals
 
     # ------------------------------------------------------------------
 
     def _absorb(self, delta: dict[str, int]) -> None:
         for key, value in delta.items():
-            self.counters[key] = self.counters.get(key, 0) + int(value)
+            self.shard_counters[key] = self.shard_counters.get(key, 0) + int(value)
 
-    def screen_round(
-        self,
-        states: list[PlanState],
-        want_moments: bool,
-        want_screen: bool,
-        screen_samples: int,
-    ) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-        """Tier-0 moments and/or tier-1 prefix probabilities, one barrier.
+    def screen_round(self, states: list[PlanState], call: str) -> list:
+        """One barrier of a screening call (``"moments"`` or ``"screen"``).
 
-        Both tiers ride one sharded round trip: moments and prefix
-        probabilities are per-candidate values, so the parent can run
-        the global tier-0 classification (whose median standdown needs
-        the *whole* batch) and then subset the already-computed
-        probabilities to the tier-0 survivors -- identical numbers to
-        the serial cascade's survivors-only screen, one round earlier.
+        Returns the per-chunk results in chunk order.
         """
         jobs = [
-            self.pool.submit(
-                shard,
-                beam_screen_job,
-                (self.solve_key, chunk, want_moments, want_screen, screen_samples),
-            )
+            self.pool.submit(shard, beam_screen_job, (self.solve_key, chunk, call))
             for shard, chunk in enumerate(chunk_evenly(states, self.pool.workers))
         ]
-        means: list[np.ndarray] = []
-        variances: list[np.ndarray] = []
-        probs: list[np.ndarray] = []
-        for a_mean, a_var, p, delta in self.pool.gather(jobs):
+        values = []
+        for value, delta in self.pool.gather(jobs):
             self._absorb(delta)
-            if a_mean is not None:
-                means.append(a_mean)
-                variances.append(a_var)
-            if p is not None:
-                probs.append(p)
-        return (
-            np.concatenate(means) if means else None,
-            np.concatenate(variances) if variances else None,
-            np.concatenate(probs) if probs else None,
-        )
-
-    # Tier-2 dispatch ---------------------------------------------------
+            values.append(value)
+        return values
 
     def submit_eval(
         self,
         states: list[PlanState],
-        parents: list[PlanState],
+        parents: Sequence[PlanState],
     ) -> list[_ShardJob]:
         """Dispatch tier-2 full evaluation; pair with :meth:`gather_eval`.
 
@@ -144,9 +140,7 @@ class ShardedEvaluator:
         return evals
 
     def eval_round(
-        self,
-        states: list[PlanState],
-        parents: list[PlanState] = (),
+        self, states: list[PlanState], parents: Sequence[PlanState] = ()
     ) -> list[StateEval]:
         """Barrier convenience: submit + gather in one call."""
-        return self.gather_eval(self.submit_eval(states, list(parents)))
+        return self.gather_eval(self.submit_eval(states, parents))

@@ -118,6 +118,32 @@ class TestBitIdentityAnalyticTier:
         assert result.analytic_evals > 0  # the tier ran, sharded
 
 
+class TestWarmSweepMatchesSerial:
+    """A warm sharded engine tracks a warm serial engine op for op.
+
+    The sweep is ``sweep-large-sharded``'s from ``benchmarks/e2e``: its
+    warm-up op, then one round of 3 deadlines x 2 percentiles.  Shards
+    used to compute tier-1 prefix probabilities for the whole batch, so
+    their screening memo was built one op earlier than the serial
+    engine's, and ``loose/99`` came back a different plan.
+    """
+
+    SWEEP = [("medium", 96.0)] + [
+        (d, p) for d in ("tight", "medium", "loose") for p in (90.0, 99.0)
+    ]
+
+    def test_every_op_decides_the_same_plan(self):
+        wf = montage(degrees=8.0, seed=7)
+        kw = dict(seed=7, num_samples=150, max_evaluations=1500)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with Deco(CATALOG, **kw) as serial, Deco(CATALOG, workers=2, **kw) as sharded:
+                for deadline, percentile in self.SWEEP:
+                    want = serial.schedule(wf, deadline, deadline_percentile=percentile)
+                    got = sharded.schedule(wf, deadline, deadline_percentile=percentile)
+                    assert got.decision_dict() == want.decision_dict(), (deadline, percentile)
+
+
 class TestShardCrashDuringSolve:
     def test_killed_shard_recovers_with_identical_plan(self):
         wf = montage(degrees=1, seed=2)

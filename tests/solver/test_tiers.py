@@ -1,0 +1,114 @@
+"""The beam loop over its three tiers, driven through the in-process evaluator."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from repro.cloud.instance_types import ec2_catalog
+from repro.engine.plan import deadline_presets
+from repro.solver.backends import CompiledProblem
+from repro.solver.search import GenericSearch, LocalEvaluator
+from repro.solver.state import PlanState
+from repro.solver.tiers import AnalyticTier, PrefixTier
+from repro.workflow.generators import montage
+from repro.workflow.runtime_model import RuntimeModel
+
+CATALOG = ec2_catalog()
+MODEL = RuntimeModel(CATALOG)
+
+
+class RecordingEvaluator(LocalEvaluator):
+    """The in-process evaluator, logging ``(call, state keys)`` per call."""
+
+    def __init__(self, search, problem):
+        super().__init__(search, problem)
+        self.calls: list[tuple[str, list[bytes]]] = []
+
+    def moments(self, states):
+        self.calls.append(("moments", [s.key for s in states]))
+        return super().moments(states)
+
+    def screen(self, states):
+        self.calls.append(("screen", [s.key for s in states]))
+        return super().screen(states)
+
+    def evaluate(self, states, parents=()):
+        self.calls.append(("evaluate", [s.key for s in states]))
+        return super().evaluate(states, parents)
+
+
+@pytest.fixture(scope="module")
+def recorded():
+    """Montage-8 (tier 0 on), 64 samples (tier 1 on), ending on a tier-0 incumbent."""
+    wf = montage(degrees=8.0, seed=1)
+    problem = CompiledProblem.compile(
+        wf, CATALOG, deadline=deadline_presets(wf, CATALOG, MODEL).medium,
+        percentile=90.0, num_samples=64, seed=7, runtime_model=MODEL,
+    )
+    search = GenericSearch(max_evaluations=300)
+    evaluator = RecordingEvaluator(search, problem)
+    return search.solve(problem, evaluator=evaluator), evaluator.calls
+
+
+def test_every_candidate_meets_the_tiers_in_order(recorded):
+    result, calls = recorded
+    order = {"moments": 0, "screen": 1, "evaluate": 2}
+    seen: dict[bytes, list[int]] = {}
+    for call, keys in calls[:-1]:  # the last call is the referee (below)
+        for key in keys:
+            seen.setdefault(key, []).append(order[call])
+    for tiers in seen.values():
+        assert tiers == sorted(set(tiers)), tiers  # 0 -> 1 -> 2, each at most once
+    assert any(tiers == [0, 1, 2] for tiers in seen.values())
+    assert result.analytic_evals and result.screen_evals and result.exact_evals
+
+
+def test_tier0_incumbent_is_refereed_once_by_tier2(recorded):
+    result, calls = recorded
+    best = result.best_state.key
+    assert result.analytic_accepted > 0
+    assert calls[-1] == ("evaluate", [best])
+    assert [call for call, keys in calls if best in keys] == ["moments", "evaluate"]
+    assert result.best_eval.source != "analytic"
+    assert result.exact_evals == sum(len(keys) for call, keys in calls if call == "evaluate")
+
+
+class StubEvaluator:
+    """Prefix probabilities of 1 for every state: tier 1 never drops anything."""
+
+    workers = 1
+
+    def __init__(self):
+        self.screened = 0
+
+    def screen(self, states):
+        self.screened += 1
+        return np.ones(len(states))
+
+
+def test_a_screening_tier_stands_down_after_two_dry_batches():
+    wf = montage(degrees=1.0, seed=2)
+    problem = CompiledProblem.compile(wf, CATALOG, deadline=1e6, num_samples=64)
+    incumbent = GenericSearch().evaluator(problem).evaluate([PlanState.uniform(len(wf), 0)])[0]
+    stub = StubEvaluator()
+    tier = PrefixTier(stub)
+    batch = [PlanState.uniform(len(wf), t) for t in range(problem.num_types)]
+    for _ in range(4):
+        settled, survivors = tier.settle(problem, batch, (), incumbent)
+        assert settled == {} and survivors == batch
+    assert stub.screened == PrefixTier.DRY_LIMIT
+    assert tier.counts == {"screen_evals": 2 * len(batch), "screened_out": 0}
+
+
+def test_static_gate_is_the_calibration_shipping_rule():
+    from repro.engine.deco import Deco
+
+    deco = Deco(CATALOG, num_samples=16)
+    for degrees, percentile in ((1.0, 96.0), (8.0, 96.0), (8.0, 100.0)):
+        wf = montage(degrees=degrees, seed=0)
+        problem = CompiledProblem.compile(wf, CATALOG, deadline=1e4, percentile=percentile,
+                                          num_samples=16)
+        gate = AnalyticTier.static_gate(problem, 256, deco.backend)
+        assert deco._calibration_shipped(problem) == gate
+        assert gate == (degrees == 8.0 and percentile < 100.0)

@@ -288,8 +288,8 @@ class TestForkAndPickle:
                     )
                     seen[str(key)] = pool.gather([pool.submit(s, probe, None) for s in range(2)])
                 states = [PlanState.uniform(len(wf), t) for t in range(4)]
-                mean, var, probs, _ = pool.gather(
-                    [pool.submit(0, beam_screen_job, (2, states, True, False, 50))]
+                (mean, var), _ = pool.gather(
+                    [pool.submit(0, beam_screen_job, (2, states, "moments"))]
                 )[0]
             finally:
                 pool.close()
