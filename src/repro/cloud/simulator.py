@@ -39,7 +39,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
@@ -51,7 +51,7 @@ from repro.cloud.network import NetworkModel
 from repro.cloud.pricing import PricingModel
 from repro.faults.model import FaultModel
 from repro.faults.recovery import RecoveryPolicy
-from repro.parallel.executor import ParallelExecutor, chunk_evenly, resolve_workers
+from repro.parallel.executor import ShardPool, chunk_evenly, resolve_workers
 from repro.workflow.dag import Workflow
 
 if TYPE_CHECKING:  # import cycle guard (cloud <-> workflow), typing only
@@ -446,7 +446,6 @@ class CloudSimulator:
         recovery: RecoveryPolicy | None = None,
         on_abort: str = "raise",
         workers: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
     ) -> list[ExecutionResult]:
         """Execute the same plan ``runs`` times with fresh cloud dynamics.
 
@@ -459,10 +458,11 @@ class CloudSimulator:
         realization from ``faults/...``), so the result list is
         bit-identical for any ``workers`` count: parallelism only
         distributes run ids over processes.  ``workers=None`` defers to
-        ``REPRO_WORKERS`` (default serial).  ``progress(done, runs)`` is
-        called after every run (serial) or after every completed chunk
-        with chunk-granular counts (parallel); the final call always
-        reports ``(runs, runs)``.
+        ``REPRO_WORKERS`` (default serial).  The run ids are split into
+        one contiguous chunk per worker, run on a :class:`ShardPool` by
+        a simulator rebuilt pristine from this one's parts; with one
+        worker the pool runs the chunk in-process, so both counts share
+        one route.
 
         ``on_abort`` decides what an :class:`ExecutionAborted` run does
         to the batch: ``"raise"`` propagates (historical behavior),
@@ -475,59 +475,24 @@ class CloudSimulator:
             raise ValidationError(
                 f"on_abort must be one of {ON_ABORT_MODES}, got {on_abort!r}"
             )
-        nworkers = resolve_workers(workers)
-
-        def execute_run(run_id: int) -> ExecutionResult | None:
-            try:
-                return self.execute(
-                    workflow,
-                    assignment,
-                    region=region,
-                    run_id=run_id,
-                    failure_rate=failure_rate,
-                    max_retries=max_retries,
-                    faults=faults,
-                    recovery=recovery,
-                )
-            except ExecutionAborted as exc:
-                if on_abort == "raise":
-                    raise
-                if on_abort == "record":
-                    return exc.partial_result
-                return None
-
-        if nworkers == 1 or runs == 1:
-            results = []
-            for r in range(runs):
-                outcome = execute_run(r)
-                if outcome is not None:
-                    results.append(outcome)
-                if progress is not None:
-                    progress(r + 1, runs)
-            return results
-
+        nworkers = min(resolve_workers(workers), runs)
         # Deferred: workers.py imports this module (cycle guard).
         from repro.parallel import workers as worker_ctx
 
         plan = dict(assignment)
-        chunks = chunk_evenly(range(runs), min(runs, nworkers * 4))
         payloads = [
             (workflow, plan, region, chunk, failure_rate, max_retries, faults, recovery, on_abort)
-            for chunk in chunks
+            for chunk in chunk_evenly(range(runs), nworkers)
         ]
-        executor = ParallelExecutor(
+        pool = ShardPool(
             nworkers,
             initializer=worker_ctx.init_simulator_worker,
             initargs=(self.catalog, self.rngs, self.runtime),
         )
-
-        def chunk_progress(done: int, total: int) -> None:
-            if progress is not None:
-                progress(runs if done == total else round(done * runs / total), runs)
-
-        chunked = executor.map_tasks(
-            worker_ctx.run_replication_chunk, payloads, progress=chunk_progress
-        )
+        try:
+            chunked = pool.run(worker_ctx.run_replication_chunk, payloads)
+        finally:
+            pool.close()
         return [result for chunk in chunked for result in chunk]
 
     @staticmethod

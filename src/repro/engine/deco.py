@@ -76,8 +76,9 @@ class Deco:
         DESIGN.md §13).  ``None`` or ``1`` keeps the solve in-process.
         Each shard holds a worker-resident engine rebuilt once from
         :meth:`spec` whose caches stay warm across beam iterations; a
-        cold sharded solve picks the serial solve's plan (the shard
-        test matrix), a warm one need not (ROADMAP item 1).  The
+        sharded solve picks the serial solve's plan, cold (the shard
+        test matrix) or warm across a deadline sweep
+        (``TestWarmSweepMatchesSerial``).  The
         solve's tensors reach the shards through a shared-memory arena
         where the platform has one
         (:func:`~repro.parallel.arena.arena_available`) and as a
@@ -310,13 +311,13 @@ class Deco:
         from repro.parallel.workers import (
             beam_begin_solve,
             beam_begin_solve_arena,
-            init_beam_worker,
+            init_deco_worker,
         )
         from repro.solver.shards import ShardedEvaluator
 
         if self._shard_pool is None:
             self._shard_pool = ShardPool(
-                self.workers, initializer=init_beam_worker, initargs=(self.spec(),)
+                self.workers, initializer=init_deco_worker, initargs=(self.spec(),)
             )
         wf_key = hashlib.sha1(
             pickle.dumps((workflow, region), protocol=4)

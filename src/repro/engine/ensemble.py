@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Mapping
 
 from repro.common.errors import ValidationError
 from repro.engine.deco import Deco
@@ -97,15 +97,17 @@ class EnsembleDriver:
         self,
         ensemble: Ensemble,
         workers: int | None = None,
-        progress: Callable[[int, int], None] | None = None,
         on_error: str = "record",
     ) -> dict[int, ProvisioningPlan | None]:
         """Optimize every member under its own probabilistic deadline.
 
         Member solves are independent, so ``workers > 1`` fans them out
         over processes (each worker rebuilds a pristine engine from
-        :meth:`~repro.engine.deco.Deco.spec`); the plans are identical
-        to the serial ones for any worker count.
+        :meth:`~repro.engine.deco.Deco.spec`).  The plans match the
+        serial ones, which reuse this driver's warm engine, while tier 1
+        is off (``num_samples < 64``); with it on, the warm engine's
+        stale screening memo can move a plan (ROADMAP item 2, see
+        :func:`~repro.parallel.workers.solve_plans`).
 
         A member whose solve raises a
         :class:`~repro.common.errors.DecoError` is recorded as ``None``
@@ -117,9 +119,7 @@ class EnsembleDriver:
             (m.priority, m.workflow, m.deadline, m.deadline_percentile)
             for m in ensemble.by_priority()
         ]
-        plans = solve_plans(
-            self.deco, jobs, workers=workers, progress=progress, on_error=on_error
-        )
+        plans = solve_plans(self.deco, jobs, workers=workers, on_error=on_error)
         return {priority: plans[priority] for priority, *_ in jobs}
 
     def decide(

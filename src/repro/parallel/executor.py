@@ -1,23 +1,25 @@
-"""Worker-pool abstraction with a deterministic serial fallback.
+"""The process pool, with a deterministic in-process fallback.
 
 Design notes
 ------------
 
 * **Determinism is the caller's contract, enforced by structure.**  A
-  task function handed to :meth:`ParallelExecutor.map_tasks` must be a
-  pure function of its argument (plus the per-worker context built by
-  the initializer from a picklable spec).  Under that contract the
-  result list is identical for any worker count -- the executor only
-  changes *where* each item is evaluated, never *what* it sees.
+  job function handed to :class:`ShardPool` must be a pure function of
+  its payload (plus the per-worker context built by the initializer
+  from a picklable spec).  Under that contract the result list is
+  identical for any worker count -- the pool only changes *where* each
+  payload is evaluated, never *what* it sees.
 * **Serial is a first-class mode, not an emergency.**  ``workers=1``
-  (or ``REPRO_WORKERS=0``) runs everything in-process with zero pickling
+  (or ``REPRO_WORKERS=0``) runs every job in-process with zero pickling
   and zero pool setup; the parallel path must agree with it bit for bit,
   which is what the determinism regression tests assert.
 * **Restricted environments downgrade, once, loudly.**  Sandboxes that
   forbid ``fork``/semaphores raise at pool creation or first dispatch;
   we catch that, emit a single :class:`RuntimeWarning` per process and
-  re-run the map serially (task functions are pure, so re-running is
+  run the jobs in-process (job functions are pure, so re-running is
   safe).
+* **One crash policy.**  A worker that dies mid-job has that job re-run
+  in-process, one warning per incident, and is respawned on next use.
 """
 
 from __future__ import annotations
@@ -27,19 +29,16 @@ import pickle
 import time
 import warnings
 import weakref
-from concurrent.futures import FIRST_COMPLETED, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 from repro.common.errors import ValidationError
 
 __all__ = [
     "ENV_WORKERS",
-    "ParallelExecutor",
     "ShardPool",
     "chunk_evenly",
     "host_cpu_count",
-    "map_tasks",
     "resolve_workers",
     "workers_from_env",
 ]
@@ -135,173 +134,13 @@ def _warn_serial_fallback(exc: BaseException) -> None:
     )
 
 
-def _warn_crash_recovery(exc: BaseException, missing: int) -> None:
-    # Unlike the environmental downgrade above this is per-incident: a
-    # crashed worker mid-map is always worth a line.
-    warnings.warn(
-        f"a worker process died mid-map ({type(exc).__name__}: {exc}); "
-        f"re-running the {missing} unfinished item(s) serially",
-        RuntimeWarning,
-        stacklevel=3,
-    )
-
-
-class ParallelExecutor:
-    """Map pure task functions over items with N worker processes.
-
-    Parameters
-    ----------
-    workers:
-        Worker count; ``None`` defers to ``REPRO_WORKERS``; ``1`` runs
-        serially in-process.
-    initializer / initargs:
-        Per-worker context builder (a module-level function plus
-        picklable arguments).  In serial mode it runs once in-process
-        before the first task, so both modes execute the same route.
-    """
-
-    def __init__(
-        self,
-        workers: int | None = None,
-        *,
-        initializer: Callable[..., None] | None = None,
-        initargs: Sequence[object] = (),
-    ):
-        self.workers = resolve_workers(workers)
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-
-    @property
-    def is_serial(self) -> bool:
-        return self.workers == 1
-
-    def map_tasks(
-        self,
-        fn: Callable[[_T], _R],
-        items: Iterable[_T],
-        *,
-        progress: Callable[[int, int], None] | None = None,
-    ) -> list[_R]:
-        """``[fn(item) for item in items]``, possibly across processes.
-
-        Results are always returned in input order; ``progress(done,
-        total)`` is invoked after each completed item (serial) or each
-        completed dispatch (parallel), in completion order.
-        """
-        items = list(items)
-        if self.workers == 1 or len(items) <= 1:
-            return self._map_serial(fn, items, progress)
-        results: dict[int, _R] = {}
-        try:
-            self._map_parallel(fn, items, progress, results)
-        except (NotImplementedError, OSError) as exc:
-            _warn_serial_fallback(exc)
-            return self._map_serial(fn, items, progress)
-        except BrokenProcessPool as exc:
-            if not results:
-                # The pool never produced anything -- indistinguishable
-                # from an environment that can't run pools at all.
-                _warn_serial_fallback(exc)
-                return self._map_serial(fn, items, progress)
-            # A worker died mid-map: keep every completed result and
-            # re-run only the unfinished items serially, once.  Task
-            # functions are pure, so the rerun is safe and the combined
-            # result list is identical to an undisturbed run.
-            missing = [i for i in range(len(items)) if i not in results]
-            _warn_crash_recovery(exc, len(missing))
-            if self._initializer is not None:
-                self._initializer(*self._initargs)
-            for i in missing:
-                results[i] = fn(items[i])
-                if progress is not None:
-                    progress(len(results), len(items))
-        return [results[i] for i in range(len(items))]
-
-    # ------------------------------------------------------------------
-
-    def _map_serial(
-        self,
-        fn: Callable[[_T], _R],
-        items: list[_T],
-        progress: Callable[[int, int], None] | None,
-    ) -> list[_R]:
-        if self._initializer is not None:
-            self._initializer(*self._initargs)
-        out: list[_R] = []
-        for item in items:
-            out.append(fn(item))
-            if progress is not None:
-                progress(len(out), len(items))
-        return out
-
-    def _map_parallel(
-        self,
-        fn: Callable[[_T], _R],
-        items: list[_T],
-        progress: Callable[[int, int], None] | None,
-        results: dict[int, _R],
-    ) -> None:
-        """Fill ``results[index]`` as futures complete.
-
-        Completed results are harvested immediately so that a later
-        worker crash (:class:`BrokenProcessPool`) loses nothing already
-        finished -- ``map_tasks`` re-runs only the missing indices.
-        """
-        # Imported here so monkeypatching the module attribute in tests
-        # (to simulate restricted sandboxes) also affects this path.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(items)),
-            initializer=self._initializer,
-            initargs=self._initargs,
-        ) as pool:
-            index_of = {}
-            futures = []
-            for i, item in enumerate(items):
-                fut = pool.submit(fn, item)
-                index_of[fut] = i
-                futures.append(fut)
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                broken: BaseException | None = None
-                for fut in done:
-                    try:
-                        # Harvest (and surface task exceptions) eagerly.
-                        results[index_of[fut]] = fut.result()
-                    except BrokenProcessPool as exc:
-                        # Keep draining this batch: siblings that DID
-                        # complete still carry results worth keeping.
-                        broken = exc
-                        continue
-                    if progress is not None:
-                        progress(len(results), len(items))
-                if broken is not None:
-                    raise broken
-
-
-def map_tasks(
-    fn: Callable[[_T], _R],
-    items: Iterable[_T],
-    workers: int | None = None,
-    *,
-    initializer: Callable[..., None] | None = None,
-    initargs: Sequence[object] = (),
-    progress: Callable[[int, int], None] | None = None,
-) -> list[_R]:
-    """One-shot convenience wrapper around :class:`ParallelExecutor`."""
-    executor = ParallelExecutor(workers, initializer=initializer, initargs=initargs)
-    return executor.map_tasks(fn, items, progress=progress)
-
-
 def _warn_shard_crash(shard: int, exc: BaseException) -> None:
-    # Per-incident, like the mid-map recovery above: a dead beam shard
-    # is always worth a line, and the serial rerun covers exactly one
-    # shard's chunk -- not the whole iteration.
+    # Per-incident, unlike the environmental downgrade above: a dead
+    # worker is always worth a line, and the in-process rerun covers
+    # exactly that worker's job -- not the whole batch.
     warnings.warn(
-        f"beam shard {shard} died mid-iteration ({type(exc).__name__}: {exc}); "
-        "re-running its chunk serially and respawning the shard",
+        f"worker {shard} died mid-job ({type(exc).__name__}: {exc}); "
+        "re-running its job in-process and respawning the worker",
         RuntimeWarning,
         stacklevel=3,
     )
@@ -328,15 +167,16 @@ class _ShardJob:
 
 
 class ShardPool:
-    """Shard-affine persistent worker pool (the distributed beam solve).
+    """Shard-affine worker pool: the one process pool of the package.
 
-    Unlike :class:`ParallelExecutor` -- which hands items to *whichever*
-    worker frees up -- a ShardPool keeps one dedicated single-process
-    executor per shard index, so shard ``i``'s jobs always land on the
-    same worker process.  That affinity is what keeps worker-resident
-    evaluation caches (makespan rows, finish-time frontiers, analytic
-    calibrations) warm across beam iterations instead of being rebuilt
-    per call.
+    It runs the distributed beam solve's shard jobs, the service's warm
+    workers, simulation replications (``CloudSimulator.run_many``) and
+    batch solves (``solve_plans``).  The pool keeps one dedicated
+    single-process executor per shard index, so shard ``i``'s jobs
+    always land on the same worker process.  That affinity is what
+    keeps worker-resident evaluation caches (makespan rows, finish-time
+    frontiers, analytic calibrations) warm across beam iterations
+    instead of being rebuilt per call.
 
     Context protocol:
 
@@ -349,12 +189,11 @@ class ShardPool:
       job, so per-solve context (the compiled problem) survives worker
       loss without shipping it on every call.
 
-    Failure policy mirrors :class:`ParallelExecutor`: environments that
-    cannot run process pools downgrade to in-process execution with one
-    :class:`RuntimeWarning` per process; a worker that dies mid-job gets
-    its chunk re-run serially (per-incident warning) and its shard
-    respawned lazily -- results are identical either way because shard
-    tasks are pure.
+    Failure policy: environments that cannot run process pools
+    downgrade to in-process execution with one :class:`RuntimeWarning`
+    per process; a worker that dies mid-job gets that job re-run
+    in-process (per-incident warning) and is respawned lazily --
+    results are identical either way because jobs are pure.
     """
 
     def __init__(
@@ -563,12 +402,14 @@ class ShardPool:
     def gather(self, jobs: Sequence[_ShardJob]) -> list:
         """Results of :meth:`submit` jobs, in submission-list order.
 
-        A shard whose worker died mid-job is warned about (per
-        incident), its chunk re-run in-process against the replayed
-        prologue context, and its executor respawned on next use -- the
-        result list is identical to an undisturbed run.
+        A shard whose worker died mid-job is warned about once (the
+        jobs queued behind the lost one die with it), every lost job is
+        re-run in-process against the replayed prologue context, and the
+        executor is respawned on next use -- the result list is
+        identical to an undisturbed run.
         """
         results = []
+        crashed: set[int] = set()
         for job in jobs:
             if job.future is None:
                 if job.error is not None:
@@ -582,8 +423,10 @@ class ShardPool:
             try:
                 results.append(job.future.result())
             except BrokenProcessPool as exc:
-                _warn_shard_crash(job.shard, exc)
-                self._discard(job.shard)
+                if job.shard not in crashed:
+                    crashed.add(job.shard)
+                    _warn_shard_crash(job.shard, exc)
+                    self._discard(job.shard)
                 results.append(self._run_local(job.fn, job.payload))
             except (NotImplementedError, OSError) as exc:
                 self._downgrade(exc)
@@ -631,12 +474,18 @@ class ShardPool:
         processes are joined here: one bounded wait shared by all of
         them (an idle worker leaves within milliseconds), then
         ``terminate()`` and finally ``kill()`` for one still busy with a
-        job nobody will collect.  Idempotent and re-entrant.
+        job nobody will collect.  Each executor's management thread,
+        which reaps the same processes, is joined last: until it has
+        stored a reaped worker's exit code, ``is_alive()`` still reports
+        that worker alive.  Idempotent and re-entrant.
         """
         owned = [
             proc
             for executor in self._executors
             for proc in list((getattr(executor, "_processes", None) or {}).values())
+        ]
+        managers = [
+            getattr(executor, "_executor_manager_thread", None) for executor in self._executors
         ]
         self.close_executors()
         self._closed = True
@@ -649,6 +498,9 @@ class ShardPool:
                 getattr(proc, stop)()
             for proc in stragglers:
                 proc.join(_CLOSE_GRACE_S)
+        for thread in managers:
+            if thread is not None:
+                thread.join(_CLOSE_GRACE_S)
 
 
 def chunk_evenly(items: Sequence[_T], chunks: int) -> list[list[_T]]:

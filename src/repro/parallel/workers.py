@@ -1,11 +1,11 @@
 """Per-worker context: rebuild simulator/Deco state inside each process.
 
-Task functions dispatched through :class:`~repro.parallel.ParallelExecutor`
+Job functions dispatched through :class:`~repro.parallel.ShardPool`
 must be module-level (picklable by reference) and pure.  The stateful
 parts -- a :class:`~repro.cloud.simulator.CloudSimulator` or a
 :class:`~repro.engine.deco.Deco` engine -- are rebuilt once per worker
 process by the initializers below from small picklable specs, never
-shipped per task.  Rebuilding (rather than forking the parent's live
+shipped per job.  Rebuilding (rather than forking the parent's live
 objects) is what makes the determinism contract auditable:
 
 * the simulator's per-run streams derive statelessly from
@@ -13,20 +13,23 @@ objects) is what makes the determinism contract auditable:
   holding a pristine :class:`~repro.common.rng.RngService` replays run
   ``r`` identically to the serial loop, whatever other runs it was
   handed;
-* a Deco solve is cache-transparent (memoized makespans and compiled
-  problems return exactly what recomputation would), so a cold
-  per-worker engine produces the same plan as the caller's warm one.
+* a Deco solve is cache-transparent only while tier 1 is off
+  (``num_samples < 64``): tier 1's screening memo pins the deadline of
+  the op that built it (ROADMAP item 2), so a warm engine can return a
+  different plan than a cold per-worker one on a deadline sweep.
+  ``tests/parallel/test_determinism.py::TestWarmEngineMatchesFreshEngine``
+  pins both cases.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.cloud.simulator import CloudSimulator, ExecutionResult
 from repro.common.errors import DecoError, ExecutionAborted, ValidationError
 from repro.common.rng import RngService
-from repro.parallel.executor import ParallelExecutor, resolve_workers
+from repro.parallel.executor import ShardPool, resolve_workers
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -45,7 +48,6 @@ __all__ = [
     "init_deco_worker",
     "solve_plan_job",
     "solve_plans",
-    "init_beam_worker",
     "beam_begin_solve",
     "beam_begin_solve_arena",
     "beam_screen_job",
@@ -53,7 +55,7 @@ __all__ = [
 ]
 
 # Worker-process singletons, populated by the initializers.  In serial
-# mode the initializer runs in-process, so the same task functions work
+# mode the initializer runs in-process, so the same job functions work
 # unchanged -- one code route for both modes.
 _SIMULATOR: CloudSimulator | None = None
 _DECO: "Deco | None" = None
@@ -122,11 +124,22 @@ def run_replication_chunk(
 
 
 def init_deco_worker(spec: Mapping[str, object]) -> None:
-    """Rebuild a pristine Deco engine from :meth:`Deco.spec`."""
+    """Rebuild this worker's pristine Deco engine from :meth:`Deco.spec`.
+
+    One engine serves both batch solves (:func:`solve_plan_job`) and
+    beam shard jobs; the beam memos below are reset with it.  Runs once
+    per worker process (and once in-process for the serial/fallback
+    path).  The engine's caches start cold and stay warm across beam
+    iterations thanks to the :class:`ShardPool`'s shard affinity.
+    """
     from repro.engine.deco import Deco
 
-    global _DECO
+    global _DECO, _BEAM_PROBLEM
     _DECO = Deco.from_spec(dict(spec))
+    _BEAM_PROBLEM = None
+    _BEAM_BASES.clear()
+    _BEAM_BASE_ORDER.clear()
+    _BEAM_SEGMENTS.clear()
 
 
 def solve_plan_job(
@@ -153,15 +166,18 @@ def solve_plans(
     deco: "Deco",
     jobs: Iterable[tuple[object, Workflow, float | str, float]],
     workers: int | None = None,
-    progress: Callable[[int, int], None] | None = None,
     on_error: str = "raise",
 ) -> "dict[object, ProvisioningPlan | None]":
     """Solve independent scheduling jobs, keyed by each job's key.
 
     The serial path reuses the caller's engine (keeping its compiled
-    problem and makespan caches warm across calls); parallel workers
-    rebuild cold engines from ``deco.spec()``.  Both yield identical
-    plans because solves are cache-transparent.
+    problem and makespan caches warm across calls); with ``workers > 1``
+    job ``i`` runs on worker ``i % workers`` of a :class:`ShardPool`
+    whose workers rebuild cold engines from ``deco.spec()``.  The two
+    give identical plans while solves are cache-transparent, which
+    holds only with tier 1 off (``num_samples < 64``; ROADMAP item 2,
+    ``tests/parallel/test_determinism.py::
+    TestWarmEngineMatchesFreshEngine``).
 
     ``on_error="record"`` maps a member whose solve raises a
     :class:`~repro.common.errors.DecoError` (infeasible deadline, bad
@@ -171,8 +187,8 @@ def solve_plans(
     jobs = list(jobs)
     if on_error not in ("raise", "record"):
         raise ValidationError(f"on_error must be 'raise' or 'record', got {on_error!r}")
-    nworkers = resolve_workers(workers)
-    if nworkers == 1 or len(jobs) <= 1:
+    nworkers = min(resolve_workers(workers), len(jobs))
+    if nworkers <= 1:
         plans: "dict[object, ProvisioningPlan | None]" = {}
         for key, workflow, deadline, percentile in jobs:
             try:
@@ -183,14 +199,13 @@ def solve_plans(
                 if on_error == "raise":
                     raise
                 plans[key] = None
-            if progress is not None:
-                progress(len(plans), len(jobs))
         return plans
-    executor = ParallelExecutor(
-        nworkers, initializer=init_deco_worker, initargs=(deco.spec(),)
-    )
-    payloads = [(*job, on_error) for job in jobs]
-    return dict(executor.map_tasks(solve_plan_job, payloads, progress=progress))
+    pool = ShardPool(nworkers, initializer=init_deco_worker, initargs=(deco.spec(),))
+    try:
+        return dict(pool.run(solve_plan_job, [(*job, on_error) for job in jobs]))
+    finally:
+        pool.close()
+
 
 # Beam shards ----------------------------------------------------------------
 #
@@ -200,7 +215,6 @@ def solve_plans(
 # with_faults).  A job runs that engine's in-process evaluator over its
 # chunk; every decision stays with the tiers in the parent.
 
-_BEAM_DECO: "Deco | None" = None
 #: wf_key (content hash of the pickled workflow/region) -> base problem.
 _BEAM_BASES: "dict[str, CompiledProblem]" = {}
 _BEAM_BASE_ORDER: list[str] = []
@@ -216,23 +230,6 @@ _BEAM_PROBLEM: "tuple[object, CompiledProblem] | None" = None
 #: mappings for every workflow it ever saw.
 _BEAM_SEGMENTS: "OrderedDict[str, tuple[object, CompiledProblem]]" = OrderedDict()
 _BEAM_SEGMENT_LIMIT = 4
-
-
-def init_beam_worker(spec: Mapping[str, object]) -> None:
-    """Rebuild this shard's resident Deco engine from :meth:`Deco.spec`.
-
-    Runs once per worker process (and once in-process for the serial
-    fallback path).  The engine's caches start cold and stay warm across
-    beam iterations thanks to the :class:`ShardPool`'s shard affinity.
-    """
-    from repro.engine.deco import Deco
-
-    global _BEAM_DECO, _BEAM_PROBLEM
-    _BEAM_DECO = Deco.from_spec(dict(spec))
-    _BEAM_PROBLEM = None
-    _BEAM_BASES.clear()
-    _BEAM_BASE_ORDER.clear()
-    _BEAM_SEGMENTS.clear()
 
 
 def beam_begin_solve(
@@ -255,9 +252,9 @@ def beam_begin_solve(
         solve_key, wf_key, workflow, region,
         deadline, percentile, faults, recovery, reliability_percentile,
     ) = payload
-    deco = _BEAM_DECO
+    deco = _DECO
     if deco is None:
-        raise RuntimeError("beam worker used before init_beam_worker")
+        raise RuntimeError("beam worker used before init_deco_worker")
     from repro.solver.backends import CompiledProblem
 
     base = _BEAM_BASES.get(wf_key)
@@ -316,9 +313,9 @@ def beam_begin_solve_arena(
         ctx_key, arena_key, deadline, required_probability,
         faults, recovery, reliability_required,
     ) = payload
-    deco = _BEAM_DECO
+    deco = _DECO
     if deco is None:
-        raise RuntimeError("beam worker used before init_beam_worker")
+        raise RuntimeError("beam worker used before init_deco_worker")
     entry = _BEAM_SEGMENTS.get(arena_key)
     if entry is None:
         from repro.engine.compiler import calibration_from_segment, problem_from_segment
@@ -357,14 +354,14 @@ def beam_begin_solve_arena(
 
 def _beam_evaluator(token: object) -> "LocalEvaluator":
     """A fresh in-process evaluator of the installed problem (one per job)."""
-    if _BEAM_DECO is None:
-        raise RuntimeError("beam worker used before init_beam_worker")
+    if _DECO is None:
+        raise RuntimeError("beam worker used before init_deco_worker")
     if _BEAM_PROBLEM is None or _BEAM_PROBLEM[0] != token:
         raise RuntimeError(
             f"beam worker has no problem for solve {token} "
             "(begin-solve prologue missing or stale)"
         )
-    return _BEAM_DECO._search.evaluator(_BEAM_PROBLEM[1])
+    return _DECO._search.evaluator(_BEAM_PROBLEM[1])
 
 
 def beam_screen_job(

@@ -3,6 +3,7 @@
 import concurrent.futures
 import os
 import time
+import warnings
 
 import pytest
 
@@ -13,10 +14,8 @@ from repro.common.errors import ValidationError
 from repro.parallel import executor as executor_mod
 from repro.parallel.executor import (
     ENV_WORKERS,
-    ParallelExecutor,
     ShardPool,
     chunk_evenly,
-    map_tasks,
     resolve_workers,
     workers_from_env,
 )
@@ -81,51 +80,6 @@ class TestWorkersFromEnv:
             workers_from_env()
 
 
-class TestMapTasks:
-    def test_serial_matches_parallel(self):
-        items = list(range(17))
-        serial = map_tasks(square, items, workers=1)
-        parallel = map_tasks(square, items, workers=3)
-        assert serial == parallel == [x * x for x in items]
-
-    def test_results_in_input_order(self):
-        items = list(range(32))
-        assert map_tasks(square, items, workers=4) == [x * x for x in items]
-
-    def test_parallel_uses_multiple_processes(self):
-        pids = set(map_tasks(worker_pid, range(16), workers=2))
-        # At least one task ran outside this process (scheduling may or
-        # may not involve both workers on a loaded host).
-        assert os.getpid() not in pids or len(pids) > 1
-
-    def test_single_item_runs_serially(self):
-        assert map_tasks(square, [7], workers=8) == [49]
-
-    def test_progress_serial(self):
-        calls = []
-        map_tasks(square, range(5), workers=1, progress=lambda d, t: calls.append((d, t)))
-        assert calls == [(i + 1, 5) for i in range(5)]
-
-    def test_progress_parallel_reaches_total(self):
-        calls = []
-        map_tasks(square, range(6), workers=2, progress=lambda d, t: calls.append((d, t)))
-        assert [d for d, _ in calls] == sorted(d for d, _ in calls)
-        assert calls[-1] == (6, 6)
-
-    def test_initializer_runs_in_serial_mode(self):
-        executor = ParallelExecutor(1, initializer=set_context, initargs=(42,))
-        assert executor.map_tasks(read_context, [1, 2]) == [(42, 1), (42, 2)]
-
-    def test_initializer_runs_in_each_worker(self):
-        executor = ParallelExecutor(2, initializer=set_context, initargs=(7,))
-        out = executor.map_tasks(read_context, range(8))
-        assert out == [(7, x) for x in range(8)]
-
-    def test_worker_exception_propagates(self):
-        with pytest.raises(ZeroDivisionError):
-            map_tasks(_divide_by, [1, 0, 2], workers=2)
-
-
 def _divide_by(x):
     return 1 // x
 
@@ -140,26 +94,32 @@ def _square_or_die(x):
     return 0 if x == "die" else x * x
 
 
+def _run_closed(pool, fn, payloads):
+    try:
+        return pool.run(fn, payloads)
+    finally:
+        pool.close()
+
+
 class TestWorkerCrashRecovery:
     def test_killed_worker_recovers_serially_with_full_results(self):
         items = list(range(8)) + ["die"] + list(range(8, 11))
         expected = [_square_or_die(x) for x in items]
-        # On a starved host the management thread may mark every future
-        # broken before any completed result is drained; map_tasks then
-        # classifies the breakage as environmental ("falling back to
-        # serial") -- documented as indistinguishable.  Results are
-        # identical either way, which is the contract under test.
-        with pytest.warns(RuntimeWarning, match="died mid-map|falling back to serial"):
-            out = map_tasks(_square_or_die, items, workers=2)
+        # Job i runs on worker i % 2: "die" kills worker 0, and its job
+        # (plus the one queued behind it) re-runs in this process.
+        with warnings.catch_warnings(record=True) as captured:
+            warnings.simplefilter("always")
+            out = _run_closed(ShardPool(2), _square_or_die, items)
         assert out == expected
+        incidents = [str(w.message) for w in captured if "died mid-job" in str(w.message)]
+        assert len(incidents) == 1 and incidents[0].startswith("worker 0 ")
 
     def test_recovery_rerun_reruns_initializer(self):
-        executor = ParallelExecutor(2, initializer=set_context, initargs=(9,))
-        items = [0, 1, 2, 3, 4, 5, 6, 7, "die", 8]
-        # Same zero-harvest caveat as above: either classification must
-        # re-run the initializer before the serial rerun.
-        with pytest.warns(RuntimeWarning, match="died mid-map|falling back to serial"):
-            out = executor.map_tasks(_read_context_or_die, items)
+        _CONTEXT.clear()  # forked workers must not inherit a value
+        pool = ShardPool(2, initializer=set_context, initargs=(9,))
+        items = [0, 1, 2, 3, "die", 5]
+        with pytest.warns(RuntimeWarning, match="died mid-job"):
+            out = _run_closed(pool, _read_context_or_die, items)
         assert all(ctx == 9 for ctx, _ in out)
         assert [x for _, x in out] == items
 
@@ -185,23 +145,21 @@ class TestSerialFallback:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            out = map_tasks(square, range(6), workers=4)
+            out = _run_closed(ShardPool(2), square, range(6))
         assert out == [x * x for x in range(6)]
-        # The downgrade warns exactly once per process, not per call.
-        import warnings
-
+        # The downgrade warns exactly once per process, not per pool.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert map_tasks(square, range(4), workers=4) == [0, 1, 4, 9]
+            assert _run_closed(ShardPool(2), square, range(4)) == [0, 1, 4, 9]
 
     def test_fallback_preserves_initializer(self, monkeypatch):
         def unavailable(*args, **kwargs):
             raise OSError("fork blocked")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", unavailable)
-        executor = ParallelExecutor(4, initializer=set_context, initargs=(11,))
+        pool = ShardPool(2, initializer=set_context, initargs=(11,))
         with pytest.warns(RuntimeWarning):
-            assert executor.map_tasks(read_context, [5]* 2) == [(11, 5), (11, 5)]
+            assert _run_closed(pool, read_context, [5] * 2) == [(11, 5), (11, 5)]
 
 
 def _sleep(seconds):
@@ -272,7 +230,7 @@ class TestShardPool:
         pool = ShardPool(2)
         try:
             pool.broadcast(set_context, 9)
-            with pytest.warns(RuntimeWarning, match="beam shard"):
+            with pytest.warns(RuntimeWarning, match="worker 0 died mid-job"):
                 out = pool.run(_context_square_or_die, ["die", 3])
             # The dead shard's chunk re-ran in-process against the
             # *replayed* prologue, so its context value is still 9.
@@ -288,6 +246,32 @@ class TestShardPool:
         try:
             jobs = [pool.submit(i, square, x) for i, x in enumerate([4, 5, 6])]
             assert pool.gather(jobs) == [16, 25, 36]  # shard index wraps: 6 -> shard 0
+        finally:
+            pool.close()
+
+    def test_serial_matches_parallel(self):
+        items = list(range(17))  # more payloads than workers: shards wrap
+        serial = _run_closed(ShardPool(1), square, items)
+        parallel = _run_closed(ShardPool(2), square, items)
+        assert serial == parallel == [x * x for x in items]
+
+    def test_shards_run_in_distinct_processes(self):
+        pids = _run_closed(ShardPool(2), worker_pid, [0, 1])
+        assert len(set(pids)) == 2 and os.getpid() not in pids
+
+    def test_initializer_runs_in_each_worker(self):
+        _CONTEXT.clear()  # forked workers must not inherit a value
+        pool = ShardPool(2, initializer=set_context, initargs=(7,))
+        # No broadcast: the initializer alone builds each worker's context.
+        assert _run_closed(pool, read_context, range(8)) == [(7, x) for x in range(8)]
+
+    def test_worker_exception_surfaces_at_gather(self):
+        pool = ShardPool(2)
+        try:
+            jobs = [pool.submit(i, _divide_by, x) for i, x in enumerate([1, 0, 2])]
+            assert jobs[1].future is not None  # raised in a worker process
+            with pytest.raises(ZeroDivisionError):
+                pool.gather(jobs)
         finally:
             pool.close()
 

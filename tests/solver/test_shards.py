@@ -157,7 +157,7 @@ class TestShardCrashDuringSolve:
                     if executor is not None:
                         for proc in executor._processes.values():
                             proc.kill()
-                with pytest.warns(RuntimeWarning, match="beam shard"):
+                with pytest.warns(RuntimeWarning, match="died mid-job"):
                     plan = deco.schedule(wf, "medium")
             finally:
                 deco.close()
@@ -167,7 +167,7 @@ class TestShardCrashDuringSolve:
 class TestRepeatedShardFailures:
     """Repeated worker loss within a single solve (service robustness).
 
-    Each SIGKILL is one *incident*: exactly one ``beam shard`` warning,
+    Each SIGKILL is one *incident*: exactly one ``worker N died`` warning,
     a serial re-run of only that shard's chunk, and a lazy respawn on
     the shard's next job -- so the plan stays bit-identical to the
     serial solve no matter how many times, or how close together,
@@ -208,7 +208,7 @@ class TestRepeatedShardFailures:
                     plan = deco.schedule(wf, "medium")
             finally:
                 ShardedEvaluator.submit_eval = original
-        incidents = [w for w in captured if "beam shard" in str(w.message)]
+        incidents = [w for w in captured if "died mid-job" in str(w.message)]
         return plan.decision_dict(), rounds["n"], incidents
 
     @pytest.fixture(scope="class")
@@ -347,7 +347,7 @@ class TestArenaWorkerKillReattach:
                     if executor is not None:
                         for proc in executor._processes.values():
                             proc.kill()
-                with pytest.warns(RuntimeWarning, match="beam shard"):
+                with pytest.warns(RuntimeWarning, match="died mid-job"):
                     plan = deco.schedule(wf, "medium")
                 stats = deco.cache_stats()["distributed"]
             finally:

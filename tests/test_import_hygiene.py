@@ -269,7 +269,7 @@ class TestForkAndPickle:
             from repro.cloud import ec2_catalog
             from repro.engine.deco import Deco
             from repro.parallel.executor import ShardPool
-            from repro.parallel.workers import beam_begin_solve, beam_screen_job, init_beam_worker
+            from repro.parallel.workers import beam_begin_solve, beam_screen_job, init_deco_worker
             from repro.solver.state import PlanState
             from repro.workflow.generators import montage
 
@@ -278,7 +278,7 @@ class TestForkAndPickle:
 
             spec = Deco(ec2_catalog(), seed=7, num_samples=50, max_evaluations=200).spec()
             seen = {}
-            pool = ShardPool(2, initializer=init_beam_worker, initargs=(spec,))
+            pool = ShardPool(2, initializer=init_deco_worker, initargs=(spec,))
             try:
                 serial = pool.is_serial
                 for key, degrees in ((1, 1.0), (2, 8.0)):
