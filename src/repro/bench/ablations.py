@@ -225,8 +225,8 @@ def ablation_failure_injection(
             wf,
             plan.assignment,
             max(6, config.runs_per_plan),
-            failure_rate=rate,
-            max_retries=50,
+            faults=FaultModel(task_failure_rate=rate),
+            recovery=RecoveryPolicy(max_retries=50),
             workers=config.workers,
         )
         rows.append(

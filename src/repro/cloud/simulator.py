@@ -29,8 +29,7 @@ All fault draws come from the dedicated stream
 performance stream, so enabling faults never perturbs the baseline
 performance realization, and both streams are rebuilt from ``(seed,
 path)`` in worker processes so runs are bit-identical at any worker
-count.  The historical ``failure_rate``/``max_retries`` kwargs remain
-as a thin compatibility shim over ``FaultModel.from_legacy``.
+count.
 """
 
 from __future__ import annotations
@@ -155,8 +154,6 @@ class CloudSimulator:
         region: str | None = None,
         run_id: int = 0,
         groups: Mapping[str, object] | None = None,
-        failure_rate: float = 0.0,
-        max_retries: int = 3,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
     ) -> ExecutionResult:
@@ -177,25 +174,16 @@ class CloudSimulator:
             they overlap); produced by the Merge/Co-scheduling
             transformation operations.
         faults:
-            Declarative :class:`FaultModel`.  When omitted, built from
-            the legacy ``failure_rate`` knob (each task *attempt* fails
-            with that probability, burning its sampled runtime on the
-            instance before resubmission -- the Condor retry
-            discipline).
+            Declarative :class:`FaultModel` (default: no faults).  A
+            failed task *attempt* burns its sampled runtime on the
+            instance before resubmission -- the Condor retry discipline.
         recovery:
-            :class:`RecoveryPolicy`.  When omitted, built from the
-            legacy ``max_retries`` knob (that many resubmissions per
-            task before the run aborts with :class:`ExecutionAborted`,
-            no backoff, no checkpointing).
+            :class:`RecoveryPolicy` (default: 3 resubmissions per task
+            before the run aborts with :class:`ExecutionAborted`, no
+            backoff, no checkpointing).
         """
-        if not 0.0 <= failure_rate < 1.0:
-            raise ValidationError(f"failure_rate must be in [0, 1), got {failure_rate}")
-        if max_retries < 0:
-            raise ValidationError(f"max_retries must be >= 0, got {max_retries}")
-        if faults is None:
-            faults = FaultModel.from_legacy(failure_rate)
-        if recovery is None:
-            recovery = RecoveryPolicy(max_retries=max_retries)
+        faults = faults or FaultModel()
+        recovery = recovery or RecoveryPolicy()
         region_name = self.catalog.region(region).name
         self._check_assignment(workflow, assignment)
         rng = self.rngs.fresh(f"sim/{workflow.name}/{region_name}/{run_id}")
@@ -440,8 +428,6 @@ class CloudSimulator:
         runs: int,
         region: str | None = None,
         *,
-        failure_rate: float = 0.0,
-        max_retries: int = 3,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
         on_abort: str = "raise",
@@ -481,7 +467,7 @@ class CloudSimulator:
 
         plan = dict(assignment)
         payloads = [
-            (workflow, plan, region, chunk, failure_rate, max_retries, faults, recovery, on_abort)
+            (workflow, plan, region, chunk, faults, recovery, on_abort)
             for chunk in chunk_evenly(range(runs), nworkers)
         ]
         pool = ShardPool(

@@ -124,8 +124,7 @@ def try_compile(
 # A CompiledProblem is, at runtime, a bag of immutable numpy arrays plus
 # tiny metadata.  These helpers flatten it into (arrays, meta) suitable
 # for :mod:`repro.parallel.arena` segments and rebuild an equivalent
-# problem from an attached segment -- the zero-copy alternative to
-# pickling the whole problem into every worker.
+# problem from an attached segment, so no worker unpickles the tensors.
 
 
 class ArenaWorkflowStub:

@@ -36,7 +36,6 @@ from repro.solver.backends import CompiledProblem, get_backend
 from repro.solver.cache import EvalContext, MakespanCache
 from repro.solver.search import GenericSearch, SearchResult
 from repro.solver.state import PlanState
-from repro.solver.tiers import AnalyticTier
 from repro.wlog.analysis import check_program
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
@@ -46,7 +45,7 @@ from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
 if TYPE_CHECKING:  # a serial engine never loads the pool modules
-    from repro.solver.shards import ShardedEvaluator
+    from repro.solver.shards import ShardPlane
 
 __all__ = ["Deco"]
 
@@ -78,13 +77,13 @@ class Deco:
         :meth:`spec` whose caches stay warm across beam iterations; a
         sharded solve picks the serial solve's plan, cold (the shard
         test matrix) or warm across a deadline sweep
-        (``TestWarmSweepMatchesSerial``).  The
-        solve's tensors reach the shards through a shared-memory arena
-        where the platform has one
-        (:func:`~repro.parallel.arena.arena_available`) and as a
-        pickled prologue where it does not.  Environments that cannot
-        run process pools downgrade to in-process evaluation with one
-        warning; call :meth:`close` (or use the engine as a context
+        (``TestWarmSweepMatchesSerial``).  Both :meth:`schedule` and
+        :meth:`solve_program` shard.  A solve's compiled problem reaches
+        the shards through a shared-memory arena
+        (:class:`~repro.solver.shards.ShardPlane`), so only its content
+        key and deadline travel.  Where POSIX shared memory or process
+        pools are missing, the engine warns once and evaluates
+        in-process; call :meth:`close` (or use the engine as a context
         manager) to release the worker processes.
     solve_deadline_s:
         Default wall-clock budget for every solve (the cooperative
@@ -163,26 +162,14 @@ class Deco:
             max_evaluations=max_evaluations,
             expand_per_iter=expand_per_iter,
         )
-        # Distributed beam solve: a lazily created shard-affine pool
-        # (one resident engine per shard), a monotone per-solve id that
-        # stamps every shard job, and the lifetime aggregate of the
-        # worker-side cache/delta counters (cache_stats "distributed").
         self.workers = 1
         if workers is not None:  # a serial engine never loads the pool modules
             from repro.parallel.executor import resolve_workers
 
             self.workers = resolve_workers(workers)
-        self._shard_pool = None
-        self._solve_key = 0
-        self._distributed_solves = 0
-        self._shard_counters: dict[str, int] = {}
-        # Shared-memory tensor plane (DESIGN.md §15): a lazily created
-        # content-addressed arena hosting compiled-problem tensors that
-        # shard workers map zero-copy, and a fingerprint memo so repeat
-        # solves don't re-hash unchanged tensors.
-        self._arena = None
-        self._arena_warned = False
-        self._fingerprints: OrderedDict[tuple, str] = OrderedDict()
+        # Distributed beam solve (DESIGN.md §13): the shard pool, tensor
+        # arena and shard counters, built on the first sharded solve.
+        self._shards: ShardPlane | None = None
 
     # Worker-process rebuilding --------------------------------------------
 
@@ -190,8 +177,12 @@ class Deco:
         """Picklable constructor arguments reproducing this engine.
 
         Worker processes rebuild an equivalent (cold-cache) Deco from
-        this spec instead of pickling live caches and sample tensors;
-        solves are cache-transparent, so plans come out identical.
+        this spec instead of pickling live caches and sample tensors.
+        A cold rebuilt engine picks the same plan as a warm one only
+        while tier 1 is off (``num_samples < 64``): tier 1's screening
+        memo pins the deadline of the op that built it (ROADMAP item 2;
+        ``tests/parallel/test_determinism.py::
+        TestWarmEngineMatchesFreshEngine``).
 
         ``workers`` is deliberately excluded: a rebuilt engine always
         solves in-process, so worker processes never spawn nested pools.
@@ -217,163 +208,12 @@ class Deco:
         """Rebuild an engine from :meth:`spec` (in a worker process)."""
         return cls(**spec)
 
-    def _calibration_shipped(self, problem: CompiledProblem) -> bool:
-        """Whether the arena segment should carry tier-0 quantile grids.
+    def _shard_plane(self) -> ShardPlane:
+        if self._shards is None:
+            from repro.solver.shards import ShardPlane
 
-        Exactly when tier 0's static gate passes -- if the analytic tier
-        can run on any shard, ship the calibration so no worker pays the
-        ``np.quantile`` pass.  Shipping is a pure transfer optimization:
-        a worker that calibrates locally gets bit-identical grids
-        (``np.quantile`` over the same bytes).
-        """
-        return AnalyticTier.static_gate(
-            problem, self._search.analytic_min_tasks, self.backend
-        )
-
-    def _publish_problem(self, problem: CompiledProblem) -> str:
-        """Publish ``problem``'s tensors into the arena; return the key.
-
-        The key is the SHA-256 content fingerprint of the immutable
-        arrays (plus faults metadata), so deadline sweeps over one
-        workflow republish nothing and distinct engines hosting the
-        same workflow converge on the same segment.  The fingerprint is
-        memoized per ``sample_token`` -- hashing a Montage-8 tensor is
-        not free -- and publishing an already-hosted key is a counted
-        no-op.
-        """
-        from repro.engine.compiler import export_problem_arrays, problem_fingerprint
-        from repro.parallel.arena import TensorArena
-
-        calibrated = self._calibration_shipped(problem)
-        memo_key = (problem.sample_token, calibrated)
-        key = self._fingerprints.get(memo_key)
-        if key is None:
-            key = problem_fingerprint(problem, calibrated=calibrated)
-            self._fingerprints[memo_key] = key
-            while len(self._fingerprints) > self._PROBLEM_CACHE_SIZE:
-                self._fingerprints.popitem(last=False)
-        else:
-            self._fingerprints.move_to_end(memo_key)
-        if self._arena is None:
-            self._arena = TensorArena()
-        if key in self._arena:
-            self._arena.counters["hits"] += 1
-            return key
-        calibration = None
-        if calibrated:
-            calibration = self._search._analytic_evaluator()._calibration(problem)
-        arrays, meta = export_problem_arrays(problem, calibration=calibration)
-        self._arena.publish(key, arrays, meta)
-        return key
-
-    def _sharded_evaluator(
-        self,
-        workflow: Workflow,
-        region: str | None,
-        problem: CompiledProblem,
-        faults: FaultModel | None,
-        recovery: RecoveryPolicy | None,
-        reliability_percentile: float | None,
-    ) -> ShardedEvaluator | None:
-        """This solve's sharded evaluator, or ``None`` when serial.
-
-        Spins up the persistent shard pool on first use (each worker
-        rebuilds an engine from :meth:`spec` exactly once), then
-        installs the solve's compiled problem on every shard as the
-        pool's prologue -- a worker respawned after a crash replays it
-        before its first job.  The platform selects one of two
-        transports:
-
-        * **arena** (where :func:`~repro.parallel.arena.arena_available`
-          finds POSIX shared memory): the parent publishes ``problem``'s
-          immutable tensors into the content-addressed
-          :class:`~repro.parallel.TensorArena` and broadcasts only the
-          content key plus the deadline/faults scalars; workers map the
-          segment read-only zero-copy and rebuild the same
-          :class:`CompiledProblem` over those bytes.
-          The broadcast is stamped with the context key, so repeat
-          solves of an unchanged problem skip serialization entirely.
-        * **pickled prologue** (no ``/dev/shm``, or any arena failure
-          -- one warning, then transparent fallback): broadcast the
-          full compile/with_deadline/with_faults recipe and let each
-          shard derive the problem itself.
-
-        ``wf_key`` hashes the pickled workflow *content* (not its
-        object identity); it keys the shards' base-compilation reuse on
-        the pickled path.
-        """
-        if self.workers <= 1:
-            return None
-        import hashlib
-        import pickle
-
-        from repro.parallel.executor import ShardPool
-        from repro.parallel.workers import (
-            beam_begin_solve,
-            beam_begin_solve_arena,
-            init_deco_worker,
-        )
-        from repro.solver.shards import ShardedEvaluator
-
-        if self._shard_pool is None:
-            self._shard_pool = ShardPool(
-                self.workers, initializer=init_deco_worker, initargs=(self.spec(),)
-            )
-        wf_key = hashlib.sha1(
-            pickle.dumps((workflow, region), protocol=4)
-        ).hexdigest()
-        self._solve_key += 1
-        solve_token: object = self._solve_key
-        deadline = problem.deadline
-        percentile = problem.required_probability * 100.0
-        shipped = False
-        try:
-            from repro.parallel.arena import arena_available
-
-            if arena_available():
-                arena_key = self._publish_problem(problem)
-                ctx_key = (
-                    f"{arena_key}:{problem.deadline!r}"
-                    f":{problem.required_probability!r}"
-                )
-                self._shard_pool.broadcast(
-                    beam_begin_solve_arena,
-                    (
-                        ctx_key,
-                        arena_key,
-                        problem.deadline,
-                        problem.required_probability,
-                        problem.faults,
-                        problem.recovery,
-                        problem.reliability_required,
-                    ),
-                    stamp=ctx_key,
-                )
-                solve_token = ctx_key
-                shipped = True
-        except Exception as exc:
-            if not self._arena_warned:
-                self._arena_warned = True
-                import warnings
-
-                warnings.warn(
-                    f"shared-memory arena unavailable ({exc!r}); "
-                    "falling back to pickled-prologue broadcasts",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-        if not shipped:
-            self._shard_pool.broadcast(
-                beam_begin_solve,
-                (
-                    self._solve_key, wf_key, workflow, region,
-                    deadline, percentile, faults, recovery, reliability_percentile,
-                ),
-            )
-        self._distributed_solves += 1
-        return ShardedEvaluator(
-            self._shard_pool, solve_token, self._search.evaluator(problem)
-        )
+            self._shards = ShardPlane(self.workers, self.spec(), self._search)
+        return self._shards
 
     def close(self) -> None:
         """Release the shard pool's worker processes (idempotent).
@@ -383,12 +223,8 @@ class Deco:
         it.  Long-running services and the CLI call this when a batch
         of solves is done; ``with Deco(...) as deco:`` does it for you.
         """
-        if self._shard_pool is not None:
-            self._shard_pool.close()
-            self._shard_pool = None
-        if self._arena is not None:
-            self._arena.close()
-            self._arena = None
+        if self._shards is not None:
+            self._shards.close()
 
     def __enter__(self) -> "Deco":
         return self
@@ -449,21 +285,7 @@ class Deco:
         if tier0 is not None:
             stats["analytic"] = tier0
         if self.workers > 1:
-            distributed: dict = {
-                "workers": self.workers,
-                "solves": self._distributed_solves,
-            }
-            distributed.update(self._shard_counters)
-            if self._shard_pool is not None:
-                distributed.update(self._shard_pool.counters)
-            if self._arena is not None:
-                arena_stats = self._arena.stats()
-                distributed["arena_segments"] = arena_stats["segments"]
-                distributed["arena_publishes"] = arena_stats["publishes"]
-                distributed["arena_hits"] = arena_stats["hits"]
-                distributed["arena_evictions"] = arena_stats["evictions"]
-                distributed["arena_bytes"] = arena_stats["bytes_published"]
-            stats["distributed"] = distributed
+            stats["distributed"] = self._shard_plane().stats()
         return stats
 
     # Deadline helpers ------------------------------------------------------
@@ -526,12 +348,7 @@ class Deco:
         return self._solve(
             problem,
             seeds=tuple(seeds) + self._warm_starts(problem),
-            sharded=self._sharded_evaluator(workflow, region, problem, f, r, rp),
-            solve_deadline_s=(
-                solve_deadline_s
-                if solve_deadline_s is not None
-                else self.solve_deadline_s
-            ),
+            solve_deadline_s=solve_deadline_s,
         )
 
     def _compiled(self, workflow: Workflow, region: str | None) -> CompiledProblem:
@@ -656,9 +473,9 @@ class Deco:
         self,
         problem: CompiledProblem,
         seeds: tuple[PlanState, ...] = (),
-        sharded: ShardedEvaluator | None = None,
         solve_deadline_s: float | None = None,
     ) -> ProvisioningPlan:
+        sharded = self._shard_plane().evaluator(problem) if self.workers > 1 else None
         t0 = time.perf_counter()
         result = self._search.solve(
             problem,
@@ -672,9 +489,6 @@ class Deco:
         )
         elapsed = time.perf_counter() - t0
         self.last_result = result
-        if sharded is not None:
-            for key, value in sharded.shard_counters.items():
-                self._shard_counters[key] = self._shard_counters.get(key, 0) + value
         if self.require_feasible and not result.feasible_found:
             raise InfeasibleError(
                 f"no plan meets P(makespan <= {problem.deadline:g}s) >= "

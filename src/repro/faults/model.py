@@ -143,11 +143,6 @@ class FaultModel:
             or self.spot is not None
         )
 
-    @classmethod
-    def from_legacy(cls, failure_rate: float) -> "FaultModel":
-        """The simulator's original scalar ``failure_rate`` knob."""
-        return cls(task_failure_rate=failure_rate)
-
     def describe(self) -> dict:
         """JSON-ready summary for bench payloads and plan provenance."""
         return {

@@ -1,15 +1,14 @@
 """Content-addressed shared-memory tensor plane.
 
-The distributed beam solve (DESIGN.md §13) ships a *compiled problem*
--- multi-megabyte immutable numpy tensors -- into its shard processes.
-Where POSIX shared memory is missing it does so by pickling the
-prologue payload into every worker on every solve (and again on every
-respawn); where :func:`arena_available` finds it, the arena replaces
-that with **zero-copy attachment**: the parent publishes each problem's
-arrays once into a POSIX shared-memory segment named by a SHA-256
-content key, and workers map the segment read-only -- the broadcast
-payload shrinks to the key plus small per-solve deltas (deadline, fault
-metadata).
+The distributed beam solve (DESIGN.md §13) needs a *compiled problem*
+-- multi-megabyte immutable numpy tensors -- in every shard process.
+The arena is how it gets there, by **zero-copy attachment**: the
+parent publishes each problem's arrays once into a POSIX shared-memory
+segment named by a SHA-256 content key, and workers map the segment
+read-only -- the prologue a worker receives is the key plus small
+per-solve deltas (deadline, fault metadata).  Where
+:func:`arena_available` finds no shared memory, sharded engines solve
+in-process.
 
 Layout of one segment (all offsets 64-byte aligned)::
 
@@ -93,7 +92,7 @@ def arena_available() -> bool:
     """Whether this environment supports POSIX shared memory (probed once).
 
     Restricted sandboxes (no ``/dev/shm``, seccomp'd ``shm_open``) fail
-    the probe; callers fall back to the pickled-prologue path.
+    the probe; sharded engines then solve in-process.
 
     Call this in the parent **before forking workers**: the probe starts
     the ``multiprocessing`` resource tracker, so children inherit the

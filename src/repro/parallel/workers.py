@@ -48,7 +48,6 @@ __all__ = [
     "init_deco_worker",
     "solve_plan_job",
     "solve_plans",
-    "beam_begin_solve",
     "beam_begin_solve_arena",
     "beam_screen_job",
     "beam_eval_job",
@@ -78,7 +77,7 @@ def init_simulator_worker(catalog, rngs: RngService, runtime_model: RuntimeModel
 
 def run_replication_chunk(
     payload: tuple[
-        Workflow, Mapping[str, str], str | None, Sequence[int], float, int,
+        Workflow, Mapping[str, str], str | None, Sequence[int],
         "FaultModel | None", "RecoveryPolicy | None", str,
     ],
 ) -> list[ExecutionResult]:
@@ -91,10 +90,7 @@ def run_replication_chunk(
     (not in the parent) keeps skip/record batches alive without
     shipping exceptions across the pool.
     """
-    (
-        workflow, assignment, region, run_ids,
-        failure_rate, max_retries, faults, recovery, on_abort,
-    ) = payload
+    workflow, assignment, region, run_ids, faults, recovery, on_abort = payload
     if _SIMULATOR is None:
         raise RuntimeError("simulator worker used before init_simulator_worker")
     results: list[ExecutionResult] = []
@@ -106,8 +102,6 @@ def run_replication_chunk(
                     assignment,
                     region=region,
                     run_id=run_id,
-                    failure_rate=failure_rate,
-                    max_retries=max_retries,
                     faults=faults,
                     recovery=recovery,
                 )
@@ -137,8 +131,6 @@ def init_deco_worker(spec: Mapping[str, object]) -> None:
     global _DECO, _BEAM_PROBLEM
     _DECO = Deco.from_spec(dict(spec))
     _BEAM_PROBLEM = None
-    _BEAM_BASES.clear()
-    _BEAM_BASE_ORDER.clear()
     _BEAM_SEGMENTS.clear()
 
 
@@ -210,83 +202,20 @@ def solve_plans(
 # Beam shards ----------------------------------------------------------------
 #
 # The distributed beam solve (see DESIGN.md §13) keeps one Deco engine
-# resident per shard process and, per solve, one compiled problem derived
-# exactly as ``Deco.schedule`` derives it (compile/with_deadline/
-# with_faults).  A job runs that engine's in-process evaluator over its
-# chunk; every decision stays with the tiers in the parent.
+# resident per shard process and, per solve, one compiled problem rebuilt
+# over the parent's shared-memory segment (DESIGN.md §15).  A job runs
+# that engine's in-process evaluator over its chunk; every decision stays
+# with the tiers in the parent.
 
-#: wf_key (content hash of the pickled workflow/region) -> base problem.
-_BEAM_BASES: "dict[str, CompiledProblem]" = {}
-_BEAM_BASE_ORDER: list[str] = []
-_BEAM_BASE_LIMIT = 4
-#: The current solve's (context token, derived problem); solves are
-#: sequential, so one slot suffices.  The token is an int solve id on
-#: the legacy pickled-prologue path and the arena context key (string)
-#: on the shared-memory path.
-_BEAM_PROBLEM: "tuple[object, CompiledProblem] | None" = None
+#: The current solve's (arena context key, derived problem); solves are
+#: sequential, so one slot suffices.
+_BEAM_PROBLEM: "tuple[str, CompiledProblem] | None" = None
 #: arena content key -> (attached segment, base problem over its arrays).
 #: Keeps the shared mapping (and the derived problem reusing it) alive
 #: across solves; LRU-bounded so a long-lived shard cannot accumulate
 #: mappings for every workflow it ever saw.
 _BEAM_SEGMENTS: "OrderedDict[str, tuple[object, CompiledProblem]]" = OrderedDict()
 _BEAM_SEGMENT_LIMIT = 4
-
-
-def beam_begin_solve(
-    payload: tuple[
-        int, str, Workflow, str | None, float, float,
-        "FaultModel | None", "RecoveryPolicy | None", float | None,
-    ],
-) -> bool:
-    """Install one solve's compiled problem in this shard (the prologue).
-
-    Mirrors ``Deco.schedule`` exactly: compile the workflow once per
-    content hash (``wf_key``), derive the deadline via ``with_deadline``
-    (sharing the sample tensor, so the shard's makespan cache keeps
-    hitting across deadline sweeps), then apply the fault model.  The
-    sample tensor is a pure function of (workflow, catalog, num_samples,
-    seed), so a respawned worker replaying this prologue reproduces the
-    parent's evaluation numbers bit for bit.
-    """
-    (
-        solve_key, wf_key, workflow, region,
-        deadline, percentile, faults, recovery, reliability_percentile,
-    ) = payload
-    deco = _DECO
-    if deco is None:
-        raise RuntimeError("beam worker used before init_deco_worker")
-    from repro.solver.backends import CompiledProblem
-
-    base = _BEAM_BASES.get(wf_key)
-    if base is None:
-        base = CompiledProblem.compile(
-            workflow=workflow,
-            catalog=deco.catalog,
-            deadline=1.0,
-            percentile=96.0,
-            num_samples=deco.num_samples,
-            seed=deco.seed,
-            runtime_model=deco.runtime_model,
-            region=region,
-        )
-        _BEAM_BASES[wf_key] = base
-        _BEAM_BASE_ORDER.append(wf_key)
-        while len(_BEAM_BASE_ORDER) > _BEAM_BASE_LIMIT:
-            _BEAM_BASES.pop(_BEAM_BASE_ORDER.pop(0), None)
-    problem = base.with_deadline(deadline, percentile=percentile)
-    if faults is not None:
-        problem = problem.with_faults(
-            faults, recovery, reliability_percentile=reliability_percentile
-        )
-    if deco._calibration_shipped(problem):
-        # Tier 0 can run on this shard, and a worker forked before the
-        # parent first built it has not imported `scipy.special`: resolve
-        # the evaluator here (the arena prologue does, adopting the
-        # calibration), not inside the first timed screening round.
-        deco._search._analytic_evaluator()
-    global _BEAM_PROBLEM
-    _BEAM_PROBLEM = (solve_key, problem)
-    return True
 
 
 def beam_begin_solve_arena(
@@ -297,17 +226,16 @@ def beam_begin_solve_arena(
 ) -> bool:
     """Install one solve's problem by attaching its shared-memory segment.
 
-    The zero-copy counterpart of :func:`beam_begin_solve`: instead of a
-    pickled workflow, the payload carries the problem's arena content
-    key plus the per-solve scalars (deadline, fault metadata).  The
-    shard maps the parent's published tensors read-only, rebuilds a
+    The begin-solve prologue: the payload carries the problem's arena
+    content key plus the per-solve scalars (deadline, fault metadata).
+    The shard maps the parent's published tensors read-only, rebuilds a
     :class:`CompiledProblem` over them (and adopts the published
-    analytic calibration, when present), and caches the attachment per
-    content key so deadline sweeps re-derive via ``with_deadline`` --
-    worker evaluation caches keep hitting exactly as on the legacy
-    path.  Raises :class:`~repro.parallel.arena.ArenaError` when the
-    segment cannot be attached; the parent falls back to the pickled
-    prologue.
+    analytic calibration, when present -- which resolves tier 0 here,
+    not inside the first timed screening round), and caches the
+    attachment per content key so deadline sweeps re-derive via
+    ``with_deadline`` and worker evaluation caches keep hitting.
+    Raises :class:`~repro.parallel.arena.ArenaError` when the segment
+    cannot be attached; the parent then solves in-process.
     """
     (
         ctx_key, arena_key, deadline, required_probability,
@@ -352,7 +280,7 @@ def beam_begin_solve_arena(
     return True
 
 
-def _beam_evaluator(token: object) -> "LocalEvaluator":
+def _beam_evaluator(token: str) -> "LocalEvaluator":
     """A fresh in-process evaluator of the installed problem (one per job)."""
     if _DECO is None:
         raise RuntimeError("beam worker used before init_deco_worker")
@@ -365,7 +293,7 @@ def _beam_evaluator(token: object) -> "LocalEvaluator":
 
 
 def beam_screen_job(
-    payload: "tuple[object, list[PlanState], str]",
+    payload: "tuple[str, list[PlanState], str]",
 ) -> "tuple[object, dict[str, int]]":
     """One chunk of a screening call: ``"moments"`` (tier 0) or ``"screen"`` (tier 1).
 
@@ -379,7 +307,7 @@ def beam_screen_job(
 
 
 def beam_eval_job(
-    payload: "tuple[object, list[PlanState], list[PlanState]]",
+    payload: "tuple[str, list[PlanState], list[PlanState]]",
 ) -> "tuple[list[StateEval], dict[str, int]]":
     """Tier-2 full-fidelity evaluation of one chunk.
 

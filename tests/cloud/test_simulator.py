@@ -7,6 +7,7 @@ from repro.cloud.simulator import CloudSimulator
 from repro.common.errors import ValidationError
 from repro.common.rng import RngService
 from repro.common.units import billed_hours
+from repro.faults import FaultModel, RecoveryPolicy
 from repro.workflow.generators import montage
 
 
@@ -134,17 +135,23 @@ class TestSummarize:
             sim.run_many(chain3, uniform_plan(chain3, "m1.small"), 0)
 
 
+def failing(rate, retries=3):
+    return dict(
+        faults=FaultModel(task_failure_rate=rate), recovery=RecoveryPolicy(max_retries=retries)
+    )
+
+
 class TestFailureInjection:
     def test_failures_lengthen_makespan(self, sim, diamond):
         plan = uniform_plan(diamond, "m1.small")
         clean = sim.execute(diamond, plan, run_id=3)
-        faulty = sim.execute(diamond, plan, run_id=3, failure_rate=0.4, max_retries=20)
+        faulty = sim.execute(diamond, plan, run_id=3, **failing(0.4, retries=20))
         assert faulty.makespan > clean.makespan
 
     def test_zero_rate_identical_to_default(self, sim, diamond):
         plan = uniform_plan(diamond, "m1.small")
         a = sim.execute(diamond, plan, run_id=4)
-        b = sim.execute(diamond, plan, run_id=4, failure_rate=0.0)
+        b = sim.execute(diamond, plan, run_id=4, **failing(0.0))
         assert a.makespan == b.makespan
 
     def test_retry_exhaustion_raises(self, catalog, runtime_model, diamond):
@@ -156,18 +163,18 @@ class TestFailureInjection:
         with pytest.raises(CloudError):
             # With a 90% failure rate and no retries allowed, some task
             # fails almost surely.
-            sim.execute(diamond, plan, failure_rate=0.9, max_retries=0)
+            sim.execute(diamond, plan, **failing(0.9, retries=0))
 
     def test_dependencies_hold_under_failures(self, sim, diamond):
         plan = uniform_plan(diamond, "m1.small")
-        result = sim.execute(diamond, plan, run_id=5, failure_rate=0.3, max_retries=50)
+        result = sim.execute(diamond, plan, run_id=5, **failing(0.3, retries=50))
         recs = {r.task_id: r for r in result.task_records}
         for parent, child in diamond.edges():
             assert recs[child].start >= recs[parent].finish - 1e-9
 
-    def test_invalid_rate_rejected(self, sim, diamond):
-        plan = uniform_plan(diamond, "m1.small")
+    def test_invalid_rate_rejected(self):
+        # The fault surface validates itself, before any run starts.
         with pytest.raises(ValidationError):
-            sim.execute(diamond, plan, failure_rate=1.0)
+            failing(1.0)
         with pytest.raises(ValidationError):
-            sim.execute(diamond, plan, failure_rate=0.1, max_retries=-1)
+            failing(0.1, retries=-1)

@@ -38,11 +38,6 @@ class TestClassification:
     def test_any_source_enables(self, kwargs):
         assert FaultModel(**kwargs).enabled
 
-    def test_from_legacy(self):
-        fm = FaultModel.from_legacy(0.25)
-        assert fm.task_failure_rate == 0.25
-        assert not math.isfinite(fm.instance_mtbf)
-
     def test_describe_is_json_ready(self):
         import json
 

@@ -27,18 +27,6 @@ class TestZeroFaultEquivalence:
         )
         assert injected == baseline
 
-    def test_legacy_shim_equals_explicit_model(self, sim, diamond):
-        plan = uniform_plan(diamond)
-        legacy = sim.execute(diamond, plan, run_id=1, failure_rate=0.3, max_retries=5)
-        explicit = sim.execute(
-            diamond,
-            plan,
-            run_id=1,
-            faults=FaultModel.from_legacy(0.3),
-            recovery=RecoveryPolicy(max_retries=5),
-        )
-        assert explicit == legacy
-
 
 class TestCrashes:
     def test_crashes_lengthen_makespan_but_complete(self, sim, diamond):

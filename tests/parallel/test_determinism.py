@@ -21,6 +21,7 @@ from repro.cloud.simulator import CloudSimulator
 from repro.common.rng import RngService
 from repro.engine.deco import Deco
 from repro.engine.ensemble import EnsembleDriver
+from repro.faults import FaultModel, RecoveryPolicy
 from repro.parallel import workers as workers_mod
 from repro.parallel.workers import solve_plans
 from repro.workflow.ensembles import make_ensemble
@@ -79,7 +80,9 @@ class TestRunManyDeterminism:
 
     def test_failure_injection_identical(self, simulator, workflow):
         plan = cheap_plan(workflow)
-        kwargs = dict(failure_rate=0.1, max_retries=50)
+        kwargs = dict(
+            faults=FaultModel(task_failure_rate=0.1), recovery=RecoveryPolicy(max_retries=50)
+        )
         serial = simulator.run_many(workflow, plan, 6, workers=1, **kwargs)
         parallel = simulator.run_many(workflow, plan, 6, workers=3, **kwargs)
         assert serial == parallel

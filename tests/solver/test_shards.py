@@ -1,9 +1,11 @@
-"""Tests for the distributed beam solve (PR 8).
+"""Tests for the distributed beam solve.
 
 The contract under test is bit-identity of *cold* solves:
 ``Deco(workers=N)`` must pick the same plan, through the same search
-trajectory, as the serial solve -- for N in {1, 2, 4}, over either
-prologue transport (shared-memory arena or pickled).  The
+trajectory, as the serial solve -- for N in {1, 2, 4}.  A solve's
+compiled problem reaches the shards through the shared-memory arena
+only; without POSIX shared memory the engine warns once and solves
+in-process, and tests that need real shards skip there.  The
 supporting lemma (per-candidate kernel values do not depend on batch
 composition) gets its own property-based test, and the frontier
 tie-break that makes the shard merge order-independent is pinned
@@ -22,16 +24,24 @@ from hypothesis import strategies as st
 
 from repro.cloud.instance_types import ec2_catalog
 from repro.engine.deco import Deco
+from repro.parallel.arena import arena_available
 from repro.parallel.executor import chunk_evenly
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.search import GenericSearch
 from repro.solver.shards import ShardedEvaluator
 from repro.solver.state import PlanState, StateEval
+from repro.wlog.imports import ImportRegistry
 from repro.workflow.generators import montage
 from repro.workflow.runtime_model import RuntimeModel
 
 CATALOG = ec2_catalog()
 MODEL = RuntimeModel(CATALOG)
+
+# Shards are reached through POSIX shared memory; without it a sharded
+# engine solves in-process (TestArenaBitIdentity's no-shared-memory leg).
+needs_shared_memory = pytest.mark.skipif(
+    not arena_available(), reason="POSIX shared memory unavailable in this sandbox"
+)
 
 # Parent-side decisions: a cold solve's are the same at 1, 2 and 4 workers (DESIGN.md §13).
 TRAJECTORY_COUNTERS = (
@@ -66,6 +76,7 @@ class TestBitIdentityAcrossWorkers:
     def wf(self):
         return montage(degrees=1, seed=2)
 
+    @needs_shared_memory
     def test_plans_and_trajectories_match_serial(self, wf):
         reference, ref_result = solve_once(wf, 1)
         for workers in (2, 4):
@@ -85,6 +96,7 @@ class TestBitIdentityAcrossWorkers:
         assert sharded.cache_hits + sharded.cache_misses > 0
         assert sharded.cache_misses == serial.cache_misses
 
+    @needs_shared_memory
     def test_downgraded_pool_reports_one_worker(self, wf, monkeypatch):
         """``workers`` is what the solve ran on, not what was asked for."""
         import concurrent.futures
@@ -100,9 +112,32 @@ class TestBitIdentityAcrossWorkers:
         with Deco(CATALOG, workers=2, seed=7, num_samples=100, max_evaluations=250) as deco:
             with pytest.warns(RuntimeWarning, match="falling back to serial"):
                 plan = deco.schedule(wf, "medium")
-            assert deco._shard_pool.is_serial
+            assert deco._shards.pool.is_serial
             assert deco.last_result.workers == 1
         assert plan.decision_dict() == reference
+
+
+@needs_shared_memory
+class TestSolveProgramShards:
+    """The declarative entry point shards too, and decides like the serial engine."""
+
+    def test_example1_matches_serial(self):
+        wf = montage(degrees=1, seed=2)
+        registry = ImportRegistry()
+        registry.register_cloud("amazonec2", CATALOG)
+        registry.register_workflow("montage", wf)
+        runs = {}
+        for workers in (1, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with Deco(CATALOG, workers=workers, seed=7, num_samples=100,
+                          max_evaluations=250) as deco:
+                    source = deco.example1_source(
+                        deadline_seconds=deco.presets(wf).medium, percentile=96.0
+                    )
+                    plan = deco.solve_program(source, registry)
+                    runs[workers] = (plan.decision_dict(), deco.last_result.workers)
+        assert runs[2] == (runs[1][0], 2)
 
 
 class TestBitIdentityAnalyticTier:
@@ -144,6 +179,7 @@ class TestWarmSweepMatchesSerial:
                     assert got.decision_dict() == want.decision_dict(), (deadline, percentile)
 
 
+@needs_shared_memory
 class TestShardCrashDuringSolve:
     def test_killed_shard_recovers_with_identical_plan(self):
         wf = montage(degrees=1, seed=2)
@@ -153,7 +189,7 @@ class TestShardCrashDuringSolve:
             deco = Deco(CATALOG, workers=2, seed=7, num_samples=60, max_evaluations=120)
             try:
                 deco.schedule(wf, "medium")  # spin up + warm the shards
-                for executor in deco._shard_pool._executors:
+                for executor in deco._shards.pool._executors:
                     if executor is not None:
                         for proc in executor._processes.values():
                             proc.kill()
@@ -164,6 +200,7 @@ class TestShardCrashDuringSolve:
         assert plan.decision_dict() == reference
 
 
+@needs_shared_memory
 class TestRepeatedShardFailures:
     """Repeated worker loss within a single solve (service robustness).
 
@@ -249,14 +286,13 @@ def solve_with_stats(wf, workers, **overrides):
 def without_shared_memory(monkeypatch):
     """Make the parent see a platform without POSIX shared memory.
 
-    The engine picks the prologue transport from ``arena_available()``
-    in the parent, so this routes the next solves through the
-    pickled-prologue fallback."""
+    The engine checks ``arena_available()`` in the parent before every
+    sharded solve, so the next solves run in-process."""
     monkeypatch.setattr("repro.parallel.arena.arena_available", lambda: False)
 
 
 class TestArenaBitIdentity:
-    """transport x workers: the transport may not move the plan."""
+    """With or without shared memory, a sharded engine returns the serial plan."""
 
     KW = dict(num_samples=60, max_evaluations=120)
 
@@ -266,33 +302,34 @@ class TestArenaBitIdentity:
 
     @pytest.mark.parametrize("shared_memory", [True, False])
     def test_matrix_matches_serial(self, wf, shared_memory, monkeypatch):
-        from repro.parallel.arena import arena_available
-
         reference, _ = solve_once(wf, 1, **self.KW)
         if not shared_memory:
             without_shared_memory(monkeypatch)
         elif not arena_available():
             pytest.skip("POSIX shared memory unavailable in this sandbox")
         for workers in (2, 4):
-            decisions, stats = solve_with_stats(wf, workers, **self.KW)
-            assert decisions == reference, f"plan diverged at workers={workers}"
-            assert ("arena_publishes" in stats) == shared_memory
+            with warnings.catch_warnings(record=True) as captured:
+                warnings.simplefilter("always")
+                with Deco(CATALOG, workers=workers, seed=7, **self.KW) as deco:
+                    first = deco.schedule(wf, "medium").decision_dict()
+                    second = deco.schedule(wf, "medium").decision_dict()
+                    ran_on = deco.last_result.workers
+            assert first == second == reference, f"plan diverged at workers={workers}"
+            # No shared memory: one warning per engine, every solve in-process.
+            degraded = [w for w in captured if "solving in-process" in str(w.message)]
+            assert len(degraded) == (0 if shared_memory else 1)
+            assert ran_on == (workers if shared_memory else 1)
 
-    def test_arena_shrinks_the_broadcast(self, wf, monkeypatch):
-        from repro.parallel.arena import arena_available
+    @needs_shared_memory
+    def test_prologue_ships_a_key_not_a_problem(self, wf):
+        _, stats = solve_with_stats(wf, 2, **self.KW)
+        assert stats["arena_publishes"] == 1
+        # One prologue, shipped once into each worker process: the
+        # content key plus the deadline/faults scalars, never the tensors.
+        assert stats["broadcasts"] == 1 and stats["prologue_replays"] == 2
+        assert 0 < stats["broadcast_bytes"] / stats["prologue_replays"] < 1024
 
-        if not arena_available():
-            pytest.skip("POSIX shared memory unavailable in this sandbox")
-        _, arena_stats = solve_with_stats(wf, 2, **self.KW)
-        assert arena_stats["arena_publishes"] >= 1
-        assert arena_stats["broadcast_bytes"] > 0
-        without_shared_memory(monkeypatch)
-        _, pickled_stats = solve_with_stats(wf, 2, **self.KW)
-        assert "arena_publishes" not in pickled_stats
-        # The arena broadcast ships a content key plus scalar deltas;
-        # the pickled prologue ships the whole compiled problem.
-        assert arena_stats["broadcast_bytes"] < pickled_stats["broadcast_bytes"]
-
+    @needs_shared_memory
     def test_counters_exposed_via_cache_stats(self, wf):
         _, stats = solve_with_stats(wf, 2, **self.KW)
         for key in (
@@ -305,11 +342,8 @@ class TestArenaBitIdentity:
         ):
             assert key in stats, key
 
+    @needs_shared_memory
     def test_repeat_solve_skips_rebroadcast(self, wf):
-        from repro.parallel.arena import arena_available
-
-        if not arena_available():
-            pytest.skip("POSIX shared memory unavailable in this sandbox")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with Deco(CATALOG, workers=2, seed=7, **self.KW) as deco:
@@ -323,16 +357,13 @@ class TestArenaBitIdentity:
         assert stats["arena_hits"] >= 1
 
 
+@needs_shared_memory
 class TestArenaWorkerKillReattach:
     """A respawned worker re-attaches the shared segment without leaks."""
 
     KW = dict(num_samples=60, max_evaluations=120)
 
     def test_sigkilled_worker_reattaches_cleanly(self):
-        from repro.parallel.arena import arena_available
-
-        if not arena_available():
-            pytest.skip("POSIX shared memory unavailable in this sandbox")
         wf = montage(degrees=1, seed=2)
         reference, _ = solve_once(wf, 1, **self.KW)
         with warnings.catch_warnings():
@@ -343,7 +374,7 @@ class TestArenaWorkerKillReattach:
             deco = Deco(CATALOG, workers=2, seed=7, **self.KW)
             try:
                 deco.schedule(wf, "medium")  # spin up, publish, attach
-                for executor in deco._shard_pool._executors:
+                for executor in deco._shards.pool._executors:
                     if executor is not None:
                         for proc in executor._processes.values():
                             proc.kill()

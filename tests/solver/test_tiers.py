@@ -103,12 +103,14 @@ def test_a_screening_tier_stands_down_after_two_dry_batches():
 
 def test_static_gate_is_the_calibration_shipping_rule():
     from repro.engine.deco import Deco
+    from repro.solver.shards import ShardPlane
 
     deco = Deco(CATALOG, num_samples=16)
+    plane = ShardPlane(2, deco.spec(), deco._search)  # builds no pool until a solve
     for degrees, percentile in ((1.0, 96.0), (8.0, 96.0), (8.0, 100.0)):
         wf = montage(degrees=degrees, seed=0)
         problem = CompiledProblem.compile(wf, CATALOG, deadline=1e4, percentile=percentile,
                                           num_samples=16)
         gate = AnalyticTier.static_gate(problem, 256, deco.backend)
-        assert deco._calibration_shipped(problem) == gate
+        assert plane.calibration_shipped(problem) == gate
         assert gate == (degrees == 8.0 and percentile < 100.0)

@@ -263,41 +263,45 @@ class TestForkAndPickle:
     def test_forked_shard_resolves_tier0_in_the_prologue(self):
         """A shard worker forked while the parent has no SciPy imports
         ``scipy.special`` when a tier-0-sized problem is installed (the
-        prologue), so its first screening round is not the one that pays."""
+        arena prologue adopts the shipped calibration), so its first
+        screening round is not the one that pays."""
         doc = run_fresh(
             """
             from repro.cloud import ec2_catalog
             from repro.engine.deco import Deco
-            from repro.parallel.executor import ShardPool
-            from repro.parallel.workers import beam_begin_solve, beam_screen_job, init_deco_worker
+            from repro.solver.shards import ShardPlane
             from repro.solver.state import PlanState
             from repro.workflow.generators import montage
 
             def probe(_payload):
                 return scipy_loaded()
 
-            spec = Deco(ec2_catalog(), seed=7, num_samples=50, max_evaluations=200).spec()
-            seen = {}
-            pool = ShardPool(2, initializer=init_deco_worker, initargs=(spec,))
+            deco = Deco(ec2_catalog(), seed=7, num_samples=50, max_evaluations=200)
+            plane = ShardPlane(2, deco.spec(), deco._search)
+            seen, parent = {}, []
             try:
-                serial = pool.is_serial
                 for key, degrees in ((1, 1.0), (2, 8.0)):
                     wf = montage(degrees, seed=1)
-                    pool.broadcast(
-                        beam_begin_solve, (key, f"wf{key}", wf, None, 1e6, 96.0, None, None, None)
+                    evaluator = plane.evaluator(deco._compiled(wf, None).with_deadline(1e6))
+                    serial = evaluator is None or evaluator.pool.is_serial
+                    if serial:
+                        break
+                    parent.append(scipy_loaded())
+                    seen[str(key)] = evaluator.pool.gather(
+                        [evaluator.pool.submit(s, probe, None) for s in range(2)]
                     )
-                    seen[str(key)] = pool.gather([pool.submit(s, probe, None) for s in range(2)])
                 states = [PlanState.uniform(len(wf), t) for t in range(4)]
-                (mean, var), _ = pool.gather(
-                    [pool.submit(0, beam_screen_job, (2, states, "moments"))]
-                )[0]
+                moments = 0 if serial else len(evaluator.moments(states)[0])
             finally:
-                pool.close()
-            report(serial=serial, seen=seen, parent=scipy_loaded(), moments=len(mean))
+                plane.close()
+            report(serial=serial, seen=seen, parent=parent, moments=moments)
             """
         )
         if doc["serial"]:
-            pytest.skip("no process pool on this host: shards run in-process")
+            pytest.skip("no process pool or shared memory on this host: shards run in-process")
+        # The workers fork during Montage-1's prologue, before the parent
+        # calibrates Montage-8 (which loads tier 0's SciPy there too).
+        assert doc["parent"] == [[], ["scipy", "scipy.special"]]
         assert doc["seen"]["1"] == [[], []]  # forked SciPy-free, Montage-1 keeps them so
         assert doc["seen"]["2"] == [["scipy", "scipy.special"]] * 2
-        assert doc["parent"] == [] and doc["moments"] == 4
+        assert doc["moments"] == 4
