@@ -77,6 +77,13 @@ class WarmWorkerPool:
     def active(self) -> list[ActiveJob]:
         return list(self._busy.values())
 
+    def next_hang_in(self) -> float | None:
+        """Seconds until the earliest running job trips the hang watchdog,
+        or ``None`` when no job is running."""
+        if not self._busy:
+            return None
+        return min(a.hang_after_s - a.age_s for a in self._busy.values())
+
     def worker_pids(self) -> list[int | None]:
         """Live worker pid per slot (chaos tooling kills by these)."""
         return self._pool.worker_pids()

@@ -10,8 +10,11 @@ Admission control lives here too:
 
 * **bounded depth** -- beyond ``reject_depth`` pending jobs the queue
   refuses new work with a structured retry-after;
-* **per-tenant token buckets** -- a tenant submitting faster than its
-  refill rate is rate-limited without affecting other tenants.
+* **per-tenant token buckets** -- a tenant claiming solver capacity
+  faster than its refill rate is rate-limited without affecting other
+  tenants.  Only a submission that would queue behind the tenant's own
+  work (it already has ``workers`` unfinished jobs) is charged, so a
+  closed-loop client that never outruns the workers is never refused.
 
 The load-shedding *ladder* (degrade before reject) is runtime policy and
 lives in :mod:`repro.service.runtime`; the queue only exposes the
@@ -70,6 +73,7 @@ class DurableQueue:
         reject_depth: int = 64,
         tenant_rate: float = 10.0,
         tenant_burst: float = 20.0,
+        workers: int = 1,
         clock: Callable[[], float] = time.monotonic,
     ):
         if reject_depth < 1:
@@ -78,6 +82,9 @@ class DurableQueue:
         self.reject_depth = int(reject_depth)
         self.tenant_rate = float(tenant_rate)
         self.tenant_burst = float(tenant_burst)
+        # Unfinished jobs a tenant may hold before its bucket is charged:
+        # the worker slots that consume this queue.
+        self.workers = int(workers)
         self._clock = clock
         self._lock = threading.RLock()
         self._jobs: dict[str, JobRecord] = {}
@@ -129,6 +136,13 @@ class DurableQueue:
     def admit(self, tenant: str) -> None:
         """Raise :class:`AdmissionError` if this submission must be refused.
 
+        Two gates: the queue depth (``reject_depth``, all tenants), and
+        the tenant's token bucket -- charged only when the tenant already
+        has ``workers`` unfinished jobs, i.e. when this job would queue
+        behind its own work.  The bucket limits one tenant's claim on
+        solver capacity, not its request rate: a client that waits for
+        its jobs is never charged.
+
         Checked *before* anything is journaled: a rejected job was never
         accepted, so the exactly-once-terminal invariant does not apply
         to it.
@@ -142,6 +156,11 @@ class DurableQueue:
                     reason="queue_full",
                     retry_after_s=5.0,
                 )
+            in_flight = sum(
+                1 for j in self._jobs.values() if j.tenant == tenant and not j.terminal
+            )
+            if in_flight < self.workers:
+                return
             wait = self._bucket(tenant).try_take()
             if wait > 0.0:
                 self.rate_limited += 1
@@ -160,20 +179,23 @@ class DurableQueue:
         priority: str = "standard",
         degraded: bool = False,
         degrade_reason: str = "",
-        skip_admission: bool = False,
+        result: dict | None = None,
     ) -> JobRecord:
         """Validate, admit, journal, and enqueue one job.
 
         The journal append happens before the job is visible in memory;
         once this returns, the job is accepted and will reach a terminal
-        state exactly once even across crashes.  ``skip_admission`` is
-        for submissions that consume no solver capacity (plan-cache
-        hits): they are journaled like any accepted job but bypass the
-        depth/rate gates.
+        state exactly once even across crashes.
+
+        A submission that arrives with its ``result`` (a plan-cache hit)
+        consumes no solver capacity: it bypasses the depth/rate gates,
+        and its ``submitted`` and ``completed`` events are journaled
+        under one lock hold without it ever entering the dispatch heap,
+        so no dispatcher turn can claim it in between.
         """
         payload = validate_payload(payload)
         with self._lock:
-            if not skip_admission:
+            if result is None:
                 self.admit(tenant)
             job = JobRecord(
                 job_id=new_job_id(),
@@ -186,6 +208,8 @@ class DurableQueue:
             )
             self.journal.append("submitted", ts=job.submitted_at, job=job.to_dict())
             self._jobs[job.job_id] = job
+            if result is not None:
+                return self.finish(job.job_id, "completed", result=result, cache_hit=True)
             self._push(job)
             return job
 
@@ -237,6 +261,18 @@ class DurableQueue:
             if backoff_s > 0.0:
                 self._not_before[job_id] = self._clock() + backoff_s
             self._push(job)
+
+    def next_ready_in(self) -> float | None:
+        """Seconds until the next backoff-deferred job becomes claimable,
+        or ``None`` when no job is waiting out a backoff.
+
+        Only a queued job can carry a future stamp: :meth:`claim` never
+        takes a job before its stamp passes.
+        """
+        with self._lock:
+            now = self._clock()
+            pending = [t for t in self._not_before.values() if t > now]
+            return min(pending) - now if pending else None
 
     def finish(
         self,

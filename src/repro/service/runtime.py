@@ -17,8 +17,15 @@ The **load-shedding ladder** runs at admission, cheapest remedy first:
 3. queue at/over ``degrade_depth`` -- accept, but downgraded to the
    analytic backend (milliseconds per solve, envelope carries the
    probability error bound) so the service sheds load before refusing it;
-4. queue at ``reject_depth`` or tenant over its token budget -- refuse
-   with a structured ``retry_after_s``.
+4. queue at ``reject_depth``, or a tenant that already holds ``workers``
+   unfinished jobs with its token budget spent -- refuse with a
+   structured ``retry_after_s``.
+
+The **dispatcher** runs a turn when something happens and sleeps with
+no timer in between: an accepted submission, a worker future finishing
+(or breaking, when its process dies) and :meth:`DecoService.stop` set
+one wake-up event; the only timed wake-ups are the next backoff-requeued
+job falling due and the next running job reaching its hang deadline.
 
 Every accepted job reaches exactly one terminal state exactly once --
 ``completed``, ``degraded`` (load-shed or solve-watchdog incumbent) or
@@ -30,6 +37,7 @@ from __future__ import annotations
 
 import threading
 import time
+import warnings
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -46,7 +54,11 @@ __all__ = ["ServiceConfig", "DecoService"]
 
 @dataclass
 class ServiceConfig:
-    """Tunables for one service instance (all have working defaults)."""
+    """Tunables for one service instance (all have working defaults).
+
+    The dispatcher has no tick to tune: it wakes on events, and its only
+    timers are ``backoff_base_s`` backoffs and ``hang_after_s`` deadlines.
+    """
 
     journal_path: str = "deco-jobs.jsonl"
     workers: int = 2
@@ -54,6 +66,9 @@ class ServiceConfig:
     degrade_depth: int = 8
     #: Queue depth at which new jobs are refused outright.
     reject_depth: int = 16
+    #: Per-tenant token bucket (jobs/s, burst), charged only for a job
+    #: submitted while its tenant already holds ``workers`` unfinished
+    #: jobs -- one that would queue behind the tenant's own work.
     tenant_rate: float = 10.0
     tenant_burst: float = 20.0
     #: Dispatch attempts per job before dead-lettering (crashes only).
@@ -63,8 +78,6 @@ class ServiceConfig:
     #: A job running longer than this is treated as hung (worker killed).
     hang_after_s: float = 600.0
     cache_capacity: int = 128
-    #: Dispatcher idle sleep between step()s in the background thread.
-    poll_interval_s: float = 0.02
     #: Deco constructor overrides for the worker engines (seed,
     #: num_samples, max_evaluations, beam_width...).
     engine: dict = field(default_factory=dict)
@@ -97,19 +110,25 @@ class DecoService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self.journal = JobJournal(self.config.journal_path)
+        self._spec = _engine_spec(dict(self.config.engine))
+        self.pool = WarmWorkerPool(self._spec, workers=self.config.workers)
         self.queue = DurableQueue(
             self.journal,
             reject_depth=self.config.reject_depth,
             tenant_rate=self.config.tenant_rate,
             tenant_burst=self.config.tenant_burst,
+            workers=self.pool.workers,
         )
         self.cache = PlanCache(self.config.cache_capacity)
-        self._spec = _engine_spec(dict(self.config.engine))
-        self.pool = WarmWorkerPool(self._spec, workers=self.config.workers)
         self.started_at = time.time()
         self.degrade_admissions = 0
+        self.dispatcher_errors = 0
+        self.last_dispatcher_error: dict | None = None
         self._closed = False
         self._stop = threading.Event()
+        # Set by whatever can make the next dispatcher turn productive:
+        # an accepted job, a worker future resolving, stop().
+        self._wake = threading.Event()
         self._thread: threading.Thread | None = None
         # Replayed in-flight jobs (accepted before a crash) count as
         # recoveries; they are already back in the queue.
@@ -138,14 +157,12 @@ class DecoService:
         if cached is not None:
             # Rung 1: serve from cache.  Zero solver work, so admission
             # control does not apply -- but the job is still journaled
-            # (accepted => exactly-once terminal holds for it too).
-            job = self.queue.submit(
-                payload, tenant=tenant, priority=priority, skip_admission=True
-            )
+            # (accepted => exactly-once terminal holds for it too), born
+            # completed so the dispatcher never sees it.
             envelope = dict(cached)
             envelope["cache_hit"] = True
-            return self.queue.finish(
-                job.job_id, "completed", result=envelope, cache_hit=True
+            return self.queue.submit(
+                payload, tenant=tenant, priority=priority, result=envelope
             )
         degraded = False
         reason = ""
@@ -169,6 +186,7 @@ class DecoService:
             degrade_reason=reason,
         )
         job._cache_key = key  # type: ignore[attr-defined]
+        self._wake.set()
         return job
 
     # -- dispatcher --------------------------------------------------------
@@ -203,7 +221,13 @@ class DecoService:
                 # plus slack; a generous multiple still beats the global
                 # hang limit for interactive jobs.
                 hang = min(hang, float(sd) * 10.0 + 30.0)
-            self.pool.dispatch(job.job_id, slot, job.payload, hang_after_s=hang)
+            active = self.pool.dispatch(job.job_id, slot, job.payload, hang_after_s=hang)
+            future = active.shard_job.future
+            if future is not None:
+                # Runs in the executor's management thread: it only wakes
+                # the dispatcher, never calls step() itself.  A worker
+                # death resolves the future too (BrokenProcessPool).
+                future.add_done_callback(lambda _f: self._wake.set())
             transitions += 1
         return transitions
 
@@ -252,17 +276,36 @@ class DecoService:
         """Drive :meth:`step` until no job is queued or running.
 
         The synchronous way to consume the queue (tests, batch mode);
-        the background thread does the same thing forever.
+        the background thread does the same thing forever.  Both sleep
+        between idle turns on the same wake-up (:meth:`_sleep_until_event`).
         """
         t_end = time.monotonic() + timeout_s
         while self.queue.depth > 0:
-            if time.monotonic() > t_end:
+            remaining = t_end - time.monotonic()
+            if remaining < 0:
                 raise TimeoutError(
                     f"service not idle after {timeout_s:g}s "
                     f"({self.queue.depth} jobs still in flight)"
                 )
+            self._wake.clear()
             if self.step() == 0:
-                time.sleep(self.config.poll_interval_s)
+                self._sleep_until_event(remaining)
+
+    def _sleep_until_event(self, limit_s: float | None = None) -> None:
+        """Block after an idle turn until a turn can make a transition.
+
+        Events set ``_wake``; the only timers are the next backoff-requeued
+        job falling due and the next running job's hang deadline.  With
+        neither (and no ``limit_s``) the wait has no timeout.  The caller
+        clears ``_wake`` *before* its turn, so an event that arrives
+        during the turn cuts this wait short instead of being lost.
+        """
+        timers = [
+            t
+            for t in (self.queue.next_ready_in(), self.pool.next_hang_in(), limit_s)
+            if t is not None
+        ]
+        self._wake.wait(max(0.0, min(timers)) if timers else None)
 
     def start(self) -> None:
         """Run the dispatcher in a daemon thread (idempotent)."""
@@ -275,20 +318,37 @@ class DecoService:
         self._thread.start()
 
     def _dispatch_loop(self) -> None:
-        while not self._stop.is_set():
+        while True:
+            # Clear before checking _stop: stop() sets _stop, then _wake.
+            self._wake.clear()
+            if self._stop.is_set():
+                return
             try:
                 if self.step() == 0:
-                    self._stop.wait(self.config.poll_interval_s)
-            except Exception:
+                    self._sleep_until_event()
+            except Exception as exc:
                 # The dispatcher must survive any single job's weirdness;
                 # the job itself was dead-lettered or will hit the hang
                 # watchdog.  Pause briefly so a persistent fault cannot
                 # spin the CPU.
+                self._record_dispatcher_error(exc)
                 self._stop.wait(0.2)
+
+    def _record_dispatcher_error(self, exc: Exception) -> None:
+        self.dispatcher_errors += 1
+        self.last_dispatcher_error = {"type": type(exc).__name__, "message": str(exc)}
+        if self.dispatcher_errors == 1:
+            warnings.warn(
+                f"service dispatcher turn raised {type(exc).__name__}: {exc}; "
+                "retrying in 0.2s (stats()['dispatcher_errors'] counts further ones)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
 
     def stop(self) -> None:
         """Stop the dispatcher thread (idempotent; jobs stay queued)."""
         self._stop.set()
+        self._wake.set()
         if self._thread is not None:
             self._thread.join(timeout=10.0)
             self._thread = None
@@ -342,6 +402,8 @@ class DecoService:
             "rate_limited": self.queue.rate_limited,
             "degrade_admissions": self.degrade_admissions,
             "recoveries": self.recoveries,
+            "dispatcher_errors": self.dispatcher_errors,
+            "last_dispatcher_error": self.last_dispatcher_error,
             "worker_respawns": self.pool.respawns,
             "worker_pids": self.pool.worker_pids(),
             "serial_fallback": self.pool.is_serial,

@@ -13,7 +13,13 @@ accepted job reaches a terminal state exactly once**:
 * **queue latency** -- injected dispatch delay, which widens every
   race window the dispatcher has.
 
-Usable two ways: pytest (``test_chaos.py``) and standalone for CI::
+Each scenario runs under one of two drivers: ``service.step()`` called
+synchronously from the harness loop, or the dispatcher thread
+``service.start()`` runs (``threaded=True``), whose wake-ups on worker
+deaths and backoff timers are what production relies on.
+
+Usable two ways: pytest (``test_chaos.py``) and standalone for CI, which
+runs the scenario under both drivers::
 
     PYTHONPATH=src:tests python -m service.chaos --quick
 """
@@ -170,8 +176,13 @@ def run_chaos(
     workers: int = 2,
     max_attempts: int = 4,
     timeout_s: float = 600.0,
+    threaded: bool = False,
 ) -> ChaosReport:
-    """One full chaos run; returns the report (``report.ok`` == no violations)."""
+    """One full chaos run; returns the report (``report.ok`` == no violations).
+
+    ``threaded`` leaves dispatching to the service's own thread; the
+    harness loop then only kills workers and watches the queue drain.
+    """
     workdir = workdir or tempfile.mkdtemp(prefix="deco-chaos-")
     journal_path = os.path.join(workdir, "chaos.jsonl")
     report = ChaosReport()
@@ -198,6 +209,8 @@ def run_chaos(
                     return original_claim()
 
                 service.queue.claim = laggy_claim  # type: ignore[method-assign]
+            if threaded:
+                service.start()
             submitted: dict[str, str] = {}  # job_id -> expectation
             for i in range(jobs):
                 job = service.submit(_payload(seed=i))
@@ -219,7 +232,8 @@ def run_chaos(
                         f"({service.queue.depth} jobs stuck)"
                     )
                     break
-                service.step()
+                if not threaded:
+                    service.step()
                 if kills_left > 0:
                     # Kill the worker under a *normal* running job (payload
                     # injections already cover self-crashing jobs).
@@ -288,9 +302,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     jobs = args.jobs if args.jobs is not None else (6 if args.quick else 12)
     kills = args.kills if args.kills is not None else (2 if args.quick else 4)
-    report = run_chaos(jobs=jobs, external_kills=kills, queue_latency_s=args.latency)
-    print(json.dumps(report.to_dict(), indent=2))
-    return 0 if report.ok else 1
+    reports = {
+        driver: run_chaos(
+            jobs=jobs,
+            external_kills=kills,
+            queue_latency_s=args.latency,
+            threaded=driver == "thread",
+        )
+        for driver in ("step", "thread")
+    }
+    print(json.dumps({d: r.to_dict() for d, r in reports.items()}, indent=2))
+    return 0 if all(r.ok for r in reports.values()) else 1
 
 
 if __name__ == "__main__":

@@ -31,6 +31,18 @@ class TestChaosQuickProfile:
             assert report.recovery_s > 0
 
 
+class TestChaosThreadedDispatcher:
+    def test_kills_and_injections_terminate_exactly_once(self, tmp_path):
+        report = run_chaos(
+            str(tmp_path), jobs=4, external_kills=2, timeout_s=300.0, threaded=True
+        )
+        assert report.violations == []
+        assert report.accepted == 6
+        assert sum(report.terminal_counts.values()) == report.accepted
+        assert report.worker_respawns >= report.external_kills
+        assert report.terminal_counts.get("dead_lettered", 0) >= 2
+
+
 class TestChaosWithQueueLatency:
     def test_latency_injection_does_not_break_invariants(self, tmp_path):
         report = run_chaos(

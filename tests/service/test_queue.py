@@ -11,6 +11,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.service import DurableQueue, JobJournal, TokenBucket
+from repro.service.journal import replay_events
 
 
 def _payload(seed: int = 0) -> dict:
@@ -77,6 +78,14 @@ class TestSubmitAndClaim:
         with pytest.raises(ValidationError, match="priority"):
             queue.submit(_payload(), priority="urgent")
 
+    def test_cache_hit_is_born_completed_and_never_claimable(self, queue):
+        job = queue.submit(_payload(1), result={"plan": "cached"})
+        assert job.state == "completed"
+        assert job.cache_hit is True
+        assert queue.claim() is None
+        events = [e["event"] for e in replay_events(queue.journal.path)]
+        assert events == ["submitted", "completed"]
+
 
 class TestAdmission:
     def test_queue_full_rejects_with_retry_after(self, tmp_path):
@@ -105,15 +114,25 @@ class TestAdmission:
     def test_per_tenant_rate_limit_isolated(self, tmp_path):
         queue = DurableQueue(
             JobJournal(tmp_path / "q.jsonl"),
-            reject_depth=100, tenant_rate=0.001, tenant_burst=1.0,
+            reject_depth=100, tenant_rate=0.001, tenant_burst=1.0, workers=2,
         )
-        queue.submit(_payload(1), tenant="alice")
+        # Below `workers` unfinished jobs the bucket is not charged.
+        alice = [queue.submit(_payload(i), tenant="alice") for i in range(2)]
+        # Holding `workers` jobs, each further one is charged: the burst
+        # token admits one, then alice is refused.
+        queue.submit(_payload(2), tenant="alice")
         with pytest.raises(AdmissionError) as exc_info:
-            queue.submit(_payload(2), tenant="alice")
+            queue.submit(_payload(3), tenant="alice")
         assert exc_info.value.reason == "rate_limited"
         assert exc_info.value.retry_after_s > 0
+        assert queue.rate_limited == 1
         # Bob's bucket is untouched by Alice exhausting hers.
-        queue.submit(_payload(3), tenant="bob")
+        queue.submit(_payload(4), tenant="bob")
+        # Once alice's work drains below `workers`, she is admitted again.
+        for job in alice:
+            queue.claim()
+            queue.finish(job.job_id, "completed", result={})
+        queue.submit(_payload(5), tenant="alice")
 
     def test_terminal_jobs_free_queue_depth(self, tmp_path):
         queue = DurableQueue(
@@ -175,3 +194,11 @@ class TestBackoffAndRecovery:
         assert restarted.recovered_inflight == 1
         claimable = {restarted.claim().job_id, restarted.claim().job_id}
         assert claimable == {inflight.job_id, queued.job_id}
+
+    def test_next_ready_in_reports_backoff_due_time(self, queue):
+        assert queue.next_ready_in() is None
+        job = queue.submit(_payload(1))
+        queue.claim()
+        queue.requeue(job.job_id, backoff_s=60.0)
+        assert 59.0 < queue.next_ready_in() <= 60.0
+        assert queue.claim() is None

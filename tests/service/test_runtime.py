@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.common.errors import AdmissionError, ValidationError
 from repro.service import DecoService, ServiceConfig
+from repro.service.journal import replay_events
 
 from .conftest import ENGINE, montage_payload
 
@@ -21,6 +24,15 @@ def make_service(tmp_path, **over) -> DecoService:
     )
     defaults.update(over)
     return DecoService(ServiceConfig(**defaults))
+
+
+def wait_terminal(svc: DecoService, job_id: str, timeout_s: float = 60.0) -> dict:
+    """Poll a started service until ``job_id`` is terminal; its status doc."""
+    t_end = time.monotonic() + timeout_s
+    while not svc.queue.get(job_id).terminal:
+        assert time.monotonic() < t_end, f"job {job_id} not terminal after {timeout_s:g}s"
+        time.sleep(0.005)
+    return svc.job_status(job_id)
 
 
 class TestHappyPath:
@@ -62,6 +74,32 @@ class TestHappyPath:
             assert second.cache_hit is True
             assert second.result["plan"] == svc.job_status(first.job_id)["result"]["plan"]
             assert svc.cache.stats()["hits"] == 1
+
+    def test_dispatcher_turn_during_cache_hit_cannot_claim_it(self, tmp_path):
+        # workers=1 runs jobs inline, so a claimed hit would be solved
+        # inside the interleaved turn and harvested by the next one.
+        with make_service(tmp_path, workers=1) as svc:
+            svc.submit(montage_payload(seed=3))
+            svc.run_until_idle(timeout_s=120)
+            finish = svc.queue.finish
+
+            def finish_after_a_turn(job_id, state, **kw):
+                if kw.get("cache_hit"):
+                    svc.step()
+                return finish(job_id, state, **kw)
+
+            svc.queue.finish = finish_after_a_turn  # type: ignore[method-assign]
+            hit = svc.submit(montage_payload(seed=3))
+            assert hit.cache_hit is True
+            events = [
+                e["event"]
+                for e in replay_events(svc.journal.path)
+                if e.get("job_id", e.get("job", {}).get("job_id")) == hit.job_id
+            ]
+            assert events == ["submitted", "completed"]
+            assert svc.queue.get(hit.job_id).attempts == 0
+            assert svc.pool.active() == []
+            assert svc.step() == 0
 
     def test_different_problems_do_not_share_cache(self, tmp_path):
         with make_service(tmp_path) as svc:
@@ -215,3 +253,87 @@ class TestRestartRecovery:
             assert stats["depth"] == 0
             assert len(stats["worker_pids"]) == 2
             assert svc.healthy()["ok"] is True
+
+
+class TestBackgroundDispatcher:
+    """The dispatcher thread wakes on events and timers, never on a tick."""
+
+    def test_idle_service_does_not_spin(self, tmp_path):
+        with make_service(tmp_path) as svc:
+            calls = []
+            step = svc.step
+
+            def counting_step():
+                calls.append(1)
+                return step()
+
+            svc.step = counting_step  # type: ignore[method-assign]
+            svc.start()
+            time.sleep(0.5)
+            assert len(calls) <= 2
+
+    def test_stop_on_idle_service_is_prompt(self, tmp_path):
+        with make_service(tmp_path) as svc:
+            svc.start()
+            time.sleep(0.05)
+            t0 = time.monotonic()
+            svc.stop()
+            assert time.monotonic() - t0 < 0.1
+
+    def test_hang_deadline_wakes_the_watchdog(self, tmp_path):
+        with make_service(tmp_path, max_attempts=1, hang_after_s=0.5) as svc:
+            svc.start()
+            job = svc.submit(montage_payload(inject="sleep:5"))
+            # Well before the sleep ends: only the hang timer can finish it.
+            doc = wait_terminal(svc, job.job_id, timeout_s=4.0)
+        assert doc["state"] == "dead_lettered"
+        assert doc["error"]["type"] == "TimeoutError"
+
+    def test_crashed_job_redispatched_after_backoff_without_submit(self, tmp_path):
+        with make_service(tmp_path, max_attempts=2, backoff_base_s=0.2) as svc:
+            svc.start()
+            job = svc.submit(montage_payload(inject="exit"))
+            doc = wait_terminal(svc, job.job_id)
+        assert doc["state"] == "dead_lettered"
+        assert doc["attempts"] == 2
+        assert doc["error"]["retryable"] is True
+
+    def test_closed_loop_tenant_is_never_rate_limited(self, tmp_path):
+        with make_service(tmp_path, tenant_rate=0.001, tenant_burst=1.0) as svc:
+            svc.start()
+            in_flight: list[str] = []
+            for i in range(50):
+                while len(in_flight) >= svc.pool.workers:
+                    time.sleep(0.002)
+                    in_flight = [j for j in in_flight if not svc.queue.get(j).terminal]
+                job = svc.submit(montage_payload(seed=i, backend="analytic"))
+                in_flight.append(job.job_id)
+            for job_id in in_flight:
+                wait_terminal(svc, job_id)
+            stats = svc.stats()
+        assert stats["rate_limited"] == 0
+        assert stats["jobs"] == {"completed": 50}
+
+    def test_dispatcher_error_is_counted_and_warned(self, tmp_path):
+        with make_service(tmp_path) as svc:
+            claim = svc.queue.claim
+            raised = []
+
+            def claim_failing_once():
+                if not raised:
+                    raised.append(True)
+                    raise RuntimeError("injected claim fault")
+                return claim()
+
+            svc.queue.claim = claim_failing_once  # type: ignore[method-assign]
+            with pytest.warns(RuntimeWarning, match="injected claim fault"):
+                svc.start()
+                job = svc.submit(montage_payload())
+                doc = wait_terminal(svc, job.job_id)
+            stats = svc.stats()
+        assert doc["state"] == "completed"
+        assert stats["dispatcher_errors"] == 1
+        assert stats["last_dispatcher_error"] == {
+            "type": "RuntimeError",
+            "message": "injected claim fault",
+        }
