@@ -8,7 +8,7 @@ realization of a (type, task) cell lies in the *support interval*
     ``[cpu_seconds,  cpu_seconds + 2 * data_bytes / _MIN_BANDWIDTH]``
 
 regardless of the calibrated bandwidth distributions.  These
-sampling-free cell bounds are what makes the pass cheap enough for an
+sampling-free cell bounds are what makes the check cheap enough for an
 admission-control gate: no histogram materialization, no tensor.
 
 From the cells, :func:`makespan_interval` propagates a critical-path
@@ -37,13 +37,14 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.analysis.domain import Interval
-from repro.analysis.passes import AnalysisContext, AnalysisPass
 from repro.wlog.program import ConsSpec
 from repro.wlog.terms import to_python
 from repro.workflow.runtime_model import _MIN_BANDWIDTH, RuntimeModel
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.passes import AnalysisContext
     from repro.cloud.instance_types import Catalog
+    from repro.wlog.diagnostics import Span
     from repro.workflow.dag import Workflow
 
 __all__ = [
@@ -52,7 +53,7 @@ __all__ = [
     "longest_path",
     "makespan_interval",
     "cost_interval",
-    "BoundsPass",
+    "check_bounds",
 ]
 
 #: Eq. 1 charges per instance-hour.
@@ -148,100 +149,86 @@ def _requirement_level_bound(spec: ConsSpec) -> tuple[float, float] | None:
     return level, bound
 
 
-class BoundsPass(AnalysisPass):
+def check_bounds(ctx: "AnalysisContext") -> None:
     """Interval inference + the E401-E403 / W401-W402 checks."""
-
-    name = "bounds"
-    provides = ("prices", "parent_indices", "makespan_interval", "cost_interval")
-
-    def run(self, ctx: AnalysisContext) -> bool:
-        if "makespan_interval" in ctx.facts:
-            return False  # already ran (idempotence)
-        wf, catalog = ctx.workflow, ctx.catalog
-        if wf is None or catalog is None:
-            return False  # nothing semantic to bound (e.g. ensemble programs)
-        model = ctx.runtime_model or RuntimeModel(catalog)
-        lo, hi = support_bounds(wf, catalog, model)
-        mean_times = model.mean_matrix(wf)
-        prices = np.asarray([catalog.price(name, ctx.region) for name in catalog.type_names])
-        parents = parent_index_tuples(wf)
-        mk = makespan_interval(parents, lo, hi)
-        cost = cost_interval(mean_times, prices)
-        ctx.put("prices", prices)
-        ctx.put("parent_indices", parents)
-        ctx.put("makespan_interval", mk)
-        ctx.put("cost_interval", cost)
-
-        for spec in ctx.program.constraints:
-            kind = spec.requirement_kind()
-            span = ctx.span_of_cons(spec)
-            parsed = _requirement_level_bound(spec)
-            if parsed is None:
-                continue  # malformed requirements are the linter's E203
-            _level, bound = parsed
-            if kind == "deadline":
-                if mk.certainly_above(bound):
-                    ctx.emit(
-                        "E401",
-                        f"deadline provably unreachable: makespan lower bound "
-                        f"{mk.lo:.0f}s > deadline {bound:g}s (critical path on the "
-                        f"fastest type, best-case bandwidth)",
-                        span,
-                    )
-                elif mk.certainly_at_most(bound):
-                    ctx.emit(
-                        "W401",
-                        f"deadline non-binding: worst-case makespan {mk.hi:.0f}s "
-                        f"<= deadline {bound:g}s -- constraint is vacuous",
-                        span,
-                    )
-            elif kind == "budget":
-                if cost.certainly_above(bound):
-                    ctx.emit(
-                        "E402",
-                        f"budget provably unreachable: cost lower bound "
-                        f"${cost.lo:.4f} > budget ${bound:g} (every task on its "
-                        f"cheapest type)",
-                        span,
-                    )
-                elif cost.certainly_at_most(bound):
-                    ctx.emit(
-                        "W402",
-                        f"budget non-binding: worst-case cost ${cost.hi:.4f} "
-                        f"<= budget ${bound:g} -- constraint is vacuous",
-                        span,
-                    )
-            elif kind == "reliability":
-                self._check_reliability(ctx, spec, span)
-        return True
-
-    @staticmethod
-    def _check_reliability(ctx: AnalysisContext, spec: ConsSpec, span) -> None:
-        """E403: the fault model caps success probability below the level.
-
-        The closed-form plan success probability is assignment-free
-        (``(1 - rate**(R+1)) ** num_tasks``), so this is an exact
-        feasibility decision, not a bound.
-        """
-        fault_spec = ctx.program.fault_spec
-        wf = ctx.workflow
+    wf, catalog = ctx.workflow, ctx.catalog
+    if wf is None or catalog is None:
+        return  # nothing semantic to bound (e.g. ensemble programs)
+    model = ctx.runtime_model or RuntimeModel(catalog)
+    lo, hi = support_bounds(wf, catalog, model)
+    mean_times = model.mean_matrix(wf)
+    prices = np.asarray([catalog.price(name, ctx.region) for name in catalog.type_names])
+    mk = makespan_interval(parent_index_tuples(wf), lo, hi)
+    cost = cost_interval(mean_times, prices)
+    for spec in ctx.program.constraints:
+        kind = spec.requirement_kind()
+        span = ctx.span_of_cons(spec)
         parsed = _requirement_level_bound(spec)
-        if fault_spec is None or wf is None or parsed is None:
-            return  # a missing fault_model is the linter's E211
-        level, retries = parsed
-        from repro.faults.recovery import RecoveryPolicy
+        if parsed is None:
+            continue  # malformed requirements are the linter's E203
+        _level, bound = parsed
+        if kind == "deadline":
+            if mk.certainly_above(bound):
+                ctx.emit(
+                    "E401",
+                    f"deadline provably unreachable: makespan lower bound "
+                    f"{mk.lo:.0f}s > deadline {bound:g}s (critical path on the "
+                    f"fastest type, best-case bandwidth)",
+                    span,
+                )
+            elif mk.certainly_at_most(bound):
+                ctx.emit(
+                    "W401",
+                    f"deadline non-binding: worst-case makespan {mk.hi:.0f}s "
+                    f"<= deadline {bound:g}s -- constraint is vacuous",
+                    span,
+                )
+        elif kind == "budget":
+            if cost.certainly_above(bound):
+                ctx.emit(
+                    "E402",
+                    f"budget provably unreachable: cost lower bound "
+                    f"${cost.lo:.4f} > budget ${bound:g} (every task on its "
+                    f"cheapest type)",
+                    span,
+                )
+            elif cost.certainly_at_most(bound):
+                ctx.emit(
+                    "W402",
+                    f"budget non-binding: worst-case cost ${cost.hi:.4f} "
+                    f"<= budget ${bound:g} -- constraint is vacuous",
+                    span,
+                )
+        elif kind == "reliability":
+            _check_reliability(ctx, spec, span)
 
-        try:
-            policy = RecoveryPolicy(max_retries=int(retries))
-            achieved = fault_spec.to_fault_model().plan_success_probability(len(wf), policy)
-        except Exception:
-            return  # malformed numbers are the linter's E203/E211
-        required = level / 100.0
-        if achieved < required:
-            ctx.emit(
-                "E403",
-                f"reliability provably unreachable: P(all {len(wf)} tasks succeed) "
-                f"= {achieved:.4f} < required {required:.4f} under "
-                f"fault_model(rate={fault_spec.rate:g}) with {int(retries)} retries",
-                span,
-            )
+
+def _check_reliability(ctx: "AnalysisContext", spec: ConsSpec, span: Span | None) -> None:
+    """E403: the fault model caps success probability below the level.
+
+    The closed-form plan success probability is assignment-free
+    (``(1 - rate**(R+1)) ** num_tasks``), so this is an exact
+    feasibility decision, not a bound.
+    """
+    fault_spec = ctx.program.fault_spec
+    wf = ctx.workflow
+    parsed = _requirement_level_bound(spec)
+    if fault_spec is None or wf is None or parsed is None:
+        return  # a missing fault_model is the linter's E211
+    level, retries = parsed
+    from repro.faults.recovery import RecoveryPolicy
+
+    try:
+        policy = RecoveryPolicy(max_retries=int(retries))
+        achieved = fault_spec.to_fault_model().plan_success_probability(len(wf), policy)
+    except Exception:
+        return  # malformed numbers are the linter's E203/E211
+    required = level / 100.0
+    if achieved < required:
+        ctx.emit(
+            "E403",
+            f"reliability provably unreachable: P(all {len(wf)} tasks succeed) "
+            f"= {achieved:.4f} < required {required:.4f} under "
+            f"fault_model(rate={fault_spec.rate:g}) with {int(retries)} retries",
+            span,
+        )

@@ -1,13 +1,13 @@
-"""Dead-rule elimination and constant folding on the WLog program.
+"""Dead-rule and constant-condition checks on the WLog program.
 
 Purely syntactic semantics -- no registry needed -- but *semantic* in
 what it concludes: a ground arithmetic comparison in a rule body is a
 compile-time constant, so
 
 * if it folds to **true**, the literal is dead weight (W403
-  ``constant-condition``) and :func:`fold_program` drops it;
+  ``constant-condition``);
 * if it folds to **false**, the whole rule can never fire (W404
-  ``dead-rule``) and :func:`fold_program` removes the rule;
+  ``dead-rule``);
 * a ground ``is/2`` right-hand side is foldable arithmetic (W403).
 
 W405 (``pragma-shadowed-fact``) flags in-source facts whose family the
@@ -21,19 +21,21 @@ analyzer's W304; this module does not duplicate it.
 
 from __future__ import annotations
 
-from repro.analysis.passes import AnalysisContext, AnalysisPass
+from typing import TYPE_CHECKING
+
 from repro.wlog.analysis import pragma_assumes
 from repro.wlog.builtins import _ARITH_BINOPS, _ARITH_UNOPS
-from repro.wlog.program import WLogProgram
 from repro.wlog.terms import Num, Rule, Struct, Term
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.passes import AnalysisContext
 
 __all__ = [
     "fold_term",
     "fold_comparison",
-    "fold_program",
-    "ConstantConditionPass",
-    "DeadRulePass",
-    "ShadowedFactPass",
+    "check_constant_conditions",
+    "check_dead_rules",
+    "check_shadowed_facts",
 ]
 
 _COMPARE = {
@@ -102,118 +104,59 @@ def _rule_verdicts(rule: Rule) -> tuple[bool, list[tuple[Term, bool]]]:
     return dead, decided
 
 
-def fold_program(program: WLogProgram) -> WLogProgram:
-    """The program with dead rules removed and true constants dropped.
-
-    Semantics-preserving: a statically false condition makes its rule
-    unsatisfiable (removing the rule removes no derivable fact), and a
-    statically true condition always succeeds without bindings
-    (comparisons bind nothing), so dropping it changes no answer.
-    """
-    kept: list[Rule] = []
-    for rule in program.rules:
-        dead, decided = _rule_verdicts(rule)
-        if dead:
-            continue
-        true_literals = {id(g) for g, truth in decided if truth}
-        if true_literals:
-            rule = Rule(
-                head=rule.head,
-                body=tuple(g for g in rule.body if id(g) not in true_literals),
-                span=rule.span,
-            )
-        kept.append(rule)
-    return WLogProgram(kept, program.directives, source=program.source)
-
-
 def _span_of(goal: Term, rule: Rule):
     return getattr(goal, "span", None) or rule.span
 
 
-class ConstantConditionPass(AnalysisPass):
+def check_constant_conditions(ctx: "AnalysisContext") -> None:
     """W403: statically decidable conditions and foldable arithmetic."""
-
-    name = "constant-condition"
-    provides = ("pass:constant-condition",)
-
-    def run(self, ctx: AnalysisContext) -> bool:
-        if "pass:constant-condition" in ctx.facts:
-            return False
-        ctx.put("pass:constant-condition", True)
-        emitted = False
-        for rule in ctx.program.rules:
-            dead, decided = _rule_verdicts(rule)
-            if dead:
-                continue  # the whole rule is the DeadRulePass's W404
-            for goal, truth in decided:
-                if truth:
-                    ctx.emit(
-                        "W403",
-                        f"condition {goal!r} is always true -- fold it away",
-                        _span_of(goal, rule),
-                    )
-                    emitted = True
-            for goal in rule.body:
-                if _is_foldable_is(goal):
-                    assert isinstance(goal, Struct)
-                    ctx.emit(
-                        "W403",
-                        f"arithmetic {goal.args[1]!r} is constant "
-                        f"(= {fold_term(goal.args[1]):g}) -- fold it away",
-                        _span_of(goal, rule),
-                    )
-                    emitted = True
-        return emitted
-
-
-class DeadRulePass(AnalysisPass):
-    """W404: rules whose body contains a statically false condition."""
-
-    name = "dead-rule"
-    provides = ("pass:dead-rule", "dead_rule_count")
-
-    def run(self, ctx: AnalysisContext) -> bool:
-        if "pass:dead-rule" in ctx.facts:
-            return False
-        ctx.put("pass:dead-rule", True)
-        count = 0
-        for rule in ctx.program.rules:
-            dead, decided = _rule_verdicts(rule)
-            if not dead:
-                continue
-            false_goal = next(g for g, truth in decided if not truth)
-            ctx.emit(
-                "W404",
-                f"rule can never fire: condition {false_goal!r} is always false",
-                _span_of(false_goal, rule),
-            )
-            count += 1
-        ctx.put("dead_rule_count", count)
-        return count > 0
-
-
-class ShadowedFactPass(AnalysisPass):
-    """W405: in-source facts duplicating a lint-assume pragma family."""
-
-    name = "shadowed-fact"
-    provides = ("pass:shadowed-fact",)
-
-    def run(self, ctx: AnalysisContext) -> bool:
-        if "pass:shadowed-fact" in ctx.facts:
-            return False
-        ctx.put("pass:shadowed-fact", True)
-        assumed = pragma_assumes(ctx.source)
-        if not assumed:
-            return False
-        emitted = False
-        for rule in ctx.program.rules:
-            if rule.is_fact and rule.indicator in assumed:
-                name, arity = rule.indicator
+    for rule in ctx.program.rules:
+        dead, decided = _rule_verdicts(rule)
+        if dead:
+            continue  # the whole rule is check_dead_rules' W404
+        for goal, truth in decided:
+            if truth:
                 ctx.emit(
-                    "W405",
-                    f"fact {rule.head!r} shadows the pragma-assumed family "
-                    f"{name}/{arity} (declared to arrive from outside)",
-                    rule.span,
+                    "W403",
+                    f"condition {goal!r} is always true -- fold it away",
+                    _span_of(goal, rule),
                 )
-                emitted = True
-        return emitted
+        for goal in rule.body:
+            if _is_foldable_is(goal):
+                assert isinstance(goal, Struct)
+                ctx.emit(
+                    "W403",
+                    f"arithmetic {goal.args[1]!r} is constant "
+                    f"(= {fold_term(goal.args[1]):g}) -- fold it away",
+                    _span_of(goal, rule),
+                )
+
+
+def check_dead_rules(ctx: "AnalysisContext") -> None:
+    """W404: rules whose body contains a statically false condition."""
+    for rule in ctx.program.rules:
+        dead, decided = _rule_verdicts(rule)
+        if not dead:
+            continue
+        false_goal = next(g for g, truth in decided if not truth)
+        ctx.emit(
+            "W404",
+            f"rule can never fire: condition {false_goal!r} is always false",
+            _span_of(false_goal, rule),
+        )
+
+
+def check_shadowed_facts(ctx: "AnalysisContext") -> None:
+    """W405: in-source facts duplicating a lint-assume pragma family."""
+    assumed = pragma_assumes(ctx.source)
+    if not assumed:
+        return
+    for rule in ctx.program.rules:
+        if rule.is_fact and rule.indicator in assumed:
+            name, arity = rule.indicator
+            ctx.emit(
+                "W405",
+                f"fact {rule.head!r} shadows the pragma-assumed family "
+                f"{name}/{arity} (declared to arrive from outside)",
+                rule.span,
+            )

@@ -6,10 +6,8 @@ instance type Promote/Demote have no moves; on a pure chain (every
 level width 1) the consolidation family (merge / co-schedule) has
 nothing to merge because the schedule is already serialized.
 
-It is a reported fact, not a search input: :class:`DominancePass`
-publishes it on the analysis blackboard (``AnalysisReport.op_mask``)
-and :func:`compute_op_mask` derives the same mask from a compiled
-problem.
+It is not a search input: :func:`compute_op_mask` derives it from a
+compiled problem, and no solve consumes it.
 """
 
 from __future__ import annotations
@@ -17,12 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.analysis.passes import AnalysisContext, AnalysisPass
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.solver.backends import CompiledProblem
 
-__all__ = ["OpMask", "compute_op_mask", "DominancePass"]
+__all__ = ["OpMask", "compute_op_mask"]
 
 #: The transformation-op vocabulary the mask can disable.
 KNOWN_OPS = frozenset({"promote", "demote", "merge", "co_schedule"})
@@ -77,21 +73,3 @@ def _max_level_width(parent_indices: tuple[tuple[int, ...], ...]) -> int:
 def compute_op_mask(problem: "CompiledProblem") -> OpMask:
     """The structural mask of a compiled problem."""
     return OpMask(_structural_disabled(problem.parent_indices, problem.num_types))
-
-
-class DominancePass(AnalysisPass):
-    """Publish the program-level :class:`OpMask`."""
-
-    name = "dominance"
-    requires = ("prices", "parent_indices")
-    provides = ("op_mask",)
-
-    def run(self, ctx: AnalysisContext) -> bool:
-        if "op_mask" in ctx.facts:
-            return False
-        disabled = _structural_disabled(
-            ctx.facts["parent_indices"],  # type: ignore[arg-type]
-            len(ctx.facts["prices"]),  # type: ignore[arg-type]
-        )
-        ctx.put("op_mask", OpMask(disabled))
-        return True

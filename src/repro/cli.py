@@ -546,7 +546,7 @@ def _default_analyze_registry():
     Mirrors what the bundled templates import: the EC2 catalog as
     ``amazonec2`` plus the four workflow generators at their default
     sizes.  Programs importing other names still get the full
-    syntactic analysis; the semantic passes simply skip what they
+    syntactic analysis; the semantic checks simply skip what they
     cannot resolve.
     """
     from repro.cloud import ec2_catalog
@@ -572,10 +572,10 @@ def _cmd_analyze(args, out) -> int:
     findings = []
     for filename, source, extra in targets:
         diagnostics = _syntactic_findings(filename, source, extra)
-        # Semantic passes need a parseable program; on syntax errors the
+        # The semantic checks need a parseable program; on syntax errors the
         # E101 above is the whole story.
         if not any(d.check == "E101" for d in diagnostics):
-            report = analyze_semantics(source, registry=registry, filename=filename)
+            report = analyze_semantics(source, registry=registry)
             diagnostics.extend(report.diagnostics)
         findings.extend(
             (filename, diag)

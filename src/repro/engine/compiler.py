@@ -284,22 +284,12 @@ def compile_or_raise(
     num_samples: int = 200,
     seed: int = 0,
     region: str | None = None,
-    strict: bool = False,
 ) -> CompiledProblem:
     """Like :func:`try_compile` but raising a descriptive error.
 
-    Error-level static-analysis diagnostics also raise (as
-    :class:`~repro.common.errors.WLogAnalysisError`) before lowering:
-    the IR carries every materialized fact, so the exact fact surface
-    is known here and undefined predicates are hard errors.
+    Static analysis is the caller's: ``Deco.solve_program`` checks the
+    program before :func:`~repro.wlog.probir.translate`.
     """
-    from repro.wlog.analysis import check_program
-
-    facts = {r.indicator for r in ir.materialized.rules}
-    facts |= {(pf.functor, len(pf.key) + 1) for pf in ir.materialized.prob_facts}
-    check_program(
-        ir.program, extra_predicates=facts, assume_import_facts=False, strict=strict
-    )
     problem = try_compile(ir, num_samples=num_samples, seed=seed, region=region)
     if problem is None:
         raise WLogError(

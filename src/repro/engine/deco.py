@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 # Uncalled here: benchmarks/e2e/tracing.py::LAYER_SPANS wraps this name as
 # an attribute of this module, so it stays importable until that table drops it.
 from repro.analysis.dominance import compute_op_mask  # noqa: F401
-from repro.common.errors import InfeasibleError, ValidationError, WLogAnalysisError
+from repro.common.errors import InfeasibleError, ValidationError
 from repro.cloud.instance_types import Catalog
 from repro.engine.compiler import compile_or_raise
 from repro.faults.model import FaultModel
@@ -36,7 +36,7 @@ from repro.solver.backends import CompiledProblem, get_backend
 from repro.solver.cache import EvalContext, MakespanCache
 from repro.solver.search import GenericSearch, SearchResult
 from repro.solver.state import PlanState
-from repro.wlog.analysis import check_program
+from repro.wlog.analysis import check_program, reject_fatal
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
 from repro.wlog.probir import translate
@@ -386,25 +386,28 @@ class Deco:
         registry: ImportRegistry,
         region: str | None = None,
         strict: bool = False,
-        analyze: bool = True,
     ) -> ProvisioningPlan:
         """Solve a WLog scheduling program (the paper's Example 1 shape).
 
-        The program is statically analyzed first: error-level
-        diagnostics (undefined predicates, malformed requirements,
-        unsafe negation...) raise
-        :class:`~repro.common.errors.WLogAnalysisError` before any IR
-        translation; ``strict=True`` rejects warnings too.
+        Two static analyses run once each, both before IR translation,
+        and raise :class:`~repro.common.errors.WLogAnalysisError` on
+        error-level findings (``strict=True`` rejects warnings too):
 
-        With ``analyze=True`` (the default) the semantic pass framework
-        (:func:`repro.analysis.analyze_semantics`) then runs interval
-        inference over the imported workflow/cloud *before* IR
-        translation: a provably unreachable deadline, budget, or
-        reliability requirement (E401-E403) is rejected in milliseconds
-        instead of after a doomed solve.  ``strict=True`` rejects its
-        W4xx warnings (vacuous constraints, dead rules) too;
-        ``analyze=False`` skips the semantic gate entirely.
+        1. :func:`~repro.wlog.analysis.check_program` -- undefined
+           predicates, malformed requirements, unsafe negation...
+           against the fact families the registry says the imports
+           materialize (the same set :func:`translate` produces, so the
+           compiled path does not check again);
+        2. :func:`repro.analysis.analyze_semantics` -- interval
+           inference over the imported workflow/cloud: a provably
+           unreachable deadline, budget or reliability requirement
+           (E401-E403) is rejected in milliseconds instead of after a
+           doomed solve.
         """
+        # Both analyzers are looked up at call time, on this module and on
+        # repro.analysis: benchmarks/e2e/tracing.py::LAYER_SPANS wraps them there.
+        from repro.analysis import analyze_semantics
+
         program = (
             WLogProgram.from_source(source_or_program)
             if isinstance(source_or_program, str)
@@ -412,20 +415,8 @@ class Deco:
         )
         program.validate_for_solving()
         check_program(program, registry=registry, strict=strict)
-        if analyze:
-            from repro.analysis import analyze_semantics
-            from repro.wlog.diagnostics import render_diagnostics
-
-            report = analyze_semantics(program, registry=registry)
-            fatal = [d for d in report.diagnostics if d.is_error or strict]
-            if fatal:
-                rendered = render_diagnostics(fatal, program.source or None, "<program>")
-                noun = "diagnostic" if len(fatal) == 1 else "diagnostics"
-                raise WLogAnalysisError(
-                    f"semantic analysis rejected the program with {len(fatal)} "
-                    f"{noun}:\n{rendered}",
-                    diagnostics=tuple(fatal),
-                )
+        report = analyze_semantics(program, registry=registry)
+        reject_fatal(report.diagnostics, program.source, strict=strict, stage="semantic analysis")
         ir = translate(program, registry)
         problem = compile_or_raise(ir, num_samples=self.num_samples, seed=self.seed, region=region)
         return self._solve(problem, seeds=self._warm_starts(problem))

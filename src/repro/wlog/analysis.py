@@ -64,7 +64,7 @@ from repro.wlog.parser import ParsedProgram, parse_program
 from repro.wlog.program import ConsSpec, Directive, FaultSpec, GoalSpec, VarSpec, WLogProgram
 from repro.wlog.terms import Atom, Num, Rule, Struct, Term, Var
 
-__all__ = ["analyze_program", "check_program", "pragma_assumes"]
+__all__ = ["analyze_program", "check_program", "pragma_assumes", "reject_fatal"]
 
 Indicator = tuple[str, int]
 ProgramLike = Union[str, ParsedProgram, WLogProgram]
@@ -732,13 +732,30 @@ def check_program(
         extra_predicates=extra_predicates,
         assume_import_facts=assume_import_facts,
     )
+    source = program if isinstance(program, str) else program.source
+    reject_fatal(diagnostics, source, strict=strict, filename=filename)
+    return diagnostics
+
+
+def reject_fatal(
+    diagnostics: Sequence[Diagnostic],
+    source: str,
+    *,
+    strict: bool = False,
+    filename: str = "<program>",
+    stage: str = "static analysis",
+) -> None:
+    """Raise :class:`WLogAnalysisError` on the error diagnostics.
+
+    ``strict=True`` rejects warnings too.  The message renders every
+    rejected finding against ``source``; ``stage`` names the analysis
+    that produced them.
+    """
     fatal = [d for d in diagnostics if d.is_error or strict]
     if fatal:
-        _rules, _directives, source = _coerce(program)
         rendered = render_diagnostics(fatal, source or None, filename)
         noun = "diagnostic" if len(fatal) == 1 else "diagnostics"
         raise WLogAnalysisError(
-            f"static analysis rejected the program with {len(fatal)} {noun}:\n{rendered}",
+            f"{stage} rejected the program with {len(fatal)} {noun}:\n{rendered}",
             diagnostics=tuple(fatal),
         )
-    return diagnostics

@@ -55,7 +55,7 @@ CHECKS: dict[str, tuple[str, str, str]] = {
     "W305": ("builtin-shadow", WARNING, "a rule defines a built-in predicate and will never be selected"),
     "W306": ("suspicious-percentile", WARNING, "a requirement level <= 1 looks like a fraction, not a percent"),
     "W307": ("misspelled-directive", WARNING, "a fact looks like a misspelled import/enabled directive"),
-    # E4xx/W4xx come from the semantic passes in :mod:`repro.analysis`
+    # E4xx/W4xx come from the semantic checks in :mod:`repro.analysis`
     # (abstract interpretation over the compiled constraint IR), not from
     # the syntactic analyzer above.
     "E401": ("deadline-unreachable", ERROR, "the best-case makespan already exceeds the deadline bound"),

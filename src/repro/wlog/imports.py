@@ -84,8 +84,8 @@ class ProbFactSpec:
     not when the import list is expanded: the interpreter path
     (:meth:`~repro.wlog.probir.ProbabilisticIR.evaluate`,
     :meth:`mean_rule`) reads every family, the compiled path
-    (:func:`~repro.engine.compiler.compile_or_raise`) only looks at
-    ``(functor, len(key) + 1)`` and so pays nothing per task.
+    (:func:`~repro.engine.compiler.compile_or_raise`) reads none and so
+    pays nothing per task.
     """
 
     functor: str
@@ -148,7 +148,7 @@ class ImportRegistry:
     def workflow(self, name: str) -> Workflow | None:
         """The registered workflow behind ``import(name)``, if any.
 
-        The semantic passes in :mod:`repro.analysis` resolve imports
+        The semantic checks in :mod:`repro.analysis` resolve imports
         straight off the registry -- bound inference needs the objects,
         not the fact list :meth:`materialize` expands them to.
         """
@@ -162,7 +162,9 @@ class ImportRegistry:
         """The fact families ``imports`` would materialize.
 
         Unregistered names contribute nothing (the analyzer reports them
-        separately as unknown imports).
+        separately as unknown imports).  The set equals the ``(functor,
+        arity)`` of every fact :meth:`materialize` expands, which is why
+        ``Deco.solve_program`` checks a program once, before translation.
         """
         out: set[tuple[str, int]] = set()
         kinds = {self.kind_of(name) for name in imports}

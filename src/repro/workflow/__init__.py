@@ -16,8 +16,9 @@ Implements everything the paper assumes about workflows:
   priority distributions of the paper's Section 6 (constant, uniform
   sorted/unsorted, Pareto sorted/unsorted).
 * :mod:`~repro.workflow.transformations` -- the six transformation
-  operations (Move, Merge, Promote, Demote, Split, Co-scheduling) that
-  drive the solver's state transitions.
+  operations (Move, Merge, Promote, Demote, Split, Co-scheduling) of the
+  paper's Fig. 5; the search itself only promotes and demotes a
+  ``PlanState`` (:mod:`repro.solver.expand`).
 """
 
 from repro.workflow.dag import FileSpec, Task, Workflow

@@ -13,10 +13,10 @@ Deco as the state-transition system of its generic search:
 * **Split** -- suspend a running task and resume it later.
 
 Operations act on a :class:`ScheduleDraft` -- an instance configuration
-plus tentative start times per task.  The solver's search neighborhood
-uses Promote/Demote/Merge (the configuration-changing ops); Move and
-Split only reshape the timeline and are applied by the instance-packing
-stage before execution.
+plus tentative start times per task.  Nothing in the engine uses this
+module: the search edits a :class:`~repro.solver.state.PlanState` one
+type rung at a time (Promote/Demote, :mod:`repro.solver.expand`).  It
+is the executable reading of the paper's Fig. 5 and its tests.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Tests for interval/bound inference (BoundsPass and helpers)."""
+"""Tests for interval/bound inference (check_bounds and helpers)."""
 
 from __future__ import annotations
 

@@ -1,15 +1,9 @@
-"""Tests for constant folding, dead-rule elimination and W403-W405."""
+"""Tests for constant folding and the W403-W405 checks."""
 
 from __future__ import annotations
 
 from repro.analysis import analyze_semantics
-from repro.analysis.deadcode import (
-    _is_foldable_is,
-    fold_comparison,
-    fold_program,
-    fold_term,
-)
-from repro.wlog.program import WLogProgram
+from repro.analysis.deadcode import _is_foldable_is, fold_comparison, fold_term
 from repro.wlog.terms import Num, Struct, Var
 
 
@@ -51,37 +45,6 @@ class TestFoldComparison:
     def test_foldable_is(self):
         assert _is_foldable_is(struct("is", Var("X"), struct("+", Num(1), Num(2))))
         assert not _is_foldable_is(struct("is", Var("X"), struct("+", Var("Y"), Num(2))))
-
-
-DEADCODE_SOURCE = """
-goal minimize C in totalcost(C).
-totalcost(C) :- score(C), 1 < 2.
-score(1.0) :- 3 > 4.
-score(2.0).
-"""
-
-
-class TestFoldProgram:
-    def test_drops_dead_rules_and_true_literals(self):
-        program = WLogProgram.from_source(DEADCODE_SOURCE)
-        folded = fold_program(program)
-        heads = [r.head for r in folded.rules]
-        # The `3 > 4` rule is gone entirely.
-        assert len(folded.rules) == len(program.rules) - 1
-        assert all("score(1.0)" not in repr(h) for h in heads)
-        # The surviving totalcost rule lost its `1 < 2` literal.
-        total = next(r for r in folded.rules if r.head.functor == "totalcost")
-        assert all(fold_comparison(g) is None for g in total.body)
-
-    def test_preserves_directives(self):
-        program = WLogProgram.from_source(DEADCODE_SOURCE)
-        folded = fold_program(program)
-        assert folded.directives == program.directives
-
-    def test_clean_program_unchanged(self):
-        program = WLogProgram.from_source("goal minimize C in c(C).\nc(1.0).")
-        folded = fold_program(program)
-        assert len(folded.rules) == len(program.rules)
 
 
 class TestDiagnostics:

@@ -225,11 +225,29 @@ class TestSemanticGate:
             deco.solve_program(src, reg, strict=True)
         assert any(d.check == "W401" for d in info.value.diagnostics)
 
-    def test_analyze_false_skips_gate(self, catalog, deco, wf):
-        reg = self._registry(catalog, deco, wf)
-        src = scheduling_program(percentile=95, deadline_seconds=60.0)
-        plan = deco.solve_program(src, reg, analyze=False)
-        assert not plan.feasible  # reached the solver; no static rejection
+    def test_each_analyzer_runs_once_per_solve(self, catalog, deco, wf, monkeypatch):
+        """The syntactic check assumes the fact surface ``translate``
+        materializes (``tests/wlog/test_imports.py::TestFactSurface``),
+        so nothing re-checks the program after translation."""
+        import repro.analysis.passes as passes
+        from repro.wlog.analysis import _Analyzer
+
+        counts = {"syntactic": 0, "bounds": 0}
+        run, check_bounds = _Analyzer.run, passes.check_bounds
+
+        def counting_run(analyzer):
+            counts["syntactic"] += 1
+            return run(analyzer)
+
+        def counting_bounds(ctx):
+            counts["bounds"] += 1
+            check_bounds(ctx)
+
+        monkeypatch.setattr(_Analyzer, "run", counting_run)
+        monkeypatch.setattr(passes, "check_bounds", counting_bounds)
+        src = scheduling_program(percentile=96, deadline_seconds=deco.presets(wf).medium)
+        assert deco.solve_program(src, self._registry(catalog, deco, wf)).feasible
+        assert counts == {"syntactic": 1, "bounds": 1}
 
 
 class TestOneConfiguration:

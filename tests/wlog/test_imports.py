@@ -6,7 +6,7 @@ from repro.common.errors import WLogRuntimeError
 from repro.wlog.engine import Database, Engine
 from repro.wlog.imports import ImportRegistry, vm_atom
 from repro.wlog.terms import Atom
-from repro.workflow.generators import pipeline
+from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline
 
 
 @pytest.fixture()
@@ -100,3 +100,31 @@ class TestMaterialize:
         registry.register_cloud("othercloud", catalog)
         with pytest.raises(WLogRuntimeError):
             registry.materialize(("amazonec2", "othercloud"))
+
+
+class TestFactSurface:
+    """``fact_indicators`` is exactly the surface ``materialize`` expands.
+
+    ``Deco.solve_program`` checks a program once, before translation,
+    against ``fact_indicators``; that is only the whole check because the
+    two sets agree on every workflow shape and import combination.
+    """
+
+    WORKFLOWS = {
+        "pipeline-1": lambda: pipeline(1, seed=0),
+        "montage-1": lambda: montage(degrees=1.0, seed=1),
+        "ligo": lambda: ligo(num_tasks=100, seed=1),
+        "epigenomics": lambda: epigenomics(num_tasks=100, seed=1),
+        "cybershake": lambda: cybershake(num_tasks=100, seed=1),
+    }
+
+    @pytest.mark.parametrize("imports", [("wf",), ("cloud",), ("cloud", "wf")])
+    @pytest.mark.parametrize("name", sorted(WORKFLOWS))
+    def test_fact_indicators_equal_materialized(self, catalog, name, imports):
+        reg = ImportRegistry()
+        reg.register_workflow("wf", self.WORKFLOWS[name]())
+        reg.register_cloud("cloud", catalog)
+        mat = reg.materialize(imports)
+        materialized = {r.indicator for r in mat.rules}
+        materialized |= {(pf.functor, len(pf.key) + 1) for pf in mat.prob_facts}
+        assert reg.fact_indicators(imports) == materialized
