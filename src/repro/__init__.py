@@ -12,7 +12,7 @@ Subpackages
     Parametric families, histograms, fitting (cloud calibration model).
 ``repro.workflow``
     DAG model, DAX XML, generators (Montage/Ligo/Epigenomics), ensembles,
-    runtime model, the six transformation operations.
+    runtime model.
 ``repro.cloud``
     IaaS cloud substrate: instance catalog, pricing, network, the
     discrete-event simulator, calibration micro-benchmarks, metadata store.

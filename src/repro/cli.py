@@ -21,11 +21,10 @@ Usage::
 benchmark harness uses and prints the table; ``schedule`` runs one Deco
 optimization and prints the plan; ``lint`` runs the WLog static
 analyzer (:mod:`repro.wlog.analysis`) over program files or the bundled
-templates; ``analyze`` runs the lint checks *plus* the semantic pass
-framework (:mod:`repro.analysis`: interval feasibility proofs,
-dead-rule elimination) in one diagnostic stream; ``calibrate``
-reproduces Table 2.  Engine speed is measured by ``benchmarks/e2e``
-(``BENCHMARK.json``), not by a subcommand.
+templates; ``analyze`` runs the lint checks, then the straight-line
+semantic checks (:mod:`repro.analysis`: E401-E403, W401-W405) in one
+diagnostic stream; ``calibrate`` reproduces Table 2.  Engine speed is
+measured by ``benchmarks/e2e`` (``BENCHMARK.json``), not by a subcommand.
 
 ``--workers N`` (or the ``REPRO_WORKERS`` environment variable) fans
 the embarrassingly parallel stages of ``run`` -- simulation

@@ -267,26 +267,5 @@ class Workflow:
             tasks.append(new)
         return Workflow(name or self.name, tasks, self.edges())
 
-    def to_networkx(self):
-        """Export as a :class:`networkx.DiGraph` for external analysis.
-
-        Nodes carry the task attributes (``executable``, ``runtime_ref``,
-        ``input_bytes``, ``output_bytes``); edges carry ``transfer_bytes``.
-        """
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for task in self:
-            g.add_node(
-                task.task_id,
-                executable=task.executable,
-                runtime_ref=task.runtime_ref,
-                input_bytes=task.input_bytes,
-                output_bytes=task.output_bytes,
-            )
-        for parent, child in self.edges():
-            g.add_edge(parent, child, transfer_bytes=self.transfer_bytes(parent, child))
-        return g
-
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Workflow({self.name!r}, tasks={len(self)}, edges={self.num_edges()})"

@@ -1,11 +1,9 @@
-"""Tests for plan JSON serialization and the networkx export."""
+"""Tests for plan JSON serialization."""
 
-import networkx as nx
 import pytest
 
 from repro.common.errors import ValidationError
 from repro.engine.plan import ProvisioningPlan
-from repro.workflow.generators import montage, pipeline
 
 
 def make_plan():
@@ -45,30 +43,3 @@ class TestPlanJson:
         back = ProvisioningPlan.from_json(make_plan().to_json())
         assert back.assignment["ID1"] == "m1.large"
 
-
-class TestNetworkxExport:
-    def test_structure_preserved(self):
-        wf = montage(degrees=1, seed=0)
-        g = wf.to_networkx()
-        assert g.number_of_nodes() == len(wf)
-        assert g.number_of_edges() == wf.num_edges()
-        assert nx.is_directed_acyclic_graph(g)
-
-    def test_node_attributes(self):
-        wf = pipeline(3, seed=0)
-        g = wf.to_networkx()
-        tid = wf.task_ids[0]
-        assert g.nodes[tid]["executable"] == "process1"
-        assert g.nodes[tid]["runtime_ref"] == wf.task(tid).runtime_ref
-
-    def test_edge_transfer_bytes(self):
-        wf = pipeline(2, seed=0, data_mb=100.0)
-        g = wf.to_networkx()
-        (edge,) = g.edges(data=True)
-        assert edge[2]["transfer_bytes"] == wf.transfer_bytes(edge[0], edge[1])
-
-    def test_topological_sort_agrees(self):
-        wf = montage(degrees=1, seed=0)
-        order = {t: i for i, t in enumerate(nx.topological_sort(wf.to_networkx()))}
-        for parent, child in wf.edges():
-            assert order[parent] < order[child]

@@ -7,6 +7,7 @@ the second.  The suite itself preloads both (``tests/conftest.py``), so
 every check here runs ``python -c`` and reads ``sys.modules`` there.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -305,3 +306,51 @@ class TestForkAndPickle:
         assert doc["seen"]["1"] == [[], []]  # forked SciPy-free, Montage-1 keeps them so
         assert doc["seen"]["2"] == [["scipy", "scipy.special"]] * 2
         assert doc["moments"] == 4
+
+
+def _imported_names(module: str, path: Path) -> set[str]:
+    """Every module name ``path`` may load: import statements (relative
+    ones resolved against ``module``) and the module strings of a
+    ``lazy_exports(...)`` table."""
+    package = module if path.name == "__init__.py" else module.rpartition(".")[0]
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                anchor = package.rsplit(".", node.level - 1)[0]
+                base = f"{anchor}.{node.module}" if node.module else anchor
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "lazy_exports":
+            names.update(
+                const.value
+                for arg in node.args
+                for const in ast.walk(arg)
+                if isinstance(const, ast.Constant) and isinstance(const.value, str)
+            )
+    return names
+
+
+def test_every_module_has_an_importer():
+    """A module nothing in ``src/repro`` imports is dead code that only
+    its own tests keep alive; ``python -m repro`` is the one entry point."""
+    root = Path(SRC)
+    modules = {
+        ".".join(path.relative_to(root).with_suffix("").parts).removesuffix(".__init__"): path
+        for path in sorted((root / "repro").rglob("*.py"))
+    }
+    importers: dict[str, set[str]] = {}
+    for module, path in modules.items():
+        for name in _imported_names(module, path):
+            importers.setdefault(name, set()).add(module)
+    orphans = [
+        module
+        for module, path in modules.items()
+        if path.name != "__init__.py"
+        and module != "repro.__main__"
+        and not importers.get(module, set()) - {module}
+    ]
+    assert orphans == []
