@@ -2,6 +2,7 @@
 
     python3 benchmarks/profile_solve.py montage-8 --deadline tight --percentile 90 --warm
     python3 benchmarks/profile_solve.py montage-1 --kernel
+    python3 benchmarks/profile_solve.py montage-1 --split
     python3 benchmarks/profile_solve.py --imports
 
 ``--warm`` profiles a second request on an engine that has already
@@ -11,12 +12,26 @@ the array kernels they call -- this is the tool behind the shares quoted
 in DESIGN.md §17.
 
 ``--kernel`` looks at the delta kernel instead (DESIGN.md §18): how many
-launches and (slot, child) pairs one solve makes and what share of the
-pairs sits on wide-fan-in levels, then the kernel's time per state on a
+launches one solve makes (each pins an iteration's parents and evaluates
+their children), how many states they pin and evaluate, how many (slot,
+child) pairs they recompute and what share of the pairs sits on
+wide-fan-in levels, then the kernel's time per state on a
 *search-shaped* batch -- 8 pinned parents x 6 single-task edits each,
 what one beam iteration evaluates -- against the fused full kernel on
 the same states.  The two must agree ``np.array_equal``: exit status 1
 if they do not.  No timing threshold.
+
+``--split`` times the solver without cProfile: every function in
+:data:`SPLIT` is wrapped in a ``perf_counter`` pair, and its *exclusive*
+wall time (its own time minus that of the wrapped functions it calls)
+is summed over cold solves of the family's generator seeds
+:data:`SPLIT_SEEDS` -- the request of the ``cold-small-mc`` /
+``cold-mid-mc`` workloads, a fresh engine each.  It prints ms per solve and the share of the ``schedule``
+call, grouped into array *kernels*, per-candidate *bookkeeping* and the
+*engine* work around the search (compile, warm-start ladder).  A wrapper
+costs well under a microsecond.  A name in :data:`SPLIT` that the tree
+does not have is an error, so a rename cannot silently move time out of
+a group.  No timing threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -51,7 +66,6 @@ from repro.cloud import ec2_catalog  # noqa: E402
 from repro.engine.deco import Deco  # noqa: E402
 from repro.solver.backends import CompiledProblem, VectorizedBackend  # noqa: E402
 from repro.solver.cache import EvalContext  # noqa: E402
-from repro.solver.state import PlanState  # noqa: E402
 from repro.workflow import generators  # noqa: E402
 
 WORKFLOWS = {
@@ -64,7 +78,12 @@ WORKFLOWS = {
 }
 
 
+#: The engine knobs of benchmarks/e2e/workloads.py.
+ENGINE = {"seed": 7, "num_samples": 150, "max_evaluations": 1500}
+
 PARENTS, EDITS = 8, 6  # one beam iteration: expand_per_iter parents, ~6 MC-bound children each
+
+SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 
 
 def _median_us(fn, repeats: int = 15) -> float:
@@ -79,12 +98,16 @@ def _median_us(fn, repeats: int = 15) -> float:
 
 def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     """Delta-kernel counts of one solve, then delta vs full on a search-shaped batch."""
-    launches = {"evaluate": 0, "pin": 0, "pairs": 0, "wide_pairs": 0}
+    from repro.solver.state import StateBlock
+
+    launches = {"launches": 0, "pinned": 0, "evaluated": 0, "pairs": 0, "wide_pairs": 0}
     launch = VectorizedBackend._delta_launch
 
-    def counted(self, problem, assign, sizes, dirty, slots, in_place=False):
-        result = launch(self, problem, assign, sizes, dirty, slots, in_place)
-        launches["pin" if in_place else "evaluate"] += 1
+    def counted(self, problem, assign, sizes, dirty, slots, pins=0):
+        result = launch(self, problem, assign, sizes, dirty, slots, pins)
+        launches["launches"] += 1
+        launches["pinned"] += pins
+        launches["evaluated"] += len(slots) - pins
         # The launch leaves its affected-pair mask in the pooled buffer.
         sched = problem.levels
         mask = self.pool.take("delta_mask", (sched.num_tasks + 1, len(slots)), bool)
@@ -106,7 +129,8 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     result = deco.last_result
     print(f"one solve: {plan.evaluations} evaluations, {result.exact_evals} at full fidelity, "
           f"{result.states_incremental} states through the delta kernel")
-    print(f"  delta launches   {launches['evaluate']} evaluate + {launches['pin']} pin")
+    print(f"  delta launches   {launches['launches']} ({launches['pinned']} parents pinned, "
+          f"{launches['evaluated']} states evaluated)")
     print(f"  pairs recomputed {launches['pairs']} "
           f"({result.rows_recomputed / max(result.rows_total, 1):.3f} of the rows a full pass touches)")
     print(f"  wide-pair share  {launches['wide_pairs'] / max(launches['pairs'], 1):.3f} "
@@ -117,14 +141,21 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     )
     n, k = problem.num_tasks, problem.num_types
     stride = max(1, n // (PARENTS * EDITS))
-    parents = [PlanState.uniform(n, 1).with_type((7 * g) % n, 2) for g in range(PARENTS)]
-    children = []
-    for g, parent in enumerate(parents):
-        for e in range(EDITS):
-            task = ((g * EDITS + e) * stride) % n
-            children.append(parent.with_type(task, (int(parent.assignment[task]) + 1 + e % 2) % k))
+    # One beam iteration as blocks: the expanded parents, then EDITS
+    # single-task edits of each -- the child block expand_batch emits.
+    parents = np.ones((PARENTS, n), dtype=np.int16)
+    parents[np.arange(PARENTS), (7 * np.arange(PARENTS)) % n] = 2
+    parents = StateBlock(parents)
+    owner = np.repeat(np.arange(PARENTS), EDITS)
+    edit = np.arange(PARENTS * EDITS)
+    tasks = (edit * stride) % n
+    children = parents.assign[owner]
+    children[edit, tasks] = (children[edit, tasks] + 1 + edit % EDITS % 2) % k
+    children = StateBlock(
+        children, None, [parents.keys[g] for g in owner.tolist()], tasks[:, None]
+    )
     delta = VectorizedBackend(eval_context=EvalContext())
-    delta.ensure_frontier(problem, *parents)
+    delta.ensure_frontier(problem, parents)
     full = VectorizedBackend()
     got = delta.makespan_samples(problem, children)
     want = full.makespan_samples(problem, children)
@@ -138,6 +169,126 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     print(f"  full kernel      {full_us:8.1f} us/state")
     print(f"  array_equal      {identical}")
     return 0 if identical else 1
+
+
+#: ``--split``: (group, owner, attribute) of every function timed.  An
+#: owner ``module:Class`` names a method; a bare module names a function
+#: as the *calling* module binds it.
+SPLIT = (
+    ("kernels", "repro.solver.backends:VectorizedBackend", "_makespan_full"),
+    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_launch"),
+    ("kernels", "repro.solver.backends:VectorizedBackend", "_affected_pairs"),
+    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_levels"),
+    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_tiles"),
+    ("kernels", "repro.solver.levels:LevelSchedule", "propagate_permuted"),
+    ("kernels", "repro.solver.expand", "critical_paths"),
+    ("kernels", "repro.solver.analytic_backend:AnalyticBackend", "makespan_moments"),
+    ("kernels", "repro.solver.backends:CompiledProblem", "expected_cost_batch"),
+    ("bookkeeping", "repro.solver.search:GenericSearch", "solve"),
+    ("bookkeeping", "repro.solver.search:GenericSearch", "_settle"),
+    ("bookkeeping", "repro.solver.search:GenericSearch", "_rank"),
+    ("bookkeeping", "repro.solver.search", "expand_batch"),
+    ("bookkeeping", "repro.solver.tiers:_ScreenTier", "settle"),
+    ("bookkeeping", "repro.solver.tiers:MonteCarloTier", "settle"),
+    ("bookkeeping", "repro.solver.search:LocalEvaluator", "evaluate"),
+    ("bookkeeping", "repro.solver.search:LocalEvaluator", "screen"),
+    ("bookkeeping", "repro.solver.backends:EvaluationBackend", "evaluate_batch"),
+    ("bookkeeping", "repro.solver.backends:EvaluationBackend", "cached_makespan_samples"),
+    ("bookkeeping", "repro.solver.cache:MakespanCache", "fetch"),
+    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "makespan_samples"),
+    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "screen_probabilities"),
+    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "ensure_frontier"),
+    ("bookkeeping", "repro.solver.backends", "validated_assignments"),
+    ("engine", "repro.engine.deco:Deco", "schedule"),
+    ("engine", "repro.solver.backends:CompiledProblem", "compile"),
+    ("engine", "repro.baselines.autoscaling", "autoscaling_plan"),
+)
+
+
+def _install_split(table):
+    """Wrap every function of ``table``; return the totals and an undo."""
+    import importlib
+
+    totals: dict[tuple[str, str], list] = {}  # (group, name) -> [calls, exclusive s]
+    stack: list[list[float]] = []  # [start, time of wrapped callees]
+    undo = []
+
+    def wrap(fn, key):
+        entry = totals.setdefault(key, [0, 0.0])
+
+        def timed(*args, **kwargs):
+            frame = [time.perf_counter(), 0.0]
+            stack.append(frame)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                stack.pop()
+                elapsed = time.perf_counter() - frame[0]
+                entry[0] += 1
+                entry[1] += elapsed - frame[1]
+                if stack:
+                    stack[-1][1] += elapsed
+
+        return timed
+
+    for group, owner_path, attr in table:
+        module_name, _, class_name = owner_path.partition(":")
+        owner = importlib.import_module(module_name)
+        if class_name:
+            owner = getattr(owner, class_name)
+            raw = owner.__dict__.get(attr)
+        else:
+            raw = getattr(owner, attr, None)
+        if raw is None:
+            raise AttributeError(f"--split: {owner_path} has no {attr}")
+        name = f"{class_name or module_name.rpartition('.')[2]}.{attr}"
+        kind = type(raw) if isinstance(raw, (staticmethod, classmethod)) else None
+        fn = raw.__func__ if kind else raw
+        setattr(owner, attr, kind(wrap(fn, (group, name))) if kind else wrap(fn, (group, name)))
+        undo.append((owner, attr, raw))
+
+    def restore():
+        for owner, attr, raw in reversed(undo):
+            setattr(owner, attr, raw)
+
+    return totals, restore
+
+
+def split_report(family: str) -> int:
+    """Exclusive wall time per solver function over cold solves of one family."""
+    seeds = SPLIT_SEEDS
+    solves = len(seeds)
+    workflows = [WORKFLOWS[family](seed) for seed in seeds]
+    Deco(ec2_catalog(), **ENGINE).schedule(WORKFLOWS[family](99), "medium", 96.0)  # imports
+    totals, restore = _install_split(SPLIT)
+    ops = []
+    try:
+        for workflow in workflows:
+            t0 = time.perf_counter()
+            Deco(ec2_catalog(), **ENGINE).schedule(workflow, "medium", 96.0)
+            ops.append(time.perf_counter() - t0)
+    finally:
+        restore()
+    op_s = sum(ops)
+    print(f"{family}: {solves} cold solves (generator seeds {seeds.start}-{seeds.stop - 1}), "
+          f"{len(workflows[0])} tasks, median op {statistics.median(ops) * 1e3:.1f} ms "
+          f"(timers on)")
+    print(f"  {'group':<12} {'function':<44} {'calls':>7} {'ms/solve':>9} {'share':>6}")
+    for group in ("kernels", "bookkeeping", "engine"):
+        rows = sorted(
+            (
+                (name, calls, sec)
+                for (g, name), (calls, sec) in totals.items()
+                if g == group and calls
+            ),
+            key=lambda row: -row[2],
+        )
+        for name, calls, sec in rows:
+            print(f"  {group:<12} {name:<44} {calls / solves:7.0f} "
+                  f"{sec / solves * 1e3:9.2f} {sec / op_s:6.3f}")
+        sec = sum(row[2] for row in rows)
+        print(f"  {group:<12} {'total':<44} {'':>7} {sec / solves * 1e3:9.2f} {sec / op_s:6.3f}")
+    return 0
 
 
 COLD_COMMANDS = {
@@ -223,16 +374,20 @@ def main() -> int:
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--kernel", action="store_true",
                     help="delta-kernel counts and delta-vs-full timing instead of cProfile")
+    ap.add_argument("--split", action="store_true",
+                    help="exclusive wall time per solver function over cold solves of the "
+                         "family (perf_counter wrappers, no cProfile)")
     args = ap.parse_args()
 
     if args.imports:
         return imports_report()
     if args.workflow is None:
         ap.error("a workflow is required unless --imports is given")
+    if args.split:
+        return split_report(args.workflow)
     workflow = WORKFLOWS[args.workflow](args.seed)
     deadline = args.deadline if args.deadline.isalpha() else float(args.deadline)
-    # The engine knobs of benchmarks/e2e/workloads.py.
-    deco = Deco(ec2_catalog(), seed=7, num_samples=150, max_evaluations=1500)
+    deco = Deco(ec2_catalog(), **ENGINE)
     if args.warm:
         deco.schedule(workflow, "medium", deadline_percentile=96.0)
     if args.kernel:

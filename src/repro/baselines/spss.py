@@ -89,6 +89,7 @@ def spss_decide(
     """Run SPSS's offline admission over an ensemble."""
     if ensemble.budget == float("inf"):
         raise ValidationError("SPSS needs a finite ensemble budget")
+    ensemble.require_deadlines()
     model = runtime_model or RuntimeModel(catalog)
     admitted: list[int] = []
     plans: dict[int, dict[str, str]] = {}

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.bench.harness import BenchConfig
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.state import PlanState
@@ -66,9 +68,8 @@ def solver_speedup(
         t_cpu = time.perf_counter() - t0
         gpu_out = gpu.evaluate_batch(problem, states)
 
-        assert all(
-            abs(a.cost - b.cost) < 1e-9 and abs(a.mean_makespan - b.mean_makespan) < 1e-6
-            for a, b in zip(gpu_out, cpu_out)
+        assert np.all(np.abs(gpu_out.cost - cpu_out.cost) < 1e-9) and np.all(
+            np.abs(gpu_out.mean_makespan - cpu_out.mean_makespan) < 1e-6
         ), "backends disagree"
 
         rows.append(

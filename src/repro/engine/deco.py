@@ -18,6 +18,7 @@ Two entry points:
 
 from __future__ import annotations
 
+import math
 import time
 import weakref
 from collections import OrderedDict
@@ -302,8 +303,8 @@ class Deco:
     def _resolve_deadline(self, workflow: Workflow, deadline: float | str) -> float:
         if isinstance(deadline, str):
             return self.presets(workflow).get(deadline)
-        if deadline <= 0:
-            raise ValidationError(f"deadline must be > 0, got {deadline}")
+        if not (math.isfinite(deadline) and deadline > 0):
+            raise ValidationError(f"deadline must be a finite number > 0, got {deadline}")
         return float(deadline)
 
     # Programmatic API --------------------------------------------------------

@@ -113,8 +113,10 @@ class EnsembleDriver:
         :class:`~repro.common.errors.DecoError` is recorded as ``None``
         and skipped rather than killing the whole ensemble
         (``on_error="record"``, the default); pass ``on_error="raise"``
-        to get the fail-fast behavior back.
+        to get the fail-fast behavior back.  A member without a deadline
+        is a caller error and raises whatever ``on_error`` says.
         """
+        ensemble.require_deadlines()
         jobs = [
             (m.priority, m.workflow, m.deadline, m.deadline_percentile)
             for m in ensemble.by_priority()

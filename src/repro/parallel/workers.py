@@ -40,7 +40,7 @@ if TYPE_CHECKING:  # import cycle guard (parallel <-> engine), typing only
     from repro.faults.recovery import RecoveryPolicy
     from repro.solver.backends import CompiledProblem
     from repro.solver.search import LocalEvaluator
-    from repro.solver.state import PlanState, StateEval
+    from repro.solver.state import BatchEval, StateBlock
 
 __all__ = [
     "init_simulator_worker",
@@ -293,23 +293,23 @@ def _beam_evaluator(token: str) -> "LocalEvaluator":
 
 
 def beam_screen_job(
-    payload: "tuple[str, list[PlanState], str]",
+    payload: "tuple[str, StateBlock, str]",
 ) -> "tuple[object, dict[str, int]]":
     """One chunk of a screening call: ``"moments"`` (tier 0) or ``"screen"`` (tier 1).
 
     Returns the call's per-candidate values and the counter delta the
     chunk cost.
     """
-    solve_key, states, call = payload
+    solve_key, block, call = payload
     evaluator = _beam_evaluator(solve_key)
-    value = getattr(evaluator, call)(list(states))
+    value = getattr(evaluator, call)(block)
     return value, evaluator.counters()
 
 
 def beam_eval_job(
-    payload: "tuple[str, list[PlanState], list[PlanState]]",
-) -> "tuple[list[StateEval], dict[str, int]]":
-    """Tier-2 full-fidelity evaluation of one chunk.
+    payload: "tuple[str, StateBlock, StateBlock | None]",
+) -> "tuple[BatchEval, dict[str, int]]":
+    """Tier-2 full-fidelity evaluation of one chunk (a state block).
 
     Pins the chunk's expanded parents first, so the shard-resident
     EvalContext serves the delta-propagation path; a
@@ -317,7 +317,6 @@ def beam_eval_job(
     never different, because the delta path is bit-identical to the full
     kernel by construction.
     """
-    solve_key, states, parents = payload
+    solve_key, block, parents = payload
     evaluator = _beam_evaluator(solve_key)
-    evals = evaluator.evaluate(list(states), parents) if states else []
-    return evals, evaluator.counters()
+    return evaluator.evaluate(block, parents), evaluator.counters()

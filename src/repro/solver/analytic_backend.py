@@ -64,7 +64,7 @@ from repro.solver.backends import (
     validated_assignments,
 )
 from repro.solver.cache import EvalContext, MakespanCache, ScratchPool
-from repro.solver.state import StateEval
+from repro.solver.state import BatchEval, as_block
 
 __all__ = ["ANALYTIC_PROB_ERROR_BOUND", "AnalyticBackend", "clark_max"]
 
@@ -253,6 +253,7 @@ class AnalyticBackend(EvaluationBackend):
     """
 
     name = "analytic"
+    source = "analytic"
 
     def __init__(
         self,
@@ -342,15 +343,15 @@ class AnalyticBackend(EvaluationBackend):
         takes for narrow fan-in, one 3-D gather for wide), but each lane
         carries a (mean, variance) pair instead of S samples.
         """
-        states = list(states)
-        b = len(states)
+        block = as_block(states)
+        b = len(block)
         n = problem.num_tasks
         if b == 0:
             return np.zeros(0), np.zeros(0)
         if n == 0:
             return np.zeros(b), np.zeros(b)
         _, mean_rows, var_rows = self._calibration(problem)
-        assign = validated_assignments(problem, states)  # (B, N)
+        assign = validated_assignments(problem, block)  # (B, N)
         sched = problem.levels
 
         perm_assign = assign.T.take(sched.order, axis=0)  # (N, B)
@@ -456,9 +457,8 @@ class AnalyticBackend(EvaluationBackend):
         quantities sample rows do.  Q is ``quantile_points``, not the
         problem's S.
         """
-        states = list(states)
         mean, var = self.makespan_moments(problem, states)
-        if not states:
+        if not len(mean):
             return np.zeros((0, self.quantile_points))
         q = self.quantile_points
         z = ndtri((np.arange(q) + 0.5) / q)
@@ -474,32 +474,17 @@ class AnalyticBackend(EvaluationBackend):
         ``(sample_token, state key)`` -- mixing them would corrupt both.
         The calibration memo already makes analytic re-evaluation cheap.
         """
-        return self.makespan_samples(problem, list(states))
+        return self.makespan_samples(problem, states)
 
-    def evaluate_batch(self, problem: CompiledProblem, states) -> list[StateEval]:
-        """Closed-form evaluation: Eq. 1 cost + normal-CDF probability."""
-        states = list(states)
-        if not states:
-            return []
-        mean, var = self.makespan_moments(problem, states)
-        assign = np.stack([st.assignment for st in states])
-        costs = problem.expected_cost_batch(assign)
+    def evaluate_batch(self, problem: CompiledProblem, states, pins=None) -> BatchEval:
+        """Closed-form evaluation: Eq. 1 cost + normal-CDF probability
+        (``pins`` are ignored: there are no frontiers to keep)."""
+        block = as_block(states)
+        if not len(block):
+            return BatchEval.empty(0)
+        mean, var = self.makespan_moments(problem, block)
         sd = np.sqrt(np.maximum(var, _MIN_VAR))
-        probs = ndtr((problem.deadline - mean) / sd)
-        threshold = problem.required_probability - 1e-12
-        reliable = (
-            problem.plan_success_probability >= problem.reliability_required - 1e-12
-        )
-        return [
-            StateEval(
-                cost=float(costs[b]),
-                probability=float(probs[b]),
-                feasible=bool(probs[b] >= threshold) and reliable,
-                mean_makespan=float(mean[b]),
-                source="analytic",
-            )
-            for b in range(len(states))
-        ]
+        return self._batch_eval(problem, block, ndtr((problem.deadline - mean) / sd), mean)
 
     def screen_probabilities(
         self, problem: CompiledProblem, states, prefix: int

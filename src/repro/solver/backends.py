@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import abc
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +61,7 @@ from repro.faults.model import FaultModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.solver.cache import EvalContext, MakespanCache, ScratchPool
 from repro.solver.levels import _COLUMN_FANIN_MAX, LevelSchedule, workflow_layout
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval, as_block
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -154,10 +155,7 @@ class CompiledProblem:
         runtime_model: RuntimeModel | None = None,
         region: str | None = None,
     ) -> "CompiledProblem":
-        if deadline <= 0:
-            raise SolverError(f"deadline must be > 0, got {deadline}")
-        if not 0 < percentile <= 100:
-            raise SolverError(f"percentile must be in (0, 100], got {percentile}")
+        _check_requirement(deadline, percentile)
         model = runtime_model or RuntimeModel(catalog)
         tensor = model.sample_tensor(workflow, num_samples, seed=seed)
         mean_times = model.mean_matrix(workflow)
@@ -211,7 +209,10 @@ class CompiledProblem:
 
         Shares the sample tensor and level schedule, so makespan caches
         keyed on the tensor keep hitting across the derived problems.
+        The requirement is checked as :meth:`compile` checks it: a finite
+        deadline above 0 and a percentile in (0, 100].
         """
+        _check_requirement(deadline, percentile)
         return CompiledProblem(
             workflow=self.workflow,
             catalog=self.catalog,
@@ -319,8 +320,22 @@ class CompiledProblem:
         return self.faults.plan_success_probability(self.num_tasks, recovery)
 
 
+def _check_requirement(deadline: float, percentile: float | None) -> None:
+    """Raise :class:`SolverError` unless ``deadline`` / ``percentile`` can be met."""
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise SolverError(f"deadline must be a finite number > 0, got {deadline}")
+    if percentile is not None and not 0 < percentile <= 100:
+        raise SolverError(f"percentile must be in (0, 100], got {percentile}")
+
+
 class EvaluationBackend(abc.ABC):
     """Evaluates batches of states against a compiled problem.
+
+    A batch is a :class:`~repro.solver.state.StateBlock`, or any
+    iterable of :class:`PlanState`, which :func:`as_block` stacks once at
+    the entry point; an evaluation is a
+    :class:`~repro.solver.state.BatchEval` of ``(B,)`` vectors.
+    :meth:`evaluate` is the per-state view of the same path.
 
     ``cache`` (optional) memoizes per-state makespan rows across calls
     and across ``with_deadline``-derived problems; hit/miss counters
@@ -331,6 +346,8 @@ class EvaluationBackend(abc.ABC):
     """
 
     name: str = "abstract"
+    #: The ``source`` recorded in this backend's evaluations.
+    source: str = "mc"
 
     def __init__(
         self,
@@ -344,51 +361,85 @@ class EvaluationBackend(abc.ABC):
     def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B, S)`` per-realization makespans for B states."""
 
-    def cached_makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
-        """Like :meth:`makespan_samples`, consulting the cache if present."""
-        states = list(states)
-        if self.cache is None:
-            return self.makespan_samples(problem, states)
-        return self.cache.fetch(problem, states, self.makespan_samples)
+    def cached_makespan_samples(
+        self, problem: CompiledProblem, states, pins: StateBlock | None = None
+    ) -> np.ndarray:
+        """Like :meth:`makespan_samples`, consulting the cache if present.
 
-    def evaluate_batch(self, problem: CompiledProblem, states) -> list[StateEval]:
+        ``pins`` are states to :meth:`ensure_frontier` -- the parents of
+        ``states`` -- in the pass that computes the rows the cache does
+        not hold (on their own when it holds every row).
+        """
+        block = as_block(states)
+        compute = self.makespan_samples
+        unpinned = [pins] if pins is not None and len(pins) else []
+        if unpinned:
+            def compute(problem, missing):
+                return self._pinned_samples(problem, missing, unpinned.pop())
+
+        if self.cache is None:
+            out = compute(problem, block)
+        else:
+            out = self.cache.fetch(problem, block, compute)
+        if unpinned:
+            self.ensure_frontier(problem, pins)
+        return out
+
+    def _pinned_samples(
+        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock
+    ) -> np.ndarray:
+        """:meth:`makespan_samples` of ``block`` once ``pins`` are pinned."""
+        self.ensure_frontier(problem, pins)
+        return self.makespan_samples(problem, block)
+
+    def evaluate_batch(
+        self, problem: CompiledProblem, states, pins: StateBlock | None = None
+    ) -> BatchEval:
         """Full evaluation: Eq. 1 cost + P(makespan <= D) per state.
 
         Cost, probability and mean makespan are all computed as single
         array reductions over the batch (no per-state Python arithmetic).
+        ``pins`` (the states' parents) are pinned as by
+        :meth:`ensure_frontier` on the way.
         """
-        states = list(states)
-        if not states:
-            return []
-        makespans = self.cached_makespan_samples(problem, states)
-        assign = np.stack([st.assignment for st in states])
-        costs = problem.expected_cost_batch(assign)
-        probs = np.mean(makespans <= problem.deadline, axis=1)
-        means = makespans.mean(axis=1)
+        block = as_block(states)
+        if not len(block):
+            if pins is not None and len(pins):
+                self.ensure_frontier(problem, pins)
+            return BatchEval.empty(0)
+        makespans = self.cached_makespan_samples(problem, block, pins)
+        return self._batch_eval(
+            problem, block, np.mean(makespans <= problem.deadline, axis=1),
+            makespans.mean(axis=1),
+        )
+
+    def _batch_eval(
+        self, problem: CompiledProblem, block: StateBlock, probs: np.ndarray, means: np.ndarray
+    ) -> BatchEval:
+        """The evaluations of ``block`` given its deadline probabilities and mean makespans."""
         threshold = problem.required_probability - 1e-12
         # The reliability constraint is analytic and assignment-free
         # (per-task success ** N), so it gates the whole problem at once.
         reliable = (
             problem.plan_success_probability >= problem.reliability_required - 1e-12
         )
-        return [
-            StateEval(
-                cost=float(costs[b]),
-                probability=float(probs[b]),
-                feasible=bool(probs[b] >= threshold) and reliable,
-                mean_makespan=float(means[b]),
-            )
-            for b in range(len(states))
-        ]
+        return BatchEval(
+            problem.expected_cost_batch(block.assign),
+            probs,
+            (probs >= threshold) & reliable,
+            means,
+            np.full(len(block), self.source),
+        )
 
     def evaluate(self, problem: CompiledProblem, state: PlanState) -> StateEval:
         return self.evaluate_batch(problem, [state])[0]
 
-    def ensure_frontier(self, problem: CompiledProblem, *states: PlanState) -> None:
+    def ensure_frontier(self, problem: CompiledProblem, *states) -> None:
         """Prepare to evaluate single-edit children of ``states`` cheaply.
 
-        A hint the search gives before it expands ``states``; backends
-        with nothing to prepare ignore it.
+        ``states`` is one :class:`StateBlock`, or :class:`PlanState`
+        arguments; ``evaluate_batch(..., pins=states)`` does the same on
+        the way.  Backends with nothing to prepare ignore it.
         """
 
     def counters_snapshot(self) -> dict[str, int]:
@@ -428,19 +479,19 @@ class EvaluationBackend(abc.ABC):
         most once at this fidelity.
         """
         sp = self.screen_problem(problem, prefix)
-        makespans = self.makespan_samples(sp, list(states))
+        makespans = self.makespan_samples(sp, as_block(states))
         return np.mean(makespans <= sp.deadline, axis=1)
 
 
 def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
-    """Stack states into a validated ``(B, N)`` int64 assignment matrix.
+    """A batch's validated ``(B, N)`` int64 assignment matrix.
 
     Shared by every array backend (vectorized MC and analytic): raises
-    :class:`SolverError` when a state's length or type indices do not
+    :class:`SolverError` when the block's length or type indices do not
     fit the compiled problem, so the kernels can skip bounds checks.
     """
-    assign = np.stack([st.assignment for st in states]).astype(np.int64)  # (B, N)
-    if assign.shape[1] != problem.num_tasks:
+    assign = as_block(states).assign
+    if assign.shape[1] != problem.num_tasks and len(assign):
         raise SolverError(
             f"state has {assign.shape[1]} tasks, problem has {problem.num_tasks}"
         )
@@ -448,28 +499,7 @@ def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
         raise SolverError("state references a negative type index")
     if assign.max(initial=0) >= problem.num_types:
         raise SolverError("state references a type index outside the catalog")
-    return assign
-
-
-def validated_dirty_sets(states, num_tasks: int) -> tuple[np.ndarray, np.ndarray]:
-    """The states' dirty task sets, flattened: ``(sizes, tasks)``.
-
-    ``tasks`` concatenates every state's dirty tuple and ``sizes[j]`` is
-    the length of state ``j``'s.  Raises :class:`SolverError` when a set
-    is empty or names a task outside the problem.
-    """
-    sizes = np.fromiter((len(st.dirty) for st in states), np.int64, len(states))
-    tasks = np.fromiter(
-        itertools.chain.from_iterable(st.dirty for st in states),
-        np.int64, int(sizes.sum()),
-    )
-    if sizes.min() == 0 or tasks.min() < 0 or tasks.max() >= num_tasks:
-        bad = next(
-            st.dirty for st in states
-            if not st.dirty or min(st.dirty) < 0 or max(st.dirty) >= num_tasks
-        )
-        raise SolverError(f"dirty task set {bad!r} out of range for {num_tasks} tasks")
-    return sizes, tasks
+    return assign.astype(np.int64)
 
 
 class VectorizedBackend(EvaluationBackend):
@@ -528,64 +558,106 @@ class VectorizedBackend(EvaluationBackend):
         """A pooled scratch view (contents undefined; see ScratchPool)."""
         return self.pool.take(name, shape, dtype)
 
-    def _validated_assignments(self, problem: CompiledProblem, states) -> np.ndarray:
-        return validated_assignments(problem, states)
-
     def makespan_samples(
-        self, problem: CompiledProblem, states, incremental: bool = True
+        self, problem: CompiledProblem, states, incremental: bool = True,
+        pins: StateBlock | None = None,
     ) -> np.ndarray:
-        states = list(states)
-        b = len(states)
+        """``(B, S)`` makespans of ``states``.
+
+        ``pins`` are states whose frontiers to cache first, exactly as
+        :meth:`ensure_frontier` caches them -- in the same delta launch
+        as the states whose parents they are.
+        """
+        block = as_block(states)
         n = problem.num_tasks
         s = problem.num_samples
         if n == 0:
-            return np.zeros((b, s))
+            return np.zeros((len(block), s))
+        if not incremental or self.eval_context is None:
+            if pins is not None and len(pins):
+                self.ensure_frontier(problem, pins)
+            if not len(block):
+                return np.zeros((0, s))
+            return self._makespan_full(problem, validated_assignments(problem, block))
+        return self._launch(problem, pins, block)
 
+    def _pinned_samples(
+        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock
+    ) -> np.ndarray:
+        return self.makespan_samples(problem, block, pins=pins)
+
+    def _launch(
+        self, problem: CompiledProblem, pins: StateBlock | None, block: StateBlock
+    ) -> np.ndarray:
+        """Pin ``pins``' frontiers and evaluate ``block``, one delta launch for both.
+
+        Incremental partition: every state of ``block`` whose parent
+        frontier is resident -- cached before, or pinned by this call --
+        joins the launch after the pinned states, whichever parent it
+        has; the rest share one fused full-batch kernel.  A failure
+        leaves no pinned frontier half written.
+        """
         ctx = self.eval_context
-        if not incremental or ctx is None:
-            return self._makespan_full(problem, states)
-
-        # Incremental partition: every state whose parent frontier is
-        # resident joins the one delta launch, whichever parent it has;
-        # the rest share one fused full-batch kernel.
+        n, s = problem.num_tasks, problem.num_samples
         token = problem.sample_token
-        delta_at: list[int] = []
-        slots: list[int] = []
-        full_at: list[int] = []
-        for i, st in enumerate(states):
-            slot = None
-            if st.parent_key is not None and st.dirty:
-                slot = ctx.find(token, st.parent_key)
-            if slot is None:
-                full_at.append(i)
-            else:
-                delta_at.append(i)
-                slots.append(slot)
-        out = np.empty((b, s))
-        if delta_at:
-            chosen = [states[i] for i in delta_at]
-            delta = self._delta_launch(
-                problem,
-                self._validated_assignments(problem, chosen),
-                *validated_dirty_sets(chosen, n),
-                slots,
-            )
-            if not full_at:
-                return delta
+        b = len(block)
+        assign = validated_assignments(problem, block) if b else None
+        reserved: list[bytes] = []
+        try:
+            pin_slots: list[int] = []
+            if pins is not None and len(pins):
+                chained, pin_assign, pin_slots = self._pin(problem, pins, reserved)
+            edited = (block.dirty[:, 0] >= 0).tolist() if block.dirty.shape[1] else [False] * b
+            lineage = [
+                i for i, (parent, dirty) in enumerate(zip(block.parent_keys, edited))
+                if parent is not None and dirty
+            ]
+            slots: list[int | None] = [None] * b
+            for i, slot in zip(
+                lineage, ctx.find_all(token, [block.parent_keys[i] for i in lineage])
+            ):
+                slots[i] = slot
+            delta_at = np.asarray([i for i, slot in enumerate(slots) if slot is not None], int)
+            sets, launched = [], []
+            if pin_slots:
+                sets.append(pins.dirty_sets(chained, n))
+                launched.append(pin_assign[chained])
+            if len(delta_at):
+                sets.append(block.dirty_sets(delta_at, n))
+                launched.append(assign[delta_at])
+            if launched:
+                delta = self._delta_launch(
+                    problem,
+                    np.concatenate(launched),
+                    np.concatenate([sizes for sizes, _ in sets]),
+                    np.concatenate([tasks for _, tasks in sets]),
+                    pin_slots + [slots[i] for i in delta_at.tolist()],
+                    pins=len(pin_slots),
+                )
+        except BaseException:
+            # A reserved slot is resident: never leave one half written.
+            for key in reserved:
+                ctx.discard(token, key)
+            raise
+        if len(delta_at) == b:
+            return delta if b else np.zeros((0, s))
+        full_at = [i for i, slot in enumerate(slots) if slot is None]
+        out = self._makespan_full(problem, assign[full_at])
+        if len(delta_at):
+            full, out = out, np.empty((b, s))
             out[delta_at] = delta
-        if full_at:
-            out[full_at] = self._makespan_full(problem, [states[i] for i in full_at])
-            self.delta_counters["states_full"] += len(full_at)
-            self.delta_counters["levels_total"] += len(full_at) * problem.levels.num_levels
-            self.delta_counters["rows_total"] += len(full_at) * n
+            out[full_at] = full
+        self.delta_counters["states_full"] += len(full_at)
+        self.delta_counters["levels_total"] += len(full_at) * problem.levels.num_levels
+        self.delta_counters["rows_total"] += len(full_at) * n
         return out
 
-    def _makespan_full(self, problem: CompiledProblem, states) -> np.ndarray:
-        """The fused full-batch level kernel (every level, every row)."""
-        b = len(states)
+    def _makespan_full(self, problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
+        """The fused full-batch level kernel (every level, every row) on a
+        validated ``(B, N)`` assignment matrix."""
+        b = len(assign)
         n = problem.num_tasks
         s = problem.num_samples
-        assign = self._validated_assignments(problem, states)
         sched = problem.levels
 
         # Fused level kernel over the task-major tensor copy: per level,
@@ -647,12 +719,12 @@ class VectorizedBackend(EvaluationBackend):
         sizes: np.ndarray,
         dirty: np.ndarray,
         slots: list[int],
-        in_place: bool = False,
-    ) -> np.ndarray | None:
+        pins: int = 0,
+    ) -> np.ndarray:
         """The delta kernel: one launch for any batch of lineage states.
 
         State ``j`` (row ``j`` of the validated ``(B, N)`` ``assign``,
-        dirty set ``sizes`` / ``dirty`` as :func:`validated_dirty_sets`
+        dirty set ``sizes`` / ``dirty`` as :meth:`StateBlock.dirty_sets`
         returns them) differs in its dirty tasks from the frontier in
         slab slot ``slots[j]``; any number of states may share a slot,
         and the slots may all differ.  Work is organized over *(slot,
@@ -661,19 +733,23 @@ class VectorizedBackend(EvaluationBackend):
         fused flat-index gathers over the affected pairs of the whole
         batch.  ``addr[r, j]`` is the row of the slab matrix that holds
         child ``j``'s finish time in permuted slot ``r``: the source
-        frontier's own row until the pair is recomputed, a workspace row
-        afterwards.  Levels run in order and a row reads lower levels
-        only, so every gather finds its operands in place, unchanged
-        rows are never copied anywhere, and the final reduction runs
-        over the sink rows alone.  Every recomputed pair applies the
-        identical gather + ``max`` + ``add`` arithmetic to the identical
-        float64 operands as the full fused kernel, so results are
-        bit-identical (asserted by the tests).
+        frontier's own row until the pair is recomputed, the workspace
+        row it is recomputed into afterwards.  Levels run in order and a
+        row reads lower levels only, so every gather finds its operands
+        in place, unchanged rows are never copied anywhere, and the final
+        reduction runs over the sink rows alone.  Every recomputed pair
+        applies the identical gather + ``max`` + ``add`` arithmetic to
+        the identical float64 operands as the full fused kernel, so
+        results are bit-identical (asserted by the tests).
 
-        Returns the fresh ``(B, S)`` makespans.  With ``in_place``,
-        ``slots`` are frontiers the caller has just copied from each
-        state's parent: recomputed rows overwrite them, turning each
-        into its state's own frontier, and nothing is returned.
+        The first ``pins`` states are *pinned*: their ``slots`` are
+        frontiers the caller has just copied from each state's parent,
+        and every level's recomputed rows of theirs are written back
+        there before the next level runs, turning each into its state's
+        own frontier.  A later state whose slot is a pin's reads that
+        pin's rows as they are recomputed -- a parent is pinned and its
+        children evaluated in the same launch.  Returns the fresh
+        ``(B - pins, S)`` makespans of the others.
         """
         n = problem.num_tasks
         s = problem.num_samples
@@ -686,15 +762,14 @@ class VectorizedBackend(EvaluationBackend):
         # Pass 2: re-propagate the affected pairs, as many children at a
         # time as the workspace has rows for.  ``np.nonzero`` lists a
         # chunk's pairs by slot, hence level by level; pair ``i`` is
-        # recomputed into workspace row ``work + i`` (or, in place, into
-        # the frontier row it was read from).
+        # recomputed into workspace row ``work + i``.
         base = np.asarray(slots, dtype=np.int64) * stride
         slot_column = np.arange(stride)[:, None]
         table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
         lane_rows = assign * n + np.arange(n)  # (B, N) rows of ``table``
         work = slab.workspace_start
         capacity = rows.shape[0] - work
-        out = None if in_place else np.empty((b, s))
+        out = np.empty((b - pins, s))
         lo_first = sched.level_bounds[first][0]
         c0 = 0
         while c0 < b:
@@ -705,50 +780,55 @@ class VectorizedBackend(EvaluationBackend):
             slot, child = np.nonzero(mask[lo_first:n, c0:c1])
             slot += lo_first
             lanes = lane_rows[c0 + child, sched.order[slot]]
-            dst = addr[slot, child] if in_place else None
-            if not in_place:
-                addr[slot, child] = np.arange(work, work + slot.size)
-                slab.workspace_touched = max(slab.workspace_touched, slot.size)
-            self._delta_levels(sched, first, rows, table, addr, slot, child, lanes, work, dst)
-            if out is not None:
+            addr[slot, child] = np.arange(work, work + slot.size)
+            slab.workspace_touched = max(slab.workspace_touched, slot.size)
+            # Pins come first, so they are in this chunk or already written.
+            own = np.flatnonzero(child < pins - c0) if c0 < pins else None
+            back = None if own is None else (own, base[c0 + child[own]] + slot[own])
+            self._delta_levels(sched, first, rows, table, addr, slot, child, lanes, work, back)
+            if c1 > pins:
                 # Sink-row reduction, each sink read wherever it now lives.
-                part = out[c0:c1]
+                lo = max(c0, pins)
+                part = out[lo - pins : c1 - pins]
+                cols = addr[:, lo - c0 :]
                 sinks = sched.sink_slots
-                np.take(rows, addr[sinks[0]], axis=0, out=part, mode="clip")
+                np.take(rows, cols[sinks[0]], axis=0, out=part, mode="clip")
                 for t in sinks[1:]:
-                    np.maximum(part, rows.take(addr[t], axis=0), out=part)
+                    np.maximum(part, rows.take(cols[t], axis=0), out=part)
             c0 = c1
         return out
 
     def _delta_levels(
         self, sched: LevelSchedule, first: int, rows: np.ndarray, table: np.ndarray,
         addr: np.ndarray, slot: np.ndarray, child: np.ndarray, lanes: np.ndarray,
-        work: int, dst: np.ndarray | None,
+        work: int, back: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
-        """Recompute one chunk's pairs (sorted by slot) level by level."""
+        """Recompute one chunk's pairs (sorted by slot) level by level.
+
+        ``back`` lists the pinned states' pairs (ascending) and the
+        frontier rows they are written back to, level by level.
+        """
         s = rows.shape[1]
         tile = max(1, _TILE_BYTES // (8 * s))  # rows per tile
-        bufs = (
-            self._buf("delta_ready", (tile, s)),
-            self._buf("delta_other", (tile, s)),
-            self._buf("delta_vals", (tile, s)) if dst is not None else None,
-        )
+        bufs = (self._buf("delta_ready", (tile, s)), self._buf("delta_other", (tile, s)))
         ends = np.searchsorted(slot, sched.level_starts[first + 1 :]).tolist()
-        begin = 0
-        for lv, end in enumerate(ends, start=first):
-            if begin == end:
-                continue
-            gather = sched.level_parents[lv]
-            src = None
-            if gather.shape[1]:
-                # (P, p): the row now holding each source of each pair.
-                level_slots = slot[begin:end] - sched.level_bounds[lv][0]
-                src = addr[gather[level_slots].T, child[begin:end]]
-            self._delta_tiles(
-                rows, table, lanes[begin:end], src, work + begin,
-                None if dst is None else dst[begin:end], bufs,
-            )
-            begin = end
+        own_ends = [0] * len(ends) if back is None else np.searchsorted(back[0], ends).tolist()
+        begin = own = 0
+        for lv, end, own_end in zip(range(first, sched.num_levels), ends, own_ends):
+            if begin < end:
+                gather = sched.level_parents[lv]
+                src = None
+                if gather.shape[1]:
+                    # (P, p): the row now holding each source of each pair.
+                    level_slots = slot[begin:end] - sched.level_bounds[lv][0]
+                    src = addr[gather[level_slots].T, child[begin:end]]
+                self._delta_tiles(rows, table, lanes[begin:end], src, work + begin, bufs)
+            if own < own_end:
+                # The pins' rows of this level, into their frontiers: what
+                # their children read from the next level on.
+                pairs, frontier_rows = back
+                rows[frontier_rows[own:own_end]] = rows[work + pairs[own:own_end]]
+            begin, own = end, own_end
 
     def _affected_pairs(
         self, problem: CompiledProblem, stride: int, sizes: np.ndarray, dirty: np.ndarray
@@ -766,15 +846,15 @@ class VectorizedBackend(EvaluationBackend):
         mask[...] = False
         mask[sched.dirty_slots(dirty), np.repeat(np.arange(b), sizes)] = True
         first = sched.first_dirty_level(dirty)
-        child_level_runs = 0  # (level, child) pairs with recomputed rows
         for lv in range(first, sched.num_levels):
             lo, hi = sched.level_bounds[lv]
             gather = sched.level_parents[lv]
-            sub = mask[lo:hi]
             if gather.shape[1]:
-                sub |= mask[gather].any(axis=1)
-            child_level_runs += int(np.count_nonzero(sub.any(axis=0)))
+                mask[lo:hi] |= mask[gather].any(axis=1)
         pairs = np.cumsum(mask.sum(axis=0))
+        # (level, child) pairs with recomputed rows.
+        runs = np.logical_or.reduceat(mask[: sched.num_tasks], sched.level_starts[:-1])
+        child_level_runs = int(np.count_nonzero(runs))
 
         self.delta_counters["states_incremental"] += b
         self.delta_counters["levels_total"] += b * sched.num_levels
@@ -785,20 +865,18 @@ class VectorizedBackend(EvaluationBackend):
 
     def _delta_tiles(
         self, rows: np.ndarray, table: np.ndarray, lanes: np.ndarray,
-        src: np.ndarray | None, first_row: int, dst: np.ndarray | None,
-        bufs: tuple[np.ndarray, np.ndarray, np.ndarray | None],
+        src: np.ndarray | None, first_row: int, bufs: tuple[np.ndarray, np.ndarray],
     ) -> None:
         """Recompute one level's pairs of a delta chunk, in cache-sized tiles.
 
         Pair ``i`` adds its own task-time lane (row ``lanes[i]`` of
         ``table``) to the max of its parents' finish rows ``src[:, i]``
         (no parents when ``src`` is ``None``) and lands in row
-        ``first_row + i`` of ``rows`` -- or, in place, in frontier row
-        ``dst[i]``, using the chunk's tile ``bufs`` (ready, other, vals).
-        Indices come from validated assignments and the address table, so
-        the takes skip bounds checks.
+        ``first_row + i`` of ``rows``, using the chunk's tile ``bufs``
+        (ready, other).  Indices come from validated assignments and the
+        address table, so the takes skip bounds checks.
         """
-        ready_buf, other_buf, vals_buf = bufs
+        ready_buf, other_buf = bufs
         tile, s = ready_buf.shape
         width = 0 if src is None else src.shape[0]
         wide = width > _COLUMN_FANIN_MAX
@@ -806,7 +884,7 @@ class VectorizedBackend(EvaluationBackend):
         wide_buf = self._buf("delta_wide", (width * step, s)) if wide else None
         for i in range(0, len(lanes), step):
             k = min(step, len(lanes) - i)
-            part = rows[first_row + i : first_row + i + k] if vals_buf is None else vals_buf[:k]
+            part = rows[first_row + i : first_row + i + k]
             np.take(table, lanes[i : i + k], axis=0, out=part, mode="clip")
             if src is not None:
                 ready = ready_buf[:k]
@@ -825,74 +903,81 @@ class VectorizedBackend(EvaluationBackend):
                         np.take(rows, col[i : i + k], axis=0, out=other, mode="clip")
                         np.maximum(ready, other, out=ready)
                 np.add(ready, part, out=part)
-            if dst is not None:
-                rows[dst[i : i + k]] = part
 
-    def ensure_frontier(self, problem: CompiledProblem, *states: PlanState) -> None:
+    def ensure_frontier(self, problem: CompiledProblem, *states) -> None:
         """Cache the states' finish-time frontiers ahead of their expansion.
 
-        The search calls this with the beam states it is about to
-        expand, so the children generated from them can all take the
-        delta path.  Chains stay cheap: every state whose *own* parent
-        frontier is still cached is delta-propagated from it -- all of
-        them in one launch of the delta kernel, writing the new
-        frontiers in place -- and only the rest are propagated in full.
-        Every parent is looked up before any frontier is stored, and a
-        store never evicts a frontier this call reads or writes: a state
-        that does not fit beside them goes unpinned (its children take
-        the full kernel).
+        Takes one :class:`StateBlock`, or :class:`PlanState` arguments
+        (stacked into one), so the children generated from them can all
+        take the delta path.  The search hands its parents to
+        :meth:`evaluate_batch` as ``pins`` instead, which does this in
+        the launch that evaluates their children.
+        """
+        if self.eval_context is None or problem.num_tasks == 0:
+            return
+        block = (
+            states[0]
+            if len(states) == 1 and isinstance(states[0], StateBlock)
+            else StateBlock.from_states(states)
+        )
+        if len(block):
+            self._launch(problem, block, StateBlock(np.empty((0, problem.num_tasks))))
+
+    def _pin(
+        self, problem: CompiledProblem, block: StateBlock, reserved: list[bytes]
+    ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+        """Reserve and seed a frontier slot for every state of ``block``.
+
+        Chains stay cheap: a state whose *own* parent frontier is still
+        cached gets a copy of it, for the caller's launch to
+        delta-propagate in place; the rest are propagated in full here.
+        The block is validated before anything is stored; every parent is
+        looked up before any frontier is stored, and a store never evicts
+        a frontier this call reads or writes: a state that does not fit
+        beside them goes unpinned (its children take the full kernel).
+        Appends each reserved key to ``reserved``; returns the rows of the
+        chained states, the block's validated assignments and the chained
+        states' slots.
         """
         ctx = self.eval_context
-        n = problem.num_tasks
-        if ctx is None or n == 0:
-            return
-        s = problem.num_samples
+        n, s = problem.num_tasks, problem.num_samples
         token = problem.sample_token
-        pending = list(
-            {st.key: st for st in states if not ctx.peek(token, st.key)}.values()
-        )
+        assign = validated_assignments(problem, block)
+        keys, parent_keys = block.keys, block.parent_keys
+        # Key -> row of the last state with that key, in first-seen order.
+        pending: dict[bytes, int] = {}
+        for row, key in enumerate(keys):
+            if not ctx.peek(token, key):
+                pending[key] = row
+        rows = list(pending.values())
+        edited = block.dirty[:, 0] >= 0 if block.dirty.shape[1] else np.zeros(len(block), bool)
         sources = [
-            ctx.find(token, st.parent_key)
-            if st.parent_key is not None and st.dirty and ctx.peek(token, st.parent_key)
+            ctx.find(token, parent_keys[row])
+            if parent_keys[row] is not None and edited[row] and ctx.peek(token, parent_keys[row])
             else None
-            for st in pending
+            for row in rows
         ]
-        keep = {st.key for st in pending}
-        keep.update(st.parent_key for st, src in zip(pending, sources) if src is not None)
+        keep = set(pending)
+        keep.update(parent_keys[row] for row, src in zip(rows, sources) if src is not None)
         sched = problem.levels
         order = sched.order
         table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
-        reserved: list[bytes] = []
-        chained: list[PlanState] = []
+        chained: list[int] = []
         slots: list[int] = []
-        try:
-            for st, src in zip(pending, sources):
-                slot = ctx.reserve(token, st.key, n, s, keep)
-                if slot is None:
-                    continue
-                reserved.append(st.key)
-                slab = ctx.slab(token)
-                if src is None:
-                    assign = self._validated_assignments(problem, [st])[0]
-                    lanes = table.take(assign[order] * n + order, axis=0)
-                    sched.propagate_permuted(lanes, finish=slab.frontier(slot))
-                else:
-                    np.copyto(slab.frontier(slot), slab.frontier(src))
-                    chained.append(st)
-                    slots.append(slot)
-            if chained:
-                self._delta_launch(
-                    problem,
-                    self._validated_assignments(problem, chained),
-                    *validated_dirty_sets(chained, n),
-                    slots,
-                    in_place=True,
-                )
-        except BaseException:
-            # A reserved slot is resident: never leave one half written.
-            for key in reserved:
-                ctx.discard(token, key)
-            raise
+        for row, src in zip(rows, sources):
+            slot = ctx.reserve(token, keys[row], n, s, keep)
+            if slot is None:
+                continue
+            reserved.append(keys[row])
+            slab = ctx.slab(token)
+            if src is None:
+                lanes = table.take(assign[row][order] * n + order, axis=0)
+                sched.propagate_permuted(lanes, finish=slab.frontier(slot))
+            else:
+                np.copyto(slab.frontier(slot), slab.frontier(src))
+                chained.append(row)
+                slots.append(slot)
+        return np.asarray(chained, dtype=np.intp), assign, slots
 
     def delta_stats(self) -> dict[str, int]:
         """A copy of the monotone incremental-work counters."""
@@ -913,7 +998,7 @@ class VectorizedBackend(EvaluationBackend):
         attributable to full-fidelity work.
         """
         sp = self.screen_problem(problem, prefix)
-        makespans = self.makespan_samples(sp, list(states), incremental=False)
+        makespans = self.makespan_samples(sp, states, incremental=False)
         return np.mean(makespans <= sp.deadline, axis=1)
 
 
@@ -928,13 +1013,12 @@ class ScalarBackend(EvaluationBackend):
     name = "cpu"
 
     def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
-        states = list(states)
+        assignments = as_block(states).assign
         n = problem.num_tasks
         s = problem.num_samples
         tensor = problem.tensor
-        out = np.empty((len(states), s), dtype=float)
-        for b, state in enumerate(states):
-            assign = state.assignment
+        out = np.empty((len(assignments), s), dtype=float)
+        for b, assign in enumerate(assignments.tolist()):
             if len(assign) != n:
                 raise SolverError(f"state has {len(assign)} tasks, problem has {n}")
             for sample in range(s):

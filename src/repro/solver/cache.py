@@ -34,11 +34,12 @@ import heapq
 import math
 import mmap
 from collections import OrderedDict
-from typing import Callable, Collection, Sequence
+from typing import Callable, Collection
 
 import numpy as np
 
 from repro.common.errors import SolverError
+from repro.solver.state import as_block
 
 __all__ = ["MakespanCache", "EvalContext", "ScratchPool"]
 
@@ -135,48 +136,54 @@ class MakespanCache:
     def fetch(
         self,
         problem,
-        states: Sequence,
-        compute: Callable[[object, list], np.ndarray],
+        block,
+        compute: Callable[[object, object], np.ndarray],
     ) -> np.ndarray:
-        """``(B, S)`` makespan samples for ``states``, memoized.
+        """``(B, S)`` makespan samples for a state block, memoized.
 
-        ``compute(problem, missing_states)`` is invoked once for the
-        states not in the cache (a single backend batch); its rows are
-        stored and the full batch is reassembled in input order.
+        ``block`` is a :class:`~repro.solver.state.StateBlock` (or states
+        :func:`~repro.solver.state.as_block` stacks); its rows are looked
+        up under one key list.  ``compute(problem,
+        missing_block)`` is invoked once for the rows not in the cache (a
+        single backend batch, the whole block when none hit); each of
+        its rows is stored as its own entry and the full batch is
+        reassembled in input order.
         """
+        block = as_block(block)
         token = problem.sample_token
-        rows: list[np.ndarray | None] = [None] * len(states)
-        missing: list = []
-        missing_at: list[int] = []
-        for i, state in enumerate(states):
-            key = (token, state.key)
-            row = self._rows.get(key)
-            if row is None:
-                missing.append(state)
-                missing_at.append(i)
-            else:
-                self._rows.move_to_end(key)
-                rows[i] = row
-        self.hits += len(states) - len(missing)
+        keys = [(token, key) for key in block.keys]
+        rows = self._rows
+        found = [rows.get(key) for key in keys]
+        missing = [i for i, row in enumerate(found) if row is None]
+        self.hits += len(keys) - len(missing)
         self.misses += len(missing)
+        for key, row in zip(keys, found):
+            if row is not None:
+                rows.move_to_end(key)
+        if not missing:
+            return np.stack(found)
 
-        if missing:
-            fresh = np.asarray(compute(problem, missing))
-            for j, i in enumerate(missing_at):
-                # An owned copy: a view would keep the whole computed
-                # batch alive behind one surviving row, and would change
-                # under the cache if ``compute`` reuses its output buffer.
-                row = fresh[j].copy()
-                row.setflags(write=False)
-                rows[i] = row
-                self._store(token, states[i].key, row)
-        return np.stack(rows)  # type: ignore[arg-type]
-
-    def _store(self, token: int, key: bytes, row: np.ndarray) -> None:
-        self._rows[(token, key)] = row
-        self._rows.move_to_end((token, key))
-        while len(self._rows) > self.max_entries:
-            self._rows.popitem(last=False)
+        whole = len(missing) == len(keys)
+        fresh = np.asarray(compute(problem, block if whole else block.take(missing)))
+        # Owned row copies: a view would keep the whole computed batch
+        # alive behind one surviving row, and would change under the
+        # cache if ``compute`` reuses its output buffer.
+        owned = [row.copy() for row in fresh]
+        for row in owned:
+            row.setflags(write=False)
+        missing_keys = [keys[i] for i in missing]
+        rows.update(zip(missing_keys, owned))
+        if len(set(missing_keys)) < len(missing_keys):
+            # A key the block repeats is most recent at its last occurrence.
+            for key in missing_keys:
+                rows.move_to_end(key)
+        while len(rows) > self.max_entries:
+            rows.popitem(last=False)
+        if whole:
+            return fresh.copy()
+        for i, row in zip(missing, owned):
+            found[i] = row
+        return np.stack(found)
 
 
 #: Byte cap on the (slot, child) pairs one delta-kernel launch may hold
@@ -280,8 +287,10 @@ class EvalContext:
         self.misses = 0
         # (sample token, state key) -> slot in the token's slab, LRU first.
         self._slots: OrderedDict[tuple[int, bytes], int] = OrderedDict()
-        # Every token with a resident frontier -> its shape's slab.
+        # Every token with a resident frontier -> its shape's slab, and
+        # how many frontiers it holds there.
         self._slabs: dict[int, FrontierSlab] = {}
+        self._held: dict[int, int] = {}
         # base sample_token -> (prefix length, derived problem)
         self._screen_problems: dict[int, tuple[int, object]] = {}
 
@@ -299,6 +308,7 @@ class EvalContext:
     def clear(self) -> None:
         self._slots.clear()
         self._slabs.clear()
+        self._held.clear()
         self._screen_problems.clear()
 
     # ------------------------------------------------------------------
@@ -316,6 +326,18 @@ class EvalContext:
         self._slots.move_to_end((token, key))
         self.hits += 1
         return slot
+
+    def find_all(self, token: int, keys: list[bytes]) -> list[int | None]:
+        """:meth:`find` of every key, in order (the same counts and LRU moves)."""
+        slots = self._slots
+        found = [slots.get((token, key)) for key in keys]
+        for key, slot in zip(keys, found):
+            if slot is not None:
+                slots.move_to_end((token, key))
+        misses = found.count(None)
+        self.misses += misses
+        self.hits += len(found) - misses
+        return found
 
     def peek(self, token: int, key: bytes) -> bool:
         """Whether a frontier is cached (no counter side effects)."""
@@ -362,6 +384,7 @@ class EvalContext:
         if slab is None:
             slab = FrontierSlab(self.max_entries, num_tasks, num_samples)
         self._slabs[token] = slab
+        self._held[token] = self._held.get(token, 0) + 1
         slot = heapq.heappop(slab.free)
         slab.slots_touched = max(slab.slots_touched, slot + 1)
         self._slots[(token, key)] = slot
@@ -373,8 +396,9 @@ class EvalContext:
         if slot is None:
             return
         heapq.heappush(self._slabs[token].free, slot)
-        if not any(t == token for t, _ in self._slots):
-            del self._slabs[token]  # the slab goes with its last token
+        self._held[token] -= 1
+        if not self._held[token]:
+            del self._slabs[token], self._held[token]  # the slab goes with its last token
 
     def get(self, token: int, key: bytes) -> np.ndarray | None:
         """The cached ``(N, S)`` frontier, or ``None`` (counts hit/miss).

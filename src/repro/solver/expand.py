@@ -7,8 +7,10 @@ the Promote / Demote rankings and the demote savings -- is computed
 here for the **whole batch at once** on its ``(B, N)`` assignment
 matrix, one NumPy pass per DAG *level* instead of one interpreter
 iteration per *task* per *state*.
-:class:`~repro.solver.state.PlanState` objects are built only for the
-handful of edits each parent finally emits.
+The children come out the same way: one ``(C, N)`` child matrix (each
+row its parent's with one task edited), their keys cut from one
+``tobytes`` and deduped against the visited set in emission order -- a
+:class:`~repro.solver.state.StateBlock`, no per-child object.
 
 The arithmetic is that of the scalar loops this replaced, operand for
 operand (``max`` is exact, each finish time is one ``parent + own``
@@ -20,12 +22,12 @@ scalar reference.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.solver.levels import LevelSchedule
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import StateBlock, row_keys
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.solver.backends import CompiledProblem
@@ -100,14 +102,18 @@ def _first(flags: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 def expand_batch(
     problem: "CompiledProblem",
-    parents: Sequence[tuple[PlanState, StateEval]],
+    parents: StateBlock,
+    feasible: np.ndarray,
     incumbent_feasible: bool,
     children_per_state: int,
-) -> list[list[PlanState]]:
-    """Transformation children of every ``(state, evaluation)`` in ``parents``.
+    seen: set[bytes] | None = None,
+    limit: int | None = None,
+) -> StateBlock:
+    """Transformation children of every row of ``parents``, as one block.
 
-    Promote when infeasible, Demote when feasible.  Promote targets the
-    tasks dominating the (mean-time) critical path under the parent's
+    ``feasible[b]`` is parent ``b``'s evaluated feasibility.  Promote
+    when infeasible, Demote when feasible.  Promote targets the tasks
+    dominating the (mean-time) critical path under the parent's
     assignment, largest time first, then a few off-path tasks for
     exploration (the per-sample critical path can differ from the mean
     one); Demote targets the tasks with the largest cost saving, first
@@ -115,7 +121,13 @@ def expand_batch(
     still infeasible a feasible parent also keeps one promote alive, for
     robustness near the boundary.
 
-    One child list per parent, in emission order.
+    Returns the child block: every child is a single-task edit of the
+    parent whose key is its ``parent_keys`` entry (its ``dirty`` row is
+    the edited task), in emission order -- parent by parent, and per parent the lead list, the rest
+    list, then the kept-alive promote.  Children whose key is in
+    ``seen`` are dropped and the rest added to it, the first occurrence
+    winning; ``limit`` keeps the first that many (the evaluation
+    budget).  ``seen=None`` keeps duplicates.
 
     Both directions are one ranking: a stable ``argsort`` of the negated
     key (mean time, or saving) over all tasks, cut into an on-path and
@@ -123,18 +135,17 @@ def expand_batch(
     critical path is also path order (a parent's index is below its
     child's).
     """
-    out: list[list[PlanState]] = [[] for _ in parents]
     n, k = problem.num_tasks, problem.num_types
-    if not parents or not n:
-        return out
-    assign = np.stack([state.assignment for state, _ in parents])
+    if not len(parents) or not n:
+        return StateBlock(np.empty((0, n), dtype=np.int16))
+    assign = parents.assign
+    feasible = np.asarray(feasible, dtype=bool)
     cols = np.arange(n)
     lane = np.arange(len(parents))[:, None]
     mean_now = problem.mean_times[assign, cols]
     paths, _ = critical_paths(problem.levels, mean_now)
     on_path = np.zeros((len(parents), n + 1), dtype=bool)
     on_path[lane, paths] = True  # path padding marks the spare column
-    feasible = np.array([ev.feasible for _, ev in parents])
     demote = feasible[:, None]
 
     key = mean_now
@@ -158,14 +169,38 @@ def expand_batch(
     )
     tasks = order[owner, pos]
     new_type = assign[owner, tasks] + np.where(feasible, -1, 1)[owner]
+    if not incumbent_feasible and feasible.any():
+        # The kept-alive promote: the path task with the largest mean
+        # time (the first of equals; the path's left padding never wins).
+        alive = np.flatnonzero(feasible)
+        path = paths[alive]
+        times = np.where(path >= 0, mean_now[alive[:, None], path], -np.inf)
+        top = path[np.arange(len(alive)), np.argmax(times, axis=1)]
+        owner = np.concatenate([owner, alive])
+        tasks = np.concatenate([tasks, top])
+        new_type = np.concatenate([new_type, assign[alive, top] + 1])
+    kept = new_type < k  # no promote above the top type
+    # Per parent: its lists in cut order, then its kept-alive promote.
+    emit = np.flatnonzero(kept)
+    emit = emit[np.argsort(owner[emit], kind="stable")]
+    owner, tasks, new_type = owner[emit], tasks[emit], new_type[emit]
 
-    for b, i, t in zip(owner.tolist(), tasks.tolist(), new_type.tolist()):
-        if t < k:  # no promote above the top type
-            out[b].append(parents[b][0].with_type(i, t))
-    if not incumbent_feasible:
-        for b in np.flatnonzero(feasible).tolist():
-            path = paths[b][paths[b] >= 0]
-            child = parents[b][0].promote(int(path[np.argmax(mean_now[b, path])]), k)
-            if child is not None:
-                out[b].append(child)
-    return out
+    children = assign[owner]
+    children[np.arange(len(owner)), tasks] = new_type
+    keys = row_keys(children)
+    rows: list[int] | range = range(len(keys))
+    if seen is not None:
+        rows = []
+        for c, key in enumerate(keys):
+            if key not in seen:
+                seen.add(key)
+                rows.append(c)
+    if limit is not None:
+        rows = rows[:limit]
+    if len(rows) < len(keys):
+        owner, tasks, children = owner[rows], tasks[rows], children[rows]
+        keys = [keys[c] for c in rows]
+    parent_keys = parents.keys
+    return StateBlock(
+        children, keys, [parent_keys[b] for b in owner.tolist()], tasks[:, None]
+    )

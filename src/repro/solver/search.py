@@ -11,13 +11,19 @@ states that cannot improve on the incumbent (promoting only raises
 cost, so any state already costlier than the best feasible solution is
 dead -- the observation behind the paper's A* variant).
 
-Expansion is *batched*: each iteration takes the top
-``expand_per_iter`` beam states, generates all their transformation
-children, dedupes them against the visited set, and evaluates the
-union as **one** batch through the tiers of :mod:`repro.solver.tiers`
--- the paper's block-per-state GPU layout, where every kernel launch
-carries many states.  Priority and pruning semantics are those of the
-one-state-at-a-time loop; only the evaluation granularity changes.
+Expansion is *batched* and the beam is *arrays*: each iteration ranks
+the frontier -- a :class:`~repro.solver.state.StateBlock` of states
+plus the :class:`~repro.solver.state.BatchEval` vectors of their
+evaluations -- by ``(priority, key)``, expands the top
+``expand_per_iter`` rows into one block of children (deduped against
+the visited set), evaluates that block through the tiers of
+:mod:`repro.solver.tiers` -- the paper's block-per-state GPU layout,
+where every kernel launch carries many states -- and folds the results
+into the incumbent and the frontier in child order.  No per-candidate
+object is built: :class:`PlanState` / :class:`StateEval` exist for the
+seeds and the returned plan only.  Priority and pruning semantics are
+those of the one-state-at-a-time loop; only the evaluation granularity
+changes.
 
 :class:`AStarSearch` is a generic best-first A* over user-supplied
 ``g``/``h`` scores, used when a WLog program declares
@@ -37,7 +43,7 @@ import numpy as np
 from repro.common.errors import SolverError, ValidationError
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
 from repro.solver.expand import expand_batch
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.solver.tiers import AnalyticTier, Evaluator, MonteCarloTier, PrefixTier, Tier
 
 if TYPE_CHECKING:  # tier 0 loads SciPy; a solve below its gate never imports it
@@ -117,20 +123,15 @@ class LocalEvaluator:
         self.problem = problem
         self._base = self._snapshot()
 
-    def moments(self, states: list[PlanState]) -> tuple[np.ndarray, np.ndarray]:
-        return self.search._analytic_evaluator().makespan_moments(self.problem, states)
+    def moments(self, block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
+        return self.search._analytic_evaluator().makespan_moments(self.problem, block)
 
-    def screen(self, states: list[PlanState]) -> np.ndarray:
-        return self.search.backend.screen_probabilities(self.problem, states, PrefixTier.SAMPLES)
+    def screen(self, block: StateBlock) -> np.ndarray:
+        return self.search.backend.screen_probabilities(self.problem, block, PrefixTier.SAMPLES)
 
-    def evaluate(
-        self, states: list[PlanState], parents: Sequence[PlanState] = ()
-    ) -> list[StateEval]:
-        needed = {c.parent_key for c in states}
-        pins = [p for p in parents if p.key in needed]
-        if pins:
-            self.search.backend.ensure_frontier(self.problem, *pins)
-        return self.search.backend.evaluate_batch(self.problem, states)
+    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
+        pins = None if parents is None else parents.parents_of(block)
+        return self.search.backend.evaluate_batch(self.problem, block, pins)
 
     def _snapshot(self) -> dict[str, int]:
         snap = self.search.backend.counters_snapshot()
@@ -229,48 +230,59 @@ class GenericSearch:
         evaluator = evaluator or self.evaluator(problem)
         tiers = self._tiers(evaluator)
         seen, seed_states = self._seed_states(problem, initial, seeds)
-        settled = self._settle(problem, tiers[-1:], seed_states, [], None)
-        frontier = [(st, settled[st.key]) for st in seed_states]
-        best_state, best_eval = frontier[0]
-        for st, ev in frontier[1:]:
-            if ev.better_than(best_eval):
-                best_state, best_eval = st, ev
+        frontier = StateBlock.from_states(seed_states)
+        _, evals = self._settle(problem, tiers[-1:], frontier, None, False)
+        improved = self._improvements(evals, np.arange(1, len(frontier)), evals.take([0]))
+        best = ([0] + improved)[-1]
+        best_state, best_eval = frontier.take([best]), evals.take([best])
         evaluations, expansions, timed_out = len(frontier), 0, False
-        trace = [(evaluations, best_eval.cost if best_eval.feasible else float("inf"))]
+        trace = [(evaluations, self._trace_cost(best_eval))]
 
-        while frontier and evaluations < self.max_evaluations:
+        while len(frontier) and evaluations < self.max_evaluations:
             if t_deadline is not None and time.monotonic() >= t_deadline:
                 timed_out = True
                 break
-            # Stable total order (priority, then assignment bytes): the
-            # ranking is a function of the frontier *set*.
-            frontier.sort(key=self._frontier_key)
-            frontier = frontier[: self.beam_width]
-            batch = frontier[: self.expand_per_iter]
-            frontier = frontier[self.expand_per_iter :]
-            expansions += len(batch)
-            parents = [st for st, _ in batch]
-            children = self._children(problem, batch, best_eval.feasible, seen)
+            ranked = self._rank(frontier, evals)[: self.beam_width]
+            top, rest = ranked[: self.expand_per_iter], ranked[self.expand_per_iter :]
+            expansions += len(top)
+            parents = frontier.take(top)
+            incumbent_feasible = bool(best_eval.feasible[0])
             # A candidate consumes budget whichever tier settles it, so
             # the budget trajectory does not depend on the tiers.
-            children = children[: self.max_evaluations - evaluations]
-            evaluations += len(children)
-            settled = self._settle(problem, tiers, children, parents, best_eval)
-            merged = [(c, settled[c.key]) for c in children if c.key in settled]
-            best_state, best_eval = self._merge(
-                merged, best_state, best_eval, frontier, trace, evaluations
+            children = expand_batch(
+                problem, parents, evals.feasible[top], incumbent_feasible,
+                self.children_per_state, seen, self.max_evaluations - evaluations,
             )
+            evaluations += len(children)
+            frontier, evals = frontier.take(rest), evals.take(rest)
+            if not len(children):
+                continue
+            settled, child_evals = self._settle(
+                problem, tiers, children, parents, incumbent_feasible
+            )
+            # In child order: incumbent updates on exact-cost ties keep
+            # the first-seen winner, whichever tier settled a candidate.
+            merged = np.flatnonzero(settled)
+            for row in self._improvements(child_evals, merged, best_eval):
+                best_state, best_eval = children.take([row]), child_evals.take([row])
+                trace.append((evaluations, self._trace_cost(best_eval)))
+            # A feasible candidate is pruned (paper Section 5.3: promoting
+            # only raises cost): it is now the incumbent, or the incumbent
+            # is feasible and costs no more.  The infeasible ones join.
+            joined = merged[~child_evals.feasible[merged]]
+            frontier = StateBlock.concat([frontier, children.take(joined)])
+            evals = BatchEval.concat([evals, child_evals.take(joined)])
 
         # A tier-0 incumbent is an exact *choice*; its reported numbers
         # come from tier 2, like every other returned plan's.
-        if best_eval.source == "analytic":
-            best_eval = self._settle(problem, tiers[-1:], [best_state], [], None)[best_state.key]
+        if best_eval.source[0] == "analytic":
+            _, best_eval = self._settle(problem, tiers[-1:], best_state, None, False)
         return SearchResult(
-            best_state=best_state,
-            best_eval=best_eval,
+            best_state=best_state.state(0),
+            best_eval=best_eval[0],
             evaluations=evaluations,
             expansions=expansions,
-            feasible_found=best_eval.feasible,
+            feasible_found=bool(best_eval.feasible[0]),
             trace=trace,
             timed_out=timed_out,
             **self._counters(tiers, evaluator),
@@ -286,39 +298,62 @@ class GenericSearch:
 
     @staticmethod
     def _settle(
-        problem: CompiledProblem, tiers: Sequence[Tier], batch: list[PlanState],
-        parents: list[PlanState], incumbent: StateEval | None,
-    ) -> dict[bytes, StateEval]:
-        """Run ``batch`` through ``tiers`` in order; what they settled, by key."""
-        settled: dict[bytes, StateEval] = {}
+        problem: CompiledProblem, tiers: Sequence[Tier], batch: StateBlock,
+        parents: StateBlock | None, incumbent_feasible: bool,
+    ) -> tuple[np.ndarray, BatchEval]:
+        """Run ``batch`` through ``tiers`` in order.
+
+        Returns which rows a tier settled and, in those rows, their
+        evaluations (the other rows were discarded).
+        """
+        settled = np.zeros(len(batch), dtype=bool)
+        evals = None
+        live = np.arange(len(batch))
         for tier in tiers:
-            if not batch:
+            if not len(live):
                 break
-            done, batch = tier.settle(problem, batch, parents, incumbent)
-            settled.update(done)
-        return settled
+            whole = len(live) == len(batch)
+            done, found, survivors = tier.settle(
+                problem, batch if whole else batch.take(live), parents, incumbent_feasible
+            )
+            if whole and len(done) == len(batch):
+                return np.ones(len(batch), dtype=bool), found
+            if len(done):
+                if evals is None:
+                    evals = BatchEval.empty(len(batch))
+                evals.put(live[done], found)
+                settled[live[done]] = True
+            live = live[survivors]
+        return settled, BatchEval.empty(len(batch)) if evals is None else evals
 
     @staticmethod
-    def _merge(
-        merged: list[tuple[PlanState, StateEval]], best_state: PlanState, best_eval: StateEval,
-        frontier: list[tuple[PlanState, StateEval]], trace: list[tuple[int, float]],
-        evaluations: int,
-    ) -> tuple[PlanState, StateEval]:
-        """Fold settled ``(state, eval)`` pairs into the incumbent and frontier.
+    def _improvements(evals: BatchEval, rows: np.ndarray, incumbent: BatchEval) -> list[int]:
+        """The ``rows`` that, in order, each beat the incumbent of their time.
 
-        In the candidates' *original* order: incumbent updates on
-        exact-cost ties keep the first-seen winner, whichever tier
-        settled a candidate.  A feasible candidate costlier than the
-        incumbent is pruned -- promoting only raises cost (paper
-        Section 5.3).
+        Feasibility first, then the lower cost (feasible) or the higher
+        probability (infeasible) -- :meth:`StateEval.better_than` -- and
+        a tie keeps the incumbent.  Only rows better than ``incumbent``
+        itself can qualify, so only those are walked.
         """
-        for st, ev in merged:
-            if ev.better_than(best_eval):
-                best_state, best_eval = st, ev
-                trace.append((evaluations, ev.cost if ev.feasible else float("inf")))
-            if not (best_eval.feasible and ev.feasible and ev.cost >= best_eval.cost):
-                frontier.append((st, ev))
-        return best_state, best_eval
+        feasible = bool(incumbent.feasible[0])
+        cost = float(incumbent.cost[0])
+        prob = float(incumbent.probability[0])
+        f, c, p = evals.feasible[rows], evals.cost[rows], evals.probability[rows]
+        maybe = f & (c < cost) if feasible else f | (p > prob)
+        out: list[int] = []
+        if not maybe.any():
+            return out
+        for row, fi, ci, pi in zip(
+            rows[maybe].tolist(), f[maybe].tolist(), c[maybe].tolist(), p[maybe].tolist()
+        ):
+            if fi > feasible or (fi == feasible and (ci < cost if fi else pi > prob)):
+                out.append(row)
+                feasible, cost, prob = fi, ci, pi
+        return out
+
+    @staticmethod
+    def _trace_cost(ev: BatchEval) -> float:
+        return float(ev.cost[0]) if ev.feasible[0] else float("inf")
 
     @staticmethod
     def _counters(tiers: Sequence[Tier], evaluator: Evaluator) -> dict[str, int]:
@@ -350,19 +385,6 @@ class GenericSearch:
                 states.append(st)
         return seen, states
 
-    def _children(
-        self, problem: CompiledProblem, batch: list[tuple[PlanState, StateEval]],
-        feasible: bool, seen: set[bytes],
-    ) -> list[PlanState]:
-        """The batch's unseen children (one array pass), marked seen."""
-        children: list[PlanState] = []
-        for kids in expand_batch(problem, batch, feasible, self.children_per_state):
-            for c in kids:
-                if c.key not in seen:
-                    seen.add(c.key)
-                    children.append(c)
-        return children
-
     # ------------------------------------------------------------------
 
     def _analytic_evaluator(self) -> AnalyticBackend:
@@ -385,24 +407,26 @@ class GenericSearch:
         return self._analytic.analytic_stats()
 
     @staticmethod
-    def _priority(ev: StateEval) -> tuple:
-        """Frontier ordering: feasible cheap states first, then near-feasible."""
-        if ev.feasible:
-            return (0, ev.cost, -ev.probability)
-        return (1, -ev.probability, ev.cost)
+    def _rank(block: StateBlock, evals: BatchEval) -> np.ndarray:
+        """Frontier order of ``block``'s rows: priority, then assignment bytes.
 
-    @classmethod
-    def _frontier_key(cls, se: tuple[PlanState, StateEval]) -> tuple:
-        """Total order for frontier ranking: priority, then assignment bytes.
-
+        Priority puts feasible cheap states first (cost, then higher
+        probability), then near-feasible ones (probability, then cost).
         The byte tiebreak makes the ranking a function of the frontier
-        *set*: two entries never compare equal (state keys are unique
-        within a frontier), so the sorted order -- and with it every
-        beam/expansion cut -- is independent of insertion order.  That
-        is what lets the sharded merge concatenate chunk results in any
-        grouping and still reproduce the serial beam exactly.
+        *set*: two rows never compare equal (state keys are unique
+        within a frontier), so the order -- and with it every
+        beam/expansion cut -- is independent of row order.  That is what
+        lets the sharded merge concatenate chunk results in any grouping
+        and still reproduce the serial beam exactly.
         """
-        return (*cls._priority(se[1]), se[0].key)
+        feasible, cost, prob = evals.feasible, evals.cost, evals.probability
+        # Row bytes as one fixed-width string each: compared byte by byte,
+        # like the ``bytes`` keys.
+        n = block.num_tasks
+        keys = block.assign.view(f"S{2 * n}")[:, 0] if n else np.zeros(len(block))
+        return np.lexsort(
+            (keys, np.where(feasible, -prob, cost), np.where(feasible, cost, -prob), ~feasible)
+        )
 
 
 # ---------------------------------------------------------------------------

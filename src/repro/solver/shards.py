@@ -5,9 +5,10 @@ persistent :class:`~repro.parallel.ShardPool`, the shared-memory
 :class:`~repro.parallel.TensorArena` the solve's compiled problem
 travels through, and the lifetime counters ``Deco.cache_stats()``
 reports.  :class:`ShardedEvaluator` is the sharded
-:class:`~repro.solver.tiers.Evaluator`: it splits each call's states
-into contiguous, even chunks, dispatches chunk ``j`` to shard ``j`` of
-a :class:`~repro.parallel.ShardPool` (stable affinity keeps the
+:class:`~repro.solver.tiers.Evaluator`: it splits each call's
+:class:`~repro.solver.state.StateBlock` into contiguous, even chunks of
+rows, dispatches chunk ``j`` to shard ``j`` of a
+:class:`~repro.parallel.ShardPool` (stable affinity keeps the
 shard-resident evaluation caches warm across iterations), and
 concatenates chunk results back in input order.
 
@@ -15,7 +16,7 @@ Each shard answers with the in-process
 :class:`~repro.solver.search.LocalEvaluator` over its chunk (DESIGN.md
 §13), so it returns only *pure per-candidate numbers* -- analytic
 makespan moments, prefix-MC probabilities, full-fidelity
-:class:`~repro.solver.state.StateEval`\\ s -- plus monotone counter
+:class:`~repro.solver.state.BatchEval` vectors -- plus monotone counter
 deltas.  Each is a function of (compiled problem, state) alone, so any
 partition of a batch concatenates back to the serial numbers bit for
 bit, and every search decision stays with the tiers in the parent.
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 import warnings
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from repro.parallel.workers import (
     beam_screen_job,
     init_deco_worker,
 )
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import BatchEval, StateBlock
 from repro.solver.tiers import AnalyticTier, Evaluator
 
 if TYPE_CHECKING:
@@ -242,23 +243,21 @@ class ShardedEvaluator:
     def workers(self) -> int:
         return 1 if self.pool.is_serial else self.pool.workers
 
-    def moments(self, states: list[PlanState]) -> tuple[np.ndarray, np.ndarray]:
+    def moments(self, block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
         if self.pool.is_serial:
-            return self.local.moments(states)
-        parts = self.screen_round(states, "moments")
+            return self.local.moments(block)
+        parts = self.screen_round(block, "moments")
         return np.concatenate([m for m, _ in parts]), np.concatenate([v for _, v in parts])
 
-    def screen(self, states: list[PlanState]) -> np.ndarray:
+    def screen(self, block: StateBlock) -> np.ndarray:
         if self.pool.is_serial:
-            return self.local.screen(states)
-        return np.concatenate(self.screen_round(states, "screen"))
+            return self.local.screen(block)
+        return np.concatenate(self.screen_round(block, "screen"))
 
-    def evaluate(
-        self, states: list[PlanState], parents: Sequence[PlanState] = ()
-    ) -> list[StateEval]:
+    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
         if self.pool.is_serial:
-            return self.local.evaluate(states, parents)
-        return self.eval_round(states, parents)
+            return self.local.evaluate(block, parents)
+        return self.eval_round(block, parents)
 
     def counters(self) -> dict[str, int]:
         totals = self.local.counters()
@@ -273,14 +272,18 @@ class ShardedEvaluator:
             self.shard_counters[key] = self.shard_counters.get(key, 0) + int(value)
             self.totals[key] = self.totals.get(key, 0) + int(value)
 
-    def screen_round(self, states: list[PlanState], call: str) -> list:
+    def _chunks(self, block: StateBlock) -> list[StateBlock]:
+        """``block`` cut into one contiguous, even run of rows per shard."""
+        return [block.take(rows) for rows in chunk_evenly(range(len(block)), self.pool.workers)]
+
+    def screen_round(self, block: StateBlock, call: str) -> list:
         """One barrier of a screening call (``"moments"`` or ``"screen"``).
 
         Returns the per-chunk results in chunk order.
         """
         jobs = [
             self.pool.submit(shard, beam_screen_job, (self.solve_key, chunk, call))
-            for shard, chunk in enumerate(chunk_evenly(states, self.pool.workers))
+            for shard, chunk in enumerate(self._chunks(block))
         ]
         values = []
         for value, delta in self.pool.gather(jobs):
@@ -288,36 +291,29 @@ class ShardedEvaluator:
             values.append(value)
         return values
 
-    def submit_eval(
-        self,
-        states: list[PlanState],
-        parents: Sequence[PlanState],
-    ) -> list[_ShardJob]:
+    def submit_eval(self, block: StateBlock, parents: StateBlock | None) -> list[_ShardJob]:
         """Dispatch tier-2 full evaluation; pair with :meth:`gather_eval`.
 
         Each job carries its chunk plus the expanded parents the chunk
         descends from, so the shard-resident EvalContext can pin
         frontiers and serve the delta-propagation path.
         """
-        jobs = []
-        for shard, chunk in enumerate(chunk_evenly(states, self.pool.workers)):
-            need = {c.parent_key for c in chunk}
-            pins = [p for p in parents if p.key in need]
-            jobs.append(
-                self.pool.submit(shard, beam_eval_job, (self.solve_key, chunk, pins))
+        return [
+            self.pool.submit(
+                shard, beam_eval_job,
+                (self.solve_key, chunk, None if parents is None else parents.parents_of(chunk)),
             )
-        return jobs
+            for shard, chunk in enumerate(self._chunks(block))
+        ]
 
-    def gather_eval(self, jobs: list[_ShardJob]) -> list[StateEval]:
+    def gather_eval(self, jobs: list[_ShardJob]) -> BatchEval:
         """Chunk evaluations concatenated back into submission order."""
-        evals: list[StateEval] = []
+        parts = []
         for chunk_evals, delta in self.pool.gather(jobs):
             self._absorb(delta)
-            evals.extend(chunk_evals)
-        return evals
+            parts.append(chunk_evals)
+        return BatchEval.concat(parts)
 
-    def eval_round(
-        self, states: list[PlanState], parents: Sequence[PlanState] = ()
-    ) -> list[StateEval]:
+    def eval_round(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
         """Barrier convenience: submit + gather in one call."""
-        return self.gather_eval(self.submit_eval(states, parents))
+        return self.gather_eval(self.submit_eval(block, parents))

@@ -1,57 +1,70 @@
 """The evaluation cascade of one beam iteration: three tiers, one evaluator.
 
-:meth:`GenericSearch.solve` hands each iteration's candidates to tier 0
+:meth:`GenericSearch.solve` hands each iteration's candidates -- one
+:class:`~repro.solver.state.StateBlock` -- to tier 0
 (:class:`AnalyticTier`), tier 1 (:class:`PrefixTier`) and tier 2
 (:class:`MonteCarloTier`) in turn.  ``settle(problem, batch, parents,
-incumbent)`` returns ``(settled, survivors)``: the evaluations the tier
-decided, by state key, and the candidates the next tier sees; a
-candidate in neither was discarded.  The tiers take every number from
-an :class:`Evaluator` -- in process, or sharded over worker processes
-that each run the in-process one -- and make every decision themselves,
-so the route the numbers took cannot move a plan.
+incumbent_feasible)`` returns ``(settled, evals, survivors)``: the rows
+of ``batch`` the tier decided, their :class:`~repro.solver.state.BatchEval`,
+and the rows the next tier sees; a row in neither was discarded.  The
+tiers take every number from an :class:`Evaluator` -- in process, or
+sharded over worker processes that each run the in-process one -- and
+make every decision themselves, so the route the numbers took cannot
+move a plan.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import BatchEval, StateBlock
 
 if TYPE_CHECKING:
     from repro.solver.backends import CompiledProblem, EvaluationBackend
 
 __all__ = ["Evaluator", "Tier", "AnalyticTier", "PrefixTier", "MonteCarloTier"]
 
-Settled = dict[bytes, StateEval]
+#: ``(settled rows, their evaluations, surviving rows)`` of one tier.
+Settled = tuple[np.ndarray, BatchEval, np.ndarray]
+
+
+_NONE = np.empty(0, dtype=np.intp)
+_NONE.setflags(write=False)
+_NO_EVALS = BatchEval.empty(0)
+
+
+def _passed(batch: StateBlock) -> Settled:
+    """Nothing settled, every row survives."""
+    return _NONE, _NO_EVALS, np.arange(len(batch))
 
 
 class Evaluator(Protocol):
-    """Per-candidate numbers for one solve's problem.
+    """Per-candidate numbers for one solve's problem, a block at a time.
 
-    Each value is a function of (problem, state) alone, so any chunking
-    of a batch, evaluated anywhere, concatenates back to the same
-    numbers.  ``counters()`` is the work (cache, delta-propagation,
-    tier-0 counters) done since the evaluator was built; an evaluator
-    serves one solve.  ``workers`` is the processes its calls ran on.
+    Each call takes a :class:`~repro.solver.state.StateBlock` and returns
+    one value per row.  Each value is a function of (problem, state)
+    alone, so any chunking of a block, evaluated anywhere, concatenates
+    back to the same numbers.  ``counters()`` is the work (cache,
+    delta-propagation, tier-0 counters) done since the evaluator was
+    built; an evaluator serves one solve.  ``workers`` is the processes
+    its calls ran on.
     """
 
     @property
     def workers(self) -> int: ...
 
-    def moments(self, states: list[PlanState]) -> tuple[np.ndarray, np.ndarray]:
-        """Tier 0: analytic makespan ``(mean, variance)`` per state."""
+    def moments(self, block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
+        """Tier 0: analytic makespan ``(mean, variance)`` per row."""
         ...
 
-    def screen(self, states: list[PlanState]) -> np.ndarray:
+    def screen(self, block: StateBlock) -> np.ndarray:
         """Tier 1: deadline probability over the first ``PrefixTier.SAMPLES`` draws."""
         ...
 
-    def evaluate(
-        self, states: list[PlanState], parents: Sequence[PlanState] = ()
-    ) -> list[StateEval]:
-        """Tier 2: full-fidelity evaluations, the states' ``parents`` pinned first."""
+    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
+        """Tier 2: full-fidelity evaluations, the rows' ``parents`` pinned first."""
         ...
 
     def counters(self) -> dict[str, int]: ...
@@ -63,9 +76,9 @@ class Tier(Protocol):
     counts: dict[str, int]
 
     def settle(
-        self, problem: CompiledProblem, batch: list[PlanState],
-        parents: Sequence[PlanState], incumbent: StateEval | None,
-    ) -> tuple[Settled, list[PlanState]]: ...
+        self, problem: CompiledProblem, batch: StateBlock,
+        parents: StateBlock | None, incumbent_feasible: bool,
+    ) -> Settled: ...
 
 
 class _ScreenTier:
@@ -92,26 +105,23 @@ class _ScreenTier:
     def applies(self, problem: CompiledProblem) -> bool:
         raise NotImplementedError
 
-    def _classify(
-        self, problem: CompiledProblem, batch: list[PlanState]
-    ) -> tuple[Settled, list[PlanState]]:
+    def _classify(self, problem: CompiledProblem, batch: StateBlock) -> Settled:
         raise NotImplementedError
 
     def settle(
-        self, problem: CompiledProblem, batch: list[PlanState],
-        parents: Sequence[PlanState], incumbent: StateEval | None,
-    ) -> tuple[Settled, list[PlanState]]:
+        self, problem: CompiledProblem, batch: StateBlock,
+        parents: StateBlock | None, incumbent_feasible: bool,
+    ) -> Settled:
         if (
             self.dry >= self.DRY_LIMIT
-            or incumbent is None
-            or not incumbent.feasible
+            or not incumbent_feasible
             or len(batch) < self.MIN_BATCH
             or not self.applies(problem)
         ):
-            return {}, batch
-        settled, survivors = self._classify(problem, batch)
-        self.dry = 0 if len(survivors) < len(batch) else self.dry + 1
-        return settled, survivors
+            return _passed(batch)
+        settled = self._classify(problem, batch)
+        self.dry = 0 if len(settled[2]) < len(batch) else self.dry + 1
+        return settled
 
 
 class AnalyticTier(_ScreenTier):
@@ -126,7 +136,7 @@ class AnalyticTier(_ScreenTier):
     alone replicate sampling noise at the boundary.
 
     Settled candidates are not dropped: they join the frontier with a
-    closed-form :class:`StateEval` (``source="analytic"``).  Sound
+    closed-form evaluation (``source="analytic"``).  Sound
     because the Eq.-1 cost is deterministic (mean times x prices):
     feasibility is all sampling decides, so incumbent updates and
     pruning stay exact and only the order *among clearly-infeasible
@@ -178,9 +188,7 @@ class AnalyticTier(_ScreenTier):
     def applies(self, problem: CompiledProblem) -> bool:
         return self.static_gate(problem, self.min_tasks, self.backend)
 
-    def _classify(
-        self, problem: CompiledProblem, batch: list[PlanState]
-    ) -> tuple[Settled, list[PlanState]]:
+    def _classify(self, problem: CompiledProblem, batch: StateBlock) -> Settled:
         # SciPy loads with the tier: a solve below the size gate imports none of it.
         from repro.solver.analytic_backend import ndtr, ndtri
 
@@ -189,29 +197,27 @@ class AnalyticTier(_ScreenTier):
         floor = self.SD_FLOOR * np.abs(mean)
         if float(np.median(sd)) < float(np.median(floor)):
             self.dry = self.DRY_LIMIT  # near-deterministic makespans: off for good
-            return {}, batch
+            return _passed(batch)
         np.maximum(sd, floor, out=sd)
         z = (problem.deadline - mean) / np.maximum(sd, 1e-9)
         self.counts["analytic_evals"] += len(batch)
         z_req = float(ndtri(problem.required_probability))
         decided = (z <= z_req - self.MARGIN) | (z >= z_req + self.ACCEPT_MARGIN)
         if not decided.any():
-            return {}, batch
-        idx = np.nonzero(decided)[0]
-        costs = problem.expected_cost_batch(np.stack([batch[i].assignment for i in idx]))
-        probs = ndtr(z[idx])
-        settled: Settled = {}
-        for j, i in enumerate(idx):
-            feasible = bool(z[i] >= z_req)
-            settled[batch[i].key] = StateEval(
-                cost=float(costs[j]),
-                probability=float(probs[j]),
-                feasible=feasible,
-                mean_makespan=float(mean[i]),
-                source="analytic",
-            )
-            self.counts["analytic_accepted" if feasible else "analytic_screened_out"] += 1
-        return settled, [c for c, d in zip(batch, decided) if not d]
+            return _passed(batch)
+        idx = np.flatnonzero(decided)
+        feasible = z[idx] >= z_req
+        accepted = int(np.count_nonzero(feasible))
+        self.counts["analytic_accepted"] += accepted
+        self.counts["analytic_screened_out"] += len(idx) - accepted
+        evals = BatchEval(
+            problem.expected_cost_batch(batch.assign[idx]),
+            ndtr(z[idx]),
+            feasible,
+            mean[idx],
+            np.full(len(idx), "analytic"),
+        )
+        return idx, evals, np.flatnonzero(~decided)
 
 
 class PrefixTier(_ScreenTier):
@@ -235,15 +241,12 @@ class PrefixTier(_ScreenTier):
     def applies(self, problem: CompiledProblem) -> bool:
         return problem.num_samples >= 2 * self.SAMPLES
 
-    def _classify(
-        self, problem: CompiledProblem, batch: list[PlanState]
-    ) -> tuple[Settled, list[PlanState]]:
+    def _classify(self, problem: CompiledProblem, batch: StateBlock) -> Settled:
         probs = self.evaluator.screen(batch)
         self.counts["screen_evals"] += len(batch)
-        keep = probs + self.MARGIN >= problem.required_probability
-        survivors = [c for c, k in zip(batch, keep) if k]
+        survivors = np.flatnonzero(probs + self.MARGIN >= problem.required_probability)
         self.counts["screened_out"] += len(batch) - len(survivors)
-        return {}, survivors
+        return _NONE, _NO_EVALS, survivors
 
 
 class MonteCarloTier:
@@ -258,9 +261,9 @@ class MonteCarloTier:
         self.counts = {"exact_evals": 0}
 
     def settle(
-        self, problem: CompiledProblem, batch: list[PlanState],
-        parents: Sequence[PlanState], incumbent: StateEval | None,
-    ) -> tuple[Settled, list[PlanState]]:
+        self, problem: CompiledProblem, batch: StateBlock,
+        parents: StateBlock | None, incumbent_feasible: bool,
+    ) -> Settled:
         evals = self.evaluator.evaluate(batch, parents)
         self.counts["exact_evals"] += len(batch)
-        return {st.key: ev for st, ev in zip(batch, evals)}, []
+        return np.arange(len(batch)), evals, _NONE

@@ -17,6 +17,7 @@ The five ensemble types of the paper's evaluation control how member
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -44,19 +45,21 @@ class EnsembleMember:
     ``priority`` 0 is the most important member; the member's score is
     ``2**-priority``.  ``deadline`` (seconds) and ``deadline_percentile``
     express the member's probabilistic deadline constraint
-    ``P(t_w <= deadline) >= deadline_percentile/100``.
+    ``P(t_w <= deadline) >= deadline_percentile/100``.  ``deadline`` is
+    ``None`` until :meth:`Ensemble.with_constraints` sets it (what
+    :func:`make_ensemble` builds); a member without one cannot be solved.
     """
 
     workflow: Workflow
     priority: int
-    deadline: float = float("inf")
+    deadline: float | None = None
     deadline_percentile: float = 96.0
 
     def __post_init__(self):
         if self.priority < 0:
             raise ValidationError(f"priority must be >= 0, got {self.priority}")
-        if self.deadline <= 0:
-            raise ValidationError(f"deadline must be > 0, got {self.deadline}")
+        if self.deadline is not None and not (math.isfinite(self.deadline) and self.deadline > 0):
+            raise ValidationError(f"deadline must be a finite number > 0, got {self.deadline}")
         if not 0 < self.deadline_percentile <= 100:
             raise ValidationError(
                 f"deadline_percentile must be in (0, 100], got {self.deadline_percentile}"
@@ -91,6 +94,14 @@ class Ensemble:
 
     def __iter__(self):
         return iter(self.members)
+
+    def require_deadlines(self) -> None:
+        """Raise unless every member has a deadline (member solves need one)."""
+        unset = sorted(m.priority for m in self.members if m.deadline is None)
+        if unset:
+            raise ValidationError(
+                f"members {unset} have no deadline; set them with with_constraints"
+            )
 
     def by_priority(self) -> tuple[EnsembleMember, ...]:
         """Members ordered from most to least important."""

@@ -5,7 +5,7 @@ import inspect
 
 import pytest
 
-from repro.common.errors import InfeasibleError, ValidationError
+from repro.common.errors import InfeasibleError, SolverError, ValidationError
 from repro.engine.deco import Deco
 from repro.service.runtime import ServiceConfig
 from repro.solver.backends import CompiledProblem, VectorizedBackend
@@ -48,6 +48,18 @@ class TestSchedule:
             deco.schedule(wf, -5.0)
         with pytest.raises(ValidationError):
             deco.schedule(wf, "weird")
+
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf")])
+    def test_non_finite_deadline_rejected(self, deco, wf, deadline):
+        with pytest.raises(ValidationError, match="finite"):
+            deco.schedule(wf, deadline)
+
+    @pytest.mark.parametrize("percentile", [0.0, -1.0, 101.0, float("nan")])
+    def test_percentile_outside_0_100_rejected(self, deco, wf, percentile):
+        # Used to return a plan "feasible" at P = 0.0 (percentile <= 0) or
+        # an infeasible one at P = 1.0 (percentile > 100).
+        with pytest.raises(SolverError, match="percentile"):
+            deco.schedule(wf, "medium", deadline_percentile=percentile)
 
     def test_higher_percentile_not_cheaper(self, deco, wf):
         lo = deco.schedule(wf, "medium", deadline_percentile=90.0)

@@ -39,6 +39,12 @@ class TestMemberPlans:
     def test_plans_meet_member_deadlines(self, plans):
         assert all(p.feasible for p in plans.values())
 
+    def test_members_without_deadlines_rejected(self, driver):
+        # Not recorded as None per member: the caller forgot with_constraints.
+        base = make_ensemble("constant", montage, 2, sizes=(20,), seed=5)
+        with pytest.raises(ValidationError, match="no deadline"):
+            driver.member_plans(base)
+
 
 class TestDecide:
     def test_infinite_budget_rejected(self, driver, ensemble, plans):

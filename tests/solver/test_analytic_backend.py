@@ -238,7 +238,7 @@ class TestBackendInterface:
         wf = montage(degrees=1.0, seed=0)
         problem = compile_wf(wf, num_samples=60)
         backend = AnalyticBackend()
-        assert backend.evaluate_batch(problem, []) == []
+        assert len(backend.evaluate_batch(problem, [])) == 0
         backend.makespan_moments(problem, uniform_states(problem))
         stats = backend.analytic_stats()
         assert stats["states_analytic"] == problem.num_types

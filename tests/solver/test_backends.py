@@ -10,7 +10,7 @@ from repro.solver.backends import (
     VectorizedBackend,
     get_backend,
 )
-from repro.solver.state import PlanState
+from repro.solver.state import PlanState, StateBlock
 from repro.workflow.critical_path import makespan_samples
 from repro.workflow.generators import montage, random_dag
 
@@ -50,6 +50,18 @@ class TestCompile:
         assert other.deadline == 999.0
         assert other.required_probability == pytest.approx(0.9)
         assert other.tensor is problem.tensor
+
+    @pytest.mark.parametrize("percentile", [0.0, -1.0, 101.0, float("nan")])
+    def test_with_deadline_checks_the_percentile(self, problem, percentile):
+        # The check compile() makes: a derived problem may not claim
+        # P >= 0 (met by any plan) or P >= 1.01 (met by none).
+        with pytest.raises(SolverError, match="percentile"):
+            problem.with_deadline(999.0, percentile=percentile)
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0, float("nan"), float("inf")])
+    def test_with_deadline_checks_the_deadline(self, problem, deadline):
+        with pytest.raises(SolverError, match="deadline"):
+            problem.with_deadline(deadline)
 
     def test_expected_cost_eq1(self, problem):
         assign = np.zeros(problem.num_tasks, dtype=int)
@@ -108,7 +120,7 @@ class TestBackends:
         assert evs[0].probability <= evs[-1].probability
 
     def test_empty_batch(self, problem):
-        assert VectorizedBackend().evaluate_batch(problem, []) == []
+        assert len(VectorizedBackend().evaluate_batch(problem, [])) == 0
 
     def test_wrong_state_length_rejected(self, problem):
         with pytest.raises(SolverError):
@@ -120,15 +132,13 @@ class TestBackends:
             VectorizedBackend().evaluate(problem, state)
 
     def test_negative_type_rejected(self, problem):
-        # PlanState itself refuses negative indices, so fake a corrupted
-        # state: the backend must still reject it instead of silently
-        # wrapping around to the most expensive type (regression).
-        class CorruptState:
-            assignment = np.full(problem.num_tasks, -1, dtype=np.int64)
-            key = assignment.tobytes()
-
+        # PlanState itself refuses negative indices, but a StateBlock's
+        # constructor trusts its matrix, so build a corrupted block: the
+        # backend must still reject it instead of silently wrapping
+        # around to the most expensive type (regression).
+        corrupt = StateBlock(np.full((1, problem.num_tasks), -1, dtype=np.int64))
         with pytest.raises(SolverError, match="negative"):
-            VectorizedBackend().makespan_samples(problem, [CorruptState()])
+            VectorizedBackend().makespan_samples(problem, corrupt)
 
     def test_agreement_on_random_dags(self, catalog, runtime_model):
         for seed in range(3):

@@ -30,7 +30,7 @@ from repro.solver.backends import (
 )
 from repro.solver.cache import EvalContext
 from repro.solver.levels import workflow_layout
-from repro.solver.state import PlanState
+from repro.solver.state import PlanState, StateBlock
 from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import montage
 
@@ -242,6 +242,59 @@ class TestPinnedFrontiers:
         chained = len(pinned) - len({st.key for st in roots})
         assert backend.delta_stats()["states_incremental"] == chained
 
+    @given(dags(), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_parents_pinned_in_the_launch_that_evaluates_their_children(
+        self, workflow, seed, small_cap
+    ):
+        """``makespan_samples(..., pins=parents)``: the parents chained on
+        resident frontiers are pinned and their children evaluated in one
+        launch -- the same makespans, frontiers and counters as pinning
+        first and evaluating after, whichever chunk each lands in."""
+        problem = synthetic_problem(workflow, seed)
+        n, k = problem.num_tasks, problem.num_types
+        rng = np.random.default_rng(seed)
+        roots = [PlanState(rng.integers(0, k, n)) for _ in range(2)]
+        parents = [
+            edit(r, {int(t): int(rng.integers(k)) for t in rng.choice(n, 2, replace=False)})
+            for r in roots
+            for _ in range(2)
+        ]
+        parents.append(PlanState(rng.integers(0, k, n)))  # no lineage: propagated in full
+        kids = [p.with_type(int(rng.integers(n)), int(rng.integers(k))) for p in parents]
+        kids += [edit(p, {0: int(rng.integers(k)), n - 1: int(rng.integers(k))}) for p in parents]
+        kids.append(PlanState(rng.integers(0, k, n)))  # an orphan: full kernel
+        kids = [kids[i] for i in rng.permutation(len(kids))]
+        cap = 0 if small_cap else cache_module.LAUNCH_WORKSPACE_BYTES
+        launches = []
+        launch = VectorizedBackend._delta_launch
+
+        def counted(self, *args, **kwargs):
+            launches.append(kwargs.get("pins", 0))
+            return launch(self, *args, **kwargs)
+
+        with mock.patch.object(cache_module, "LAUNCH_WORKSPACE_BYTES", cap):
+            fused = VectorizedBackend(eval_context=EvalContext())
+            fused.ensure_frontier(problem, *roots)
+            with mock.patch.object(VectorizedBackend, "_delta_launch", counted):
+                got = fused.makespan_samples(
+                    problem, StateBlock.from_states(kids), pins=StateBlock.from_states(parents)
+                )
+            apart = VectorizedBackend(eval_context=EvalContext())
+            apart.ensure_frontier(problem, *roots)
+            apart.ensure_frontier(problem, *parents)
+            want = apart.makespan_samples(problem, kids)
+        assert len(launches) == 1 and launches[0] <= 4  # chained parents, then children
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(got, ScalarBackend().makespan_samples(problem, kids))
+        ctx, token = fused.eval_context, problem.sample_token
+        for state in parents:
+            np.testing.assert_array_equal(
+                ctx.slab(token).frontier(ctx.find(token, state.key)),
+                reference_frontier(problem, state),
+            )
+        assert fused.delta_stats() == apart.delta_stats()
+
     def test_repeated_and_resident_states_are_pinned_once(self):
         problem = synthetic_problem(fan_in(5), seed=1)
         backend = VectorizedBackend(eval_context=EvalContext())
@@ -340,8 +393,10 @@ class TestLruSafetyUnderBatching:
 
 class TestSearchLaunchesAndMemory:
     def test_at_most_two_delta_launches_per_beam_iteration(self, catalog):
-        """One pin launch and one evaluate launch per iteration; the
-        per-parent kernels this replaced made 12.7 on this solve."""
+        """One launch per iteration: the parents are pinned in the launch
+        that evaluates their children (a pin launch and an evaluate
+        launch before that; the per-parent kernels made 12.7 on this
+        solve)."""
         calls = {"launch": 0, "evaluate": 0}
         launch, evaluate = VectorizedBackend._delta_launch, EvaluationBackend.evaluate_batch
 
@@ -359,7 +414,7 @@ class TestSearchLaunchesAndMemory:
             deco.schedule(montage(degrees=1.0, seed=3), "medium", deadline_percentile=96.0)
         iterations = calls["evaluate"] - 1  # the first call evaluates the seeds
         assert iterations >= 5
-        assert iterations < calls["launch"] <= 2 * iterations
+        assert calls["launch"] == iterations
         assert deco.last_result.states_incremental > 300
 
     def test_solve_memory_stays_at_the_per_parent_kernels_level(self, catalog):

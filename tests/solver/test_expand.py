@@ -21,7 +21,7 @@ from repro.engine.plan import deadline_presets
 from repro.solver.backends import CompiledProblem
 from repro.solver.expand import critical_paths, expand_batch
 from repro.solver.levels import workflow_layout
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import PlanState, StateBlock, StateEval
 from repro.workflow.critical_path import critical_path, task_levels
 from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline
@@ -250,29 +250,73 @@ def _eval(feasible: bool) -> StateEval:
     )
 
 
-def _assert_children_match(problem, parents, incumbent_feasible, cps=12):
+def _first_rows(keys):
+    """Key -> its first row: a repeated parent's children name its first copy."""
+    first: dict[bytes, int] = {}
+    for b, key in enumerate(keys):
+        first.setdefault(key, b)
+    return first
+
+
+def _reference_rows(problem, parents, incumbent_feasible, cps=12):
+    """The scalar reference's children, flattened in emission order:
+    ``(key, parent row, dirty task)`` per child."""
     best = _eval(incumbent_feasible)
-    got = expand_batch(problem, parents, incumbent_feasible, cps)
-    assert len(got) == len(parents)
-    for (state, ev), kids in zip(parents, got):
-        want = children_ref(problem, state, ev, best, cps)
-        assert [c.key for c in kids] == [c.key for c in want]
-        for child in kids:
-            assert child.parent_key == state.key
+    first = _first_rows(s.key for s, _ in parents)
+    rows = []
+    for state, ev in parents:
+        for child in children_ref(problem, state, ev, best, cps):
             (task,) = child.dirty
-            assert np.flatnonzero(child.assignment != state.assignment).tolist() == [task]
+            rows.append((child.key, first[state.key], task))
+    return rows
+
+
+def _expand(problem, parents, incumbent_feasible, cps=12, seen=None, limit=None):
+    """``expand_batch`` on ``(state, eval)`` pairs: the parent block,
+    the child block and each child's parent row (rebuilt from its
+    ``parent_keys``), after checking the block's invariants."""
+    block = StateBlock.from_states(s for s, _ in parents)
+    feasible = np.array([ev.feasible for _, ev in parents], dtype=bool)
+    kids = expand_batch(problem, block, feasible, incumbent_feasible, cps, seen, limit)
+    first = _first_rows(block.keys)
+    rows = [first[key] for key in kids.parent_keys]
+    assert kids.keys == [row.tobytes() for row in kids.assign]
+    if len(kids):
+        assert kids.dirty.shape == (len(kids), 1)
+    for child, b, task in zip(kids.assign, rows, kids.dirty[:, :1].ravel().tolist()):
+        assert np.flatnonzero(child != block.assign[b]).tolist() == [task]
+    return block, kids, rows
+
+
+def _rows(kids, rows):
+    return list(zip(kids.keys, rows, kids.dirty[:, :1].ravel().tolist()))
+
+
+def _assert_children_match(problem, parents, incumbent_feasible, cps=12):
+    _, kids, rows = _expand(problem, parents, incumbent_feasible, cps)
+    assert _rows(kids, rows) == _reference_rows(problem, parents, incumbent_feasible, cps)
+
+
+def _drawn_parents(catalog, workflow, seed):
+    """A problem and parents with repeats: the same state twice, and
+    states one edit apart, so children collide across parents."""
+    rng = np.random.default_rng(seed)
+    problem = _synthetic_problem(workflow, catalog, rng)
+    n, k = problem.num_tasks, problem.num_types
+    states = [PlanState(rng.integers(0, k, n)) for _ in range(5)]
+    states += [PlanState.uniform(n, 0), PlanState.uniform(n, k - 1), states[0]]
+    states.append(states[1].with_type(0, (int(states[1].assignment[0]) + 1) % k))
+    return problem, [(s, _eval(bool(rng.integers(2)))) for s in states], rng
 
 
 class TestChildLists:
+    """The child block against the scalar per-parent lists: same child
+    rows, parent rows and dirty tasks, in the same order."""
+
     @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
     def test_matches_scalar_on_drawn_dags(self, catalog, workflow, seed, incumbent):
-        rng = np.random.default_rng(seed)
-        problem = _synthetic_problem(workflow, catalog, rng)
-        n, k = problem.num_tasks, problem.num_types
-        states = [PlanState(rng.integers(0, k, n)) for _ in range(5)]
-        states += [PlanState.uniform(n, 0), PlanState.uniform(n, k - 1), states[0]]
-        parents = [(s, _eval(bool(rng.integers(2)))) for s in states]
+        problem, parents, rng = _drawn_parents(catalog, workflow, seed)
         _assert_children_match(problem, parents, incumbent, cps=int(rng.integers(1, 13)))
         _assert_children_match(problem, parents[:1], incumbent)
 
@@ -296,9 +340,42 @@ class TestChildLists:
         for incumbent in (False, True):
             _assert_children_match(problem, parents, incumbent)
 
+    @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_dedupe_against_visited_keeps_first_occurrence(
+        self, catalog, workflow, seed, incumbent
+    ):
+        problem, parents, _ = _drawn_parents(catalog, workflow, seed)
+        want = _reference_rows(problem, parents, incumbent)
+        # Pre-visited: every third emitted key and the parents themselves
+        # (a demote of a promoted parent is its grandparent).
+        visited = {key for i, (key, _, _) in enumerate(want) if i % 3 == 0}
+        visited |= {s.key for s, _ in parents}
+        first: dict[bytes, tuple] = {}
+        for row in want:
+            if row[0] not in visited:
+                first.setdefault(row[0], row)
+        seen = set(visited)
+        _, kids, rows = _expand(problem, parents, incumbent, seen=seen)
+        assert _rows(kids, rows) == list(first.values())
+        assert seen == visited | {key for key, _, _ in want}
+
+    @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_evaluation_budget_cut(self, catalog, workflow, seed, incumbent, data):
+        problem, parents, _ = _drawn_parents(catalog, workflow, seed)
+        first: dict[bytes, tuple] = {}
+        for row in _reference_rows(problem, parents, incumbent):
+            first.setdefault(row[0], row)
+        deduped = list(first.values())
+        limit = data.draw(st.integers(0, len(deduped) + 2))
+        _, kids, rows = _expand(problem, parents, incumbent, seen=set(), limit=limit)
+        assert _rows(kids, rows) == deduped[:limit]
+
     def test_no_parents_no_children(self, catalog, rng):
         problem = _synthetic_problem(_fan_in(5), catalog, rng)
-        assert expand_batch(problem, [], True, 12) == []
+        kids = expand_batch(problem, StateBlock.from_states([]), np.zeros(0, bool), True, 12)
+        assert len(kids) == 0 and kids.parent_keys == []
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Tests for the generic (Algorithm 2) and A* searches."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import SolverError
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
-from repro.solver.state import PlanState
+from repro.solver.state import BatchEval, PlanState, StateEval
 from repro.workflow.generators import montage, pipeline
 
 
@@ -105,6 +108,66 @@ class TestGenericSearch:
         names = result.assignment_names(problem)
         assert set(names) == set(problem.workflow.task_ids)
         assert set(names.values()) <= set(catalog.type_names)
+
+
+class TestIncumbentFold:
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=12
+        ),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_sequential_better_than(self, rows, data):
+        """``_improvements`` on arrays is the ``StateEval.better_than`` fold
+        of the per-state loop: the same record-breaking rows, in order,
+        ties (small integers, so there are many) keeping the incumbent."""
+        evals = [StateEval(float(c), p / 3, f, 1.0) for f, c, p in rows]
+        batch = BatchEval(
+            *(np.array([getattr(e, f) for e in evals]) for f in BatchEval.__slots__)
+        )
+        later = st.lists(st.integers(1, max(1, len(rows) - 1)), unique=True)
+        settled = np.array(sorted(data.draw(later)) if len(rows) > 1 else [], dtype=np.intp)
+        best, want = evals[0], []
+        for row in settled.tolist():
+            if evals[row].better_than(best):
+                best = evals[row]
+                want.append(row)
+        assert GenericSearch._improvements(batch, settled, batch.take([0])) == want
+
+
+class TestPerStateObjects:
+    def test_a_solve_builds_objects_for_its_seeds_and_plan_only(self, catalog, monkeypatch):
+        """The beam carries candidates as arrays (``StateBlock`` /
+        ``BatchEval``): a cold Montage-1 schedule at the default budget
+        builds a ``PlanState`` / ``StateEval`` for its seeds and its
+        returned plan, not one per candidate (the per-state flow built
+        ~1500 of each)."""
+        from repro.engine.deco import Deco
+
+        built = {"PlanState": 0, "StateEval": 0}
+
+        def counting(owner, name, label):
+            raw = getattr(owner, name)
+
+            def wrapped(*args, **kwargs):
+                built[label] += 1
+                return raw(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapped)
+
+        counting(PlanState, "__init__", "PlanState")
+        counting(PlanState, "with_type", "PlanState")  # builds without __init__
+        counting(StateEval, "__init__", "StateEval")
+        deco = Deco(catalog, seed=7)
+        deco.schedule(montage(degrees=1, seed=3), "medium")
+        result = deco.last_result
+        # The initial state, one uniform state per type and the 8-rung
+        # warm-start ladder.
+        seeds = 1 + len(catalog) + 8
+        assert result.evaluations > 10 * seeds  # a real search ran
+        for label, count in built.items():
+            assert count <= result.expansions + seeds + 1, (label, count)
 
 
 class TestAStar:

@@ -29,7 +29,7 @@ from repro.parallel.executor import chunk_evenly
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.search import GenericSearch
 from repro.solver.shards import ShardedEvaluator
-from repro.solver.state import PlanState, StateEval
+from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.wlog.imports import ImportRegistry
 from repro.workflow.generators import montage
 from repro.workflow.runtime_model import RuntimeModel
@@ -418,10 +418,19 @@ def test_partitioned_evaluation_matches_whole_batch(chunks, salt):
     batch = list(BATCH)
     rng.shuffle(batch)
     whole = VectorizedBackend().evaluate_batch(PROBLEM, batch)
-    pieces = []
-    for chunk in chunk_evenly(batch, chunks):
-        pieces.extend(VectorizedBackend().evaluate_batch(PROBLEM, chunk))
-    assert pieces == whole
+    pieces = BatchEval.concat(
+        [VectorizedBackend().evaluate_batch(PROBLEM, part) for part in chunk_evenly(batch, chunks)]
+    )
+    assert list(pieces) == list(whole)
+
+
+def ranked(entries):
+    """``(state, eval)`` pairs in the search's frontier order."""
+    block = StateBlock.from_states(s for s, _ in entries)
+    evals = BatchEval(
+        *(np.array([getattr(e, f) for _, e in entries]) for f in BatchEval.__slots__)
+    )
+    return [entries[i] for i in GenericSearch._rank(block, evals)]
 
 
 def test_frontier_merge_deterministic_in_partition():
@@ -434,10 +443,10 @@ def test_frontier_merge_deterministic_in_partition():
         merged = []
         for chunk in chunk_evenly(BATCH, chunks):
             merged.extend((s, evals[s.key]) for s in chunk)
-        ranked = sorted(merged, key=GenericSearch._frontier_key)
+        order = ranked(merged)
         if reference is None:
-            reference = ranked
-        assert ranked == reference
+            reference = order
+        assert order == reference
 
 
 class TestFrontierTieBreak:
@@ -453,7 +462,7 @@ class TestFrontierTieBreak:
         for _ in range(5):
             shuffled = list(entries)
             rng.shuffle(shuffled)
-            orders.append(sorted(shuffled, key=GenericSearch._frontier_key))
+            orders.append(ranked(shuffled))
         assert all(order == orders[0] for order in orders)
         assert [s.key for s, _ in orders[0]] == sorted(s.key for s in states)
 
@@ -462,5 +471,16 @@ class TestFrontierTieBreak:
         dear = StateEval(cost=2.0, probability=0.99, feasible=True, mean_makespan=10.0)
         a = PlanState(np.full(4, 9, dtype=np.int64))   # big key bytes
         b = PlanState(np.zeros(4, dtype=np.int64))     # small key bytes
-        ranked = sorted([(a, cheap), (b, dear)], key=GenericSearch._frontier_key)
-        assert ranked[0][0] is a  # cheaper wins despite larger key
+        order = ranked([(a, cheap), (b, dear)])
+        assert order[0][0] is a  # cheaper wins despite larger key
+
+    def test_key_order_is_byte_order(self):
+        """Ties fall to the assignment *bytes*, as ``bytes`` keys compare:
+        little-endian int16, so type 256 (bytes 00 01) ranks below type 1
+        (01 00), and a shorter run of equal rows never matters."""
+        tie = StateEval(cost=1.0, probability=0.99, feasible=True, mean_makespan=10.0)
+        rng = np.random.default_rng(0)
+        rows = np.unique(rng.choice([0, 1, 2, 255, 256, 257, 512], (40, 3)), axis=0)
+        states = [PlanState(row) for row in rows]
+        order = ranked([(s, tie) for s in states])
+        assert [s.key for s, _ in order] == sorted(s.key for s in states)

@@ -9,7 +9,7 @@ from repro.cloud.instance_types import ec2_catalog
 from repro.engine.plan import deadline_presets
 from repro.solver.backends import CompiledProblem
 from repro.solver.search import GenericSearch, LocalEvaluator
-from repro.solver.state import PlanState
+from repro.solver.state import PlanState, StateBlock
 from repro.solver.tiers import AnalyticTier, PrefixTier
 from repro.workflow.generators import montage
 from repro.workflow.runtime_model import RuntimeModel
@@ -25,17 +25,17 @@ class RecordingEvaluator(LocalEvaluator):
         super().__init__(search, problem)
         self.calls: list[tuple[str, list[bytes]]] = []
 
-    def moments(self, states):
-        self.calls.append(("moments", [s.key for s in states]))
-        return super().moments(states)
+    def moments(self, block):
+        self.calls.append(("moments", list(block.keys)))
+        return super().moments(block)
 
-    def screen(self, states):
-        self.calls.append(("screen", [s.key for s in states]))
-        return super().screen(states)
+    def screen(self, block):
+        self.calls.append(("screen", list(block.keys)))
+        return super().screen(block)
 
-    def evaluate(self, states, parents=()):
-        self.calls.append(("evaluate", [s.key for s in states]))
-        return super().evaluate(states, parents)
+    def evaluate(self, block, parents=None):
+        self.calls.append(("evaluate", list(block.keys)))
+        return super().evaluate(block, parents)
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +90,15 @@ class StubEvaluator:
 def test_a_screening_tier_stands_down_after_two_dry_batches():
     wf = montage(degrees=1.0, seed=2)
     problem = CompiledProblem.compile(wf, CATALOG, deadline=1e6, num_samples=64)
-    incumbent = GenericSearch().evaluator(problem).evaluate([PlanState.uniform(len(wf), 0)])[0]
+    seed = StateBlock.from_states([PlanState.uniform(len(wf), 0)])
+    incumbent = GenericSearch().evaluator(problem).evaluate(seed)[0]
     stub = StubEvaluator()
     tier = PrefixTier(stub)
-    batch = [PlanState.uniform(len(wf), t) for t in range(problem.num_types)]
+    batch = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(problem.num_types))
     for _ in range(4):
-        settled, survivors = tier.settle(problem, batch, (), incumbent)
-        assert settled == {} and survivors == batch
+        settled, evals, survivors = tier.settle(problem, batch, None, incumbent.feasible)
+        assert len(settled) == len(evals) == 0
+        assert survivors.tolist() == list(range(len(batch)))
     assert stub.screened == PrefixTier.DRY_LIMIT
     assert tier.counts == {"screen_evals": 2 * len(batch), "screened_out": 0}
 

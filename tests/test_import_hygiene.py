@@ -271,7 +271,7 @@ class TestForkAndPickle:
             from repro.cloud import ec2_catalog
             from repro.engine.deco import Deco
             from repro.solver.shards import ShardPlane
-            from repro.solver.state import PlanState
+            from repro.solver.state import PlanState, StateBlock
             from repro.workflow.generators import montage
 
             def probe(_payload):
@@ -291,8 +291,8 @@ class TestForkAndPickle:
                     seen[str(key)] = evaluator.pool.gather(
                         [evaluator.pool.submit(s, probe, None) for s in range(2)]
                     )
-                states = [PlanState.uniform(len(wf), t) for t in range(4)]
-                moments = 0 if serial else len(evaluator.moments(states)[0])
+                block = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(4))
+                moments = 0 if serial else len(evaluator.moments(block)[0])
             finally:
                 plane.close()
             report(serial=serial, seen=seen, parent=parent, moments=moments)

@@ -29,10 +29,19 @@ class TestEnsembleMember:
     def test_validation(self):
         with pytest.raises(ValidationError):
             EnsembleMember(workflow=tiny_wf("w"), priority=-1)
-        with pytest.raises(ValidationError):
-            EnsembleMember(workflow=tiny_wf("w"), priority=0, deadline=0.0)
+        for deadline in (0.0, -1.0, float("inf"), float("nan")):
+            with pytest.raises(ValidationError):
+                EnsembleMember(workflow=tiny_wf("w"), priority=0, deadline=deadline)
         with pytest.raises(ValidationError):
             EnsembleMember(workflow=tiny_wf("w"), priority=0, deadline_percentile=0.0)
+
+
+    def test_deadline_unset_until_constrained(self):
+        assert EnsembleMember(workflow=tiny_wf("w"), priority=0).deadline is None
+        base = make_ensemble("constant", ligo, 2, sizes=(20,), seed=3)
+        with pytest.raises(ValidationError, match="no deadline"):
+            base.require_deadlines()
+        base.with_constraints(budget=1.0, deadline_for=lambda m: 50.0).require_deadlines()
 
 
 class TestEnsemble:
