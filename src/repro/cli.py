@@ -141,8 +141,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sched.add_argument("--evals", type=int, default=1500)
     sched.add_argument("--backend", default="gpu", metavar="NAME",
                        help="evaluation backend: gpu (vectorized Monte Carlo, "
-                            "default), cpu (scalar reference), or analytic "
-                            "(moment propagation, no sampling)")
+                            "default) or analytic (moment propagation, no sampling)")
     sched.add_argument("--solve-deadline", type=float, default=None, metavar="SECONDS",
                        help="wall-clock watchdog for the solve: return the best "
                             "incumbent (timed_out flagged) instead of running the "
@@ -196,7 +195,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tight|medium|loose or seconds")
     submit.add_argument("--percentile", type=float, default=96.0)
     submit.add_argument("--backend", default="gpu", metavar="NAME",
-                        help="requested evaluation backend (gpu|cpu|analytic); "
+                        help="requested evaluation backend (gpu|analytic); "
                              "the service may downgrade to analytic under load")
     submit.add_argument("--wlog", default=None, metavar="PATH",
                         help="WLog program file to solve against the workflow")
@@ -237,6 +236,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _usage_error(out, message: str) -> int:
     print(f"error: {message}", file=out)
     return 2
+
+
+def _backend_error(name: str) -> str | None:
+    """The usage error for a ``--backend`` outside ``BACKEND_NAMES``."""
+    from repro.solver.backends import BACKEND_NAMES
+
+    if name in BACKEND_NAMES:
+        return None
+    return f"--backend must be one of {'|'.join(BACKEND_NAMES)}, got {name!r}"
 
 
 def _workers_arg(args) -> int | None:
@@ -323,19 +331,14 @@ def _cmd_schedule(args, out) -> int:
     from repro.engine import Deco
     from repro.workflow import generators, parse_dax
 
-    from repro.solver import BACKEND_NAMES
-
     if not 0 < args.percentile <= 100:
         return _usage_error(out, f"--percentile must be in (0, 100], got {args.percentile:g}")
     if args.on_abort not in ("raise", "skip", "record"):
         return _usage_error(
             out, f"--on-abort must be raise|skip|record, got {args.on_abort!r}"
         )
-    if args.backend not in BACKEND_NAMES:
-        return _usage_error(
-            out,
-            f"--backend must be one of {'|'.join(BACKEND_NAMES)}, got {args.backend!r}",
-        )
+    if backend_error := _backend_error(args.backend):
+        return _usage_error(out, backend_error)
     if args.solve_deadline is not None and not args.solve_deadline > 0:
         return _usage_error(
             out, f"--solve-deadline must be > 0 seconds, got {args.solve_deadline:g}"
@@ -621,10 +624,8 @@ def _cmd_serve(args, out) -> int:
 
 
 def _cmd_submit(args, out) -> int:
-    if args.backend not in ("gpu", "cpu", "analytic"):
-        return _usage_error(
-            out, f"--backend must be gpu|cpu|analytic, got {args.backend!r}"
-        )
+    if backend_error := _backend_error(args.backend):
+        return _usage_error(out, backend_error)
     if args.solve_deadline is not None and args.solve_deadline <= 0:
         return _usage_error(
             out, f"--solve-deadline must be > 0 seconds, got {args.solve_deadline:g}"

@@ -77,10 +77,3 @@ class Distribution(abc.ABC):
         if m == 0:
             raise ZeroDivisionError("coefficient of variation of zero-mean distribution")
         return self.std() / abs(m)
-
-    # Convenience -------------------------------------------------------
-
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """Like :meth:`sample` but guaranteed to return an ndarray."""
-        out = self.sample(rng, size)
-        return np.asarray(out, dtype=float)

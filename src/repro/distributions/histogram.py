@@ -3,16 +3,9 @@
 The paper stores calibrated performance distributions as histograms in
 the metadata store; each histogram bin becomes one probabilistic fact of
 the WLog intermediate representation (``p_j : exetime(Tid, Vid, T_j)``).
-Propagating task-time histograms through a DAG needs two operations:
-
-* ``a + b`` -- distribution of the *sum* of two independent quantities
-  (sequential tasks on a path): a discrete convolution;
-* ``Histogram.maximum(a, b)`` -- distribution of the *max* (joining
-  branches): the product-of-CDFs rule.
-
-Both are exact on the discretized support (up to re-binning), which is
-what makes histogram propagation a useful analytic cross-check of the
-Monte Carlo evaluator.
+``a + b`` is the distribution of the *sum* of two independent
+quantities, a discrete convolution: the runtime model adds a task's
+I/O and network time histograms this way.
 """
 
 from __future__ import annotations
@@ -170,7 +163,7 @@ class Histogram(Distribution):
         """Coarsen to at most ``max_bins`` bins (keeps total mass).
 
         Sums of histograms grow multiplicatively in support size; the
-        propagation code calls this after every operation to keep the
+        runtime model calls this after every convolution to keep the
         representation bounded, exactly as a fixed-width GPU buffer would.
         """
         if len(self) <= max_bins:
@@ -200,33 +193,6 @@ class Histogram(Distribution):
     def shift(self, delta: float) -> "Histogram":
         """Distribution of X + delta."""
         return Histogram(self._values + delta, self._probs)
-
-    def scale(self, factor: float) -> "Histogram":
-        """Distribution of factor * X (factor > 0)."""
-        if factor <= 0:
-            raise ValidationError(f"scale factor must be > 0, got {factor}")
-        return Histogram(self._values * factor, self._probs)
-
-    @staticmethod
-    def maximum(a: "Histogram", b: "Histogram") -> "Histogram":
-        """Distribution of max(X, Y) for independent X, Y.
-
-        P(max <= v) = P(X <= v) * P(Y <= v); differencing the product CDF
-        on the merged support yields the pmf.
-        """
-        support = np.union1d(a._values, b._values)
-        cdf_a = np.cumsum(a._probs)
-        cdf_b = np.cumsum(b._probs)
-        ia = np.searchsorted(a._values, support, side="right") - 1
-        ib = np.searchsorted(b._values, support, side="right") - 1
-        fa = np.where(ia >= 0, cdf_a[np.clip(ia, 0, None)], 0.0)
-        fb = np.where(ib >= 0, cdf_b[np.clip(ib, 0, None)], 0.0)
-        prod = fa * fb
-        pmf = np.diff(np.concatenate([[0.0], prod]))
-        mask = pmf > 0
-        if not mask.any():  # numerical corner: all mass collapsed
-            return Histogram.point(float(support[-1]))
-        return Histogram(support[mask], pmf[mask])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histogram):

@@ -61,11 +61,15 @@ class Deco:
     seed:
         Root seed for the Monte Carlo sample tensor.
     backend:
-        ``"gpu"`` (vectorized, default), ``"cpu"`` (scalar reference) or
-        ``"analytic"`` (moment propagation, no sampling -- deterministic
-        and fastest; its deadline-probability error against full Monte
-        Carlo is held below ``ANALYTIC_PROB_ERROR_BOUND`` by
+        One of :data:`~repro.solver.backends.BACKEND_NAMES`: ``"gpu"``
+        (vectorized Monte Carlo, default) or ``"analytic"`` (moment
+        propagation, no sampling -- deterministic and fastest; its
+        deadline-probability error against full Monte Carlo is held
+        below ``ANALYTIC_PROB_ERROR_BOUND`` by
         ``tests/solver/test_analytic_backend.py::TestErrorBound``).
+        The single-thread CPU reference is not a choice here: build a
+        :class:`~repro.solver.search.GenericSearch` with
+        ``backend=ScalarBackend()`` to solve against it.
     num_samples:
         Monte Carlo realizations per state evaluation.
     max_evaluations / beam_width / children_per_state / expand_per_iter:

@@ -45,10 +45,6 @@ class ProvisioningPlan:
     def __post_init__(self):
         object.__setattr__(self, "assignment", dict(self.assignment))
 
-    @property
-    def is_feasible(self) -> bool:
-        return self.feasible
-
     def type_counts(self) -> dict[str, int]:
         """How many tasks landed on each instance type."""
         counts: dict[str, int] = {}

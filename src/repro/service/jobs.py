@@ -24,7 +24,7 @@ Payload shape (everything JSON, everything journalable)::
       "wlog": "<optional WLog source solved against the workflow>",
       "deadline": "medium" | <seconds>,
       "percentile": 96.0,
-      "backend": "gpu" | "cpu" | "analytic",
+      "backend": "gpu" | "analytic",    # repro.solver.BACKEND_NAMES
       "solve_deadline_s": <optional wall-clock watchdog>,
       "faults": {"task_failure_rate": 0.05, "instance_mtbf": 36000.0} | null,
       "inject": "<chaos-test hook: exit | raise | sleep:<s>>"
@@ -33,6 +33,7 @@ Payload shape (everything JSON, everything journalable)::
 
 from __future__ import annotations
 
+import math
 import time
 import uuid
 from dataclasses import asdict, dataclass, field
@@ -63,12 +64,25 @@ def new_job_id() -> str:
     return f"job-{time.strftime('%Y%m%dT%H%M%S')}-{uuid.uuid4().hex[:10]}"
 
 
+def _finite_number(value: Any) -> bool:
+    """A finite int or float; ``bool`` and JSON's ``Infinity`` / ``NaN`` are not."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+    )
+
+
 def validate_payload(payload: Mapping[str, Any]) -> dict:
     """Normalize and validate a job payload; raises :class:`ValidationError`.
 
     Validation happens at admission so a malformed job is rejected with
     a clear message instead of dead-lettering after a queue round trip.
     """
+    # Imported here so that `import repro.service` stays free of the
+    # solver; a running service has loaded it already.
+    from repro.solver.backends import BACKEND_NAMES
+
     if not isinstance(payload, Mapping):
         raise ValidationError(f"job payload must be an object, got {type(payload).__name__}")
     data = dict(payload)
@@ -81,22 +95,26 @@ def validate_payload(payload: Mapping[str, Any]) -> dict:
     if "app" in wf and wf["app"] not in ("montage", "ligo", "epigenomics", "cybershake"):
         raise ValidationError(f"unknown workflow app {wf['app']!r}")
     backend = data.setdefault("backend", "gpu")
-    if backend not in ("gpu", "cpu", "analytic"):
-        raise ValidationError(f"payload.backend must be gpu|cpu|analytic, got {backend!r}")
+    if backend not in BACKEND_NAMES:
+        raise ValidationError(
+            f"payload.backend must be one of {'|'.join(BACKEND_NAMES)}, got {backend!r}"
+        )
     deadline = data.setdefault("deadline", "medium")
     if isinstance(deadline, str):
         if deadline not in ("tight", "medium", "loose"):
             raise ValidationError(
                 f"payload.deadline must be tight|medium|loose or seconds, got {deadline!r}"
             )
-    elif not isinstance(deadline, (int, float)) or not deadline > 0:
-        raise ValidationError(f"payload.deadline must be > 0 seconds, got {deadline!r}")
+    elif not _finite_number(deadline) or not deadline > 0:
+        raise ValidationError(
+            f"payload.deadline must be a finite number of seconds > 0, got {deadline!r}"
+        )
     percentile = data.setdefault("percentile", 96.0)
-    if not isinstance(percentile, (int, float)) or not 0 < percentile <= 100:
+    if not _finite_number(percentile) or not 0 < percentile <= 100:
         raise ValidationError(f"payload.percentile must be in (0, 100], got {percentile!r}")
     sd = data.get("solve_deadline_s")
-    if sd is not None and (not isinstance(sd, (int, float)) or not sd > 0):
-        raise ValidationError(f"payload.solve_deadline_s must be > 0, got {sd!r}")
+    if sd is not None and (not _finite_number(sd) or not sd > 0):
+        raise ValidationError(f"payload.solve_deadline_s must be finite and > 0, got {sd!r}")
     return data
 
 

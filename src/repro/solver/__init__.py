@@ -7,9 +7,13 @@
   tensor + price vector + DAG structure); the **vectorized backend**
   evaluates it with NumPy array programs laid out exactly like the
   paper's CUDA kernels (one realization per "thread", one state per
-  "block"), while the **scalar backend** is the single-thread CPU
-  reference the paper compares against.  Both are cross-checked against
-  the WLog interpreter.
+  "block").  ``ScalarBackend`` is the single-thread CPU reference the
+  paper's speedup compares against (``repro run speedup``) and the
+  tests' referee; it is built directly, not one of the engine's
+  :data:`~repro.solver.backends.BACKEND_NAMES`.  Both are cross-checked
+  against the WLog interpreter.
+* :mod:`~repro.solver.analytic_backend` -- moment propagation (no
+  sampling): tier 0 of the search and the ``"analytic"`` backend.
 * :mod:`~repro.solver.levels` -- the level-parallel DAG layout: padded
   parent-index matrices and topological levels, so finish-time
   propagation costs D (depth) fused array steps instead of N (tasks).
@@ -41,7 +45,6 @@ from repro.solver.backends import (
 from repro.solver.cache import MakespanCache, ScratchPool
 from repro.solver.levels import LevelSchedule
 from repro.solver.search import GenericSearch, AStarSearch, SearchResult
-from repro.solver.analytic import analytic_makespan, analytic_deadline_probability
 
 if TYPE_CHECKING:
     from repro.solver.analytic_backend import AnalyticBackend
@@ -68,6 +71,4 @@ __all__ = [
     "GenericSearch",
     "AStarSearch",
     "SearchResult",
-    "analytic_makespan",
-    "analytic_deadline_probability",
 ]

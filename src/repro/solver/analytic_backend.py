@@ -1,11 +1,10 @@
 """Vectorized analytic evaluation: moment propagation instead of sampling.
 
-The third evaluation strategy next to Monte Carlo (``gpu``/``cpu``) and
-the per-task histogram algebra of :mod:`repro.solver.analytic`: a fully
-array-programmed reimplementation of the same propagation that operates
-directly on the compiled problem's tensors and
-:class:`~repro.solver.levels.LevelSchedule`, so a whole candidate batch
-is evaluated without touching a single Monte Carlo lane.
+The evaluation strategy next to Monte Carlo (``gpu``): the finish-time
+propagation of Algorithm 1 carried as per-task moments instead of
+samples, array-programmed directly on the compiled problem's tensors
+and :class:`~repro.solver.levels.LevelSchedule`, so a whole candidate
+batch is evaluated without touching a single Monte Carlo lane.
 
 Representation
 --------------
@@ -32,11 +31,11 @@ gather pattern as the Monte Carlo level kernel:
   1961): the mean and variance of ``max(X1, X2)`` for independent
   normals, applied pairwise down the parent columns.
 
-Both steps treat joining paths as independent -- the same approximation
-the histogram propagation makes.  Under positive path correlation
-(shared ancestors) independence *overestimates* ``E[max]``, so the
-analytic deadline probability is biased **low** at correlated joins: a
-pessimistic screen that never flatters an infeasible plan at a join.
+Both steps treat joining paths as independent.  Under positive path
+correlation (shared ancestors) independence *overestimates* ``E[max]``,
+so the analytic deadline probability is biased **low** at correlated
+joins: a pessimistic screen that never flatters an infeasible plan at a
+join.
 The normal surrogate can bias the upper tail the other way on skewed
 sums, which is why the screening tier keeps a calibrated safety margin
 and full-fidelity Monte Carlo remains the referee (see DESIGN.md §11;

@@ -1037,8 +1037,11 @@ class ScalarBackend(EvaluationBackend):
         return out
 
 
-_BACKENDS = {"gpu": VectorizedBackend, "cpu": ScalarBackend}
-BACKEND_NAMES = ("gpu", "cpu", "analytic")
+#: The engine's backend choices (``Deco(backend=)``, ``repro schedule`` /
+#: ``submit --backend``, a service payload's ``backend``).
+#: :class:`ScalarBackend` is not one: it is built directly, as the CPU
+#: baseline of ``repro run speedup`` and the tests' referee.
+BACKEND_NAMES = ("gpu", "analytic")
 
 
 def get_backend(
@@ -1046,16 +1049,13 @@ def get_backend(
     cache: MakespanCache | None = None,
     eval_context: EvalContext | None = None,
 ) -> EvaluationBackend:
-    """Backend factory: ``"gpu"`` (vectorized), ``"cpu"`` (scalar) or
+    """Backend factory: ``"gpu"`` (vectorized Monte Carlo) or
     ``"analytic"`` (moment propagation, no sampling)."""
+    if name == "gpu":
+        return VectorizedBackend(cache=cache, eval_context=eval_context)
     if name == "analytic":
         # Imported lazily: analytic_backend itself imports this module.
         from repro.solver.analytic_backend import AnalyticBackend
 
         return AnalyticBackend(cache=cache, eval_context=eval_context)
-    try:
-        return _BACKENDS[name](cache=cache, eval_context=eval_context)
-    except KeyError:
-        raise SolverError(
-            f"unknown backend {name!r}; choose from {sorted(BACKEND_NAMES)}"
-        ) from None
+    raise SolverError(f"unknown backend {name!r}; choose from {'|'.join(BACKEND_NAMES)}")

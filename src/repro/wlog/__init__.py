@@ -37,7 +37,6 @@ from repro.wlog.engine import Database, Engine
 from repro.wlog.program import WLogProgram, Directive, GoalSpec, ConsSpec, VarSpec
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.probir import ProbabilisticIR, ProbFact, translate
-from repro.wlog.pretty import format_program, format_rule, format_term
 from repro.wlog.diagnostics import Diagnostic, Span, render_diagnostics
 from repro.wlog.analysis import analyze_program, check_program
 
@@ -65,9 +64,6 @@ __all__ = [
     "ProbabilisticIR",
     "ProbFact",
     "translate",
-    "format_program",
-    "format_rule",
-    "format_term",
     "Diagnostic",
     "Span",
     "render_diagnostics",

@@ -12,7 +12,7 @@ Terms are immutable and hashable; variable bindings live in a separate
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.common.errors import WLogRuntimeError
 
@@ -234,13 +234,3 @@ def to_python(term: Term):
         return (term.functor, *[to_python(a) for a in term.args])
     raise WLogRuntimeError(f"cannot lower non-ground term {term!r} to Python")
 
-
-def iter_vars(term: Term) -> Iterator[Var]:
-    """All variables occurring in ``term`` (with repeats)."""
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            yield t
-        elif isinstance(t, Struct):
-            stack.extend(t.args)

@@ -34,7 +34,6 @@ from repro.workflow.generators import (
     random_dag,
 )
 from repro.workflow.ensembles import Ensemble, EnsembleMember, make_ensemble, ENSEMBLE_TYPES
-from repro.workflow.analysis import WorkflowProfile, profile_workflow
 
 __all__ = [
     "FileSpec",
@@ -58,6 +57,4 @@ __all__ = [
     "EnsembleMember",
     "make_ensemble",
     "ENSEMBLE_TYPES",
-    "WorkflowProfile",
-    "profile_workflow",
 ]

@@ -97,33 +97,6 @@ class TestArithmetic:
         h = Histogram([1.0, 2.0], [0.5, 0.5]) + 10.0
         np.testing.assert_allclose(h.values, [11.0, 12.0])
 
-    def test_scale(self):
-        h = Histogram([1.0, 2.0], [0.5, 0.5]).scale(3.0)
-        assert h.mean() == pytest.approx(4.5)
-
-    def test_scale_rejects_nonpositive(self):
-        with pytest.raises(ValidationError):
-            Histogram.point(1.0).scale(0.0)
-
-    def test_max_exact_small_case(self):
-        # X, Y uniform on {0, 1}: P(max = 0) = 1/4, P(max = 1) = 3/4.
-        u = Histogram([0.0, 1.0], [0.5, 0.5])
-        m = Histogram.maximum(u, u)
-        np.testing.assert_allclose(m.values, [0.0, 1.0])
-        np.testing.assert_allclose(m.probs, [0.25, 0.75])
-
-    def test_max_dominates_inputs(self):
-        a = Histogram([1.0, 5.0], [0.5, 0.5])
-        b = Histogram([2.0, 3.0], [0.5, 0.5])
-        m = Histogram.maximum(a, b)
-        assert m.mean() >= max(a.mean(), b.mean()) - 1e-12
-
-    def test_max_with_point_mass(self):
-        a = Histogram.point(10.0)
-        b = Histogram([1.0, 2.0], [0.5, 0.5])
-        m = Histogram.maximum(a, b)
-        assert m.mean() == pytest.approx(10.0)
-
     def test_cdf(self):
         h = Histogram([1.0, 2.0, 3.0], [0.2, 0.3, 0.5])
         assert h.cdf(0.5) == 0.0

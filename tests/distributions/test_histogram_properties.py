@@ -59,22 +59,6 @@ def test_sum_variance_additive(a, b):
     assert np.isclose(s.variance(), a.variance() + b.variance(), rtol=1e-6, atol=1e-3)
 
 
-@given(histograms(), histograms())
-def test_max_stochastically_dominates(a, b):
-    """For every threshold t: P(max <= t) <= min(P(A <= t), P(B <= t))."""
-    m = Histogram.maximum(a, b)
-    for t in np.concatenate([a.values, b.values]):
-        assert m.cdf(t) <= min(a.cdf(t), b.cdf(t)) + 1e-9
-
-
-@given(histograms())
-def test_max_with_self_support_unchanged(h):
-    m = Histogram.maximum(h, h)
-    assert m.values[0] >= h.values[0] - 1e-9
-    assert m.values[-1] <= h.values[-1] + 1e-9
-    assert m.mean() >= h.mean() - 1e-9
-
-
 @given(histograms(max_bins=30), st.integers(min_value=1, max_value=8))
 def test_rebinning_preserves_mean_and_mass(h, bins):
     coarse = h.rebinned(bins)

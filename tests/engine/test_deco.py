@@ -7,8 +7,9 @@ import pytest
 
 from repro.common.errors import InfeasibleError, SolverError, ValidationError
 from repro.engine.deco import Deco
+from repro.engine.plan import deadline_presets
 from repro.service.runtime import ServiceConfig
-from repro.solver.backends import CompiledProblem, VectorizedBackend
+from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import GenericSearch
 from repro.solver.shards import ShardedEvaluator
 from repro.wlog.imports import ImportRegistry
@@ -110,12 +111,19 @@ class TestSchedule:
         assert plan.overhead_ms_per_task() > 0
 
     def test_cpu_backend_same_result(self, catalog, wf):
-        gpu = Deco(catalog, seed=1, num_samples=40, max_evaluations=200)
-        cpu = Deco(catalog, seed=1, num_samples=40, max_evaluations=200, backend="cpu")
-        a = gpu.schedule(wf, "medium")
-        b = cpu.schedule(wf, "medium")
-        assert a.expected_cost == pytest.approx(b.expected_cost)
-        assert a.assignment == b.assignment
+        """The single-thread scalar reference, built directly (it is not
+        a ``Deco`` backend name), solves one compiled problem to the
+        vectorized backend's plan."""
+        problem = CompiledProblem.compile(
+            wf, catalog, deadline=deadline_presets(wf, catalog).medium,
+            num_samples=40, seed=1,
+        )
+        gpu, cpu = (
+            GenericSearch(backend=backend, max_evaluations=200).solve(problem)
+            for backend in (VectorizedBackend(), ScalarBackend())
+        )
+        assert gpu.best_eval.cost == pytest.approx(cpu.best_eval.cost)
+        assert gpu.best_state.key == cpu.best_state.key
 
 
 class TestDeclarativePath:

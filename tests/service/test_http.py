@@ -64,6 +64,13 @@ class TestRoutes:
         assert code == 400
         assert "workflow" in doc["error"]
 
+    def test_non_finite_deadline_400(self, client):
+        """``json`` writes and parses ``Infinity``: admission refuses it
+        instead of queueing a job the engine would dead-letter."""
+        code, doc = client.submit(montage_payload(deadline=float("inf")))
+        assert code == 400
+        assert "payload.deadline" in doc["error"]
+
     def test_invalid_json_body_400(self, client, server):
         import urllib.request
 

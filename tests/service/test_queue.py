@@ -11,6 +11,7 @@ from repro.common.errors import (
     ValidationError,
 )
 from repro.service import DurableQueue, JobJournal, TokenBucket
+from repro.service.jobs import validate_payload
 from repro.service.journal import replay_events
 
 
@@ -24,6 +25,34 @@ def queue(tmp_path):
     q = DurableQueue(journal, reject_depth=8, tenant_rate=1000.0, tenant_burst=1000.0)
     yield q
     journal.close()
+
+
+class TestValidatePayload:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("deadline", float("inf")),
+            ("deadline", float("nan")),
+            ("deadline", True),
+            ("percentile", True),
+            ("percentile", float("nan")),
+            ("solve_deadline_s", float("inf")),
+            ("solve_deadline_s", True),
+        ],
+    )
+    def test_rejects_non_finite_numbers_and_booleans(self, key, value):
+        with pytest.raises(ValidationError, match=f"payload.{key}"):
+            validate_payload({**_payload(), key: value})
+
+    def test_accepts_finite_numbers(self):
+        data = validate_payload(
+            {**_payload(), "deadline": 3600, "percentile": 90.0, "solve_deadline_s": 2.5}
+        )
+        assert (data["deadline"], data["percentile"], data["backend"]) == (3600, 90.0, "gpu")
+
+    def test_backend_choices_come_from_backend_names(self):
+        with pytest.raises(ValidationError, match=r"one of gpu\|analytic, got 'cpu'"):
+            validate_payload({**_payload(), "backend": "cpu"})
 
 
 class TestTokenBucket:

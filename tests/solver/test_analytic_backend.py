@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from repro.cloud.instance_types import ec2_catalog
 from repro.common.errors import SolverError
 from repro.engine.deco import Deco
-from repro.solver.analytic import analytic_deadline_probability
 from repro.engine.plan import deadline_presets
 from repro.solver.analytic_backend import (
     ANALYTIC_PROB_ERROR_BOUND,
@@ -143,44 +142,28 @@ class TestMomentsVsMonteCarlo:
         mc_mean = VectorizedBackend().makespan_samples(problem, states).mean(axis=1)
         assert np.all(a_mean >= mc_mean * (1.0 - 0.01))
 
-    @pytest.mark.parametrize("degrees", [1.0, 4.0])
-    def test_cross_check_histogram_path(self, degrees):
-        """Both analytic paths -- per-task histogram algebra and the
-        vectorized moment propagation -- agree on Montage deadline
-        probabilities to within their shared approximation error."""
+    @staticmethod
+    def _check_against_monte_carlo(degrees):
         wf = montage(degrees=degrees, seed=0)
-        assign = {t: "m1.xlarge" for t in wf.task_ids}
-        from repro.solver.analytic import analytic_makespan
-
-        h = analytic_makespan(wf, assign, MODEL, max_bins=48)
-        for q in (50.0, 90.0):
-            d = h.percentile(q)
-            problem = compile_wf(wf, num_samples=100, seed=0, deadline=d)
-            p_vec = float(
-                AnalyticBackend().deadline_probabilities(
-                    problem, [problem.state_from_assignment(assign)]
-                )[0]
-            )
-            p_hist = analytic_deadline_probability(wf, assign, MODEL, d, max_bins=48)
-            assert abs(p_vec - p_hist) <= 0.15
-
-    def test_cross_check_montage8_vs_monte_carlo(self):
-        """Montage-8 referee check: the histogram path needs minutes at
-        680 tasks (why this backend exists), so the largest workflow is
-        cross-checked against full Monte Carlo instead."""
-        wf = montage(degrees=8.0, seed=0)
-        assign = {t: "m1.xlarge" for t in wf.task_ids}
         problem = compile_wf(wf, num_samples=150, seed=0)
-        state = problem.state_from_assignment(assign)
+        state = problem.state_from_assignment({t: "m1.xlarge" for t in wf.task_ids})
         rows = VectorizedBackend().makespan_samples(problem, [state])
         for q in (50.0, 90.0):
             d = float(np.percentile(rows[0], q))
             p_vec = float(
-                AnalyticBackend().deadline_probabilities(
-                    problem.with_deadline(d), [state]
-                )[0]
+                AnalyticBackend().deadline_probabilities(problem.with_deadline(d), [state])[0]
             )
             assert abs(p_vec - q / 100.0) <= 0.15
+
+    @pytest.mark.parametrize("degrees", [1.0, 4.0])
+    def test_cross_check_histogram_path(self, degrees):
+        """Montage deadline probabilities agree with full Monte Carlo,
+        the referee, at its makespan's 50th and 90th percentiles."""
+        self._check_against_monte_carlo(degrees)
+
+    def test_cross_check_montage8_vs_monte_carlo(self):
+        """The same referee check at 680 tasks, where tier 0 settles a search."""
+        self._check_against_monte_carlo(8.0)
 
 
 class TestErrorBound:

@@ -493,11 +493,12 @@ class TestServeFlags:
 
 class TestSubmitFlags:
     def test_rejects_unknown_backend(self):
-        code, text = run_cli(
-            ["submit", "--app", "montage", "--backend", "bogus"]
-        )
-        assert code == 2
-        assert "--backend must be gpu|cpu|analytic" in text
+        for backend in ("bogus", "cpu"):
+            code, text = run_cli(
+                ["submit", "--app", "montage", "--backend", backend]
+            )
+            assert code == 2
+            assert f"--backend must be one of gpu|analytic, got {backend!r}" in text
 
     def test_rejects_nonpositive_solve_deadline(self):
         code, text = run_cli(

@@ -10,6 +10,7 @@ every check here runs ``python -c`` and reads ``sys.modules`` there.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -334,23 +335,88 @@ def _imported_names(module: str, path: Path) -> set[str]:
     return names
 
 
-def test_every_module_has_an_importer():
-    """A module nothing in ``src/repro`` imports is dead code that only
-    its own tests keep alive; ``python -m repro`` is the one entry point."""
+def _src_modules() -> dict[str, Path]:
     root = Path(SRC)
-    modules = {
+    return {
         ".".join(path.relative_to(root).with_suffix("").parts).removesuffix(".__init__"): path
         for path in sorted((root / "repro").rglob("*.py"))
     }
+
+
+def _used_names(path: Path) -> set[str]:
+    """Every name ``path``'s code refers to: bare names, attributes and
+    imported names (comments and strings do not count)."""
+    names: set[str] = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.asname or node.name)
+    return names
+
+
+def _reexport_used_outside(module: str, modules: dict[str, Path]) -> bool:
+    """Whether a name ``module``'s package ``__init__`` imports from it is
+    used in ``src/`` outside that package or in ``examples/``."""
+    package = module.rpartition(".")[0]
+    init = modules[package]
+    exported = {
+        name.removeprefix(module + ".")
+        for name in _imported_names(package, init)
+        if name.startswith(module + ".")
+    }
+    package_dir = init.parent
+    users = [path for path in modules.values() if package_dir not in path.parents]
+    users += sorted((Path(SRC).parent / "examples").rglob("*.py"))
+    return any(exported & _used_names(path) for path in users)
+
+
+def test_every_module_has_an_importer():
+    """A module nothing in ``src/repro`` imports is dead code that only
+    its own tests keep alive; ``python -m repro`` is the one entry point.
+    Its own package ``__init__`` re-exporting it is a use only when one
+    of the re-exported names is used outside the package, in ``src/`` or
+    in ``examples/``."""
+    modules = _src_modules()
     importers: dict[str, set[str]] = {}
     for module, path in modules.items():
         for name in _imported_names(module, path):
             importers.setdefault(name, set()).add(module)
-    orphans = [
-        module
-        for module, path in modules.items()
-        if path.name != "__init__.py"
-        and module != "repro.__main__"
-        and not importers.get(module, set()) - {module}
-    ]
+    orphans = []
+    for module, path in modules.items():
+        if path.name == "__init__.py" or module == "repro.__main__":
+            continue
+        users = importers.get(module, set()) - {module}
+        package = module.rpartition(".")[0]
+        if users == {package} and not _reexport_used_outside(module, modules):
+            users = set()
+        if not users:
+            orphans.append(module)
     assert orphans == []
+
+
+def test_every_public_top_level_name_is_named_elsewhere():
+    """A public top-level function or class that nothing names -- no code
+    in its own module, and no other file under ``src/``, ``tests/``,
+    ``examples/`` or ``benchmarks/``: not a caller, not a test, not a
+    span table -- is dead code."""
+    repo = Path(SRC).parent
+    files_naming: dict[str, set[Path]] = {}
+    for top in ("src", "tests", "examples", "benchmarks"):
+        for path in (repo / top).rglob("*.py"):
+            for word in set(re.findall(r"\w+", path.read_text())):
+                files_naming.setdefault(word, set()).add(path)
+    dead = []
+    for module, path in _src_modules().items():
+        used_here = _used_names(path)
+        dead += [
+            f"{module}.{node.name}"
+            for node in ast.parse(path.read_text(), str(path)).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in used_here
+            and not files_naming.get(node.name, set()) - {path}
+        ]
+    assert dead == []

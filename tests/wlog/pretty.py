@@ -1,9 +1,8 @@
 """WLog pretty-printer: terms, rules and programs back to source text.
 
-The inverse of the parser: programs constructed programmatically (e.g.
-fact bases built by the drivers, or IR realizations) can be dumped as
-valid WLog source and re-parsed losslessly.  Used by the debugging
-surfaces and asserted round-trip in the test suite.
+A test helper, the inverse of the parser: the round-trip tests print a
+parsed (or programmatically built) program and check that re-parsing
+the text gives the same program back.
 """
 
 from __future__ import annotations

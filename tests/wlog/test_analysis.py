@@ -13,8 +13,9 @@ from repro.wlog.library import (
     followcost_program,
 )
 from repro.wlog.parser import parse_program
-from repro.wlog.pretty import format_program
 from repro.wlog.program import WLogProgram
+
+from .pretty import format_program
 
 
 def checks_of(diags):

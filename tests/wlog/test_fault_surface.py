@@ -6,8 +6,9 @@ from repro.common.errors import ValidationError, WLogError
 from repro.wlog.analysis import analyze_program
 from repro.wlog.library import scheduling_program
 from repro.wlog.parser import parse_program
-from repro.wlog.pretty import format_program
 from repro.wlog.program import FaultSpec, WLogProgram
+
+from .pretty import format_program
 
 FAULTY = scheduling_program(
     failure_rate=0.05,

@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.wlog.library import ensemble_program, followcost_program, scheduling_program
 from repro.wlog.parser import parse_program, parse_term
-from repro.wlog.pretty import format_program, format_rule, format_term
 from repro.wlog.program import WLogProgram
 from repro.wlog.terms import Atom, Num, Struct, Var, make_list
+
+from .pretty import format_program, format_rule, format_term
 
 
 class TestFormatTerm:
