@@ -6,7 +6,10 @@
     python3 benchmarks/profile_solve.py --imports
 
 ``--warm`` profiles a second request on an engine that has already
-served one (what a sweep or a service worker pays); without it the
+served one (what a sweep or a service worker pays), and prints the
+hits and misses that request added to each evaluation cache of
+``Deco.cache_stats()`` -- makespan rows, frontiers, tier-0 moments --
+so a warm profile says how much of it was lookups; without it the
 engine is fresh.  Self time is what tells interpreter loops apart from
 the array kernels they call -- this is the tool behind the shares quoted
 in DESIGN.md §17.
@@ -85,6 +88,8 @@ PARENTS, EDITS = 8, 6  # one beam iteration: expand_per_iter parents, ~6 MC-boun
 
 SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 
+REUSED = ("makespan", "frontier", "moments")  # --warm: the caches whose reuse is printed
+
 
 def _median_us(fn, repeats: int = 15) -> float:
     fn()
@@ -94,6 +99,17 @@ def _median_us(fn, repeats: int = 15) -> float:
         fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times) * 1e6
+
+
+def reuse_report(before: dict, after: dict) -> str:
+    """The hits and misses one request added to each cache in :data:`REUSED`."""
+    parts = []
+    for name in REUSED:
+        hits = after[name]["hits"] - before[name]["hits"]
+        misses = after[name]["misses"] - before[name]["misses"]
+        share = hits / (hits + misses) if hits + misses else 0.0
+        parts.append(f"{name} {hits} hits / {misses} misses ({share:.0%})")
+    return "reused: " + ", ".join(parts)
 
 
 def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
@@ -393,10 +409,13 @@ def main() -> int:
     if args.kernel:
         print(f"{args.workflow}: {len(workflow)} tasks")
         return kernel_report(deco, workflow, deadline, args.percentile)
+    before = deco.cache_stats()
     profile = cProfile.Profile()
     plan = profile.runcall(deco.schedule, workflow, deadline, deadline_percentile=args.percentile)
     print(f"{args.workflow}: {len(workflow)} tasks, {plan.evaluations} evaluations, "
           f"{plan.solve_seconds * 1e3:.1f} ms in the search (profiled)")
+    if args.warm:
+        print(reuse_report(before, deco.cache_stats()))
     pstats.Stats(profile).sort_stats("tottime").print_stats(args.top)
     return 0
 

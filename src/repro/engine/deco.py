@@ -102,11 +102,13 @@ class Deco:
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
     :meth:`CompiledProblem.with_deadline`, sharing the sample tensor),
-    through :attr:`cache` the per-state makespan samples, and through
-    :attr:`eval_context` the finish-time frontiers of expanded states --
-    so deadline/percentile sweeps over the same workflow reuse every
-    Monte Carlo propagation the search has already paid for, and search
-    children re-propagate only the levels their dirty tasks can affect.
+    through :attr:`cache` the per-state makespan samples, through
+    :attr:`eval_context` the finish-time frontiers of expanded states,
+    and through the search's moment memo tier 0's analytic ``(mean,
+    variance)`` rows -- so deadline/percentile sweeps over the same
+    workflow reuse every Monte Carlo and moment propagation the search
+    has already paid for, and search children re-propagate only the
+    levels their dirty tasks can affect.
     :meth:`clear_caches` / :meth:`cache_stats` bound and report all of
     it from one place for long-running services.
     """
@@ -245,23 +247,23 @@ class Deco:
         Long-running services call this between tenants/workloads to
         bound memory: the makespan-row cache, the finish-time frontier
         context (including its screening-problem memo), the compiled
-        problem memo, and the backend's pooled scratch buffers all reset
-        to cold.  Subsequent solves are slower but bit-identical --
-        every cache is a pure memo.
+        problem memo, the backend's pooled scratch buffers, and tier 0's
+        calibrations and moment memo all reset to cold.  Subsequent
+        solves are slower but bit-identical -- every cache is a pure
+        memo.
         """
         self.cache.clear()
         self.eval_context.clear()
         self._problems.clear()
         self._presets.clear()
-        release = getattr(self.backend, "release_buffers", None)
-        if release is not None:
-            release()
+        self._search.clear_caches()
 
     def cache_stats(self) -> dict:
         """One-stop memory/hit-rate report across all evaluation caches.
 
-        Keys: ``makespan`` and ``frontier`` (hit/miss/entry counters
-        plus ``nbytes``), ``compiled_problems`` (memoized problem
+        Keys: ``makespan``, ``frontier`` and ``moments`` (tier 0's
+        moment memo; hit/miss/entry counters plus ``nbytes``),
+        ``compiled_problems`` (memoized problem
         count), ``delta`` (the backend's incremental-propagation
         counters, when the backend tracks them), ``analytic``
         (moment-propagation work counters, once any analytic tier or
@@ -275,9 +277,13 @@ class Deco:
         makespan["nbytes"] = self.cache.nbytes()
         frontier = self.eval_context.counters()
         frontier["nbytes"] = self.eval_context.nbytes()
+        memo = self._search.moment_memo
+        moments = memo.counters()
+        moments["nbytes"] = memo.nbytes()
         stats = {
             "makespan": makespan,
             "frontier": frontier,
+            "moments": moments,
             "compiled_problems": len(self._problems),
         }
         delta = getattr(self.backend, "delta_stats", None)

@@ -471,7 +471,9 @@ class AnalyticBackend(EvaluationBackend):
         quantile grids and the cache may be shared with an MC backend
         whose rows are ``(S,)`` sample rows under the same
         ``(sample_token, state key)`` -- mixing them would corrupt both.
-        The calibration memo already makes analytic re-evaluation cheap.
+        Re-evaluation is not cheap (tens of microseconds per state on a
+        680-task workflow); the search memoizes tier 0's moments in its
+        own cache (``GenericSearch.moment_memo``) instead.
         """
         return self.makespan_samples(problem, states)
 
@@ -503,6 +505,6 @@ class AnalyticBackend(EvaluationBackend):
         return dict(self.counters)
 
     def release_buffers(self) -> None:
-        """Drop scratch buffers and calibrations (``Deco.clear_caches``)."""
+        """Drop scratch buffers and calibrations (``GenericSearch.clear_caches``)."""
         self.pool.clear()
         self._calibrations.clear()

@@ -475,8 +475,9 @@ class EvaluationBackend(abc.ABC):
 
         The cheap first stage of two-stage fidelity screening: same
         draws for every state (a strict prefix of the full tensor), no
-        makespan-cache involvement -- screened states are evaluated at
-        most once at this fidelity.
+        makespan-cache involvement -- prefix rows are not memoized, so a
+        state screened again (a warm sweep's later solves) is
+        re-propagated.
         """
         sp = self.screen_problem(problem, prefix)
         makespans = self.makespan_samples(sp, as_block(states))

@@ -98,14 +98,21 @@ class ScratchPool:
 
 
 class MakespanCache:
-    """Bounded LRU memo of per-state makespan sample rows.
+    """Bounded LRU memo of per-state rows: makespan samples or moments.
+
+    The engine's instance holds ``(S,)`` Monte Carlo makespan rows; the
+    search's tier-0 instance holds ``(2,)`` ``(mean, variance)`` rows
+    under the same keys.
 
     Parameters
     ----------
     max_entries:
-        Cap on cached ``(S,)`` rows.  At the default 32768 rows and 150
-        Monte Carlo samples this is ~40 MB -- sized for sweep workloads,
-        far above any single search's state count.
+        Cap on cached rows.  An entry is its row plus its state key, 2
+        bytes per task: at the default 32768 entries, 150 Monte Carlo
+        samples and a 680-task workflow that is ~84 MB (1,200 B of row
+        and 1,360 B of key each), and ~45 MB of moment entries, almost
+        all key -- sized for sweep workloads, far above any single
+        search's state count.
     """
 
     def __init__(self, max_entries: int = 32_768):
@@ -125,8 +132,8 @@ class MakespanCache:
         return {"hits": self.hits, "misses": self.misses, "entries": len(self._rows)}
 
     def nbytes(self) -> int:
-        """Approximate memory held by the cached rows."""
-        return sum(row.nbytes for row in self._rows.values())
+        """Approximate memory held by the cached rows and their state keys."""
+        return sum(len(key) + row.nbytes for (_, key), row in self._rows.items())
 
     def clear(self) -> None:
         self._rows.clear()

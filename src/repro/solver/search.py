@@ -42,6 +42,7 @@ import numpy as np
 
 from repro.common.errors import SolverError, ValidationError
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
+from repro.solver.cache import MakespanCache
 from repro.solver.expand import expand_batch
 from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.solver.tiers import AnalyticTier, Evaluator, MonteCarloTier, PrefixTier, Tier
@@ -85,6 +86,7 @@ class SearchResult:
     screen_evals: int = 0      # prefix-fidelity screenings performed
     screened_out: int = 0      # candidates discarded by the prefix screen
     analytic_evals: int = 0        # tier-0 analytic evaluations performed
+    analytic_hits: int = 0         # tier-0 moment rows served from the memo
     analytic_screened_out: int = 0  # candidates settled clearly infeasible (no MC)
     analytic_accepted: int = 0      # candidates settled clearly feasible (no MC)
     states_incremental: int = 0  # states evaluated via delta propagation
@@ -168,6 +170,12 @@ class GenericSearch:
     Each iteration's batch passes the three tiers of
     :mod:`repro.solver.tiers` in order -- analytic, prefix screen, full
     Monte Carlo -- and is merged back in child order.
+
+    The search outlives its solves: :attr:`moment_memo` keeps tier 0's
+    ``(mean, variance)`` rows per ``(sample_token, state key)`` next to
+    the lazily built tier-0 evaluator, so a warm engine's later solves
+    of the same sample tensor propagate only the states no earlier
+    solve classified.  :meth:`clear_caches` releases both.
     """
 
     def __init__(
@@ -190,6 +198,7 @@ class GenericSearch:
         self.expand_per_iter = expand_per_iter
         self.analytic_min_tasks = int(analytic_min_tasks)
         self._analytic: AnalyticBackend | None = None
+        self.moment_memo = MakespanCache()
 
     def evaluator(self, problem: CompiledProblem) -> LocalEvaluator:
         """A fresh in-process evaluator of ``problem`` (one per solve)."""
@@ -291,7 +300,7 @@ class GenericSearch:
     def _tiers(self, evaluator: Evaluator) -> tuple[Tier, Tier, Tier]:
         """Fresh tiers 0, 1 and 2 (their stand-downs and counts are per solve)."""
         return (
-            AnalyticTier(evaluator, self.analytic_min_tasks, self.backend),
+            AnalyticTier(evaluator, self.analytic_min_tasks, self.backend, self.moment_memo),
             PrefixTier(evaluator),
             MonteCarloTier(evaluator),
         )
@@ -399,6 +408,14 @@ class GenericSearch:
 
             self._analytic = AnalyticBackend(pool=getattr(self.backend, "pool", None))
         return self._analytic
+
+    def clear_caches(self) -> None:
+        """Drop the backend's pooled buffers, tier 0's calibrations and moment memo."""
+        self.moment_memo.clear()
+        for backend in (self.backend, self._analytic):
+            release = getattr(backend, "release_buffers", None)
+            if release is not None:
+                release()
 
     def analytic_stats(self) -> dict | None:
         """Tier-0 work counters, or ``None`` if the tier never ran."""

@@ -23,6 +23,7 @@ from repro.solver.state import BatchEval, StateBlock
 
 if TYPE_CHECKING:
     from repro.solver.backends import CompiledProblem, EvaluationBackend
+    from repro.solver.cache import MakespanCache
 
 __all__ = ["Evaluator", "Tier", "AnalyticTier", "PrefixTier", "MonteCarloTier"]
 
@@ -156,17 +157,32 @@ class AnalyticTier(_ScreenTier):
     it keeps a reference: ``test_cascade_identity_montage8`` solves with
     ``analytic_min_tasks`` above the workflow's size and expects the
     same plan.
+
+    Moments come through ``memo``, the search's
+    :class:`~repro.solver.cache.MakespanCache` of ``(mean, variance)``
+    rows keyed by ``(sample_token, state key)``: they depend on the
+    sample tensor and the assignment, not on the deadline or
+    percentile, so a warm sweep asks the evaluator only for the rows no
+    earlier solve of that tensor computed (``analytic_hits`` counts the
+    others).
     """
 
     MARGIN = 0.3
     ACCEPT_MARGIN = 1.5
     SD_FLOOR = 0.02
 
-    def __init__(self, evaluator: Evaluator, min_tasks: int, backend: EvaluationBackend):
+    def __init__(
+        self, evaluator: Evaluator, min_tasks: int, backend: EvaluationBackend,
+        memo: MakespanCache,
+    ):
         super().__init__(evaluator)
         self.min_tasks = min_tasks
         self.backend = backend
-        self.counts = {"analytic_evals": 0, "analytic_screened_out": 0, "analytic_accepted": 0}
+        self.memo = memo
+        self.counts = {
+            "analytic_evals": 0, "analytic_hits": 0,
+            "analytic_screened_out": 0, "analytic_accepted": 0,
+        }
 
     @staticmethod
     def static_gate(problem: CompiledProblem, min_tasks: int, backend: EvaluationBackend) -> bool:
@@ -192,7 +208,12 @@ class AnalyticTier(_ScreenTier):
         # SciPy loads with the tier: a solve below the size gate imports none of it.
         from repro.solver.analytic_backend import ndtr, ndtri
 
-        mean, var = self.evaluator.moments(batch)
+        hits = self.memo.hits
+        rows = self.memo.fetch(
+            problem, batch, lambda _, missing: np.stack(self.evaluator.moments(missing), axis=1)
+        )
+        self.counts["analytic_hits"] += self.memo.hits - hits
+        mean, var = np.ascontiguousarray(rows.T)
         sd = np.sqrt(np.maximum(var, 0.0))
         floor = self.SD_FLOOR * np.abs(mean)
         if float(np.median(sd)) < float(np.median(floor)):

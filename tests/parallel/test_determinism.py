@@ -169,6 +169,22 @@ class TestWarmEngineMatchesFreshEngine:
     def test_matches_with_tier1_off(self, catalog):
         assert self._mismatched_keys(catalog, num_samples=60) == []
 
+    def test_matches_with_tier0_on(self, catalog):
+        """The same law where tier 0 runs (>= 256 tasks) and tier 1 does
+        not: the warm engine's moment memo serves later ops without
+        moving a plan."""
+        wf = montage(degrees=4.5, seed=1)
+        assert len(wf) >= 256
+        deco = Deco(catalog, seed=7, num_samples=60, max_evaluations=300)
+        hits = []
+        for d, p in self.SWEEP:
+            warm = deco.schedule(wf, d, deadline_percentile=p).decision_dict()
+            hits.append(deco.last_result.analytic_hits)
+            assert deco.last_result.analytic_evals > 0
+            fresh = Deco.from_spec(deco.spec()).schedule(wf, d, deadline_percentile=p)
+            assert warm == fresh.decision_dict(), (d, p)
+        assert all(h > 0 for h in hits[1:]), hits
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 2: tier 1's stale screening memo moves warm plans",

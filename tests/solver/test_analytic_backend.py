@@ -318,6 +318,23 @@ class TestDecoAnalytic:
         assert cascade.analytic_evals > 0  # the tier actually ran on 680 tasks
         assert reference.analytic_evals == 0
 
+    def test_clear_caches_releases_tier0(self):
+        """``Deco.clear_caches`` leaves tier 0 cold too: no calibration, no
+        memoized moments -- and the next solve decides as the first did."""
+        deco = Deco(CATALOG, num_samples=40, max_evaluations=200)
+        wf = montage(degrees=8.0, seed=0)
+        first = deco.schedule(wf, "medium").decision_dict()
+        assert deco.last_result.analytic_evals > 0
+        assert deco._search._analytic._calibrations
+        moments = deco.cache_stats()["moments"]
+        assert moments["entries"] == moments["misses"] > 0
+        assert moments["nbytes"] >= moments["entries"] * (2 * len(wf) + 16)
+        deco.clear_caches()
+        assert not deco._search._analytic._calibrations
+        assert deco.cache_stats()["moments"]["entries"] == 0
+        assert deco.schedule(wf, "medium").decision_dict() == first
+        assert deco.last_result.analytic_hits == 0
+
     def test_size_gate_keeps_tier_off_small(self):
         """Below analytic_min_tasks the delta-MC path is already cheap;
         the tier must not run (measured net-negative on montage-1/4)."""

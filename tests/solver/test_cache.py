@@ -77,7 +77,18 @@ class TestCacheMechanics:
         assert len(produced) == 1  # the second fetch was all hits
         for row in cache._rows.values():
             assert row.base is None and not row.flags.writeable
-        assert cache.nbytes() == expected.nbytes
+        assert cache.nbytes() == expected.nbytes + sum(len(st.key) for st in states)
+
+    def test_nbytes_counts_each_entry_key_and_row(self, problem):
+        """A state key is 2 bytes per task -- on a moment memo's 16-byte
+        rows almost the whole footprint -- so ``nbytes`` counts it."""
+        cache = MakespanCache()
+        rng = np.random.default_rng(0)
+        for _ in range(4):
+            state = PlanState(rng.integers(0, problem.num_types, problem.num_tasks))
+            before = cache.nbytes()
+            row = cache.fetch(problem, [state], lambda _p, block: np.zeros((len(block), 2)))[0]
+            assert cache.nbytes() - before >= len(state.key) + row.nbytes
 
     def test_clear_resets_entries_not_counters(self, problem):
         cache = MakespanCache()

@@ -7,7 +7,9 @@ import pytest
 
 from repro.cloud.instance_types import ec2_catalog
 from repro.engine.plan import deadline_presets
+from repro.faults import FaultModel
 from repro.solver.backends import CompiledProblem
+from repro.solver.cache import MakespanCache
 from repro.solver.search import GenericSearch, LocalEvaluator
 from repro.solver.state import PlanState, StateBlock
 from repro.solver.tiers import AnalyticTier, PrefixTier
@@ -116,3 +118,63 @@ def test_static_gate_is_the_calibration_shipping_rule():
         gate = AnalyticTier.static_gate(problem, 256, deco.backend)
         assert plane.calibration_shipped(problem) == gate
         assert gate == (degrees == 8.0 and percentile < 100.0)
+
+
+class CountingEvaluator(LocalEvaluator):
+    """The in-process evaluator, counting the rows tier 0 asks moments for."""
+
+    def __init__(self, search, problem):
+        super().__init__(search, problem)
+        self.rows = 0
+
+    def moments(self, block):
+        self.rows += len(block)
+        return super().moments(block)
+
+
+class TestMomentMemo:
+    """Tier 0 reads moments through the search's memo, keyed by sample token."""
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        wf = montage(degrees=1.0, seed=3)
+        problem = CompiledProblem.compile(
+            wf, CATALOG, deadline=deadline_presets(wf, CATALOG, MODEL).medium,
+            percentile=90.0, num_samples=40, seed=7, runtime_model=MODEL,
+        )
+        rng = np.random.default_rng(5)
+        batch = StateBlock.from_states(
+            PlanState(rng.integers(0, problem.num_types, problem.num_tasks)) for _ in range(24)
+        )
+        return problem, batch
+
+    @staticmethod
+    def classify(search, memo, problem, batch):
+        """One fresh tier (tiers are per solve) over ``batch``; the rows it requested."""
+        evaluator = CountingEvaluator(search, problem)
+        tier = AnalyticTier(evaluator, 0, search.backend, memo)
+        settled = tier.settle(problem, batch, None, True)
+        assert tier.counts["analytic_hits"] == len(batch) - evaluator.rows
+        return settled, evaluator.rows
+
+    def test_second_pass_is_identical_and_requests_nothing(self, setting):
+        problem, batch = setting
+        search, memo = GenericSearch(), MakespanCache()
+        (settled, evals, survivors), asked = self.classify(search, memo, problem, batch)
+        (settled2, evals2, survivors2), again = self.classify(search, memo, problem, batch)
+        assert (asked, again) == (len(batch), 0)
+        assert len(settled)  # the pass decided something
+        assert np.array_equal(settled, settled2) and np.array_equal(survivors, survivors2)
+        for field in ("cost", "probability", "feasible", "mean_makespan", "source"):
+            assert np.array_equal(getattr(evals, field), getattr(evals2, field))
+
+    def test_deadline_derivation_hits_and_fault_derivation_misses(self, setting):
+        problem, batch = setting
+        search, memo = GenericSearch(), MakespanCache()
+        self.classify(search, memo, problem, batch)
+        looser = problem.with_deadline(problem.deadline * 1.2, 96.0)
+        _, asked = self.classify(search, memo, looser, batch)
+        assert asked == 0
+        faulty = problem.with_faults(FaultModel(task_failure_rate=0.05))
+        _, asked = self.classify(search, memo, faulty, batch)
+        assert asked == len(batch)
