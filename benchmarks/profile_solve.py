@@ -67,8 +67,11 @@ import numpy as np  # noqa: E402
 
 from repro.cloud import ec2_catalog  # noqa: E402
 from repro.engine.deco import Deco  # noqa: E402
-from repro.solver.backends import CompiledProblem, VectorizedBackend  # noqa: E402
-from repro.solver.cache import EvalContext  # noqa: E402
+from repro.solver.backends import (  # noqa: E402
+    CompiledProblem,
+    VectorizedBackend,
+    validated_assignments,
+)
 from repro.workflow import generators  # noqa: E402
 
 WORKFLOWS = {
@@ -170,14 +173,19 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
     children = StateBlock(
         children, None, [parents.keys[g] for g in owner.tolist()], tasks[:, None]
     )
-    delta = VectorizedBackend(eval_context=EvalContext())
+    delta = VectorizedBackend()
     delta.ensure_frontier(problem, parents)
+    # The referee runs the fused full kernel on every state, whatever is pinned.
     full = VectorizedBackend()
+
+    def full_kernel():
+        return full._makespan_full(problem, validated_assignments(problem, children))
+
     got = delta.makespan_samples(problem, children)
-    want = full.makespan_samples(problem, children)
+    want = full_kernel()
     identical = bool(np.array_equal(got, want))
     delta_us = _median_us(lambda: delta.makespan_samples(problem, children)) / len(children)
-    full_us = _median_us(lambda: full.makespan_samples(problem, children)) / len(children)
+    full_us = _median_us(full_kernel) / len(children)
     stats = delta.delta_stats()
     print(f"search-shaped batch: {PARENTS} parents x {EDITS} single-task edits, one launch")
     print(f"  delta kernel     {delta_us:8.1f} us/state "
@@ -209,8 +217,9 @@ SPLIT = (
     ("bookkeeping", "repro.solver.search:LocalEvaluator", "evaluate"),
     ("bookkeeping", "repro.solver.search:LocalEvaluator", "screen"),
     ("bookkeeping", "repro.solver.backends:EvaluationBackend", "evaluate_batch"),
-    ("bookkeeping", "repro.solver.backends:EvaluationBackend", "cached_makespan_samples"),
+    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "_sample_rows"),
     ("bookkeeping", "repro.solver.cache:MakespanCache", "fetch"),
+    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "_launch"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "makespan_samples"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "screen_probabilities"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "ensure_frontier"),

@@ -38,10 +38,10 @@ def fig08_probabilistic_deadline_sweep(
         for pct in percentiles:
             # The deadline is fixed across the percentile sweep, so every
             # solve after the first reuses makespan samples through the
-            # Deco makespan cache; the per-row counter deltas prove it.
-            cache_before = deco.cache.counters()
+            # backend's makespan cache; the per-row counter deltas prove it.
+            cache_before = deco.backend.cache.counters()
             plan = deco.schedule(wf, d, deadline_percentile=pct)
-            cache_after = deco.cache.counters()
+            cache_after = deco.backend.cache.counters()
             as_plan = autoscaling_plan_calibrated(
                 wf, cat, d, pct, config.runtime_model, config.num_samples, seed=config.seed
             )

@@ -75,10 +75,6 @@ class NetworkModel:
         out = np.maximum(np.asarray(dist.sample(rng, 1 if size is None else size)), 1e3)
         return float(out[0]) if size is None else out
 
-    def mean_bandwidth(self, type_a: str, type_b: str) -> float:
-        """Mean intra-region link bandwidth (bytes/s)."""
-        return self.link_distribution(type_a, type_b).mean()
-
     def mean_cross_region_bandwidth(self, region_a: str, region_b: str) -> float:
         """Mean WAN bandwidth (bytes/s); Eq. 10's ``Band_mn``."""
         return self.cross_region_distribution(region_a, region_b).mean()

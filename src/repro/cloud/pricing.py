@@ -55,12 +55,3 @@ class PricingModel:
         self.catalog.region(dst_region)  # validate destination exists
         return data_bytes / _BYTES_PER_GB * src.transfer_out_per_gb
 
-    def price_ratio(self, type_name: str, region_a: str, region_b: str) -> float:
-        """Price of ``type_name`` in ``region_a`` relative to ``region_b``."""
-        return self.unit_price(type_name, region_a) / self.unit_price(type_name, region_b)
-
-    def cheapest_region(self, type_name: str) -> str:
-        """The region offering ``type_name`` at the lowest hourly rate."""
-        return min(
-            self.catalog.region_names, key=lambda r: self.unit_price(type_name, r)
-        )

@@ -153,7 +153,6 @@ class CloudSimulator:
         assignment: Mapping[str, str],
         region: str | None = None,
         run_id: int = 0,
-        groups: Mapping[str, object] | None = None,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
     ) -> ExecutionResult:
@@ -168,11 +167,6 @@ class CloudSimulator:
         run_id:
             Distinguishes repeated runs of the same plan: each run uses
             an independent performance realization of the cloud.
-        groups:
-            Optional co-scheduling: task id -> group key.  Tasks sharing
-            a group key are pinned to the *same* instance (serialized if
-            they overlap); produced by the Merge/Co-scheduling
-            transformation operations.
         faults:
             Declarative :class:`FaultModel` (default: no faults).  A
             failed task *attempt* burns its sampled runtime on the
@@ -197,15 +191,13 @@ class CloudSimulator:
         free_at: list[float] = []  # per instance: time it becomes idle
         death_at: list[float] = []  # crash/revocation instant (inf = healthy)
         spot_prices: list[np.ndarray | None] = []
-        group_instance: dict[object, int] = {}
 
         remaining_parents = {tid: len(workflow.parents(tid)) for tid in workflow.task_ids}
         finish_time: dict[str, float] = {}
         records: dict[str, TaskRecord] = {}
 
         # Event queue of (time, seq, task_id) completion events; ready
-        # tasks start immediately (elastic cloud => no queueing except
-        # within a co-scheduling group).
+        # tasks start immediately (elastic cloud => no queueing).
         events: list[tuple[float, int, str]] = []
 
         def acquire(type_name: str, now: float) -> int:
@@ -241,9 +233,6 @@ class CloudSimulator:
             rec.crashed = not revoked
             rec.revoked = revoked
             free_at[iid] = math.inf  # never picked again
-            for key, gid in list(group_instance.items()):
-                if gid == iid:
-                    del group_instance[key]
 
         def is_revocation(iid: int, at: float) -> bool:
             prices = spot_prices[iid]
@@ -257,11 +246,6 @@ class CloudSimulator:
 
         def pick_instance(tid: str, now: float, avoid: int | None = None) -> int:
             type_name = assignment[tid]
-            if groups is not None and tid in groups:
-                key = (groups[tid], type_name)
-                if key not in group_instance:
-                    group_instance[key] = acquire(type_name, now)
-                return group_instance[key]
             # Reuse the idle instance that has been idle the shortest
             # time (best fit); otherwise scale out.
             best, best_idle = -1, float("inf")
@@ -296,9 +280,8 @@ class CloudSimulator:
                 iid = pick_instance(tid, submit, avoid=avoid)
                 start = max(submit, free_at[iid])
                 if death_at[iid] <= start:
-                    # Died while idle (or before this queued group task
-                    # started): retire and pick again -- not a task
-                    # failure, no retry budget consumed.
+                    # Died while idle: retire and pick again -- not a
+                    # task failure, no retry budget consumed.
                     at = death_at[iid]
                     retire(iid, at, is_revocation(iid, at))
                     continue

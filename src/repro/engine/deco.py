@@ -34,7 +34,6 @@ from repro.faults.model import FaultModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.engine.plan import DeadlinePresets, ProvisioningPlan, deadline_presets
 from repro.solver.backends import CompiledProblem, get_backend
-from repro.solver.cache import EvalContext, MakespanCache
 from repro.solver.search import GenericSearch, SearchResult
 from repro.solver.state import PlanState
 from repro.wlog.analysis import check_program, reject_fatal
@@ -101,16 +100,16 @@ class Deco:
 
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
-    :meth:`CompiledProblem.with_deadline`, sharing the sample tensor),
-    through :attr:`cache` the per-state makespan samples, through
-    :attr:`eval_context` the finish-time frontiers of expanded states,
-    and through the search's moment memo tier 0's analytic ``(mean,
-    variance)`` rows -- so deadline/percentile sweeps over the same
-    workflow reuse every Monte Carlo and moment propagation the search
-    has already paid for, and search children re-propagate only the
-    levels their dirty tasks can affect.
-    :meth:`clear_caches` / :meth:`cache_stats` bound and report all of
-    it from one place for long-running services.
+    :meth:`CompiledProblem.with_deadline`, sharing the sample tensor);
+    its backend memoizes the per-state makespan samples and the
+    finish-time frontiers of expanded states
+    (``backend.cache`` / ``backend.eval_context`` on ``"gpu"``), and the
+    search's moment memo tier 0's analytic ``(mean, variance)`` rows --
+    so deadline/percentile sweeps over the same workflow reuse every
+    Monte Carlo and moment propagation the search has already paid for,
+    and search children re-propagate only the levels their dirty tasks
+    can affect.  :meth:`clear_caches` / :meth:`cache_stats` bound and
+    report all of it from one place for long-running services.
     """
 
     #: How many (workflow, region) compiled problems to keep alive.
@@ -135,9 +134,7 @@ class Deco:
     ):
         self.catalog = catalog
         self.seed = int(seed)
-        self.cache = MakespanCache()
-        self.eval_context = EvalContext()
-        self.backend = get_backend(backend, cache=self.cache, eval_context=self.eval_context)
+        self.backend = get_backend(backend)
         self.num_samples = int(num_samples)
         self.require_feasible = require_feasible
         if solve_deadline_s is not None and solve_deadline_s <= 0:
@@ -245,15 +242,12 @@ class Deco:
         """Drop every evaluation cache this engine holds.
 
         Long-running services call this between tenants/workloads to
-        bound memory: the makespan-row cache, the finish-time frontier
-        context (including its screening-problem memo), the compiled
-        problem memo, the backend's pooled scratch buffers, and tier 0's
-        calibrations and moment memo all reset to cold.  Subsequent
-        solves are slower but bit-identical -- every cache is a pure
-        memo.
+        bound memory: the compiled problem memo, the backend's memos
+        (makespan rows, finish-time frontiers and the screening-problem
+        memo) and pooled scratch buffers, and tier 0's calibrations and
+        moment memo all reset to cold.  Subsequent solves are slower but
+        bit-identical -- every cache is a pure memo.
         """
-        self.cache.clear()
-        self.eval_context.clear()
         self._problems.clear()
         self._presets.clear()
         self._search.clear_caches()
@@ -261,40 +255,20 @@ class Deco:
     def cache_stats(self) -> dict:
         """One-stop memory/hit-rate report across all evaluation caches.
 
-        Keys: ``makespan``, ``frontier`` and ``moments`` (tier 0's
-        moment memo; hit/miss/entry counters plus ``nbytes``),
-        ``compiled_problems`` (memoized problem
-        count), ``delta`` (the backend's incremental-propagation
-        counters, when the backend tracks them), ``analytic``
-        (moment-propagation work counters, once any analytic tier or
-        backend has run), and -- on a sharded engine (``workers > 1``)
-        -- ``distributed``: the worker count, the number of sharded
-        solves, and the lifetime aggregate of the shards' reported
-        cache/delta/tier-0 counters, so sharded engines report the work
-        their workers did instead of near-empty parent caches.
+        Keys: the backend's (on ``"gpu"``: ``makespan`` and ``frontier``
+        -- hit/miss/entry counters plus ``nbytes`` -- and ``delta``, the
+        incremental-propagation counters; on ``"analytic"``:
+        ``analytic``), the search's (``moments``, tier 0's moment memo,
+        and ``analytic``, its work counters, once tier 0 has run),
+        ``compiled_problems`` (memoized problem count), and -- on a
+        sharded engine (``workers > 1``) -- ``distributed``: the worker
+        count, the number of sharded solves, and the lifetime aggregate
+        of the shards' reported cache/delta/tier-0 counters, so sharded
+        engines report the work their workers did instead of near-empty
+        parent caches.
         """
-        makespan = self.cache.counters()
-        makespan["nbytes"] = self.cache.nbytes()
-        frontier = self.eval_context.counters()
-        frontier["nbytes"] = self.eval_context.nbytes()
-        memo = self._search.moment_memo
-        moments = memo.counters()
-        moments["nbytes"] = memo.nbytes()
-        stats = {
-            "makespan": makespan,
-            "frontier": frontier,
-            "moments": moments,
-            "compiled_problems": len(self._problems),
-        }
-        delta = getattr(self.backend, "delta_stats", None)
-        if delta is not None:
-            stats["delta"] = delta()
-        analytic = getattr(self.backend, "analytic_stats", None)
-        if analytic is None:
-            analytic = self._search.analytic_stats
-        tier0 = analytic()
-        if tier0 is not None:
-            stats["analytic"] = tier0
+        stats: dict = {**self._search.cache_stats(), **self.backend.cache_stats()}
+        stats["compiled_problems"] = len(self._problems)
         if self.workers > 1:
             stats["distributed"] = self._shard_plane().stats()
         return stats
@@ -397,6 +371,7 @@ class Deco:
         registry: ImportRegistry,
         region: str | None = None,
         strict: bool = False,
+        solve_deadline_s: float | None = None,
     ) -> ProvisioningPlan:
         """Solve a WLog scheduling program (the paper's Example 1 shape).
 
@@ -414,6 +389,9 @@ class Deco:
            unreachable deadline, budget or reliability requirement
            (E401-E403) is rejected in milliseconds instead of after a
            doomed solve.
+
+        ``solve_deadline_s`` overrides the engine's watchdog budget for
+        this solve, as on :meth:`schedule`.
         """
         # Both analyzers are looked up at call time, on this module and on
         # repro.analysis: benchmarks/e2e/tracing.py::LAYER_SPANS wraps them there.
@@ -430,7 +408,9 @@ class Deco:
         reject_fatal(report.diagnostics, program.source, strict=strict, stage="semantic analysis")
         ir = translate(program, registry)
         problem = compile_or_raise(ir, num_samples=self.num_samples, seed=self.seed, region=region)
-        return self._solve(problem, seeds=self._warm_starts(problem))
+        return self._solve(
+            problem, seeds=self._warm_starts(problem), solve_deadline_s=solve_deadline_s
+        )
 
     def example1_source(
         self,

@@ -73,6 +73,32 @@ def _finite_number(value: Any) -> bool:
     )
 
 
+#: Generator app -> the fewest tasks it builds (``payload.workflow.tasks``).
+_MIN_TASKS = {"montage": 10, "ligo": 6, "epigenomics": 8, "cybershake": 6}
+
+
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _validate_workflow_numbers(wf: Mapping[str, Any]) -> None:
+    """``degrees``, ``tasks`` and ``seed`` of a generator reference."""
+    if "degrees" in wf and (not _finite_number(wf["degrees"]) or not wf["degrees"] > 0):
+        raise ValidationError(
+            f"payload.workflow.degrees must be a finite number > 0, got {wf['degrees']!r}"
+        )
+    if "tasks" in wf:
+        least = _MIN_TASKS.get(wf.get("app"), 1)
+        if not _integer(wf["tasks"]) or wf["tasks"] < least:
+            raise ValidationError(
+                f"payload.workflow.tasks must be an integer >= {least}, got {wf['tasks']!r}"
+            )
+    if "seed" in wf and (not _integer(wf["seed"]) or wf["seed"] < 0):
+        raise ValidationError(
+            f"payload.workflow.seed must be an integer >= 0, got {wf['seed']!r}"
+        )
+
+
 def validate_payload(payload: Mapping[str, Any]) -> dict:
     """Normalize and validate a job payload; raises :class:`ValidationError`.
 
@@ -92,8 +118,17 @@ def validate_payload(payload: Mapping[str, Any]) -> dict:
             "payload.workflow must name a generator app "
             '({"app": ..., "degrees"/"tasks": ..., "seed": ...}) or a DAX file ({"dax": path})'
         )
-    if "app" in wf and wf["app"] not in ("montage", "ligo", "epigenomics", "cybershake"):
+    if "app" in wf and (not isinstance(wf["app"], str) or wf["app"] not in _MIN_TASKS):
         raise ValidationError(f"unknown workflow app {wf['app']!r}")
+    _validate_workflow_numbers(wf)
+    if data.get("wlog") is not None and not isinstance(data["wlog"], str):
+        raise ValidationError(
+            f"payload.wlog must be WLog source text, got {type(data['wlog']).__name__}"
+        )
+    if data.get("faults") is not None and not isinstance(data["faults"], Mapping):
+        raise ValidationError(
+            f"payload.faults must be an object, got {type(data['faults']).__name__}"
+        )
     backend = data.setdefault("backend", "gpu")
     if backend not in BACKEND_NAMES:
         raise ValidationError(

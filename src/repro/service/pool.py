@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import signal
 import time
-from concurrent.futures import TimeoutError as FutureTimeout
 from typing import Any, Mapping
 
 try:  # BrokenProcessPool only exists where process pools do
@@ -27,7 +26,7 @@ except ImportError:  # pragma: no cover
 from repro.common.errors import DecoError
 from repro.parallel.executor import ShardPool
 
-from .worker import init_service_worker, ping_job, solve_job
+from .worker import init_service_worker, solve_job
 
 __all__ = ["ActiveJob", "WarmWorkerPool"]
 
@@ -87,26 +86,6 @@ class WarmWorkerPool:
     def worker_pids(self) -> list[int | None]:
         """Live worker pid per slot (chaos tooling kills by these)."""
         return self._pool.worker_pids()
-
-    def heartbeat(self, slot: int, timeout_s: float = 10.0) -> int | None:
-        """Ping an *idle* slot's worker; returns its pid, or ``None`` if the
-        worker is dead/unresponsive (after respawning it for next use).
-
-        Only meaningful for idle slots: a slot's executor is single-
-        process, so a ping behind a running job would just queue.
-        """
-        if slot in self._busy:
-            raise ValueError(f"slot {slot} is busy; heartbeat only probes idle slots")
-        job = self._pool.submit(slot, ping_job, None)
-        try:
-            if job.future is not None:
-                return job.future.result(timeout=timeout_s)["pid"]
-            if job.error is not None:
-                raise job.error
-            return job.value["pid"] if job.value else None
-        except (BrokenProcessPool, FutureTimeout, OSError):
-            self.respawn(slot)
-            return None
 
     # -- dispatch / poll ---------------------------------------------------
 

@@ -129,7 +129,9 @@ def solve_job(payload: dict) -> dict:
         app = payload["workflow"].get("app", "workflow")
         registry.register_workflow(app, workflow)
         registry.register_workflow("workflow", workflow)
-        plan = engine.solve_program(payload["wlog"], registry)
+        plan = engine.solve_program(
+            payload["wlog"], registry, solve_deadline_s=payload.get("solve_deadline_s")
+        )
     else:
         plan = engine.schedule(
             workflow,

@@ -18,7 +18,7 @@
   parent-index matrices and topological levels, so finish-time
   propagation costs D (depth) fused array steps instead of N (tasks).
 * :mod:`~repro.solver.cache` -- makespan memoization keyed by
-  ``(tensor id, state key)``, reused across ``with_deadline`` sweeps.
+  ``(sample token, state key)``, reused across ``with_deadline`` sweeps.
 * :mod:`~repro.solver.expand` -- candidate generation: the critical
   paths and Promote/Demote rankings of a whole batch of beam parents
   as one array pass per DAG level.

@@ -62,7 +62,7 @@ from repro.solver.backends import (
     EvaluationBackend,
     validated_assignments,
 )
-from repro.solver.cache import EvalContext, MakespanCache, ScratchPool
+from repro.solver.cache import ScratchPool
 from repro.solver.state import BatchEval, as_block
 
 __all__ = ["ANALYTIC_PROB_ERROR_BOUND", "AnalyticBackend", "clark_max"]
@@ -244,11 +244,9 @@ class AnalyticBackend(EvaluationBackend):
     Usable standalone (``Deco(backend="analytic")``) and as tier 0 of
     the search's screening cascade.  ``pool`` shares the owning MC
     backend's :class:`~repro.solver.cache.ScratchPool` so the cascade's
-    tiers do not pin duplicate large buffers; ``cache`` and
-    ``eval_context`` are carried for interface parity -- analytic rows
-    are quantile grids, not sample rows, so they must never be stored
-    in a :class:`MakespanCache` shared with an MC backend (see
-    :meth:`cached_makespan_samples`).
+    tiers do not pin duplicate large buffers.  It holds no makespan
+    memo: the search memoizes tier 0's moments itself
+    (``GenericSearch.moment_memo``).
     """
 
     name = "analytic"
@@ -256,13 +254,10 @@ class AnalyticBackend(EvaluationBackend):
 
     def __init__(
         self,
-        cache: MakespanCache | None = None,
-        eval_context: EvalContext | None = None,
         quantile_points: int = 32,
         pool: ScratchPool | None = None,
         max_calibrations: int = 8,
     ):
-        super().__init__(cache=cache, eval_context=eval_context)
         if quantile_points < 4:
             raise SolverError(f"quantile_points must be >= 4, got {quantile_points}")
         if max_calibrations < 1:
@@ -464,19 +459,6 @@ class AnalyticBackend(EvaluationBackend):
         sd = np.sqrt(np.maximum(var, 0.0))
         return mean[:, None] + sd[:, None] * z[None, :]
 
-    def cached_makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
-        """Uncached :meth:`makespan_samples`.
-
-        Deliberately bypasses ``self.cache``: analytic rows are Q-point
-        quantile grids and the cache may be shared with an MC backend
-        whose rows are ``(S,)`` sample rows under the same
-        ``(sample_token, state key)`` -- mixing them would corrupt both.
-        Re-evaluation is not cheap (tens of microseconds per state on a
-        680-task workflow); the search memoizes tier 0's moments in its
-        own cache (``GenericSearch.moment_memo``) instead.
-        """
-        return self.makespan_samples(problem, states)
-
     def evaluate_batch(self, problem: CompiledProblem, states, pins=None) -> BatchEval:
         """Closed-form evaluation: Eq. 1 cost + normal-CDF probability
         (``pins`` are ignored: there are no frontiers to keep)."""
@@ -503,6 +485,10 @@ class AnalyticBackend(EvaluationBackend):
     def analytic_stats(self) -> dict[str, int]:
         """A copy of the monotone analytic-work counters."""
         return dict(self.counters)
+
+    def cache_stats(self) -> dict[str, dict]:
+        """``analytic``: the moment-propagation work counters."""
+        return {"analytic": self.analytic_stats()}
 
     def release_buffers(self) -> None:
         """Drop scratch buffers and calibrations (``GenericSearch.clear_caches``)."""

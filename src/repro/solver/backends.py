@@ -24,7 +24,8 @@ are unavailable in this environment, so the GPU role is played by a
 * the deadline probability is a mean over the S axis (a block-level
   reduction in the CUDA version).
 
-Backends optionally carry a :class:`~repro.solver.cache.MakespanCache`
+The vectorized backend owns its evaluation state, as the paper's kernel
+owns its device buffers: a :class:`~repro.solver.cache.MakespanCache`
 that memoizes per-state makespan rows keyed by ``(sample_token, state
 key)``, so deadline sweeps over :meth:`CompiledProblem.with_deadline`
 derivations (same tensor, different feasibility test) reuse samples
@@ -337,59 +338,30 @@ class EvaluationBackend(abc.ABC):
     :class:`~repro.solver.state.BatchEval` of ``(B,)`` vectors.
     :meth:`evaluate` is the per-state view of the same path.
 
-    ``cache`` (optional) memoizes per-state makespan rows across calls
-    and across ``with_deadline``-derived problems; hit/miss counters
-    live on the cache object.  ``eval_context`` (optional) holds the
-    per-state finish-time frontiers and screening-problem memo the
-    incremental evaluator needs; backends that cannot exploit it simply
-    carry it.
+    A backend owns whatever evaluation state it keeps (memos, frontiers,
+    scratch buffers) and reports it through :meth:`counters_snapshot`
+    and :meth:`cache_stats`; :meth:`release_buffers` drops it.  The base
+    class keeps none.
     """
 
     name: str = "abstract"
     #: The ``source`` recorded in this backend's evaluations.
     source: str = "mc"
-
-    def __init__(
-        self,
-        cache: MakespanCache | None = None,
-        eval_context: EvalContext | None = None,
-    ):
-        self.cache = cache
-        self.eval_context = eval_context
+    #: The scratch pool a tier-0 evaluator may share (``None``: none).
+    pool: ScratchPool | None = None
 
     @abc.abstractmethod
     def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B, S)`` per-realization makespans for B states."""
 
-    def cached_makespan_samples(
-        self, problem: CompiledProblem, states, pins: StateBlock | None = None
+    def _sample_rows(
+        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock | None
     ) -> np.ndarray:
-        """Like :meth:`makespan_samples`, consulting the cache if present.
+        """The ``(B, S)`` makespans :meth:`evaluate_batch` reduces.
 
-        ``pins`` are states to :meth:`ensure_frontier` -- the parents of
-        ``states`` -- in the pass that computes the rows the cache does
-        not hold (on their own when it holds every row).
+        ``pins`` are the states' parents, to pin as :meth:`ensure_frontier`
+        does; a backend with no frontiers ignores them.
         """
-        block = as_block(states)
-        compute = self.makespan_samples
-        unpinned = [pins] if pins is not None and len(pins) else []
-        if unpinned:
-            def compute(problem, missing):
-                return self._pinned_samples(problem, missing, unpinned.pop())
-
-        if self.cache is None:
-            out = compute(problem, block)
-        else:
-            out = self.cache.fetch(problem, block, compute)
-        if unpinned:
-            self.ensure_frontier(problem, pins)
-        return out
-
-    def _pinned_samples(
-        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock
-    ) -> np.ndarray:
-        """:meth:`makespan_samples` of ``block`` once ``pins`` are pinned."""
-        self.ensure_frontier(problem, pins)
         return self.makespan_samples(problem, block)
 
     def evaluate_batch(
@@ -404,10 +376,10 @@ class EvaluationBackend(abc.ABC):
         """
         block = as_block(states)
         if not len(block):
-            if pins is not None and len(pins):
+            if pins is not None:
                 self.ensure_frontier(problem, pins)
             return BatchEval.empty(0)
-        makespans = self.cached_makespan_samples(problem, block, pins)
+        makespans = self._sample_rows(problem, block, pins)
         return self._batch_eval(
             problem, block, np.mean(makespans <= problem.deadline, axis=1),
             makespans.mean(axis=1),
@@ -449,24 +421,14 @@ class EvaluationBackend(abc.ABC):
         jobs ship that delta back to the parent, so only monotone
         counters belong here -- sizes like ``entries`` do not aggregate.
         """
-        snap: dict[str, int] = {}
-        if self.cache is not None:
-            c = self.cache.counters()
-            snap["makespan_hits"] = c["hits"]
-            snap["makespan_misses"] = c["misses"]
-        if self.eval_context is not None:
-            c = self.eval_context.counters()
-            snap["frontier_hits"] = c["hits"]
-            snap["frontier_misses"] = c["misses"]
-        for key, value in (getattr(self, "delta_counters", None) or {}).items():
-            snap[key] = value
-        return snap
+        return {}
 
-    def screen_problem(self, problem: CompiledProblem, prefix: int) -> CompiledProblem:
-        """The (memoized, when possible) sample-prefix screening problem."""
-        if self.eval_context is not None:
-            return self.eval_context.screen_problem(problem, prefix)
-        return problem.with_sample_prefix(prefix)
+    def cache_stats(self) -> dict[str, dict]:
+        """This backend's entries of ``Deco.cache_stats()``."""
+        return {}
+
+    def release_buffers(self) -> None:
+        """Drop this backend's memos and scratch (``Deco.clear_caches``)."""
 
     def screen_probabilities(
         self, problem: CompiledProblem, states, prefix: int
@@ -479,7 +441,7 @@ class EvaluationBackend(abc.ABC):
         state screened again (a warm sweep's later solves) is
         re-propagated.
         """
-        sp = self.screen_problem(problem, prefix)
+        sp = problem.with_sample_prefix(prefix)
         makespans = self.makespan_samples(sp, as_block(states))
         return np.mean(makespans <= sp.deadline, axis=1)
 
@@ -516,7 +478,10 @@ class VectorizedBackend(EvaluationBackend):
     search-sized batches.  The pool makes the backend non-reentrant
     (one evaluation at a time per instance), matching a CUDA stream.
 
-    With an ``eval_context``, :meth:`makespan_samples` takes the
+    The backend owns its memos: ``cache`` (the makespan rows
+    :meth:`evaluate_batch` reduces) and ``eval_context`` (finish-time
+    frontiers and the screening-problem memo) are built here unless the
+    caller passes ones to share.  :meth:`makespan_samples` takes the
     **delta-propagation** path for every state whose parent frontier is
     cached: read the parent's finish rows in place, recompute only the
     dirty tasks' rows and their (transitive) descendants level by level
@@ -538,7 +503,8 @@ class VectorizedBackend(EvaluationBackend):
         eval_context: EvalContext | None = None,
         pool: ScratchPool | None = None,
     ):
-        super().__init__(cache=cache, eval_context=eval_context)
+        self.cache = cache if cache is not None else MakespanCache()
+        self.eval_context = eval_context if eval_context is not None else EvalContext()
         #: Shared grow-only scratch pool (see
         #: :class:`~repro.solver.cache.ScratchPool`); the analytic
         #: screening tier reuses the same pool during a search.
@@ -559,33 +525,26 @@ class VectorizedBackend(EvaluationBackend):
         """A pooled scratch view (contents undefined; see ScratchPool)."""
         return self.pool.take(name, shape, dtype)
 
-    def makespan_samples(
-        self, problem: CompiledProblem, states, incremental: bool = True,
-        pins: StateBlock | None = None,
-    ) -> np.ndarray:
-        """``(B, S)`` makespans of ``states``.
+    def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
+        """``(B, S)`` makespans of ``states``, delta-propagated where a
+        parent frontier is resident (no memo involved)."""
+        return self._launch(problem, None, as_block(states))
 
-        ``pins`` are states whose frontiers to cache first, exactly as
-        :meth:`ensure_frontier` caches them -- in the same delta launch
-        as the states whose parents they are.
+    def _sample_rows(
+        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock | None
+    ) -> np.ndarray:
+        """The memo's rows of ``block``, the missing ones from one launch.
+
+        That launch pins ``pins`` too; when the memo holds every row,
+        ``pins`` are pinned on their own -- exactly once either way.
         """
-        block = as_block(states)
-        n = problem.num_tasks
-        s = problem.num_samples
-        if n == 0:
-            return np.zeros((len(block), s))
-        if not incremental or self.eval_context is None:
-            if pins is not None and len(pins):
-                self.ensure_frontier(problem, pins)
-            if not len(block):
-                return np.zeros((0, s))
-            return self._makespan_full(problem, validated_assignments(problem, block))
-        return self._launch(problem, pins, block)
-
-    def _pinned_samples(
-        self, problem: CompiledProblem, block: StateBlock, pins: StateBlock
-    ) -> np.ndarray:
-        return self.makespan_samples(problem, block, pins=pins)
+        misses = self.cache.misses
+        rows = self.cache.fetch(
+            problem, block, lambda problem, missing: self._launch(problem, pins, missing)
+        )
+        if self.cache.misses == misses and pins is not None:
+            self.ensure_frontier(problem, pins)
+        return rows
 
     def _launch(
         self, problem: CompiledProblem, pins: StateBlock | None, block: StateBlock
@@ -602,6 +561,8 @@ class VectorizedBackend(EvaluationBackend):
         n, s = problem.num_tasks, problem.num_samples
         token = problem.sample_token
         b = len(block)
+        if n == 0:
+            return np.zeros((b, s))
         assign = validated_assignments(problem, block) if b else None
         reserved: list[bytes] = []
         try:
@@ -659,6 +620,8 @@ class VectorizedBackend(EvaluationBackend):
         b = len(assign)
         n = problem.num_tasks
         s = problem.num_samples
+        if n == 0:
+            return np.zeros((b, s))
         sched = problem.levels
 
         # Fused level kernel over the task-major tensor copy: per level,
@@ -914,8 +877,6 @@ class VectorizedBackend(EvaluationBackend):
         :meth:`evaluate_batch` as ``pins`` instead, which does this in
         the launch that evaluates their children.
         """
-        if self.eval_context is None or problem.num_tasks == 0:
-            return
         block = (
             states[0]
             if len(states) == 1 and isinstance(states[0], StateBlock)
@@ -984,8 +945,28 @@ class VectorizedBackend(EvaluationBackend):
         """A copy of the monotone incremental-work counters."""
         return dict(self.delta_counters)
 
+    def counters_snapshot(self) -> dict[str, int]:
+        return {
+            "makespan_hits": self.cache.hits,
+            "makespan_misses": self.cache.misses,
+            "frontier_hits": self.eval_context.hits,
+            "frontier_misses": self.eval_context.misses,
+            **self.delta_counters,
+        }
+
+    def cache_stats(self) -> dict[str, dict]:
+        """``makespan`` and ``frontier`` (counters plus ``nbytes``), ``delta``."""
+        stats = {}
+        for key, memo in (("makespan", self.cache), ("frontier", self.eval_context)):
+            stats[key] = memo.counters()
+            stats[key]["nbytes"] = memo.nbytes()
+        stats["delta"] = self.delta_stats()
+        return stats
+
     def release_buffers(self) -> None:
-        """Drop the pooled scratch arrays (``Deco.clear_caches`` hook)."""
+        """Drop the makespan memo, the frontiers and the pooled scratch arrays."""
+        self.cache.clear()
+        self.eval_context.clear()
         self.pool.clear()
 
     def screen_probabilities(
@@ -994,12 +975,12 @@ class VectorizedBackend(EvaluationBackend):
         """Prefix-fidelity probabilities via the fused full kernel.
 
         Screening problems carry fresh sample tokens, so their states
-        would never find frontiers anyway; routing them explicitly
-        around the incremental partition keeps the delta counters
-        attributable to full-fidelity work.
+        would never find frontiers anyway; calling the full kernel
+        directly keeps the frontier and delta counters attributable to
+        full-fidelity work.
         """
-        sp = self.screen_problem(problem, prefix)
-        makespans = self.makespan_samples(sp, states, incremental=False)
+        sp = self.eval_context.screen_problem(problem, prefix)
+        makespans = self._makespan_full(sp, validated_assignments(sp, states))
         return np.mean(makespans <= sp.deadline, axis=1)
 
 
@@ -1045,18 +1026,14 @@ class ScalarBackend(EvaluationBackend):
 BACKEND_NAMES = ("gpu", "analytic")
 
 
-def get_backend(
-    name: str,
-    cache: MakespanCache | None = None,
-    eval_context: EvalContext | None = None,
-) -> EvaluationBackend:
+def get_backend(name: str) -> EvaluationBackend:
     """Backend factory: ``"gpu"`` (vectorized Monte Carlo) or
     ``"analytic"`` (moment propagation, no sampling)."""
     if name == "gpu":
-        return VectorizedBackend(cache=cache, eval_context=eval_context)
+        return VectorizedBackend()
     if name == "analytic":
         # Imported lazily: analytic_backend itself imports this module.
         from repro.solver.analytic_backend import AnalyticBackend
 
-        return AnalyticBackend(cache=cache, eval_context=eval_context)
+        return AnalyticBackend()
     raise SolverError(f"unknown backend {name!r}; choose from {'|'.join(BACKEND_NAMES)}")

@@ -100,9 +100,9 @@ class ScratchPool:
 class MakespanCache:
     """Bounded LRU memo of per-state rows: makespan samples or moments.
 
-    The engine's instance holds ``(S,)`` Monte Carlo makespan rows; the
-    search's tier-0 instance holds ``(2,)`` ``(mean, variance)`` rows
-    under the same keys.
+    The vectorized backend's instance holds ``(S,)`` Monte Carlo
+    makespan rows; the search's tier-0 instance holds ``(2,)`` ``(mean,
+    variance)`` rows under the same keys.
 
     Parameters
     ----------
@@ -406,27 +406,6 @@ class EvalContext:
         self._held[token] -= 1
         if not self._held[token]:
             del self._slabs[token], self._held[token]  # the slab goes with its last token
-
-    def get(self, token: int, key: bytes) -> np.ndarray | None:
-        """The cached ``(N, S)`` frontier, or ``None`` (counts hit/miss).
-
-        A read-only view into the slab: valid until the next frontier
-        is stored.
-        """
-        slot = self.find(token, key)
-        if slot is None:
-            return None
-        view = self._slabs[token].frontier(slot)[:-1]
-        view.flags.writeable = False
-        return view
-
-    def put(self, token: int, key: bytes, frontier: np.ndarray) -> None:
-        """Store a copy of an ``(N, S)`` frontier."""
-        frontier = np.asarray(frontier)
-        slot = self.reserve(token, key, *frontier.shape)
-        dst = self._slabs[token].frontier(slot)
-        dst[:-1] = frontier
-        dst[-1] = 0.0
 
     # ------------------------------------------------------------------
 

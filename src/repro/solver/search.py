@@ -68,8 +68,8 @@ class SearchResult:
     (``exact_evals`` ... ``analytic_accepted``, see the field comments)
     are the tiers' own (:mod:`repro.solver.tiers`); the cache and delta
     counters are the evaluator's ``counters()``, so on a sharded solve
-    they include the shards' work (delta counters are zero when the
-    backend has no :class:`~repro.solver.cache.EvalContext`).
+    they include the shards' work (zero on a backend that keeps no
+    memos, such as :class:`~repro.solver.backends.ScalarBackend`).
     ``workers`` is the number of processes the evaluations ran on: 1
     for a serial solve and for a sharded engine whose pool downgraded.
     """
@@ -400,22 +400,29 @@ class GenericSearch:
         """The lazily built tier-0 analytic evaluator.
 
         Shares the main backend's :class:`~repro.solver.cache.ScratchPool`
-        when it exposes one, so the cascade's tiers do not pin duplicate
+        when it has one, so the cascade's tiers do not pin duplicate
         large buffers.
         """
         if self._analytic is None:
             from repro.solver.analytic_backend import AnalyticBackend
 
-            self._analytic = AnalyticBackend(pool=getattr(self.backend, "pool", None))
+            self._analytic = AnalyticBackend(pool=self.backend.pool)
         return self._analytic
 
     def clear_caches(self) -> None:
-        """Drop the backend's pooled buffers, tier 0's calibrations and moment memo."""
+        """Drop the backend's memos and buffers, tier 0's calibrations and moment memo."""
         self.moment_memo.clear()
-        for backend in (self.backend, self._analytic):
-            release = getattr(backend, "release_buffers", None)
-            if release is not None:
-                release()
+        self.backend.release_buffers()
+        if self._analytic is not None:
+            self._analytic.release_buffers()
+
+    def cache_stats(self) -> dict[str, dict]:
+        """``moments`` (the tier-0 memo's counters plus ``nbytes``) and,
+        once tier 0 ran, ``analytic``: its work counters."""
+        stats = {"moments": {**self.moment_memo.counters(), "nbytes": self.moment_memo.nbytes()}}
+        if self._analytic is not None:
+            stats["analytic"] = self._analytic.analytic_stats()
+        return stats
 
     def analytic_stats(self) -> dict | None:
         """Tier-0 work counters, or ``None`` if the tier never ran."""

@@ -198,7 +198,7 @@ class AnalyticTier(_ScreenTier):
         return (
             problem.num_tasks >= min_tasks
             and 0.0 < problem.required_probability < 1.0
-            and getattr(backend, "name", "") != "analytic"
+            and backend.name != "analytic"
         )
 
     def applies(self, problem: CompiledProblem) -> bool:

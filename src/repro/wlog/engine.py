@@ -161,10 +161,6 @@ class Engine:
             return sol
         return None
 
-    def all_values(self, text: str, var: str) -> list[Term]:
-        """All bindings of ``var`` across the query's solutions."""
-        return [sol[var] for sol in self.query(text)]
-
     # Resolution ------------------------------------------------------------
 
     def solve_goal(self, goal: Term, bindings: Bindings, depth: int) -> Iterator[bool]:

@@ -233,10 +233,6 @@ class Workflow:
 
     # Derivation ----------------------------------------------------------
 
-    def relabeled(self, name: str) -> "Workflow":
-        """A copy of this workflow under a different name."""
-        return Workflow(name, self._tasks.values(), self.edges())
-
     def scaled(self, factor: float, name: str | None = None) -> "Workflow":
         """A copy with every task's ``runtime_ref`` multiplied by ``factor``.
 

@@ -163,10 +163,6 @@ class RuntimeModel:
 
     # Workflow-level tensors ---------------------------------------------------
 
-    def mean_vector(self, workflow: Workflow, type_name: str) -> np.ndarray:
-        """Mean task times for all tasks (topological order) on one type."""
-        return self.mean_matrix(workflow)[self.catalog.index_of(type_name)]
-
     def mean_matrix(self, workflow: Workflow) -> np.ndarray:
         """``(K, N)`` matrix of mean times: rows are catalog types in order.
 

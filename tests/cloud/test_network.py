@@ -38,11 +38,6 @@ class TestIntraRegionLinks:
     def test_scalar_sample(self, net, rng):
         assert isinstance(net.sample_link("m1.small", "m1.small", rng), float)
 
-    def test_mean_bandwidth(self, net):
-        assert net.mean_bandwidth("m1.small", "m1.xlarge") == pytest.approx(
-            net.catalog.type("m1.small").network.mean()
-        )
-
 
 class TestCrossRegion:
     def test_wan_slower_than_lan(self, net):

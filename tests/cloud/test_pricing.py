@@ -47,12 +47,3 @@ class TestTransfer:
     def test_unknown_region_rejected(self, pricing):
         with pytest.raises(ValidationError):
             pricing.transfer_cost(1.0, "us-east-1", "mars-1")
-
-
-class TestRegionComparison:
-    def test_price_ratio(self, pricing):
-        ratio = pricing.price_ratio("m1.small", "ap-southeast-1", "us-east-1")
-        assert ratio == pytest.approx(0.058 / 0.044)
-
-    def test_cheapest_region(self, pricing):
-        assert pricing.cheapest_region("m1.small") == "us-east-1"

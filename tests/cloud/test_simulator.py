@@ -77,21 +77,6 @@ class TestExecute:
         assert result.cost == 0.0
 
 
-class TestGroups:
-    def test_grouped_tasks_share_instance(self, sim, diamond):
-        groups = {"b": "g1", "c": "g1"}
-        result = sim.execute(diamond, uniform_plan(diamond, "m1.small"), groups=groups)
-        recs = {r.task_id: r for r in result.task_records}
-        assert recs["b"].instance_id == recs["c"].instance_id
-
-    def test_grouped_tasks_serialize(self, sim, diamond):
-        groups = {"b": "g1", "c": "g1"}
-        result = sim.execute(diamond, uniform_plan(diamond, "m1.small"), groups=groups)
-        recs = {r.task_id: r for r in result.task_records}
-        first, second = sorted([recs["b"], recs["c"]], key=lambda r: r.start)
-        assert second.start >= first.finish - 1e-9
-
-
 class TestDynamics:
     def test_run_ids_give_different_realizations(self, sim, diamond):
         plan = uniform_plan(diamond, "m1.small")

@@ -71,6 +71,21 @@ class TestRoutes:
         assert code == 400
         assert "payload.deadline" in doc["error"]
 
+    @pytest.mark.parametrize(
+        "change, field",
+        [
+            ({"workflow": {"app": "montage", "degrees": 1.0, "seed": "7"}}, "workflow.seed"),
+            ({"wlog": 42}, "wlog"),
+            ({"faults": "none"}, "faults"),
+        ],
+    )
+    def test_malformed_workflow_reference_400(self, client, change, field):
+        """Admission refuses what ``build_workflow``, ``_build_faults`` or
+        ``solve_program`` would raise on after a queue round trip."""
+        code, doc = client.submit({**montage_payload(), **change})
+        assert code == 400
+        assert f"payload.{field}" in doc["error"]
+
     def test_invalid_json_body_400(self, client, server):
         import urllib.request
 

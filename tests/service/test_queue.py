@@ -50,6 +50,43 @@ class TestValidatePayload:
         )
         assert (data["deadline"], data["percentile"], data["backend"]) == (3600, 90.0, "gpu")
 
+    @pytest.mark.parametrize(
+        "workflow, field",
+        [
+            ({"app": "montage", "degrees": float("nan")}, "degrees"),
+            ({"app": "montage", "degrees": 0.0}, "degrees"),
+            ({"app": "montage", "degrees": "4"}, "degrees"),
+            ({"app": "ligo", "tasks": 100.5}, "tasks"),
+            ({"app": "ligo", "tasks": True}, "tasks"),
+            ({"app": "ligo", "tasks": 3}, "tasks"),
+            ({"app": "montage", "tasks": 9}, "tasks"),
+            ({"app": "ligo", "tasks": "100"}, "tasks"),
+            ({"app": "montage", "degrees": 1.0, "seed": -1}, "seed"),
+            ({"app": "montage", "degrees": 1.0, "seed": 1.5}, "seed"),
+            ({"app": "montage", "degrees": 1.0, "seed": "7"}, "seed"),
+            ({"app": "montage", "degrees": 1.0, "seed": None}, "seed"),
+        ],
+    )
+    def test_rejects_malformed_workflow_numbers(self, workflow, field):
+        with pytest.raises(ValidationError, match=f"payload.workflow.{field}"):
+            validate_payload({"workflow": workflow})
+
+    def test_rejects_an_unhashable_app(self):
+        with pytest.raises(ValidationError, match="unknown workflow app"):
+            validate_payload({"workflow": {"app": ["montage"]}})
+
+    @pytest.mark.parametrize("key, value", [("wlog", 42), ("wlog", ["a."]), ("faults", "none"),
+                                            ("faults", [0.1])])
+    def test_rejects_wlog_that_is_not_text_and_faults_that_are_not_an_object(self, key, value):
+        with pytest.raises(ValidationError, match=f"payload.{key}"):
+            validate_payload({**_payload(), key: value})
+
+    def test_accepts_well_formed_references(self):
+        validate_payload({"workflow": {"app": "ligo", "tasks": 6, "seed": 0}})
+        validate_payload({"workflow": {"app": "montage", "degrees": 4, "seed": 2**40}})
+        validate_payload({**_payload(), "wlog": "", "faults": None})
+        validate_payload({**_payload(), "faults": {"task_failure_rate": 0.05}})
+
     def test_backend_choices_come_from_backend_names(self):
         with pytest.raises(ValidationError, match=r"one of gpu\|analytic, got 'cpu'"):
             validate_payload({**_payload(), "backend": "cpu"})

@@ -65,6 +65,29 @@ class TestHappyPath:
         assert doc["state"] == "completed"
         assert doc["result"]["plan"]["feasible"] is True
 
+    def test_wlog_program_payload_honours_its_solve_budget(self, tmp_path):
+        from repro.wlog.library import scheduling_program
+
+        program = scheduling_program(
+            cloud="amazonec2",
+            workflow="montage",
+            percentile=95.0,
+            deadline_seconds=40_000.0,
+        )
+        with make_service(tmp_path) as svc:
+            job = svc.submit(
+                {
+                    "workflow": {"app": "montage", "degrees": 1.0},
+                    "wlog": program,
+                    "solve_deadline_s": 1e-6,
+                }
+            )
+            svc.run_until_idle(timeout_s=120)
+            doc = svc.job_status(job.job_id)
+        assert doc["state"] == "degraded"
+        assert doc["degrade_reason"] == "solve_timeout"
+        assert doc["result"]["timed_out"] is True
+
     def test_cache_hit_served_at_submit(self, tmp_path):
         with make_service(tmp_path) as svc:
             first = svc.submit(montage_payload(seed=3))

@@ -25,23 +25,23 @@ class TestCacheMechanics:
             MakespanCache(max_entries=0)
 
     def test_miss_then_hit(self, problem):
-        cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
+        backend = VectorizedBackend()
+        cache = backend.cache
         states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
 
-        first = backend.cached_makespan_samples(problem, states)
+        first = backend.evaluate_batch(problem, states)
         assert cache.counters() == {"hits": 0, "misses": 3, "entries": 3}
 
-        second = backend.cached_makespan_samples(problem, states)
+        second = backend.evaluate_batch(problem, states)
         assert cache.hits == 3 and cache.misses == 3
-        np.testing.assert_array_equal(first, second)
+        assert list(first) == list(second)
 
     def test_partial_hit_assembles_in_order(self, problem):
         cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
+        backend = VectorizedBackend()
         a, b, c = (PlanState.uniform(problem.num_tasks, t) for t in range(3))
-        backend.cached_makespan_samples(problem, [a, c])
-        mixed = backend.cached_makespan_samples(problem, [c, b, a])
+        cache.fetch(problem, [a, c], backend.makespan_samples)
+        mixed = cache.fetch(problem, [c, b, a], backend.makespan_samples)
         assert cache.hits == 2 and cache.misses == 3
         cold = VectorizedBackend().makespan_samples(problem, [c, b, a])
         np.testing.assert_array_equal(mixed, cold)
@@ -51,10 +51,10 @@ class TestCacheMechanics:
         backend = VectorizedBackend(cache=cache)
         states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
         for st in states:
-            backend.cached_makespan_samples(problem, [st])
+            backend.evaluate_batch(problem, [st])
         assert len(cache) == 2
         # Oldest (states[0]) was evicted; re-fetch misses again.
-        backend.cached_makespan_samples(problem, [states[0]])
+        backend.evaluate_batch(problem, [states[0]])
         assert cache.misses == 4
 
     def test_rows_are_copies_not_views(self, problem):
@@ -91,11 +91,9 @@ class TestCacheMechanics:
             assert cache.nbytes() - before >= len(state.key) + row.nbytes
 
     def test_clear_resets_entries_not_counters(self, problem):
-        cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
-        backend.cached_makespan_samples(
-            problem, [PlanState.uniform(problem.num_tasks, 0)]
-        )
+        backend = VectorizedBackend()
+        cache = backend.cache
+        backend.evaluate_batch(problem, [PlanState.uniform(problem.num_tasks, 0)])
         cache.clear()
         assert len(cache) == 0 and cache.misses == 1
 
@@ -104,12 +102,12 @@ class TestWithDeadlineReuse:
     """The point of the cache: ``with_deadline`` sweeps reuse samples."""
 
     def test_derived_problem_hits(self, problem):
-        cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
+        backend = VectorizedBackend()
+        cache = backend.cache
         states = [PlanState.uniform(problem.num_tasks, t) for t in range(4)]
-        backend.cached_makespan_samples(problem, states)
+        backend.evaluate_batch(problem, states)
         derived = problem.with_deadline(123.0, percentile=80.0)
-        backend.cached_makespan_samples(derived, states)
+        backend.evaluate_batch(derived, states)
         assert cache.hits == 4 and cache.misses == 4
 
     @pytest.mark.parametrize("seed", range(3))
@@ -123,7 +121,7 @@ class TestWithDeadlineReuse:
         rng = np.random.default_rng(seed)
         states = [PlanState(rng.integers(0, problem.num_types, 18)) for _ in range(6)]
 
-        warm = VectorizedBackend(cache=MakespanCache())
+        warm = VectorizedBackend()
         warm.evaluate_batch(problem, states)  # populate
         derived = problem.with_deadline(1.5e3, percentile=96.0)
         cached_evals = warm.evaluate_batch(derived, states)
@@ -137,11 +135,11 @@ class TestWithDeadlineReuse:
             problem.workflow, catalog, deadline=2000.0, percentile=96.0,
             num_samples=32, seed=6, runtime_model=runtime_model,
         )
-        cache = MakespanCache()
-        backend = VectorizedBackend(cache=cache)
+        backend = VectorizedBackend()
+        cache = backend.cache
         st = PlanState.uniform(problem.num_tasks, 0)
-        backend.cached_makespan_samples(problem, [st])
-        backend.cached_makespan_samples(other, [st])
+        backend.evaluate_batch(problem, [st])
+        backend.evaluate_batch(other, [st])
         assert cache.hits == 0 and cache.misses == 2
 
 

@@ -247,7 +247,7 @@ class TestPinnedFrontiers:
     def test_parents_pinned_in_the_launch_that_evaluates_their_children(
         self, workflow, seed, small_cap
     ):
-        """``makespan_samples(..., pins=parents)``: the parents chained on
+        """``evaluate_batch(..., pins=parents)``'s rows: the parents chained on
         resident frontiers are pinned and their children evaluated in one
         launch -- the same makespans, frontiers and counters as pinning
         first and evaluating after, whichever chunk each lands in."""
@@ -277,8 +277,8 @@ class TestPinnedFrontiers:
             fused = VectorizedBackend(eval_context=EvalContext())
             fused.ensure_frontier(problem, *roots)
             with mock.patch.object(VectorizedBackend, "_delta_launch", counted):
-                got = fused.makespan_samples(
-                    problem, StateBlock.from_states(kids), pins=StateBlock.from_states(parents)
+                got = fused._sample_rows(
+                    problem, StateBlock.from_states(kids), StateBlock.from_states(parents)
                 )
             apart = VectorizedBackend(eval_context=EvalContext())
             apart.ensure_frontier(problem, *roots)
@@ -309,7 +309,6 @@ class TestPinnedFrontiers:
         problem = synthetic_problem(fan_in(5), seed=1)
         state = PlanState.uniform(problem.num_tasks, 0)
         assert ScalarBackend().ensure_frontier(problem, state, state) is None
-        assert VectorizedBackend().ensure_frontier(problem, state) is None  # no context
         assert "ensure_frontier" in EvaluationBackend.__dict__
 
 
@@ -425,5 +424,5 @@ class TestSearchLaunchesAndMemory:
         deco = Deco(catalog, seed=7, num_samples=150, max_evaluations=1500)
         deco.schedule(montage(degrees=8.0, seed=1), "medium", deadline_percentile=96.0)
         assert deco.last_result.states_incremental > 500
-        held = deco.backend.pool.nbytes() + deco.eval_context.nbytes()
+        held = deco.backend.pool.nbytes() + deco.backend.eval_context.nbytes()
         assert held <= 1.10 * 82_151_481

@@ -12,11 +12,11 @@ import pytest
 from repro.engine import Deco
 from repro.engine.plan import deadline_presets
 from repro.parallel.workers import solve_plans
-from repro.solver.backends import CompiledProblem, VectorizedBackend
+from repro.solver.backends import CompiledProblem, VectorizedBackend, validated_assignments
 from repro.solver.cache import EvalContext, MakespanCache
 from repro.solver.search import GenericSearch
 from repro.solver.state import PlanState
-from repro.workflow.generators import montage, random_dag
+from repro.workflow.generators import cybershake, montage, random_dag
 
 SAMPLES = 48
 
@@ -32,6 +32,14 @@ def problem(catalog, runtime_model):
 
 def incremental_backend() -> VectorizedBackend:
     return VectorizedBackend(eval_context=EvalContext())
+
+
+class FullKernelBackend(VectorizedBackend):
+    """The delta path's referee: the fused full kernel for every state,
+    with no frontier ever pinned."""
+
+    def _launch(self, problem, pins, block):
+        return self._makespan_full(problem, validated_assignments(problem, block))
 
 
 # Sample-token generation semantics ----------------------------------------
@@ -70,17 +78,30 @@ class TestSampleTokens:
 # EvalContext mechanics ----------------------------------------------------
 
 
+def store(ctx: EvalContext, token: int, key: bytes, frontier) -> None:
+    """Reserve ``key``'s slot and write an ``(N, S)`` frontier into it."""
+    frontier = np.asarray(frontier)
+    slot = ctx.reserve(token, key, *frontier.shape)
+    dst = ctx.slab(token).frontier(slot)
+    dst[:-1] = frontier
+    dst[-1] = 0.0
+
+
+def stored(ctx: EvalContext, token: int, key: bytes) -> np.ndarray | None:
+    """The ``(N, S)`` frontier ``find`` locates, or ``None`` (counts hit/miss)."""
+    slot = ctx.find(token, key)
+    return None if slot is None else ctx.slab(token).frontier(slot)[:-1]
+
+
 class TestEvalContext:
     def test_get_put_peek_counters(self):
         ctx = EvalContext()
         frontier = np.arange(6.0).reshape(3, 2)
-        assert ctx.get(1, b"k") is None
+        assert stored(ctx, 1, b"k") is None
         assert not ctx.peek(1, b"k")
-        ctx.put(1, b"k", frontier)
+        store(ctx, 1, b"k", frontier)
         assert ctx.peek(1, b"k")
-        got = ctx.get(1, b"k")
-        np.testing.assert_array_equal(got, frontier)
-        assert not got.flags.writeable
+        np.testing.assert_array_equal(stored(ctx, 1, b"k"), frontier)
         assert ctx.counters() == {"hits": 1, "misses": 1, "entries": 1}
         # The slot also stores the zero sentinel row.
         assert ctx.nbytes() == frontier.nbytes + frontier[0].nbytes
@@ -89,29 +110,29 @@ class TestEvalContext:
     def test_lru_eviction(self):
         ctx = EvalContext(max_entries=2)
         for i in range(3):
-            ctx.put(0, bytes([i]), np.full((1, 1), float(i)))
+            store(ctx, 0, bytes([i]), np.full((1, 1), float(i)))
         assert not ctx.peek(0, b"\x00")  # oldest evicted
         assert ctx.peek(0, b"\x01") and ctx.peek(0, b"\x02")
         # The evicted frontier's slot was reused in place.
-        assert ctx.get(0, b"\x02").tolist() == [[2.0]] and ctx.find(0, b"\x02") == 0
-        assert ctx.get(0, b"\x01").tolist() == [[1.0]]
+        assert stored(ctx, 0, b"\x02").tolist() == [[2.0]] and ctx.find(0, b"\x02") == 0
+        assert stored(ctx, 0, b"\x01").tolist() == [[1.0]]
 
     def test_tokens_of_one_shape_share_a_slab(self):
         # A warm engine's next same-sized workflow (a service worker's next
         # job) must land in the pages the last one touched, not a new mapping.
         ctx = EvalContext(max_entries=2)
-        ctx.put(1, b"a", np.full((3, 2), 1.0))
-        ctx.put(1, b"b", np.full((3, 2), 2.0))
+        store(ctx, 1, b"a", np.full((3, 2), 1.0))
+        store(ctx, 1, b"b", np.full((3, 2), 2.0))
         slab, held = ctx.slab(1), ctx.nbytes()
-        ctx.put(2, b"a", np.full((3, 2), 3.0))  # evicts (1, a) into its slot
+        store(ctx, 2, b"a", np.full((3, 2), 3.0))  # evicts (1, a) into its slot
         assert ctx.slab(2) is slab and ctx.find(2, b"a") == 0
-        assert ctx.get(1, b"b").tolist() == [[2.0, 2.0]] * 3
-        assert ctx.get(2, b"a").tolist() == [[3.0, 3.0]] * 3
+        assert stored(ctx, 1, b"b").tolist() == [[2.0, 2.0]] * 3
+        assert stored(ctx, 2, b"a").tolist() == [[3.0, 3.0]] * 3
         assert ctx.nbytes() == held  # one slab, counted once, nothing new touched
-        ctx.put(2, b"b", np.full((3, 2), 4.0))  # token 1's last frontier goes
+        store(ctx, 2, b"b", np.full((3, 2), 4.0))  # token 1's last frontier goes
         assert ctx.slab(1) is None and ctx.slab(2) is slab and ctx.nbytes() == held
         # Another shape gets a slab of its own.
-        ctx.put(3, b"a", np.zeros((4, 2)))
+        store(ctx, 3, b"a", np.zeros((4, 2)))
         assert ctx.slab(3) is not slab and ctx.slab(3).stride == 5
         ctx.discard(2, b"b")
         assert ctx.slab(2) is None and len(ctx) == 1
@@ -133,7 +154,7 @@ class TestEvalContext:
 
     def test_clear_drops_frontiers_and_screen_memo(self, problem):
         ctx = EvalContext()
-        ctx.put(1, b"k", np.zeros((2, 2)))
+        store(ctx, 1, b"k", np.zeros((2, 2)))
         ctx.screen_problem(problem, 16)
         ctx.clear()
         assert len(ctx) == 0
@@ -218,12 +239,22 @@ class TestDeltaBitIdentity:
         assert stats["states_incremental"] == 1
         assert stats["states_full"] == 2
 
-    def test_incremental_flag_off_bypasses_delta(self, problem):
+    def test_bare_backend_takes_the_delta_path(self, problem):
+        """A backend built with no arguments owns its frontiers."""
+        backend = VectorizedBackend()
+        parent = PlanState.uniform(problem.num_tasks, 1)
+        backend.ensure_frontier(problem, parent)
+        child = parent.promote(0, problem.num_types)
+        inc = backend.makespan_samples(problem, [child])
+        assert backend.delta_stats()["states_incremental"] > 0
+        np.testing.assert_array_equal(inc, FullKernelBackend().makespan_samples(problem, [child]))
+
+    def test_screen_bypasses_delta(self, problem):
         backend = incremental_backend()
         parent = PlanState.uniform(problem.num_tasks, 1)
         backend.ensure_frontier(problem, parent)
         child = parent.promote(0, problem.num_types)
-        backend.makespan_samples(problem, [child], incremental=False)
+        backend.screen_probabilities(problem, [child], prefix=16)
         assert backend.delta_stats()["states_incremental"] == 0
 
     @pytest.mark.parametrize("seed", [0, 13])
@@ -282,15 +313,15 @@ class TestSearchEquivalence:
         self, catalog, runtime_model, degrees, seed
     ):
         """The delta engine engages through the backend's ``EvalContext``:
-        a backend built without one sends every evaluation through the
-        full kernel, and the search must not be able to tell."""
+        a referee that sends every evaluation through the full kernel
+        must not be able to tell."""
         wf = montage(degrees=degrees, seed=seed)
         problem = CompiledProblem.compile(
             wf, catalog, deadline=deadline_presets(wf, catalog, runtime_model).medium,
             percentile=96.0, num_samples=64, seed=seed, runtime_model=runtime_model,
         )
         on = GenericSearch(incremental_backend(), max_evaluations=200).solve(problem)
-        off = GenericSearch(VectorizedBackend(), max_evaluations=200).solve(problem)
+        off = GenericSearch(FullKernelBackend(), max_evaluations=200).solve(problem)
         np.testing.assert_array_equal(on.best_state.assignment, off.best_state.assignment)
         assert on.best_eval == off.best_eval
         assert on.trace == off.trace
@@ -331,3 +362,22 @@ class TestDecoCacheSurface:
         assert stats["frontier"]["entries"] == 0
         assert stats["frontier"]["nbytes"] == 0
         assert stats["compiled_problems"] == 0
+
+    def test_stats_come_from_the_backend_and_the_search(self, catalog):
+        """The keys of a ``gpu`` engine's report, and a clear that empties
+        the backend's memos without moving the next plan."""
+        deco = Deco(catalog, seed=3, num_samples=32, max_evaluations=80)
+        small, large = montage(degrees=1.0, seed=3), cybershake(300, seed=3)
+        deco.schedule(small, "medium")
+        assert set(deco.cache_stats()) == {
+            "makespan", "frontier", "moments", "compiled_problems", "delta",
+        }
+        first = deco.schedule(large, "medium").decision_dict()
+        assert deco.last_result.analytic_evals > 0
+        assert set(deco.cache_stats()) == {
+            "makespan", "frontier", "moments", "compiled_problems", "delta", "analytic",
+        }
+        deco.clear_caches()
+        backend = deco.backend
+        assert len(backend.cache) == len(backend.eval_context) == len(backend.pool) == 0
+        assert deco.schedule(large, "medium").decision_dict() == first

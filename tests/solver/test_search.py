@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SolverError
-from repro.solver.backends import CompiledProblem, VectorizedBackend
+from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
 from repro.solver.state import BatchEval, PlanState, StateEval
 from repro.workflow.generators import montage, pipeline
@@ -79,17 +79,14 @@ class TestGenericSearch:
         assert batched.best_eval.cost <= fastest.cost + 1e-12
 
     def test_cache_counters_on_result(self, problem):
-        from repro.solver.cache import MakespanCache
-
-        backend = VectorizedBackend(cache=MakespanCache())
-        search = GenericSearch(backend=backend, max_evaluations=60)
+        search = GenericSearch(max_evaluations=60)
         cold = search.solve(problem)
         assert cold.cache_misses > 0
         # Re-solving a with_deadline derivation reuses makespan rows.
         warm = search.solve(problem.with_deadline(problem.deadline * 2.0))
         assert warm.cache_hits > 0
-        # Without a cache the counters stay zero.
-        plain = GenericSearch(max_evaluations=60).solve(problem)
+        # A backend that keeps no memo leaves the counters at zero.
+        plain = GenericSearch(ScalarBackend(), max_evaluations=60).solve(problem)
         assert plain.cache_hits == 0 and plain.cache_misses == 0
         with pytest.raises(SolverError):
             GenericSearch(max_evaluations=0)

@@ -130,9 +130,6 @@ class TestDerivation:
         with pytest.raises(ValidationError):
             diamond.scaled(0.0)
 
-    def test_relabeled(self, diamond):
-        assert diamond.relabeled("new").name == "new"
-
     def test_map_tasks_preserves_ids(self, diamond):
         import dataclasses
 

@@ -182,10 +182,6 @@ class TestTensors:
         scalar = RuntimeModel(catalog)
         want = [[scalar.mean(task, name) for task in workflow] for name in catalog.type_names]
         assert matrix.tolist() == want
-        assert np.array_equal(
-            RuntimeModel(catalog).mean_vector(workflow, "m1.large"),
-            want[catalog.index_of("m1.large")],
-        )
 
     @pytest.mark.parametrize(
         "workflow, type_names",
