@@ -369,8 +369,7 @@ def _cmd_schedule(args, out) -> int:
     deco = Deco(catalog, seed=args.seed, num_samples=args.samples,
                 max_evaluations=args.evals,
                 backend=args.backend,
-                workers=workers,
-                solve_deadline_s=args.solve_deadline)
+                workers=workers)
     try:
         deadline: float | str = float(args.deadline)
     except ValueError:
@@ -386,6 +385,7 @@ def _cmd_schedule(args, out) -> int:
             deadline_percentile=args.percentile,
             faults=faults,
             recovery=recovery,
+            solve_deadline_s=args.solve_deadline,
         )
     finally:
         deco.close()

@@ -15,7 +15,7 @@ is free, matching EC2.
 from __future__ import annotations
 
 from repro.common.errors import ValidationError
-from repro.common.units import billed_cost, fractional_cost
+from repro.common.units import billed_cost
 from repro.cloud.instance_types import Catalog
 
 __all__ = ["PricingModel"]
@@ -32,12 +32,6 @@ class PricingModel:
     def unit_price(self, type_name: str, region: str | None = None) -> float:
         """$/hour of an instance type in a region."""
         return self.catalog.price(type_name, region)
-
-    def expected_task_cost(
-        self, mean_seconds: float, type_name: str, region: str | None = None
-    ) -> float:
-        """Paper Eq. 1-2: mean runtime x unit price (fractional hours)."""
-        return fractional_cost(mean_seconds, self.unit_price(type_name, region))
 
     def billed_instance_cost(
         self, busy_seconds: float, type_name: str, region: str | None = None

@@ -120,10 +120,6 @@ class ExecutionResult:
     region: str
     aborted: bool = False
 
-    @property
-    def num_instances(self) -> int:
-        return len(self.instance_records)
-
     def meets_deadline(self, deadline: float) -> bool:
         return not self.aborted and self.makespan <= deadline
 

@@ -21,7 +21,6 @@ from repro.common.errors import (
     WLogSyntaxError,
     WLogRuntimeError,
     SolverError,
-    InfeasibleError,
 )
 from repro.common.rng import RngService, spawn_rng
 from repro.common.units import (
@@ -39,7 +38,6 @@ __all__ = [
     "WLogSyntaxError",
     "WLogRuntimeError",
     "SolverError",
-    "InfeasibleError",
     "RngService",
     "spawn_rng",
     "SECONDS_PER_HOUR",

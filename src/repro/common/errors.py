@@ -3,7 +3,7 @@
 All library-raised exceptions derive from :class:`DecoError` so callers can
 catch everything from this package with a single ``except`` clause while
 still distinguishing user errors (bad WLog programs, invalid workflows)
-from engine failures (infeasible optimizations).
+from engine failures (bad backend names, malformed states).
 """
 
 from __future__ import annotations
@@ -173,12 +173,3 @@ class JobNotFound(ServiceError):
 
 class SolverError(DecoError):
     """The search engine failed (bad backend name, malformed state...)."""
-
-
-class InfeasibleError(SolverError):
-    """No provisioning plan satisfies the declared constraints.
-
-    Raised by drivers that are asked for a feasible plan when even the
-    most aggressive state in the search space violates a constraint
-    (e.g. the deadline is below the runtime on the fastest instance).
-    """

@@ -63,7 +63,6 @@ def try_compile(
     ir: ProbabilisticIR,
     num_samples: int = 200,
     seed: int = 0,
-    region: str | None = None,
 ) -> CompiledProblem | None:
     """Lower a translated program to arrays, or None if unrecognized."""
     program = ir.program
@@ -98,7 +97,6 @@ def try_compile(
         percentile=percentile,
         num_samples=num_samples,
         seed=seed,
-        region=region,
     )
     if program.fault_spec is not None:
         from repro.faults.recovery import RecoveryPolicy
@@ -283,14 +281,13 @@ def compile_or_raise(
     ir: ProbabilisticIR,
     num_samples: int = 200,
     seed: int = 0,
-    region: str | None = None,
 ) -> CompiledProblem:
     """Like :func:`try_compile` but raising a descriptive error.
 
     Static analysis is the caller's: ``Deco.solve_program`` checks the
     program before :func:`~repro.wlog.probir.translate`.
     """
-    problem = try_compile(ir, num_samples=num_samples, seed=seed, region=region)
+    problem = try_compile(ir, num_samples=num_samples, seed=seed)
     if problem is None:
         raise WLogError(
             "program does not match the compilable scheduling pattern "

@@ -12,13 +12,14 @@ Two entry points:
   checked, translated to the probabilistic IR and compiled to the same
   arrays; ``tests/engine/test_deco.py::TestDeclarativePath`` holds
   ``solve_program`` on the Example 1 program
-  (:meth:`Deco.example1_source`) decision-for-decision equal to
-  ``schedule``.
+  (:func:`~repro.wlog.library.scheduling_program`) decision-for-decision
+  equal to ``schedule``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 import weakref
 from collections import OrderedDict
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 # Uncalled here: benchmarks/e2e/tracing.py::LAYER_SPANS wraps this name as
 # an attribute of this module, so it stays importable until that table drops it.
 from repro.analysis.dominance import compute_op_mask  # noqa: F401
-from repro.common.errors import InfeasibleError, ValidationError
+from repro.common.errors import ValidationError
 from repro.cloud.instance_types import Catalog
 from repro.engine.compiler import compile_or_raise
 from repro.faults.model import FaultModel
@@ -38,7 +39,6 @@ from repro.solver.search import GenericSearch, SearchResult
 from repro.solver.state import PlanState
 from repro.wlog.analysis import check_program, reject_fatal
 from repro.wlog.imports import ImportRegistry
-from repro.wlog.library import scheduling_program
 from repro.wlog.probir import translate
 from repro.wlog.program import WLogProgram
 from repro.workflow.dag import Workflow
@@ -48,6 +48,13 @@ if TYPE_CHECKING:  # a serial engine never loads the pool modules
     from repro.solver.shards import ShardPlane
 
 __all__ = ["Deco"]
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an ``int``; a bool or a non-integer raises, never truncates."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Deco:
@@ -71,8 +78,13 @@ class Deco:
         ``backend=ScalarBackend()`` to solve against it.
     num_samples:
         Monte Carlo realizations per state evaluation.
-    max_evaluations / beam_width / children_per_state / expand_per_iter:
-        Search budget knobs (see :class:`~repro.solver.search.GenericSearch`).
+    max_evaluations:
+        The search's state-evaluation budget; the beam's shape is
+        :class:`~repro.solver.search.GenericSearch`'s default.
+    faults / recovery:
+        Engine-level fault model: every :meth:`schedule` call without
+        its own ``faults`` scores plans under this one.  It travels in
+        :meth:`spec`, so worker engines solve fault-aware too.
     workers:
         Shard the beam search's candidate evaluation across this many
         persistent worker processes (the distributed beam solve,
@@ -89,14 +101,6 @@ class Deco:
         pools are missing, the engine warns once and evaluates
         in-process; call :meth:`close` (or use the engine as a context
         manager) to release the worker processes.
-    solve_deadline_s:
-        Default wall-clock budget for every solve (the cooperative
-        watchdog, see :meth:`GenericSearch.solve`): when it expires at
-        an iteration boundary the search returns its best incumbent
-        with ``timed_out=True`` on the plan instead of wedging.  A
-        per-call ``solve_deadline_s`` on :meth:`schedule` overrides it;
-        ``None`` (the default) solves unbounded.  A budget the solve
-        never exhausts leaves plans bit-identical to the unbounded run.
 
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
@@ -112,7 +116,7 @@ class Deco:
     report all of it from one place for long-running services.
     """
 
-    #: How many (workflow, region) compiled problems to keep alive.
+    #: How many compiled problems (one per workflow) to keep alive.
     _PROBLEM_CACHE_SIZE = 8
 
     def __init__(
@@ -122,49 +126,31 @@ class Deco:
         backend: str = "gpu",
         num_samples: int = 200,
         max_evaluations: int = 3000,
-        beam_width: int = 24,
-        children_per_state: int = 12,
-        expand_per_iter: int = 8,
-        require_feasible: bool = False,
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
-        reliability_percentile: float | None = None,
         workers: int | None = None,
-        solve_deadline_s: float | None = None,
     ):
         self.catalog = catalog
-        self.seed = int(seed)
+        self.seed = _integer("seed", seed)
+        self.num_samples = _integer("num_samples", num_samples)
+        max_evaluations = _integer("max_evaluations", max_evaluations)
         self.backend = get_backend(backend)
-        self.num_samples = int(num_samples)
-        self.require_feasible = require_feasible
-        if solve_deadline_s is not None and solve_deadline_s <= 0:
-            raise ValidationError(
-                f"solve_deadline_s must be > 0 seconds, got {solve_deadline_s!r}"
-            )
-        self.solve_deadline_s = solve_deadline_s
         #: The :class:`SearchResult` of the most recent solve -- counter
         #: introspection for benchmarks and services (not plan content).
         self.last_result: SearchResult | None = None
-        # Engine-level fault awareness: every schedule() call scores
-        # plans under this fault model (per-call kwargs override).
-        # Lives in spec() so worker processes solve fault-aware too.
         self.faults = faults
         self.recovery = recovery
-        self.reliability_percentile = reliability_percentile
         self.runtime_model = RuntimeModel(catalog)
-        # (id(workflow), region) -> (workflow, base CompiledProblem); the
-        # stored workflow reference pins the id and guards against reuse.
-        self._problems: OrderedDict[tuple, tuple[Workflow, CompiledProblem]] = OrderedDict()
+        # id(workflow) -> (workflow, base CompiledProblem); the stored
+        # workflow reference pins the id and guards against reuse.
+        self._problems: OrderedDict[int, tuple[Workflow, CompiledProblem]] = OrderedDict()
         # Workflow object -> DeadlinePresets (weak-keyed).
         self._presets: weakref.WeakKeyDictionary[Workflow, DeadlinePresets] = (
             weakref.WeakKeyDictionary()
         )
         self._search = GenericSearch(
             backend=self.backend,
-            children_per_state=children_per_state,
-            beam_width=beam_width,
             max_evaluations=max_evaluations,
-            expand_per_iter=expand_per_iter,
         )
         self.workers = 1
         if workers is not None:  # a serial engine never loads the pool modules
@@ -197,14 +183,8 @@ class Deco:
             "backend": self.backend.name,
             "num_samples": self.num_samples,
             "max_evaluations": self._search.max_evaluations,
-            "beam_width": self._search.beam_width,
-            "children_per_state": self._search.children_per_state,
-            "expand_per_iter": self._search.expand_per_iter,
-            "require_feasible": self.require_feasible,
             "faults": self.faults,
             "recovery": self.recovery,
-            "reliability_percentile": self.reliability_percentile,
-            "solve_deadline_s": self.solve_deadline_s,
         }
 
     @classmethod
@@ -287,6 +267,8 @@ class Deco:
     def _resolve_deadline(self, workflow: Workflow, deadline: float | str) -> float:
         if isinstance(deadline, str):
             return self.presets(workflow).get(deadline)
+        if isinstance(deadline, bool):
+            raise ValidationError(f"deadline must be seconds or a preset name, got {deadline!r}")
         if not (math.isfinite(deadline) and deadline > 0):
             raise ValidationError(f"deadline must be a finite number > 0, got {deadline}")
         return float(deadline)
@@ -298,11 +280,8 @@ class Deco:
         workflow: Workflow,
         deadline: float | str = "medium",
         deadline_percentile: float = 96.0,
-        region: str | None = None,
-        seeds: tuple[PlanState, ...] = (),
         faults: FaultModel | None = None,
         recovery: RecoveryPolicy | None = None,
-        reliability_percentile: float | None = None,
         solve_deadline_s: float | None = None,
     ) -> ProvisioningPlan:
         """Optimize instance configurations for one workflow.
@@ -313,37 +292,35 @@ class Deco:
         With a fault model (per-call or engine-level), plans are scored
         *under* the faults: sampled task times and Eq.-1 costs are
         inflated by the analytic expected-retry/straggler/checkpoint
-        factors (:meth:`CompiledProblem.with_faults`), and
-        ``reliability_percentile`` adds the ``reliability(P, R)``
-        success-probability constraint.
+        factors (:meth:`CompiledProblem.with_faults`).  A WLog program's
+        ``reliability(P, R)`` constraint goes through
+        :meth:`solve_program`.
+
+        ``solve_deadline_s`` is a wall-clock budget (the cooperative
+        watchdog, see :meth:`GenericSearch.solve`): when it expires at
+        an iteration boundary the search returns its best incumbent
+        with ``timed_out=True`` on the plan instead of wedging.  A
+        budget the solve never exhausts leaves the plan bit-identical
+        to the unbounded run.
         """
         d = self._resolve_deadline(workflow, deadline)
-        problem = self._compiled(workflow, region).with_deadline(
-            d, percentile=deadline_percentile
-        )
+        problem = self._compiled(workflow).with_deadline(d, percentile=deadline_percentile)
         f = faults if faults is not None else self.faults
         r = recovery if recovery is not None else self.recovery
-        rp = (
-            reliability_percentile
-            if reliability_percentile is not None
-            else self.reliability_percentile
-        )
         if f is not None:
-            problem = problem.with_faults(f, r, reliability_percentile=rp)
+            problem = problem.with_faults(f, r)
         return self._solve(
-            problem,
-            seeds=tuple(seeds) + self._warm_starts(problem),
-            solve_deadline_s=solve_deadline_s,
+            problem, seeds=self._warm_starts(problem), solve_deadline_s=solve_deadline_s
         )
 
-    def _compiled(self, workflow: Workflow, region: str | None) -> CompiledProblem:
+    def _compiled(self, workflow: Workflow) -> CompiledProblem:
         """Compile ``workflow`` once; later deadlines derive from the base.
 
         The returned problem carries a placeholder deadline -- callers
         always go through :meth:`CompiledProblem.with_deadline`, which
         shares the sample tensor so the makespan cache keeps hitting.
         """
-        key = (id(workflow), region)
+        key = id(workflow)
         entry = self._problems.get(key)
         if entry is not None and entry[0] is workflow:
             self._problems.move_to_end(key)
@@ -356,7 +333,6 @@ class Deco:
             num_samples=self.num_samples,
             seed=self.seed,
             runtime_model=self.runtime_model,
-            region=region,
         )
         self._problems[key] = (workflow, problem)
         while len(self._problems) > self._PROBLEM_CACHE_SIZE:
@@ -369,15 +345,14 @@ class Deco:
         self,
         source_or_program: str | WLogProgram,
         registry: ImportRegistry,
-        region: str | None = None,
-        strict: bool = False,
         solve_deadline_s: float | None = None,
     ) -> ProvisioningPlan:
         """Solve a WLog scheduling program (the paper's Example 1 shape).
 
         Two static analyses run once each, both before IR translation,
         and raise :class:`~repro.common.errors.WLogAnalysisError` on
-        error-level findings (``strict=True`` rejects warnings too):
+        error-level findings (warnings pass; ``repro lint --strict``
+        rejects them before a program reaches the engine):
 
         1. :func:`~repro.wlog.analysis.check_program` -- undefined
            predicates, malformed requirements, unsafe negation...
@@ -390,8 +365,7 @@ class Deco:
            (E401-E403) is rejected in milliseconds instead of after a
            doomed solve.
 
-        ``solve_deadline_s`` overrides the engine's watchdog budget for
-        this solve, as on :meth:`schedule`.
+        ``solve_deadline_s`` is the watchdog budget, as on :meth:`schedule`.
         """
         # Both analyzers are looked up at call time, on this module and on
         # repro.analysis: benchmarks/e2e/tracing.py::LAYER_SPANS wraps them there.
@@ -403,28 +377,13 @@ class Deco:
             else source_or_program
         )
         program.validate_for_solving()
-        check_program(program, registry=registry, strict=strict)
+        check_program(program, registry=registry)
         report = analyze_semantics(program, registry=registry)
-        reject_fatal(report.diagnostics, program.source, strict=strict, stage="semantic analysis")
+        reject_fatal(report.diagnostics, program.source, stage="semantic analysis")
         ir = translate(program, registry)
-        problem = compile_or_raise(ir, num_samples=self.num_samples, seed=self.seed, region=region)
+        problem = compile_or_raise(ir, num_samples=self.num_samples, seed=self.seed)
         return self._solve(
             problem, seeds=self._warm_starts(problem), solve_deadline_s=solve_deadline_s
-        )
-
-    def example1_source(
-        self,
-        workflow_name: str = "montage",
-        cloud_name: str = "amazonec2",
-        deadline_seconds: float = 36_000.0,
-        percentile: float = 95.0,
-    ) -> str:
-        """The WLog source :meth:`schedule` effectively runs (Example 1)."""
-        return scheduling_program(
-            cloud=cloud_name,
-            workflow=workflow_name,
-            percentile=percentile,
-            deadline_seconds=deadline_seconds,
         )
 
     # Core ------------------------------------------------------------------------
@@ -460,23 +419,10 @@ class Deco:
         sharded = self._shard_plane().evaluator(problem) if self.workers > 1 else None
         t0 = time.perf_counter()
         result = self._search.solve(
-            problem,
-            seeds=seeds,
-            evaluator=sharded,
-            deadline_s=(
-                solve_deadline_s
-                if solve_deadline_s is not None
-                else self.solve_deadline_s
-            ),
+            problem, seeds=seeds, evaluator=sharded, deadline_s=solve_deadline_s
         )
         elapsed = time.perf_counter() - t0
         self.last_result = result
-        if self.require_feasible and not result.feasible_found:
-            raise InfeasibleError(
-                f"no plan meets P(makespan <= {problem.deadline:g}s) >= "
-                f"{problem.required_probability:.0%} for workflow "
-                f"{problem.workflow.name!r}"
-            )
         return ProvisioningPlan(
             workflow_name=problem.workflow.name,
             assignment=result.assignment_names(problem),

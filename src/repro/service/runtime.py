@@ -35,6 +35,7 @@ journal replay.
 
 from __future__ import annotations
 
+import inspect
 import threading
 import time
 import warnings
@@ -78,8 +79,9 @@ class ServiceConfig:
     #: A job running longer than this is treated as hung (worker killed).
     hang_after_s: float = 600.0
     cache_capacity: int = 128
-    #: Deco constructor overrides for the worker engines (seed,
-    #: num_samples, max_evaluations, beam_width...).
+    #: Deco constructor overrides for the worker engines: any key of
+    #: :meth:`~repro.engine.deco.Deco.spec` but ``catalog`` (seed,
+    #: num_samples, max_evaluations, backend, faults, recovery).
     engine: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -90,6 +92,16 @@ class ServiceConfig:
             )
         if self.max_attempts < 1:
             raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        # Deco.spec() carries every constructor argument but ``workers``
+        # (tests/test_import_hygiene.py pins it); the service sets the catalog.
+        from repro.engine.deco import Deco
+
+        accepted = set(inspect.signature(Deco).parameters) - {"catalog", "workers"}
+        unknown = sorted(set(self.engine) - accepted)
+        if unknown:
+            raise ValidationError(
+                f"unknown engine key(s) {unknown}; accepted: {sorted(accepted)}"
+            )
 
 
 def _engine_spec(engine_overrides: dict) -> dict:

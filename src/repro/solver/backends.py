@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.common.errors import SolverError
+from repro.common.errors import SolverError, ValidationError
 from repro.common.units import SECONDS_PER_HOUR
 from repro.cloud.instance_types import Catalog
 from repro.faults.model import FaultModel
@@ -110,7 +110,7 @@ class CompiledProblem:
     catalog: Catalog
     mean_times: np.ndarray     # (K, N) mean task time per type
     tensor: np.ndarray         # (K, S, N) sampled task times
-    prices: np.ndarray         # (K,) $/hour in the optimization region
+    prices: np.ndarray         # (K,) $/hour in the catalog's default region
     parent_indices: tuple[tuple[int, ...], ...]  # per task, topological order
     deadline: float            # seconds
     required_probability: float  # P(makespan <= deadline) must reach this
@@ -154,15 +154,12 @@ class CompiledProblem:
         num_samples: int = 200,
         seed: int = 0,
         runtime_model: RuntimeModel | None = None,
-        region: str | None = None,
     ) -> "CompiledProblem":
         _check_requirement(deadline, percentile)
         model = runtime_model or RuntimeModel(catalog)
         tensor = model.sample_tensor(workflow, num_samples, seed=seed)
         mean_times = model.mean_matrix(workflow)
-        prices = np.asarray(
-            [catalog.price(name, region) for name in catalog.type_names], dtype=float
-        )
+        prices = np.asarray([catalog.price(name) for name in catalog.type_names], dtype=float)
         parents, levels = workflow_layout(workflow)
         return cls(
             workflow=workflow,
@@ -322,7 +319,14 @@ class CompiledProblem:
 
 
 def _check_requirement(deadline: float, percentile: float | None) -> None:
-    """Raise :class:`SolverError` unless ``deadline`` / ``percentile`` can be met."""
+    """Raise :class:`SolverError` unless ``deadline`` / ``percentile`` can be met.
+
+    A bool is no number here (``True`` would be a 1 s deadline or the
+    1st percentile): :class:`ValidationError`.
+    """
+    for name, value in (("deadline", deadline), ("percentile", percentile)):
+        if isinstance(value, bool):
+            raise ValidationError(f"{name} must be a number, got {value!r}")
     if not (math.isfinite(deadline) and deadline > 0):
         raise SolverError(f"deadline must be a finite number > 0, got {deadline}")
     if percentile is not None and not 0 < percentile <= 100:

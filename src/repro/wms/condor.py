@@ -75,14 +75,6 @@ class CondorQueue:
         except KeyError:
             raise ValidationError(f"unknown job {job_id!r}") from None
 
-    def idle_jobs(self) -> tuple[str, ...]:
-        """Jobs ready to start, topological order."""
-        return tuple(t for t in self.workflow.task_ids if self._state[t] == JobState.IDLE)
-
-    def jobs_in(self, state: JobState) -> tuple[str, ...]:
-        """Jobs currently in ``state``, topological order."""
-        return tuple(t for t in self.workflow.task_ids if self._state[t] == state)
-
     @property
     def all_done(self) -> bool:
         return all(s == JobState.DONE for s in self._state.values())

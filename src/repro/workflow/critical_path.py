@@ -16,7 +16,7 @@ Two makespan notions coexist in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -117,13 +117,3 @@ def task_levels(workflow: Workflow) -> dict[str, int]:
         parents = workflow.parents(tid)
         levels[tid] = 1 + max((levels[p] for p in parents), default=-1)
     return levels
-
-
-def path_time(workflow: Workflow, path: Sequence[str], task_time: Mapping[str, float]) -> float:
-    """Sum of task times along an explicit path (validates adjacency)."""
-    total = 0.0
-    for i, tid in enumerate(path):
-        total += float(task_time[tid])
-        if i + 1 < len(path) and path[i + 1] not in workflow.children(tid):
-            raise ValidationError(f"{path[i + 1]!r} is not a child of {tid!r}")
-    return total

@@ -12,17 +12,13 @@ def pricing(catalog):
 
 
 class TestTaskCosts:
-    def test_expected_cost_is_fractional(self, pricing):
-        # 30 minutes on m1.small at $0.044/h.
-        assert pricing.expected_task_cost(1800.0, "m1.small") == pytest.approx(0.022)
-
     def test_billed_cost_rounds_up(self, pricing):
         assert pricing.billed_instance_cost(1800.0, "m1.small") == pytest.approx(0.044)
         assert pricing.billed_instance_cost(3601.0, "m1.small") == pytest.approx(0.088)
 
     def test_regional_pricing(self, pricing):
-        us = pricing.expected_task_cost(3600.0, "m1.small", "us-east-1")
-        sg = pricing.expected_task_cost(3600.0, "m1.small", "ap-southeast-1")
+        us = pricing.unit_price("m1.small", "us-east-1")
+        sg = pricing.unit_price("m1.small", "ap-southeast-1")
         assert sg > us
 
 

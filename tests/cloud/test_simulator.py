@@ -54,7 +54,7 @@ class TestExecute:
 
     def test_chain_reuses_one_instance(self, sim, chain3):
         result = sim.execute(chain3, uniform_plan(chain3, "m1.medium"))
-        assert result.num_instances == 1
+        assert len(result.instance_records) == 1
 
     def test_regional_prices(self, sim, chain3):
         us = sim.execute(chain3, uniform_plan(chain3, "m1.small"), region="us-east-1")

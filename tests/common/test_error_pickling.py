@@ -57,7 +57,6 @@ def _samples() -> dict[str, BaseException]:
         ),
         "WLogRuntimeError": errors_module.WLogRuntimeError("unbound variable X"),
         "SolverError": errors_module.SolverError("unknown backend 'tpu'"),
-        "InfeasibleError": errors_module.InfeasibleError("deadline below Dmin"),
         "ServiceError": errors_module.ServiceError("dispatcher wedged"),
         "JournalCorrupt": errors_module.JournalCorrupt(
             "bad record", path="/var/lib/deco/jobs.jsonl", line_number=17

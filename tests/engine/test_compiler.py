@@ -108,9 +108,3 @@ class TestFaultAwareCompile:
     def test_two_non_reliability_constraints_still_rejected(self, registry):
         src = scheduling_program() + "\ncons B in totalcost(B) satisfies budget(100.0, 1).\n"
         assert try_compile(ir_for(src, registry)) is None
-
-    def test_region_override(self, registry, catalog):
-        ir = ir_for(scheduling_program(), registry)
-        us = try_compile(ir, num_samples=4)
-        sg = try_compile(ir, num_samples=4, region="ap-southeast-1")
-        assert sg.prices[0] > us.prices[0]

@@ -5,16 +5,17 @@ import inspect
 
 import pytest
 
-from repro.common.errors import InfeasibleError, SolverError, ValidationError
+from repro.common.errors import SolverError, ValidationError
 from repro.engine.deco import Deco
 from repro.engine.plan import deadline_presets
 from repro.service.runtime import ServiceConfig
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import GenericSearch
 from repro.solver.shards import ShardedEvaluator
+from repro.wlog.analysis import check_program, reject_fatal
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
-from repro.workflow.generators import epigenomics, montage, pipeline
+from repro.workflow.generators import epigenomics, montage
 
 
 @pytest.fixture(scope="module")
@@ -97,12 +98,6 @@ class TestSchedule:
         if ev.feasible:
             assert plan.expected_cost <= ev.cost + 1e-9
 
-    def test_require_feasible_raises_on_impossible(self, catalog):
-        deco = Deco(catalog, num_samples=40, max_evaluations=150, require_feasible=True)
-        wf = pipeline(3, seed=0, runtime=600.0)
-        with pytest.raises(InfeasibleError):
-            deco.schedule(wf, 1.0)
-
     def test_metadata_fields(self, deco, wf):
         plan = deco.schedule(wf, "medium")
         assert plan.backend == "gpu"
@@ -169,7 +164,7 @@ class TestDeclarativePath:
     def test_example1_source_parses(self, deco):
         from repro.wlog.program import WLogProgram
 
-        prog = WLogProgram.from_source(deco.example1_source())
+        prog = WLogProgram.from_source(scheduling_program())
         prog.validate_for_solving()
 
 
@@ -193,21 +188,21 @@ class TestStaticAnalysisGate:
         assert "prce/2" in str(info.value)
 
     def test_strict_rejects_warnings(self, catalog, deco, wf):
+        """Strict mode is the linter's (``repro lint --strict``), on the
+        fact surface the engine's gate checks against."""
         from repro.common.errors import WLogAnalysisError
 
         reg = self._registry(catalog, deco, wf)
         src = scheduling_program() + "orphan(X) :- task(X).\n"
         with pytest.raises(WLogAnalysisError) as info:
-            deco.solve_program(src, reg, strict=True)
+            check_program(src, registry=reg, strict=True)
         assert any(d.check == "W304" for d in info.value.diagnostics)
 
     def test_clean_program_still_solves(self, catalog, deco, wf):
         reg = self._registry(catalog, deco, wf)
-        d = deco.presets(wf).medium
-        plan = deco.solve_program(
-            scheduling_program(percentile=96, deadline_seconds=d), reg, strict=True
-        )
-        assert plan.feasible
+        src = scheduling_program(percentile=96, deadline_seconds=deco.presets(wf).medium)
+        assert check_program(src, registry=reg, strict=True) == []
+        assert deco.solve_program(src, reg).feasible
 
 
 class TestSemanticGate:
@@ -237,13 +232,18 @@ class TestSemanticGate:
         assert (time.perf_counter() - t0) < 0.5
 
     def test_strict_rejects_vacuous_deadline(self, catalog, deco, wf):
+        """W401 is a warning: the engine's gate lets it through, strict
+        mode (``repro analyze --strict``) rejects it."""
+        from repro.analysis import analyze_semantics
         from repro.common.errors import WLogAnalysisError
 
         reg = self._registry(catalog, deco, wf)
         src = scheduling_program(percentile=95, deadline_seconds=1e12)
+        report = analyze_semantics(src, registry=reg)
         with pytest.raises(WLogAnalysisError) as info:
-            deco.solve_program(src, reg, strict=True)
+            reject_fatal(report.diagnostics, src, strict=True)
         assert any(d.check == "W401" for d in info.value.diagnostics)
+        assert deco.solve_program(src, reg).feasible
 
     def test_each_analyzer_runs_once_per_solve(self, catalog, deco, wf, monkeypatch):
         """The syntactic check assumes the fact surface ``translate``
@@ -268,6 +268,37 @@ class TestSemanticGate:
         src = scheduling_program(percentile=96, deadline_seconds=deco.presets(wf).medium)
         assert deco.solve_program(src, self._registry(catalog, deco, wf)).feasible
         assert counts == {"syntactic": 1, "bounds": 1}
+
+
+class TestNumbersAreNotCoerced:
+    """A bool or a fractional count is rejected, not silently truncated."""
+
+    @pytest.mark.parametrize(
+        "name,value",
+        [("seed", 2.7), ("seed", True), ("num_samples", 20.9), ("num_samples", "200"),
+         ("max_evaluations", True), ("max_evaluations", 1500.0)],
+    )
+    def test_constructor_rejects(self, catalog, name, value):
+        with pytest.raises(ValidationError, match=name):
+            Deco(catalog, **{name: value})
+
+    def test_numpy_integers_accepted(self, catalog):
+        import numpy as np
+
+        deco = Deco(catalog, seed=np.int64(3), num_samples=np.int32(20))
+        assert (deco.seed, deco.num_samples) == (3, 20)
+        assert type(deco.seed) is int
+
+    def test_bool_percentile_rejected(self, deco, wf):
+        # Used to solve at the 1st percentile and report a feasible plan.
+        with pytest.raises(ValidationError, match="percentile"):
+            deco.schedule(wf, "medium", True)
+
+    def test_bool_deadline_rejected(self, deco, wf, catalog):
+        with pytest.raises(ValidationError, match="deadline"):
+            deco.schedule(wf, True)
+        with pytest.raises(ValidationError, match="deadline"):
+            CompiledProblem.compile(wf, catalog, deadline=True, num_samples=8)
 
 
 class TestOneConfiguration:

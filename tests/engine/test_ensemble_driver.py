@@ -106,27 +106,19 @@ class TestDecide:
 class TestRecordAndSkip:
     @pytest.fixture(scope="class")
     def driver(self, catalog):
-        # require_feasible makes an unmeetable deadline raise
-        # InfeasibleError instead of returning an infeasible plan.
-        return EnsembleDriver(
-            Deco(
-                catalog,
-                seed=3,
-                num_samples=40,
-                max_evaluations=150,
-                require_feasible=True,
-            )
-        )
+        return EnsembleDriver(Deco(catalog, seed=3, num_samples=40, max_evaluations=150))
 
     @pytest.fixture(scope="class")
     def poisoned(self, driver):
-        """An ensemble whose priority-1 member has an unsolvable deadline."""
+        """An ensemble whose priority-1 member has a deadline ``schedule`` rejects."""
         base = make_ensemble("uniform_unsorted", montage, 3, sizes=(15, 25), seed=9)
         deco = driver.deco
 
         def deadline_for(member):
             if member.priority == 1:
-                return 1e-6  # no plan can finish this fast: InfeasibleError
+                # Passes EnsembleMember's finite-and-positive check;
+                # Deco.schedule raises ValidationError (a DecoError).
+                return True
             return deco.presets(member.workflow).medium
 
         return base.with_constraints(

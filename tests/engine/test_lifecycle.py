@@ -16,10 +16,7 @@ from repro.engine.deco import Deco
 from repro.parallel.executor import ShardPool
 from repro.workflow.generators import montage
 
-ENGINE_KW = dict(
-    seed=7, num_samples=40, max_evaluations=100,
-    beam_width=6, children_per_state=4, expand_per_iter=3,
-)
+ENGINE_KW = dict(seed=7, num_samples=40, max_evaluations=100)
 
 
 def _noop_init(_spec=None) -> None:
@@ -125,8 +122,7 @@ class TestInterpreterExit:
             from repro.workflow.generators import montage
 
             deco = Deco(ec2_catalog(), workers=2, seed=7, num_samples=40,
-                        max_evaluations=100, beam_width=6,
-                        children_per_state=4, expand_per_iter=3)
+                        max_evaluations=100)
             plan = deco.schedule(montage(degrees=1.0, seed=7), "medium")
             assert plan.feasible
             print("OK")
@@ -148,9 +144,7 @@ class TestInterpreterExit:
             svc = DecoService(ServiceConfig(
                 journal_path=os.path.join(tempfile.mkdtemp(), "j.jsonl"),
                 workers=2,
-                engine={"seed": 7, "num_samples": 40, "max_evaluations": 100,
-                        "beam_width": 6, "children_per_state": 4,
-                        "expand_per_iter": 3},
+                engine={"seed": 7, "num_samples": 40, "max_evaluations": 100},
             ))
             job = svc.submit({"workflow": {"app": "montage", "degrees": 1.0,
                                            "seed": 7}})

@@ -35,20 +35,6 @@ class TestAmpleBudget:
         assert not plan.timed_out
         assert plan.decision_dict() == unbounded.decision_dict()
 
-    def test_engine_default_applies_to_every_solve(self, catalog, wf, unbounded):
-        with Deco(catalog, solve_deadline_s=1e6, **ENGINE_KW) as deco:
-            plan = deco.schedule(wf, "medium")
-        assert not plan.timed_out
-        assert plan.decision_dict() == unbounded.decision_dict()
-
-    def test_per_call_overrides_engine_default(self, catalog, wf, unbounded):
-        # Undersized engine default, ample per-call budget: the call
-        # wins, so the solve runs to convergence.
-        with Deco(catalog, solve_deadline_s=1e-6, **ENGINE_KW) as deco:
-            plan = deco.schedule(wf, "medium", solve_deadline_s=1e6)
-        assert not plan.timed_out
-        assert plan.decision_dict() == unbounded.decision_dict()
-
 
 class TestUndersizedBudget:
     def test_returns_feasible_incumbent_flagged(self, catalog, wf):
@@ -72,22 +58,7 @@ class TestUndersizedBudget:
 
 
 class TestValidation:
-    def test_constructor_rejects_nonpositive(self, catalog):
-        for bad in (0, -1.5):
-            with pytest.raises(ValidationError, match="solve_deadline_s"):
-                Deco(catalog, solve_deadline_s=bad, **ENGINE_KW)
-
     def test_schedule_rejects_nonpositive(self, catalog, wf):
         with Deco(catalog, **ENGINE_KW) as deco:
             with pytest.raises(ValidationError):
                 deco.schedule(wf, "medium", solve_deadline_s=0)
-
-    def test_spec_round_trips_watchdog(self, catalog):
-        deco = Deco(catalog, solve_deadline_s=12.5, **ENGINE_KW)
-        spec = deco.spec()
-        clone = Deco.from_spec(spec)
-        try:
-            assert clone.solve_deadline_s == 12.5
-        finally:
-            clone.close()
-            deco.close()

@@ -196,8 +196,7 @@ class TestWarmEngineMatchesFreshEngine:
 class TestDecoSpecRoundTrip:
     def test_spec_rebuilds_equivalent_engine(self, catalog, workflow):
         deco = Deco(
-            catalog, seed=3, backend="gpu", num_samples=50, max_evaluations=200,
-            beam_width=10, children_per_state=6, expand_per_iter=4,
+            catalog, seed=3, backend="gpu", num_samples=50, max_evaluations=200
         )
         rebuilt = Deco.from_spec(deco.spec())
         assert rebuilt.spec() == deco.spec()

@@ -44,9 +44,6 @@ CHAOS_ENGINE = {
     "seed": 7,
     "num_samples": 40,
     "max_evaluations": 120,
-    "beam_width": 6,
-    "children_per_state": 4,
-    "expand_per_iter": 3,
 }
 
 

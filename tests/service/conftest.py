@@ -16,9 +16,6 @@ ENGINE = {
     "seed": 7,
     "num_samples": 40,
     "max_evaluations": 120,
-    "beam_width": 6,
-    "children_per_state": 4,
-    "expand_per_iter": 3,
 }
 
 

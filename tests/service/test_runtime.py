@@ -139,6 +139,13 @@ class TestHappyPath:
         with pytest.raises(ValidationError, match="closed"):
             svc.submit(montage_payload())
 
+    def test_unknown_engine_key_rejected_before_the_journal_opens(self, tmp_path):
+        journal = tmp_path / "journal" / "jobs.jsonl"
+        with pytest.raises(ValidationError, match="beam_widht") as info:
+            DecoService(ServiceConfig(journal_path=str(journal), engine={"beam_widht": 6}))
+        assert "max_evaluations" in str(info.value)  # the accepted keys are listed
+        assert not journal.parent.exists()
+
 
 class TestDegradationLadder:
     def test_load_shed_downgrades_to_analytic(self, tmp_path):

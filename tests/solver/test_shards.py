@@ -31,6 +31,7 @@ from repro.solver.search import GenericSearch
 from repro.solver.shards import ShardedEvaluator
 from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.wlog.imports import ImportRegistry
+from repro.wlog.library import scheduling_program
 from repro.workflow.generators import montage
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -132,7 +133,7 @@ class TestSolveProgramShards:
                 warnings.simplefilter("ignore", RuntimeWarning)
                 with Deco(CATALOG, workers=workers, seed=7, num_samples=100,
                           max_evaluations=250) as deco:
-                    source = deco.example1_source(
+                    source = scheduling_program(
                         deadline_seconds=deco.presets(wf).medium, percentile=96.0
                     )
                     plan = deco.solve_program(source, registry)

@@ -8,6 +8,8 @@ every check here runs ``python -c`` and reads ``sys.modules`` there.
 """
 
 import ast
+import inspect
+import itertools
 import json
 import os
 import re
@@ -284,7 +286,7 @@ class TestForkAndPickle:
             try:
                 for key, degrees in ((1, 1.0), (2, 8.0)):
                     wf = montage(degrees, seed=1)
-                    evaluator = plane.evaluator(deco._compiled(wf, None).with_deadline(1e6))
+                    evaluator = plane.evaluator(deco._compiled(wf).with_deadline(1e6))
                     serial = evaluator is None or evaluator.pool.is_serial
                     if serial:
                         break
@@ -420,3 +422,49 @@ def test_every_public_top_level_name_is_named_elsewhere():
             and not files_naming.get(node.name, set()) - {path}
         ]
     assert dead == []
+
+
+#: ``Deco(...)`` parameters no program file passes by name: the worker
+#: engines ``solve_plans`` rebuilds from ``Deco.spec()`` (``member_plans``
+#: with ``workers > 1``) get a fault model only through them
+#: (``tests/faults/test_determinism.py::TestMemberPlansDeterminism``).
+SPEC_ONLY_PARAMETERS = {("Deco", "faults"), ("Deco", "recovery")}
+
+
+def test_every_engine_parameter_has_a_caller(catalog):
+    """Every parameter of ``Deco(...)``, ``Deco.schedule`` and
+    ``Deco.solve_program`` is passed -- by keyword or by position -- by
+    some call under ``src/`` (outside ``engine/deco.py``), ``benchmarks/``
+    or ``examples/``.  A setting only tests pass is one more option every
+    test and benchmark must cover for no caller."""
+    from repro.engine.deco import Deco
+
+    entry_points = {"Deco": Deco, "schedule": Deco.schedule, "solve_program": Deco.solve_program}
+    parameters = {
+        name: [p for p in inspect.signature(fn).parameters if p != "self"]
+        for name, fn in entry_points.items()
+    }
+    repo = Path(SRC).parent
+    own = Path(inspect.getfile(Deco)).resolve()
+    passed = set(SPEC_ONLY_PARAMETERS)
+    for top in ("src", "benchmarks", "examples"):
+        for path in (repo / top).rglob("*.py"):
+            if path.resolve() == own:
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name not in parameters:
+                    continue
+                positional = list(
+                    itertools.takewhile(lambda a: not isinstance(a, ast.Starred), node.args)
+                )
+                passed.update((name, p) for p in parameters[name][: len(positional)])
+                passed.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
+    uncalled = [(name, p) for name, ps in parameters.items() for p in ps if (name, p) not in passed]
+    assert uncalled == []
+    # What a worker engine is rebuilt from: every constructor argument but
+    # ``workers`` (a rebuilt engine always solves in-process).
+    assert set(Deco(catalog).spec()) == set(parameters["Deco"]) - {"workers"}

@@ -12,7 +12,6 @@ class TestFailureStates:
         q.start("a", 0.0)
         q.fail("a", 5.0)
         assert q.state("a") == JobState.FAILED
-        assert q.jobs_in(JobState.FAILED) == ("a",)
         q.retry("a", 6.0)
         assert q.state("a") == JobState.IDLE
         q.start("a", 6.0)

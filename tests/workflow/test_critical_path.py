@@ -7,7 +7,6 @@ from repro.common.errors import ValidationError
 from repro.workflow.critical_path import (
     critical_path,
     makespan_samples,
-    path_time,
     static_makespan,
     task_levels,
 )
@@ -96,13 +95,3 @@ class TestLevels:
 
     def test_chain_levels(self, chain3):
         assert task_levels(chain3) == {"t0": 0, "t1": 1, "t2": 2}
-
-
-class TestPathTime:
-    def test_valid_path(self, diamond):
-        times = {"a": 1.0, "b": 5.0, "c": 2.0, "d": 1.0}
-        assert path_time(diamond, ("a", "b", "d"), times) == pytest.approx(7.0)
-
-    def test_invalid_adjacency_rejected(self, diamond):
-        with pytest.raises(ValidationError):
-            path_time(diamond, ("a", "d"), {"a": 1.0, "d": 1.0})
