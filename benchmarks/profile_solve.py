@@ -21,8 +21,11 @@ child) pairs they recompute and what share of the pairs sits on
 wide-fan-in levels, then the kernel's time per state on a
 *search-shaped* batch -- 8 pinned parents x 6 single-task edits each,
 what one beam iteration evaluates -- against the fused full kernel on
-the same states.  The two must agree ``np.array_equal``: exit status 1
-if they do not.  No timing threshold.
+the same states, with the bytes of samples the full kernel gathers per
+state (N * S * itemsize).  The two must agree ``np.array_equal``, both
+in the problem's sample dtype (``problem.tensor.dtype``), and on
+Montage-1 the full kernel must also equal ``ScalarBackend`` on the same
+batch: exit status 1 if not.  No timing threshold.
 
 ``--split`` times the solver without cProfile: every function in
 :data:`SPLIT` is wrapped in a ``perf_counter`` pair, and its *exclusive*
@@ -69,6 +72,7 @@ from repro.cloud import ec2_catalog  # noqa: E402
 from repro.engine.deco import Deco  # noqa: E402
 from repro.solver.backends import (  # noqa: E402
     CompiledProblem,
+    ScalarBackend,
     VectorizedBackend,
     validated_assignments,
 )
@@ -115,8 +119,11 @@ def reuse_report(before: dict, after: dict) -> str:
     return "reused: " + ", ".join(parts)
 
 
-def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
-    """Delta-kernel counts of one solve, then delta vs full on a search-shaped batch."""
+def kernel_report(deco: Deco, workflow, deadline, percentile: float, referee: bool) -> int:
+    """Delta-kernel counts of one solve, then delta vs full on a search-shaped batch.
+
+    ``referee`` also holds the full kernel to ``ScalarBackend`` (slow: small workflows only).
+    """
     from repro.solver.state import StateBlock
 
     launches = {"launches": 0, "pinned": 0, "evaluated": 0, "pairs": 0, "wide_pairs": 0}
@@ -183,16 +190,25 @@ def kernel_report(deco: Deco, workflow, deadline, percentile: float) -> int:
 
     got = delta.makespan_samples(problem, children)
     want = full_kernel()
-    identical = bool(np.array_equal(got, want))
+    dtype = problem.tensor.dtype
+    checks = {
+        "delta == full (array_equal)": bool(np.array_equal(got, want)),
+        f"both in {dtype}": got.dtype == want.dtype == dtype,
+    }
+    if referee:
+        scalar = ScalarBackend().makespan_samples(problem, children)
+        checks["full == ScalarBackend (array_equal)"] = bool(np.array_equal(want, scalar))
     delta_us = _median_us(lambda: delta.makespan_samples(problem, children)) / len(children)
     full_us = _median_us(full_kernel) / len(children)
     stats = delta.delta_stats()
     print(f"search-shaped batch: {PARENTS} parents x {EDITS} single-task edits, one launch")
     print(f"  delta kernel     {delta_us:8.1f} us/state "
           f"({stats['rows_recomputed'] / stats['rows_total']:.3f} of the rows)")
-    print(f"  full kernel      {full_us:8.1f} us/state")
-    print(f"  array_equal      {identical}")
-    return 0 if identical else 1
+    print(f"  full kernel      {full_us:8.1f} us/state, gathers "
+          f"{n * problem.num_samples * dtype.itemsize / 1e3:.1f} kB of samples per state")
+    for name, ok in checks.items():
+        print(f"  {name:<36} {ok}")
+    return 0 if all(checks.values()) else 1
 
 
 #: ``--split``: (group, owner, attribute) of every function timed.  An
@@ -417,7 +433,9 @@ def main() -> int:
         deco.schedule(workflow, "medium", deadline_percentile=96.0)
     if args.kernel:
         print(f"{args.workflow}: {len(workflow)} tasks")
-        return kernel_report(deco, workflow, deadline, args.percentile)
+        return kernel_report(
+            deco, workflow, deadline, args.percentile, referee=args.workflow == "montage-1"
+        )
     before = deco.cache_stats()
     profile = cProfile.Profile()
     plan = profile.runcall(deco.schedule, workflow, deadline, deadline_percentile=args.percentile)

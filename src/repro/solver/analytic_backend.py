@@ -207,7 +207,10 @@ def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
     neighbour ranks in turn (10x the time at Q = 32).  An order
     statistic is the same number whichever algorithm ranked it, so the
     grids are ``array_equal`` to that call and a calibration adopted
-    from another process matches one computed here.
+    from another process matches one computed here.  The sort runs in
+    the tensor's own dtype; only the two gathered order statistics are
+    upcast, so the grids are float64 and equal to those of
+    ``tensor.astype(np.float64)``.
     """
     s = tensor.shape[1]
     virtual = (s - 1) * ((np.arange(q) + 0.5) / q)
@@ -219,8 +222,8 @@ def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
     upper = upper.astype(np.intp)
     t = (virtual - lower)[None, :, None]
     ranked = np.sort(tensor, axis=1)
-    a = ranked.take(lower, axis=1)  # (K, Q, N)
-    b = ranked.take(upper, axis=1)
+    a = ranked.take(lower, axis=1).astype(np.float64)  # (K, Q, N)
+    b = ranked.take(upper, axis=1).astype(np.float64)
     diff = b - a
     grids = a + diff * t
     np.subtract(b, diff * (1 - t), out=grids, where=t >= 0.5)

@@ -109,7 +109,7 @@ class CompiledProblem:
     workflow: Workflow
     catalog: Catalog
     mean_times: np.ndarray     # (K, N) mean task time per type
-    tensor: np.ndarray         # (K, S, N) sampled task times
+    tensor: np.ndarray         # (K, S, N) sampled task times, stored float32
     prices: np.ndarray         # (K,) $/hour in the catalog's default region
     parent_indices: tuple[tuple[int, ...], ...]  # per task, topological order
     deadline: float            # seconds
@@ -133,6 +133,16 @@ class CompiledProblem:
     sample_token: int | None = None
 
     def __post_init__(self):
+        # The one place the samples' precision is decided.  Draws and
+        # fault inflation run in float64 and are rounded once here; every
+        # array of sampled times (task-major copy, kernel buffers,
+        # frontiers, memo rows) follows ``tensor.dtype``, so the Monte
+        # Carlo kernels move half the bytes.  Deadline comparisons, means,
+        # costs and tier 0's moments stay float64.
+        if self.tensor.dtype != np.float32 or self.tensor.flags.writeable:
+            tensor = self.tensor.astype(np.float32)
+            tensor.setflags(write=False)
+            object.__setattr__(self, "tensor", tensor)
         if self.levels is None:
             object.__setattr__(
                 self, "levels", LevelSchedule.from_parent_indices(self.parent_indices)
@@ -290,13 +300,11 @@ class CompiledProblem:
             raise SolverError(
                 f"reliability percentile must be in (0, 100], got {reliability_percentile}"
             )
-        tensor = faults.inflate(self.tensor, recovery)
-        tensor.setflags(write=False)
         return CompiledProblem(
             workflow=self.workflow,
             catalog=self.catalog,
             mean_times=faults.inflate(self.mean_times, recovery),
-            tensor=tensor,
+            tensor=faults.inflate(self.tensor, recovery),
             prices=self.prices,
             parent_indices=self.parent_indices,
             deadline=self.deadline,
@@ -384,9 +392,11 @@ class EvaluationBackend(abc.ABC):
                 self.ensure_frontier(problem, pins)
             return BatchEval.empty(0)
         makespans = self._sample_rows(problem, block, pins)
+        # A float64 deadline: against a Python float, NumPy would round
+        # the deadline to the samples' float32 instead (NEP 50).
         return self._batch_eval(
-            problem, block, np.mean(makespans <= problem.deadline, axis=1),
-            makespans.mean(axis=1),
+            problem, block, np.mean(makespans <= np.float64(problem.deadline), axis=1),
+            makespans.mean(axis=1, dtype=np.float64),
         )
 
     def _batch_eval(
@@ -447,7 +457,7 @@ class EvaluationBackend(abc.ABC):
         """
         sp = problem.with_sample_prefix(prefix)
         makespans = self.makespan_samples(sp, as_block(states))
-        return np.mean(makespans <= sp.deadline, axis=1)
+        return np.mean(makespans <= np.float64(sp.deadline), axis=1)
 
 
 def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
@@ -492,9 +502,9 @@ class VectorizedBackend(EvaluationBackend):
     -- for all such states of the batch in one kernel launch -- and
     reduce the makespan over the sink rows alone.  Every recomputed row
     applies the identical gather + ``max`` + ``add`` arithmetic to the
-    identical float64 operands, so the result is bit-identical to the
-    full fused kernel (asserted in the test suite).  ``delta_counters``
-    tracks how much work the short-circuit saved.
+    identical operands in the problem's sample dtype, so the result is
+    bit-identical to the full fused kernel (asserted in the test suite).
+    ``delta_counters`` tracks how much work the short-circuit saved.
     """
 
     name = "gpu"
@@ -525,7 +535,7 @@ class VectorizedBackend(EvaluationBackend):
             "rows_total": 0,
         }
 
-    def _buf(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def _buf(self, name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
         """A pooled scratch view (contents undefined; see ScratchPool)."""
         return self.pool.take(name, shape, dtype)
 
@@ -565,8 +575,9 @@ class VectorizedBackend(EvaluationBackend):
         n, s = problem.num_tasks, problem.num_samples
         token = problem.sample_token
         b = len(block)
+        dtype = problem.tensor.dtype
         if n == 0:
-            return np.zeros((b, s))
+            return np.zeros((b, s), dtype)
         assign = validated_assignments(problem, block) if b else None
         reserved: list[bytes] = []
         try:
@@ -606,11 +617,11 @@ class VectorizedBackend(EvaluationBackend):
                 ctx.discard(token, key)
             raise
         if len(delta_at) == b:
-            return delta if b else np.zeros((0, s))
+            return delta if b else np.zeros((0, s), dtype)
         full_at = [i for i, slot in enumerate(slots) if slot is None]
         out = self._makespan_full(problem, assign[full_at])
         if len(delta_at):
-            full, out = out, np.empty((b, s))
+            full, out = out, np.empty((b, s), dtype)
             out[delta_at] = delta
             out[full_at] = full
         self.delta_counters["states_full"] += len(full_at)
@@ -624,8 +635,9 @@ class VectorizedBackend(EvaluationBackend):
         b = len(assign)
         n = problem.num_tasks
         s = problem.num_samples
+        dtype = problem.tensor.dtype
         if n == 0:
-            return np.zeros((b, s))
+            return np.zeros((b, s), dtype)
         sched = problem.levels
 
         # Fused level kernel over the task-major tensor copy: per level,
@@ -641,12 +653,12 @@ class VectorizedBackend(EvaluationBackend):
         perm_assign = assign.T.take(sched.order, axis=0)  # (N, B)
         idx = perm_assign * n + sched.order[:, None]  # (N, B) row ids
         w = sched.max_width
-        finish = self._buf("finish", (n + 1, m))
+        finish = self._buf("finish", (n + 1, m), dtype)
         finish[n] = 0.0  # the sentinel row every padded parent slot reads
-        lanes = self._buf("lanes", (w, m))
-        buf_a = self._buf("scratch_a", (w, m))
-        buf_b = self._buf("scratch_b", (w, m))
-        out = np.empty((b, s))  # fresh: callers may hold on to the result
+        lanes = self._buf("lanes", (w, m), dtype)
+        buf_a = self._buf("scratch_a", (w, m), dtype)
+        buf_b = self._buf("scratch_b", (w, m), dtype)
+        out = np.empty((b, s), dtype)  # fresh: callers may hold on to the result
         makespan = out.reshape(m)
         for lv, ((lo, hi), gather, columns) in enumerate(
             zip(sched.level_bounds, sched.level_parents, sched.level_columns)
@@ -707,8 +719,9 @@ class VectorizedBackend(EvaluationBackend):
         in place, unchanged rows are never copied anywhere, and the final
         reduction runs over the sink rows alone.  Every recomputed pair
         applies the identical gather + ``max`` + ``add`` arithmetic to
-        the identical float64 operands as the full fused kernel, so
-        results are bit-identical (asserted by the tests).
+        the identical operands, in the problem's sample dtype, as the
+        full fused kernel, so results are bit-identical (asserted by the
+        tests).
 
         The first ``pins`` states are *pinned*: their ``slots`` are
         frontiers the caller has just copied from each state's parent,
@@ -737,7 +750,7 @@ class VectorizedBackend(EvaluationBackend):
         lane_rows = assign * n + np.arange(n)  # (B, N) rows of ``table``
         work = slab.workspace_start
         capacity = rows.shape[0] - work
-        out = np.empty((b - pins, s))
+        out = np.empty((b - pins, s), rows.dtype)
         lo_first = sched.level_bounds[first][0]
         c0 = 0
         while c0 < b:
@@ -777,8 +790,11 @@ class VectorizedBackend(EvaluationBackend):
         frontier rows they are written back to, level by level.
         """
         s = rows.shape[1]
-        tile = max(1, _TILE_BYTES // (8 * s))  # rows per tile
-        bufs = (self._buf("delta_ready", (tile, s)), self._buf("delta_other", (tile, s)))
+        tile = max(1, _TILE_BYTES // (rows.itemsize * s))  # rows per tile
+        bufs = (
+            self._buf("delta_ready", (tile, s), rows.dtype),
+            self._buf("delta_other", (tile, s), rows.dtype),
+        )
         ends = np.searchsorted(slot, sched.level_starts[first + 1 :]).tolist()
         own_ends = [0] * len(ends) if back is None else np.searchsorted(back[0], ends).tolist()
         begin = own = 0
@@ -849,7 +865,7 @@ class VectorizedBackend(EvaluationBackend):
         width = 0 if src is None else src.shape[0]
         wide = width > _COLUMN_FANIN_MAX
         step = max(1, tile // width) if wide else tile
-        wide_buf = self._buf("delta_wide", (width * step, s)) if wide else None
+        wide_buf = self._buf("delta_wide", (width * step, s), rows.dtype) if wide else None
         for i in range(0, len(lanes), step):
             k = min(step, len(lanes) - i)
             part = rows[first_row + i : first_row + i + k]
@@ -931,7 +947,7 @@ class VectorizedBackend(EvaluationBackend):
         chained: list[int] = []
         slots: list[int] = []
         for row, src in zip(rows, sources):
-            slot = ctx.reserve(token, keys[row], n, s, keep)
+            slot = ctx.reserve(token, keys[row], n, s, table.dtype, keep)
             if slot is None:
                 continue
             reserved.append(keys[row])
@@ -985,7 +1001,7 @@ class VectorizedBackend(EvaluationBackend):
         """
         sp = self.eval_context.screen_problem(problem, prefix)
         makespans = self._makespan_full(sp, validated_assignments(sp, states))
-        return np.mean(makespans <= sp.deadline, axis=1)
+        return np.mean(makespans <= np.float64(sp.deadline), axis=1)
 
 
 class ScalarBackend(EvaluationBackend):
@@ -993,25 +1009,27 @@ class ScalarBackend(EvaluationBackend):
 
     Deliberately un-vectorized -- this is the baseline of the paper's
     GPU-vs-CPU speedup measurements, and the numbers it produces are
-    identical to :class:`VectorizedBackend` on the same problem.
+    identical to :class:`VectorizedBackend` on the same problem: the
+    same IEEE operations in the problem's sample dtype, and the same
+    :func:`validated_assignments` checks.
     """
 
     name = "cpu"
 
     def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
-        assignments = as_block(states).assign
+        assignments = validated_assignments(problem, states)
         n = problem.num_tasks
         s = problem.num_samples
         tensor = problem.tensor
-        out = np.empty((len(assignments), s), dtype=float)
+        # Scalar adds in the samples' own precision, as the kernels do.
+        zero = tensor.dtype.type(0.0)
+        out = np.empty((len(assignments), s), dtype=tensor.dtype)
         for b, assign in enumerate(assignments.tolist()):
-            if len(assign) != n:
-                raise SolverError(f"state has {len(assign)} tasks, problem has {n}")
             for sample in range(s):
-                finish = [0.0] * n
-                best = 0.0
+                finish = [zero] * n
+                best = zero
                 for i, parents in enumerate(problem.parent_indices):
-                    ready = 0.0
+                    ready = zero
                     for p in parents:
                         if finish[p] > ready:
                             ready = finish[p]

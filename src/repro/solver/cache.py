@@ -76,12 +76,12 @@ class ScratchPool:
         """Approximate memory pinned by the pooled backings."""
         return sum(b.nbytes for b in self._bufs.values())
 
-    def take(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...], dtype=_FLOAT64) -> np.ndarray:
         """A pooled scratch view of ``shape`` (contents undefined)."""
         # Called ~2000 times per Montage-8 solve: no array round trip
         # (`np.prod`) for a product of two or three ints, and no dtype
-        # construction for the default.
-        dt = _FLOAT64 if dtype is np.float64 else np.dtype(dtype)
+        # construction when the caller passes an ``np.dtype``.
+        dt = dtype if isinstance(dtype, np.dtype) else np.dtype(dtype)
         key = (name, dt)
         size = math.prod(shape)
         backing = self._bufs.get(key)
@@ -196,7 +196,7 @@ class MakespanCache:
 #: Byte cap on the (slot, child) pairs one delta-kernel launch may hold
 #: recomputed at a time.  A beam iteration of ~100 children on a
 #: 680-task workflow recomputes ~12k pair rows of S float64 samples
-#: (14 MB at S = 150) where the dense ``((N+1) * B, S)`` layout needed
+#: (14 MB at S = 150; half that in float32) where the dense ``((N+1) * B, S)`` layout needed
 #: 82 MB; 8 MB keeps a whole iteration of every workflow up to Montage-4
 #: in one launch, cuts Montage-8 into two, and bounds what a batch of
 #: any size can add to the resident set.
@@ -204,7 +204,7 @@ LAUNCH_WORKSPACE_BYTES = 8 << 20
 
 
 class FrontierSlab:
-    """The frontiers of one ``(N, S)`` shape, plus the delta kernel's workspace.
+    """The frontiers of one ``(N, S)`` shape and dtype, plus the delta kernel's workspace.
 
     ``rows`` is one ``(capacity * (N+1) + workspace_rows, S)`` matrix:
     frontier slot ``f`` occupies rows ``f * stride .. f * stride + N``
@@ -223,11 +223,12 @@ class FrontierSlab:
 
     __slots__ = ("rows", "stride", "capacity", "free", "slots_touched", "workspace_touched")
 
-    def __init__(self, capacity: int, num_tasks: int, num_samples: int):
+    def __init__(self, capacity: int, num_tasks: int, num_samples: int, dtype: np.dtype):
         self.stride = num_tasks + 1
         self.capacity = capacity
+        itemsize = np.dtype(dtype).itemsize
         # Never fewer rows than one state can have pairs.
-        workspace_rows = max(self.stride, LAUNCH_WORKSPACE_BYTES // (8 * num_samples))
+        workspace_rows = max(self.stride, LAUNCH_WORKSPACE_BYTES // (itemsize * num_samples))
         shape = (capacity * self.stride + workspace_rows, num_samples)
         # Private, so a forked child cannot write into its parent's
         # frontiers (POSIX maps shared by default; Windows has no flags).
@@ -236,8 +237,8 @@ class FrontierSlab:
             if hasattr(mmap, "MAP_PRIVATE")
             else {}
         )
-        backing = mmap.mmap(-1, shape[0] * shape[1] * 8, **private)
-        self.rows = np.frombuffer(backing, dtype=np.float64).reshape(shape)
+        backing = mmap.mmap(-1, shape[0] * shape[1] * itemsize, **private)
+        self.rows = np.frombuffer(backing, dtype=dtype).reshape(shape)
         self.free = list(range(capacity))  # a heap: lowest slot first
         self.slots_touched = 0
         self.workspace_touched = 0
@@ -248,9 +249,9 @@ class FrontierSlab:
         return self.capacity * self.stride
 
     @property
-    def shape(self) -> tuple[int, int]:
-        """``(N+1, S)``: the rows and samples of one slot."""
-        return self.stride, self.rows.shape[1]
+    def layout(self) -> tuple[tuple[int, int], np.dtype]:
+        """``((N+1, S), dtype)``: the rows, samples and sample dtype of one slot."""
+        return (self.stride, self.rows.shape[1]), self.rows.dtype
 
     def frontier(self, slot: int) -> np.ndarray:
         """The ``(N+1, S)`` view of one slot."""
@@ -356,9 +357,12 @@ class EvalContext:
         key: bytes,
         num_tasks: int,
         num_samples: int,
+        dtype: np.dtype,
         keep: Collection[bytes] = (),
     ) -> int | None:
         """A slot for ``key``'s frontier, which the caller then writes in place.
+
+        ``dtype`` is the problem's sample dtype, which the slab's rows take.
 
         Evicts least-recently-used frontiers to stay within
         ``max_entries``, but never one of ``token``'s whose key is in
@@ -372,14 +376,14 @@ class EvalContext:
             return self._slots[(token, key)]
         # Looked up before the eviction, which may take the last frontier
         # of the token this one shares its slab with.
-        shape = (num_tasks + 1, num_samples)
+        layout = ((num_tasks + 1, num_samples), np.dtype(dtype))
         slab = self._slabs.get(token) or next(
-            (slab for slab in self._slabs.values() if slab.shape == shape), None
+            (slab for slab in self._slabs.values() if slab.layout == layout), None
         )
-        if slab is not None and slab.shape != shape:
+        if slab is not None and slab.layout != layout:
             raise SolverError(
-                f"frontier of {num_tasks} tasks x {num_samples} samples does not fit "
-                f"sample token {token}'s slab"
+                f"frontier of {num_tasks} tasks x {num_samples} {np.dtype(dtype)} samples "
+                f"does not fit sample token {token}'s slab"
             )
         if len(self._slots) >= self.max_entries:
             victim = next(
@@ -389,7 +393,7 @@ class EvalContext:
                 return None
             self.discard(*victim)
         if slab is None:
-            slab = FrontierSlab(self.max_entries, num_tasks, num_samples)
+            slab = FrontierSlab(self.max_entries, num_tasks, num_samples, dtype)
         self._slabs[token] = slab
         self._held[token] = self._held.get(token, 0) + 1
         slot = heapq.heappop(slab.free)

@@ -26,7 +26,7 @@ advance one whole level per step with fused gather + ``max``
 reductions over every Monte Carlo lane at once, dropping the
 Python-loop trip count from N (tasks) to D (depth).  The arithmetic
 per task is identical to the per-task loop -- each finish time is
-``max(parent finishes, 0) + task time`` over the same float64 operands,
+``max(parent finishes, 0) + task time`` over the same operands,
 and ``max`` is exact -- so results are bit-identical to the scalar
 reference backend, which the test suite asserts.
 """

@@ -79,16 +79,20 @@ def makespan_samples(workflow: Workflow, times: np.ndarray) -> np.ndarray:
     Carlo realization ``s``.  Returns an ``(S,)`` vector of makespans.
 
     This is the vectorized core of the probabilistic constraint check
-    ``P(t_w <= D) >= p``.
+    ``P(t_w <= D) >= p``.  A floating ``times`` keeps its dtype (the
+    makespans are computed and returned in it); any other is read as
+    float64.
     """
-    times = np.asarray(times, dtype=float)
+    times = np.asarray(times)
+    if not np.issubdtype(times.dtype, np.floating):
+        times = times.astype(np.float64)
     if times.ndim == 1:
         times = times[None, :]
     n = len(workflow)
     if times.shape[1] != n:
         raise ValidationError(f"times has {times.shape[1]} columns, workflow has {n} tasks")
     if n == 0:
-        return np.zeros(times.shape[0])
+        return np.zeros(times.shape[0], times.dtype)
     if np.any(times < 0):
         raise ValidationError("negative task times")
     finish = np.empty_like(times)

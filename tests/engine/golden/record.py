@@ -11,7 +11,7 @@ same code that produced the file.
 
 Three engine histories are recorded per workflow, each on its own
 engine, because they do not return the same plans today (ROADMAP
-item 1) and a change to candidate generation must move none of them:
+item 2) and a change to candidate generation must move none of them:
 
 * ``cold``   -- a fresh serial engine per request;
 * ``warm``   -- one serial engine serving tight, loose, tight, loose;

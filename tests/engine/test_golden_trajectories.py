@@ -4,7 +4,7 @@
 commit *before* candidate generation moved to array passes.  A cold
 serial engine, a warm one and a ``workers=2`` one are each held to their
 *own* recording: they do not agree with each other today (ROADMAP
-item 1), and a change that is meant to move no plan must move none of
+item 2), and a change that is meant to move no plan must move none of
 the three, in either direction.
 """
 
@@ -26,7 +26,7 @@ def test_recording_covers_the_request_matrix():
 
 
 def test_histories_disagree_in_the_recording():
-    """The reason each history has its own recording (ROADMAP item 1)."""
+    """The reason each history has its own recording (ROADMAP item 2)."""
     cold = GOLDEN["montage-8"]["cold"][1]
     warm = GOLDEN["montage-8"]["warm"][1]
     assert cold["request"] == warm["request"]

@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 
 from repro.common.errors import SolverError
+from repro.faults.model import FaultModel
 from repro.solver.backends import (
     CompiledProblem,
     ScalarBackend,
     VectorizedBackend,
     get_backend,
 )
+from repro.solver.levels import workflow_layout
 from repro.solver.state import PlanState, StateBlock
 from repro.workflow.critical_path import makespan_samples
+from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import montage, random_dag
 
 
@@ -87,7 +90,7 @@ class TestBackends:
         states = [PlanState.uniform(problem.num_tasks, t) for t in range(problem.num_types)]
         gpu = VectorizedBackend().makespan_samples(problem, states)
         cpu = ScalarBackend().makespan_samples(problem, states)
-        np.testing.assert_allclose(gpu, cpu, rtol=1e-12)
+        assert np.array_equal(gpu, cpu)
 
     def test_vectorized_matches_reference_makespan(self, problem):
         state = PlanState.uniform(problem.num_tasks, 1)
@@ -95,7 +98,7 @@ class TestBackends:
         n = problem.num_tasks
         times = problem.tensor[state.assignment, :, np.arange(n)].T  # (S, N)
         expected = makespan_samples(problem.workflow, times)
-        np.testing.assert_allclose(mk, expected)
+        assert np.array_equal(mk, expected)
 
     def test_mixed_assignment_gathers_correctly(self, problem):
         rng = np.random.default_rng(0)
@@ -103,7 +106,7 @@ class TestBackends:
         state = PlanState(assign)
         gpu = VectorizedBackend().makespan_samples(problem, [state])
         cpu = ScalarBackend().makespan_samples(problem, [state])
-        np.testing.assert_allclose(gpu, cpu)
+        assert np.array_equal(gpu, cpu)
 
     def test_evaluate_fields(self, problem):
         ev = VectorizedBackend().evaluate(problem, PlanState.uniform(problem.num_tasks, 3))
@@ -141,6 +144,16 @@ class TestBackends:
         with pytest.raises(SolverError, match="negative"):
             VectorizedBackend().makespan_samples(problem, corrupt)
 
+    @pytest.mark.parametrize("backend", [VectorizedBackend, ScalarBackend])
+    @pytest.mark.parametrize("past_end", [False, True])
+    def test_type_index_outside_catalog_rejected(self, problem, backend, past_end):
+        # Regression: the referee wrapped -1 round to the last type and
+        # raised a bare IndexError for K.
+        index = problem.num_types if past_end else -1
+        corrupt = StateBlock(np.full((1, problem.num_tasks), index, dtype=np.int16))
+        with pytest.raises(SolverError, match="negative" if index < 0 else "catalog"):
+            backend().makespan_samples(problem, corrupt)
+
     def test_agreement_on_random_dags(self, catalog, runtime_model):
         for seed in range(3):
             wf = random_dag(10, edge_prob=0.3, seed=seed)
@@ -150,7 +163,85 @@ class TestBackends:
             )
             rng = np.random.default_rng(seed)
             states = [PlanState(rng.integers(0, 4, size=10)) for _ in range(4)]
-            np.testing.assert_allclose(
+            assert np.array_equal(
                 VectorizedBackend().makespan_samples(prob, states),
                 ScalarBackend().makespan_samples(prob, states),
             )
+
+
+class TestSamplePrecision:
+    """The samples are stored in single precision; the deadline test is not."""
+
+    def test_compile_stores_read_only_float32(self, problem):
+        for arr in (problem.tensor, problem.tensor_taskmajor):
+            assert arr.dtype == np.float32 and not arr.flags.writeable
+        assert problem.with_deadline(999.0).tensor is problem.tensor
+        assert problem.with_sample_prefix(16).tensor.dtype == np.float32
+
+    def test_faults_inflate_in_float64_then_round_once(self, problem):
+        faults = FaultModel(task_failure_rate=0.1)
+        faulty = problem.with_faults(faults)
+        want = faults.inflate(problem.tensor, faulty.recovery).astype(np.float32)
+        assert faulty.tensor.dtype == np.float32
+        assert np.array_equal(faulty.tensor, want)
+
+    @pytest.mark.parametrize("backend", [VectorizedBackend, ScalarBackend])
+    def test_makespan_rows_follow_the_tensor(self, problem, backend):
+        states = [PlanState.uniform(problem.num_tasks, t) for t in range(2)]
+        assert backend().makespan_samples(problem, states).dtype == np.float32
+
+    def test_memo_and_frontier_rows_follow_the_tensor(self, problem):
+        backend = VectorizedBackend()
+        parent = PlanState.uniform(problem.num_tasks, 0)
+        ev = backend.evaluate_batch(problem, [parent], pins=StateBlock.from_states([parent]))
+        assert ev.mean_makespan.dtype == np.float64
+        (row,) = backend.cache._rows.values()
+        assert row.dtype == np.float32
+        assert backend.eval_context.slab(problem.sample_token).rows.dtype == np.float32
+
+
+def _one_task_problem(catalog, seconds: float, deadline: float) -> CompiledProblem:
+    workflow = Workflow("one", [Task(task_id="t")], [])
+    parents, levels = workflow_layout(workflow)
+    k = len(catalog)
+    return CompiledProblem(
+        workflow=workflow,
+        catalog=catalog,
+        mean_times=np.full((k, 1), seconds),
+        tensor=np.full((k, 4, 1), seconds),
+        prices=np.arange(1.0, k + 1.0),
+        parent_indices=parents,
+        deadline=deadline,
+        required_probability=0.5,
+        levels=levels,
+    )
+
+
+class TestDeadlineComparedInFloat64:
+    """A float32 makespan m with D < m <= float32(D) misses deadline D.
+
+    Against a Python-float deadline NumPy casts D to float32 (NEP 50)
+    and counts such a sample as a hit.
+    """
+
+    DEADLINE = 0.1  # float32(0.1) = 0.10000000149... > 0.1
+
+    @pytest.fixture
+    def tie(self, catalog):
+        # Python floats on both sides: ``np.float32(D) > D`` would itself
+        # compare in float32.
+        problem = _one_task_problem(catalog, self.DEADLINE, self.DEADLINE)
+        makespan = float(problem.tensor[0, 0, 0])
+        assert self.DEADLINE < makespan <= float(np.float32(self.DEADLINE))
+        return problem, [PlanState.uniform(1, 0)]
+
+    @pytest.mark.parametrize("backend", [VectorizedBackend, ScalarBackend])
+    def test_evaluate_batch_counts_a_miss(self, tie, backend):
+        problem, states = tie
+        ev = backend().evaluate_batch(problem, states)
+        assert ev.probability[0] == 0.0 and not ev.feasible[0]
+
+    @pytest.mark.parametrize("backend", [VectorizedBackend, ScalarBackend])
+    def test_screen_probabilities_count_a_miss(self, tie, backend):
+        problem, states = tie
+        assert backend().screen_probabilities(problem, states, prefix=2)[0] == 0.0

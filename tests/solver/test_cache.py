@@ -144,7 +144,9 @@ class TestWithDeadlineReuse:
 
 
 class TestScratchPool:
-    @pytest.mark.parametrize("dtype", [None, np.float64, bool, np.int64, "float32"])
+    @pytest.mark.parametrize(
+        "dtype", [None, np.float64, bool, np.int64, "float32", np.dtype(np.float32)]
+    )
     @pytest.mark.parametrize(
         "shape", [(), (7,), (3, 4, 5), (0,), (0, 3), (3, 0, 2), (np.int64(2), np.intp(3))]
     )

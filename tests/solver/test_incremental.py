@@ -81,7 +81,7 @@ class TestSampleTokens:
 def store(ctx: EvalContext, token: int, key: bytes, frontier) -> None:
     """Reserve ``key``'s slot and write an ``(N, S)`` frontier into it."""
     frontier = np.asarray(frontier)
-    slot = ctx.reserve(token, key, *frontier.shape)
+    slot = ctx.reserve(token, key, *frontier.shape, frontier.dtype)
     dst = ctx.slab(token).frontier(slot)
     dst[:-1] = frontier
     dst[-1] = 0.0
