@@ -588,13 +588,6 @@ def _cmd_analyze(args, out) -> int:
 
 def _cmd_serve(args, out) -> int:
     workers = _workers_arg(args)
-    for name, value in (("--degrade-depth", args.degrade_depth),
-                        ("--reject-depth", args.reject_depth),
-                        ("--max-attempts", args.max_attempts)):
-        if value < 1:
-            return _usage_error(out, f"{name} must be >= 1, got {value}")
-    if args.hang_after <= 0:
-        return _usage_error(out, f"--hang-after must be > 0, got {args.hang_after}")
     from repro.service import DecoService, ServiceConfig
     from repro.service.http import ServiceServer
 

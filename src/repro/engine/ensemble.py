@@ -87,9 +87,12 @@ class EnsembleDecision:
 class EnsembleDriver:
     """Solves ensemble admission with Deco-optimized member plans + A*."""
 
-    def __init__(self, deco: Deco, max_expansions: int = 50_000):
+    #: Node budget of the admission A* search.
+    MAX_EXPANSIONS = 50_000
+
+    def __init__(self, deco: Deco):
         self.deco = deco
-        self.astar = AStarSearch(max_expansions=max_expansions)
+        self.astar = AStarSearch(max_expansions=self.MAX_EXPANSIONS)
 
     # ------------------------------------------------------------------
 

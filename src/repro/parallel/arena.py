@@ -301,8 +301,10 @@ class TensorArena:
     eviction can never invalidate an in-flight solve.
     """
 
-    def __init__(self, capacity: int = 6):
-        self.capacity = max(1, int(capacity))
+    #: Published segments kept alive; one more evicts the oldest.
+    CAPACITY = 6
+
+    def __init__(self):
         self._segments: OrderedDict[str, object] = OrderedDict()
         self.counters = {
             "publishes": 0,
@@ -364,7 +366,7 @@ class TensorArena:
         self._segments[key] = shm
         self.counters["publishes"] += 1
         self.counters["bytes_published"] += shm.size
-        while len(self._segments) > self.capacity:
+        while len(self._segments) > self.CAPACITY:
             old_key, old = self._segments.popitem(last=False)
             _close_quietly(old)
             try:

@@ -69,15 +69,15 @@ def host_cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def workers_from_env(default: int = 1) -> int:
-    """Worker count from ``REPRO_WORKERS`` (``0`` means serial).
+def workers_from_env() -> int:
+    """Worker count from ``REPRO_WORKERS`` (unset or ``0`` means serial).
 
     Raises :class:`ValidationError` on non-integer or negative values so
     a typo fails fast instead of silently running serial.
     """
     raw = os.environ.get(ENV_WORKERS)
     if raw is None or not raw.strip():
-        return default
+        return 1
     try:
         value = int(raw.strip())
     except ValueError:

@@ -18,7 +18,7 @@ Layers, bottom up:
 """
 
 from repro.service.cache import PlanCache, canonical_key
-from repro.service.http import ServiceClient, ServiceServer, serve
+from repro.service.http import ServiceClient, ServiceServer
 from repro.service.jobs import PRIORITY_CLASSES, TERMINAL_STATES, JobRecord
 from repro.service.journal import JobJournal, fold_events, replay_events
 from repro.service.pool import WarmWorkerPool
@@ -41,5 +41,4 @@ __all__ = [
     "ServiceConfig",
     "ServiceClient",
     "ServiceServer",
-    "serve",
 ]

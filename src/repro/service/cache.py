@@ -19,8 +19,6 @@ import threading
 from collections import OrderedDict
 from typing import Any, Mapping
 
-from repro.common.errors import ValidationError
-
 __all__ = ["canonical_key", "PlanCache"]
 
 #: Payload fields that affect the resulting plan.  ``solve_deadline_s``
@@ -40,10 +38,10 @@ def canonical_key(payload: Mapping[str, Any], *, engine_config: Mapping[str, Any
 class PlanCache:
     """Thread-safe LRU over terminal result envelopes."""
 
-    def __init__(self, capacity: int = 128):
-        if capacity < 1:
-            raise ValidationError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
+    #: Envelopes kept; one more evicts the least recently used.
+    CAPACITY = 128
+
+    def __init__(self):
         self._lock = threading.Lock()
         self._entries: OrderedDict[str, dict] = OrderedDict()
         self.hits = 0
@@ -65,7 +63,7 @@ class PlanCache:
         with self._lock:
             self._entries[key] = json.loads(json.dumps(result))
             self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
+            while len(self._entries) > self.CAPACITY:
                 self._entries.popitem(last=False)
 
     def __len__(self) -> int:
@@ -77,7 +75,7 @@ class PlanCache:
             total = self.hits + self.misses
             return {
                 "entries": len(self._entries),
-                "capacity": self.capacity,
+                "capacity": self.CAPACITY,
                 "hits": self.hits,
                 "misses": self.misses,
                 "hit_rate": (self.hits / total) if total else 0.0,

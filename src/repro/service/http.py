@@ -24,7 +24,6 @@ import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any
 
 from repro.common.errors import (
     AdmissionError,
@@ -34,7 +33,7 @@ from repro.common.errors import (
 
 from .runtime import DecoService
 
-__all__ = ["ServiceServer", "ServiceClient", "serve"]
+__all__ = ["ServiceServer", "ServiceClient"]
 
 _MAX_BODY = 4 * 1024 * 1024  # a WLog program + workflow ref, with headroom
 
@@ -217,9 +216,3 @@ class ServiceClient:
             if time.monotonic() > t_end:
                 raise TimeoutError(f"job {job_id} not terminal after {timeout_s:g}s: {doc}")
             time.sleep(poll_s)
-
-
-def serve(config: Any = None, host: str = "127.0.0.1", port: int = 8642) -> ServiceServer:
-    """Convenience: build a service and a (not yet started) server."""
-    service = DecoService(config)
-    return ServiceServer(service, host=host, port=port)

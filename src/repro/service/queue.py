@@ -66,26 +66,20 @@ class TokenBucket:
 class DurableQueue:
     """Journal-backed priority queue of :class:`JobRecord`\\ s."""
 
-    def __init__(
-        self,
-        journal: JobJournal,
-        *,
-        reject_depth: int = 64,
-        tenant_rate: float = 10.0,
-        tenant_burst: float = 20.0,
-        workers: int = 1,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    #: Per-tenant token bucket (jobs/s, burst), charged only for a job
+    #: submitted while its tenant already holds ``workers`` unfinished
+    #: jobs -- one that would queue behind the tenant's own work.
+    TENANT_RATE = 10.0
+    TENANT_BURST = 20.0
+
+    def __init__(self, journal: JobJournal, *, reject_depth: int = 64, workers: int = 1):
         if reject_depth < 1:
             raise ValidationError(f"reject_depth must be >= 1, got {reject_depth}")
         self.journal = journal
         self.reject_depth = int(reject_depth)
-        self.tenant_rate = float(tenant_rate)
-        self.tenant_burst = float(tenant_burst)
         # Unfinished jobs a tenant may hold before its bucket is charged:
         # the worker slots that consume this queue.
         self.workers = int(workers)
-        self._clock = clock
         self._lock = threading.RLock()
         self._jobs: dict[str, JobRecord] = {}
         # (priority_rank, sequence, job_id); sequence keeps FIFO within a class.
@@ -120,9 +114,7 @@ class DurableQueue:
     def _bucket(self, tenant: str) -> TokenBucket:
         bucket = self._buckets.get(tenant)
         if bucket is None:
-            bucket = self._buckets[tenant] = TokenBucket(
-                self.tenant_rate, self.tenant_burst, clock=self._clock
-            )
+            bucket = self._buckets[tenant] = TokenBucket(self.TENANT_RATE, self.TENANT_BURST)
         return bucket
 
     # -- admission + submission --------------------------------------------
@@ -165,7 +157,7 @@ class DurableQueue:
             if wait > 0.0:
                 self.rate_limited += 1
                 raise AdmissionError(
-                    f"tenant {tenant!r} exceeded {self.tenant_rate:g} submissions/s; "
+                    f"tenant {tenant!r} exceeded {self.TENANT_RATE:g} submissions/s; "
                     f"retry in {wait:.2f}s",
                     reason="rate_limited",
                     retry_after_s=round(wait, 3),
@@ -223,7 +215,7 @@ class DurableQueue:
         is dispatchable right now.
         """
         with self._lock:
-            now = self._clock()
+            now = time.monotonic()
             deferred: list[tuple[int, int, str]] = []
             claimed: JobRecord | None = None
             while self._heap:
@@ -259,7 +251,7 @@ class DurableQueue:
             self.journal.append("requeued", ts=time.time(), job_id=job_id, backoff_s=backoff_s)
             job.state = "queued"
             if backoff_s > 0.0:
-                self._not_before[job_id] = self._clock() + backoff_s
+                self._not_before[job_id] = time.monotonic() + backoff_s
             self._push(job)
 
     def next_ready_in(self) -> float | None:
@@ -270,7 +262,7 @@ class DurableQueue:
         takes a job before its stamp passes.
         """
         with self._lock:
-            now = self._clock()
+            now = time.monotonic()
             pending = [t for t in self._not_before.values() if t > now]
             return min(pending) - now if pending else None
 

@@ -36,6 +36,7 @@ journal replay.
 from __future__ import annotations
 
 import inspect
+import math
 import threading
 import time
 import warnings
@@ -58,7 +59,9 @@ class ServiceConfig:
     """Tunables for one service instance (all have working defaults).
 
     The dispatcher has no tick to tune: it wakes on events, and its only
-    timers are ``backoff_base_s`` backoffs and ``hang_after_s`` deadlines.
+    timers are :attr:`DecoService.BACKOFF_BASE_S` backoffs and
+    ``hang_after_s`` deadlines.  Every value is checked here, before the
+    service opens its journal.
     """
 
     journal_path: str = "deco-jobs.jsonl"
@@ -67,31 +70,30 @@ class ServiceConfig:
     degrade_depth: int = 8
     #: Queue depth at which new jobs are refused outright.
     reject_depth: int = 16
-    #: Per-tenant token bucket (jobs/s, burst), charged only for a job
-    #: submitted while its tenant already holds ``workers`` unfinished
-    #: jobs -- one that would queue behind the tenant's own work.
-    tenant_rate: float = 10.0
-    tenant_burst: float = 20.0
     #: Dispatch attempts per job before dead-lettering (crashes only).
     max_attempts: int = 3
-    #: First crash-retry backoff; doubles per subsequent attempt.
-    backoff_base_s: float = 0.05
     #: A job running longer than this is treated as hung (worker killed).
     hang_after_s: float = 600.0
-    cache_capacity: int = 128
     #: Deco constructor overrides for the worker engines: any key of
     #: :meth:`~repro.engine.deco.Deco.spec` but ``catalog`` (seed,
     #: num_samples, max_evaluations, backend, faults, recovery).
     engine: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("workers", "degrade_depth", "reject_depth", "max_attempts"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValidationError(f"{name} must be an integer >= 1, got {value!r}")
+        hang = self.hang_after_s
+        if isinstance(hang, bool) or not isinstance(hang, (int, float)) or not (
+            math.isfinite(hang) and hang > 0
+        ):
+            raise ValidationError(f"hang_after_s must be a finite number > 0, got {hang!r}")
         if self.degrade_depth > self.reject_depth:
             raise ValidationError(
                 f"degrade_depth ({self.degrade_depth}) must be <= "
                 f"reject_depth ({self.reject_depth}): the ladder degrades before it rejects"
             )
-        if self.max_attempts < 1:
-            raise ValidationError(f"max_attempts must be >= 1, got {self.max_attempts}")
         # Deco.spec() carries every constructor argument but ``workers``
         # (tests/test_import_hygiene.py pins it); the service sets the catalog.
         from repro.engine.deco import Deco
@@ -119,19 +121,18 @@ def _engine_spec(engine_overrides: dict) -> dict:
 class DecoService:
     """Crash-safe solve-job runtime over a durable queue and warm workers."""
 
+    #: First crash-retry backoff (seconds); doubles per subsequent attempt.
+    BACKOFF_BASE_S = 0.05
+
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self.journal = JobJournal(self.config.journal_path)
         self._spec = _engine_spec(dict(self.config.engine))
         self.pool = WarmWorkerPool(self._spec, workers=self.config.workers)
         self.queue = DurableQueue(
-            self.journal,
-            reject_depth=self.config.reject_depth,
-            tenant_rate=self.config.tenant_rate,
-            tenant_burst=self.config.tenant_burst,
-            workers=self.pool.workers,
+            self.journal, reject_depth=self.config.reject_depth, workers=self.pool.workers
         )
-        self.cache = PlanCache(self.config.cache_capacity)
+        self.cache = PlanCache()
         self.started_at = time.time()
         self.degrade_admissions = 0
         self.dispatcher_errors = 0
@@ -279,7 +280,7 @@ class DecoService:
         if job.attempts >= self.config.max_attempts:
             self._dead_letter(job_id, exc, retryable=True)
             return
-        backoff = self.config.backoff_base_s * (2 ** (job.attempts - 1))
+        backoff = self.BACKOFF_BASE_S * (2 ** (job.attempts - 1))
         self.queue.requeue(job_id, backoff_s=backoff)
 
     # -- lifecycle ---------------------------------------------------------

@@ -56,7 +56,6 @@ from collections import OrderedDict
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from repro.common.errors import SolverError
 from repro.solver.backends import (
     CompiledProblem,
     EvaluationBackend,
@@ -255,19 +254,13 @@ class AnalyticBackend(EvaluationBackend):
     name = "analytic"
     source = "analytic"
 
-    def __init__(
-        self,
-        quantile_points: int = 32,
-        pool: ScratchPool | None = None,
-        max_calibrations: int = 8,
-    ):
-        if quantile_points < 4:
-            raise SolverError(f"quantile_points must be >= 4, got {quantile_points}")
-        if max_calibrations < 1:
-            raise SolverError(f"max_calibrations must be >= 1, got {max_calibrations}")
-        self.quantile_points = int(quantile_points)
+    #: Midpoint quantiles per task/type that calibrate its time.
+    QUANTILE_POINTS = 32
+    #: Sample tensors whose calibrations stay memoized.
+    MAX_CALIBRATIONS = 8
+
+    def __init__(self, pool: ScratchPool | None = None):
         self.pool = pool if pool is not None else ScratchPool()
-        self.max_calibrations = int(max_calibrations)
         # sample_token -> ((K, N, Q) grids, (K*N,) means, (K*N,) variances)
         self._calibrations: OrderedDict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -293,14 +286,14 @@ class AnalyticBackend(EvaluationBackend):
         if entry is not None:
             self._calibrations.move_to_end(token)
             return entry
-        grids = _midpoint_quantile_grids(problem.tensor, self.quantile_points)
+        grids = _midpoint_quantile_grids(problem.tensor, self.QUANTILE_POINTS)
         means = np.ascontiguousarray(grids.mean(axis=2).reshape(-1))  # (K*N,)
         variances = np.ascontiguousarray(grids.var(axis=2).reshape(-1))
         for arr in (grids, means, variances):
             arr.setflags(write=False)
         entry = (grids, means, variances)
         self._calibrations[token] = entry
-        while len(self._calibrations) > self.max_calibrations:
+        while len(self._calibrations) > self.MAX_CALIBRATIONS:
             self._calibrations.popitem(last=False)
         self.counters["calibrations"] += 1
         return entry
@@ -325,7 +318,7 @@ class AnalyticBackend(EvaluationBackend):
             self._calibrations.move_to_end(token)
             return
         self._calibrations[token] = (grids, means, variances)
-        while len(self._calibrations) > self.max_calibrations:
+        while len(self._calibrations) > self.MAX_CALIBRATIONS:
             self._calibrations.popitem(last=False)
 
     # Propagation ------------------------------------------------------
@@ -451,13 +444,13 @@ class AnalyticBackend(EvaluationBackend):
         The backend-interface view of the propagated distribution: row b
         holds the Q midpoint quantiles of the moment-matched normal, so
         ``row.mean()`` / ``np.mean(row <= d)`` estimate the same
-        quantities sample rows do.  Q is ``quantile_points``, not the
+        quantities sample rows do.  Q is :attr:`QUANTILE_POINTS`, not the
         problem's S.
         """
         mean, var = self.makespan_moments(problem, states)
         if not len(mean):
-            return np.zeros((0, self.quantile_points))
-        q = self.quantile_points
+            return np.zeros((0, self.QUANTILE_POINTS))
+        q = self.QUANTILE_POINTS
         z = ndtri((np.arange(q) + 0.5) / q)
         sd = np.sqrt(np.maximum(var, 0.0))
         return mean[:, None] + sd[:, None] * z[None, :]

@@ -495,7 +495,7 @@ class VectorizedBackend(EvaluationBackend):
     The backend owns its memos: ``cache`` (the makespan rows
     :meth:`evaluate_batch` reduces) and ``eval_context`` (finish-time
     frontiers and the screening-problem memo) are built here unless the
-    caller passes ones to share.  :meth:`makespan_samples` takes the
+    caller passes a context to share.  :meth:`makespan_samples` takes the
     **delta-propagation** path for every state whose parent frontier is
     cached: read the parent's finish rows in place, recompute only the
     dirty tasks' rows and their (transitive) descendants level by level
@@ -509,20 +509,13 @@ class VectorizedBackend(EvaluationBackend):
 
     name = "gpu"
 
-    _POOL_MAX = 32  # distinct (name, dtype) buffers kept alive
-
-    def __init__(
-        self,
-        cache: MakespanCache | None = None,
-        eval_context: EvalContext | None = None,
-        pool: ScratchPool | None = None,
-    ):
-        self.cache = cache if cache is not None else MakespanCache()
+    def __init__(self, eval_context: EvalContext | None = None):
+        self.cache = MakespanCache()
         self.eval_context = eval_context if eval_context is not None else EvalContext()
         #: Shared grow-only scratch pool (see
         #: :class:`~repro.solver.cache.ScratchPool`); the analytic
         #: screening tier reuses the same pool during a search.
-        self.pool = pool if pool is not None else ScratchPool(self._POOL_MAX)
+        self.pool = ScratchPool()
         #: Monotone work counters of the incremental path: states routed
         #: through delta vs full propagation, and how many level / row
         #: recomputations the delta route skipped.

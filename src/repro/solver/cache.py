@@ -63,10 +63,10 @@ class ScratchPool:
     evaluators do not each pin their own copies of the large buffers.
     """
 
-    def __init__(self, max_buffers: int = 32):
-        if max_buffers < 1:
-            raise SolverError("max_buffers must be >= 1")
-        self.max_buffers = int(max_buffers)
+    #: Distinct ``(name, dtype)`` backings kept alive; one more clears the pool.
+    MAX_BUFFERS = 32
+
+    def __init__(self):
         self._bufs: dict[tuple[str, np.dtype], np.ndarray] = {}
 
     def __len__(self) -> int:
@@ -86,7 +86,7 @@ class ScratchPool:
         size = math.prod(shape)
         backing = self._bufs.get(key)
         if backing is None or backing.size < size:
-            if backing is None and len(self._bufs) >= self.max_buffers:
+            if backing is None and len(self._bufs) >= self.MAX_BUFFERS:
                 self._bufs.clear()
             backing = np.empty(max(1, size), dtype=dt)
             self._bufs[key] = backing
@@ -103,22 +103,16 @@ class MakespanCache:
     The vectorized backend's instance holds ``(S,)`` Monte Carlo
     makespan rows; the search's tier-0 instance holds ``(2,)`` ``(mean,
     variance)`` rows under the same keys.
-
-    Parameters
-    ----------
-    max_entries:
-        Cap on cached rows.  An entry is its row plus its state key, 2
-        bytes per task: at the default 32768 entries, 150 Monte Carlo
-        samples and a 680-task workflow that is ~84 MB (1,200 B of row
-        and 1,360 B of key each), and ~45 MB of moment entries, almost
-        all key -- sized for sweep workloads, far above any single
-        search's state count.
     """
 
-    def __init__(self, max_entries: int = 32_768):
-        if max_entries < 1:
-            raise SolverError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
+    #: Cap on cached rows.  An entry is its row plus its state key, 2
+    #: bytes per task: at 32768 entries, 150 Monte Carlo samples and a
+    #: 680-task workflow that is ~84 MB (1,200 B of row and 1,360 B of
+    #: key each), and ~45 MB of moment entries, almost all key -- sized
+    #: for sweep workloads, far above any single search's state count.
+    MAX_ENTRIES = 32_768
+
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         # (sample token, state key) -> read-only (S,) float row.
@@ -184,7 +178,7 @@ class MakespanCache:
             # A key the block repeats is most recent at its last occurrence.
             for key in missing_keys:
                 rows.move_to_end(key)
-        while len(rows) > self.max_entries:
+        while len(rows) > self.MAX_ENTRIES:
             rows.popitem(last=False)
         if whole:
             return fresh.copy()
@@ -268,7 +262,7 @@ class EvalContext:
     One entry is the permuted ``(N+1, S)`` finish matrix of a fully
     propagated state -- ~1 MB for Montage-8 at 200 samples -- keyed by
     ``(sample_token, state key)`` exactly like :class:`MakespanCache`
-    and stored in its token's :class:`FrontierSlab`.  ``max_entries``
+    and stored in its token's :class:`FrontierSlab`.  :attr:`MAX_ENTRIES`
     bounds the frontiers resident across all tokens; a slab is dropped
     with its last frontier.  Tokens of one ``(N, S)`` shape share a
     slab: a warm engine that moves on to the next same-sized workflow
@@ -278,7 +272,7 @@ class EvalContext:
     first-touch faults and 4 ms of kernel time on a 60 ms Montage-1
     solve, the one part of a solve whose cost is the host's, not ours.
     The search stores frontiers only for the states it is about to
-    expand (the beam tip), so the default capacity comfortably covers a
+    expand (the beam tip), so :attr:`MAX_ENTRIES` comfortably covers a
     solve while bounding long-running services.
 
     The context also memoizes the sample-prefix *screening problems*
@@ -287,10 +281,9 @@ class EvalContext:
     iteration.
     """
 
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise SolverError("max_entries must be >= 1")
-        self.max_entries = int(max_entries)
+    MAX_ENTRIES = 64
+
+    def __init__(self):
         self.hits = 0
         self.misses = 0
         # (sample token, state key) -> slot in the token's slab, LRU first.
@@ -365,7 +358,7 @@ class EvalContext:
         ``dtype`` is the problem's sample dtype, which the slab's rows take.
 
         Evicts least-recently-used frontiers to stay within
-        ``max_entries``, but never one of ``token``'s whose key is in
+        :attr:`MAX_ENTRIES`, but never one of ``token``'s whose key is in
         ``keep`` -- the frontiers the caller's launch still reads or has
         just reserved.  Returns ``None`` when nothing else is left to
         evict; a frontier is a performance hint, so the caller simply
@@ -385,7 +378,7 @@ class EvalContext:
                 f"frontier of {num_tasks} tasks x {num_samples} {np.dtype(dtype)} samples "
                 f"does not fit sample token {token}'s slab"
             )
-        if len(self._slots) >= self.max_entries:
+        if len(self._slots) >= self.MAX_ENTRIES:
             victim = next(
                 (e for e in self._slots if e[0] != token or e[1] not in keep), None
             )
@@ -393,7 +386,7 @@ class EvalContext:
                 return None
             self.discard(*victim)
         if slab is None:
-            slab = FrontierSlab(self.max_entries, num_tasks, num_samples, dtype)
+            slab = FrontierSlab(self.MAX_ENTRIES, num_tasks, num_samples, dtype)
         self._slabs[token] = slab
         self._held[token] = self._held.get(token, 0) + 1
         slot = heapq.heappop(slab.free)

@@ -1,6 +1,6 @@
 """Candidate generation as array passes: cost ~ levels x batches.
 
-:class:`~repro.solver.search.GenericSearch` expands ``expand_per_iter``
+:class:`~repro.solver.search.GenericSearch` expands ``EXPAND_PER_ITER``
 beam states per iteration.  Everything it needs to pick their
 transformation children -- the mean-time critical path of every parent,
 the Promote / Demote rankings and the demote savings -- is computed

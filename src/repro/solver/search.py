@@ -15,7 +15,7 @@ Expansion is *batched* and the beam is *arrays*: each iteration ranks
 the frontier -- a :class:`~repro.solver.state.StateBlock` of states
 plus the :class:`~repro.solver.state.BatchEval` vectors of their
 evaluations -- by ``(priority, key)``, expands the top
-``expand_per_iter`` rows into one block of children (deduped against
+``EXPAND_PER_ITER`` rows into one block of children (deduped against
 the visited set), evaluates that block through the tiers of
 :mod:`repro.solver.tiers` -- the paper's block-per-state GPU layout,
 where every kernel launch carries many states -- and folds the results
@@ -151,17 +151,8 @@ class GenericSearch:
     ----------
     backend:
         Evaluation backend (vectorized "gpu" by default).
-    children_per_state:
-        Cap on transformation children generated per expansion; children
-        are ranked by how much they are expected to help (critical-path
-        time for Promote, cost saving for Demote).
-    beam_width:
-        Frontier cap -- the exploration/exploitation balance knob.
     max_evaluations:
         Total state-evaluation budget.
-    expand_per_iter:
-        How many beam states expand per iteration; their children are
-        deduped and evaluated as one batch (block-per-state).
     analytic_min_tasks:
         Size gate of tier 0 (:class:`~repro.solver.tiers.AnalyticTier`):
         problems with fewer tasks never run it.  Setting it above a
@@ -178,24 +169,28 @@ class GenericSearch:
     solve classified.  :meth:`clear_caches` releases both.
     """
 
+    #: Cap on transformation children generated per expansion; children
+    #: are ranked by how much they are expected to help (critical-path
+    #: time for Promote, cost saving for Demote).
+    CHILDREN_PER_STATE = 12
+    #: Frontier cap -- the exploration/exploitation balance knob.
+    BEAM_WIDTH = 24
+    #: How many beam states expand per iteration; their children are
+    #: deduped and evaluated as one batch (block-per-state).
+    EXPAND_PER_ITER = 8
+
     def __init__(
         self,
         backend: EvaluationBackend | None = None,
-        children_per_state: int = 12,
-        beam_width: int = 24,
         max_evaluations: int = 4000,
-        expand_per_iter: int = 8,
         analytic_min_tasks: int = 256,
     ):
-        if min(children_per_state, beam_width, max_evaluations, expand_per_iter) < 1:
-            raise SolverError("search parameters must be >= 1")
+        if max_evaluations < 1:
+            raise SolverError("max_evaluations must be >= 1")
         if analytic_min_tasks < 0:
             raise SolverError("analytic_min_tasks must be >= 0")
         self.backend = backend or VectorizedBackend()
-        self.children_per_state = children_per_state
-        self.beam_width = beam_width
         self.max_evaluations = max_evaluations
-        self.expand_per_iter = expand_per_iter
         self.analytic_min_tasks = int(analytic_min_tasks)
         self._analytic: AnalyticBackend | None = None
         self.moment_memo = MakespanCache()
@@ -251,8 +246,8 @@ class GenericSearch:
             if t_deadline is not None and time.monotonic() >= t_deadline:
                 timed_out = True
                 break
-            ranked = self._rank(frontier, evals)[: self.beam_width]
-            top, rest = ranked[: self.expand_per_iter], ranked[self.expand_per_iter :]
+            ranked = self._rank(frontier, evals)[: self.BEAM_WIDTH]
+            top, rest = ranked[: self.EXPAND_PER_ITER], ranked[self.EXPAND_PER_ITER :]
             expansions += len(top)
             parents = frontier.take(top)
             incumbent_feasible = bool(best_eval.feasible[0])
@@ -260,7 +255,7 @@ class GenericSearch:
             # the budget trajectory does not depend on the tiers.
             children = expand_batch(
                 problem, parents, evals.feasible[top], incumbent_feasible,
-                self.children_per_state, seen, self.max_evaluations - evaluations,
+                self.CHILDREN_PER_STATE, seen, self.max_evaluations - evaluations,
             )
             evaluations += len(children)
             frontier, evals = frontier.take(rest), evals.take(rest)

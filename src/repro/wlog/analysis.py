@@ -165,13 +165,11 @@ class _Analyzer:
         source: str,
         registry: ImportRegistry | None,
         extra_predicates: Iterable[Indicator],
-        assume_import_facts: bool = True,
     ):
         self.rules = tuple(rules)
         self.directives = tuple(directives)
         self.source = source
         self.registry = registry
-        self.assume_import_facts = assume_import_facts
         self.extra = set(extra_predicates) | (pragma_assumes(source) if source else set())
         self.diags: list[Diagnostic] = []
 
@@ -195,7 +193,7 @@ class _Analyzer:
 
     def import_fact_indicators(self) -> set[Indicator]:
         names = tuple(str(d.payload) for d in self.imports)
-        if not names or not self.assume_import_facts:
+        if not names:
             return set()
         if self.registry is None:
             # No registry to consult: assume imports provide the full
@@ -694,7 +692,6 @@ def analyze_program(
     *,
     registry: ImportRegistry | None = None,
     extra_predicates: Iterable[Indicator] = (),
-    assume_import_facts: bool = True,
 ) -> list[Diagnostic]:
     """Run every static check; returns diagnostics sorted by position.
 
@@ -702,58 +699,36 @@ def analyze_program(
     :class:`WLogProgram`.  ``registry`` (when given) resolves ``import``
     names precisely; without it every import is assumed to provide the
     full workflow + cloud fact surface.  ``extra_predicates`` declares
-    ``(name, arity)`` fact families a driver supplies at solve time;
-    callers that know the exact materialized fact surface can pass it
-    there and disable ``assume_import_facts``.
+    ``(name, arity)`` fact families a driver supplies at solve time.
     """
     rules, directives, source = _coerce(program)
-    return _Analyzer(
-        rules, directives, source, registry, extra_predicates, assume_import_facts
-    ).run()
+    return _Analyzer(rules, directives, source, registry, extra_predicates).run()
 
 
 def check_program(
-    program: ProgramLike,
-    *,
-    registry: ImportRegistry | None = None,
-    extra_predicates: Iterable[Indicator] = (),
-    assume_import_facts: bool = True,
-    strict: bool = False,
-    filename: str = "<program>",
+    program: ProgramLike, *, registry: ImportRegistry | None = None
 ) -> list[Diagnostic]:
     """The fail-fast gate: raise on error diagnostics, return the rest.
 
-    Warnings pass through (and are returned for the caller to surface);
-    ``strict=True`` promotes them to rejection as well.
+    Warnings pass through (and are returned for the caller to surface).
     """
-    diagnostics = analyze_program(
-        program,
-        registry=registry,
-        extra_predicates=extra_predicates,
-        assume_import_facts=assume_import_facts,
-    )
+    diagnostics = analyze_program(program, registry=registry)
     source = program if isinstance(program, str) else program.source
-    reject_fatal(diagnostics, source, strict=strict, filename=filename)
+    reject_fatal(diagnostics, source)
     return diagnostics
 
 
 def reject_fatal(
-    diagnostics: Sequence[Diagnostic],
-    source: str,
-    *,
-    strict: bool = False,
-    filename: str = "<program>",
-    stage: str = "static analysis",
+    diagnostics: Sequence[Diagnostic], source: str, *, stage: str = "static analysis"
 ) -> None:
     """Raise :class:`WLogAnalysisError` on the error diagnostics.
 
-    ``strict=True`` rejects warnings too.  The message renders every
-    rejected finding against ``source``; ``stage`` names the analysis
-    that produced them.
+    The message renders every rejected finding against ``source``;
+    ``stage`` names the analysis that produced them.
     """
-    fatal = [d for d in diagnostics if d.is_error or strict]
+    fatal = [d for d in diagnostics if d.is_error]
     if fatal:
-        rendered = render_diagnostics(fatal, source or None, filename)
+        rendered = render_diagnostics(fatal, source or None)
         noun = "diagnostic" if len(fatal) == 1 else "diagnostics"
         raise WLogAnalysisError(
             f"{stage} rejected the program with {len(fatal)} {noun}:\n{rendered}",

@@ -191,11 +191,9 @@ class Diagnostic:
         return f"{where}{self.severity}[{self.check} {self.name}] {self.message}"
 
 
-def make(check: str, message: str, span: Span | None = None, severity: str | None = None) -> Diagnostic:
-    """Build a diagnostic for a cataloged check (severity defaulted)."""
-    if severity is None:
-        severity = CHECKS[check][1]
-    return Diagnostic(check=check, severity=severity, message=message, span=span)
+def make(check: str, message: str, span: Span | None = None) -> Diagnostic:
+    """Build a diagnostic for a cataloged check, at its cataloged severity."""
+    return Diagnostic(check=check, severity=CHECKS[check][1], message=message, span=span)
 
 
 def render_diagnostic(diag: Diagnostic, source: str | None = None, filename: str = "<program>") -> str:

@@ -120,9 +120,11 @@ class Engine:
     [b]
     """
 
-    def __init__(self, db: Database, max_depth: int = 10_000):
+    #: Proof depth past which a query is taken for non-termination.
+    max_depth = 10_000
+
+    def __init__(self, db: Database):
         self.db = db
-        self.max_depth = max_depth
         self.output: list[str] = []  # captured write/1 output
         self._rename_counter = itertools.count(1)
 

@@ -115,10 +115,9 @@ class MaterializedImports:
 class ImportRegistry:
     """Named workflow/cloud sources for ``import(...)``."""
 
-    def __init__(self, runtime_model: RuntimeModel | None = None):
+    def __init__(self):
         self._workflows: dict[str, Workflow] = {}
         self._clouds: dict[str, tuple[Catalog, str | None]] = {}
-        self._runtime_model = runtime_model
         self._models: dict[Catalog, RuntimeModel] = {}
 
     # Registration --------------------------------------------------------
@@ -183,8 +182,6 @@ class ImportRegistry:
         and mean memos are what repeated ``materialize`` / ``translate``
         calls on one registry share.
         """
-        if self._runtime_model is not None:
-            return self._runtime_model
         model = self._models.get(catalog)
         if model is None:
             model = self._models[catalog] = RuntimeModel(catalog)

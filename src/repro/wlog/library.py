@@ -128,7 +128,7 @@ totalcost(Ct) :- findall(C, cost(_Tid, _Vid, C), Bag), sum(Bag, Ct).
 """
 
 
-def ensemble_program(budget: float, astar: bool = True) -> str:
+def ensemble_program(budget: float) -> str:
     """Workflow-ensemble admission (use case 2, tech-report appendix).
 
     Operates over per-workflow aggregate facts produced by the ensemble
@@ -141,19 +141,15 @@ def ensemble_program(budget: float, astar: bool = True) -> str:
     """
     if budget <= 0:
         raise ValidationError(f"budget must be > 0, got {budget}")
-    hints = ""
-    if astar:
-        hints = (
-            "enabled(astar).\n"
-            "cal_g_score(S) :- totalscore(S).\n"
-            "est_h_score(S) :- totalscore(S).\n"
-        )
     return f"""
 goal maximize Sc in totalscore(Sc).
 cons C in ensemblecost(C) satisfies budget(100%, {budget!r}).
 cons admissible.
 var run(W, Con) forall workflow(W).
-{hints}
+enabled(astar).
+cal_g_score(S) :- totalscore(S).
+est_h_score(S) :- totalscore(S).
+
 admitted(W) :- run(W, Con), Con == 1.
 admissible :- \\+ bad_admission.
 bad_admission :- admitted(W), \\+ wfeasible(W).

@@ -49,11 +49,11 @@ class TaskComponents:
 class RuntimeModel:
     """Estimates task execution times on a catalog's instance types."""
 
-    def __init__(self, catalog: Catalog, histogram_bins: int = 12):
-        if histogram_bins < 1:
-            raise ValidationError(f"histogram_bins must be >= 1, got {histogram_bins}")
+    #: Bandwidth-histogram bins of :meth:`histogram` when none are asked for.
+    HISTOGRAM_BINS = 12
+
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.histogram_bins = histogram_bins
         self._hist_cache: dict[tuple[float, float, float, str], Histogram] = {}
         self._mean_cache: dict[tuple[float, float, str], float] = {}
         # Workflow object -> (ref, data, mean matrix), see `_task_arrays`;
@@ -135,7 +135,7 @@ class RuntimeModel:
         are per-process memos of :meth:`Histogram.from_distribution`, so
         this is transform + convolve only.
         """
-        bins = bins or self.histogram_bins
+        bins = bins or self.HISTOGRAM_BINS
         itype = self.catalog.type(type_name)
         comp = self.components(task, type_name)
         result = Histogram.point(comp.cpu_seconds)

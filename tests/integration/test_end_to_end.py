@@ -54,7 +54,7 @@ class TestFullPipeline:
 
     def test_declarative_program_equals_programmatic_api(self, catalog, deco):
         wf = montage(degrees=1, seed=8)
-        reg = ImportRegistry(deco.runtime_model)
+        reg = ImportRegistry()
         reg.register_cloud("amazonec2", catalog)
         reg.register_workflow("montage", wf)
         d = deco.presets(wf).medium

@@ -160,8 +160,9 @@ class TestTensorArena:
         finally:
             arena.close()
 
-    def test_lru_eviction_unlinks_oldest(self):
-        arena = TensorArena(capacity=2)
+    def test_lru_eviction_unlinks_oldest(self, monkeypatch):
+        monkeypatch.setattr(TensorArena, "CAPACITY", 2)
+        arena = TensorArena()
         try:
             keys = []
             for seed in range(3):

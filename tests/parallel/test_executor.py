@@ -63,7 +63,6 @@ class TestWorkersFromEnv:
     def test_unset_uses_default(self, monkeypatch):
         monkeypatch.delenv(ENV_WORKERS, raising=False)
         assert workers_from_env() == 1
-        assert workers_from_env(default=5) == 5
 
     def test_positive_value(self, monkeypatch):
         monkeypatch.setenv(ENV_WORKERS, "3")

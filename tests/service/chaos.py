@@ -27,6 +27,7 @@ runs the scenario under both drivers::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import signal
@@ -35,8 +36,9 @@ import tempfile
 import time
 import warnings
 from dataclasses import dataclass, field
+from unittest import mock
 
-from repro.service import DecoService, DurableQueue, JobJournal, ServiceConfig
+from repro.service import DecoService, DurableQueue, ServiceConfig
 from repro.service.journal import fold_events, replay_events
 
 #: Engine small enough that a chaos run with retries stays under a minute.
@@ -76,6 +78,16 @@ class ChaosReport:
             "violations": self.violations,
             "ok": self.ok,
         }
+
+
+@contextlib.contextmanager
+def _chaos_limits():
+    """Token buckets that never refuse and 20 ms crash backoffs: the run
+    submits in bursts and retries every crash."""
+    with mock.patch.object(DurableQueue, "TENANT_RATE", 1000.0), mock.patch.object(
+        DurableQueue, "TENANT_BURST", 1000.0
+    ), mock.patch.object(DecoService, "BACKOFF_BASE_S", 0.02):
+        yield
 
 
 def _payload(seed: int, **extra) -> dict:
@@ -187,15 +199,12 @@ def run_chaos(
         journal_path=journal_path,
         workers=workers,
         max_attempts=max_attempts,
-        backoff_base_s=0.02,
         degrade_depth=max(jobs, 8),
         reject_depth=2 * max(jobs, 8),
-        tenant_rate=1000.0,
-        tenant_burst=1000.0,
         engine=dict(CHAOS_ENGINE),
     )
     t0 = time.monotonic()
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _chaos_limits():
         warnings.simplefilter("ignore", RuntimeWarning)
         with DecoService(config) as service:
             if queue_latency_s:

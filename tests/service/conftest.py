@@ -29,6 +29,17 @@ def montage_payload(seed: int = 7, **extra) -> dict:
     return payload
 
 
+@pytest.fixture()
+def fast_service(monkeypatch):
+    """Token buckets that never refuse and 10 ms crash backoffs, so a test
+    waits only for what it asserts on."""
+    from repro.service import DecoService, DurableQueue
+
+    monkeypatch.setattr(DurableQueue, "TENANT_RATE", 1000.0)
+    monkeypatch.setattr(DurableQueue, "TENANT_BURST", 1000.0)
+    monkeypatch.setattr(DecoService, "BACKOFF_BASE_S", 0.01)
+
+
 @pytest.fixture(autouse=True)
 def _quiet_oversubscription():
     """CI hosts often expose one usable CPU; the pool's oversubscription

@@ -8,6 +8,8 @@ from repro.service import DecoService, ServiceConfig, ServiceClient, ServiceServ
 
 from .conftest import ENGINE, montage_payload
 
+pytestmark = pytest.mark.usefixtures("fast_service")
+
 
 @pytest.fixture()
 def server(tmp_path):
@@ -16,8 +18,6 @@ def server(tmp_path):
         workers=2,
         degrade_depth=4,
         reject_depth=6,
-        tenant_rate=1000.0,
-        tenant_burst=1000.0,
         engine=dict(ENGINE),
     )
     with ServiceServer(DecoService(config), port=0) as srv:
@@ -107,8 +107,6 @@ class TestBackpressure:
             workers=2,
             degrade_depth=1,
             reject_depth=1,
-            tenant_rate=1000.0,
-            tenant_burst=1000.0,
             engine=dict(ENGINE),
         )
         # Dispatcher NOT started: submissions pile up against reject_depth.

@@ -14,6 +14,8 @@ from repro.service import DurableQueue, JobJournal, TokenBucket
 from repro.service.jobs import validate_payload
 from repro.service.journal import replay_events
 
+pytestmark = pytest.mark.usefixtures("fast_service")
+
 
 def _payload(seed: int = 0) -> dict:
     return {"workflow": {"app": "montage", "degrees": 1.0, "seed": seed}}
@@ -22,7 +24,7 @@ def _payload(seed: int = 0) -> dict:
 @pytest.fixture()
 def queue(tmp_path):
     journal = JobJournal(tmp_path / "q.jsonl")
-    q = DurableQueue(journal, reject_depth=8, tenant_rate=1000.0, tenant_burst=1000.0)
+    q = DurableQueue(journal, reject_depth=8)
     yield q
     journal.close()
 
@@ -155,10 +157,7 @@ class TestSubmitAndClaim:
 
 class TestAdmission:
     def test_queue_full_rejects_with_retry_after(self, tmp_path):
-        queue = DurableQueue(
-            JobJournal(tmp_path / "q.jsonl"),
-            reject_depth=2, tenant_rate=1000.0, tenant_burst=1000.0,
-        )
+        queue = DurableQueue(JobJournal(tmp_path / "q.jsonl"), reject_depth=2)
         queue.submit(_payload(1))
         queue.submit(_payload(2))
         with pytest.raises(AdmissionError) as exc_info:
@@ -168,20 +167,16 @@ class TestAdmission:
         assert queue.rejected == 1
 
     def test_rejected_jobs_are_never_journaled(self, tmp_path):
-        queue = DurableQueue(
-            JobJournal(tmp_path / "q.jsonl"),
-            reject_depth=1, tenant_rate=1000.0, tenant_burst=1000.0,
-        )
+        queue = DurableQueue(JobJournal(tmp_path / "q.jsonl"), reject_depth=1)
         queue.submit(_payload(1))
         with pytest.raises(AdmissionError):
             queue.submit(_payload(2))
         assert queue.journal.appends == 1  # only the accepted job
 
-    def test_per_tenant_rate_limit_isolated(self, tmp_path):
-        queue = DurableQueue(
-            JobJournal(tmp_path / "q.jsonl"),
-            reject_depth=100, tenant_rate=0.001, tenant_burst=1.0, workers=2,
-        )
+    def test_per_tenant_rate_limit_isolated(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(DurableQueue, "TENANT_RATE", 0.001)
+        monkeypatch.setattr(DurableQueue, "TENANT_BURST", 1.0)
+        queue = DurableQueue(JobJournal(tmp_path / "q.jsonl"), reject_depth=100, workers=2)
         # Below `workers` unfinished jobs the bucket is not charged.
         alice = [queue.submit(_payload(i), tenant="alice") for i in range(2)]
         # Holding `workers` jobs, each further one is charged: the burst
@@ -201,10 +196,7 @@ class TestAdmission:
         queue.submit(_payload(5), tenant="alice")
 
     def test_terminal_jobs_free_queue_depth(self, tmp_path):
-        queue = DurableQueue(
-            JobJournal(tmp_path / "q.jsonl"),
-            reject_depth=1, tenant_rate=1000.0, tenant_burst=1000.0,
-        )
+        queue = DurableQueue(JobJournal(tmp_path / "q.jsonl"), reject_depth=1)
         job = queue.submit(_payload(1))
         queue.claim()
         queue.finish(job.job_id, "completed", result={})
@@ -244,7 +236,7 @@ class TestBackoffAndRecovery:
     def test_restart_replays_inflight_jobs_into_queue(self, tmp_path):
         path = tmp_path / "q.jsonl"
         journal = JobJournal(path)
-        queue = DurableQueue(journal, tenant_rate=1000.0, tenant_burst=1000.0)
+        queue = DurableQueue(journal)
         done = queue.submit(_payload(1))
         queue.claim()
         queue.finish(done.job_id, "completed", result={})
@@ -253,7 +245,7 @@ class TestBackoffAndRecovery:
         queued = queue.submit(_payload(3))
         journal.close()
 
-        restarted = DurableQueue(JobJournal(path), tenant_rate=1000.0, tenant_burst=1000.0)
+        restarted = DurableQueue(JobJournal(path))
         assert restarted.get(done.job_id).state == "completed"
         assert restarted.get(inflight.job_id).state == "queued"
         assert restarted.get(queued.job_id).state == "queued"

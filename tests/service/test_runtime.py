@@ -12,14 +12,13 @@ from repro.service.journal import replay_events
 
 from .conftest import ENGINE, montage_payload
 
+pytestmark = pytest.mark.usefixtures("fast_service")
+
 
 def make_service(tmp_path, **over) -> DecoService:
     defaults = dict(
         journal_path=str(tmp_path / "jobs.jsonl"),
         workers=2,
-        tenant_rate=1000.0,
-        tenant_burst=1000.0,
-        backoff_base_s=0.01,
         engine=dict(ENGINE),
     )
     defaults.update(over)
@@ -146,6 +145,26 @@ class TestHappyPath:
         assert "max_evaluations" in str(info.value)  # the accepted keys are listed
         assert not journal.parent.exists()
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("workers", 0), ("workers", True), ("workers", 2.5),
+            ("degrade_depth", 0), ("reject_depth", 0), ("reject_depth", True),
+            ("max_attempts", 0), ("max_attempts", True),
+            ("hang_after_s", 0), ("hang_after_s", -1), ("hang_after_s", float("inf")),
+            ("hang_after_s", float("nan")), ("hang_after_s", True),
+        ],
+    )
+    def test_setting_that_breaks_the_service_rejected_before_the_journal_opens(
+        self, tmp_path, name, value
+    ):
+        """``degrade_depth=0`` would load-shed every job and
+        ``hang_after_s <= 0`` would kill every job as hung."""
+        journal = tmp_path / "journal" / "jobs.jsonl"
+        with pytest.raises(ValidationError, match=name):
+            DecoService(ServiceConfig(journal_path=str(journal), **{name: value}))
+        assert not journal.parent.exists()
+
 
 class TestDegradationLadder:
     def test_load_shed_downgrades_to_analytic(self, tmp_path):
@@ -163,7 +182,9 @@ class TestDegradationLadder:
         assert svc.job_status(normal.job_id)["state"] == "completed"
 
     def test_degraded_results_never_enter_cache(self, tmp_path):
-        with make_service(tmp_path, degrade_depth=0, reject_depth=10) as svc:
+        with make_service(tmp_path, degrade_depth=1, reject_depth=10) as svc:
+            # Holds the queue at the degrade depth and is never cached itself.
+            svc.submit(montage_payload(seed=4, inject="raise"))
             shed = svc.submit(montage_payload(seed=5))
             assert shed.degraded is True
             svc.run_until_idle(timeout_s=120)
@@ -180,7 +201,8 @@ class TestDegradationLadder:
             svc.run_until_idle(timeout_s=120)
 
     def test_analytic_request_is_not_marked_degraded(self, tmp_path):
-        with make_service(tmp_path, degrade_depth=0, reject_depth=10) as svc:
+        with make_service(tmp_path, degrade_depth=1, reject_depth=10) as svc:
+            svc.submit(montage_payload(seed=4, inject="raise"))  # queue at the degrade depth
             job = svc.submit(montage_payload(backend="analytic"))
             assert job.degraded is False  # client asked for analytic
             svc.run_until_idle(timeout_s=120)
@@ -319,8 +341,9 @@ class TestBackgroundDispatcher:
         assert doc["state"] == "dead_lettered"
         assert doc["error"]["type"] == "TimeoutError"
 
-    def test_crashed_job_redispatched_after_backoff_without_submit(self, tmp_path):
-        with make_service(tmp_path, max_attempts=2, backoff_base_s=0.2) as svc:
+    def test_crashed_job_redispatched_after_backoff_without_submit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(DecoService, "BACKOFF_BASE_S", 0.2)
+        with make_service(tmp_path, max_attempts=2) as svc:
             svc.start()
             job = svc.submit(montage_payload(inject="exit"))
             doc = wait_terminal(svc, job.job_id)
@@ -328,8 +351,12 @@ class TestBackgroundDispatcher:
         assert doc["attempts"] == 2
         assert doc["error"]["retryable"] is True
 
-    def test_closed_loop_tenant_is_never_rate_limited(self, tmp_path):
-        with make_service(tmp_path, tenant_rate=0.001, tenant_burst=1.0) as svc:
+    def test_closed_loop_tenant_is_never_rate_limited(self, tmp_path, monkeypatch):
+        from repro.service import DurableQueue
+
+        monkeypatch.setattr(DurableQueue, "TENANT_RATE", 0.001)
+        monkeypatch.setattr(DurableQueue, "TENANT_BURST", 1.0)
+        with make_service(tmp_path) as svc:
             svc.start()
             in_flight: list[str] = []
             for i in range(50):

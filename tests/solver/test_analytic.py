@@ -98,8 +98,6 @@ class TestDeadlineProbability:
         with pytest.raises(SolverError):
             probability(problem, state, 0.0)
         with pytest.raises(SolverError):
-            AnalyticBackend(quantile_points=2)
-        with pytest.raises(SolverError):
             moments(problem, PlanState.uniform(1, 0))
 
 

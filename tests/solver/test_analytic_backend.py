@@ -15,7 +15,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.instance_types import ec2_catalog
-from repro.common.errors import SolverError
 from repro.engine.deco import Deco
 from repro.engine.plan import deadline_presets
 from repro.solver.analytic_backend import (
@@ -196,10 +195,11 @@ class TestBackendInterface:
         assert get_backend("analytic").name == "analytic"
         assert isinstance(get_backend("analytic"), AnalyticBackend)
 
-    def test_quantile_grid_shape_and_monotonicity(self):
+    def test_quantile_grid_shape_and_monotonicity(self, monkeypatch):
+        monkeypatch.setattr(AnalyticBackend, "QUANTILE_POINTS", 16)
         wf = montage(degrees=1.0, seed=0)
         problem = compile_wf(wf, num_samples=60)
-        backend = AnalyticBackend(quantile_points=16)
+        backend = AnalyticBackend()
         rows = backend.makespan_samples(problem, uniform_states(problem))
         assert rows.shape == (problem.num_types, 16)
         assert np.all(np.diff(rows, axis=1) >= 0.0)
@@ -227,20 +227,15 @@ class TestBackendInterface:
         assert stats["states_analytic"] == problem.num_types
         assert stats["calibrations"] == 1
 
-    def test_calibration_lru_eviction(self):
-        backend = AnalyticBackend(max_calibrations=1)
+    def test_calibration_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(AnalyticBackend, "MAX_CALIBRATIONS", 1)
+        backend = AnalyticBackend()
         p1 = compile_wf(montage(degrees=1.0, seed=0), num_samples=40, seed=0)
         p2 = compile_wf(montage(degrees=1.0, seed=1), num_samples=40, seed=1)
         backend.makespan_moments(p1, uniform_states(p1))
         backend.makespan_moments(p2, uniform_states(p2))
         backend.makespan_moments(p1, uniform_states(p1))  # recalibrates
         assert backend.analytic_stats()["calibrations"] == 3
-
-    def test_constructor_validation(self):
-        with pytest.raises(SolverError):
-            AnalyticBackend(quantile_points=3)
-        with pytest.raises(SolverError):
-            AnalyticBackend(max_calibrations=0)
 
 
 def quantile_calibration(tensor, q):
@@ -276,9 +271,11 @@ class TestCalibrationBitIdentity:
         elif shape == "constant-columns":
             tensor[:, :, ::2] = tensor[:, :1, ::2]
         problem = SimpleNamespace(sample_token=seed, tensor=tensor)
-        backend = AnalyticBackend(quantile_points=q)
-        got = backend._calibration(problem)
-        assert backend._calibration(problem) is got  # memoised by token
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(AnalyticBackend, "QUANTILE_POINTS", q)
+            backend = AnalyticBackend()
+            got = backend._calibration(problem)
+            assert backend._calibration(problem) is got  # memoised by token
         for ours, ref in zip(got, quantile_calibration(tensor, q)):
             assert ours.dtype == ref.dtype and ours.shape == ref.shape
             assert ours.flags.c_contiguous and not ours.flags.writeable

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.common.errors import SolverError
 from repro.solver.backends import CompiledProblem, VectorizedBackend
 from repro.solver.cache import MakespanCache, ScratchPool
 from repro.solver.state import PlanState
@@ -20,10 +19,6 @@ def problem(catalog, runtime_model):
 
 
 class TestCacheMechanics:
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(SolverError):
-            MakespanCache(max_entries=0)
-
     def test_miss_then_hit(self, problem):
         backend = VectorizedBackend()
         cache = backend.cache
@@ -46,9 +41,10 @@ class TestCacheMechanics:
         cold = VectorizedBackend().makespan_samples(problem, [c, b, a])
         np.testing.assert_array_equal(mixed, cold)
 
-    def test_lru_eviction(self, problem):
-        cache = MakespanCache(max_entries=2)
-        backend = VectorizedBackend(cache=cache)
+    def test_lru_eviction(self, problem, monkeypatch):
+        monkeypatch.setattr(MakespanCache, "MAX_ENTRIES", 2)
+        backend = VectorizedBackend()
+        cache = backend.cache
         states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
         for st in states:
             backend.evaluate_batch(problem, [st])
@@ -170,11 +166,10 @@ class TestScratchPool:
         # The default dtype and its spellings name the same buffer.
         assert np.shares_memory(pool.take("b", (6,)), pool.take("b", (6,), "float64"))
 
-    def test_buffer_cap_drops_the_pool(self):
-        pool = ScratchPool(max_buffers=2)
+    def test_buffer_cap_drops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(ScratchPool, "MAX_BUFFERS", 2)
+        pool = ScratchPool()
         pool.take("a", (1,))
         pool.take("b", (1,))
         pool.take("c", (1,))
         assert len(pool) == 1
-        with pytest.raises(SolverError):
-            ScratchPool(max_buffers=0)

@@ -313,11 +313,12 @@ class TestPinnedFrontiers:
 
 
 class TestLruSafetyUnderBatching:
-    def test_parent_that_does_not_fit_falls_back_to_full(self):
+    def test_parent_that_does_not_fit_falls_back_to_full(self, monkeypatch):
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 2)
         problem = synthetic_problem(fan_in(9), seed=7)
         n, k = problem.num_tasks, problem.num_types
         parents = [PlanState.uniform(n, t) for t in range(3)]
-        backend = VectorizedBackend(eval_context=EvalContext(max_entries=2))
+        backend = VectorizedBackend()
         ctx, token = backend.eval_context, problem.sample_token
         backend.ensure_frontier(problem, *parents)
         # Two fit; storing the third may not evict what the call just wrote.
@@ -327,10 +328,11 @@ class TestLruSafetyUnderBatching:
         stats = backend.delta_stats()
         assert (stats["states_incremental"], stats["states_full"]) == (6, 3)
 
-    def test_a_pin_never_evicts_the_frontier_its_launch_reads(self):
+    def test_a_pin_never_evicts_the_frontier_its_launch_reads(self, monkeypatch):
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 2)
         problem = synthetic_problem(fan_in(9), seed=8)
         n = problem.num_tasks
-        backend = VectorizedBackend(eval_context=EvalContext(max_entries=2))
+        backend = VectorizedBackend()
         ctx, token = backend.eval_context, problem.sample_token
         root = PlanState.uniform(n, 2)
         backend.ensure_frontier(problem, root)
@@ -348,14 +350,15 @@ class TestLruSafetyUnderBatching:
             problem, backend, [k.with_type(10, 3) for k in kids] + [root.with_type(3, 0)]
         )
 
-    def test_problems_of_one_shape_share_a_slab_and_stay_identical(self):
+    def test_problems_of_one_shape_share_a_slab_and_stay_identical(self, monkeypatch):
         """A warm engine's next workflow evicts the last one's frontiers
         into the slots it takes: same mapping, nothing of the other
         problem's read."""
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 3)
         first = synthetic_problem(fan_in(9), seed=11)
         second = synthetic_problem(fan_in(9), seed=12)
         n, k = first.num_tasks, first.num_types
-        backend = VectorizedBackend(eval_context=EvalContext(max_entries=3))
+        backend = VectorizedBackend()
         ctx = backend.eval_context
         parents = [PlanState.uniform(n, t) for t in range(3)]
         batch = [p.with_type(i, (t + 1) % k) for t, p in enumerate(parents) for i in (0, 9, 10)]

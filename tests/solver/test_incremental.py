@@ -13,7 +13,7 @@ from repro.engine import Deco
 from repro.engine.plan import deadline_presets
 from repro.parallel.workers import solve_plans
 from repro.solver.backends import CompiledProblem, VectorizedBackend, validated_assignments
-from repro.solver.cache import EvalContext, MakespanCache
+from repro.solver.cache import EvalContext
 from repro.solver.search import GenericSearch
 from repro.solver.state import PlanState
 from repro.workflow.generators import cybershake, montage, random_dag
@@ -107,8 +107,9 @@ class TestEvalContext:
         assert ctx.nbytes() == frontier.nbytes + frontier[0].nbytes
         assert ctx.find(1, b"k") == 0 and ctx.slab(1).frontier(0)[-1].tolist() == [0.0, 0.0]
 
-    def test_lru_eviction(self):
-        ctx = EvalContext(max_entries=2)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 2)
+        ctx = EvalContext()
         for i in range(3):
             store(ctx, 0, bytes([i]), np.full((1, 1), float(i)))
         assert not ctx.peek(0, b"\x00")  # oldest evicted
@@ -117,10 +118,11 @@ class TestEvalContext:
         assert stored(ctx, 0, b"\x02").tolist() == [[2.0]] and ctx.find(0, b"\x02") == 0
         assert stored(ctx, 0, b"\x01").tolist() == [[1.0]]
 
-    def test_tokens_of_one_shape_share_a_slab(self):
+    def test_tokens_of_one_shape_share_a_slab(self, monkeypatch):
         # A warm engine's next same-sized workflow (a service worker's next
         # job) must land in the pages the last one touched, not a new mapping.
-        ctx = EvalContext(max_entries=2)
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 2)
+        ctx = EvalContext()
         store(ctx, 1, b"a", np.full((3, 2), 1.0))
         store(ctx, 1, b"b", np.full((3, 2), 2.0))
         slab, held = ctx.slab(1), ctx.nbytes()
@@ -136,12 +138,6 @@ class TestEvalContext:
         assert ctx.slab(3) is not slab and ctx.slab(3).stride == 5
         ctx.discard(2, b"b")
         assert ctx.slab(2) is None and len(ctx) == 1
-
-    def test_invalid_capacity_rejected(self):
-        from repro.common.errors import SolverError
-
-        with pytest.raises(SolverError):
-            EvalContext(max_entries=0)
 
     def test_screen_problem_is_memoized_per_token(self, problem):
         ctx = EvalContext()
@@ -292,9 +288,9 @@ class TestScreening:
         np.testing.assert_allclose(probs, expected)
 
     def test_screening_rows_stay_out_of_the_caches(self, problem):
-        cache = MakespanCache()
         ctx = EvalContext()
-        backend = VectorizedBackend(cache=cache, eval_context=ctx)
+        backend = VectorizedBackend(eval_context=ctx)
+        cache = backend.cache
         states = [PlanState.uniform(problem.num_tasks, 0)]
         backend.screen_probabilities(problem, states, prefix=16)
         assert len(cache) == 0

@@ -61,16 +61,18 @@ class TestGenericSearch:
 
     def test_invalid_parameters(self):
         with pytest.raises(SolverError):
-            GenericSearch(beam_width=0)
+            GenericSearch(max_evaluations=0)
         with pytest.raises(SolverError):
-            GenericSearch(expand_per_iter=0)
+            GenericSearch(analytic_min_tasks=-1)
 
-    def test_batched_expansion_matches_serial_quality(self, problem):
+    def test_batched_expansion_matches_serial_quality(self, problem, monkeypatch):
         """Wider per-iteration expansion keeps priority/pruning semantics:
         both settings must land on a feasible plan no worse than the
         all-fastest uniform seed."""
-        serial = GenericSearch(max_evaluations=400, expand_per_iter=1).solve(problem)
-        batched = GenericSearch(max_evaluations=400, expand_per_iter=8).solve(problem)
+        monkeypatch.setattr(GenericSearch, "EXPAND_PER_ITER", 1)
+        serial = GenericSearch(max_evaluations=400).solve(problem)
+        monkeypatch.setattr(GenericSearch, "EXPAND_PER_ITER", 8)
+        batched = GenericSearch(max_evaluations=400).solve(problem)
         assert serial.feasible_found and batched.feasible_found
         fastest = VectorizedBackend().evaluate(
             problem, PlanState.uniform(problem.num_tasks, problem.num_types - 1)

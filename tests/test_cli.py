@@ -478,17 +478,17 @@ class TestServeFlags:
     def test_rejects_bad_depths(self):
         code, text = run_cli(["serve", "--degrade-depth", "0"])
         assert code == 2
-        assert "--degrade-depth must be >= 1" in text
+        assert "degrade_depth must be an integer >= 1, got 0" in text
 
     def test_rejects_bad_hang_after(self):
         code, text = run_cli(["serve", "--hang-after", "0"])
         assert code == 2
-        assert "--hang-after must be > 0" in text
+        assert "hang_after_s must be a finite number > 0, got 0.0" in text
 
     def test_rejects_bad_max_attempts(self):
         code, text = run_cli(["serve", "--max-attempts", "0"])
         assert code == 2
-        assert "--max-attempts must be >= 1" in text
+        assert "max_attempts must be an integer >= 1, got 0" in text
 
 
 class TestSubmitFlags:

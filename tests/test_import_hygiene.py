@@ -424,33 +424,76 @@ def test_every_public_top_level_name_is_named_elsewhere():
     assert dead == []
 
 
-#: ``Deco(...)`` parameters no program file passes by name: the worker
-#: engines ``solve_plans`` rebuilds from ``Deco.spec()`` (``member_plans``
-#: with ``workers > 1``) get a fault model only through them
-#: (``tests/faults/test_determinism.py::TestMemberPlansDeterminism``).
-SPEC_ONLY_PARAMETERS = {("Deco", "faults"), ("Deco", "recovery")}
+#: Every entry point a solve or a service job passes through, as
+#: ``(module, qualified name)``; calls are matched by the last part of the
+#: name.  An entry point added later joins the guard with one row.
+ENTRY_POINTS = [
+    ("repro.engine.deco", "Deco"),
+    ("repro.engine.deco", "Deco.schedule"),
+    ("repro.engine.deco", "Deco.solve_program"),
+    ("repro.engine.ensemble", "EnsembleDriver"),
+    ("repro.solver.search", "GenericSearch"),
+    ("repro.solver.search", "AStarSearch"),
+    ("repro.solver.backends", "VectorizedBackend"),
+    ("repro.solver.analytic_backend", "AnalyticBackend"),
+    ("repro.solver.cache", "MakespanCache"),
+    ("repro.solver.cache", "EvalContext"),
+    ("repro.solver.cache", "ScratchPool"),
+    ("repro.solver.shards", "ShardPlane"),
+    ("repro.parallel.arena", "TensorArena"),
+    ("repro.parallel.executor", "ShardPool"),
+    ("repro.parallel.executor", "workers_from_env"),
+    ("repro.service.runtime", "ServiceConfig"),
+    ("repro.service.runtime", "DecoService"),
+    ("repro.service.pool", "WarmWorkerPool"),
+    ("repro.service.queue", "DurableQueue"),
+    ("repro.service.queue", "TokenBucket"),
+    ("repro.service.cache", "PlanCache"),
+    ("repro.service.http", "ServiceClient"),
+    ("repro.wlog.engine", "Engine"),
+    ("repro.wlog.analysis", "analyze_program"),
+    ("repro.wlog.analysis", "check_program"),
+    ("repro.wlog.analysis", "reject_fatal"),
+    ("repro.wlog.diagnostics", "make"),
+    ("repro.wlog.library", "ensemble_program"),
+    ("repro.wlog.probir", "translate"),
+    ("repro.wlog.imports", "ImportRegistry"),
+    ("repro.workflow.runtime_model", "RuntimeModel"),
+]
+
+#: Parameters no program file passes, and why each one stays.
+NO_CALLER_NEEDED = {
+    ("Deco", "faults"): "worker engines rebuilt from Deco.spec() get a fault model only here",
+    ("Deco", "recovery"): "worker engines rebuilt from Deco.spec() get a recovery policy only here",
+    ("GenericSearch", "analytic_min_tasks"): "the Monte-Carlo-only reference solve (no tier 0)",
+    ("translate", "deterministic"): "the p = 1 reference the interpreter is compared with",
+    ("TokenBucket", "clock"): "the fake-clock seam of the token-bucket tests",
+    ("ServiceClient", "timeout_s"): "a deployment setting of the HTTP client",
+}
 
 
 def test_every_engine_parameter_has_a_caller(catalog):
-    """Every parameter of ``Deco(...)``, ``Deco.schedule`` and
-    ``Deco.solve_program`` is passed -- by keyword or by position -- by
-    some call under ``src/`` (outside ``engine/deco.py``), ``benchmarks/``
-    or ``examples/``.  A setting only tests pass is one more option every
-    test and benchmark must cover for no caller."""
-    from repro.engine.deco import Deco
+    """Every parameter of every :data:`ENTRY_POINTS` row is passed -- by
+    keyword or by position -- by some call under ``src/``,
+    ``benchmarks/`` or ``examples/``, unless :data:`NO_CALLER_NEEDED`
+    says why not.  A setting only tests pass is one more option every
+    test and benchmark must cover for no caller: it is a constant."""
+    import importlib
 
-    entry_points = {"Deco": Deco, "schedule": Deco.schedule, "solve_program": Deco.solve_program}
-    parameters = {
-        name: [p for p in inspect.signature(fn).parameters if p != "self"]
-        for name, fn in entry_points.items()
-    }
+    parameters = {}
+    for module, qualname in ENTRY_POINTS:
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+        parameters[qualname.rpartition(".")[2]] = [
+            p.name
+            for p in inspect.signature(target).parameters.values()
+            if p.name != "self" and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        ]
     repo = Path(SRC).parent
-    own = Path(inspect.getfile(Deco)).resolve()
-    passed = set(SPEC_ONLY_PARAMETERS)
+    passed = set(NO_CALLER_NEEDED)
     for top in ("src", "benchmarks", "examples"):
         for path in (repo / top).rglob("*.py"):
-            if path.resolve() == own:
-                continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if not isinstance(node, ast.Call):
                     continue
@@ -463,8 +506,11 @@ def test_every_engine_parameter_has_a_caller(catalog):
                 )
                 passed.update((name, p) for p in parameters[name][: len(positional)])
                 passed.update((name, kw.arg) for kw in node.keywords if kw.arg is not None)
-    uncalled = [(name, p) for name, ps in parameters.items() for p in ps if (name, p) not in passed]
-    assert uncalled == []
+    declared = {(name, p) for name, ps in parameters.items() for p in ps}
+    assert set(NO_CALLER_NEEDED) <= declared  # no stale reason
+    assert sorted(declared - passed) == []
     # What a worker engine is rebuilt from: every constructor argument but
     # ``workers`` (a rebuilt engine always solves in-process).
+    from repro.engine.deco import Deco
+
     assert set(Deco(catalog).spec()) == set(parameters["Deco"]) - {"workers"}

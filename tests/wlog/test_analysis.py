@@ -286,11 +286,6 @@ class TestCheckProgram:
         returned = check_program(src)
         assert checks_of(returned) == ["W304"]
 
-    def test_strict_promotes_warnings(self):
-        src = CLEAN + "orphan(X) :- item(X).\n"
-        with pytest.raises(WLogAnalysisError):
-            check_program(src, strict=True)
-
     def test_clean_program_returns_empty(self):
         assert check_program(CLEAN) == []
 

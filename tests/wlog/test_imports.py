@@ -70,10 +70,6 @@ class TestMaterialize:
         second = registry.materialize(("amazonec2", "pipe"))
         assert second.prob_facts[0].histogram is hist
 
-    def test_explicit_runtime_model_is_used_for_every_catalog(self, catalog, runtime_model):
-        reg = ImportRegistry(runtime_model=runtime_model)
-        assert reg.runtime_model_for(catalog) is runtime_model
-
     def test_exetime_histogram_means_sane(self, registry, runtime_model):
         mat = registry.materialize(("amazonec2", "pipe"))
         wf = mat.workflows["pipe"]

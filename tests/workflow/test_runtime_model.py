@@ -219,7 +219,3 @@ class TestTensors:
         clone = pickle.loads(pickle.dumps(model))
         assert not clone._matrix_memo and len(model._matrix_memo) == 1
         assert np.array_equal(clone.mean_matrix(wf), model.mean_matrix(wf))
-
-    def test_invalid_bins(self, catalog):
-        with pytest.raises(ValidationError):
-            RuntimeModel(catalog, histogram_bins=0)
