@@ -15,7 +15,7 @@ Subpackages
     runtime model.
 ``repro.cloud``
     IaaS cloud substrate: instance catalog, pricing, network, the
-    discrete-event simulator, calibration micro-benchmarks, metadata store.
+    discrete-event simulator, calibration micro-benchmarks.
 ``repro.wlog``
     The WLog declarative language: parser, unification, SLD resolution,
     built-ins, the probabilistic IR and Monte Carlo inference.

@@ -46,12 +46,6 @@ class Interval:
     def __add__(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
 
-    def scale(self, factor: float) -> "Interval":
-        """Multiply by a nonnegative constant."""
-        if factor < 0:
-            raise ValidationError(f"scale factor must be >= 0, got {factor}")
-        return Interval(self.lo * factor, self.hi * factor)
-
     def max(self, other: "Interval") -> "Interval":
         """Interval of ``max(x, y)`` for x, y in the operands."""
         return Interval(max(self.lo, other.lo), max(self.hi, other.hi))
@@ -61,9 +55,6 @@ class Interval:
         return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
 
     # Queries --------------------------------------------------------------
-
-    def contains(self, value: float) -> bool:
-        return self.lo <= value <= self.hi
 
     @property
     def width(self) -> float:

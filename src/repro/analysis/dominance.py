@@ -35,10 +35,6 @@ class OpMask:
         if unknown:
             raise ValueError(f"unknown transformation ops: {sorted(unknown)}")
 
-    def allows(self, op: str) -> bool:
-        """Whether ``op`` still has moves on this program."""
-        return op not in self.disabled_ops
-
 
 def _structural_disabled(
     parent_indices: tuple[tuple[int, ...], ...], num_types: int

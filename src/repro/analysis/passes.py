@@ -69,14 +69,6 @@ class AnalysisReport:
 
     diagnostics: tuple[Diagnostic, ...]
 
-    @property
-    def errors(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if d.is_error)
-
-    @property
-    def warnings(self) -> tuple[Diagnostic, ...]:
-        return tuple(d for d in self.diagnostics if not d.is_error)
-
 
 def _resolve_imports(ctx: AnalysisContext) -> None:
     """Bind the program's imports to registry objects, sans histograms.

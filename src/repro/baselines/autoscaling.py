@@ -21,6 +21,8 @@ probabilistic deadlines and to over-spend under loose ones.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.common.errors import ValidationError
@@ -30,6 +32,12 @@ from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
 __all__ = ["autoscaling_plan"]
+
+
+def _check_deadline(deadline: float) -> None:
+    # NaN fails every comparison: ``deadline <= 0`` alone lets it through.
+    if not (math.isfinite(deadline) and deadline > 0):
+        raise ValidationError(f"deadline must be a finite number > 0, got {deadline}")
 
 
 def autoscaling_plan(
@@ -50,8 +58,7 @@ def autoscaling_plan(
     call is a handful of array operations; Deco's warm-start ladder
     makes eight per solve.
     """
-    if deadline <= 0:
-        raise ValidationError(f"deadline must be > 0, got {deadline}")
+    _check_deadline(deadline)
     model = runtime_model or RuntimeModel(catalog)
     if not len(workflow):
         return {}
@@ -101,6 +108,7 @@ def autoscaling_plan_calibrated(
     """
     from repro.solver.backends import CompiledProblem, VectorizedBackend
 
+    _check_deadline(deadline)
     model = runtime_model or RuntimeModel(catalog)
     problem = CompiledProblem.compile(
         workflow,

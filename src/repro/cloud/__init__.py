@@ -11,11 +11,10 @@ scratch:
   transfer pricing (the ``K_mn`` of Eq. 9).
 * :mod:`~repro.cloud.network` -- pairwise bandwidth model (intra-region
   bandwidth limited by the slower endpoint; cross-region links slower).
-* :mod:`~repro.cloud.metadata` -- the metadata store consumed by WLog's
-  ``import(cloud)``: instance facts plus performance histograms.
 * :mod:`~repro.cloud.calibration` -- micro-benchmarks that "measure" the
   (simulated) cloud and fit/discretize the results, reproducing the
-  paper's 7-day calibration campaign and Table 2.
+  paper's 7-day calibration campaign and Table 2: they recover the
+  catalog's distributions, which WLog's ``import(cloud)`` reads.
 * :mod:`~repro.cloud.simulator` -- a discrete-event cloud simulator
   (Cloud / Instance / per-second performance dynamics / hourly billing)
   used to *execute* workflows under a provisioning plan.
@@ -33,7 +32,6 @@ from repro.cloud.instance_types import (
 )
 from repro.cloud.pricing import PricingModel
 from repro.cloud.network import NetworkModel
-from repro.cloud.metadata import MetadataStore, PerfRecord
 from repro.cloud.spot import SpotPriceProcess, SpotOutcome, simulate_spot_run
 
 if TYPE_CHECKING:
@@ -62,8 +60,6 @@ __all__ = [
     "EC2_REGIONS",
     "PricingModel",
     "NetworkModel",
-    "MetadataStore",
-    "PerfRecord",
     "Calibrator",
     "CalibrationResult",
     "CloudSimulator",

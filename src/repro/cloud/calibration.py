@@ -2,12 +2,13 @@
 
 The paper measures CPU, sequential I/O (hdparm), random I/O (512 B
 reads) and network (Iperf) once a minute for 7 days (~10,000 samples per
-setting), fits distributions, and stores discretized histograms in the
-metadata store.  This module reproduces that campaign against the
-*simulated* cloud: each "measurement" samples the instance's underlying
+setting), fits distributions and discretizes them into histograms.
+This module reproduces that campaign against the *simulated* cloud: each "measurement" samples the instance's underlying
 performance process, exactly the observation a micro-benchmark would
 make.  The output regenerates the paper's Table 2 (fitted Gamma/Normal
-parameters) and Figs. 6-7 (network traces and histograms).
+parameters) and Figs. 6-7 (network traces and histograms): the
+distributions the catalog carries, which ``import(cloud)`` reads, are
+the ones this campaign recovers.
 """
 
 from __future__ import annotations
@@ -22,10 +23,12 @@ from repro.distributions.fitting import FitResult, best_fit, fit_gamma, fit_norm
 from repro.distributions.histogram import Histogram
 from repro.distributions.parametric import Empirical
 from repro.cloud.instance_types import Catalog
-from repro.cloud.metadata import METRICS, MetadataStore, PerfRecord
 from repro.cloud.network import NetworkModel
 
 __all__ = ["CalibrationResult", "Calibrator"]
+
+#: The three dynamic performance components the paper calibrates.
+METRICS = ("seq_io", "rand_io", "network")
 
 
 @dataclass(frozen=True)
@@ -47,7 +50,7 @@ class CalibrationResult:
 
 
 class Calibrator:
-    """Runs the measurement campaign and populates a metadata store."""
+    """Runs the measurement campaign against the simulated cloud."""
 
     #: Families tried per metric, mirroring the paper's findings
     #: (sequential I/O -> Gamma, random I/O and network -> Normal).
@@ -111,29 +114,6 @@ class Calibrator:
             fit=fit,
             histogram=Histogram.from_samples(samples, bins=20),
         )
-
-    # Full campaign ---------------------------------------------------------
-
-    def run(self, store: MetadataStore | None = None) -> MetadataStore:
-        """Measure every (metric, type) pair into a metadata store.
-
-        This is the periodic, user-transparent calibration the paper
-        describes; re-running it refreshes the histograms in place.
-        """
-        store = store or MetadataStore(self.catalog)
-        for itype in self.catalog:
-            for metric in METRICS:
-                result = self.measure(metric, itype.name)
-                store.put(
-                    PerfRecord(
-                        metric=metric,
-                        instance_type=itype.name,
-                        histogram=result.histogram,
-                        distribution=result.fit.distribution,
-                        source="calibration",
-                    )
-                )
-        return store
 
     def table2(self) -> list[dict[str, object]]:
         """Regenerate the paper's Table 2 rows.

@@ -36,12 +36,6 @@ class NetworkModel:
         self.catalog = catalog
         self.wan = wan or self.DEFAULT_WAN
 
-    def link_distribution(self, type_a: str, type_b: str) -> Distribution:
-        """Analytic intra-region link model: the slower endpoint dominates."""
-        a = self.catalog.type(type_a)
-        b = self.catalog.type(type_b)
-        return a.network if a.network.mean() <= b.network.mean() else b.network
-
     def sample_link(
         self,
         type_a: str,

@@ -15,7 +15,7 @@ with its three components:
   calibration".
 
 The simulator *executes* provisioning plans; the optimizer never sees
-it (it works from the metadata store), which is exactly the separation
+it (it works from the catalog's distributions), which is exactly the separation
 the paper evaluates: plans optimized against calibrated distributions,
 then measured on the dynamic cloud.
 

@@ -67,13 +67,3 @@ class Distribution(abc.ABC):
             dtype=float,
         )
 
-    def variance(self) -> float:
-        """Var[X]; default derives from :meth:`std`."""
-        return self.std() ** 2
-
-    def coefficient_of_variation(self) -> float:
-        """std/mean -- the paper's headline measure of cloud dynamics."""
-        m = self.mean()
-        if m == 0:
-            raise ZeroDivisionError("coefficient of variation of zero-mean distribution")
-        return self.std() / abs(m)

@@ -1,8 +1,9 @@
 """Discretized distributions (histograms) and their arithmetic.
 
 The paper stores calibrated performance distributions as histograms in
-the metadata store; each histogram bin becomes one probabilistic fact of
-the WLog intermediate representation (``p_j : exetime(Tid, Vid, T_j)``).
+its metadata store (here they are discretized from the catalog's
+distributions on demand); each histogram bin becomes one probabilistic
+fact of the WLog intermediate representation (``p_j : exetime(Tid, Vid, T_j)``).
 ``a + b`` is the distribution of the *sum* of two independent
 quantities, a discrete convolution: the runtime model adds a task's
 I/O and network time histograms this way.

@@ -133,6 +133,8 @@ class Deco:
         self.catalog = catalog
         self.seed = _integer("seed", seed)
         self.num_samples = _integer("num_samples", num_samples)
+        if self.num_samples < 1:
+            raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
         max_evaluations = _integer("max_evaluations", max_evaluations)
         self.backend = get_backend(backend)
         #: The :class:`SearchResult` of the most recent solve -- counter

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from typing import Mapping
 
@@ -73,23 +72,6 @@ class ProvisioningPlan:
         data.pop("solve_seconds")
         data.pop("timed_out")
         return data
-
-    # Serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        """Serialize the plan (the artifact handed to a WMS scheduler)."""
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "ProvisioningPlan":
-        """Inverse of :meth:`to_json`; raises on malformed payloads."""
-        data = json.loads(text)
-        if not isinstance(data, dict):
-            raise ValidationError("plan JSON must be an object")
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"malformed plan JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)

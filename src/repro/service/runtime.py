@@ -78,6 +78,10 @@ class ServiceConfig:
     #: :meth:`~repro.engine.deco.Deco.spec` but ``catalog`` (seed,
     #: num_samples, max_evaluations, backend, faults, recovery).
     engine: dict = field(default_factory=dict)
+    #: The picklable worker-engine spec: a cold ``Deco(**engine)``'s
+    #: :meth:`~repro.engine.deco.Deco.spec`, built here so an engine
+    #: value ``Deco`` rejects fails before the journal opens.
+    worker_spec: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("workers", "degrade_depth", "reject_depth", "max_attempts"):
@@ -104,18 +108,13 @@ class ServiceConfig:
             raise ValidationError(
                 f"unknown engine key(s) {unknown}; accepted: {sorted(accepted)}"
             )
+        from repro.cloud import ec2_catalog
 
-
-def _engine_spec(engine_overrides: dict) -> dict:
-    """The picklable worker-engine spec (a cold Deco's :meth:`~repro.engine.deco.Deco.spec`)."""
-    from repro.cloud import ec2_catalog
-    from repro.engine.deco import Deco
-
-    probe = Deco(ec2_catalog(), **engine_overrides)
-    try:
-        return probe.spec()
-    finally:
-        probe.close()
+        probe = Deco(ec2_catalog(), **self.engine)
+        try:
+            self.worker_spec = probe.spec()
+        finally:
+            probe.close()
 
 
 class DecoService:
@@ -127,8 +126,7 @@ class DecoService:
     def __init__(self, config: ServiceConfig | None = None):
         self.config = config or ServiceConfig()
         self.journal = JobJournal(self.config.journal_path)
-        self._spec = _engine_spec(dict(self.config.engine))
-        self.pool = WarmWorkerPool(self._spec, workers=self.config.workers)
+        self.pool = WarmWorkerPool(self.config.worker_spec, workers=self.config.workers)
         self.queue = DurableQueue(
             self.journal, reject_depth=self.config.reject_depth, workers=self.pool.workers
         )

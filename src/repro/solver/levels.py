@@ -21,7 +21,7 @@ what is structurally ~9 levels of independent work.  A
   Padding slots point at a dedicated always-zero row, so "no parent"
   needs no branching.
 
-:meth:`LevelSchedule.propagate` / :meth:`LevelSchedule.makespan` then
+:meth:`LevelSchedule.propagate_permuted` / :meth:`LevelSchedule.makespan` then
 advance one whole level per step with fused gather + ``max``
 reductions over every Monte Carlo lane at once, dropping the
 Python-loop trip count from N (tasks) to D (depth).  The arithmetic
@@ -296,24 +296,6 @@ class LevelSchedule:
                 # Big fan-in, few tasks: one 3-D gather + max reduction.
                 finish[lo:hi] = finish[gather].max(axis=1) + lanes_permuted[lo:hi]
         return finish
-
-    def propagate(self, lanes: np.ndarray) -> np.ndarray:
-        """Finish times for an ``(M, N)`` lane-major, original-order matrix.
-
-        ``lanes[l, i]`` is the execution time of task ``i`` in lane
-        ``l`` (one lane per state x Monte Carlo realization).  Returns
-        the ``(M, N)`` finish-time matrix in the same layout; the
-        makespan is its row max.  Reference entry point (tests, ad-hoc
-        analysis); the backend hot path uses :meth:`propagate_permuted`
-        with pooled buffers.
-        """
-        lanes = np.asarray(lanes)
-        permuted = np.ascontiguousarray(lanes.T).take(self.order, axis=0)
-        finish = self.propagate_permuted(permuted)
-        n = self.num_tasks
-        out = np.empty((n, lanes.shape[0]), dtype=finish.dtype)
-        out[self.order] = finish[:n]
-        return np.ascontiguousarray(out.T)
 
     def makespan(self, lanes_permuted: np.ndarray, **kwargs) -> np.ndarray:
         """Per-lane makespans ``(M,)`` for a permuted task-major matrix."""

@@ -135,17 +135,16 @@ class StateEval:
     mean_makespan: float
     source: str = "mc"
 
-    def better_than(self, other: "StateEval | None", mode: str = "minimize") -> bool:
-        """Feasibility-first comparison used by the search."""
+    def better_than(self, other: "StateEval | None") -> bool:
+        """The feasibility-first incumbent rule, one pair at a time: the
+        scalar reference ``GenericSearch._improvements`` is tested against."""
         if other is None:
             return True
         if self.feasible != other.feasible:
             return self.feasible
         if not self.feasible:
             return self.probability > other.probability
-        if mode == "minimize":
-            return self.cost < other.cost
-        return self.cost > other.cost
+        return self.cost < other.cost
 
 
 def row_keys(assign: np.ndarray) -> list[bytes]:

@@ -14,7 +14,7 @@ from typing import Iterable, Iterator
 
 from repro.common.errors import WLogRuntimeError
 from repro.wlog.builtins import BUILTINS
-from repro.wlog.terms import Atom, Num, Rule, Struct, Term, Var, from_python
+from repro.wlog.terms import Atom, Num, Rule, Struct, Term, Var
 from repro.wlog.unify import Bindings, resolve, unify
 
 __all__ = ["Database", "Engine", "Solution"]
@@ -39,12 +39,6 @@ class Database:
         ind = rule.indicator
         self._preds.setdefault(ind, []).append(rule)
         self._index.pop(ind, None)  # invalidate lazily-built index
-
-    def add_fact(self, functor: str, *args) -> None:
-        """Convenience: add ``functor(args...)`` with Python values lifted."""
-        terms = tuple(from_python(a) for a in args)
-        head: Term = Struct(functor, terms) if terms else Atom(functor)
-        self.add(Rule(head))
 
     def extend(self, rules: Iterable[Rule]) -> None:
         for rule in rules:
@@ -89,9 +83,6 @@ class Database:
         for ind, clauses in self._preds.items():
             db._preds[ind] = list(clauses)
         return db
-
-    def indicators(self) -> tuple[tuple[str, int], ...]:
-        return tuple(sorted(self._preds))
 
 
 def _index_key(term: Term):

@@ -1,8 +1,9 @@
 """The fact registry behind WLog's ``import(...)`` directives.
 
 ``import(montage)`` pulls workflow facts generated from a DAX/workflow
-object; ``import(amazonec2)`` pulls cloud facts from the metadata store
-(Section 4.2 "Workflow- and cloud-specific facts").  The registry holds
+object; ``import(amazonec2)`` pulls cloud facts from the catalog, whose
+performance distributions are the ones calibration recovers (Table 2;
+Section 4.2 "Workflow- and cloud-specific facts").  The registry holds
 named workflow and cloud entries; materializing a program's import list
 produces:
 
@@ -194,8 +195,8 @@ class ImportRegistry:
 
         ``exetime`` facts need both a workflow and a cloud; they are
         generated for every (imported workflow x imported cloud type)
-        pair, mirroring how the paper joins DAX profiles with cloud
-        metadata during IR translation.
+        pair, mirroring how the paper joins DAX profiles with the
+        calibrated cloud distributions during IR translation.
         """
         rules: list[Rule] = []
         prob_facts: list[ProbFactSpec] = []

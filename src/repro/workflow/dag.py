@@ -10,7 +10,7 @@ XML (see :mod:`repro.workflow.dax`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from repro.common.errors import ValidationError
 
@@ -226,42 +226,6 @@ class Workflow:
         if shared:
             return sum(shared)
         return parent.output_bytes
-
-    def total_runtime_ref(self) -> float:
-        """Sum of reference CPU seconds over all tasks."""
-        return sum(t.runtime_ref for t in self._tasks.values())
-
-    # Derivation ----------------------------------------------------------
-
-    def scaled(self, factor: float, name: str | None = None) -> "Workflow":
-        """A copy with every task's ``runtime_ref`` multiplied by ``factor``.
-
-        Used by the ensemble generator to vary workflow "sizes" while
-        keeping the structure (the paper varies input-data scale).
-        """
-        if factor <= 0:
-            raise ValidationError(f"scale factor must be > 0, got {factor}")
-        tasks = [
-            Task(
-                task_id=t.task_id,
-                executable=t.executable,
-                runtime_ref=t.runtime_ref * factor,
-                inputs=t.inputs,
-                outputs=t.outputs,
-            )
-            for t in self._tasks.values()
-        ]
-        return Workflow(name or self.name, tasks, self.edges())
-
-    def map_tasks(self, fn: Callable[[Task], Task], name: str | None = None) -> "Workflow":
-        """A copy with ``fn`` applied to every task (ids must be preserved)."""
-        tasks = []
-        for t in self._tasks.values():
-            new = fn(t)
-            if new.task_id != t.task_id:
-                raise ValidationError("map_tasks must preserve task ids")
-            tasks.append(new)
-        return Workflow(name or self.name, tasks, self.edges())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Workflow({self.name!r}, tasks={len(self)}, edges={self.num_edges()})"

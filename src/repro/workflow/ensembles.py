@@ -119,10 +119,6 @@ class Ensemble:
             raise ValidationError(f"unknown member priorities: {sorted(unknown)}")
         return float(sum(2.0 ** (-p) for p in done))
 
-    def max_score(self) -> float:
-        """The score if every member completes."""
-        return self.score(m.priority for m in self.members)
-
     def with_constraints(
         self,
         budget: float,

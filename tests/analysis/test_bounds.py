@@ -116,14 +116,14 @@ class TestConstraintChecks:
             "\ncons C2 in totalcost(C2) satisfies budget(95%, 0.0001).\n"
         )
         report = analyze_semantics(source, registry=registry)
-        assert "E402" in [d.check for d in report.errors]
+        assert "E402" in [d.check for d in report.diagnostics if d.is_error]
 
     def test_budget_vacuous_is_w402(self, registry):
         source = program_source() + (
             "\ncons C2 in totalcost(C2) satisfies budget(95%, 100000.0).\n"
         )
         report = analyze_semantics(source, registry=registry)
-        assert "W402" in [d.check for d in report.warnings]
+        assert "W402" in [d.check for d in report.diagnostics if not d.is_error]
 
     def test_reliability_unreachable_is_e403(self, registry):
         # Rate 0.9, zero retries: P(all ~25 tasks succeed) ~ 0.1**25,
@@ -133,7 +133,7 @@ class TestConstraintChecks:
             "\ncons P in successprob(P) satisfies reliability(99%, 0).\n"
         )
         report = analyze_semantics(source, registry=registry)
-        assert "E403" in [d.check for d in report.errors]
+        assert "E403" in [d.check for d in report.diagnostics if d.is_error]
 
     def test_reliable_fault_model_is_clean(self, registry):
         source = program_source() + (

@@ -19,9 +19,9 @@ class TestConstruction:
 
     def test_top_contains_everything(self):
         top = Interval.top()
-        assert top.contains(0.0)
-        assert top.contains(1e300)
-        assert top.contains(-1e300)
+        assert top.lo <= 0.0 <= top.hi
+        assert top.lo <= 1e300 <= top.hi
+        assert top.lo <= -1e300 <= top.hi
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
@@ -38,19 +38,11 @@ class TestArithmetic:
     def test_add(self):
         assert Interval(1, 2) + Interval(10, 20) == Interval(11, 22)
 
-    def test_scale(self):
-        assert Interval(1, 2).scale(3.0) == Interval(3, 6)
-
     def test_max(self):
         assert Interval(1, 5).max(Interval(2, 3)) == Interval(2, 5)
 
     def test_join_is_hull(self):
         assert Interval(1, 2).join(Interval(5, 6)) == Interval(1, 6)
-
-    def test_contains(self):
-        iv = Interval(1.0, 2.0)
-        assert iv.contains(1.0) and iv.contains(2.0) and iv.contains(1.5)
-        assert not iv.contains(0.99) and not iv.contains(2.01)
 
 
 class TestDecisions:
@@ -67,4 +59,4 @@ class TestDecisions:
         a, b = Interval(1.5, 2.5), Interval(0.25, 4.0)
         for x in (1.5, 2.0, 2.5):
             for y in (0.25, 1.0, 4.0):
-                assert (a + b).contains(x + y)
+                assert (a + b).lo <= x + y <= (a + b).hi

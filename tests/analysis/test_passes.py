@@ -32,13 +32,14 @@ class TestAnalyzeSemantics:
 
     def test_infeasible_deadline_is_e401(self, registry):
         report = analyze_semantics(program_source(deadline_seconds=5.0), registry=registry)
-        assert [d.check for d in report.errors] == ["E401"]
-        assert "provably unreachable" in report.errors[0].message
-        assert report.errors[0].span is not None  # anchored at the cons directive
+        errors = [d for d in report.diagnostics if d.is_error]
+        assert [d.check for d in errors] == ["E401"]
+        assert "provably unreachable" in errors[0].message
+        assert errors[0].span is not None  # anchored at the cons directive
 
     def test_vacuous_deadline_is_w401(self, registry):
         report = analyze_semantics(program_source(deadline_seconds=1e12), registry=registry)
-        assert [d.check for d in report.warnings] == ["W401"]
+        assert [d.check for d in report.diagnostics if not d.is_error] == ["W401"]
 
     def test_no_registry_still_runs_syntax_level_passes(self):
         # Without a registry nothing semantic can be bounded, but the
@@ -54,7 +55,7 @@ class TestAnalyzeSemantics:
         t0 = time.perf_counter()
         report = analyze_semantics(source, registry=registry)
         elapsed_ms = (time.perf_counter() - t0) * 1e3
-        assert report.errors
+        assert [d for d in report.diagnostics if d.is_error]
         assert elapsed_ms < 50.0, f"semantic gate took {elapsed_ms:.1f} ms"
 
     def test_checks_run_once_in_order(self, monkeypatch, registry):

@@ -80,3 +80,11 @@ class TestCalibrated:
             wf, catalog, 1.0, 99.0, runtime_model, num_samples=30, seed=3
         )
         assert set(plan.values()) == {catalog.fastest().name}
+
+
+@pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 0.0, -1.0])
+@pytest.mark.parametrize("plan", [autoscaling_plan, autoscaling_plan_calibrated])
+def test_deadline_must_be_finite_and_positive(catalog, runtime_model, plan, deadline):
+    # A NaN deadline used to put every task on the fastest type.
+    with pytest.raises(ValidationError, match="finite number > 0"):
+        plan(montage(degrees=1, seed=0), catalog, deadline, runtime_model=runtime_model)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cloud.calibration import Calibrator
-from repro.cloud.metadata import METRICS
 from repro.common.errors import CloudError
 from repro.common.rng import RngService
 
@@ -59,11 +58,6 @@ class TestMeasureLink:
 
 
 class TestRunAndTable2:
-    def test_run_populates_store(self, calibrator, catalog):
-        store = calibrator.run()
-        assert len(store) == len(catalog) * len(METRICS)
-        assert all(r.source == "calibration" for r in store.records())
-
     def test_table2_recovers_ground_truth(self, catalog):
         cal = Calibrator(catalog, RngService(42), num_samples=6000)
         rows = cal.table2()

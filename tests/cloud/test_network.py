@@ -13,22 +13,6 @@ def net(catalog):
 
 
 class TestIntraRegionLinks:
-    def test_slower_endpoint_dominates(self, net):
-        dist = net.link_distribution("m1.medium", "m1.xlarge")
-        assert dist.mean() == net.catalog.type("m1.medium").network.mean()
-
-    def test_symmetric(self, net):
-        a = net.link_distribution("m1.medium", "m1.large")
-        b = net.link_distribution("m1.large", "m1.medium")
-        assert a.mean() == b.mean()
-
-    def test_fig7_ordering(self, net):
-        """large<->large is faster and tighter than medium<->large."""
-        ll = net.link_distribution("m1.large", "m1.large")
-        ml = net.link_distribution("m1.medium", "m1.large")
-        assert ll.mean() > ml.mean()
-        assert ll.coefficient_of_variation() < ml.coefficient_of_variation()
-
     def test_sampled_link_below_both_endpoints(self, net, rng):
         samples = net.sample_link("m1.medium", "m1.large", rng, 500)
         assert np.all(samples > 0)
@@ -42,7 +26,7 @@ class TestIntraRegionLinks:
 class TestCrossRegion:
     def test_wan_slower_than_lan(self, net):
         wan = net.cross_region_distribution("us-east-1", "ap-southeast-1")
-        lan = net.link_distribution("m1.small", "m1.small")
+        lan = net.catalog.type("m1.small").network  # a link between two equal endpoints
         assert wan.mean() < lan.mean()
 
     def test_same_region_rejected(self, net):

@@ -276,6 +276,12 @@ class TestNumbersAreNotCoerced:
         with pytest.raises(ValidationError, match=name):
             Deco(catalog, **{name: value})
 
+    @pytest.mark.parametrize("num_samples", [0, -1])
+    def test_no_samples_rejected_at_construction(self, catalog, num_samples):
+        # Used to construct and fail only at the first solve.
+        with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+            Deco(catalog, num_samples=num_samples)
+
     def test_numpy_integers_accepted(self, catalog):
         import numpy as np
 

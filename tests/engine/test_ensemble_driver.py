@@ -56,7 +56,7 @@ class TestDecide:
         ens = Ensemble(ensemble.name, ensemble.members, budget=1e9)
         decision = driver.decide(ens, plans=plans)
         assert decision.num_admitted == len(ensemble)
-        assert decision.total_score == pytest.approx(ens.max_score())
+        assert decision.total_score == pytest.approx(ens.score(m.priority for m in ens.members))
 
     def test_budget_respected(self, driver, ensemble, plans):
         total = sum(p.expected_cost for p in plans.values())

@@ -145,6 +145,14 @@ class TestHappyPath:
         assert "max_evaluations" in str(info.value)  # the accepted keys are listed
         assert not journal.parent.exists()
 
+    def test_engine_value_deco_rejects_fails_before_the_journal_opens(self, tmp_path):
+        """A service whose engine cannot solve used to start and
+        dead-letter every job."""
+        journal = tmp_path / "journal" / "jobs.jsonl"
+        with pytest.raises(ValidationError, match="num_samples must be >= 1"):
+            ServiceConfig(journal_path=str(journal), engine={"num_samples": 0})
+        assert not journal.parent.exists()
+
     @pytest.mark.parametrize(
         "name, value",
         [

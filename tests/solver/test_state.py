@@ -74,11 +74,6 @@ class TestStateEval:
         b = self._ev(1.0, 0.5, False)
         assert a.better_than(b)
 
-    def test_maximize_mode(self):
-        a = self._ev(2.0, 1.0, True)
-        b = self._ev(1.0, 1.0, True)
-        assert a.better_than(b, mode="maximize")
-
     def test_anything_beats_none(self):
         assert self._ev(1.0, 0.0, False).better_than(None)
 

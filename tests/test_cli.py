@@ -490,6 +490,19 @@ class TestServeFlags:
         assert code == 2
         assert "max_attempts must be an integer >= 1, got 0" in text
 
+    def test_rejects_no_samples_before_the_journal_opens(self, tmp_path, monkeypatch):
+        import repro.service.http
+
+        def started(*args, **kwargs):
+            raise AssertionError("the service started")
+
+        monkeypatch.setattr(repro.service.http, "ServiceServer", started)
+        journal = tmp_path / "journal" / "jobs.jsonl"
+        code, text = run_cli(["serve", "--samples", "0", "--journal", str(journal)])
+        assert code == 2
+        assert "num_samples must be >= 1, got 0" in text
+        assert not journal.parent.exists()
+
 
 class TestSubmitFlags:
     def test_rejects_unknown_backend(self):

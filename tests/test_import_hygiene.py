@@ -514,3 +514,70 @@ def test_every_engine_parameter_has_a_caller(catalog):
     from repro.engine.deco import Deco
 
     assert set(Deco(catalog).spec()) == set(parameters["Deco"]) - {"workers"}
+
+
+#: Public methods no file under ``src/``, ``benchmarks/`` or
+#: ``examples/`` names, and why each one stays.
+TEST_ONLY_METHODS = {
+    "EnsembleDriver.decide_via_wlog": "the WLog reference semantics of use case 2",
+    "FollowCostDriver.wlog_choose_region": "the WLog reference semantics of use case 3",
+    "StateEval.better_than": "the scalar incumbent rule GenericSearch._improvements is tested against",
+    "Handler.do_GET": "BaseHTTPRequestHandler dispatches it by name",
+    "Handler.do_POST": "BaseHTTPRequestHandler dispatches it by name",
+    "Handler.log_message": "BaseHTTPRequestHandler calls it by name",
+    "DecoService.run_until_idle": "the synchronous dispatcher driver of the service tests and chaos run",
+}
+
+
+def _public_methods(tree: ast.Module) -> list[tuple[str, str]]:
+    """``(qualname, name)`` of every public function in the body of a
+    public class, nested classes (also those inside functions) included;
+    properties, classmethods and staticmethods are functions too."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                if child.name.startswith("_"):
+                    continue
+                qualname = prefix + child.name
+                found.extend(
+                    (f"{qualname}.{item.name}", item.name)
+                    for item in child.body
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not item.name.startswith("_")
+                )
+                visit(child, qualname + ".")
+            else:
+                visit(child, prefix)
+
+    visit(tree, "")
+    return found
+
+
+def test_every_public_method_has_a_program_caller():
+    """Every public method of every public class under ``src/repro`` is
+    named by some file under ``src/``, ``benchmarks/`` or ``examples/``
+    -- as a name, an attribute, an import alias or an identifier string
+    (``getattr`` dispatch, ``LAYER_SPANS``) -- unless
+    :data:`TEST_ONLY_METHODS` says why not.  Tests do not count: a
+    method only they call is dead code they keep alive."""
+    repo = Path(SRC).parent
+    named: set[str] = set()
+    for top in ("src", "benchmarks", "examples"):
+        for path in (repo / top).rglob("*.py"):
+            named |= _used_names(path)
+            named.update(
+                node.value
+                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                if isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and node.value.isidentifier()
+            )
+    methods = [
+        method
+        for path in _src_modules().values()
+        for method in _public_methods(ast.parse(path.read_text(), str(path)))
+    ]
+    assert set(TEST_ONLY_METHODS) <= {qualname for qualname, _ in methods}  # no stale reason
+    assert sorted(q for q, name in methods if name not in named and q not in TEST_ONLY_METHODS) == []

@@ -5,11 +5,16 @@ import pytest
 from repro.common.errors import WLogRuntimeError
 from repro.wlog.engine import Database, Engine
 from repro.wlog.parser import parse_program
-from repro.wlog.terms import Atom, Num
+from repro.wlog.terms import Atom, Num, Rule, Struct, from_python
 
 
 def engine_from(src: str) -> Engine:
     return Engine(Database(parse_program(src).rules))
+
+
+def fact(functor: str, *args) -> Rule:
+    """``functor(args...)`` with Python values lifted."""
+    return Rule(Struct(functor, tuple(from_python(a) for a in args)))
 
 
 FAMILY = """
@@ -103,14 +108,14 @@ class TestRenaming:
 class TestDatabase:
     def test_add_fact_lifts_python_values(self):
         db = Database()
-        db.add_fact("price", "vm0", 0.044)
+        db.add(fact("price", "vm0", 0.044))
         e = Engine(db)
         assert e.first("price(vm0, P)")["P"] == Num(0.044)
 
     def test_first_argument_indexing(self):
         db = Database()
         for i in range(100):
-            db.add_fact("exetime", f"t{i}", "vm0", float(i))
+            db.add(fact("exetime", f"t{i}", "vm0", float(i)))
         clauses = db.clauses(("exetime", 3), Atom("t5"))
         assert len(clauses) == 1
 
@@ -121,17 +126,17 @@ class TestDatabase:
 
     def test_clone_isolated(self):
         db = Database()
-        db.add_fact("f", "a")
+        db.add(fact("f", "a"))
         clone = db.clone()
-        clone.add_fact("f", "b")
+        clone.add(fact("f", "b"))
         assert len(db.clauses(("f", 1))) == 1
         assert len(clone.clauses(("f", 1))) == 2
 
     def test_index_invalidated_on_add(self):
         db = Database()
-        db.add_fact("f", "a", 1.0)
+        db.add(fact("f", "a", 1.0))
         db.clauses(("f", 2), Atom("a"))  # build index
-        db.add_fact("f", "a", 2.0)
+        db.add(fact("f", "a", 2.0))
         assert len(db.clauses(("f", 2), Atom("a"))) == 2
 
 

@@ -115,33 +115,3 @@ class TestTransferBytes:
     def test_requires_edge(self, diamond):
         with pytest.raises(ValidationError):
             diamond.transfer_bytes("b", "c")
-
-
-class TestDerivation:
-    def test_scaled_multiplies_runtimes(self, diamond):
-        scaled = diamond.scaled(2.0)
-        for tid in diamond.task_ids:
-            assert scaled.task(tid).runtime_ref == pytest.approx(
-                2.0 * diamond.task(tid).runtime_ref
-            )
-        assert list(scaled.edges()) == list(diamond.edges())
-
-    def test_scaled_rejects_nonpositive(self, diamond):
-        with pytest.raises(ValidationError):
-            diamond.scaled(0.0)
-
-    def test_map_tasks_preserves_ids(self, diamond):
-        import dataclasses
-
-        out = diamond.map_tasks(lambda t: dataclasses.replace(t, runtime_ref=1.0))
-        assert all(out.task(tid).runtime_ref == 1.0 for tid in out.task_ids)
-
-    def test_map_tasks_rejects_id_change(self, diamond):
-        import dataclasses
-
-        with pytest.raises(ValidationError):
-            diamond.map_tasks(lambda t: dataclasses.replace(t, task_id=t.task_id + "x"))
-
-    def test_total_runtime_ref(self, diamond):
-        expected = sum(t.runtime_ref for t in diamond)
-        assert diamond.total_runtime_ref() == pytest.approx(expected)

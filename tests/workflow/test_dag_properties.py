@@ -86,8 +86,3 @@ def test_makespan_monotone_in_task_times(wf, seed):
     bumped[0, idx] += 5.0
     assert makespan_samples(wf, bumped)[0] >= makespan_samples(wf, base)[0] - 1e-12
 
-
-@given(dags())
-def test_scaling_runtimes_scales_total(wf):
-    scaled = wf.scaled(3.0)
-    assert np.isclose(scaled.total_runtime_ref(), 3.0 * wf.total_runtime_ref())

@@ -57,7 +57,7 @@ class TestEnsemble:
         e = Ensemble("e", make_members(4), budget=10.0)
         assert e.score([0, 1]) == pytest.approx(1.5)
         assert e.score([]) == 0.0
-        assert e.max_score() == pytest.approx(1.875)
+        assert e.score(m.priority for m in e.members) == pytest.approx(1.875)
 
     def test_score_rejects_unknown_priority(self):
         e = Ensemble("e", make_members(2), budget=1.0)
