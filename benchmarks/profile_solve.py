@@ -4,6 +4,7 @@
     python3 benchmarks/profile_solve.py montage-1 --kernel
     python3 benchmarks/profile_solve.py montage-1 --split
     python3 benchmarks/profile_solve.py --imports
+    python3 benchmarks/profile_solve.py --wlog
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
@@ -38,6 +39,15 @@ call, grouped into array *kernels*, per-candidate *bookkeeping* and the
 costs well under a microsecond.  A name in :data:`SPLIT` that the tree
 does not have is an error, so a rename cannot silently move time out of
 a group.  No timing threshold.
+
+``--wlog`` splits the ``wlog-declarative`` request instead: a fresh
+engine and registry per request, ``Deco.solve_program`` on the bundled
+scheduling program over a 1-task pipeline (generator seeds
+:data:`WLOG_SEEDS`, deadline ``medium``, 96th percentile).  Every phase
+in :data:`WLOG_PHASES` -- parse, check, semantic, translate, compile,
+warm start, solve -- is wrapped as in ``--split``; it prints each
+phase's median ms per request over :data:`WLOG_ROUNDS` rounds of the
+seeds, and its share of the median request.  No timing threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -94,6 +104,9 @@ ENGINE = {"seed": 7, "num_samples": 150, "max_evaluations": 1500}
 PARENTS, EDITS = 8, 6  # one beam iteration: expand_per_iter parents, ~6 MC-bound children each
 
 SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
+
+WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarative
+WLOG_ROUNDS = 40  # --wlog: requests per seed
 
 REUSED = ("makespan", "frontier", "moments")  # --warm: the caches whose reuse is printed
 
@@ -332,6 +345,71 @@ def split_report(family: str) -> int:
     return 0
 
 
+#: ``--wlog``: the phases of ``Deco.solve_program``, as (phase, owner, attribute).
+#: ``check_program``, ``translate`` and ``compile_or_raise`` are wrapped where
+#: the engine looks them up: as globals of ``repro.engine.deco``.
+WLOG_PHASES = (
+    ("parse", "repro.wlog.program:WLogProgram", "from_source"),
+    ("check", "repro.engine.deco", "check_program"),
+    ("semantic", "repro.analysis", "analyze_semantics"),
+    ("translate", "repro.engine.deco", "translate"),
+    ("compile", "repro.engine.deco", "compile_or_raise"),
+    ("warm start", "repro.engine.deco:Deco", "_warm_starts"),
+    ("solve", "repro.engine.deco:Deco", "_solve"),
+)
+
+
+def wlog_report() -> int:
+    """Median per-phase wall time of the ``wlog-declarative`` request."""
+    from repro.engine.plan import deadline_presets
+    from repro.wlog.imports import ImportRegistry
+    from repro.wlog.library import scheduling_program
+
+    catalog = ec2_catalog()
+    requests = []
+    for seed in WLOG_SEEDS:
+        workflow = generators.pipeline(1, seed=seed)
+        source = scheduling_program(
+            cloud="amazonec2", workflow="pipeline", percentile=96.0,
+            deadline_seconds=deadline_presets(workflow, catalog).medium,
+        )
+        requests.append((workflow, source))
+
+    def request(workflow, source):
+        registry = ImportRegistry()
+        registry.register_cloud("amazonec2", catalog)
+        registry.register_workflow("pipeline", workflow)
+        return Deco(catalog, **ENGINE).solve_program(source, registry)
+
+    request(*requests[0])  # imports and lazy set-up
+    totals, restore = _install_split(WLOG_PHASES)
+    samples: dict[str, list[float]] = {phase: [] for phase, _owner, _attr in WLOG_PHASES}
+    ops = []
+    try:
+        for _ in range(WLOG_ROUNDS):
+            for workflow, source in requests:
+                before = {key: sec for key, (_calls, sec) in totals.items()}
+                t0 = time.perf_counter()
+                request(workflow, source)
+                ops.append(time.perf_counter() - t0)
+                for key, (_calls, sec) in totals.items():
+                    samples[key[0]].append(sec - before.get(key, 0.0))
+    finally:
+        restore()
+    op_ms = statistics.median(ops) * 1e3
+    print(f"wlog-declarative: {len(ops)} requests (pipeline seeds {WLOG_SEEDS.start}-"
+          f"{WLOG_SEEDS.stop - 1}, {WLOG_ROUNDS} rounds), median request {op_ms:.3f} ms "
+          f"(timers on)")
+    print(f"  {'phase':<12} {'ms':>7} {'share':>6}")
+    rest = op_ms
+    for phase, times in samples.items():
+        ms = statistics.median(times) * 1e3 if times else 0.0
+        rest -= ms
+        print(f"  {phase:<12} {ms:7.3f} {ms / op_ms:6.3f}")
+    print(f"  {'other':<12} {rest:7.3f} {rest / op_ms:6.3f}")
+    return 0
+
+
 COLD_COMMANDS = {
     "import numpy": ["-c", "import numpy"],
     "import repro.engine.deco": ["-c", "import repro.engine.deco"],
@@ -415,6 +493,8 @@ def main() -> int:
     ap.add_argument("--top", type=int, default=25)
     ap.add_argument("--kernel", action="store_true",
                     help="delta-kernel counts and delta-vs-full timing instead of cProfile")
+    ap.add_argument("--wlog", action="store_true",
+                    help="median per-phase split of the wlog-declarative request")
     ap.add_argument("--split", action="store_true",
                     help="exclusive wall time per solver function over cold solves of the "
                          "family (perf_counter wrappers, no cProfile)")
@@ -422,8 +502,10 @@ def main() -> int:
 
     if args.imports:
         return imports_report()
+    if args.wlog:
+        return wlog_report()
     if args.workflow is None:
-        ap.error("a workflow is required unless --imports is given")
+        ap.error("a workflow is required unless --imports or --wlog is given")
     if args.split:
         return split_report(args.workflow)
     workflow = WORKFLOWS[args.workflow](args.seed)

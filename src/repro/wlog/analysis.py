@@ -44,7 +44,9 @@ from __future__ import annotations
 
 import difflib
 import re
-from typing import Iterable, Iterator, Sequence, Union
+from collections import Counter
+from operator import attrgetter
+from typing import Iterable, Sequence, Union
 
 from repro.common.errors import WLogAnalysisError
 from repro.wlog.builtins import BUILTINS, builtin_arities
@@ -83,11 +85,11 @@ _META_GOALS: dict[Indicator, tuple[int, ...]] = {
 
 _NEGATION: frozenset[Indicator] = frozenset({("\\+", 1), ("not", 1)})
 
+#: Functors of the goals whose variables do not simply flow left to right.
+_SCOPES = frozenset({"\\+", "not", "findall", "bagof", "setof", "forall", ","})
+
 #: Comparisons whose operands are arithmetic expressions (must be bound).
 _ARITH_COMPARE = frozenset({"=:=", "=\\=", "<", ">", "=<", ">="})
-
-#: Term-level comparisons/unification; may bind, never need arithmetic.
-_TERM_COMPARE = frozenset({"==", "\\==", "="})
 
 #: Solver hints the engine understands (``enabled(...)`` arguments).
 KNOWN_HINTS = frozenset({"astar"})
@@ -111,45 +113,55 @@ def pragma_assumes(source: str) -> set[Indicator]:
     return out
 
 
-def _iter_vars(term: Term) -> Iterator[Var]:
-    stack = [term]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Var):
-            yield t
-        elif isinstance(t, Struct):
-            stack.extend(reversed(t.args))
+def _occurrences(term: Term, out: list[Var] | None = None) -> list[Var]:
+    """The named (not ``_``-prefixed) variable occurrences of ``term``,
+    left to right, appended to ``out``."""
+    # ``type(...) is`` rather than ``isinstance``: the term classes have no
+    # subclasses, and this walk runs once per clause term.
+    if out is None:
+        out = []
+    if type(term) is Struct:
+        for arg in term.args:
+            if type(arg) is Struct:
+                _occurrences(arg, out)
+            elif type(arg) is Var and arg.name[:1] != "_":
+                out.append(arg)
+    elif type(term) is Var and term.name[:1] != "_":
+        out.append(term)
+    return out
+
+
+_NAME = attrgetter("name")
 
 
 def _named_vars(term: Term) -> set[str]:
-    return {v.name for v in _iter_vars(term) if not v.name.startswith("_")}
+    return set(map(_NAME, _occurrences(term)))
 
 
-def _iter_calls(goal: Term, negated: bool = False) -> Iterator[tuple[Term, Indicator, bool]]:
+def _calls(
+    goal: Term, negated: bool = False, out: list[tuple[Term, Indicator, bool]] | None = None
+) -> list[tuple[Term, Indicator, bool]]:
     """Every predicate call in a goal tree: ``(term, indicator, negated)``.
 
     Built-in calls are filtered out; meta-call arguments (``findall``
     goals, negated goals...) are descended into.
     """
-    if isinstance(goal, (Var, Num)):
-        return
-    if isinstance(goal, Atom):
-        if goal.name == "!":
-            return
-        ind = (goal.name, 0)
-        if ind not in BUILTINS:
-            yield goal, ind, negated
-        return
+    if out is None:
+        out = []
     if isinstance(goal, Struct):
         ind = goal.indicator
-        if ind in _META_GOALS:
+        meta = _META_GOALS.get(ind)
+        if meta is not None:
             neg = negated or ind in _NEGATION
-            for pos in _META_GOALS[ind]:
-                yield from _iter_calls(goal.args[pos], neg)
-            return
-        if ind in BUILTINS:
-            return
-        yield goal, ind, negated
+            for pos in meta:
+                _calls(goal.args[pos], neg, out)
+        elif ind not in BUILTINS:
+            out.append((goal, ind, negated))
+    elif isinstance(goal, Atom) and goal.name != "!":
+        ind = (goal.name, 0)
+        if ind not in BUILTINS:
+            out.append((goal, ind, negated))
+    return out
 
 
 def _goal_span(term: Term, fallback: Span | None) -> Span | None:
@@ -185,6 +197,11 @@ class _Analyzer:
         self.defined: dict[Indicator, list[Rule]] = {}
         for rule in self.rules:
             self.defined.setdefault(rule.indicator, []).append(rule)
+        # Every rule's body calls, walked once for the call, stratification
+        # and reachability checks.
+        self.rule_calls: list[list[tuple[Term, Indicator, bool]]] = [
+            [call for goal in rule.body for call in _calls(goal)] for rule in self.rules
+        ]
 
     def emit(self, check: str, message: str, span: Span | None) -> None:
         self.diags.append(make(check, message, span))
@@ -398,10 +415,6 @@ class _Analyzer:
             # success probability) whenever a fault model is declared.
             known.add(("successprob", 1))
 
-        candidate_names = sorted(
-            {n for (n, _a) in known} | {n for (n, _a) in BUILTINS}
-        )
-
         def check_call(term: Term, ind: Indicator, fallback: Span | None) -> None:
             if ind in known or ind in BUILTINS:
                 return
@@ -416,7 +429,7 @@ class _Analyzer:
                     span,
                 )
                 return
-            hint = _suggest(name, candidate_names)
+            hint = _suggest(name, sorted({n for (n, _a) in known} | {n for (n, _a) in BUILTINS}))
             self.emit(
                 "E201",
                 f"unknown predicate {name}/{arity}"
@@ -424,94 +437,105 @@ class _Analyzer:
                 span,
             )
 
-        for rule in self.rules:
-            for goal in rule.body:
-                for term, ind, _neg in _iter_calls(goal):
-                    check_call(term, ind, rule.span)
+        for rule, calls in zip(self.rules, self.rule_calls):
+            for term, ind, _neg in calls:
+                check_call(term, ind, rule.span)
         for d in self.goals:
             spec = d.payload
             if isinstance(spec, GoalSpec):
-                for term, ind, _neg in _iter_calls(spec.predicate):
+                for term, ind, _neg in _calls(spec.predicate):
                     check_call(term, ind, d.span)
         for d in self.cons:
             spec = d.payload
             if isinstance(spec, ConsSpec):
-                for term, ind, _neg in _iter_calls(spec.predicate):
+                for term, ind, _neg in _calls(spec.predicate):
                     check_call(term, ind, d.span)
         for d in self.vars:
             spec = d.payload
             if isinstance(spec, VarSpec):
                 for domain in spec.domains:
-                    for term, ind, _neg in _iter_calls(domain):
+                    for term, ind, _neg in _calls(domain):
                         check_call(term, ind, d.span)
 
     # Variable checks -------------------------------------------------------
 
     def check_rule_variables(self) -> None:
         for rule in self.rules:
-            occurrences: dict[str, list[Var]] = {}
-            for term in (rule.head, *rule.body):
-                for v in _iter_vars(term):
-                    if not v.name.startswith("_"):
-                        occurrences.setdefault(v.name, []).append(v)
-            for name, occs in occurrences.items():
-                if len(occs) == 1:
+            # One walk per clause term, shared by the singleton and flow checks.
+            occurrences = [_occurrences(term) for term in (rule.head, *rule.body)]
+            first: dict[str, Var] = {}
+            repeated: set[str] = set()
+            for occs in occurrences:
+                for v in occs:
+                    if v.name in first:
+                        repeated.add(v.name)
+                    else:
+                        first[v.name] = v
+            for name, v in first.items():
+                if name not in repeated:
                     self.emit(
                         "W301",
                         f"singleton variable {name} (use _{name} if intentional)",
-                        _goal_span(occs[0], rule.span),
-                    )
-            bound = set(_named_vars(rule.head))
-            for goal in rule.body:
-                bound = self._flow_goal(goal, bound, rule)
-
-    def _flow_goal(self, goal: Term, bound: set[str], rule: Rule) -> set[str]:
-        """Left-to-right binding propagation through one body goal."""
-        if not isinstance(goal, Struct):
-            return bound
-        ind = goal.indicator
-        if ind == ("is", 2):
-            lhs, rhs = goal.args
-            self._require_bound(rhs, bound, rule, context="arithmetic (is/2)")
-            return bound | _named_vars(lhs) | _named_vars(rhs)
-        if goal.functor in _ARITH_COMPARE and goal.arity == 2:
-            self._require_bound(goal, bound, rule, context=f"comparison ({goal.functor})")
-            return bound | _named_vars(goal)
-        if goal.functor in _TERM_COMPARE and goal.arity == 2:
-            return bound | _named_vars(goal)
-        if ind in _NEGATION:
-            inner = goal.args[0]
-            for v in _iter_vars(inner):
-                if not v.name.startswith("_") and v.name not in bound:
-                    self.emit(
-                        "E206",
-                        f"variable {v.name} occurs free under \\+; negation as "
-                        f"failure cannot bind it (bind it before the negation "
-                        f"or use an anonymous _{v.name})",
                         _goal_span(v, rule.span),
                     )
-                    bound = bound | {v.name}  # report once
-            # Inner bindings do not escape the negation.
-            self._flow_goal(inner, set(bound), rule)
-            return bound
-        if ind in (("findall", 3), ("bagof", 3), ("setof", 3)):
-            _template, inner, result = goal.args
-            self._flow_goal(inner, set(bound), rule)
-            return bound | _named_vars(result)
-        if ind == ("forall", 2):
-            scratch = set(bound)
-            scratch = self._flow_goal(goal.args[0], scratch, rule)
-            self._flow_goal(goal.args[1], scratch, rule)
-            return bound
-        if ind == (",", 2):
-            bound = self._flow_goal(goal.args[0], bound, rule)
-            return self._flow_goal(goal.args[1], bound, rule)
-        # Ordinary call (or call/1): any argument may be bound by it.
-        return bound | _named_vars(goal)
+            bound = set(map(_NAME, occurrences[0]))
+            for goal, occs in zip(rule.body, occurrences[1:]):
+                self._flow_goal(goal, bound, rule, occs)
 
-    def _require_bound(self, expr: Term, bound: set[str], rule: Rule, context: str) -> None:
-        for v in _iter_vars(expr):
-            if not v.name.startswith("_") and v.name not in bound:
+    def _flow_goal(
+        self, goal: Term, bound: set[str], rule: Rule, occurrences: list[Var] | None = None
+    ) -> set[str]:
+        """Left-to-right binding propagation through one body goal.
+
+        Adds the variables the goal binds to ``bound`` and returns it.
+        ``occurrences`` are the goal's named variables when the caller has them.
+        """
+        if not isinstance(goal, Struct):
+            return bound
+        functor, arity = goal.functor, len(goal.args)
+        if functor in _SCOPES:
+            ind = (functor, arity)
+            if ind in _NEGATION:
+                inner = goal.args[0]
+                for v in _occurrences(inner):
+                    if v.name not in bound:
+                        self.emit(
+                            "E206",
+                            f"variable {v.name} occurs free under \\+; negation as "
+                            f"failure cannot bind it (bind it before the negation "
+                            f"or use an anonymous _{v.name})",
+                            _goal_span(v, rule.span),
+                        )
+                        bound.add(v.name)  # report once
+                # Inner bindings do not escape the negation.
+                self._flow_goal(inner, set(bound), rule)
+                return bound
+            if ind in (("findall", 3), ("bagof", 3), ("setof", 3)):
+                _template, inner, result = goal.args
+                self._flow_goal(inner, set(bound), rule)
+                bound.update(map(_NAME, _occurrences(result)))
+                return bound
+            if ind == ("forall", 2):
+                scratch = self._flow_goal(goal.args[0], set(bound), rule)
+                self._flow_goal(goal.args[1], scratch, rule)
+                return bound
+            if ind == (",", 2):
+                self._flow_goal(goal.args[0], bound, rule)
+                return self._flow_goal(goal.args[1], bound, rule)
+        # is/2, a comparison, or an ordinary call (or call/1), which may
+        # bind any argument: every variable of the goal is bound after it.
+        if occurrences is None:
+            occurrences = _occurrences(goal)
+        if arity == 2 and functor == "is":
+            self._require_bound(_occurrences(goal.args[1]), bound, rule, "arithmetic (is/2)")
+        elif arity == 2 and functor in _ARITH_COMPARE:
+            self._require_bound(occurrences, bound, rule, f"comparison ({functor})")
+        bound.update(map(_NAME, occurrences))
+        return bound
+
+    def _require_bound(self, occurrences: list[Var], bound: set[str], rule: Rule, context: str) -> None:
+        for v in occurrences:
+            if v.name not in bound:
                 self.emit(
                     "E205",
                     f"variable {v.name} is unbound at its first use in {context}",
@@ -523,13 +547,12 @@ class _Analyzer:
     def check_stratification(self) -> None:
         adjacency: dict[Indicator, set[Indicator]] = {}
         negative_edges: list[tuple[Indicator, Indicator, Rule]] = []
-        for rule in self.rules:
+        for rule, calls in zip(self.rules, self.rule_calls):
             head = rule.indicator
-            for goal in rule.body:
-                for _term, ind, negated in _iter_calls(goal):
-                    adjacency.setdefault(head, set()).add(ind)
-                    if negated:
-                        negative_edges.append((head, ind, rule))
+            for _term, ind, negated in calls:
+                adjacency.setdefault(head, set()).add(ind)
+                if negated:
+                    negative_edges.append((head, ind, rule))
         reported: set[tuple[Indicator, Indicator]] = set()
         for head, target, rule in negative_edges:
             if (head, target) in reported:
@@ -564,8 +587,13 @@ class _Analyzer:
     # Duplicates & reachability --------------------------------------------
 
     def check_duplicates(self) -> None:
+        # Only rules with the same head indicator and body length can be
+        # equal up to renaming: the others need no canonical form.
+        shapes = Counter((rule.indicator, len(rule.body)) for rule in self.rules)
         seen: dict[object, Rule] = {}
         for rule in self.rules:
+            if shapes[rule.indicator, len(rule.body)] == 1:
+                continue
             key = _canonical_rule(rule)
             first = seen.get(key)
             if first is None:
@@ -587,28 +615,24 @@ class _Analyzer:
         for d in self.goals:
             spec = d.payload
             if isinstance(spec, GoalSpec):
-                roots.update(ind for _t, ind, _n in _iter_calls(spec.predicate))
+                roots.update(ind for _t, ind, _n in _calls(spec.predicate))
         for d in self.cons:
             spec = d.payload
             if isinstance(spec, ConsSpec):
-                roots.update(ind for _t, ind, _n in _iter_calls(spec.predicate))
+                roots.update(ind for _t, ind, _n in _calls(spec.predicate))
         for d in self.vars:
             spec = d.payload
             if isinstance(spec, VarSpec):
                 if isinstance(spec.declaration, Struct):
                     roots.add(spec.declaration.indicator)
                 for domain in spec.domains:
-                    roots.update(ind for _t, ind, _n in _iter_calls(domain))
+                    roots.update(ind for _t, ind, _n in _calls(domain))
         if any(str(d.payload) == "astar" for d in self.enabled):
             roots.update({("cal_g_score", 1), ("est_h_score", 1)})
 
         adjacency: dict[Indicator, set[Indicator]] = {}
-        for rule in self.rules:
-            head = rule.indicator
-            for goal in rule.body:
-                adjacency.setdefault(head, set()).update(
-                    ind for _t, ind, _n in _iter_calls(goal)
-                )
+        for rule, calls in zip(self.rules, self.rule_calls):
+            adjacency.setdefault(rule.indicator, set()).update(ind for _t, ind, _n in calls)
         reachable = set(roots)
         frontier = list(roots)
         while frontier:

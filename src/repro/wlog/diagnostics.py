@@ -16,6 +16,7 @@ and syntax errors point at programs identically.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.common.errors import format_source_context
 
@@ -135,9 +136,12 @@ def checks_markdown() -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class Span:
-    """A half-open source region; positions are 1-based, end exclusive."""
+class Span(NamedTuple):
+    """A half-open source region; positions are 1-based, end exclusive.
+
+    A tuple, so the parser builds one per term cheaply; it compares and
+    hashes by its four fields.
+    """
 
     line: int
     column: int

@@ -8,52 +8,64 @@ Prolog-style lexical structure plus WLog's literal extensions:
 * comments are ``/* ... */`` only (the ``%`` character is reserved for
   percent literals, as in all of the paper's listings).
 
-Token kinds: ``ATOM``, ``VAR``, ``NUM``, ``PERCENT``, ``STRING``,
-``PUNCT`` (including multi-character operators), ``END`` (the clause
-terminator ``.``), ``EOF``.
+Token kinds: ``ATOM``, ``VAR``, ``NUM``, ``PERCENT``, ``PUNCT``
+(including multi-character operators), ``END`` (the clause terminator
+``.``), ``EOF``.
+
+One compiled regex makes one match per token: the match skips the
+whitespace and comments before the token, and its named group says what
+the token is.  Lines and columns come from offsets, so a newline counts
+as a line wherever it is -- also escaped inside a quoted atom.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NoReturn
+import re
+from itertools import accumulate
+from typing import Any, NamedTuple
 
 from repro.common.errors import WLogSyntaxError
 
-__all__ = ["Token", "tokenize"]
+__all__ = ["Token", "tokenize", "scan"]
 
 #: Multi-character operators, longest first so prefixes don't shadow them.
 _OPERATORS = (
-    ":-",
-    "\\==",
-    "==",
-    "=<",
-    ">=",
-    "=:=",
-    "=\\=",
-    "->",
-    "\\+",
-    "=",
-    "<",
-    ">",
-    "+",
-    "-",
-    "*",
-    "/",
-    ",",
-    "(",
-    ")",
-    "[",
-    "]",
-    "|",
-    "!",
+    ":-", "\\==", "==", "=<", ">=", "=:=", "=\\=", "->", "\\+",
+    "=", "<", ">", "+", "-", "*", "/", ",", "(", ")", "[", "]", "|", "!",
 )
 
 _UNIT_SECONDS = {"s": 1.0, "m": 60.0, "h": 3600.0, "d": 86400.0}
 
+# ``\d`` is a decimal digit (what ``float`` reads) and ``\w`` is
+# ``str.isalnum()`` or ``_``.  Alternatives are tried in order, the
+# common kinds first; BAD* stop the scan with an error, and so does a
+# WORD that starts with a digit that is not decimal (``²``).  A
+# terminated comment is consumed by the possessive skip and never given
+# back, and ``/`` is an operator only when no ``*`` follows it, so
+# ``/*`` reaches BADCOMMENT only when no ``*/`` follows.
+_TOKEN = re.compile(
+    r"""(?:[ \t\r\n]+|/\*[\s\S]*?\*/)*+(?:
+      (?P<VAR>[A-Z_]\w*)
+    | (?P<ATOM>[a-z]\w*)
+    | (?P<PUNCT>%s)
+    | (?P<NUM>\d+(?:\.\d+)?|\.\d+)(?:(?P<PERCENT>%%)|(?P<DURATION>[smhd])(?!\w))?
+    | (?P<END>\.)
+    | (?P<QUOTED>'(?:[^'\\\n]|\\[\s\S])*'|"(?:[^"\\\n]|\\[\s\S])*")
+    | (?P<BADQUOTE>['"])
+    | (?P<WORD>\w+)
+    | (?P<BADCOMMENT>/\*)
+    | (?P<EOF>\Z)
+    | (?P<BAD>[\s\S])
+    )"""
+    % "|".join(re.escape(op) + ("(?!\\*)" if op == "/" else "") for op in _OPERATORS),
+    re.VERBOSE,
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+_ESCAPED = {"n": "\n", "t": "\t"}
+_ERRORS = {"BADCOMMENT": "unterminated /* comment", "BADQUOTE": "unterminated quoted atom"}
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token with its source position (1-based)."""
 
     kind: str
@@ -65,122 +77,67 @@ class Token:
         return f"{self.kind}({self.value!r})@{self.line}:{self.column}"
 
 
+def _unescape(match: re.Match[str]) -> str:
+    return _ESCAPED.get(match[1], match[1])
+
+
+def scan(text: str) -> list[tuple[str, Any, int, int]]:
+    """Tokenize into ``(tag, value, line, column)`` tuples.
+
+    A token's tag is its kind, except that a ``PUNCT`` token's tag is
+    the operator itself -- so a parser decides on one string compare.
+    The last token is ``EOF``.  Raises :class:`WLogSyntaxError` at the
+    first character that starts no token.
+    """
+    tokens: list[tuple[str, Any, int, int]] = []
+    append = tokens.append
+    # The offset each line after the first starts at, then one past the
+    # text: a token is on the line after every start at or before it.
+    line_starts = list(accumulate(len(row) + 1 for row in text.split("\n")))
+    line, line_start, next_line_start = 1, 0, line_starts[0]
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        assert kind is not None  # every alternative is a named group
+        start, end = match.span(kind)
+        while start >= next_line_start:
+            line_start = next_line_start
+            next_line_start = line_starts[line]
+            line += 1
+        if kind == "VAR" or kind == "ATOM":
+            append((kind, text[start:end], line, start - line_start + 1))
+        elif kind == "PUNCT":
+            op = text[start:end]
+            append((op, op, line, start - line_start + 1))
+        elif kind == "NUM" or kind == "PERCENT" or kind == "DURATION":
+            number = float(match["NUM"])
+            if kind == "DURATION":
+                kind, number = "NUM", number * _UNIT_SECONDS[text[start]]
+            start = match.start("NUM")
+            append((kind, number, line, start - line_start + 1))
+        elif kind == "END":
+            append((kind, ".", line, start - line_start + 1))
+        elif kind == "QUOTED":
+            name = text[start + 1 : end - 1]
+            if "\\" in name:
+                name = _ESCAPE.sub(_unescape, name)
+            append(("ATOM", name, line, start - line_start + 1))
+        elif kind == "WORD" and text[start].isalpha():
+            kind = "VAR" if text[start].isupper() else "ATOM"
+            append((kind, text[start:end], line, start - line_start + 1))
+        elif kind == "EOF":
+            append((kind, None, line, start - line_start + 1))
+            break  # after trailing blanks, finditer would match EOF again
+        else:
+            message = _ERRORS.get(kind) or f"unexpected character {text[start]!r}"
+            raise WLogSyntaxError(message, line, start - line_start + 1, source=text)
+    return tokens
+
+
+_KINDS = {op: "PUNCT" for op in _OPERATORS}
+
+
 def tokenize(text: str) -> list[Token]:
     """Tokenize WLog source text; raises :class:`WLogSyntaxError` on junk."""
-    tokens: list[Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-
-    def error(msg: str) -> NoReturn:
-        raise WLogSyntaxError(msg, line, col, source=text)
-
-    while i < n:
-        ch = text[i]
-
-        # Whitespace ----------------------------------------------------
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
-            continue
-
-        # Comments ------------------------------------------------------
-        if text.startswith("/*", i):
-            end = text.find("*/", i + 2)
-            if end < 0:
-                error("unterminated /* comment")
-            for c in text[i : end + 2]:
-                if c == "\n":
-                    line += 1
-                    col = 1
-                else:
-                    col += 1
-            i = end + 2
-            continue
-
-        start_line, start_col = line, col
-
-        # Numbers (with optional % or duration-unit suffix) --------------
-        if ch.isdigit() or (ch == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (text[j].isdigit() or (text[j] == "." and not seen_dot)):
-                if text[j] == ".":
-                    # A '.' followed by a non-digit is the clause terminator.
-                    if j + 1 >= n or not text[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            value = float(text[i:j])
-            kind = "NUM"
-            if j < n and text[j] == "%":
-                kind = "PERCENT"
-                j += 1
-            elif (
-                j < n
-                and text[j] in _UNIT_SECONDS
-                and (j + 1 >= n or not (text[j + 1].isalnum() or text[j + 1] == "_"))
-            ):
-                value *= _UNIT_SECONDS[text[j]]
-                j += 1
-            col += j - i
-            tokens.append(Token(kind, value, start_line, start_col))
-            i = j
-            continue
-
-        # Quoted atoms / strings ------------------------------------------
-        if ch in "'\"":
-            quote = ch
-            j = i + 1
-            buf = []
-            while j < n and text[j] != quote:
-                if text[j] == "\n":
-                    error("unterminated quoted atom")
-                if text[j] == "\\" and j + 1 < n:
-                    buf.append({"n": "\n", "t": "\t", "\\": "\\", quote: quote}.get(text[j + 1], text[j + 1]))
-                    j += 2
-                else:
-                    buf.append(text[j])
-                    j += 1
-            if j >= n:
-                error("unterminated quoted atom")
-            col += j + 1 - i
-            tokens.append(Token("ATOM", "".join(buf), start_line, start_col))
-            i = j + 1
-            continue
-
-        # Identifiers: variables and atoms ---------------------------------
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "VAR" if (word[0].isupper() or word[0] == "_") else "ATOM"
-            col += j - i
-            tokens.append(Token(kind, word, start_line, start_col))
-            i = j
-            continue
-
-        # Clause terminator -------------------------------------------------
-        if ch == ".":
-            tokens.append(Token("END", ".", start_line, start_col))
-            i += 1
-            col += 1
-            continue
-
-        # Operators / punctuation -------------------------------------------
-        for op in _OPERATORS:
-            if text.startswith(op, i):
-                tokens.append(Token("PUNCT", op, start_line, start_col))
-                i += len(op)
-                col += len(op)
-                break
-        else:
-            error(f"unexpected character {ch!r}")
-
-    tokens.append(Token("EOF", None, line, col))
-    return tokens
+    return [
+        Token(_KINDS.get(tag, tag), value, line, column) for tag, value, line, column in scan(text)
+    ]

@@ -14,27 +14,34 @@ arithmetic/comparison operators used by the paper's programs
 (``is``, ``==``, ``\\==``, ``<``, ``>``, ``=<``, ``>=``, ``=:=``,
 ``=\\=``, ``=``, ``+``, ``-``, ``*``, ``/``), negation-as-failure
 ``\\+`` and cut ``!``.
+
+Recursive descent over the lexer's ``(tag, value, line, column)`` tuples
+(:func:`repro.wlog.lexer.scan`).  One method, :meth:`_Parser.term`,
+parses a term at one of three levels -- a goal (``!``, ``\\+``, a
+comparison), an arithmetic expression, or a primary -- so a leaf with no
+operator after it costs one call, and every decision looks at the
+current token's tag once.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from typing import NoReturn
 
 from repro.common.errors import WLogSyntaxError
 from repro.wlog.diagnostics import Span
-from repro.wlog.lexer import Token, tokenize
+from repro.wlog.lexer import scan
 from repro.wlog.program import ConsSpec, Directive, FaultSpec, GoalSpec, VarSpec
 from repro.wlog.terms import NIL, Atom, Num, Rule, Struct, Term, Var, make_list
 
 __all__ = ["parse_program", "parse_term", "parse_query", "ParsedProgram"]
 
-_COMPARISONS = ("==", "\\==", "=<", ">=", "=:=", "=\\=", "<", ">", "=")
+#: Term levels, loosest first: what :meth:`_Parser.term` may consume.
+_GOAL, _EXPRESSION, _PRIMARY = 0, 1, 2
 
+#: Comparison operator -> length of its span.
+_COMPARISONS = {op: len(op) for op in ("==", "\\==", "=<", ">=", "=:=", "=\\=", "<", ">", "=")}
 
-def _token_span(tok: Token, length: int = 1) -> Span:
-    return Span(tok.line, tok.column, tok.line, tok.column + length)
-
+_ARITHMETIC = frozenset({"+", "-", "*", "/"})
 
 class ParsedProgram:
     """The raw parse result: rules plus classified directives.
@@ -53,258 +60,255 @@ class ParsedProgram:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], source: str = ""):
-        self.tokens = tokens
+    def __init__(self, source: str):
+        self.tokens = scan(source)
         self.source = source
         self.pos = 0
+        self.anonymous = 0  # '_' occurrences so far: the nth is named _#n
 
-    # Token helpers -----------------------------------------------------
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    # Errors -------------------------------------------------------------
 
     def error(self, msg: str) -> NoReturn:
-        tok = self.cur
-        raise WLogSyntaxError(msg, tok.line, tok.column, source=self.source)
+        _tag, _value, line, column = self.tokens[self.pos]
+        raise WLogSyntaxError(msg, line, column, source=self.source)
 
-    def advance(self) -> Token:
-        tok = self.cur
+    def expect(self, tag: str) -> None:
+        """Consume a token tagged ``tag`` (``END`` or an operator)."""
+        if self.tokens[self.pos][0] != tag:
+            self.error(f"expected {tag!r}, found {self.found()}")
         self.pos += 1
-        return tok
 
-    def at(self, kind: str, value: object | None = None) -> bool:
-        tok = self.cur
-        return tok.kind == kind and (value is None or tok.value == value)
+    def found(self) -> str:
+        tag, value, _line, _column = self.tokens[self.pos]
+        return "end of input" if tag == "EOF" else repr(value)
 
-    def at_atom(self, name: str) -> bool:
-        return self.at("ATOM", name)
-
-    def expect(self, kind: str, value: object | None = None) -> Token:
-        if not self.at(kind, value):
-            want = value if value is not None else kind
-            self.error(f"expected {want!r}, found {self.cur.value!r}")
-        return self.advance()
+    def at_word(self, word: str) -> bool:
+        tag, value, _line, _column = self.tokens[self.pos]
+        return tag == "ATOM" and value == word
 
     # Program -----------------------------------------------------------
 
     def parse_program(self) -> ParsedProgram:
         out = ParsedProgram(source=self.source)
-        while not self.at("EOF"):
+        tokens = self.tokens
+        while tokens[self.pos][0] != "EOF":
             self.parse_clause(out)
         return out
 
-    def _clause_span(self, start: Token) -> Span:
-        """Span from a clause's first token through its just-consumed END."""
-        end = self.tokens[self.pos - 1]
-        return Span(start.line, start.column, end.line, end.column + 1)
-
     def parse_clause(self, out: ParsedProgram) -> None:
-        start = self.cur
-        if self.at_atom("goal"):
-            self.advance()
-            directive = self.parse_goal_directive()
-        elif self.at_atom("cons"):
-            self.advance()
-            directive = self.parse_cons_directive()
-        elif self.at_atom("var") and not self._looks_like_callable():
-            self.advance()
-            directive = self.parse_var_directive()
-        else:
-            term = self.parse_goal_term()
-            directive = self._classify_directive(term)
-            if directive is not None and not self.at("PUNCT", ":-"):
-                self.expect("END")
-                out.directives.append(
-                    dataclasses.replace(directive, span=self._clause_span(start))
-                )
-                return
-            if self.at("PUNCT", ":-"):
-                self.advance()
-                body = tuple(self.parse_body())
+        tokens, start = self.tokens, self.pos
+        tag, word, _line, _column = tokens[start]
+        if tag == "ATOM" and word in ("goal", "cons", "var") and (
+            word != "var" or tokens[start + 1][0] != "("  # a predicate named var
+        ):
+            self.pos += 1
+            payload: object
+            if word == "goal":
+                payload = self.parse_goal_directive()
+            elif word == "cons":
+                payload = self.parse_cons_directive()
             else:
-                body = ()
-            self.expect("END")
-            out.rules.append(Rule(term, body, span=self._clause_span(start)))
+                payload = self.parse_var_directive()
+            out.directives.append(Directive(word, payload, self._clause_span(start)))
             return
-        out.directives.append(dataclasses.replace(directive, span=self._clause_span(start)))
+        head = self.term(_GOAL)
+        neck = tokens[self.pos][0] == ":-"
+        classified = None if neck else _classify_directive(head)
+        if classified is not None:
+            self.expect("END")
+            out.directives.append(Directive(*classified, self._clause_span(start)))
+            return
+        body: tuple[Term, ...] = ()
+        if neck:
+            self.pos += 1
+            body = tuple(self.parse_body())
+        self.expect("END")
+        out.rules.append(Rule(head, body, span=self._clause_span(start)))
 
-    def _looks_like_callable(self) -> bool:
-        """Distinguish the ``var`` keyword from a predicate named var."""
-        nxt = self.tokens[self.pos + 1]
-        return nxt.kind == "PUNCT" and nxt.value == "("
-
-    @staticmethod
-    def _classify_directive(term: Term) -> Directive | None:
-        if isinstance(term, Struct) and term.indicator == ("import", 1):
-            arg = term.args[0]
-            if isinstance(arg, Atom):
-                return Directive("import", arg.name)
-        if isinstance(term, Struct) and term.indicator == ("enabled", 1):
-            arg = term.args[0]
-            if isinstance(arg, Atom):
-                return Directive("enabled", arg.name)
-        if isinstance(term, Struct) and term.indicator == ("fault_model", 2):
-            rate, mtbf = term.args
-            if isinstance(rate, Num) and isinstance(mtbf, Num):
-                return Directive(
-                    "fault_model", FaultSpec(rate=float(rate.value), mtbf=float(mtbf.value))
-                )
-        return None
+    def _clause_span(self, start: int) -> Span:
+        """Span from a clause's first token through its just-consumed END."""
+        _tag, _value, line, column = self.tokens[start]
+        _tag, _value, end_line, end_column = self.tokens[self.pos - 1]
+        return Span(line, column, end_line, end_column + 1)
 
     # Directives ----------------------------------------------------------
 
-    def parse_goal_directive(self) -> Directive:
-        if self.at_atom("minimize") or self.at_atom("maximize"):
-            mode = self.advance().value
-        else:
+    def parse_goal_directive(self) -> GoalSpec:
+        if not (self.at_word("minimize") or self.at_word("maximize")):
             self.error("goal directive must start with 'minimize' or 'maximize'")
-        objective = self.parse_expression()
+        mode = self.tokens[self.pos][1]
+        self.pos += 1
+        objective = self.term(_EXPRESSION)
         if not isinstance(objective, Var):
             self.error("goal objective must be a variable (e.g. 'minimize Ct in ...')")
-        self.expect("ATOM", "in")
-        pred = self.parse_goal_term()
+        if not self.at_word("in"):
+            self.error(f"expected 'in', found {self.found()}")
+        self.pos += 1
+        predicate = self.term(_GOAL)
         self.expect("END")
-        return Directive("goal", GoalSpec(mode=str(mode), objective=objective, predicate=pred))
+        return GoalSpec(mode=mode, objective=objective, predicate=predicate)
 
-    def parse_cons_directive(self) -> Directive:
-        first = self.parse_expression()
+    def parse_cons_directive(self) -> ConsSpec:
+        first = self.term(_EXPRESSION)
         variable: Var | None = None
-        predicate: Term
-        if isinstance(first, Var) and self.at_atom("in"):
+        predicate = first
+        if isinstance(first, Var) and self.at_word("in"):
             variable = first
-            self.advance()
-            predicate = self.parse_goal_term()
-        else:
-            predicate = first
+            self.pos += 1
+            predicate = self.term(_GOAL)
         requirement: Term | None = None
-        if self.at_atom("satisfies"):
-            self.advance()
-            requirement = self.parse_goal_term()
+        if self.at_word("satisfies"):
+            self.pos += 1
+            requirement = self.term(_GOAL)
         self.expect("END")
-        return Directive(
-            "cons", ConsSpec(variable=variable, predicate=predicate, requirement=requirement)
-        )
+        return ConsSpec(variable=variable, predicate=predicate, requirement=requirement)
 
-    def parse_var_directive(self) -> Directive:
-        decl = self.parse_goal_term()
+    def parse_var_directive(self) -> VarSpec:
+        declaration = self.term(_GOAL)
         domains: list[Term] = []
-        if self.at_atom("forall"):
-            self.advance()
-            domains.append(self.parse_goal_term())
-            while self.at_atom("and"):
-                self.advance()
-                domains.append(self.parse_goal_term())
+        if self.at_word("forall"):
+            self.pos += 1
+            domains.append(self.term(_GOAL))
+            while self.at_word("and"):
+                self.pos += 1
+                domains.append(self.term(_GOAL))
         self.expect("END")
-        return Directive("var", VarSpec(declaration=decl, domains=tuple(domains)))
+        return VarSpec(declaration=declaration, domains=tuple(domains))
 
-    # Rule bodies -----------------------------------------------------------
+    # Terms -----------------------------------------------------------------
 
     def parse_body(self) -> list[Term]:
-        goals = [self.parse_goal_term()]
-        while self.at("PUNCT", ","):
-            self.advance()
-            goals.append(self.parse_goal_term())
+        """Goals separated by ``,`` (a rule body, arguments, a list)."""
+        goals = [self.term(_GOAL)]
+        tokens = self.tokens
+        while tokens[self.pos][0] == ",":
+            self.pos += 1
+            goals.append(self.term(_GOAL))
         return goals
 
-    def parse_goal_term(self) -> Term:
-        """One body goal: expression, optionally joined by a comparison."""
-        if self.at("PUNCT", "!"):
-            tok = self.advance()
-            return Atom("!", span=_token_span(tok))
-        if self.at("PUNCT", "\\+"):
-            tok = self.advance()
-            return Struct("\\+", (self.parse_goal_term(),), span=_token_span(tok, 2))
-        left = self.parse_expression()
-        if self.at_atom("is"):
-            tok = self.advance()
-            return Struct("is", (left, self.parse_expression()), span=_token_span(tok, 2))
-        for op in _COMPARISONS:
-            if self.at("PUNCT", op):
-                tok = self.advance()
-                return Struct(op, (left, self.parse_expression()), span=_token_span(tok, len(op)))
-        return left
+    def term(self, level: int) -> Term:
+        """One term at ``level``: a goal, an expression or a primary.
 
-    # Expressions -------------------------------------------------------------
-
-    def parse_expression(self) -> Term:
-        left = self.parse_mul()
-        while self.at("PUNCT", "+") or self.at("PUNCT", "-"):
-            op = self.advance().value
-            left = Struct(str(op), (left, self.parse_mul()))
-        return left
-
-    def parse_mul(self) -> Term:
-        left = self.parse_primary()
-        while self.at("PUNCT", "*") or self.at("PUNCT", "/"):
-            op = self.advance().value
-            left = Struct(str(op), (left, self.parse_primary()))
-        return left
-
-    def parse_primary(self) -> Term:
-        tok = self.cur
-        if tok.kind in ("NUM", "PERCENT"):
-            self.advance()
-            return Num(float(tok.value))
-        if tok.kind == "PUNCT" and tok.value == "-":
-            self.advance()
-            inner = self.parse_primary()
-            if isinstance(inner, Num):
-                return Num(-inner.value)
-            return Struct("-", (Num(0.0), inner))
-        if tok.kind == "VAR":
-            self.advance()
-            span = _token_span(tok, len(str(tok.value)))
-            if tok.value == "_":
-                # Each underscore is a distinct anonymous variable.
-                return Var(f"_G{id(tok)}", span=span)
-            return Var(str(tok.value), span=span)
-        if tok.kind == "ATOM":
-            self.advance()
-            name = str(tok.value)
-            span = _token_span(tok, len(name))
-            if self.at("PUNCT", "("):
-                self.advance()
-                args = [self.parse_goal_term()]
-                while self.at("PUNCT", ","):
-                    self.advance()
-                    args.append(self.parse_goal_term())
-                self.expect("PUNCT", ")")
-                return Struct(name, tuple(args), span=span)
-            return Atom(name, span=span)
-        if tok.kind == "PUNCT" and tok.value == "(":
-            self.advance()
-            inner = self.parse_goal_term()
+        A goal is ``!``, ``\\+ Goal``, or an expression optionally joined
+        to another by ``is`` or a comparison; an expression is primaries
+        joined by ``* /`` and then ``+ -`` (left-associative).
+        """
+        tokens = self.tokens
+        pos = self.pos
+        tag, value, line, column = tokens[pos]
+        if tag == "ATOM":
+            span = Span(line, column, line, column + len(value))
+            if tokens[pos + 1][0] == "(":
+                self.pos = pos + 2
+                args = self.parse_body()
+                self.expect(")")
+                left: Term = Struct(value, args, span)
+            else:
+                self.pos = pos + 1
+                left = Atom(value, span)
+        elif tag == "VAR":
+            span = Span(line, column, line, column + len(value))
+            if value == "_":
+                # Each underscore is a distinct anonymous variable, named
+                # by its place in this parse with a '#' no source can spell.
+                self.anonymous += 1
+                value = f"_#{self.anonymous}"
+            self.pos = pos + 1
+            left = Var(value, 0, span)
+        elif tag == "NUM" or tag == "PERCENT":
+            self.pos = pos + 1
+            left = Num(value)
+        elif tag == "(":
             # A parenthesized conjunction (e.g. inside findall/3) becomes
             # nested ','/2 structures, right-associated.
-            conj = [inner]
-            while self.at("PUNCT", ","):
-                self.advance()
-                conj.append(self.parse_goal_term())
-            self.expect("PUNCT", ")")
-            inner = conj[-1]
-            for g in reversed(conj[:-1]):
-                inner = Struct(",", (g, inner))
-            return inner
-        if tok.kind == "PUNCT" and tok.value == "[":
-            return self.parse_list()
-        self.error(f"unexpected token {tok.value!r}")
+            self.pos = pos + 1
+            conj = self.parse_body()
+            self.expect(")")
+            left = conj[-1]
+            for goal in reversed(conj[:-1]):
+                left = Struct(",", (goal, left))
+        elif tag == "[":
+            left = self.parse_list()
+        elif tag == "-":
+            self.pos = pos + 1
+            inner = self.term(_PRIMARY)
+            left = Num(-inner.value) if isinstance(inner, Num) else Struct("-", (Num(0.0), inner))
+        elif level == _GOAL and tag == "!":
+            self.pos = pos + 1
+            return Atom("!", Span(line, column, line, column + 1))
+        elif level == _GOAL and tag == "\\+":
+            self.pos = pos + 1
+            return Struct("\\+", (self.term(_GOAL),), Span(line, column, line, column + 2))
+        elif tag == "EOF":
+            self.error("unexpected end of input")
+        else:
+            self.error(f"unexpected token {value!r}")
+
+        if level == _PRIMARY:
+            return left
+        tag, value, line, column = tokens[self.pos]
+        if tag in _ARITHMETIC:
+            left = self._arithmetic(left)
+            tag, value, line, column = tokens[self.pos]
+        if level == _GOAL:
+            length = _COMPARISONS.get(tag)
+            if length is None and tag == "ATOM" and value == "is":
+                tag, length = "is", 2
+            if length is not None:
+                self.pos += 1
+                right = self.term(_EXPRESSION)
+                return Struct(tag, (left, right), Span(line, column, line, column + length))
+        return left
+
+    def _arithmetic(self, left: Term) -> Term:
+        """The ``* /`` then ``+ -`` operators after the primary ``left``."""
+        tokens = self.tokens
+        while (op := tokens[self.pos][0]) == "*" or op == "/":
+            self.pos += 1
+            left = Struct(op, (left, self.term(_PRIMARY)))
+        while (op := tokens[self.pos][0]) == "+" or op == "-":
+            self.pos += 1
+            right = self.term(_PRIMARY)
+            while (mul := tokens[self.pos][0]) == "*" or mul == "/":
+                self.pos += 1
+                right = Struct(mul, (right, self.term(_PRIMARY)))
+            left = Struct(op, (left, right))
+        return left
 
     def parse_list(self) -> Term:
-        self.expect("PUNCT", "[")
-        if self.at("PUNCT", "]"):
-            self.advance()
+        self.pos += 1  # '['
+        tokens = self.tokens
+        if tokens[self.pos][0] == "]":
+            self.pos += 1
             return NIL
-        items = [self.parse_goal_term()]
-        while self.at("PUNCT", ","):
-            self.advance()
-            items.append(self.parse_goal_term())
+        items = self.parse_body()
         tail: Term = NIL
-        if self.at("PUNCT", "|"):
-            self.advance()
-            tail = self.parse_goal_term()
-        self.expect("PUNCT", "]")
+        if tokens[self.pos][0] == "|":
+            self.pos += 1
+            tail = self.term(_GOAL)
+        self.expect("]")
         return make_list(items, tail)
+
+    def expect_end_of_input(self, what: str) -> None:
+        tag, value, _line, _column = self.tokens[self.pos]
+        if tag not in ("EOF", "END"):
+            self.error(f"trailing input after {what}: {value!r}")
+
+
+def _classify_directive(term: Term) -> tuple[str, object] | None:
+    """``import(a)``, ``enabled(a)`` and ``fault_model(R, M)`` facts."""
+    if not isinstance(term, Struct):
+        return None
+    indicator = term.indicator
+    if indicator == ("import", 1) or indicator == ("enabled", 1):
+        arg = term.args[0]
+        if isinstance(arg, Atom):
+            return term.functor, arg.name
+    elif indicator == ("fault_model", 2):
+        rate, mtbf = term.args
+        if isinstance(rate, Num) and isinstance(mtbf, Num):
+            return "fault_model", FaultSpec(rate=float(rate.value), mtbf=float(mtbf.value))
+    return None
 
 
 # Public API -------------------------------------------------------------------
@@ -312,22 +316,20 @@ class _Parser:
 
 def parse_program(text: str) -> ParsedProgram:
     """Parse WLog source into rules + directives."""
-    return _Parser(tokenize(text), source=text).parse_program()
+    return _Parser(text).parse_program()
 
 
 def parse_term(text: str) -> Term:
     """Parse a single term (no trailing period required)."""
-    parser = _Parser(tokenize(text), source=text)
-    term = parser.parse_goal_term()
-    if not parser.at("EOF") and not parser.at("END"):
-        parser.error(f"trailing input after term: {parser.cur.value!r}")
+    parser = _Parser(text)
+    term = parser.term(_GOAL)
+    parser.expect_end_of_input("term")
     return term
 
 
 def parse_query(text: str) -> list[Term]:
     """Parse a comma-separated conjunction of goals (no trailing period)."""
-    parser = _Parser(tokenize(text), source=text)
+    parser = _Parser(text)
     goals = parser.parse_body()
-    if not parser.at("EOF") and not parser.at("END"):
-        parser.error(f"trailing input after query: {parser.cur.value!r}")
+    parser.expect_end_of_input("query")
     return goals

@@ -178,6 +178,14 @@ class TestLint:
         assert code == 1
         assert "E101" in text and ":1:6" in text
 
+    def test_non_decimal_digit_reported_as_diagnostic(self, tmp_path):
+        prog = tmp_path / "digit.wlog"
+        prog.write_text("x(A) :- A is \u00b2.\n")
+        code, text = run_cli(["lint", str(prog)])
+        assert code == 1
+        assert "E101" in text and ":1:14" in text
+        assert "unexpected character" in text
+
     def test_strict_promotes_warnings(self, tmp_path):
         prog = tmp_path / "warn.wlog"
         prog.write_text(

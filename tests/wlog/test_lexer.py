@@ -91,3 +91,45 @@ class TestErrors:
 
     def test_eof_token_present(self):
         assert tokenize("")[-1].kind == "EOF"
+
+
+class TestUnicodeDigits:
+    def test_non_decimal_digit_is_a_syntax_error(self):
+        # '²'.isdigit() is true, but float('²') raises ValueError.
+        with pytest.raises(WLogSyntaxError) as exc:
+            tokenize("x(A) :- A is ².")
+        assert exc.value.base_message == "unexpected character '²'"
+        assert (exc.value.line, exc.value.column) == (1, 14)
+
+    def test_non_decimal_digit_ends_a_number(self):
+        with pytest.raises(WLogSyntaxError) as exc:
+            tokenize("12²")
+        assert (exc.value.line, exc.value.column) == (1, 3)
+
+    def test_non_decimal_digit_after_a_dot(self):
+        with pytest.raises(WLogSyntaxError) as exc:
+            tokenize("a .²")
+        assert exc.value.base_message == "unexpected character '²'"
+
+    def test_decimal_digits_of_any_script_are_numbers(self):
+        assert kinds("٣.٥") == [("NUM", 3.5)]  # Arabic-Indic 3.5
+
+    def test_non_decimal_digit_inside_a_word(self):
+        assert kinds("x² Y½") == [("ATOM", "x²"), ("VAR", "Y½")]
+
+
+class TestPositionsAfterEscapedNewline:
+    SOURCE = "p('a\\\nb').\nq(X) :- r(@)."
+
+    def test_escaped_newline_counts_as_a_line(self):
+        toks = tokenize(self.SOURCE.replace("@", "a"))
+        assert toks[2].value == "a\nb"
+        assert (toks[3].value, toks[3].line, toks[3].column) == (")", 2, 3)
+        assert (toks[5].value, toks[5].line, toks[5].column) == ("q", 3, 1)
+
+    def test_error_after_it_points_at_the_right_line(self):
+        with pytest.raises(WLogSyntaxError) as exc:
+            tokenize(self.SOURCE)
+        assert (exc.value.line, exc.value.column) == (3, 11)
+        assert "q(X) :- r(@)." in str(exc.value)
+        assert "b')." not in str(exc.value)

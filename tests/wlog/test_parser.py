@@ -218,3 +218,38 @@ class TestSpans:
         b = Struct("f", (Var("X"), Atom("atom")))
         assert a == b
         assert hash(a.args[1]) == hash(b.args[1])
+
+
+class TestEndOfInput:
+    def test_expected_token_at_end_of_input(self):
+        with pytest.raises(WLogSyntaxError) as info:
+            parse_program("f(a")
+        assert info.value.base_message == "expected ')', found end of input"
+        assert (info.value.line, info.value.column) == (1, 4)
+
+    def test_missing_clause_terminator_at_end_of_input(self):
+        with pytest.raises(WLogSyntaxError) as info:
+            parse_program("f(a)")
+        assert info.value.base_message == "expected 'END', found end of input"
+
+    def test_missing_term_at_end_of_input(self):
+        with pytest.raises(WLogSyntaxError) as info:
+            parse_term("f(")
+        assert info.value.base_message == "unexpected end of input"
+
+
+class TestAnonymousVariables:
+    SOURCE = "p(X) :- q(X, _), r(_, _).\ns(_) :- t(_)."
+
+    def test_parse_is_a_function_of_the_text(self):
+        assert parse_program(self.SOURCE).rules == parse_program(self.SOURCE).rules
+
+    def test_numbered_in_order_of_appearance(self):
+        rules = parse_program(self.SOURCE).rules
+        names = [a.name for r in rules for g in (r.head, *r.body) for a in g.args
+                 if isinstance(a, Var) and a.name != "X"]
+        assert names == ["_#1", "_#2", "_#3", "_#4", "_#5"]
+
+    def test_no_source_variable_spells_the_name(self):
+        with pytest.raises(WLogSyntaxError):
+            parse_term("f(_#1)")
