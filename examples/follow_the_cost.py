@@ -4,8 +4,8 @@
 A fleet of workflows is deployed across EC2's US East and Singapore
 regions (Singapore is ~33% pricier).  Deco's runtime optimizer
 periodically re-decides placement -- migrating work toward the cheaper
-region when the transfer cost is worth it -- and re-fits instance types
-to the remaining slack.  Compared against the threshold-triggered
+region when the transfer cost is worth it -- and re-plans the remaining
+tasks' instance types with the solver, due in the remaining slack.  Compared against the threshold-triggered
 Heuristic and a never-migrate Static policy (paper Section 6.3.3).
 
 Run:  python examples/follow_the_cost.py
@@ -21,8 +21,7 @@ from repro.workflow.generators import ligo, montage
 def main() -> None:
     catalog = ec2_catalog()
     deco = Deco(catalog, seed=21, num_samples=80, max_evaluations=400)
-    driver = FollowCostDriver(catalog, seed=21, period=1800.0,
-                              runtime_model=deco.runtime_model)
+    driver = FollowCostDriver(deco, seed=21, period=1800.0)
 
     # Mixed fleet: CPU-bound Ligo (migration pays: little data to move)
     # and I/O-bound Montage (type re-optimization pays: time doesn't

@@ -12,7 +12,8 @@ workflow size; Deco below the Heuristic at every threshold.
 from __future__ import annotations
 
 from repro.bench.harness import BenchConfig, is_full_profile
-from repro.engine.followcost import FollowCostDriver, WorkflowDeployment
+from repro.engine.deco import Deco
+from repro.engine.followcost import FollowCostDriver, FollowCostResult, WorkflowDeployment
 from repro.parallel.workers import solve_plans
 from repro.workflow.generators import ligo, montage
 
@@ -31,10 +32,11 @@ SIZE_AXIS = {1.0: 40, 4.0: 150, 8.0: 400}
 
 def build_fleet(
     config: BenchConfig,
+    deco: Deco,
     degrees: float,
     per_region: int | None = None,
 ) -> list[WorkflowDeployment]:
-    """Workflows split between the two regions, Deco-planned at home.
+    """Workflows split between the two regions, planned at home by ``deco``.
 
     The paper deploys 10-50 workflows per data center; the quick profile
     uses a handful.  Every deployment keeps the instance-type plan Deco
@@ -44,7 +46,6 @@ def build_fleet(
     if per_region is None:
         per_region = 8 if is_full_profile() else 3
     num_tasks = SIZE_AXIS.get(degrees, int(40 * degrees))
-    deco = config.deco(max_evaluations=600)
     regions = config.catalog.region_names
     rng = config.rngs.fresh(f"fig10/{degrees}")
     workflows = []
@@ -88,18 +89,21 @@ def fig10_follow_the_cost(
     config: BenchConfig | None = None,
     degrees: tuple[float, ...] = (1.0, 4.0, 8.0),
     thresholds: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7, 0.9),
-    threshold_degrees: float | None = None,
 ) -> dict[str, list[dict]]:
-    """Returns ``{"by_size": rows, "by_threshold": rows}``."""
+    """Returns ``{"by_size": rows, "by_threshold": rows}``; the threshold
+    sweep runs on the largest fleet."""
     config = config or BenchConfig()
-    driver = FollowCostDriver(config.catalog, seed=config.seed, runtime_model=config.runtime_model)
+    deco = config.deco(max_evaluations=600)
+    driver = FollowCostDriver(deco, seed=config.seed)
 
     by_size = []
-    fleets: dict[float, list[WorkflowDeployment]] = {}
+    # Degree -> (fleet, its deco run): runs are deterministic, so the
+    # threshold sweep reuses the largest fleet's.
+    runs: dict[float, tuple[list[WorkflowDeployment], FollowCostResult]] = {}
     for deg in degrees:
-        fleet = build_fleet(config, deg)
-        fleets[deg] = fleet
+        fleet = build_fleet(config, deco, deg)
         deco_res = driver.run(fleet, policy="deco")
+        runs[deg] = fleet, deco_res
         heur_res = driver.run(fleet, policy="heuristic", threshold=0.5)
         static_res = driver.run(fleet, policy="static")
         by_size.append(
@@ -117,9 +121,7 @@ def fig10_follow_the_cost(
             }
         )
 
-    tdeg = threshold_degrees if threshold_degrees is not None else max(degrees)
-    fleet = fleets.get(tdeg) or build_fleet(config, tdeg)
-    deco_res = driver.run(fleet, policy="deco")
+    fleet, deco_res = runs[max(degrees)]
     by_threshold = []
     for th in thresholds:
         heur_res = driver.run(fleet, policy="heuristic", threshold=th)

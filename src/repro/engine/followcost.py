@@ -9,11 +9,12 @@ keeping every workflow within its (static, Eq.-10) deadline.
 
 The driver simulates the fleet task-by-task with dynamic cloud
 performance.  At every re-optimization period the *deco* policy
-re-solves placement from current runtime state (a deterministic WLog
+re-decides placement from current runtime state (a deterministic WLog
 optimization -- the paper's "state is an array of integers, one region
-id per workflow"); the *heuristic* baseline fixes an offline plan from
-price differences and only adjusts when monitored task times deviate
-from the estimate by more than a threshold.
+id per workflow") and re-plans the remaining tasks' instance types with
+one probabilistic :meth:`Deco.schedule` solve; the *heuristic* baseline
+fixes an offline plan from price differences and only adjusts when
+monitored task times deviate from the estimate by more than a threshold.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from repro.common.units import SECONDS_PER_HOUR
 from repro.cloud.instance_types import Catalog
 from repro.cloud.network import NetworkModel
 from repro.cloud.pricing import PricingModel
+from repro.engine.deco import Deco
 from repro.workflow.dag import Workflow
-from repro.workflow.runtime_model import RuntimeModel
 
 __all__ = ["WorkflowDeployment", "FollowCostResult", "FollowCostDriver"]
 
@@ -106,23 +107,24 @@ class _RunState:
 
 
 class FollowCostDriver:
-    """Simulates the fleet and applies a migration policy."""
+    """Simulates the fleet and applies a migration policy.
 
-    def __init__(
-        self,
-        catalog: Catalog,
-        seed: int = 0,
-        period: float = 1800.0,
-        runtime_model: RuntimeModel | None = None,
-    ):
+    ``deco`` is the engine the *deco* policy re-plans with; the fleet's
+    catalog and runtime model are its.
+    """
+
+    def __init__(self, deco: Deco, seed: int = 0, period: float = 1800.0):
         if period <= 0:
             raise ValidationError(f"period must be > 0, got {period}")
-        self.catalog = catalog
+        self.deco = deco
+        self.catalog = deco.catalog
         self.period = period
         self.rngs = RngService(seed)
-        self.model = runtime_model or RuntimeModel(catalog)
-        self.pricing = PricingModel(catalog)
-        self.network = NetworkModel(catalog)
+        self.model = deco.runtime_model
+        self.pricing = PricingModel(self.catalog)
+        self.network = NetworkModel(self.catalog)
+        # Region -> the engine whose catalog prices plans there.
+        self._engines = {self.catalog.default_region: deco}
 
     # ------------------------------------------------------------------
 
@@ -131,7 +133,6 @@ class FollowCostDriver:
         deployments: list[WorkflowDeployment],
         policy: str = "deco",
         threshold: float = 0.5,
-        run_id: int = 0,
     ) -> FollowCostResult:
         """Execute the fleet under the given migration policy.
 
@@ -146,7 +147,8 @@ class FollowCostDriver:
             raise ValidationError(f"threshold must be in (0, 10], got {threshold}")
 
         states = [_RunState(deployment=d, region=d.region) for d in deployments]
-        rng = self.rngs.fresh(f"followcost/{policy}/{run_id}")
+        # One stream per policy; its name fixes the draws Fig. 10 records.
+        rng = self.rngs.fresh(f"followcost/{policy}/0")
         reopts = 0
 
         if policy == "heuristic":
@@ -234,83 +236,50 @@ class FollowCostDriver:
             st.exec_cost += pause / SECONDS_PER_HOUR * price
 
     def _deco_reoptimize(self, st: _RunState, rng: np.random.Generator, charge: bool) -> None:
-        """Deco's runtime step: re-pick region, then re-fit instance types.
+        """Deco's runtime step: re-pick the region, then re-plan the rest.
 
-        Type adaptation is the paper's "when a task finishes earlier than
-        its scheduled time, Deco chooses more cost-effective and usually
-        cheaper instance types for its child tasks": remaining tasks are
-        demoted greedily while the remaining mean time still fits the
-        deadline slack (with a safety margin), and promoted when the
-        workflow has fallen behind schedule.
+        Tasks run serially, so what remains is the chain of pending
+        tasks, due in the remaining slack.  One :meth:`Deco.schedule`
+        call on the region's engine re-plans its instance types (the
+        paper's "when a task finishes earlier than its scheduled time,
+        Deco chooses more cost-effective and usually cheaper instance
+        types for its child tasks"), and its plan is applied as returned:
+        the cheapest one that meets the deadline at the 96th percentile,
+        else the most probable one.  With no slack left the workflow
+        keeps its types.
         """
         if charge:
             self._charge_reopt(st, DECO_REOPT_SECONDS_PER_TASK)
         target = self._best_region(st)
         if target != st.region:
             self._migrate(st, target, rng)
-        wf = st.deployment.workflow
-        names = self.catalog.type_names
-        pending = wf.task_ids[st.next_index :]
-        if not pending:
-            return
         slack = st.deployment.deadline - st.clock
-        margin = 0.9  # keep headroom against cloud dynamics
-        remaining = self._remaining_work(st)
+        if st.done or slack <= 0:
+            return
+        plan = self._engine(st.region).schedule(self._residual_chain(st), slack)
+        st.assignment.update(plan.assignment)
 
-        def mean(tid, name):
-            return self.model.mean(wf.task(tid), name)
+    def _engine(self, region: str) -> Deco:
+        """The engine pricing plans in ``region``, built once on first use."""
+        engine = self._engines.get(region)
+        if engine is None:
+            catalog = Catalog(
+                self.catalog,
+                map(self.catalog.region, self.catalog.region_names),
+                default_region=region,
+            )
+            engine = Deco.from_spec({**self.deco.spec(), "catalog": catalog})
+            self._engines[region] = engine
+        return engine
 
-        def price(name):
-            return self.pricing.unit_price(name, st.region)
-
-        if remaining > slack * margin:
-            # Behind schedule: promote the biggest time-savers until the
-            # remaining work fits again (or everything is maxed out).
-            for _round in range(len(names)):
-                gains = []
-                for tid in pending:
-                    idx = self.catalog.index_of(st.assignment[tid])
-                    if idx + 1 < len(names):
-                        gains.append((mean(tid, names[idx]) - mean(tid, names[idx + 1]), tid))
-                gains.sort(reverse=True)
-                progressed = False
-                for gain, tid in gains:
-                    if remaining <= slack * margin or gain <= 0:
-                        break
-                    idx = self.catalog.index_of(st.assignment[tid])
-                    st.assignment[tid] = names[idx + 1]
-                    remaining -= gain
-                    progressed = True
-                if not progressed or remaining <= slack * margin:
-                    break
-        else:
-            # Ahead of schedule: demote for savings while still fitting.
-            # Rounds of a saving-sorted sweep (each round moves every task
-            # at most one step down) -- O(P log P) per round, K rounds max.
-            for _round in range(len(names)):
-                moves = []
-                for tid in pending:
-                    idx = self.catalog.index_of(st.assignment[tid])
-                    if idx == 0:
-                        continue
-                    cur, down = names[idx], names[idx - 1]
-                    delta = mean(tid, down) - mean(tid, cur)
-                    saving = (
-                        mean(tid, cur) * price(cur) - mean(tid, down) * price(down)
-                    ) / SECONDS_PER_HOUR
-                    if saving > 1e-12:
-                        moves.append((saving, delta, tid))
-                moves.sort(reverse=True)
-                progressed = False
-                for saving, delta, tid in moves:
-                    if remaining + delta > slack * margin:
-                        continue
-                    idx = self.catalog.index_of(st.assignment[tid])
-                    st.assignment[tid] = names[idx - 1]
-                    remaining += delta
-                    progressed = True
-                if not progressed:
-                    break
+    @staticmethod
+    def _residual_chain(st: _RunState) -> Workflow:
+        """The pending tasks, in the order the driver will run them."""
+        wf = st.deployment.workflow
+        pending = wf.task_ids[st.next_index :]
+        return Workflow(
+            f"{wf.name}[{st.next_index}:]", map(wf.task, pending), zip(pending, pending[1:])
+        )
 
     # Decision logic ------------------------------------------------------------
 

@@ -68,8 +68,9 @@ class _Parser:
 
     # Errors -------------------------------------------------------------
 
-    def error(self, msg: str) -> NoReturn:
-        _tag, _value, line, column = self.tokens[self.pos]
+    def error(self, msg: str, pos: int | None = None) -> NoReturn:
+        """Raise at the token ``pos`` (default: the current one)."""
+        _tag, _value, line, column = self.tokens[self.pos if pos is None else pos]
         raise WLogSyntaxError(msg, line, column, source=self.source)
 
     def expect(self, tag: str) -> None:
@@ -112,6 +113,8 @@ class _Parser:
             out.directives.append(Directive(word, payload, self._clause_span(start)))
             return
         head = self.term(_GOAL)
+        if not isinstance(head, (Atom, Struct)):
+            self.error(f"rule head must be an atom or struct, got {head!r}", start)
         neck = tokens[self.pos][0] == ":-"
         classified = None if neck else _classify_directive(head)
         if classified is not None:
@@ -164,7 +167,10 @@ class _Parser:
         return ConsSpec(variable=variable, predicate=predicate, requirement=requirement)
 
     def parse_var_directive(self) -> VarSpec:
+        start = self.pos
         declaration = self.term(_GOAL)
+        if not isinstance(declaration, Struct):
+            self.error(f"var declaration must be compound, got {declaration!r}", start)
         domains: list[Term] = []
         if self.at_word("forall"):
             self.pos += 1

@@ -1,15 +1,24 @@
 """Tests for the follow-the-cost driver (use case 3)."""
 
+import numpy as np
 import pytest
 
+from repro.cloud import ec2_catalog
 from repro.common.errors import ValidationError
-from repro.engine.followcost import FollowCostDriver, WorkflowDeployment
+from repro.engine.deco import Deco
+from repro.engine.followcost import FollowCostDriver, WorkflowDeployment, _RunState
+from repro.workflow.dag import Workflow
 from repro.workflow.generators import ligo, montage
 
 
 @pytest.fixture(scope="module")
-def driver(catalog, runtime_model):
-    return FollowCostDriver(catalog, seed=2, period=900.0, runtime_model=runtime_model)
+def deco(catalog):
+    return Deco(catalog, num_samples=100, max_evaluations=600)
+
+
+@pytest.fixture(scope="module")
+def driver(deco):
+    return FollowCostDriver(deco, seed=2, period=900.0)
 
 
 def make_deployment(catalog, runtime_model, region, generator=ligo, size=40, seed=0,
@@ -78,9 +87,9 @@ class TestPolicies:
         with pytest.raises(ValidationError):
             driver.run(fleet, policy="heuristic", threshold=0.0)
 
-    def test_reproducible(self, catalog, runtime_model, fleet):
-        a = FollowCostDriver(catalog, seed=5, runtime_model=runtime_model).run(fleet)
-        b = FollowCostDriver(catalog, seed=5, runtime_model=runtime_model).run(fleet)
+    def test_reproducible(self, deco, fleet):
+        a = FollowCostDriver(deco, seed=5).run(fleet)
+        b = FollowCostDriver(deco, seed=5).run(fleet)
         assert a.total_cost == b.total_cost
 
 
@@ -105,7 +114,54 @@ class TestTypeAdaptation:
         assert result.deadlines_met == 1
 
 
+class TestOneSolver:
+    """A deco re-plan is the solver's plan for what is left, applied as returned."""
+
+    @staticmethod
+    def solver_plan(deco, st):
+        """``Deco.schedule`` of the pending chain on a cold engine of the
+        same spec, pricing in the workflow's region."""
+        wf = st.deployment.workflow
+        pending = wf.task_ids[st.next_index :]
+        chain = Workflow("rest", [wf.task(t) for t in pending], zip(pending, pending[1:]))
+        engine = Deco.from_spec({**deco.spec(), "catalog": ec2_catalog(default_region=st.region)})
+        return engine.schedule(chain, st.deployment.deadline - st.clock).assignment
+
+    @pytest.mark.parametrize("region", ["us-east-1", "ap-southeast-1"])
+    @pytest.mark.parametrize("generator", [ligo, montage])
+    def test_submission_replan_is_the_solvers_plan(
+        self, catalog, runtime_model, deco, driver, region, generator
+    ):
+        dep = make_deployment(catalog, runtime_model, region, generator=generator, seed=3)
+        st = _RunState(deployment=dep, region=dep.region)
+        driver._deco_reoptimize(st, np.random.default_rng(0), charge=False)
+        assert st.assignment == self.solver_plan(deco, st)
+
+    @pytest.mark.parametrize("slack", [1.2, 2.0])
+    def test_midrun_replan_is_the_solvers_plan(
+        self, catalog, runtime_model, deco, driver, slack
+    ):
+        """A quarter of the way in, Montage's frontier data keeps it in the
+        dearer region, and the residual is due in what is left of the deadline."""
+        dep = make_deployment(
+            catalog, runtime_model, "ap-southeast-1", generator=montage, slack=slack
+        )
+        st = _RunState(deployment=dep, region=dep.region)
+        rng = np.random.default_rng(0)
+        driver._advance_until(st, dep.deadline / 4, rng)
+        done = {t: st.assignment[t] for t in dep.workflow.task_ids[: st.next_index]}
+        driver._deco_reoptimize(st, rng, charge=False)
+        assert 0 < st.next_index < len(dep.workflow) and st.region == "ap-southeast-1"
+        assert st.assignment == {**done, **self.solver_plan(deco, st)}
+
+    def test_no_slack_keeps_the_assignment(self, catalog, runtime_model, driver):
+        dep = make_deployment(catalog, runtime_model, "us-east-1")
+        st = _RunState(deployment=dep, region=dep.region, clock=dep.deadline)
+        driver._deco_reoptimize(st, np.random.default_rng(0), charge=False)
+        assert st.assignment == dep.assignment
+
+
 class TestValidation:
-    def test_bad_period_rejected(self, catalog):
+    def test_bad_period_rejected(self, deco):
         with pytest.raises(ValidationError):
-            FollowCostDriver(catalog, period=0.0)
+            FollowCostDriver(deco, period=0.0)

@@ -84,8 +84,8 @@ class TestEnsembleViaWLog:
 
 class TestFollowCostViaWLog:
     @pytest.fixture(scope="class")
-    def fc_driver(self, catalog, runtime_model):
-        return FollowCostDriver(catalog, seed=3, runtime_model=runtime_model)
+    def fc_driver(self, driver):
+        return FollowCostDriver(driver.deco, seed=3)
 
     def _state(self, catalog, runtime_model, region, slack=2.0, generator=ligo):
         wf = generator(num_tasks=40, seed=4) if generator is ligo else generator(degrees=1, seed=4)

@@ -8,6 +8,7 @@ every check here runs ``python -c`` and reads ``sys.modules`` there.
 """
 
 import ast
+import functools
 import inspect
 import itertools
 import json
@@ -311,13 +312,19 @@ class TestForkAndPickle:
         assert doc["moments"] == 4
 
 
+@functools.cache
+def _tree(path: Path) -> ast.Module:
+    """``path``'s syntax tree, parsed once for all the AST guards."""
+    return ast.parse(path.read_text(), str(path))
+
+
 def _imported_names(module: str, path: Path) -> set[str]:
     """Every module name ``path`` may load: import statements (relative
     ones resolved against ``module``) and the module strings of a
     ``lazy_exports(...)`` table."""
     package = module if path.name == "__init__.py" else module.rpartition(".")[0]
     names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Import):
             names.update(alias.name for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -349,7 +356,7 @@ def _used_names(path: Path) -> set[str]:
     """Every name ``path``'s code refers to: bare names, attributes and
     imported names (comments and strings do not count)."""
     names: set[str] = set()
-    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+    for node in ast.walk(_tree(path)):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -415,7 +422,7 @@ def test_every_public_top_level_name_is_named_elsewhere():
         used_here = _used_names(path)
         dead += [
             f"{module}.{node.name}"
-            for node in ast.parse(path.read_text(), str(path)).body
+            for node in _tree(path).body
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and not node.name.startswith("_")
             and node.name not in used_here
@@ -432,6 +439,8 @@ ENTRY_POINTS = [
     ("repro.engine.deco", "Deco.schedule"),
     ("repro.engine.deco", "Deco.solve_program"),
     ("repro.engine.ensemble", "EnsembleDriver"),
+    ("repro.engine.followcost", "FollowCostDriver"),
+    ("repro.engine.followcost", "FollowCostDriver.run"),
     ("repro.solver.search", "GenericSearch"),
     ("repro.solver.search", "AStarSearch"),
     ("repro.solver.backends", "VectorizedBackend"),
@@ -494,7 +503,7 @@ def test_every_engine_parameter_has_a_caller(catalog):
     passed = set(NO_CALLER_NEEDED)
     for top in ("src", "benchmarks", "examples"):
         for path in (repo / top).rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            for node in ast.walk(_tree(path)):
                 if not isinstance(node, ast.Call):
                     continue
                 func = node.func
@@ -569,7 +578,7 @@ def test_every_public_method_has_a_program_caller():
             named |= _used_names(path)
             named.update(
                 node.value
-                for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                for node in ast.walk(_tree(path))
                 if isinstance(node, ast.Constant)
                 and isinstance(node.value, str)
                 and node.value.isidentifier()
@@ -577,7 +586,7 @@ def test_every_public_method_has_a_program_caller():
     methods = [
         method
         for path in _src_modules().values()
-        for method in _public_methods(ast.parse(path.read_text(), str(path)))
+        for method in _public_methods(_tree(path))
     ]
     assert set(TEST_ONLY_METHODS) <= {qualname for qualname, _ in methods}  # no stale reason
     assert sorted(q for q, name in methods if name not in named and q not in TEST_ONLY_METHODS) == []

@@ -6,7 +6,7 @@ scalar loops: ``test_frontend_reference.py`` requires that
 give exactly what these give -- tokens, terms, spans, directives, and
 on bad input the same error, message and position.
 
-Four defects of the original are fixed here as they are in the front
+Five defects of the original are fixed here as they are in the front
 end, so the two can be held equal:
 
 * only decimal digits start or continue a number (``'²'.isdigit()`` is
@@ -15,6 +15,9 @@ end, so the two can be held equal:
 * at end of input an error says ``end of input``, not ``None``;
 * each ``_`` becomes ``_#1``, ``_#2``, ... in order of appearance in one
   parse (a name no source variable can spell), not ``_G<id(token)>``.
+* a clause head that is not an atom or struct (``X :- foo.``, ``3.``) and
+  a ``var`` declaration that is not compound are syntax errors at their
+  first token, not position-less errors from ``Rule`` / ``VarSpec``.
 """
 
 from __future__ import annotations
@@ -183,8 +186,8 @@ class _Parser:
     def cur(self) -> Token:
         return self.tokens[self.pos]
 
-    def error(self, msg: str) -> NoReturn:
-        tok = self.cur
+    def error(self, msg: str, tok: Token | None = None) -> NoReturn:
+        tok = tok or self.cur
         raise WLogSyntaxError(msg, tok.line, tok.column, source=self.source)
 
     def advance(self) -> Token:
@@ -228,6 +231,8 @@ class _Parser:
             directive = self.parse_var_directive()
         else:
             term = self.parse_goal_term()
+            if not isinstance(term, (Atom, Struct)):
+                self.error(f"rule head must be an atom or struct, got {term!r}", start)
             directive = self._classify_directive(term)
             if directive is not None and not self.at("PUNCT", ":-"):
                 self.expect("END")
@@ -300,7 +305,10 @@ class _Parser:
         )
 
     def parse_var_directive(self) -> Directive:
+        start = self.cur
         decl = self.parse_goal_term()
+        if not isinstance(decl, Struct):
+            self.error(f"var declaration must be compound, got {decl!r}", start)
         domains: list[Term] = []
         if self.at_atom("forall"):
             self.advance()

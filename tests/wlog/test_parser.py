@@ -238,6 +238,25 @@ class TestEndOfInput:
         assert info.value.base_message == "unexpected end of input"
 
 
+class TestMalformedClauses:
+    """A head that is not an atom or struct, or a ``var`` declaration that
+    is not compound, is a syntax error at its first token."""
+
+    @pytest.mark.parametrize(
+        "source, message, position",
+        [
+            ("f(a).\n  X :- foo.", "rule head must be an atom or struct, got X", (2, 3)),
+            ("f(a).\n3.", "rule head must be an atom or struct, got 3", (2, 1)),
+            ("var x forall t(T).", "var declaration must be compound, got x", (1, 5)),
+        ],
+    )
+    def test_positioned_syntax_error(self, source, message, position):
+        with pytest.raises(WLogSyntaxError) as info:
+            parse_program(source)
+        assert info.value.base_message == message
+        assert (info.value.line, info.value.column) == position
+
+
 class TestAnonymousVariables:
     SOURCE = "p(X) :- q(X, _), r(_, _).\ns(_) :- t(_)."
 
