@@ -5,6 +5,7 @@
     python3 benchmarks/profile_solve.py montage-1 --split
     python3 benchmarks/profile_solve.py --imports
     python3 benchmarks/profile_solve.py --wlog
+    python3 benchmarks/profile_solve.py --resident montage-8 16
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
@@ -48,6 +49,14 @@ in :data:`WLOG_PHASES` -- parse, check, semantic, translate, compile,
 warm start, solve -- is wrapped as in ``--split``; it prints each
 phase's median ms per request over :data:`WLOG_ROUNDS` rounds of the
 seeds, and its share of the median request.  No timing threshold.
+
+``--resident FAMILY N`` looks at what a warm engine keeps: it solves N
+distinct workflows of the family (generator seeds ``--seed`` onwards,
+deadline ``medium``, 96th percentile) on one engine, as a service worker
+does, and after each solve prints the process's ``VmRSS``, the compiled
+problems the engine holds and each token-keyed memo's entries and bytes
+(:data:`RESIDENT`, from ``Deco.cache_stats()``).  Once the problem memo
+is full the memos should stop growing.  No threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -109,6 +118,15 @@ WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarativ
 WLOG_ROUNDS = 40  # --wlog: requests per seed
 
 REUSED = ("makespan", "frontier", "moments")  # --warm: the caches whose reuse is printed
+
+#: --resident: column -> (``Deco.cache_stats()`` section, entries key, bytes key).
+RESIDENT = {
+    "makespan": ("makespan", "entries", "nbytes"),
+    "moments": ("moments", "entries", "nbytes"),
+    "frontier": ("frontier", "entries", "nbytes"),
+    "calibrations": ("analytic", "calibration_entries", "calibration_nbytes"),
+    "screen": ("frontier", "screen_entries", "screen_nbytes"),
+}
 
 
 def _median_us(fn, repeats: int = 15) -> float:
@@ -480,6 +498,37 @@ def imports_report(repeats: int = 5, top: int = 10) -> int:
     return 1 if failures else 0
 
 
+def _vmrss_mb() -> float:
+    """This process's resident set, from ``/proc/self/status`` (NaN elsewhere)."""
+    try:
+        with open("/proc/self/status") as fh:
+            for line in fh:
+                if line.startswith("VmRSS:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return float("nan")
+
+
+def resident_report(family: str, count: int, seed: int) -> int:
+    """``--resident``: ``count`` distinct workflows of ``family`` on one warm engine."""
+    deco = Deco(ec2_catalog(), **ENGINE)
+    print(f"{family}: {count} workflows (generator seeds {seed}-{seed + count - 1}), "
+          f"one engine; each memo as entries/MB")
+    print(f"{'solve':>5} {'VmRSS MB':>9} {'problems':>8} "
+          + " ".join(f"{name:>17}" for name in RESIDENT))
+    for i in range(count):
+        deco.schedule(WORKFLOWS[family](seed + i), "medium", deadline_percentile=96.0)
+        stats = deco.cache_stats()
+        cells = []
+        for section, entries, nbytes in RESIDENT.values():
+            memo = stats.get(section, {})
+            cells.append(f"{memo.get(entries, 0)}/{memo.get(nbytes, 0) / 2**20:.1f}")
+        print(f"{i + 1:>5} {_vmrss_mb():>9.1f} {stats['compiled_problems']:>8} "
+              + " ".join(f"{cell:>17}" for cell in cells))
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("workflow", choices=sorted(WORKFLOWS), nargs="?")
@@ -498,8 +547,16 @@ def main() -> int:
     ap.add_argument("--split", action="store_true",
                     help="exclusive wall time per solver function over cold solves of the "
                          "family (perf_counter wrappers, no cProfile)")
+    ap.add_argument("--resident", nargs=2, metavar=("FAMILY", "N"),
+                    help="VmRSS and every token-keyed memo's size after each of N distinct "
+                         "solves of FAMILY on one engine")
     args = ap.parse_args()
 
+    if args.resident:
+        family, count = args.resident
+        if family not in WORKFLOWS or not count.isdigit() or int(count) < 1:
+            ap.error(f"--resident takes one of {', '.join(sorted(WORKFLOWS))} and a count >= 1")
+        return resident_report(family, int(count), args.seed)
     if args.imports:
         return imports_report()
     if args.wlog:

@@ -112,8 +112,13 @@ class Deco:
     so deadline/percentile sweeps over the same workflow reuse every
     Monte Carlo and moment propagation the search has already paid for,
     and search children re-propagate only the levels their dirty tasks
-    can affect.  :meth:`clear_caches` / :meth:`cache_stats` bound and
-    report all of it from one place for long-running services.
+    can affect.  That state is keyed by sample token and ends with its
+    problem: evicting a compiled problem, or finishing a solve whose
+    problem is not memoized (:meth:`solve_program`, a fault-aware
+    :meth:`schedule`), forgets the token (``GenericSearch.forget``), so
+    a warm engine holds the state of at most ``_PROBLEM_CACHE_SIZE``
+    tensors.  :meth:`clear_caches` / :meth:`cache_stats` drop and
+    report all of it from one place.
     """
 
     #: How many compiled problems (one per workflow) to keep alive.
@@ -309,11 +314,10 @@ class Deco:
         problem = self._compiled(workflow).with_deadline(d, percentile=deadline_percentile)
         f = faults if faults is not None else self.faults
         r = recovery if recovery is not None else self.recovery
-        if f is not None:
-            problem = problem.with_faults(f, r)
-        return self._solve(
-            problem, seeds=self._warm_starts(problem), solve_deadline_s=solve_deadline_s
-        )
+        if f is None:
+            return self._solve(problem, solve_deadline_s)
+        # The inflated tensor is fresh on every call: no later one asks for it.
+        return self._solve(problem.with_faults(f, r), solve_deadline_s, kept=False)
 
     def _compiled(self, workflow: Workflow) -> CompiledProblem:
         """Compile ``workflow`` once; later deadlines derive from the base.
@@ -338,7 +342,10 @@ class Deco:
         )
         self._problems[key] = (workflow, problem)
         while len(self._problems) > self._PROBLEM_CACHE_SIZE:
-            self._problems.popitem(last=False)
+            # An evicted problem's tensor is never asked for again (a new
+            # compile gets a new token): its evaluation state goes with it.
+            _, (_, evicted) = self._problems.popitem(last=False)
+            self._search.forget(evicted.sample_token)
         return problem
 
     # Declarative API -----------------------------------------------------------
@@ -384,9 +391,7 @@ class Deco:
         reject_fatal(report.diagnostics, program.source, stage="semantic analysis")
         ir = translate(program, registry)
         problem = compile_or_raise(ir, num_samples=self.num_samples, seed=self.seed)
-        return self._solve(
-            problem, seeds=self._warm_starts(problem), solve_deadline_s=solve_deadline_s
-        )
+        return self._solve(problem, solve_deadline_s, kept=False)
 
     # Core ------------------------------------------------------------------------
 
@@ -413,16 +418,23 @@ class Deco:
         )
 
     def _solve(
-        self,
-        problem: CompiledProblem,
-        seeds: tuple[PlanState, ...] = (),
-        solve_deadline_s: float | None = None,
+        self, problem: CompiledProblem, solve_deadline_s: float | None, kept: bool = True
     ) -> ProvisioningPlan:
+        """Solve ``problem`` from the warm-start ladder.
+
+        ``kept=False``: no memo of this engine holds ``problem``, so its
+        sample token's evaluation state is dropped when the solve ends.
+        """
+        seeds = self._warm_starts(problem)
         sharded = self._shard_plane().evaluator(problem) if self.workers > 1 else None
         t0 = time.perf_counter()
-        result = self._search.solve(
-            problem, seeds=seeds, evaluator=sharded, deadline_s=solve_deadline_s
-        )
+        try:
+            result = self._search.solve(
+                problem, seeds=seeds, evaluator=sharded, deadline_s=solve_deadline_s
+            )
+        finally:
+            if not kept:
+                self._search.forget(problem.sample_token)
         elapsed = time.perf_counter() - t0
         self.last_result = result
         return ProvisioningPlan(

@@ -483,8 +483,18 @@ class AnalyticBackend(EvaluationBackend):
         return dict(self.counters)
 
     def cache_stats(self) -> dict[str, dict]:
-        """``analytic``: the moment-propagation work counters."""
-        return {"analytic": self.analytic_stats()}
+        """``analytic``: the moment-propagation work counters, plus the
+        resident calibrations (``calibration_entries`` / ``calibration_nbytes``)."""
+        stats = self.analytic_stats()
+        stats["calibration_entries"] = len(self._calibrations)
+        stats["calibration_nbytes"] = sum(
+            arr.nbytes for entry in self._calibrations.values() for arr in entry
+        )
+        return {"analytic": stats}
+
+    def forget(self, token: int) -> None:
+        """Drop ``token``'s calibration."""
+        self._calibrations.pop(token, None)
 
     def release_buffers(self) -> None:
         """Drop scratch buffers and calibrations (``GenericSearch.clear_caches``)."""

@@ -352,8 +352,9 @@ class EvaluationBackend(abc.ABC):
 
     A backend owns whatever evaluation state it keeps (memos, frontiers,
     scratch buffers) and reports it through :meth:`counters_snapshot`
-    and :meth:`cache_stats`; :meth:`release_buffers` drops it.  The base
-    class keeps none.
+    and :meth:`cache_stats`; :meth:`forget` drops one sample token's
+    share of it and :meth:`release_buffers` all of it.  The base class
+    keeps none.
     """
 
     name: str = "abstract"
@@ -440,6 +441,9 @@ class EvaluationBackend(abc.ABC):
     def cache_stats(self) -> dict[str, dict]:
         """This backend's entries of ``Deco.cache_stats()``."""
         return {}
+
+    def forget(self, token: int) -> None:
+        """Drop what this backend holds for sample token ``token``."""
 
     def release_buffers(self) -> None:
         """Drop this backend's memos and scratch (``Deco.clear_caches``)."""
@@ -968,13 +972,20 @@ class VectorizedBackend(EvaluationBackend):
         }
 
     def cache_stats(self) -> dict[str, dict]:
-        """``makespan`` and ``frontier`` (counters plus ``nbytes``), ``delta``."""
+        """``makespan`` and ``frontier`` (counters plus ``nbytes``; the
+        frontier's also the screening problems'), ``delta``."""
         stats = {}
         for key, memo in (("makespan", self.cache), ("frontier", self.eval_context)):
             stats[key] = memo.counters()
             stats[key]["nbytes"] = memo.nbytes()
+        stats["frontier"].update(self.eval_context.screen_stats())
         stats["delta"] = self.delta_stats()
         return stats
+
+    def forget(self, token: int) -> None:
+        """Drop ``token``'s makespan rows, frontiers and screening problem."""
+        self.cache.forget(token)
+        self.eval_context.forget(token)
 
     def release_buffers(self) -> None:
         """Drop the makespan memo, the frontiers and the pooled scratch arrays."""

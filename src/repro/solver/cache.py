@@ -26,6 +26,13 @@ row included -- keyed the same way, plus a small memo of sample-prefix
 screening problems.  Frontiers of one sample token live side by side in
 one row-addressable slab, so the delta kernel reads any mix of parents
 in place and writes pinned frontiers in place.
+
+Every memo here groups or indexes its entries by token, so
+``forget(token)`` drops one sample tensor's entries at a cost
+proportional to that token's own entries.  The engine calls it when a
+tensor can no longer be asked for (DESIGN.md §17, "What is memoised
+where"); the ``MAX_ENTRIES`` caps are backstops for callers that never
+forget.
 """
 
 from __future__ import annotations
@@ -102,7 +109,10 @@ class MakespanCache:
 
     The vectorized backend's instance holds ``(S,)`` Monte Carlo
     makespan rows; the search's tier-0 instance holds ``(2,)`` ``(mean,
-    variance)`` rows under the same keys.
+    variance)`` rows under the same keys.  Rows are held per sample
+    token, so :meth:`forget` drops a token's rows in one step; past
+    :attr:`MAX_ENTRIES` the least recently used token loses its least
+    recently used row first.
     """
 
     #: Cap on cached rows.  An entry is its row plus its state key, 2
@@ -115,22 +125,30 @@ class MakespanCache:
     def __init__(self):
         self.hits = 0
         self.misses = 0
-        # (sample token, state key) -> read-only (S,) float row.
-        self._rows: OrderedDict[tuple[int, bytes], np.ndarray] = OrderedDict()
+        # sample token -> (state key -> read-only row), both LRU first.
+        self._rows: OrderedDict[int, OrderedDict[bytes, np.ndarray]] = OrderedDict()
+        self._entries = 0
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._entries
 
     def counters(self) -> dict[str, int]:
         """Current hit/miss/size counters (monotone except ``entries``)."""
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._rows)}
+        return {"hits": self.hits, "misses": self.misses, "entries": self._entries}
 
     def nbytes(self) -> int:
         """Approximate memory held by the cached rows and their state keys."""
-        return sum(len(key) + row.nbytes for (_, key), row in self._rows.items())
+        return sum(
+            len(key) + row.nbytes for rows in self._rows.values() for key, row in rows.items()
+        )
 
     def clear(self) -> None:
         self._rows.clear()
+        self._entries = 0
+
+    def forget(self, token: int) -> None:
+        """Drop every row of sample token ``token``."""
+        self._entries -= len(self._rows.pop(token, ()))
 
     # ------------------------------------------------------------------
 
@@ -152,9 +170,13 @@ class MakespanCache:
         """
         block = as_block(block)
         token = problem.sample_token
-        keys = [(token, key) for key in block.keys]
-        rows = self._rows
-        found = [rows.get(key) for key in keys]
+        keys = block.keys
+        rows = self._rows.get(token)
+        if rows is None:
+            found = [None] * len(keys)
+        else:
+            self._rows.move_to_end(token)
+            found = [rows.get(key) for key in keys]
         missing = [i for i, row in enumerate(found) if row is None]
         self.hits += len(keys) - len(missing)
         self.misses += len(missing)
@@ -172,14 +194,22 @@ class MakespanCache:
         owned = [row.copy() for row in fresh]
         for row in owned:
             row.setflags(write=False)
+        if rows is None:
+            rows = self._rows[token] = OrderedDict()
         missing_keys = [keys[i] for i in missing]
+        held = len(rows)
         rows.update(zip(missing_keys, owned))
-        if len(set(missing_keys)) < len(missing_keys):
+        self._entries += len(rows) - held
+        if len(rows) - held < len(missing_keys):
             # A key the block repeats is most recent at its last occurrence.
             for key in missing_keys:
                 rows.move_to_end(key)
-        while len(rows) > self.MAX_ENTRIES:
-            rows.popitem(last=False)
+        while self._entries > self.MAX_ENTRIES:
+            oldest, lru = next(iter(self._rows.items()))
+            lru.popitem(last=False)
+            self._entries -= 1
+            if not lru:
+                del self._rows[oldest]
         if whole:
             return fresh.copy()
         for i, row in zip(missing, owned):
@@ -263,35 +293,42 @@ class EvalContext:
     propagated state -- ~1 MB for Montage-8 at 200 samples -- keyed by
     ``(sample_token, state key)`` exactly like :class:`MakespanCache`
     and stored in its token's :class:`FrontierSlab`.  :attr:`MAX_ENTRIES`
-    bounds the frontiers resident across all tokens; a slab is dropped
-    with its last frontier.  Tokens of one ``(N, S)`` shape share a
-    slab: a warm engine that moves on to the next same-sized workflow
-    (a service worker's next job) evicts the old token's frontiers into
-    the slots the new one takes, so it writes pages it has already
-    touched instead of faulting in a fresh mapping per job -- ~900
-    first-touch faults and 4 ms of kernel time on a 60 ms Montage-1
-    solve, the one part of a solve whose cost is the host's, not ours.
+    bounds the frontiers resident across all tokens.  Tokens of one
+    ``(N, S)`` shape share a slab: a warm engine that moves on to the
+    next same-sized workflow (a service worker's next job) evicts the
+    old token's frontiers into the slots the new one takes, so it
+    writes pages it has already touched instead of faulting in a fresh
+    mapping per job -- ~900 first-touch faults and 4 ms of kernel time
+    on a 60 ms Montage-1 solve, the one part of a solve whose cost is
+    the host's, not ours.  For the same reason the slab a token leaves
+    empty (its last frontier evicted or forgotten) is kept as the
+    *spare*, which the next token of its shape takes over; the next
+    slab emptied replaces it.
+
     The search stores frontiers only for the states it is about to
-    expand (the beam tip), so :attr:`MAX_ENTRIES` comfortably covers a
-    solve while bounding long-running services.
+    expand, so :attr:`MAX_ENTRIES` is the beam the search can still
+    chain from: ``GenericSearch.BEAM_WIDTH + GenericSearch.EXPAND_PER_ITER``.
 
     The context also memoizes the sample-prefix *screening problems*
     (one tiny derived :class:`CompiledProblem` per base token), so the
     two-stage fidelity screen does not re-slice the tensor every
-    iteration.
+    iteration.  A token's screening problem lives until
+    :meth:`forget`: tier 1 keeps the deadline it was first built with.
     """
 
-    MAX_ENTRIES = 64
+    MAX_ENTRIES = 32
 
     def __init__(self):
         self.hits = 0
         self.misses = 0
         # (sample token, state key) -> slot in the token's slab, LRU first.
         self._slots: OrderedDict[tuple[int, bytes], int] = OrderedDict()
-        # Every token with a resident frontier -> its shape's slab, and
-        # how many frontiers it holds there.
+        # Every token with a resident frontier -> its keys in ``_slots``
+        # and its shape's slab.
+        self._keys: dict[int, set[bytes]] = {}
         self._slabs: dict[int, FrontierSlab] = {}
-        self._held: dict[int, int] = {}
+        # The last slab a token left empty, kept for the next of its shape.
+        self._spare: FrontierSlab | None = None
         # base sample_token -> (prefix length, derived problem)
         self._screen_problems: dict[int, tuple[int, object]] = {}
 
@@ -304,13 +341,32 @@ class EvalContext:
     def nbytes(self) -> int:
         """Memory the slabs have touched: frontier slots plus workspace."""
         slabs = {id(slab): slab for slab in self._slabs.values()}  # shared ones once
+        if self._spare is not None:
+            slabs[id(self._spare)] = self._spare
         return sum(slab.nbytes() for slab in slabs.values())
+
+    def screen_stats(self) -> dict[str, int]:
+        """The screening problems held and the bytes of their prefix tensors."""
+        return {
+            "screen_entries": len(self._screen_problems),
+            "screen_nbytes": sum(
+                derived.tensor.nbytes + derived.tensor_taskmajor.nbytes
+                for _, derived in self._screen_problems.values()
+            ),
+        }
 
     def clear(self) -> None:
         self._slots.clear()
+        self._keys.clear()
         self._slabs.clear()
-        self._held.clear()
+        self._spare = None
         self._screen_problems.clear()
+
+    def forget(self, token: int) -> None:
+        """Drop ``token``'s frontiers and screening problem."""
+        for key in list(self._keys.get(token, ())):
+            self.discard(token, key)
+        self._screen_problems.pop(token, None)
 
     # ------------------------------------------------------------------
 
@@ -373,6 +429,8 @@ class EvalContext:
         slab = self._slabs.get(token) or next(
             (slab for slab in self._slabs.values() if slab.layout == layout), None
         )
+        if slab is None and self._spare is not None and self._spare.layout == layout:
+            slab, self._spare = self._spare, None
         if slab is not None and slab.layout != layout:
             raise SolverError(
                 f"frontier of {num_tasks} tasks x {num_samples} {np.dtype(dtype)} samples "
@@ -385,10 +443,12 @@ class EvalContext:
             if victim is None:
                 return None
             self.discard(*victim)
+            if self._spare is slab:  # the victim was the last other token in it
+                self._spare = None
         if slab is None:
             slab = FrontierSlab(self.MAX_ENTRIES, num_tasks, num_samples, dtype)
         self._slabs[token] = slab
-        self._held[token] = self._held.get(token, 0) + 1
+        self._keys.setdefault(token, set()).add(key)
         slot = heapq.heappop(slab.free)
         slab.slots_touched = max(slab.slots_touched, slot + 1)
         self._slots[(token, key)] = slot
@@ -399,10 +459,14 @@ class EvalContext:
         slot = self._slots.pop((token, key), None)
         if slot is None:
             return
-        heapq.heappush(self._slabs[token].free, slot)
-        self._held[token] -= 1
-        if not self._held[token]:
-            del self._slabs[token], self._held[token]  # the slab goes with its last token
+        slab = self._slabs[token]
+        heapq.heappush(slab.free, slot)
+        held = self._keys[token]
+        held.discard(key)
+        if not held:
+            del self._keys[token], self._slabs[token]
+            if slab not in self._slabs.values():  # no token left in it: the spare
+                self._spare = slab
 
     # ------------------------------------------------------------------
 

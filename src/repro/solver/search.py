@@ -166,7 +166,8 @@ class GenericSearch:
     ``(mean, variance)`` rows per ``(sample_token, state key)`` next to
     the lazily built tier-0 evaluator, so a warm engine's later solves
     of the same sample tensor propagate only the states no earlier
-    solve classified.  :meth:`clear_caches` releases both.
+    solve classified.  :meth:`forget` releases one token's share of
+    both and of the backend's memos, :meth:`clear_caches` all of it.
     """
 
     #: Cap on transformation children generated per expansion; children
@@ -404,6 +405,14 @@ class GenericSearch:
             self._analytic = AnalyticBackend(pool=self.backend.pool)
         return self._analytic
 
+    def forget(self, token: int) -> None:
+        """Drop every memo entry of sample token ``token``: the backend's,
+        tier 0's calibration and the moment memo's rows."""
+        self.moment_memo.forget(token)
+        self.backend.forget(token)
+        if self._analytic is not None:
+            self._analytic.forget(token)
+
     def clear_caches(self) -> None:
         """Drop the backend's memos and buffers, tier 0's calibrations and moment memo."""
         self.moment_memo.clear()
@@ -413,10 +422,10 @@ class GenericSearch:
 
     def cache_stats(self) -> dict[str, dict]:
         """``moments`` (the tier-0 memo's counters plus ``nbytes``) and,
-        once tier 0 ran, ``analytic``: its work counters."""
+        once tier 0 ran, ``analytic``: its work counters and calibrations."""
         stats = {"moments": {**self.moment_memo.counters(), "nbytes": self.moment_memo.nbytes()}}
         if self._analytic is not None:
-            stats["analytic"] = self._analytic.analytic_stats()
+            stats.update(self._analytic.cache_stats())
         return stats
 
     def analytic_stats(self) -> dict | None:

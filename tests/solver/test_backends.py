@@ -195,7 +195,7 @@ class TestSamplePrecision:
         parent = PlanState.uniform(problem.num_tasks, 0)
         ev = backend.evaluate_batch(problem, [parent], pins=StateBlock.from_states([parent]))
         assert ev.mean_makespan.dtype == np.float64
-        (row,) = backend.cache._rows.values()
+        ((row,),) = (rows.values() for rows in backend.cache._rows.values())
         assert row.dtype == np.float32
         assert backend.eval_context.slab(problem.sample_token).rows.dtype == np.float32
 

@@ -53,6 +53,25 @@ class TestCacheMechanics:
         backend.evaluate_batch(problem, [states[0]])
         assert cache.misses == 4
 
+    def test_forget_drops_one_tokens_rows(self, problem, monkeypatch):
+        monkeypatch.setattr(MakespanCache, "MAX_ENTRIES", 5)
+        backend = VectorizedBackend()
+        cache = backend.cache
+        other = problem.with_sample_prefix(16)  # a tensor of its own token
+        states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
+        backend.evaluate_batch(problem, states)
+        backend.evaluate_batch(other, states[:2])
+        cache.forget(problem.sample_token)
+        assert len(cache) == 2 and cache.nbytes() > 0
+        backend.evaluate_batch(other, states[:2])
+        assert cache.misses == 5  # the other token's rows stayed
+        backend.evaluate_batch(problem, states)  # refilled, then evicted past the cap
+        backend.evaluate_batch(problem, [PlanState.uniform(problem.num_tasks, 3)])
+        assert len(cache) == 5 and cache.misses == 9
+        cache.forget(other.sample_token)
+        cache.forget(problem.sample_token)
+        assert len(cache) == 0 and cache.nbytes() == 0
+
     def test_rows_are_copies_not_views(self, problem):
         """Cached rows own their memory: whatever the producer does with
         its output afterwards -- hand it out again as pooled scratch, or
@@ -71,7 +90,7 @@ class TestCacheMechanics:
         np.testing.assert_array_equal(first, expected)
         np.testing.assert_array_equal(cache.fetch(problem, states, compute), expected)
         assert len(produced) == 1  # the second fetch was all hits
-        for row in cache._rows.values():
+        for row in cache._rows[problem.sample_token].values():
             assert row.base is None and not row.flags.writeable
         assert cache.nbytes() == expected.nbytes + sum(len(st.key) for st in states)
 

@@ -139,6 +139,47 @@ class TestEvalContext:
         ctx.discard(2, b"b")
         assert ctx.slab(2) is None and len(ctx) == 1
 
+    def test_forget_drops_one_token(self, problem):
+        ctx = EvalContext()
+        for token in (1, 2):
+            for key in (b"a", b"b"):
+                store(ctx, token, key, np.full((3, 2), float(token)))
+        ctx.screen_problem(problem, 16)
+        ctx.forget(1)
+        ctx.forget(problem.sample_token)
+        assert not ctx.peek(1, b"a") and not ctx.peek(1, b"b") and len(ctx) == 2
+        assert stored(ctx, 2, b"b").tolist() == [[2.0, 2.0]] * 3
+        assert ctx.screen_stats() == {"screen_entries": 0, "screen_nbytes": 0}
+        # Token 1's slots are free again, lowest first.
+        store(ctx, 3, b"a", np.zeros((3, 2)))
+        assert ctx.find(3, b"a") == 0
+        ctx.forget(99)  # a token with nothing resident
+
+    def test_an_emptied_slab_is_kept_for_its_shape(self, monkeypatch):
+        # A job whose token is forgotten as soon as it is solved
+        # (solve_program) must not leave the next same-sized job a fresh mapping.
+        monkeypatch.setattr(EvalContext, "MAX_ENTRIES", 2)
+        ctx = EvalContext()
+        store(ctx, 1, b"a", np.ones((3, 2)))
+        slab, held = ctx.slab(1), ctx.nbytes()
+        ctx.forget(1)
+        assert ctx.slab(1) is None and len(ctx) == 0 and ctx.nbytes() == held
+        store(ctx, 2, b"a", np.ones((3, 2)))
+        assert ctx.slab(2) is slab and ctx.nbytes() == held
+        # One spare at a time: the slab emptied last.
+        store(ctx, 3, b"a", np.ones((4, 2)))
+        other = ctx.slab(3)
+        ctx.forget(2)
+        ctx.forget(3)
+        assert ctx.nbytes() == other.nbytes()
+        store(ctx, 4, b"a", np.ones((4, 2)))
+        assert ctx.slab(4) is other
+        store(ctx, 5, b"a", np.ones((3, 2)))
+        assert ctx.slab(5) is not slab
+
+    def test_capacity_is_the_beam_a_search_chains_from(self):
+        assert EvalContext.MAX_ENTRIES == GenericSearch.BEAM_WIDTH + GenericSearch.EXPAND_PER_ITER
+
     def test_screen_problem_is_memoized_per_token(self, problem):
         ctx = EvalContext()
         first = ctx.screen_problem(problem, 16)
