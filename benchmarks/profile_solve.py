@@ -53,10 +53,13 @@ seeds, and its share of the median request.  No timing threshold.
 ``--resident FAMILY N`` looks at what a warm engine keeps: it solves N
 distinct workflows of the family (generator seeds ``--seed`` onwards,
 deadline ``medium``, 96th percentile) on one engine, as a service worker
-does, and after each solve prints the process's ``VmRSS``, the compiled
-problems the engine holds and each token-keyed memo's entries and bytes
-(:data:`RESIDENT`, from ``Deco.cache_stats()``).  Once the problem memo
-is full the memos should stop growing.  No threshold.
+does, and after each solve prints the process's ``VmRSS`` and ``VmHWM``
+(its high-water mark, what the benchmark's ``peak_rss_mb`` reads), the
+compiled problems the engine holds, each token-keyed memo's entries and
+bytes and the scratch pool's buffers and bytes (:data:`RESIDENT`, from
+``Deco.cache_stats()``).  Once the problem memo is full the memos should
+stop growing; the scratch pool is sized by the kernels' byte budgets,
+not by the largest batch.  No threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -126,6 +129,7 @@ RESIDENT = {
     "frontier": ("frontier", "entries", "nbytes"),
     "calibrations": ("analytic", "calibration_entries", "calibration_nbytes"),
     "screen": ("frontier", "screen_entries", "screen_nbytes"),
+    "scratch": ("scratch", "buffers", "nbytes"),
 }
 
 
@@ -498,12 +502,12 @@ def imports_report(repeats: int = 5, top: int = 10) -> int:
     return 1 if failures else 0
 
 
-def _vmrss_mb() -> float:
-    """This process's resident set, from ``/proc/self/status`` (NaN elsewhere)."""
+def _vm_mb(field: str) -> float:
+    """This process's ``VmRSS`` / ``VmHWM``, from ``/proc/self/status`` (NaN elsewhere)."""
     try:
         with open("/proc/self/status") as fh:
             for line in fh:
-                if line.startswith("VmRSS:"):
+                if line.startswith(f"{field}:"):
                     return int(line.split()[1]) / 1024.0
     except OSError:
         pass
@@ -514,8 +518,8 @@ def resident_report(family: str, count: int, seed: int) -> int:
     """``--resident``: ``count`` distinct workflows of ``family`` on one warm engine."""
     deco = Deco(ec2_catalog(), **ENGINE)
     print(f"{family}: {count} workflows (generator seeds {seed}-{seed + count - 1}), "
-          f"one engine; each memo as entries/MB")
-    print(f"{'solve':>5} {'VmRSS MB':>9} {'problems':>8} "
+          f"one engine; each memo as entries/MB, scratch as buffers/MB")
+    print(f"{'solve':>5} {'VmRSS MB':>9} {'VmHWM MB':>9} {'problems':>8} "
           + " ".join(f"{name:>17}" for name in RESIDENT))
     for i in range(count):
         deco.schedule(WORKFLOWS[family](seed + i), "medium", deadline_percentile=96.0)
@@ -524,7 +528,8 @@ def resident_report(family: str, count: int, seed: int) -> int:
         for section, entries, nbytes in RESIDENT.values():
             memo = stats.get(section, {})
             cells.append(f"{memo.get(entries, 0)}/{memo.get(nbytes, 0) / 2**20:.1f}")
-        print(f"{i + 1:>5} {_vmrss_mb():>9.1f} {stats['compiled_problems']:>8} "
+        print(f"{i + 1:>5} {_vm_mb('VmRSS'):>9.1f} {_vm_mb('VmHWM'):>9.1f} "
+              f"{stats['compiled_problems']:>8} "
               + " ".join(f"{cell:>17}" for cell in cells))
     return 0
 
@@ -548,8 +553,8 @@ def main() -> int:
                     help="exclusive wall time per solver function over cold solves of the "
                          "family (perf_counter wrappers, no cProfile)")
     ap.add_argument("--resident", nargs=2, metavar=("FAMILY", "N"),
-                    help="VmRSS and every token-keyed memo's size after each of N distinct "
-                         "solves of FAMILY on one engine")
+                    help="VmRSS, VmHWM, every token-keyed memo's and the scratch pool's size "
+                         "after each of N distinct solves of FAMILY on one engine")
     args = ap.parse_args()
 
     if args.resident:

@@ -20,6 +20,7 @@ Algorithm-1 evaluation is asserted in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import pickle
 
 import numpy as np
@@ -149,6 +150,17 @@ class ArenaWorkflowStub:
         return f"ArenaWorkflowStub({self.name!r}, {self.num_tasks})"
 
 
+def _parent_csr(parent_indices) -> dict[str, np.ndarray]:
+    """The parent lists as CSR arrays: ``parent_offsets`` (N+1) and the
+    flat ``parent_edges``; task i's parents are ``edges[offsets[i]:offsets[i+1]]``."""
+    sizes = np.fromiter(map(len, parent_indices), dtype=np.int64, count=len(parent_indices))
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edges = np.fromiter(
+        itertools.chain.from_iterable(parent_indices), dtype=np.int64, count=int(offsets[-1])
+    )
+    return {"parent_offsets": offsets, "parent_edges": edges}
+
+
 def export_problem_arrays(
     problem: CompiledProblem, calibration: tuple | None = None
 ) -> tuple[dict[str, np.ndarray], dict]:
@@ -161,7 +173,7 @@ def export_problem_arrays(
         "tensor_taskmajor": problem.tensor_taskmajor,
         "mean_times": problem.mean_times,
         "prices": problem.prices,
-        "parent_matrix": lv.parent_matrix,
+        **_parent_csr(problem.parent_indices),
         "order": lv.order,
         "depth": lv.depth,
         "rank": lv.rank,
@@ -195,8 +207,6 @@ def problem_fingerprint(problem: CompiledProblem, calibrated: bool = False) -> s
     """
     from repro.parallel.arena import content_key
 
-    lv = problem.levels
-    assert lv is not None
     extra = pickle.dumps(
         (
             problem.workflow.name,
@@ -212,7 +222,7 @@ def problem_fingerprint(problem: CompiledProblem, calibrated: bool = False) -> s
             "tensor": problem.tensor,
             "mean_times": problem.mean_times,
             "prices": problem.prices,
-            "parent_matrix": lv.parent_matrix,
+            **_parent_csr(problem.parent_indices),
         },
         extra=extra,
     )
@@ -239,7 +249,6 @@ def problem_from_segment(
     arrays, meta = segment.arrays, segment.meta
     level_parents = [arrays[f"lvlp{i}"] for i in range(int(meta["num_levels"]))]
     levels = LevelSchedule.from_arrays(
-        parent_matrix=arrays["parent_matrix"],
         order=arrays["order"],
         depth=arrays["depth"],
         rank=arrays["rank"],
@@ -247,10 +256,9 @@ def problem_from_segment(
         level_bounds=meta["level_bounds"],
         level_parents=level_parents,
     )
-    parent_matrix = arrays["parent_matrix"]
-    parents = tuple(
-        tuple(int(p) for p in row[row >= 0]) for row in parent_matrix
-    )
+    edges = arrays["parent_edges"].tolist()
+    bounds = arrays["parent_offsets"].tolist()
+    parents = tuple(tuple(edges[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     return CompiledProblem(
         workflow=ArenaWorkflowStub(meta["workflow_name"], int(meta["num_tasks"])),
         catalog=catalog,

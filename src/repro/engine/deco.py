@@ -247,7 +247,9 @@ class Deco:
         incremental-propagation counters; on ``"analytic"``:
         ``analytic``), the search's (``moments``, tier 0's moment memo,
         and ``analytic``, its work counters, once tier 0 has run),
-        ``compiled_problems`` (memoized problem count), and -- on a
+        ``scratch`` (``buffers`` and ``nbytes`` of the backend's scratch
+        pool, which tier 0 shares), ``compiled_problems`` (memoized
+        problem count), and -- on a
         sharded engine (``workers > 1``) -- ``distributed``: the worker
         count, the number of sharded solves, and the lifetime aggregate
         of the shards' reported cache/delta/tier-0 counters, so sharded
@@ -255,6 +257,8 @@ class Deco:
         parent caches.
         """
         stats: dict = {**self._search.cache_stats(), **self.backend.cache_stats()}
+        pool = self.backend.pool
+        stats["scratch"] = {"buffers": len(pool), "nbytes": pool.nbytes()}
         stats["compiled_problems"] = len(self._problems)
         if self.workers > 1:
             stats["distributed"] = self._shard_plane().stats()

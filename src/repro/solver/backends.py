@@ -13,14 +13,15 @@ are unavailable in this environment, so the GPU role is played by a
   row ``take`` driven by an ``(N, B)`` index matrix (coalesced reads);
 * evaluating a batch of B states propagates finish times through the
   DAG in **level-parallel** order: :class:`~repro.solver.levels.LevelSchedule`
-  precomputes the topological levels, a padded parent-index matrix
-  (``-1`` sentinel) and a level-contiguous task permutation at compile
-  time; the backend's fused kernel then, per level, gathers the lane
-  block, advances finish times with gather + ``max`` reductions over
-  all ``B*S`` lanes, and folds the block max into the running makespan
+  precomputes the topological levels, each level's parent gather and
+  a level-contiguous task permutation at compile time; the backend's
+  fused kernel then, per level, gathers the lane block, advances
+  finish times with gather + ``max`` reductions over the lanes of a
+  chunk of states, and folds the block max into the running makespan
   while the block is cache-hot -- D (depth) Python iterations instead
   of N (tasks), exactly the wavefront a CUDA kernel would launch per
-  level;
+  level.  Like a thread block's, a chunk's working set is fixed
+  (:data:`_FULL_BYTES`), whatever the batch size;
 * the deadline probability is a mean over the S axis (a block-level
   reduction in the CUDA version).
 
@@ -95,6 +96,15 @@ _SAMPLE_TOKENS = itertools.count()
 #: from one pair per tile upwards.  It also bounds the kernel's pooled
 #: temporaries whatever the batch size.
 _TILE_BYTES = 512 << 10
+
+#: The full kernel runs a batch in chunks of as many states as fit one
+#: ``(N+1, chunk*S)`` finish matrix of this many bytes, so its pooled
+#: buffers (finish, lanes, scratch) do not grow with the batch: two
+#: states per chunk on Montage-8 at S = 150, twelve at tier 1's S = 32.
+#: Measured on 65-state Montage-8 batches: 24 ms (S = 150) and 4.7 ms
+#: (S = 32) per batch against 35 and 5.6 ms unchunked; 512 KB chunks
+#: cost up to 30% more, 2 MB ones save under 10% for 2.5x the scratch.
+_FULL_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -486,15 +496,16 @@ def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
 class VectorizedBackend(EvaluationBackend):
     """The "GPU" backend: batched array evaluation (see module docstring).
 
-    The fast path works in *permuted task-major* layout: one flat-index
-    ``take`` gathers the ``(N, B*S)`` lane matrix with tasks already in
-    level-contiguous order, then :meth:`LevelSchedule.propagate_permuted`
-    advances one level per step.  Large intermediates (index matrix,
-    lane matrix, finish matrix, level scratch) come from a small
-    per-backend buffer pool -- reallocating multi-hundred-KB arrays
-    every evaluation costs page faults that dominate the kernel at
-    search-sized batches.  The pool makes the backend non-reentrant
-    (one evaluation at a time per instance), matching a CUDA stream.
+    The fast path works in *permuted task-major* layout: per level, one
+    flat-index ``take`` gathers a chunk's lane block with tasks already
+    in level-contiguous order, and gather + ``max`` advances its finish
+    times.  Large intermediates (lane block, finish matrix, level
+    scratch) come from a small per-backend buffer pool, sized by the
+    kernels' byte budgets rather than the batch -- reallocating
+    multi-hundred-KB arrays every evaluation costs page faults that
+    dominate the kernel at search-sized batches.  The pool makes the
+    backend non-reentrant (one evaluation at a time per instance),
+    matching a CUDA stream.
 
     The backend owns its memos: ``cache`` (the makespan rows
     :meth:`evaluate_batch` reduces) and ``eval_context`` (finish-time
@@ -628,14 +639,31 @@ class VectorizedBackend(EvaluationBackend):
 
     def _makespan_full(self, problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
         """The fused full-batch level kernel (every level, every row) on a
-        validated ``(B, N)`` assignment matrix."""
+        validated ``(B, N)`` assignment matrix.
+
+        States are independent, so the batch runs in chunks of as many
+        states as fit one ``(N+1, chunk*S)`` finish matrix of
+        :data:`_FULL_BYTES` (at least one state): the pooled buffers are
+        sized by the chunk, never by the batch, and each chunk writes its
+        makespans straight into the result.
+        """
         b = len(assign)
         n = problem.num_tasks
         s = problem.num_samples
         dtype = problem.tensor.dtype
         if n == 0:
             return np.zeros((b, s), dtype)
+        out = np.empty((b, s), dtype)  # fresh: callers may hold on to the result
+        chunk = max(1, _FULL_BYTES // ((n + 1) * s * dtype.itemsize))
+        for c0 in range(0, b, chunk):
+            self._full_chunk(problem, assign[c0 : c0 + chunk], out[c0 : c0 + chunk])
+        return out
+
+    def _full_chunk(self, problem: CompiledProblem, assign: np.ndarray, out: np.ndarray) -> None:
+        """One chunk of :meth:`_makespan_full`: ``(c, S)`` makespans into ``out``."""
         sched = problem.levels
+        n, s = problem.num_tasks, problem.num_samples
+        b, dtype = len(assign), out.dtype
 
         # Fused level kernel over the task-major tensor copy: per level,
         # gather the lane block as contiguous row takes, propagate finish
@@ -655,7 +683,6 @@ class VectorizedBackend(EvaluationBackend):
         lanes = self._buf("lanes", (w, m), dtype)
         buf_a = self._buf("scratch_a", (w, m), dtype)
         buf_b = self._buf("scratch_b", (w, m), dtype)
-        out = np.empty((b, s), dtype)  # fresh: callers may hold on to the result
         makespan = out.reshape(m)
         for lv, ((lo, hi), gather, columns) in enumerate(
             zip(sched.level_bounds, sched.level_parents, sched.level_columns)
@@ -668,10 +695,10 @@ class VectorizedBackend(EvaluationBackend):
                 out=ln.reshape(k * b, s), mode="clip",
             )
             dst = finish[lo:hi]
+            ready = buf_a[:k]
             if gather.shape[1] == 0:
                 dst[...] = ln
             elif columns is not None:
-                ready = buf_a[:k]
                 np.take(finish, columns[0], axis=0, out=ready, mode="clip")
                 for col in columns[1:]:
                     other = buf_b[:k]
@@ -679,13 +706,21 @@ class VectorizedBackend(EvaluationBackend):
                     np.maximum(ready, other, out=ready)
                 np.add(ready, ln, out=dst)
             else:
-                # Big fan-in, few tasks: one 3-D gather + max reduction.
-                np.add(finish[gather].max(axis=1), ln, out=dst)
+                # Big fan-in, few tasks: a 3-D gather + max reduction, as
+                # many tasks at a time as fit one tile, through the wide
+                # gather buffer the delta kernel pools too.
+                p = gather.shape[1]
+                step = max(1, _TILE_BYTES // (p * m * dtype.itemsize))
+                for t0 in range(0, k, step):
+                    part = gather[t0 : t0 + step]
+                    wide = self._buf("wide", (part.size, m), dtype)
+                    np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
+                    np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
+                np.add(ready, ln, out=dst)
             if lv == 0:
                 dst.max(axis=0, out=makespan)
             else:
                 np.maximum(makespan, dst.max(axis=0), out=makespan)
-        return out
 
     # Incremental (delta) evaluation ------------------------------------
 
@@ -862,7 +897,7 @@ class VectorizedBackend(EvaluationBackend):
         width = 0 if src is None else src.shape[0]
         wide = width > _COLUMN_FANIN_MAX
         step = max(1, tile // width) if wide else tile
-        wide_buf = self._buf("delta_wide", (width * step, s), rows.dtype) if wide else None
+        wide_buf = self._buf("wide", (width * step, s), rows.dtype) if wide else None
         for i in range(0, len(lanes), step):
             k = min(step, len(lanes) - i)
             part = rows[first_row + i : first_row + i + k]

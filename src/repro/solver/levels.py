@@ -6,8 +6,6 @@ DAGs like Montage that is hundreds of interpreter round-trips to do
 what is structurally ~9 levels of independent work.  A
 :class:`LevelSchedule` precomputes, once per compiled problem:
 
-* ``parent_matrix`` -- an ``(N, Pmax)`` padded parent-index matrix with
-  a ``-1`` sentinel, the flat form GPU kernels consume;
 * a **level-contiguous permutation** of the task axis: tasks sorted by
   topological level (stably, so topological order is preserved inside a
   level), which turns every level's finish-time block into a contiguous
@@ -20,6 +18,11 @@ what is structurally ~9 levels of independent work.  A
   tasks like Montage's ``mConcatFit``) use one 3-D gather + ``max``.
   Padding slots point at a dedicated always-zero row, so "no parent"
   needs no branching.
+
+A schedule keeps only index data a kernel reads: a level's gather is
+as wide as that level's fan-in, not the DAG's, so a Montage-8 layout
+holds tens of KB.  The shared-memory arena ships the parent lists
+themselves as CSR arrays (see ``repro.engine.compiler``).
 
 :meth:`LevelSchedule.propagate_permuted` / :meth:`LevelSchedule.makespan` then
 advance one whole level per step with fused gather + ``max``
@@ -60,10 +63,6 @@ class LevelSchedule:
     ----------
     num_tasks:
         N, the number of tasks.
-    parent_matrix:
-        ``(N, Pmax)`` int64; row i holds task i's parent indices (in the
-        original topological numbering) padded with ``-1`` -- the
-        conventional sentinel of flattened DAG layouts.
     order:
         ``(N,)`` int64; ``order[r]`` is the original index of the task
         in permuted slot ``r``.  Tasks are sorted by level, stably, so
@@ -94,7 +93,6 @@ class LevelSchedule:
     """
 
     num_tasks: int
-    parent_matrix: np.ndarray
     order: np.ndarray
     level_bounds: tuple[tuple[int, int], ...]
     level_parents: tuple[np.ndarray, ...]
@@ -109,16 +107,13 @@ class LevelSchedule:
     ) -> "LevelSchedule":
         """Build the schedule from per-task parent lists (topological order)."""
         n = len(parent_indices)
-        max_parents = max((len(p) for p in parent_indices), default=0)
-        parent_matrix = np.full((n, max_parents), -1, dtype=np.int64)
         depth = np.zeros(n, dtype=np.int64)
         for i, parents in enumerate(parent_indices):
-            for j, p in enumerate(parents):
+            for p in parents:
                 if not 0 <= p < i:
                     raise SolverError(
                         f"parent index {p} of task {i} violates topological order"
                     )
-                parent_matrix[i, j] = p
             if len(parents):
                 depth[i] = 1 + max(depth[p] for p in parents)
 
@@ -155,11 +150,10 @@ class LevelSchedule:
                 is_parent[p] = True
         sink_slots = np.ascontiguousarray(rank[~is_parent])
 
-        for arr in (parent_matrix, order, rank, depth, sink_slots, *level_parents):
+        for arr in (order, rank, depth, sink_slots, *level_parents):
             arr.setflags(write=False)
         return cls(
             num_tasks=n,
-            parent_matrix=parent_matrix,
             order=order,
             level_bounds=tuple(bounds),
             level_parents=tuple(level_parents),
@@ -173,7 +167,6 @@ class LevelSchedule:
     def from_arrays(
         cls,
         *,
-        parent_matrix: np.ndarray,
         order: np.ndarray,
         depth: np.ndarray,
         rank: np.ndarray,
@@ -198,8 +191,7 @@ class LevelSchedule:
             else:
                 level_columns.append(None)
         return cls(
-            num_tasks=int(parent_matrix.shape[0]),
-            parent_matrix=parent_matrix,
+            num_tasks=int(order.shape[0]),
             order=order,
             level_bounds=tuple((int(lo), int(hi)) for lo, hi in level_bounds),
             level_parents=tuple(level_parents),

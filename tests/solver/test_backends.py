@@ -5,6 +5,7 @@ import pytest
 
 from repro.common.errors import SolverError
 from repro.faults.model import FaultModel
+from repro.solver import backends as backends_module
 from repro.solver.backends import (
     CompiledProblem,
     ScalarBackend,
@@ -245,3 +246,63 @@ class TestDeadlineComparedInFloat64:
     def test_screen_probabilities_count_a_miss(self, tie, backend):
         problem, states = tie
         assert backend().screen_probabilities(problem, states, prefix=2)[0] == 0.0
+
+
+def _level_reference(problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
+    """``(B, S)`` makespans, one state at a time through ``problem.levels.makespan``."""
+    order = problem.levels.order
+    tm = problem.tensor_taskmajor
+    return np.stack([problem.levels.makespan(tm[row[order], order]) for row in assign])
+
+
+class TestFullKernelScratchIsBounded:
+    """The full kernel runs a batch in chunks of one finish-matrix byte
+    budget, so the scratch pool it leaves does not grow with the batch.
+
+    The bound: a chunk's finish matrix is at most ``_FULL_BYTES`` once one
+    state fits in it; its lane block and two scratch blocks are no larger
+    (a level is at most N rows), and the wide-fan-in gather is one tile or
+    one task.  So the pool stays under ``4 * _FULL_BYTES + _TILE_BYTES``
+    (4.5 MB) whatever B is; a kernel sized by the whole batch leaves 72 MB
+    after 64 Montage-8 states.
+    """
+
+    BOUND = 4 * backends_module._FULL_BYTES + backends_module._TILE_BYTES
+
+    @staticmethod
+    def _block(problem, b, seed=0):
+        rng = np.random.default_rng(seed)
+        return StateBlock(rng.integers(0, problem.num_types, (b, problem.num_tasks)))
+
+    def test_montage8_pool_does_not_grow_with_the_batch(self, catalog):
+        problem = CompiledProblem.compile(
+            montage(degrees=8.0, seed=3), catalog, deadline=3600.0, num_samples=150, seed=1
+        )
+        backend = VectorizedBackend()
+        block = self._block(problem, 64)
+        first = backend.makespan_samples(problem, StateBlock(block.assign[:4]))
+        small = backend.pool.nbytes()
+        rows = backend.makespan_samples(problem, block)
+        assert backend.pool.nbytes() == small <= self.BOUND
+        reference = _level_reference(problem, block.assign)
+        assert np.array_equal(first, reference[:4])
+        assert np.array_equal(rows, reference)
+
+        probs = backend.screen_probabilities(problem, block, 32)
+        assert backend.pool.nbytes() <= self.BOUND
+        sp = problem.with_sample_prefix(32)
+        expected = np.mean(_level_reference(sp, block.assign) <= np.float64(sp.deadline), axis=1)
+        assert np.array_equal(probs, expected)
+
+    def test_montage1_chunks_match_scalar(self, catalog):
+        problem = CompiledProblem.compile(
+            montage(degrees=1.0, seed=3), catalog, deadline=900.0, num_samples=150, seed=1
+        )
+        # 56 states fit the budget at N = 30, S = 150: 64 cross one boundary.
+        chunk = backends_module._FULL_BYTES // ((problem.num_tasks + 1) * 150 * 4)
+        assert chunk < 64
+        backend = VectorizedBackend()
+        block = self._block(problem, 64, seed=1)
+        rows = backend.makespan_samples(problem, block)
+        assert np.array_equal(rows, _level_reference(problem, block.assign))
+        assert np.array_equal(rows, ScalarBackend().makespan_samples(problem, block))

@@ -407,14 +407,17 @@ class TestDecoCacheSurface:
         small, large = montage(degrees=1.0, seed=3), cybershake(300, seed=3)
         deco.schedule(small, "medium")
         assert set(deco.cache_stats()) == {
-            "makespan", "frontier", "moments", "compiled_problems", "delta",
+            "makespan", "frontier", "moments", "scratch", "compiled_problems", "delta",
         }
         first = deco.schedule(large, "medium").decision_dict()
         assert deco.last_result.analytic_evals > 0
         assert set(deco.cache_stats()) == {
-            "makespan", "frontier", "moments", "compiled_problems", "delta", "analytic",
+            "makespan", "frontier", "moments", "scratch", "compiled_problems", "delta",
+            "analytic",
         }
+        assert deco.cache_stats()["scratch"]["nbytes"] == deco.backend.pool.nbytes() > 0
         deco.clear_caches()
         backend = deco.backend
         assert len(backend.cache) == len(backend.eval_context) == len(backend.pool) == 0
+        assert deco.cache_stats()["scratch"] == {"buffers": 0, "nbytes": 0}
         assert deco.schedule(large, "medium").decision_dict() == first

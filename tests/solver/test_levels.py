@@ -5,14 +5,22 @@ a per-task propagation loop (``_reference_finish`` below) and the scalar
 reference backend -- levels change iteration order, never arithmetic.
 """
 
+import dataclasses
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from repro.common.errors import SolverError
+from repro.engine.compiler import (
+    export_problem_arrays,
+    problem_fingerprint,
+    problem_from_segment,
+)
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
-from repro.solver.levels import LevelSchedule
+from repro.solver.levels import LevelSchedule, workflow_layout
 from repro.solver.state import PlanState
-from repro.workflow.generators import random_dag
+from repro.workflow.generators import montage, random_dag
 
 
 def _random_parents(n: int, seed: int, max_fanin: int = 5):
@@ -62,13 +70,6 @@ class TestConstruction:
         # Stable permutation: topological numbering preserved per level.
         np.testing.assert_array_equal(sched.order, [0, 1, 2, 3])
 
-    def test_parent_matrix_padding(self):
-        sched = LevelSchedule.from_parent_indices(((), (0,), (0, 1)))
-        assert sched.parent_matrix.shape == (3, 2)
-        np.testing.assert_array_equal(
-            sched.parent_matrix, [[-1, -1], [0, -1], [0, 1]]
-        )
-
     def test_level_contiguous_permutation(self):
         # Task 1 depends on 2-deep chain; tasks 2, 3 are roots.
         parents = ((), (0,), (), ())
@@ -90,6 +91,60 @@ class TestConstruction:
         sched = LevelSchedule.from_parent_indices(parents)
         assert sched.level_columns[-1] is None  # fan-in 9 > column cutoff
         assert sched.level_parents[-1].shape == (1, n - 1)
+
+
+class TestIndexDataOnly:
+    """A schedule keeps the index data its kernels read, nothing padded to
+    the DAG's widest fan-in; the arena ships the parent lists as CSR."""
+
+    def test_montage8_layout_is_small(self):
+        _, sched = workflow_layout(montage(degrees=8.0, seed=3))
+
+        def nbytes(value) -> int:
+            if isinstance(value, np.ndarray):
+                return value.nbytes
+            if isinstance(value, tuple):
+                return sum(map(nbytes, value))
+            return 0
+
+        held = sum(nbytes(getattr(sched, f.name)) for f in dataclasses.fields(sched))
+        assert sched.num_tasks == 680
+        assert held < 64 * 1024
+
+    def test_arena_round_trip_keeps_parent_lists(self, catalog):
+        problem = CompiledProblem.compile(
+            montage(degrees=1.0, seed=3), catalog, deadline=3600.0, num_samples=16
+        )
+        arrays, meta = export_problem_arrays(problem)
+        assert "parent_offsets" in arrays and "parent_edges" in arrays
+        rebuilt = problem_from_segment(SimpleNamespace(arrays=arrays, meta=meta), catalog)
+        assert rebuilt.parent_indices == problem.parent_indices
+        rng = np.random.default_rng(0)
+        states = [PlanState(rng.integers(0, problem.num_types, problem.num_tasks))
+                  for _ in range(5)]
+        np.testing.assert_array_equal(
+            VectorizedBackend().makespan_samples(rebuilt, states),
+            ScalarBackend().makespan_samples(problem, states),
+        )
+
+    def test_fingerprint_sees_one_edge(self, catalog):
+        problem = CompiledProblem.compile(
+            montage(degrees=1.0, seed=3), catalog, deadline=3600.0, num_samples=16
+        )
+        parents = problem.parent_indices
+        task = next(i for i, ps in enumerate(parents) if len(ps) >= 2)
+        moved = next(p for p in range(task) if p not in parents[task])
+        variants = (
+            parents[task][1:],                        # one edge dropped
+            (moved,) + parents[task][1:],             # one edge re-pointed
+        )
+        keys = {problem_fingerprint(problem)}
+        for variant in variants:
+            edited = parents[:task] + (variant,) + parents[task + 1 :]
+            keys.add(problem_fingerprint(
+                dataclasses.replace(problem, parent_indices=edited, levels=None)
+            ))
+        assert len(keys) == 1 + len(variants)
 
 
 class TestPropagation:
