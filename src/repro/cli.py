@@ -144,8 +144,8 @@ def _build_parser() -> argparse.ArgumentParser:
                             "default) or analytic (moment propagation, no sampling)")
     sched.add_argument("--solve-deadline", type=float, default=None, metavar="SECONDS",
                        help="wall-clock watchdog for the solve: return the best "
-                            "incumbent (timed_out flagged) instead of running the "
-                            "evaluation budget dry")
+                            "incumbent (timed_out flagged) instead of searching on "
+                            "until the search stops improving or hits --evals")
     sched.add_argument("--execute", action="store_true",
                        help="also execute the plan on the simulator")
     sched.add_argument("--workers", default=None, metavar="N", help=workers_help)

@@ -79,7 +79,8 @@ class Deco:
     num_samples:
         Monte Carlo realizations per state evaluation.
     max_evaluations:
-        The search's state-evaluation budget; the beam's shape is
+        The cap on the search's state evaluations (a solve ends earlier
+        once its beam stops improving); the beam's shape is
         :class:`~repro.solver.search.GenericSearch`'s default.
     faults / recovery:
         Engine-level fault model: every :meth:`schedule` call without

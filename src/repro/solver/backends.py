@@ -976,17 +976,25 @@ class VectorizedBackend(EvaluationBackend):
         sched = problem.levels
         order = sched.order
         table = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
+        w, dtype = sched.max_width, table.dtype
         chained: list[int] = []
         slots: list[int] = []
         for row, src in zip(rows, sources):
-            slot = ctx.reserve(token, keys[row], n, s, table.dtype, keep)
+            slot = ctx.reserve(token, keys[row], n, s, dtype, keep)
             if slot is None:
                 continue
             reserved.append(keys[row])
             slab = ctx.slab(token)
             if src is None:
-                lanes = table.take(assign[row][order] * n + order, axis=0)
-                sched.propagate_permuted(lanes, finish=slab.frontier(slot))
+                # Propagated in full through the full kernel's pooled
+                # buffers (no launch holds them yet); indices come from
+                # validated assignments, so the take skips bounds checks.
+                lanes = self._buf("lanes", (n, s), dtype)
+                np.take(table, assign[row][order] * n + order, axis=0, out=lanes, mode="clip")
+                scratch = (
+                    self._buf("scratch_a", (w, s), dtype), self._buf("scratch_b", (w, s), dtype)
+                )
+                sched.propagate_permuted(lanes, finish=slab.frontier(slot), scratch=scratch)
             else:
                 np.copyto(slab.frontier(slot), slab.frontier(src))
                 chained.append(row)

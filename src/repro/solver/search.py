@@ -97,8 +97,9 @@ class SearchResult:
     workers: int = 1             # processes the evaluations ran on
     #: The cooperative watchdog fired: the wall-clock budget passed to
     #: :meth:`GenericSearch.solve` expired at an iteration boundary and
-    #: the search returned its best incumbent instead of running the
-    #: evaluation budget dry.  Always ``False`` on an unbounded solve.
+    #: the search returned its best incumbent before it stopped
+    #: improving or hit its evaluation cap.  Always ``False`` on an
+    #: unbounded solve.
     timed_out: bool = False
 
     def assignment_names(self, problem: CompiledProblem) -> dict[str, str]:
@@ -152,7 +153,7 @@ class GenericSearch:
     backend:
         Evaluation backend (vectorized "gpu" by default).
     max_evaluations:
-        Total state-evaluation budget.
+        Cap on the state evaluations of one solve.
     analytic_min_tasks:
         Size gate of tier 0 (:class:`~repro.solver.tiers.AnalyticTier`):
         problems with fewer tasks never run it.  Setting it above a
@@ -160,7 +161,11 @@ class GenericSearch:
 
     Each iteration's batch passes the three tiers of
     :mod:`repro.solver.tiers` in order -- analytic, prefix screen, full
-    Monte Carlo -- and is merged back in child order.
+    Monte Carlo -- and is merged back in child order.  A solve ends when
+    its frontier empties, when ``IDLE_ITERATIONS`` expanding iterations
+    in a row improve no incumbent, or at ``max_evaluations``, whichever
+    comes first: the beam finds its plan early, and the paper's run to
+    the budget spends the rest finding nothing.
 
     The search outlives its solves: :attr:`moment_memo` keeps tier 0's
     ``(mean, variance)`` rows per ``(sample_token, state key)`` next to
@@ -179,6 +184,10 @@ class GenericSearch:
     #: How many beam states expand per iteration; their children are
     #: deduped and evaluated as one batch (block-per-state).
     EXPAND_PER_ITER = 8
+    #: The search ends after this many consecutive expanding iterations
+    #: (at least one child evaluated) improve no incumbent; an iteration
+    #: whose children were all deduped neither counts nor resets.
+    IDLE_ITERATIONS = 3
 
     def __init__(
         self,
@@ -240,10 +249,10 @@ class GenericSearch:
         improved = self._improvements(evals, np.arange(1, len(frontier)), evals.take([0]))
         best = ([0] + improved)[-1]
         best_state, best_eval = frontier.take([best]), evals.take([best])
-        evaluations, expansions, timed_out = len(frontier), 0, False
+        evaluations, expansions, idle, timed_out = len(frontier), 0, 0, False
         trace = [(evaluations, self._trace_cost(best_eval))]
 
-        while len(frontier) and evaluations < self.max_evaluations:
+        while len(frontier) and evaluations < self.max_evaluations and idle < self.IDLE_ITERATIONS:
             if t_deadline is not None and time.monotonic() >= t_deadline:
                 timed_out = True
                 break
@@ -268,9 +277,11 @@ class GenericSearch:
             # In child order: incumbent updates on exact-cost ties keep
             # the first-seen winner, whichever tier settled a candidate.
             merged = np.flatnonzero(settled)
+            idle += 1
             for row in self._improvements(child_evals, merged, best_eval):
                 best_state, best_eval = children.take([row]), child_evals.take([row])
                 trace.append((evaluations, self._trace_cost(best_eval)))
+                idle = 0
             # A feasible candidate is pruned (paper Section 5.3: promoting
             # only raises cost): it is now the incumbent, or the incumbent
             # is feasible and costs no more.  The infeasible ones join.

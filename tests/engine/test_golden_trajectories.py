@@ -1,7 +1,9 @@
 """Search trajectories against recordings made at the parent commit.
 
 ``golden/trajectories.json`` was written by ``golden/record.py`` at the
-commit *before* candidate generation moved to array passes.  A cold
+reference commit: a change meant to move no plan replays it unchanged,
+and one that moves only counters (``evaluations``, ``expansions``)
+re-records it after checking every plan is the same.  A cold
 serial engine, a warm one and a ``workers=2`` one are each held to their
 *own* recording: they do not agree with each other today (ROADMAP
 item 2), and a change that is meant to move no plan must move none of

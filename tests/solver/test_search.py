@@ -1,22 +1,26 @@
 """Tests for the generic (Algorithm 2) and A* searches."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import SolverError
+from repro.engine.deco import Deco
+from repro.engine.plan import deadline_presets
+from repro.parallel.arena import arena_available
+from repro.solver import search as search_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
 from repro.solver.state import BatchEval, PlanState, StateEval
-from repro.workflow.generators import montage, pipeline
+from repro.workflow.generators import epigenomics, montage, pipeline
 
 
 @pytest.fixture(scope="module")
 def problem(catalog, runtime_model):
     wf = montage(degrees=1, seed=2)
-    from repro.engine.plan import deadline_presets
-
     d = deadline_presets(wf, catalog, runtime_model).medium
     return CompiledProblem.compile(
         wf, catalog, deadline=d, percentile=96.0, num_samples=100,
@@ -107,6 +111,134 @@ class TestGenericSearch:
         names = result.assignment_names(problem)
         assert set(names) == set(problem.workflow.task_ids)
         assert set(names.values()) <= set(catalog.type_names)
+
+
+def count_expansions(monkeypatch) -> list[int]:
+    """Record how many children each beam iteration generated.
+
+    Every generated child is evaluated (and consumes budget) whichever
+    tier settles it, so the nonzero entries are the expanding iterations.
+    """
+    sizes: list[int] = []
+    expand = search_module.expand_batch
+
+    def counted(*args, **kwargs):
+        children = expand(*args, **kwargs)
+        sizes.append(len(children))
+        return children
+
+    monkeypatch.setattr(search_module, "expand_batch", counted)
+    return sizes
+
+
+def after_last_improvement(result, sizes: list[int]) -> list[int]:
+    """The children counts of the iterations after the last trace entry's."""
+    done, last = result.trace[0][0], -1  # the seeds
+    for i, n in enumerate(sizes):
+        done += n
+        if n and done == result.trace[-1][0]:
+            last = i
+    assert done == result.evaluations
+    return sizes[last + 1 :]
+
+
+def expanding(sizes: list[int]) -> int:
+    return sum(1 for n in sizes if n)
+
+
+#: The benchmark's engine knobs.
+ENGINE = {"seed": 7, "num_samples": 150, "max_evaluations": 1500}
+
+
+class TestIdleStop:
+    """A solve ends ``IDLE_ITERATIONS`` expanding iterations after its
+    last improvement; the evaluation budget stays the cap."""
+
+    @pytest.mark.parametrize("deadline", ["tight", "medium", "loose"])
+    def test_stops_idle_iterations_after_the_last_improvement(
+        self, catalog, runtime_model, deadline, monkeypatch
+    ):
+        wf = montage(degrees=1, seed=2)
+        d = getattr(deadline_presets(wf, catalog, runtime_model), deadline)
+        prob = CompiledProblem.compile(
+            wf, catalog, deadline=d, percentile=96.0, num_samples=100,
+            seed=5, runtime_model=runtime_model,
+        )
+        sizes = count_expansions(monkeypatch)
+        result = GenericSearch(max_evaluations=1500).solve(prob)
+        assert result.evaluations < 1500
+        assert expanding(after_last_improvement(result, sizes)) == GenericSearch.IDLE_ITERATIONS
+
+    def test_deduped_iterations_neither_count_nor_reset(self, catalog, monkeypatch):
+        """An iteration whose children were all deduped evaluates nothing.
+        Here every other one is emptied, and the stop still waits for
+        ``IDLE_ITERATIONS`` iterations that evaluated a child."""
+        sizes: list[int] = []
+        expand = search_module.expand_batch
+
+        def every_other_empty(*args, **kwargs):
+            children = expand(*args, **kwargs)
+            if len(sizes) % 2:
+                children = children.take([])
+            sizes.append(len(children))
+            return children
+
+        monkeypatch.setattr(search_module, "expand_batch", every_other_empty)
+        deco = Deco(catalog, **ENGINE)
+        deco.schedule(montage(degrees=4, seed=1), "medium", deadline_percentile=99.0)
+        result = deco.last_result
+        assert result.evaluations < 1500
+        tail = after_last_improvement(result, sizes)
+        assert expanding(tail) == GenericSearch.IDLE_ITERATIONS
+        assert tail.count(0) >= GenericSearch.IDLE_ITERATIONS - 1  # they ran, uncounted
+
+    def test_an_emptied_frontier_ends_the_search_first(self, catalog, monkeypatch):
+        """A 1-task pipeline runs out of states before any stop applies."""
+        sizes = count_expansions(monkeypatch)
+        deco = Deco(catalog, **ENGINE)
+        deco.schedule(pipeline(1, seed=0), "medium", deadline_percentile=96.0)
+        result = deco.last_result
+        assert result.evaluations < 1500
+        assert expanding(after_last_improvement(result, sizes)) < GenericSearch.IDLE_ITERATIONS
+
+    def test_a_late_improvement_resets_the_count(self, catalog, monkeypatch):
+        """Epigenomics-100 s0 at medium/99 improves at evaluation 487,
+        after more idle expanding iterations in all than the stop allows
+        in a row."""
+        sizes = count_expansions(monkeypatch)
+        deco = Deco(catalog, **ENGINE)
+        deco.schedule(epigenomics(100, seed=0), "medium", deadline_percentile=99.0)
+        result = deco.last_result
+        assert result.trace[-1][0] == 487
+        improving = len({n for n, _ in result.trace[1:]})
+        assert expanding(sizes) - improving > GenericSearch.IDLE_ITERATIONS
+        assert expanding(after_last_improvement(result, sizes)) == GenericSearch.IDLE_ITERATIONS
+
+    def test_the_budget_still_caps_the_search(self, problem):
+        full = GenericSearch(max_evaluations=1500).solve(problem)
+        cap = full.evaluations // 2
+        assert cap > full.trace[0][0]  # the cap falls inside the search
+        capped = GenericSearch(max_evaluations=cap).solve(problem)
+        assert capped.evaluations == cap
+        # Up to the iteration the cap truncates, the two searches agree.
+        assert [t for t in capped.trace if t[0] < cap] == [t for t in full.trace if t[0] < cap]
+
+    @pytest.mark.skipif(not arena_available(), reason="POSIX shared memory unavailable")
+    def test_sharded_solve_stops_where_the_serial_one_does(self, catalog):
+        wf = montage(degrees=1, seed=2)
+        plans, results = [], []
+        for workers in (None, 2):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # fewer cores than shards
+                with Deco(catalog, workers=workers, **ENGINE) as deco:
+                    plans.append(deco.schedule(wf, "medium").decision_dict())
+                    results.append(deco.last_result)
+        serial, sharded = results
+        assert sharded.workers == 2
+        assert serial.evaluations < 1500
+        assert sharded.evaluations == serial.evaluations
+        assert sharded.trace == serial.trace
+        assert plans[0] == plans[1]
 
 
 class TestIncumbentFold:
