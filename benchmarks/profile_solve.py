@@ -1,7 +1,6 @@
 """Where one ``Deco.schedule`` call spends its time: cProfile, top-N by self time.
 
     python3 benchmarks/profile_solve.py montage-8 --deadline tight --percentile 90 --warm
-    python3 benchmarks/profile_solve.py montage-1 --kernel
     python3 benchmarks/profile_solve.py montage-1 --split
     python3 benchmarks/profile_solve.py --imports
     python3 benchmarks/profile_solve.py --wlog
@@ -10,24 +9,11 @@
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
 hits and misses that request added to each evaluation cache of
-``Deco.cache_stats()`` -- makespan rows, frontiers, tier-0 moments --
-so a warm profile says how much of it was lookups; without it the
+``Deco.cache_stats()`` -- makespan rows and tier-0 moments -- so a
+warm profile says how much of it was lookups; without it the
 engine is fresh.  Self time is what tells interpreter loops apart from
 the array kernels they call -- this is the tool behind the shares quoted
 in DESIGN.md §17.
-
-``--kernel`` looks at the delta kernel instead (DESIGN.md §18): how many
-launches one solve makes (each pins an iteration's parents and evaluates
-their children), how many states they pin and evaluate, how many (slot,
-child) pairs they recompute and what share of the pairs sits on
-wide-fan-in levels, then the kernel's time per state on a
-*search-shaped* batch -- 8 pinned parents x 6 single-task edits each,
-what one beam iteration evaluates -- against the fused full kernel on
-the same states, with the bytes of samples the full kernel gathers per
-state (N * S * itemsize).  The two must agree ``np.array_equal``, both
-in the problem's sample dtype (``problem.tensor.dtype``), and on
-Montage-1 the full kernel must also equal ``ScalarBackend`` on the same
-batch: exit status 1 if not.  No timing threshold.
 
 ``--split`` times the solver without cProfile: every function in
 :data:`SPLIT` is wrapped in a ``perf_counter`` pair, and its *exclusive*
@@ -88,16 +74,8 @@ from pathlib import Path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 sys.path.insert(0, SRC)
 
-import numpy as np  # noqa: E402
-
 from repro.cloud import ec2_catalog  # noqa: E402
 from repro.engine.deco import Deco  # noqa: E402
-from repro.solver.backends import (  # noqa: E402
-    CompiledProblem,
-    ScalarBackend,
-    VectorizedBackend,
-    validated_assignments,
-)
 from repro.workflow import generators  # noqa: E402
 
 WORKFLOWS = {
@@ -113,34 +91,21 @@ WORKFLOWS = {
 #: The engine knobs of benchmarks/e2e/workloads.py.
 ENGINE = {"seed": 7, "num_samples": 150, "max_evaluations": 1500}
 
-PARENTS, EDITS = 8, 6  # one beam iteration: expand_per_iter parents, ~6 MC-bound children each
-
 SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 
 WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarative
 WLOG_ROUNDS = 40  # --wlog: requests per seed
 
-REUSED = ("makespan", "frontier", "moments")  # --warm: the caches whose reuse is printed
+REUSED = ("makespan", "moments")  # --warm: the caches whose reuse is printed
 
 #: --resident: column -> (``Deco.cache_stats()`` section, entries key, bytes key).
 RESIDENT = {
     "makespan": ("makespan", "entries", "nbytes"),
     "moments": ("moments", "entries", "nbytes"),
-    "frontier": ("frontier", "entries", "nbytes"),
     "calibrations": ("analytic", "calibration_entries", "calibration_nbytes"),
-    "screen": ("frontier", "screen_entries", "screen_nbytes"),
+    "screen": ("screen", "entries", "nbytes"),
     "scratch": ("scratch", "buffers", "nbytes"),
 }
-
-
-def _median_us(fn, repeats: int = 15) -> float:
-    fn()
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times) * 1e6
 
 
 def reuse_report(before: dict, after: dict) -> str:
@@ -154,107 +119,11 @@ def reuse_report(before: dict, after: dict) -> str:
     return "reused: " + ", ".join(parts)
 
 
-def kernel_report(deco: Deco, workflow, deadline, percentile: float, referee: bool) -> int:
-    """Delta-kernel counts of one solve, then delta vs full on a search-shaped batch.
-
-    ``referee`` also holds the full kernel to ``ScalarBackend`` (slow: small workflows only).
-    """
-    from repro.solver.state import StateBlock
-
-    launches = {"launches": 0, "pinned": 0, "evaluated": 0, "pairs": 0, "wide_pairs": 0}
-    launch = VectorizedBackend._delta_launch
-
-    def counted(self, problem, assign, sizes, dirty, slots, pins=0):
-        result = launch(self, problem, assign, sizes, dirty, slots, pins)
-        launches["launches"] += 1
-        launches["pinned"] += pins
-        launches["evaluated"] += len(slots) - pins
-        # The launch leaves its affected-pair mask in the pooled buffer.
-        sched = problem.levels
-        mask = self.pool.take("delta_mask", (sched.num_tasks + 1, len(slots)), bool)
-        launches["pairs"] += int(mask.sum())
-        launches["wide_pairs"] += sum(
-            int(mask[lo:hi].sum())
-            for (lo, hi), columns, gather in zip(
-                sched.level_bounds, sched.level_columns, sched.level_parents
-            )
-            if columns is None and gather.shape[1]
-        )
-        return result
-
-    VectorizedBackend._delta_launch = counted
-    try:
-        plan = deco.schedule(workflow, deadline, deadline_percentile=percentile)
-    finally:
-        VectorizedBackend._delta_launch = launch
-    result = deco.last_result
-    print(f"one solve: {plan.evaluations} evaluations, {result.exact_evals} at full fidelity, "
-          f"{result.states_incremental} states through the delta kernel")
-    print(f"  delta launches   {launches['launches']} ({launches['pinned']} parents pinned, "
-          f"{launches['evaluated']} states evaluated)")
-    print(f"  pairs recomputed {launches['pairs']} "
-          f"({result.rows_recomputed / max(result.rows_total, 1):.3f} of the rows a full pass touches)")
-    print(f"  wide-pair share  {launches['wide_pairs'] / max(launches['pairs'], 1):.3f} "
-          "(pairs on levels with fan-in > 4)")
-
-    problem = CompiledProblem.compile(
-        workflow, deco.catalog, deadline=1e9, num_samples=deco.num_samples, seed=deco.seed
-    )
-    n, k = problem.num_tasks, problem.num_types
-    stride = max(1, n // (PARENTS * EDITS))
-    # One beam iteration as blocks: the expanded parents, then EDITS
-    # single-task edits of each -- the child block expand_batch emits.
-    parents = np.ones((PARENTS, n), dtype=np.int16)
-    parents[np.arange(PARENTS), (7 * np.arange(PARENTS)) % n] = 2
-    parents = StateBlock(parents)
-    owner = np.repeat(np.arange(PARENTS), EDITS)
-    edit = np.arange(PARENTS * EDITS)
-    tasks = (edit * stride) % n
-    children = parents.assign[owner]
-    children[edit, tasks] = (children[edit, tasks] + 1 + edit % EDITS % 2) % k
-    children = StateBlock(
-        children, None, [parents.keys[g] for g in owner.tolist()], tasks[:, None]
-    )
-    delta = VectorizedBackend()
-    delta.ensure_frontier(problem, parents)
-    # The referee runs the fused full kernel on every state, whatever is pinned.
-    full = VectorizedBackend()
-
-    def full_kernel():
-        return full._makespan_full(problem, validated_assignments(problem, children))
-
-    got = delta.makespan_samples(problem, children)
-    want = full_kernel()
-    dtype = problem.tensor.dtype
-    checks = {
-        "delta == full (array_equal)": bool(np.array_equal(got, want)),
-        f"both in {dtype}": got.dtype == want.dtype == dtype,
-    }
-    if referee:
-        scalar = ScalarBackend().makespan_samples(problem, children)
-        checks["full == ScalarBackend (array_equal)"] = bool(np.array_equal(want, scalar))
-    delta_us = _median_us(lambda: delta.makespan_samples(problem, children)) / len(children)
-    full_us = _median_us(full_kernel) / len(children)
-    stats = delta.delta_stats()
-    print(f"search-shaped batch: {PARENTS} parents x {EDITS} single-task edits, one launch")
-    print(f"  delta kernel     {delta_us:8.1f} us/state "
-          f"({stats['rows_recomputed'] / stats['rows_total']:.3f} of the rows)")
-    print(f"  full kernel      {full_us:8.1f} us/state, gathers "
-          f"{n * problem.num_samples * dtype.itemsize / 1e3:.1f} kB of samples per state")
-    for name, ok in checks.items():
-        print(f"  {name:<36} {ok}")
-    return 0 if all(checks.values()) else 1
-
-
 #: ``--split``: (group, owner, attribute) of every function timed.  An
 #: owner ``module:Class`` names a method; a bare module names a function
 #: as the *calling* module binds it.
 SPLIT = (
     ("kernels", "repro.solver.backends:VectorizedBackend", "_makespan_full"),
-    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_launch"),
-    ("kernels", "repro.solver.backends:VectorizedBackend", "_affected_pairs"),
-    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_levels"),
-    ("kernels", "repro.solver.backends:VectorizedBackend", "_delta_tiles"),
     ("kernels", "repro.solver.levels:LevelSchedule", "propagate_permuted"),
     ("kernels", "repro.solver.expand", "critical_paths"),
     ("kernels", "repro.solver.analytic_backend:AnalyticBackend", "makespan_moments"),
@@ -270,10 +139,8 @@ SPLIT = (
     ("bookkeeping", "repro.solver.backends:EvaluationBackend", "evaluate_batch"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "_sample_rows"),
     ("bookkeeping", "repro.solver.cache:MakespanCache", "fetch"),
-    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "_launch"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "makespan_samples"),
     ("bookkeeping", "repro.solver.backends:VectorizedBackend", "screen_probabilities"),
-    ("bookkeeping", "repro.solver.backends:VectorizedBackend", "ensure_frontier"),
     ("bookkeeping", "repro.solver.backends", "validated_assignments"),
     ("engine", "repro.engine.deco:Deco", "schedule"),
     ("engine", "repro.solver.backends:CompiledProblem", "compile"),
@@ -545,8 +412,6 @@ def main() -> int:
     ap.add_argument("--seed", type=int, default=7, help="workflow generator seed")
     ap.add_argument("--warm", action="store_true", help="serve one request before profiling")
     ap.add_argument("--top", type=int, default=25)
-    ap.add_argument("--kernel", action="store_true",
-                    help="delta-kernel counts and delta-vs-full timing instead of cProfile")
     ap.add_argument("--wlog", action="store_true",
                     help="median per-phase split of the wlog-declarative request")
     ap.add_argument("--split", action="store_true",
@@ -575,11 +440,6 @@ def main() -> int:
     deco = Deco(ec2_catalog(), **ENGINE)
     if args.warm:
         deco.schedule(workflow, "medium", deadline_percentile=96.0)
-    if args.kernel:
-        print(f"{args.workflow}: {len(workflow)} tasks")
-        return kernel_report(
-            deco, workflow, deadline, args.percentile, referee=args.workflow == "montage-1"
-        )
     before = deco.cache_stats()
     profile = cProfile.Profile()
     plan = profile.runcall(deco.schedule, workflow, deadline, deadline_percentile=args.percentile)

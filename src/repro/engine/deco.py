@@ -106,14 +106,12 @@ class Deco:
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
     :meth:`CompiledProblem.with_deadline`, sharing the sample tensor);
-    its backend memoizes the per-state makespan samples and the
-    finish-time frontiers of expanded states
-    (``backend.cache`` / ``backend.eval_context`` on ``"gpu"``), and the
-    search's moment memo tier 0's analytic ``(mean, variance)`` rows --
-    so deadline/percentile sweeps over the same workflow reuse every
-    Monte Carlo and moment propagation the search has already paid for,
-    and search children re-propagate only the levels their dirty tasks
-    can affect.  That state is keyed by sample token and ends with its
+    its backend memoizes the per-state makespan samples and tier 1's
+    screening problems (``backend.cache`` / ``backend.eval_context`` on
+    ``"gpu"``), and the search's moment memo tier 0's analytic ``(mean,
+    variance)`` rows -- so deadline/percentile sweeps over the same
+    workflow reuse every Monte Carlo and moment propagation the search
+    has already paid for.  That state is keyed by sample token and ends with its
     problem: evicting a compiled problem, or finishing a solve whose
     problem is not memoized (:meth:`solve_program`, a fault-aware
     :meth:`schedule`), forgets the token (``GenericSearch.forget``), so
@@ -231,8 +229,8 @@ class Deco:
 
         Long-running services call this between tenants/workloads to
         bound memory: the compiled problem memo, the backend's memos
-        (makespan rows, finish-time frontiers and the screening-problem
-        memo) and pooled scratch buffers, and tier 0's calibrations and
+        (makespan rows and the screening-problem memo) and pooled
+        scratch buffers, and tier 0's calibrations and
         moment memo all reset to cold.  Subsequent solves are slower but
         bit-identical -- every cache is a pure memo.
         """
@@ -243,9 +241,9 @@ class Deco:
     def cache_stats(self) -> dict:
         """One-stop memory/hit-rate report across all evaluation caches.
 
-        Keys: the backend's (on ``"gpu"``: ``makespan`` and ``frontier``
-        -- hit/miss/entry counters plus ``nbytes`` -- and ``delta``, the
-        incremental-propagation counters; on ``"analytic"``:
+        Keys: the backend's (on ``"gpu"``: ``makespan`` -- hit/miss/entry
+        counters plus ``nbytes`` -- and ``screen``, tier 1's screening
+        problems as ``entries`` and ``nbytes``; on ``"analytic"``:
         ``analytic``), the search's (``moments``, tier 0's moment memo,
         and ``analytic``, its work counters, once tier 0 has run),
         ``scratch`` (``buffers`` and ``nbytes`` of the backend's scratch
@@ -253,7 +251,7 @@ class Deco:
         problem count), and -- on a
         sharded engine (``workers > 1``) -- ``distributed``: the worker
         count, the number of sharded solves, and the lifetime aggregate
-        of the shards' reported cache/delta/tier-0 counters, so sharded
+        of the shards' reported cache and tier-0 counters, so sharded
         engines report the work their workers did instead of near-empty
         parent caches.
         """

@@ -174,8 +174,8 @@ class ShardPool:
     batch solves (``solve_plans``).  The pool keeps one dedicated
     single-process executor per shard index, so shard ``i``'s jobs
     always land on the same worker process.  That affinity is what
-    keeps worker-resident evaluation caches (makespan rows, finish-time
-    frontiers, analytic calibrations) warm across beam iterations
+    keeps worker-resident evaluation caches (makespan rows, analytic
+    calibrations) warm across beam iterations
     instead of being rebuilt per call.
 
     Context protocol:

@@ -307,16 +307,12 @@ def beam_screen_job(
 
 
 def beam_eval_job(
-    payload: "tuple[str, StateBlock, StateBlock | None]",
+    payload: "tuple[str, StateBlock]",
 ) -> "tuple[BatchEval, dict[str, int]]":
     """Tier-2 full-fidelity evaluation of one chunk (a state block).
 
-    Pins the chunk's expanded parents first, so the shard-resident
-    EvalContext serves the delta-propagation path; a
-    parent first seen by this shard is propagated in full -- slower,
-    never different, because the delta path is bit-identical to the full
-    kernel by construction.
+    Returns the chunk's evaluations and the counter delta it cost.
     """
-    solve_key, block, parents = payload
+    solve_key, block = payload
     evaluator = _beam_evaluator(solve_key)
-    return evaluator.evaluate(block, parents), evaluator.counters()
+    return evaluator.evaluate(block), evaluator.counters()

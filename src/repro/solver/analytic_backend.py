@@ -265,7 +265,7 @@ class AnalyticBackend(EvaluationBackend):
         self._calibrations: OrderedDict[
             int, tuple[np.ndarray, np.ndarray, np.ndarray]
         ] = OrderedDict()
-        #: Monotone work counters (mirrors the MC backend's delta_counters).
+        #: Monotone work counters.
         self.counters = {"states_analytic": 0, "calibrations": 0}
 
     # Calibration ------------------------------------------------------
@@ -370,7 +370,7 @@ class AnalyticBackend(EvaluationBackend):
 
         # Sink reduction: with non-negative task times every inner task's
         # finish is dominated by some sink's, so the makespan is the max
-        # over sink rows alone (same argument as the delta kernel).
+        # over sink rows alone (as in the Monte Carlo kernel).
         sinks = sched.sink_slots
         mm = fm[sinks[0]].copy()
         mv = fv[sinks[0]].copy()
@@ -455,9 +455,8 @@ class AnalyticBackend(EvaluationBackend):
         sd = np.sqrt(np.maximum(var, 0.0))
         return mean[:, None] + sd[:, None] * z[None, :]
 
-    def evaluate_batch(self, problem: CompiledProblem, states, pins=None) -> BatchEval:
-        """Closed-form evaluation: Eq. 1 cost + normal-CDF probability
-        (``pins`` are ignored: there are no frontiers to keep)."""
+    def evaluate_batch(self, problem: CompiledProblem, states) -> BatchEval:
+        """Closed-form evaluation: Eq. 1 cost + normal-CDF probability."""
         block = as_block(states)
         if not len(block):
             return BatchEval.empty(0)

@@ -1,4 +1,4 @@
-"""Evaluation memoization: makespan rows and finish-time frontiers.
+"""Evaluation memoization: makespan rows, screening problems, scratch.
 
 Deadline sweeps (Fig. 8's percentile sweep, Fig. 11's tight/medium/
 loose settings) re-solve the *same* compiled tensor many times -- only
@@ -19,33 +19,25 @@ the earlier ``id(tensor)`` keys, tokens can never collide between two
 live problems (ids recycle when the allocator reuses row space) and
 need no object-pinning side channel to stay correct.
 
-:class:`EvalContext` is the incremental evaluator's companion store: a
-bounded LRU of per-state *finish-time frontiers* -- the permuted
-``(N+1, S)`` finish matrix a full propagation produces, zero sentinel
-row included -- keyed the same way, plus a small memo of sample-prefix
-screening problems.  Frontiers of one sample token live side by side in
-one row-addressable slab, so the delta kernel reads any mix of parents
-in place and writes pinned frontiers in place.
+:class:`EvalContext` memoizes tier 1's sample-prefix screening
+problems, one per base sample token.
 
 Every memo here groups or indexes its entries by token, so
 ``forget(token)`` drops one sample tensor's entries at a cost
 proportional to that token's own entries.  The engine calls it when a
 tensor can no longer be asked for (DESIGN.md §17, "What is memoised
-where"); the ``MAX_ENTRIES`` caps are backstops for callers that never
-forget.
+where"); :attr:`MakespanCache.MAX_ENTRIES` is a backstop for callers
+that never forget.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
-import mmap
 from collections import OrderedDict
-from typing import Callable, Collection
+from typing import Callable
 
 import numpy as np
 
-from repro.common.errors import SolverError
 from repro.solver.state import as_block
 
 __all__ = ["MakespanCache", "EvalContext", "ScratchPool"]
@@ -59,7 +51,7 @@ class ScratchPool:
     One backing array per ``(name, dtype)``: a request for any shape
     returns a view of it, growing the backing only when the product of
     the shape exceeds what is already held.  The alternating batch and
-    sample shapes of screening, delta launches and analytic propagation
+    sample shapes of screening, full-kernel chunks and analytic propagation
     therefore reuse one allocation per role instead of churning the
     allocator -- reallocating multi-hundred-KB arrays every evaluation
     costs page faults that dominate the kernels at search-sized
@@ -217,258 +209,38 @@ class MakespanCache:
         return np.stack(found)
 
 
-#: Byte cap on the (slot, child) pairs one delta-kernel launch may hold
-#: recomputed at a time.  A beam iteration of ~100 children on a
-#: 680-task workflow recomputes ~12k pair rows of S float64 samples
-#: (14 MB at S = 150; half that in float32) where the dense ``((N+1) * B, S)`` layout needed
-#: 82 MB; 8 MB keeps a whole iteration of every workflow up to Montage-4
-#: in one launch, cuts Montage-8 into two, and bounds what a batch of
-#: any size can add to the resident set.
-LAUNCH_WORKSPACE_BYTES = 8 << 20
-
-
-class FrontierSlab:
-    """The frontiers of one ``(N, S)`` shape and dtype, plus the delta kernel's workspace.
-
-    ``rows`` is one ``(capacity * (N+1) + workspace_rows, S)`` matrix:
-    frontier slot ``f`` occupies rows ``f * stride .. f * stride + N``
-    (the last one is the zero sentinel row padded parent slots read),
-    and the tail holds the pairs a launch recomputes.  Keeping both in
-    one matrix is what makes every gather of the kernel a single row
-    ``take`` whichever mix of parents' rows and recomputed rows it
-    reads.  The matrix is allocated at full capacity up front, as a
-    private anonymous mapping: a page costs nothing until it is first
-    written, and slots are handed out lowest first, so the touched
-    prefix tracks the number of frontiers held.  (``np.empty`` would
-    ask for transparent huge pages at this size: the kernel then
-    compacts memory on first touch -- 0.1-0.2 s on the first solve of a
-    process, measured -- and rounds both touched regions up to 2 MB.)
-    """
-
-    __slots__ = ("rows", "stride", "capacity", "free", "slots_touched", "workspace_touched")
-
-    def __init__(self, capacity: int, num_tasks: int, num_samples: int, dtype: np.dtype):
-        self.stride = num_tasks + 1
-        self.capacity = capacity
-        itemsize = np.dtype(dtype).itemsize
-        # Never fewer rows than one state can have pairs.
-        workspace_rows = max(self.stride, LAUNCH_WORKSPACE_BYTES // (itemsize * num_samples))
-        shape = (capacity * self.stride + workspace_rows, num_samples)
-        # Private, so a forked child cannot write into its parent's
-        # frontiers (POSIX maps shared by default; Windows has no flags).
-        private = (
-            {"flags": mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS}
-            if hasattr(mmap, "MAP_PRIVATE")
-            else {}
-        )
-        backing = mmap.mmap(-1, shape[0] * shape[1] * itemsize, **private)
-        self.rows = np.frombuffer(backing, dtype=dtype).reshape(shape)
-        self.free = list(range(capacity))  # a heap: lowest slot first
-        self.slots_touched = 0
-        self.workspace_touched = 0
-
-    @property
-    def workspace_start(self) -> int:
-        """The first workspace row of :attr:`rows`."""
-        return self.capacity * self.stride
-
-    @property
-    def layout(self) -> tuple[tuple[int, int], np.dtype]:
-        """``((N+1, S), dtype)``: the rows, samples and sample dtype of one slot."""
-        return (self.stride, self.rows.shape[1]), self.rows.dtype
-
-    def frontier(self, slot: int) -> np.ndarray:
-        """The ``(N+1, S)`` view of one slot."""
-        return self.rows[slot * self.stride : (slot + 1) * self.stride]
-
-    def nbytes(self) -> int:
-        touched = self.slots_touched * self.stride + self.workspace_touched
-        return touched * self.rows.shape[1] * self.rows.itemsize
-
-
 class EvalContext:
-    """Bounded LRU of per-state finish-time frontiers (incremental eval).
+    """The sample-prefix *screening problems* of tier 1, one per base token.
 
-    One entry is the permuted ``(N+1, S)`` finish matrix of a fully
-    propagated state -- ~1 MB for Montage-8 at 200 samples -- keyed by
-    ``(sample_token, state key)`` exactly like :class:`MakespanCache`
-    and stored in its token's :class:`FrontierSlab`.  :attr:`MAX_ENTRIES`
-    bounds the frontiers resident across all tokens.  Tokens of one
-    ``(N, S)`` shape share a slab: a warm engine that moves on to the
-    next same-sized workflow (a service worker's next job) evicts the
-    old token's frontiers into the slots the new one takes, so it
-    writes pages it has already touched instead of faulting in a fresh
-    mapping per job -- ~900 first-touch faults and 4 ms of kernel time
-    on a 60 ms Montage-1 solve, the one part of a solve whose cost is
-    the host's, not ours.  For the same reason the slab a token leaves
-    empty (its last frontier evicted or forgotten) is kept as the
-    *spare*, which the next token of its shape takes over; the next
-    slab emptied replaces it.
-
-    The search stores frontiers only for the states it is about to
-    expand, so :attr:`MAX_ENTRIES` is the beam the search can still
-    chain from: ``GenericSearch.BEAM_WIDTH + GenericSearch.EXPAND_PER_ITER``.
-
-    The context also memoizes the sample-prefix *screening problems*
-    (one tiny derived :class:`CompiledProblem` per base token), so the
-    two-stage fidelity screen does not re-slice the tensor every
-    iteration.  A token's screening problem lives until
-    :meth:`forget`: tier 1 keeps the deadline it was first built with.
+    One tiny derived :class:`CompiledProblem` per base sample token, so
+    the two-stage fidelity screen does not re-slice the tensor every
+    iteration.  A token's screening problem lives until :meth:`forget`:
+    tier 1 keeps the deadline it was first built with.
     """
-
-    MAX_ENTRIES = 32
 
     def __init__(self):
-        self.hits = 0
-        self.misses = 0
-        # (sample token, state key) -> slot in the token's slab, LRU first.
-        self._slots: OrderedDict[tuple[int, bytes], int] = OrderedDict()
-        # Every token with a resident frontier -> its keys in ``_slots``
-        # and its shape's slab.
-        self._keys: dict[int, set[bytes]] = {}
-        self._slabs: dict[int, FrontierSlab] = {}
-        # The last slab a token left empty, kept for the next of its shape.
-        self._spare: FrontierSlab | None = None
         # base sample_token -> (prefix length, derived problem)
         self._screen_problems: dict[int, tuple[int, object]] = {}
 
     def __len__(self) -> int:
-        return len(self._slots)
+        return len(self._screen_problems)
 
-    def counters(self) -> dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses, "entries": len(self._slots)}
-
-    def nbytes(self) -> int:
-        """Memory the slabs have touched: frontier slots plus workspace."""
-        slabs = {id(slab): slab for slab in self._slabs.values()}  # shared ones once
-        if self._spare is not None:
-            slabs[id(self._spare)] = self._spare
-        return sum(slab.nbytes() for slab in slabs.values())
-
-    def screen_stats(self) -> dict[str, int]:
+    def stats(self) -> dict[str, int]:
         """The screening problems held and the bytes of their prefix tensors."""
         return {
-            "screen_entries": len(self._screen_problems),
-            "screen_nbytes": sum(
+            "entries": len(self._screen_problems),
+            "nbytes": sum(
                 derived.tensor.nbytes + derived.tensor_taskmajor.nbytes
                 for _, derived in self._screen_problems.values()
             ),
         }
 
     def clear(self) -> None:
-        self._slots.clear()
-        self._keys.clear()
-        self._slabs.clear()
-        self._spare = None
         self._screen_problems.clear()
 
     def forget(self, token: int) -> None:
-        """Drop ``token``'s frontiers and screening problem."""
-        for key in list(self._keys.get(token, ())):
-            self.discard(token, key)
+        """Drop ``token``'s screening problem."""
         self._screen_problems.pop(token, None)
-
-    # ------------------------------------------------------------------
-
-    def slab(self, token: int) -> FrontierSlab | None:
-        """The slab holding ``token``'s frontiers (``None`` while it has none)."""
-        return self._slabs.get(token)
-
-    def find(self, token: int, key: bytes) -> int | None:
-        """The slot of a cached frontier, or ``None`` (counts hit/miss)."""
-        slot = self._slots.get((token, key))
-        if slot is None:
-            self.misses += 1
-            return None
-        self._slots.move_to_end((token, key))
-        self.hits += 1
-        return slot
-
-    def find_all(self, token: int, keys: list[bytes]) -> list[int | None]:
-        """:meth:`find` of every key, in order (the same counts and LRU moves)."""
-        slots = self._slots
-        found = [slots.get((token, key)) for key in keys]
-        for key, slot in zip(keys, found):
-            if slot is not None:
-                slots.move_to_end((token, key))
-        misses = found.count(None)
-        self.misses += misses
-        self.hits += len(found) - misses
-        return found
-
-    def peek(self, token: int, key: bytes) -> bool:
-        """Whether a frontier is cached (no counter side effects)."""
-        return (token, key) in self._slots
-
-    def reserve(
-        self,
-        token: int,
-        key: bytes,
-        num_tasks: int,
-        num_samples: int,
-        dtype: np.dtype,
-        keep: Collection[bytes] = (),
-    ) -> int | None:
-        """A slot for ``key``'s frontier, which the caller then writes in place.
-
-        ``dtype`` is the problem's sample dtype, which the slab's rows take.
-
-        Evicts least-recently-used frontiers to stay within
-        :attr:`MAX_ENTRIES`, but never one of ``token``'s whose key is in
-        ``keep`` -- the frontiers the caller's launch still reads or has
-        just reserved.  Returns ``None`` when nothing else is left to
-        evict; a frontier is a performance hint, so the caller simply
-        goes without.
-        """
-        if (token, key) in self._slots:
-            self._slots.move_to_end((token, key))
-            return self._slots[(token, key)]
-        # Looked up before the eviction, which may take the last frontier
-        # of the token this one shares its slab with.
-        layout = ((num_tasks + 1, num_samples), np.dtype(dtype))
-        slab = self._slabs.get(token) or next(
-            (slab for slab in self._slabs.values() if slab.layout == layout), None
-        )
-        if slab is None and self._spare is not None and self._spare.layout == layout:
-            slab, self._spare = self._spare, None
-        if slab is not None and slab.layout != layout:
-            raise SolverError(
-                f"frontier of {num_tasks} tasks x {num_samples} {np.dtype(dtype)} samples "
-                f"does not fit sample token {token}'s slab"
-            )
-        if len(self._slots) >= self.MAX_ENTRIES:
-            victim = next(
-                (e for e in self._slots if e[0] != token or e[1] not in keep), None
-            )
-            if victim is None:
-                return None
-            self.discard(*victim)
-            if self._spare is slab:  # the victim was the last other token in it
-                self._spare = None
-        if slab is None:
-            slab = FrontierSlab(self.MAX_ENTRIES, num_tasks, num_samples, dtype)
-        self._slabs[token] = slab
-        self._keys.setdefault(token, set()).add(key)
-        slot = heapq.heappop(slab.free)
-        slab.slots_touched = max(slab.slots_touched, slot + 1)
-        self._slots[(token, key)] = slot
-        return slot
-
-    def discard(self, token: int, key: bytes) -> None:
-        """Forget ``key``'s frontier and free its slot (no-op when absent)."""
-        slot = self._slots.pop((token, key), None)
-        if slot is None:
-            return
-        slab = self._slabs[token]
-        heapq.heappush(slab.free, slot)
-        held = self._keys[token]
-        held.discard(key)
-        if not held:
-            del self._keys[token], self._slabs[token]
-            if slab not in self._slabs.values():  # no token left in it: the spare
-                self._spare = slab
-
-    # ------------------------------------------------------------------
 
     def screen_problem(self, problem, prefix: int):
         """The memoized sample-prefix derivation of ``problem``.

@@ -121,10 +121,9 @@ def expand_batch(
     still infeasible a feasible parent also keeps one promote alive, for
     robustness near the boundary.
 
-    Returns the child block: every child is a single-task edit of the
-    parent whose key is its ``parent_keys`` entry (its ``dirty`` row is
-    the edited task), in emission order -- parent by parent, and per parent the lead list, the rest
-    list, then the kept-alive promote.  Children whose key is in
+    Returns the child block: every child is a single-task edit of a
+    parent, in emission order -- parent by parent, and per parent the
+    lead list, the rest list, then the kept-alive promote.  Children whose key is in
     ``seen`` are dropped and the rest added to it, the first occurrence
     winning; ``limit`` keeps the first that many (the evaluation
     budget).  ``seen=None`` keeps duplicates.
@@ -198,9 +197,6 @@ def expand_batch(
     if limit is not None:
         rows = rows[:limit]
     if len(rows) < len(keys):
-        owner, tasks, children = owner[rows], tasks[rows], children[rows]
+        children = children[rows]
         keys = [keys[c] for c in rows]
-    parent_keys = parents.keys
-    return StateBlock(
-        children, keys, [parent_keys[b] for b in owner.tolist()], tasks[:, None]
-    )
+    return StateBlock(children, keys)

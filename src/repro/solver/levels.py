@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -80,8 +79,7 @@ class LevelSchedule:
         big fan-in levels, which use ``level_parents`` directly.
     depth:
         ``(N,)`` int64; ``depth[i]`` is task i's topological level in the
-        *original* numbering -- the map from a dirty task to the first
-        level the incremental evaluator must recompute.
+        *original* numbering.
     rank:
         ``(N,)`` int64; ``rank[i]`` is task i's permuted slot (inverse of
         ``order``).
@@ -89,7 +87,7 @@ class LevelSchedule:
         Permuted slots of tasks with no children.  Because every child's
         finish time is >= each parent's (task times are non-negative),
         the makespan equals the max over sink finishes alone -- the
-        incremental path's cheap final reduction.
+        kernels' final reduction.
     """
 
     num_tasks: int
@@ -206,54 +204,19 @@ class LevelSchedule:
         """D, the DAG depth (Python-loop trip count of the propagation)."""
         return len(self.level_bounds)
 
-    @cached_property
-    def level_starts(self) -> np.ndarray:
-        """``(D+1,)`` first permuted slot of every level, then ``num_tasks``:
-        ``searchsorted`` against it cuts a sorted slot list into levels."""
-        return np.array([lo for lo, _ in self.level_bounds] + [self.num_tasks], dtype=np.int64)
-
     @property
     def max_width(self) -> int:
         """Widest level -- the amount of per-iteration parallelism."""
         return max((hi - lo for lo, hi in self.level_bounds), default=0)
 
-    def first_dirty_level(self, dirty_tasks: Sequence[int]) -> int:
-        """The earliest level any of ``dirty_tasks`` (original indices) sits on.
-
-        Levels strictly below it are untouched by a reassignment of the
-        dirty tasks: a task's finish time depends only on its own
-        execution time and its ancestors', all of which live on lower
-        levels.  The incremental evaluator reuses the parent state's
-        finish rows for every slot before this level's lower bound.
-        """
-        if len(dirty_tasks) == 0:
-            raise SolverError("dirty task set must not be empty")
-        return int(self.depth[np.asarray(dirty_tasks, dtype=np.int64)].min())
-
-    def dirty_slots(self, dirty_tasks: Sequence[int]) -> np.ndarray:
-        """Permuted slots of ``dirty_tasks`` (original indices)."""
-        return self.rank[np.asarray(dirty_tasks, dtype=np.int64)]
-
-    # ------------------------------------------------------------------
-
-    def propagate_permuted(
-        self,
-        lanes_permuted: np.ndarray,
-        finish: np.ndarray | None = None,
-        scratch: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> np.ndarray:
+    def propagate_permuted(self, lanes_permuted: np.ndarray) -> np.ndarray:
         """Finish times for a task-major ``(N, M)`` permuted lane matrix.
 
         ``lanes_permuted[r, l]`` is the execution time, in lane ``l``,
         of the task in permuted slot ``r`` (i.e. task ``order[r]``).
         Returns the ``(N+1, M)`` finish matrix in permuted coordinates
-        (row N is the zero sentinel row).
-
-        ``finish`` and ``scratch`` (two ``(max_width, M)`` float arrays)
-        may be passed in to reuse allocations across calls -- the hot
-        path through :class:`~repro.solver.backends.VectorizedBackend`
-        does, which matters because fresh multi-hundred-KB allocations
-        cost page faults every evaluation.
+        (row N is the zero sentinel row).  The unfused reference of
+        :class:`~repro.solver.backends.VectorizedBackend`'s kernel.
         """
         n = self.num_tasks
         num_lanes = lanes_permuted.shape[1]
@@ -261,16 +224,11 @@ class LevelSchedule:
             raise SolverError(
                 f"lanes have {lanes_permuted.shape[0]} tasks, schedule has {n}"
             )
-        if finish is None:
-            finish = np.empty((n + 1, num_lanes), dtype=lanes_permuted.dtype)
+        finish = np.empty((n + 1, num_lanes), dtype=lanes_permuted.dtype)
         finish[n] = 0.0  # the sentinel row every padded parent slot reads
-        if scratch is None:
-            w = self.max_width
-            scratch = (
-                np.empty((w, num_lanes), dtype=lanes_permuted.dtype),
-                np.empty((w, num_lanes), dtype=lanes_permuted.dtype),
-            )
-        buf_a, buf_b = scratch
+        w = self.max_width
+        buf_a = np.empty((w, num_lanes), dtype=lanes_permuted.dtype)
+        buf_b = np.empty((w, num_lanes), dtype=lanes_permuted.dtype)
         for (lo, hi), gather, columns in zip(
             self.level_bounds, self.level_parents, self.level_columns
         ):
@@ -289,9 +247,9 @@ class LevelSchedule:
                 finish[lo:hi] = finish[gather].max(axis=1) + lanes_permuted[lo:hi]
         return finish
 
-    def makespan(self, lanes_permuted: np.ndarray, **kwargs) -> np.ndarray:
+    def makespan(self, lanes_permuted: np.ndarray) -> np.ndarray:
         """Per-lane makespans ``(M,)`` for a permuted task-major matrix."""
-        finish = self.propagate_permuted(lanes_permuted, **kwargs)
+        finish = self.propagate_permuted(lanes_permuted)
         return finish[: self.num_tasks].max(axis=0)
 
 

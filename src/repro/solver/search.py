@@ -53,12 +53,6 @@ if TYPE_CHECKING:  # tier 0 loads SciPy; a solve below its gate never imports it
 
 __all__ = ["SearchResult", "GenericSearch", "LocalEvaluator", "AStarSearch", "AStarResult"]
 
-#: ``SearchResult`` fields read unchanged from the evaluator's counters.
-_DELTA_COUNTERS = (
-    "states_incremental", "levels_skipped", "levels_total", "rows_recomputed", "rows_total",
-)
-
-
 @dataclass
 class SearchResult:
     """Outcome of a generic search run.
@@ -66,8 +60,8 @@ class SearchResult:
     ``evaluations`` counts every candidate that consumed evaluation
     budget, whichever tier settled or discarded it.  The tier counters
     (``exact_evals`` ... ``analytic_accepted``, see the field comments)
-    are the tiers' own (:mod:`repro.solver.tiers`); the cache and delta
-    counters are the evaluator's ``counters()``, so on a sharded solve
+    are the tiers' own (:mod:`repro.solver.tiers`); the cache counters
+    are the evaluator's ``counters()``, so on a sharded solve
     they include the shards' work (zero on a backend that keeps no
     memos, such as :class:`~repro.solver.backends.ScalarBackend`).
     ``workers`` is the number of processes the evaluations ran on: 1
@@ -89,11 +83,6 @@ class SearchResult:
     analytic_hits: int = 0         # tier-0 moment rows served from the memo
     analytic_screened_out: int = 0  # candidates settled clearly infeasible (no MC)
     analytic_accepted: int = 0      # candidates settled clearly feasible (no MC)
-    states_incremental: int = 0  # states evaluated via delta propagation
-    levels_skipped: int = 0      # level recomputations the delta path avoided
-    levels_total: int = 0        # level recomputations a full pass would do
-    rows_recomputed: int = 0     # task rows actually re-propagated
-    rows_total: int = 0          # task rows a full pass would propagate
     workers: int = 1             # processes the evaluations ran on
     #: The cooperative watchdog fired: the wall-clock budget passed to
     #: :meth:`GenericSearch.solve` expired at an iteration boundary and
@@ -132,9 +121,8 @@ class LocalEvaluator:
     def screen(self, block: StateBlock) -> np.ndarray:
         return self.search.backend.screen_probabilities(self.problem, block, PrefixTier.SAMPLES)
 
-    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
-        pins = None if parents is None else parents.parents_of(block)
-        return self.search.backend.evaluate_batch(self.problem, block, pins)
+    def evaluate(self, block: StateBlock) -> BatchEval:
+        return self.search.backend.evaluate_batch(self.problem, block)
 
     def _snapshot(self) -> dict[str, int]:
         snap = self.search.backend.counters_snapshot()
@@ -245,7 +233,7 @@ class GenericSearch:
         tiers = self._tiers(evaluator)
         seen, seed_states = self._seed_states(problem, initial, seeds)
         frontier = StateBlock.from_states(seed_states)
-        _, evals = self._settle(problem, tiers[-1:], frontier, None, False)
+        _, evals = self._settle(problem, tiers[-1:], frontier, False)
         improved = self._improvements(evals, np.arange(1, len(frontier)), evals.take([0]))
         best = ([0] + improved)[-1]
         best_state, best_eval = frontier.take([best]), evals.take([best])
@@ -271,9 +259,7 @@ class GenericSearch:
             frontier, evals = frontier.take(rest), evals.take(rest)
             if not len(children):
                 continue
-            settled, child_evals = self._settle(
-                problem, tiers, children, parents, incumbent_feasible
-            )
+            settled, child_evals = self._settle(problem, tiers, children, incumbent_feasible)
             # In child order: incumbent updates on exact-cost ties keep
             # the first-seen winner, whichever tier settled a candidate.
             merged = np.flatnonzero(settled)
@@ -292,7 +278,7 @@ class GenericSearch:
         # A tier-0 incumbent is an exact *choice*; its reported numbers
         # come from tier 2, like every other returned plan's.
         if best_eval.source[0] == "analytic":
-            _, best_eval = self._settle(problem, tiers[-1:], best_state, None, False)
+            _, best_eval = self._settle(problem, tiers[-1:], best_state, False)
         return SearchResult(
             best_state=best_state.state(0),
             best_eval=best_eval[0],
@@ -315,7 +301,7 @@ class GenericSearch:
     @staticmethod
     def _settle(
         problem: CompiledProblem, tiers: Sequence[Tier], batch: StateBlock,
-        parents: StateBlock | None, incumbent_feasible: bool,
+        incumbent_feasible: bool,
     ) -> tuple[np.ndarray, BatchEval]:
         """Run ``batch`` through ``tiers`` in order.
 
@@ -330,7 +316,7 @@ class GenericSearch:
                 break
             whole = len(live) == len(batch)
             done, found, survivors = tier.settle(
-                problem, batch if whole else batch.take(live), parents, incumbent_feasible
+                problem, batch if whole else batch.take(live), incumbent_feasible
             )
             if whole and len(done) == len(batch):
                 return np.ones(len(batch), dtype=bool), found
@@ -376,7 +362,6 @@ class GenericSearch:
         """The integer ``SearchResult`` fields: tier counts and evaluator work."""
         work = evaluator.counters()
         counts = {key: value for tier in tiers for key, value in tier.counts.items()}
-        counts.update((key, work.get(key, 0)) for key in _DELTA_COUNTERS)
         counts.update(
             cache_hits=work.get("makespan_hits", 0),
             cache_misses=work.get("makespan_misses", 0),

@@ -254,10 +254,10 @@ class ShardedEvaluator:
             return self.local.screen(block)
         return np.concatenate(self.screen_round(block, "screen"))
 
-    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
+    def evaluate(self, block: StateBlock) -> BatchEval:
         if self.pool.is_serial:
-            return self.local.evaluate(block, parents)
-        return self.eval_round(block, parents)
+            return self.local.evaluate(block)
+        return self.eval_round(block)
 
     def counters(self) -> dict[str, int]:
         totals = self.local.counters()
@@ -291,18 +291,10 @@ class ShardedEvaluator:
             values.append(value)
         return values
 
-    def submit_eval(self, block: StateBlock, parents: StateBlock | None) -> list[_ShardJob]:
-        """Dispatch tier-2 full evaluation; pair with :meth:`gather_eval`.
-
-        Each job carries its chunk plus the expanded parents the chunk
-        descends from, so the shard-resident EvalContext can pin
-        frontiers and serve the delta-propagation path.
-        """
+    def submit_eval(self, block: StateBlock) -> list[_ShardJob]:
+        """Dispatch tier-2 full evaluation; pair with :meth:`gather_eval`."""
         return [
-            self.pool.submit(
-                shard, beam_eval_job,
-                (self.solve_key, chunk, None if parents is None else parents.parents_of(chunk)),
-            )
+            self.pool.submit(shard, beam_eval_job, (self.solve_key, chunk))
             for shard, chunk in enumerate(self._chunks(block))
         ]
 
@@ -314,6 +306,6 @@ class ShardedEvaluator:
             parts.append(chunk_evals)
         return BatchEval.concat(parts)
 
-    def eval_round(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
+    def eval_round(self, block: StateBlock) -> BatchEval:
         """Barrier convenience: submit + gather in one call."""
-        return self.gather_eval(self.submit_eval(block, parents))
+        return self.gather_eval(self.submit_eval(block))

@@ -7,7 +7,7 @@ search's visited-set and pruning work on raw bytes.
 
 The beam search itself carries states and their evaluations as arrays:
 a :class:`StateBlock` is a batch of states (one ``(B, N)`` assignment
-matrix, its row keys and lineage) and a :class:`BatchEval` the ``(B,)``
+matrix and its row keys) and a :class:`BatchEval` the ``(B,)``
 vectors an evaluation of it produces.  :class:`PlanState` and
 :class:`StateEval` are the per-state view of the same data -- seeds,
 the returned plan and the public per-state API --
@@ -29,24 +29,12 @@ __all__ = ["PlanState", "StateEval", "StateBlock", "BatchEval", "as_block", "row
 class PlanState:
     """An immutable instance-type assignment vector.
 
-    States produced by the single-task edit operations
-    (:meth:`with_type` / :meth:`promote` / :meth:`demote`) additionally
-    carry their *lineage*: ``parent_key`` is the originating state's
-    :attr:`key` and ``dirty`` the tuple of task indices whose assignment
-    changed.  Lineage is evaluation metadata only -- equality and
-    hashing look at the assignment bytes alone -- and lets the
-    incremental evaluator reuse the parent's cached finish-time frontier
-    and re-propagate only the levels the dirty tasks can affect.
+    Equality and hashing look at the assignment bytes (:attr:`key`).
     """
 
-    __slots__ = ("assignment", "_key", "parent_key", "dirty")
+    __slots__ = ("assignment", "_key")
 
-    def __init__(
-        self,
-        assignment: np.ndarray,
-        parent_key: bytes | None = None,
-        dirty: tuple[int, ...] | None = None,
-    ):
+    def __init__(self, assignment: np.ndarray):
         arr = np.asarray(assignment, dtype=np.int16)
         if arr.ndim != 1:
             raise SolverError(f"assignment must be 1-D, got shape {arr.shape}")
@@ -56,10 +44,6 @@ class PlanState:
         arr.setflags(write=False)
         self.assignment = arr
         self._key = arr.tobytes()
-        if (parent_key is None) != (dirty is None):
-            raise SolverError("parent_key and dirty must be given together")
-        self.parent_key = parent_key
-        self.dirty = dirty
 
     @classmethod
     def uniform(cls, num_tasks: int, type_index: int = 0) -> "PlanState":
@@ -80,11 +64,11 @@ class PlanState:
         return self._key
 
     def with_type(self, task_index: int, type_index: int) -> "PlanState":
-        """A copy with one task reassigned (lineage records the dirty task).
+        """A copy with one task reassigned.
 
-        The search builds every child through here, so the edit of an
-        already validated state skips the constructor's re-validation
-        and second copy.
+        :meth:`promote` and :meth:`demote` build their child through
+        here, so the edit of an already validated state skips the
+        constructor's re-validation and second copy.
         """
         if type_index < 0:
             raise SolverError("assignment contains negative type indices")
@@ -94,8 +78,6 @@ class PlanState:
         child = object.__new__(PlanState)
         child.assignment = arr
         child._key = arr.tobytes()
-        child.parent_key = self._key
-        child.dirty = (int(task_index),)
         return child
 
     def promote(self, task_index: int, num_types: int) -> "PlanState | None":
@@ -161,72 +143,45 @@ class StateBlock:
 
     ``assign`` is the read-only ``(B, N)`` int16 assignment matrix and
     ``keys[b]`` row ``b``'s bytes -- equal to the :attr:`PlanState.key` of
-    the same assignment.  The lineage of :class:`PlanState` is kept per
-    row: ``parent_keys[b]`` is the key of the state row ``b`` was edited
-    from (``None`` without lineage), and ``dirty[b]`` the tasks that edit
-    changed, padded with ``-1`` to the widest set of the block (a
-    ``(B, 0)`` matrix when no row has lineage).  The constructor trusts
-    its arguments; :meth:`from_states` builds a block from
-    :class:`PlanState` objects.
+    the same assignment.  The constructor trusts its arguments;
+    :meth:`from_states` builds a block from :class:`PlanState` objects.
     """
 
-    __slots__ = ("assign", "keys", "parent_keys", "dirty")
+    __slots__ = ("assign", "keys")
 
-    def __init__(
-        self,
-        assign: np.ndarray,
-        keys: list[bytes] | None = None,
-        parent_keys: list[bytes | None] | None = None,
-        dirty: np.ndarray | None = None,
-    ):
+    def __init__(self, assign: np.ndarray, keys: list[bytes] | None = None):
         assign = np.ascontiguousarray(assign, dtype=np.int16)
         if assign.ndim != 2:
             raise SolverError(f"a state block is 2-D, got shape {assign.shape}")
         assign.setflags(write=False)
         self.assign = assign
         self.keys = row_keys(assign) if keys is None else keys
-        self.parent_keys = [None] * len(assign) if parent_keys is None else parent_keys
-        self.dirty = np.full((len(assign), 0), -1, dtype=np.int64) if dirty is None else dirty
 
     @classmethod
-    def _of(cls, assign, keys, parent_keys, dirty) -> "StateBlock":
+    def _of(cls, assign, keys) -> "StateBlock":
         """A block of parts already in block form (no conversion, no checks)."""
         block = object.__new__(cls)
         assign.setflags(write=False)
-        block.assign, block.keys, block.parent_keys, block.dirty = (
-            assign, keys, parent_keys, dirty
-        )
+        block.assign, block.keys = assign, keys
         return block
 
     @classmethod
     def from_states(cls, states: Iterable[PlanState]) -> "StateBlock":
-        """The block of ``states``, in order, lineage included."""
+        """The block of ``states``, in order."""
         states = list(states)
         if not states:
             return cls(np.empty((0, 0), dtype=np.int16))
         sizes = {len(st) for st in states}
         if len(sizes) > 1:
             raise SolverError(f"states of one block differ in length: {sorted(sizes)}")
-        width = max(len(st.dirty or ()) for st in states)
-        dirty = np.full((len(states), width), -1, dtype=np.int64)
-        for row, st in zip(dirty, states):
-            if st.dirty:
-                if min(st.dirty) < 0:
-                    raise SolverError(f"dirty task set {st.dirty!r} out of range")
-                row[: len(st.dirty)] = st.dirty
-        return cls(
-            np.stack([st.assignment for st in states]),
-            [st.key for st in states],
-            [st.parent_key for st in states],
-            dirty,
-        )
+        return cls(np.stack([st.assignment for st in states]), [st.key for st in states])
 
     def __len__(self) -> int:
         return len(self.keys)
 
     def __reduce__(self):
         # The keys are the assignment's bytes: a pickled block ships them once.
-        return (StateBlock, (self.assign, None, self.parent_keys, self.dirty))
+        return (StateBlock, (self.assign,))
 
     @property
     def num_tasks(self) -> int:
@@ -235,14 +190,8 @@ class StateBlock:
     def take(self, rows: Sequence[int] | np.ndarray) -> "StateBlock":
         """The block of ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.intp)
-        keys, parents = self.keys, self.parent_keys
-        index = rows.tolist()
-        return StateBlock._of(
-            self.assign[rows],
-            [keys[i] for i in index],
-            [parents[i] for i in index],
-            self.dirty[rows],
-        )
+        keys = self.keys
+        return StateBlock._of(self.assign[rows], [keys[i] for i in rows.tolist()])
 
     @classmethod
     def concat(cls, blocks: Sequence["StateBlock"]) -> "StateBlock":
@@ -252,59 +201,13 @@ class StateBlock:
             return blocks[0]
         if not blocks:
             return cls(np.empty((0, 0), dtype=np.int16))
-        width = max(b.dirty.shape[1] for b in blocks)
-        dirty = np.full((sum(map(len, blocks)), width), -1, dtype=np.int64)
-        start = 0
-        for b in blocks:
-            dirty[start : start + len(b), : b.dirty.shape[1]] = b.dirty
-            start += len(b)
         return cls._of(
-            np.concatenate([b.assign for b in blocks]),
-            [key for b in blocks for key in b.keys],
-            [key for b in blocks for key in b.parent_keys],
-            dirty,
+            np.concatenate([b.assign for b in blocks]), [key for b in blocks for key in b.keys]
         )
-
-    def parents_of(self, children: "StateBlock") -> "StateBlock":
-        """The rows of this block that some row of ``children`` was edited from."""
-        needed = set(children.parent_keys)
-        rows = [i for i, key in enumerate(self.keys) if key in needed]
-        return self if len(rows) == len(self) else self.take(rows)
 
     def state(self, row: int) -> PlanState:
-        """Row ``row`` as a :class:`PlanState`, lineage included."""
-        dirty = self.dirty[row]
-        parent = self.parent_keys[row]
-        return PlanState(
-            self.assign[row],
-            parent_key=parent,
-            dirty=None if parent is None else tuple(dirty[dirty >= 0].tolist()),
-        )
-
-    def dirty_sets(self, rows: np.ndarray, num_tasks: int) -> tuple[np.ndarray, np.ndarray]:
-        """The dirty sets of ``rows``, flattened: ``(sizes, tasks)``.
-
-        ``tasks`` concatenates the rows' dirty tasks in row order and
-        ``sizes[j]`` is the length of row ``rows[j]``'s set.  Raises
-        :class:`SolverError` when a set is empty or names a task outside
-        a problem of ``num_tasks`` tasks.
-        """
-        dirty = self.dirty[rows]
-        real = dirty >= 0
-        sizes = real.sum(axis=1)
-        tasks = dirty[real]
-        if not sizes.size:
-            return sizes, tasks
-        if sizes.min() == 0 or tasks.max() >= num_tasks:
-            bad = next(
-                j for j, size in enumerate(sizes.tolist())
-                if not size or dirty[j][real[j]].max() >= num_tasks
-            )
-            raise SolverError(
-                f"dirty task set {tuple(dirty[bad][real[bad]].tolist())!r} out of range "
-                f"for {num_tasks} tasks"
-            )
-        return sizes, tasks
+        """Row ``row`` as a :class:`PlanState`."""
+        return PlanState(self.assign[row])
 
 
 def as_block(states: "StateBlock | Iterable[PlanState]") -> StateBlock:

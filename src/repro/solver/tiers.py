@@ -3,7 +3,7 @@
 :meth:`GenericSearch.solve` hands each iteration's candidates -- one
 :class:`~repro.solver.state.StateBlock` -- to tier 0
 (:class:`AnalyticTier`), tier 1 (:class:`PrefixTier`) and tier 2
-(:class:`MonteCarloTier`) in turn.  ``settle(problem, batch, parents,
+(:class:`MonteCarloTier`) in turn.  ``settle(problem, batch,
 incumbent_feasible)`` returns ``(settled, evals, survivors)``: the rows
 of ``batch`` the tier decided, their :class:`~repro.solver.state.BatchEval`,
 and the rows the next tier sees; a row in neither was discarded.  The
@@ -47,10 +47,9 @@ class Evaluator(Protocol):
     Each call takes a :class:`~repro.solver.state.StateBlock` and returns
     one value per row.  Each value is a function of (problem, state)
     alone, so any chunking of a block, evaluated anywhere, concatenates
-    back to the same numbers.  ``counters()`` is the work (cache,
-    delta-propagation, tier-0 counters) done since the evaluator was
-    built; an evaluator serves one solve.  ``workers`` is the processes
-    its calls ran on.
+    back to the same numbers.  ``counters()`` is the work (cache and
+    tier-0 counters) done since the evaluator was built; an evaluator
+    serves one solve.  ``workers`` is the processes its calls ran on.
     """
 
     @property
@@ -64,8 +63,8 @@ class Evaluator(Protocol):
         """Tier 1: deadline probability over the first ``PrefixTier.SAMPLES`` draws."""
         ...
 
-    def evaluate(self, block: StateBlock, parents: StateBlock | None = None) -> BatchEval:
-        """Tier 2: full-fidelity evaluations, the rows' ``parents`` pinned first."""
+    def evaluate(self, block: StateBlock) -> BatchEval:
+        """Tier 2: full-fidelity evaluations."""
         ...
 
     def counters(self) -> dict[str, int]: ...
@@ -77,8 +76,7 @@ class Tier(Protocol):
     counts: dict[str, int]
 
     def settle(
-        self, problem: CompiledProblem, batch: StateBlock,
-        parents: StateBlock | None, incumbent_feasible: bool,
+        self, problem: CompiledProblem, batch: StateBlock, incumbent_feasible: bool
     ) -> Settled: ...
 
 
@@ -110,8 +108,7 @@ class _ScreenTier:
         raise NotImplementedError
 
     def settle(
-        self, problem: CompiledProblem, batch: StateBlock,
-        parents: StateBlock | None, incumbent_feasible: bool,
+        self, problem: CompiledProblem, batch: StateBlock, incumbent_feasible: bool
     ) -> Settled:
         if (
             self.dry >= self.DRY_LIMIT
@@ -188,8 +185,8 @@ class AnalyticTier(_ScreenTier):
     def static_gate(problem: CompiledProblem, min_tasks: int, backend: EvaluationBackend) -> bool:
         """The gates that depend on the problem alone, not on the search.
 
-        At least ``min_tasks`` tasks (below the measured crossover the
-        delta-MC path is already so cheap the pass nets out negative:
+        At least ``min_tasks`` tasks (below the measured crossover full
+        Monte Carlo is already so cheap the pass nets out negative:
         Montage-4/240 tasks ~0.9x, Montage-8/680 tasks 2-3x), a finite
         required quantile (a 100th-percentile deadline needs every sample
         to meet it, which no normal surrogate can certify), and a main
@@ -273,8 +270,9 @@ class PrefixTier(_ScreenTier):
 class MonteCarloTier:
     """Tier 2: full-fidelity Monte Carlo, the referee; settles everything.
 
-    The expanded parents that still have a candidate here are pinned
-    first, so their children take the delta-propagation path.
+    The whole batch goes to the evaluator in one call, which the
+    vectorized backend runs as one kernel launch (one thread block per
+    state, in the paper's terms).
     """
 
     def __init__(self, evaluator: Evaluator):
@@ -282,9 +280,8 @@ class MonteCarloTier:
         self.counts = {"exact_evals": 0}
 
     def settle(
-        self, problem: CompiledProblem, batch: StateBlock,
-        parents: StateBlock | None, incumbent_feasible: bool,
+        self, problem: CompiledProblem, batch: StateBlock, incumbent_feasible: bool
     ) -> Settled:
-        evals = self.evaluator.evaluate(batch, parents)
+        evals = self.evaluator.evaluate(batch)
         self.counts["exact_evals"] += len(batch)
         return np.arange(len(batch)), evals, _NONE

@@ -1,20 +1,18 @@
 """A warm engine's evaluation state lives as long as its problems do.
 
 Every memo keyed by ``sample_token`` -- the makespan rows, tier 0's
-moment rows and calibrations, the frontier slab and tier 1's screening
-problems -- holds only tokens of problems still in ``Deco._problems``:
-evicting a compiled problem forgets its token, and a solve whose problem
+moment rows and calibrations and tier 1's screening problems -- holds
+only tokens of problems still in ``Deco._problems``: evicting a
+compiled problem forgets its token, and a solve whose problem
 no memo keeps (``solve_program``, ``schedule(faults=...)``) forgets its
 own when it ends.  Forgetting is a memo drop, so plans do not move, and
-what the memos are for -- a sweep's repeated request, a service worker's
-next same-shaped job -- keeps working.
+what the memos are for -- a sweep's repeated request -- keeps working.
 """
 
 from __future__ import annotations
 
 from repro.engine.deco import Deco
 from repro.faults.model import FaultModel
-from repro.solver import cache as cache_module
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
 from repro.workflow.generators import cybershake, montage
@@ -31,7 +29,6 @@ def resident_tokens(deco: Deco) -> dict[str, set[int]]:
     return {
         "makespan": set(backend.cache._rows),
         "moments": set(search.moment_memo._rows),
-        "frontier": {token for token, _ in ctx._slots},
         "calibrations": set(analytic._calibrations) if analytic is not None else set(),
         "screen": set(ctx._screen_problems),
     }
@@ -42,8 +39,7 @@ def live_tokens(deco: Deco) -> set[int]:
 
 
 def assert_nothing_new(deco: Deco, before: dict[str, set[int]]) -> None:
-    """No memo holds a token it did not hold in ``before`` (the one-shot
-    solve may have evicted some of the kept problem's frontiers)."""
+    """No memo holds a token it did not hold in ``before``."""
     for memo, tokens in resident_tokens(deco).items():
         assert tokens <= before[memo], f"{memo} kept tokens {sorted(tokens - before[memo])}"
 
@@ -67,7 +63,7 @@ class TestOnlyLiveTokensStay:
             assert plan.decision_dict() == fresh.decision_dict()
         # The memos were really used, and the live ones kept their entries.
         resident = resident_tokens(deco)
-        assert resident["makespan"] and resident["frontier"] and resident["screen"]
+        assert resident["makespan"] and resident["screen"]
 
     def test_tier0_calibrations_go_with_their_problem(self, catalog, monkeypatch):
         monkeypatch.setattr(Deco, "_PROBLEM_CACHE_SIZE", 1)
@@ -118,38 +114,6 @@ class TestReuseIsKept:
             hits.append(deco.last_result.cache_hits)
         assert hits == RECORDED_SWEEP_HITS
         assert deco.last_result.cache_misses == 0  # the repeat computes no row
-
-    def test_same_shape_jobs_keep_one_slab(self, catalog, monkeypatch):
-        """A service worker's jobs are distinct same-sized workflows, some
-        of them through ``solve_program``: one slab mapping serves them all."""
-        mapped = []
-
-        class CountedSlab(cache_module.FrontierSlab):
-            __slots__ = ()
-
-            def __init__(self, *args):
-                super().__init__(*args)
-                mapped.append(self)
-
-        monkeypatch.setattr(cache_module, "FrontierSlab", CountedSlab)
-        deco = Deco(catalog, **ENGINE)
-        for i in range(10):
-            wf = montage(degrees=1.0, seed=200 + i)
-            if i % 2:
-                registry = ImportRegistry()
-                registry.register_cloud("amazonec2", catalog)
-                registry.register_workflow("wf", wf)
-                deco.solve_program(
-                    scheduling_program(
-                        workflow="wf", percentile=96.0,
-                        deadline_seconds=deco.presets(wf).medium,
-                    ),
-                    registry,
-                )
-            else:
-                deco.schedule(wf, "medium")
-            assert deco.last_result.states_incremental > 0
-        assert len(mapped) == 1
 
 
 #: ``cache_hits`` of each request of the sweep above (forgetting a

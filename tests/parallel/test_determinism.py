@@ -142,6 +142,17 @@ class TestMemberPlansDeterminism:
         assert _live_children() - before == set()
 
 
+class TestSolvePlansDeterminism:
+    def test_worker_fanout_identical(self, catalog):
+        wf = montage(degrees=1.0, seed=7)
+        deco = Deco(catalog, seed=7, num_samples=64, max_evaluations=150)
+        jobs = [(k, wf, "medium", 96.0) for k in range(2)]
+        serial = solve_plans(deco, jobs, workers=1)
+        fanned = solve_plans(deco, jobs, workers=2)
+        for k in serial:
+            assert serial[k].decision_dict() == fanned[k].decision_dict()
+
+
 class TestWarmEngineMatchesFreshEngine:
     """The serial ``solve_plans`` reuses the caller's warm engine; a
     fanned-out one solves on cold engines rebuilt from ``Deco.spec()``.

@@ -333,7 +333,7 @@ class TestDecoAnalytic:
         assert deco.last_result.analytic_hits == 0
 
     def test_size_gate_keeps_tier_off_small(self):
-        """Below analytic_min_tasks the delta-MC path is already cheap;
+        """Below analytic_min_tasks full Monte Carlo is already cheap;
         the tier must not run (measured net-negative on montage-1/4)."""
         wf = montage(degrees=1.0, seed=0)
         deco = Deco(CATALOG, num_samples=40, max_evaluations=200)

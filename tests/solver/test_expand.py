@@ -260,41 +260,38 @@ def _first_rows(keys):
 
 def _reference_rows(problem, parents, incumbent_feasible, cps=12):
     """The scalar reference's children, flattened in emission order:
-    ``(key, parent row, dirty task)`` per child."""
+    ``(key, parent row, edited task)`` per child."""
     best = _eval(incumbent_feasible)
     first = _first_rows(s.key for s, _ in parents)
     rows = []
     for state, ev in parents:
         for child in children_ref(problem, state, ev, best, cps):
-            (task,) = child.dirty
+            (task,) = np.flatnonzero(child.assignment != state.assignment).tolist()
             rows.append((child.key, first[state.key], task))
     return rows
 
 
 def _expand(problem, parents, incumbent_feasible, cps=12, seen=None, limit=None):
-    """``expand_batch`` on ``(state, eval)`` pairs: the parent block,
-    the child block and each child's parent row (rebuilt from its
-    ``parent_keys``), after checking the block's invariants."""
+    """``expand_batch`` on ``(state, eval)`` pairs: the parent block and
+    the child block, after checking the block's keys."""
     block = StateBlock.from_states(s for s, _ in parents)
     feasible = np.array([ev.feasible for _, ev in parents], dtype=bool)
     kids = expand_batch(problem, block, feasible, incumbent_feasible, cps, seen, limit)
-    first = _first_rows(block.keys)
-    rows = [first[key] for key in kids.parent_keys]
     assert kids.keys == [row.tobytes() for row in kids.assign]
-    if len(kids):
-        assert kids.dirty.shape == (len(kids), 1)
-    for child, b, task in zip(kids.assign, rows, kids.dirty[:, :1].ravel().tolist()):
+    return block, kids
+
+
+def _assert_rows(block, kids, want):
+    """``kids`` are the reference rows ``want`` in order: the same keys,
+    each a single-task edit of its reference parent at its task."""
+    assert kids.keys == [key for key, _, _ in want]
+    for child, (_, b, task) in zip(kids.assign, want):
         assert np.flatnonzero(child != block.assign[b]).tolist() == [task]
-    return block, kids, rows
-
-
-def _rows(kids, rows):
-    return list(zip(kids.keys, rows, kids.dirty[:, :1].ravel().tolist()))
 
 
 def _assert_children_match(problem, parents, incumbent_feasible, cps=12):
-    _, kids, rows = _expand(problem, parents, incumbent_feasible, cps)
-    assert _rows(kids, rows) == _reference_rows(problem, parents, incumbent_feasible, cps)
+    block, kids = _expand(problem, parents, incumbent_feasible, cps)
+    _assert_rows(block, kids, _reference_rows(problem, parents, incumbent_feasible, cps))
 
 
 def _drawn_parents(catalog, workflow, seed):
@@ -311,7 +308,7 @@ def _drawn_parents(catalog, workflow, seed):
 
 class TestChildLists:
     """The child block against the scalar per-parent lists: same child
-    rows, parent rows and dirty tasks, in the same order."""
+    rows, parent rows and edited tasks, in the same order."""
 
     @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans())
     @settings(max_examples=80, deadline=None)
@@ -356,8 +353,8 @@ class TestChildLists:
             if row[0] not in visited:
                 first.setdefault(row[0], row)
         seen = set(visited)
-        _, kids, rows = _expand(problem, parents, incumbent, seen=seen)
-        assert _rows(kids, rows) == list(first.values())
+        block, kids = _expand(problem, parents, incumbent, seen=seen)
+        _assert_rows(block, kids, list(first.values()))
         assert seen == visited | {key for key, _, _ in want}
 
     @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.booleans(), st.data())
@@ -369,13 +366,13 @@ class TestChildLists:
             first.setdefault(row[0], row)
         deduped = list(first.values())
         limit = data.draw(st.integers(0, len(deduped) + 2))
-        _, kids, rows = _expand(problem, parents, incumbent, seen=set(), limit=limit)
-        assert _rows(kids, rows) == deduped[:limit]
+        block, kids = _expand(problem, parents, incumbent, seen=set(), limit=limit)
+        _assert_rows(block, kids, deduped[:limit])
 
     def test_no_parents_no_children(self, catalog, rng):
         problem = _synthetic_problem(_fan_in(5), catalog, rng)
         kids = expand_batch(problem, StateBlock.from_states([]), np.zeros(0, bool), True, 12)
-        assert len(kids) == 0 and kids.parent_keys == []
+        assert len(kids) == 0 and kids.keys == []
 
 
 # ---------------------------------------------------------------------------

@@ -224,7 +224,7 @@ class TestRepeatedShardFailures:
         rounds = {"n": 0}
         original = ShardedEvaluator.submit_eval
 
-        def sabotaged(evaluator, states, parents):
+        def sabotaged(evaluator, states):
             rounds["n"] += 1
             for shard in kill_plan.get(rounds["n"], ()):
                 pid = evaluator.pool.worker_pids()[shard]
@@ -236,7 +236,7 @@ class TestRepeatedShardFailures:
                     pid = evaluator.pool.worker_pids()[shard]
                 assert pid is not None, f"shard {shard} has no live worker to kill"
                 os.kill(pid, signal.SIGKILL)
-            return original(evaluator, states, parents)
+            return original(evaluator, states)
 
         with warnings.catch_warnings(record=True) as captured:
             warnings.simplefilter("always")

@@ -79,37 +79,25 @@ class TestStateEval:
 
 
 class TestStateBlock:
-    def test_from_states_keeps_keys_lineage_and_order(self):
+    def test_from_states_keeps_keys_and_order(self):
         root = PlanState.uniform(4, 1)
-        states = [root, root.with_type(2, 3), PlanState(np.array([0, 1, 2, 3]), root.key, (0, 3))]
+        states = [root, root.with_type(2, 3), PlanState(np.array([0, 1, 2, 3]))]
         block = StateBlock.from_states(states)
         assert block.keys == [s.key for s in states]
         assert block.keys == [row.tobytes() for row in block.assign]
-        assert block.parent_keys == [None, root.key, root.key]
-        assert block.dirty.tolist() == [[-1, -1], [2, -1], [0, 3]]
         for i, s in enumerate(states):
-            back = block.state(i)
-            assert back == s and back.parent_key == s.parent_key and back.dirty == s.dirty
+            assert block.state(i) == s
 
-    def test_take_and_concat_pad_the_dirty_sets(self):
+    def test_take_and_concat(self):
         root = PlanState.uniform(3, 0)
         one = StateBlock.from_states([root, root.with_type(1, 2)])
-        two = StateBlock.from_states([PlanState(np.array([1, 1, 0]), root.key, (0, 1))])
+        two = StateBlock.from_states([PlanState(np.array([1, 1, 0]))])
         both = StateBlock.concat([one, two])
-        assert both.dirty.tolist() == [[-1, -1], [1, -1], [0, 1]]
-        assert both.take([2, 0]).keys == [two.keys[0], one.keys[0]]
-        sizes, tasks = both.dirty_sets(np.array([2, 1]), 3)
-        assert sizes.tolist() == [2, 1] and tasks.tolist() == [0, 1, 1]
-
-    def test_dirty_sets_reject_empty_and_out_of_range(self):
-        root = PlanState.uniform(3, 0)
-        block = StateBlock.from_states([root, root.with_type(2, 1)])
-        with pytest.raises(SolverError, match="out of range"):
-            block.dirty_sets(np.array([0]), 3)  # no lineage: an empty set
-        with pytest.raises(SolverError, match="out of range"):
-            block.dirty_sets(np.array([1]), 2)
-        with pytest.raises(SolverError, match="out of range"):
-            StateBlock.from_states([PlanState(np.zeros(3), root.key, (-1,))])
+        assert both.keys == one.keys + two.keys
+        np.testing.assert_array_equal(both.assign, np.concatenate([one.assign, two.assign]))
+        taken = both.take([2, 0])
+        assert taken.keys == [two.keys[0], one.keys[0]]
+        assert taken.keys == [row.tobytes() for row in taken.assign]
 
     def test_ragged_states_rejected(self):
         with pytest.raises(SolverError, match="differ in length"):
@@ -119,15 +107,9 @@ class TestStateBlock:
         root = PlanState.uniform(5, 1)
         block = StateBlock.from_states([root.with_type(t, 2) for t in range(5)])
         back = pickle.loads(pickle.dumps(block))
-        assert back.keys == block.keys and back.parent_keys == block.parent_keys
-        np.testing.assert_array_equal(back.dirty, block.dirty)
+        assert back.keys == block.keys
+        np.testing.assert_array_equal(back.assign, block.assign)
         assert not back.assign.flags.writeable
-
-    def test_parents_of_keeps_the_parents_of_some_child(self):
-        a, b, c = (PlanState.uniform(3, t) for t in range(3))
-        parents = StateBlock.from_states([a, b, c])
-        children = StateBlock.from_states([c.with_type(0, 1), a.with_type(1, 2)])
-        assert parents.parents_of(children).keys == [a.key, c.key]
 
 
 class TestBatchEval:

@@ -35,9 +35,9 @@ class RecordingEvaluator(LocalEvaluator):
         self.calls.append(("screen", list(block.keys)))
         return super().screen(block)
 
-    def evaluate(self, block, parents=None):
+    def evaluate(self, block):
         self.calls.append(("evaluate", list(block.keys)))
-        return super().evaluate(block, parents)
+        return super().evaluate(block)
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +98,7 @@ def test_a_screening_tier_stands_down_after_two_dry_batches():
     tier = PrefixTier(stub)
     batch = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(problem.num_types))
     for _ in range(4):
-        settled, evals, survivors = tier.settle(problem, batch, None, incumbent.feasible)
+        settled, evals, survivors = tier.settle(problem, batch, incumbent.feasible)
         assert len(settled) == len(evals) == 0
         assert survivors.tolist() == list(range(len(batch)))
     assert stub.screened == PrefixTier.DRY_LIMIT
@@ -153,7 +153,7 @@ class TestMomentMemo:
         """One fresh tier (tiers are per solve) over ``batch``; the rows it requested."""
         evaluator = CountingEvaluator(search, problem)
         tier = AnalyticTier(evaluator, 0, search.backend, memo)
-        settled = tier.settle(problem, batch, None, True)
+        settled = tier.settle(problem, batch, True)
         assert tier.counts["analytic_hits"] == len(batch) - evaluator.rows
         return settled, evaluator.rows
 
