@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.instance_types import ec2_catalog
+from repro.faults import FaultModel
 from repro.solver import backends as backends_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.levels import workflow_layout
-from repro.solver.state import StateBlock
+from repro.solver.state import PlanState, StateBlock
 from repro.workflow.dag import Task, Workflow
+from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline, random_dag
 
 CATALOG = ec2_catalog()
 SAMPLES = 5
@@ -120,3 +122,137 @@ class TestFullKernelIdentity:
         every_row = np.stack([sched.makespan(tm[row[order], order]) for row in block.assign])
         got = VectorizedBackend().makespan_samples(problem, block)
         np.testing.assert_array_equal(got, every_row)
+
+
+def compiled(workflow: Workflow, catalog, runtime_model, seed: int, samples: int = 8):
+    return CompiledProblem.compile(
+        workflow, catalog, deadline=1e9, percentile=96.0, num_samples=samples,
+        seed=seed, runtime_model=runtime_model,
+    )
+
+
+def spread_edits(problem: CompiledProblem, parent: PlanState, batch: int = 12) -> StateBlock:
+    """Single-task edits of ``parent`` spread across the DAG, alternating
+    promote and demote: the neighbours a beam iteration evaluates."""
+    n = len(parent)
+    children = []
+    for j, i in enumerate(range(0, n, max(1, n // batch))):
+        child = parent.promote(i, problem.num_types) if j % 2 else parent.demote(i)
+        if child is not None:
+            children.append(child)
+        if len(children) == batch:
+            break
+    return StateBlock.from_states(children)
+
+
+GENERATED = {
+    "ligo": lambda seed: ligo(40, seed=seed),
+    "epigenomics": lambda seed: epigenomics(40, seed=seed),
+    "cybershake": lambda seed: cybershake(40, seed=seed),
+    "pipeline": lambda seed: pipeline(12, seed=seed),
+    "random": lambda seed: random_dag(30, edge_prob=0.3, seed=seed),
+}
+
+
+class TestFullKernelOnGenerators:
+    """Compiled problems of the shipped generators, on the batches a
+    search sends: the same rows as ``ScalarBackend``."""
+
+    @pytest.mark.parametrize("degrees", [1, 4, 8])
+    @pytest.mark.parametrize("seed", [5, 21])
+    def test_single_task_edits_of_one_plan(self, catalog, runtime_model, degrees, seed):
+        problem = compiled(montage(degrees=degrees, seed=seed), catalog, runtime_model, seed)
+        parent = PlanState.uniform(problem.num_tasks, 1)
+        assert_equals_scalar(problem, spread_edits(problem, parent), small=False)
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("name", sorted(GENERATED))
+    def test_generated_workflows(self, catalog, runtime_model, name, small):
+        problem = compiled(GENERATED[name](3), catalog, runtime_model, seed=3)
+        assert_equals_scalar(problem, random_block(problem, 7, seed=3), small)
+
+    @pytest.mark.parametrize("seed", [0, 13])
+    def test_every_single_task_edit_of_a_random_dag(self, catalog, runtime_model, seed):
+        problem = compiled(random_dag(15, edge_prob=0.3, seed=seed), catalog, runtime_model, seed)
+        parent = PlanState.uniform(problem.num_tasks, 1)
+        children = [
+            child
+            for i in range(problem.num_tasks)
+            for child in (parent.promote(i, problem.num_types), parent.demote(i))
+            if child is not None
+        ]
+        assert len(children) == 2 * problem.num_tasks
+        assert_equals_scalar(problem, StateBlock.from_states(children), small=False)
+
+    def test_edits_of_several_tasks_at_once(self, catalog, runtime_model):
+        problem = compiled(montage(degrees=1, seed=2), catalog, runtime_model, seed=5)
+        assign = np.ones((3, problem.num_tasks), dtype=np.int64)
+        assign[0, [0, 7, 19]] = [2, 0, 3]
+        assign[1, ::2] = 0
+        assign[2, -5:] = problem.num_types - 1
+        assert_equals_scalar(problem, StateBlock(assign), small=False)
+
+    def test_a_repeated_state_gets_the_same_row_each_time(self, catalog, runtime_model):
+        problem = compiled(montage(degrees=1, seed=2), catalog, runtime_model, seed=5)
+        one = PlanState.uniform(problem.num_tasks, 2)
+        other = one.promote(4, problem.num_types)
+        got = VectorizedBackend().makespan_samples(problem, [one, other, one, one])
+        np.testing.assert_array_equal(got[0], got[2])
+        np.testing.assert_array_equal(got[0], got[3])
+        assert_equals_scalar(problem, StateBlock.from_states([one, other, one]), small=True)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.3])
+    def test_fault_inflated_problems(self, catalog, runtime_model, rate):
+        base = compiled(montage(degrees=1, seed=2), catalog, runtime_model, seed=5)
+        problem = base.with_faults(FaultModel(task_failure_rate=rate))
+        assert problem.tensor.dtype == base.tensor.dtype
+        assert_equals_scalar(problem, random_block(problem, 5, seed=9), small=False)
+
+    def test_results_do_not_alias_the_pooled_buffers(self, catalog, runtime_model):
+        """A caller may hold on to a result while the next launch reuses
+        the pool (the memo stores the rows it is handed)."""
+        problem = compiled(montage(degrees=1, seed=2), catalog, runtime_model, seed=5)
+        backend = VectorizedBackend()
+        first_block = random_block(problem, 4, seed=1)
+        first = backend.makespan_samples(problem, first_block)
+        kept = first.copy()
+        second = backend.makespan_samples(problem, random_block(problem, 4, seed=2))
+        assert not np.shares_memory(first, second)
+        np.testing.assert_array_equal(first, kept)
+        np.testing.assert_array_equal(first, ScalarBackend().makespan_samples(problem, first_block))
+
+
+class TestBudgetsCutAnywhere:
+    """A chunk boundary may fall after any state and a tile boundary
+    after any task of a wide level; neither moves a row."""
+
+    @pytest.mark.parametrize("per_chunk", [1, 2, 3, 5, 7, 64])
+    def test_states_per_chunk(self, per_chunk):
+        problem = synthetic_problem(fan_in(6), seed=per_chunk)
+        block = random_block(problem, 11, seed=per_chunk)
+        per_state = (problem.num_tasks + 1) * problem.num_samples * problem.tensor.dtype.itemsize
+        backend = VectorizedBackend()
+        with mock.patch.object(backends_module, "_FULL_BYTES", per_chunk * per_state):
+            got = backend.makespan_samples(problem, block)
+        # The finish matrix was sized by the chunk, not by the batch.
+        finish = backend.pool.take("finish", (1,), problem.tensor.dtype)
+        columns = finish.base.size // (problem.num_tasks + 1)
+        assert columns == min(per_chunk, 11) * problem.num_samples
+        np.testing.assert_array_equal(got, ScalarBackend().makespan_samples(problem, block))
+
+    @pytest.mark.parametrize("per_tile", [1, 2, 4, 9])
+    def test_tasks_per_wide_tile(self, per_tile):
+        """Three joins of a fan-in of 6 on one level, cut into tiles of
+        ``per_tile`` joins."""
+        roots = [f"r{i}" for i in range(6)]
+        joins = ["j0", "j1", "j2"]
+        workflow = Workflow(
+            "joins", [Task(task_id=t) for t in (*roots, *joins)],
+            [(r, j) for j in joins for r in roots],
+        )
+        problem = synthetic_problem(workflow, seed=per_tile)
+        block = random_block(problem, 4, seed=per_tile)
+        tile = 6 * len(block) * problem.num_samples * problem.tensor.dtype.itemsize
+        with mock.patch.object(backends_module, "_TILE_BYTES", per_tile * tile):
+            got = VectorizedBackend().makespan_samples(problem, block)
+        np.testing.assert_array_equal(got, ScalarBackend().makespan_samples(problem, block))

@@ -11,6 +11,7 @@ from repro.common.errors import SolverError
 from repro.engine.deco import Deco
 from repro.engine.plan import deadline_presets
 from repro.parallel.arena import arena_available
+from repro.solver import backends as backends_module
 from repro.solver import search as search_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
@@ -239,6 +240,37 @@ class TestIdleStop:
         assert sharded.evaluations == serial.evaluations
         assert sharded.trace == serial.trace
         assert plans[0] == plans[1]
+
+
+SEARCH_CASES = [(1.0, 3), (1.0, 11), (4.0, 3), (4.0, 11), (8.0, 7)]
+
+
+class TestKernelBudgetsLeavePlansAlone:
+    @pytest.mark.parametrize("degrees,seed", SEARCH_CASES)
+    def test_one_state_chunks_and_one_task_tiles(
+        self, catalog, runtime_model, degrees, seed, monkeypatch
+    ):
+        """The full kernel's byte budgets decide how a batch is cut, never
+        what a solve sees: at one state per chunk and one task per wide
+        tile, the solve takes the same steps to the same plan."""
+        wf = montage(degrees=degrees, seed=seed)
+        problem = CompiledProblem.compile(
+            wf, catalog, deadline=deadline_presets(wf, catalog, runtime_model).medium,
+            percentile=96.0, num_samples=64, seed=seed, runtime_model=runtime_model,
+        )
+        default = GenericSearch(VectorizedBackend(), max_evaluations=200).solve(problem)
+        monkeypatch.setattr(backends_module, "_FULL_BYTES", 0)
+        monkeypatch.setattr(backends_module, "_TILE_BYTES", 0)
+        cut = GenericSearch(VectorizedBackend(), max_evaluations=200).solve(problem)
+        np.testing.assert_array_equal(
+            default.best_state.assignment, cut.best_state.assignment
+        )
+        assert default.best_eval == cut.best_eval
+        assert default.trace == cut.trace
+        assert default.evaluations == cut.evaluations
+        assert default.screened_out == cut.screened_out
+        # (On Montage-8 tier 0 settles every candidate before the kernel.)
+        assert default.exact_evals > 0 or default.analytic_evals > 0
 
 
 class TestIncumbentFold:
