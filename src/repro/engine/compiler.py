@@ -27,7 +27,6 @@ import numpy as np
 
 from repro.common.errors import WLogError
 from repro.solver.backends import CompiledProblem
-from repro.solver.levels import LevelSchedule
 from repro.wlog.probir import ProbabilisticIR
 from repro.wlog.program import ConsSpec, WLogProgram
 from repro.wlog.terms import Struct, to_python
@@ -36,7 +35,6 @@ __all__ = [
     "try_compile",
     "compile_or_raise",
     "ArenaWorkflowStub",
-    "calibration_from_segment",
     "export_problem_arrays",
     "problem_fingerprint",
     "problem_from_segment",
@@ -161,42 +159,22 @@ def _parent_csr(parent_indices) -> dict[str, np.ndarray]:
     return {"parent_offsets": offsets, "parent_edges": edges}
 
 
-def export_problem_arrays(
-    problem: CompiledProblem, calibration: tuple | None = None
-) -> tuple[dict[str, np.ndarray], dict]:
-    """Flatten a problem's immutable arrays (+ optional analytic
-    calibration ``(grids, means, variances)``) into an arena payload."""
-    lv = problem.levels
-    assert lv is not None
+def export_problem_arrays(problem: CompiledProblem) -> tuple[dict[str, np.ndarray], dict]:
+    """Flatten a problem's immutable arrays into an arena payload: the
+    tensors, prices and the DAG's parent lists.  Everything else a worker
+    needs (the level schedule, tier 0's calibration) derives from these."""
     arrays: dict[str, np.ndarray] = {
         "tensor": problem.tensor,
         "tensor_taskmajor": problem.tensor_taskmajor,
         "mean_times": problem.mean_times,
         "prices": problem.prices,
         **_parent_csr(problem.parent_indices),
-        "order": lv.order,
-        "depth": lv.depth,
-        "rank": lv.rank,
-        "sink_slots": lv.sink_slots,
     }
-    for i, gather in enumerate(lv.level_parents):
-        arrays[f"lvlp{i}"] = gather
-    if calibration is not None:
-        grids, means, variances = calibration
-        arrays["calib_grids"] = grids
-        arrays["calib_means"] = means
-        arrays["calib_variances"] = variances
-    meta = {
-        "workflow_name": problem.workflow.name,
-        "num_tasks": problem.num_tasks,
-        "num_levels": lv.num_levels,
-        "level_bounds": [list(b) for b in lv.level_bounds],
-        "calibrated": calibration is not None,
-    }
+    meta = {"workflow_name": problem.workflow.name, "num_tasks": problem.num_tasks}
     return arrays, meta
 
 
-def problem_fingerprint(problem: CompiledProblem, calibrated: bool = False) -> str:
+def problem_fingerprint(problem: CompiledProblem) -> str:
     """Content key of a problem's sample-tensor generation.
 
     Hashes the arrays whose bytes determine every evaluation result
@@ -213,7 +191,6 @@ def problem_fingerprint(problem: CompiledProblem, calibrated: bool = False) -> s
             problem.faults,
             problem.recovery,
             problem.reliability_required,
-            bool(calibrated),
         ),
         protocol=4,
     )
@@ -242,20 +219,12 @@ def problem_from_segment(
 
     The tensors alias the shared mapping (zero-copy); per-solve scalars
     (deadline, fault metadata) come from the caller -- they ride the
-    small broadcast delta, not the segment.  The rebuilt problem gets a
+    small broadcast delta, not the segment.  ``CompiledProblem`` builds
+    the level schedule from the parent lists, and the problem gets a
     fresh worker-local ``sample_token``, so worker caches key it like
     any locally compiled problem.
     """
     arrays, meta = segment.arrays, segment.meta
-    level_parents = [arrays[f"lvlp{i}"] for i in range(int(meta["num_levels"]))]
-    levels = LevelSchedule.from_arrays(
-        order=arrays["order"],
-        depth=arrays["depth"],
-        rank=arrays["rank"],
-        sink_slots=arrays["sink_slots"],
-        level_bounds=meta["level_bounds"],
-        level_parents=level_parents,
-    )
     edges = arrays["parent_edges"].tolist()
     bounds = arrays["parent_offsets"].tolist()
     parents = tuple(tuple(edges[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
@@ -268,21 +237,11 @@ def problem_from_segment(
         parent_indices=parents,
         deadline=float(deadline),
         required_probability=float(required_probability),
-        levels=levels,
         tensor_taskmajor=arrays["tensor_taskmajor"],
         faults=faults,
         recovery=recovery,
         reliability_required=float(reliability_required),
     )
-
-
-def calibration_from_segment(segment) -> tuple | None:
-    """The published analytic calibration ``(grids, means, variances)``,
-    or ``None`` when the segment was exported without one."""
-    arrays = segment.arrays
-    if "calib_grids" not in arrays:
-        return None
-    return arrays["calib_grids"], arrays["calib_means"], arrays["calib_variances"]
 
 
 def compile_or_raise(

@@ -229,13 +229,12 @@ def beam_begin_solve_arena(
     The begin-solve prologue: the payload carries the problem's arena
     content key plus the per-solve scalars (deadline, fault metadata).
     The shard maps the parent's published tensors read-only, rebuilds a
-    :class:`CompiledProblem` over them (and adopts the published
-    analytic calibration, when present -- which resolves tier 0 here,
-    not inside the first timed screening round), and caches the
-    attachment per content key so deadline sweeps re-derive via
-    ``with_deadline`` and worker evaluation caches keep hitting.
-    Raises :class:`~repro.parallel.arena.ArenaError` when the segment
-    cannot be attached; the parent then solves in-process.
+    :class:`CompiledProblem` over them, and caches the attachment per
+    content key so deadline sweeps re-derive via ``with_deadline`` and
+    worker evaluation caches keep hitting.  Evicting an attachment
+    forgets its sample token in the engine's memos too.  Raises
+    :class:`~repro.parallel.arena.ArenaError` when the segment cannot be
+    attached; the parent then solves in-process.
     """
     (
         ctx_key, arena_key, deadline, required_probability,
@@ -246,7 +245,7 @@ def beam_begin_solve_arena(
         raise RuntimeError("beam worker used before init_deco_worker")
     entry = _BEAM_SEGMENTS.get(arena_key)
     if entry is None:
-        from repro.engine.compiler import calibration_from_segment, problem_from_segment
+        from repro.engine.compiler import problem_from_segment
         from repro.parallel.arena import attach_segment
 
         segment = attach_segment(arena_key)
@@ -259,16 +258,12 @@ def beam_begin_solve_arena(
             recovery=recovery,
             reliability_required=reliability_required,
         )
-        calibration = calibration_from_segment(segment)
-        if calibration is not None:
-            deco._search._analytic_evaluator().adopt_calibration(
-                base.sample_token, *calibration
-            )
         _BEAM_SEGMENTS[arena_key] = (segment, base)
         while len(_BEAM_SEGMENTS) > _BEAM_SEGMENT_LIMIT:
             # Dropping the reference detaches lazily: the finalizer
             # closes the mapping once no derived problem aliases it.
-            _BEAM_SEGMENTS.popitem(last=False)
+            _, (_, evicted) = _BEAM_SEGMENTS.popitem(last=False)
+            deco._search.forget(evicted.sample_token)
     else:
         _BEAM_SEGMENTS.move_to_end(arena_key)
         _segment, base = entry

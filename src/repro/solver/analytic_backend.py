@@ -10,13 +10,14 @@ Representation
 --------------
 Each ``(type, task)`` cell is **calibrated once per sample tensor** into
 a fixed ``Q``-point quantile grid -- the midpoint quantiles of the
-cell's empirical sample row -- memoized by ``sample_token`` exactly like
-the makespan caches, so :meth:`CompiledProblem.with_deadline` sweeps
-reuse one calibration and :meth:`CompiledProblem.with_faults`
-derivations (whose tensors are analytically inflated) calibrate their
-own.  The propagation itself carries the grid's first two moments
-``(mean, variance)`` per task -- the discretized-distribution analogue
-of carrying S samples, with a 2-wide lane instead of an S-wide one.
+cell's empirical sample row -- and the grid's first two moments
+``(mean, variance)`` are what the calibration keeps, memoized by
+``sample_token`` exactly like the makespan caches, so
+:meth:`CompiledProblem.with_deadline` sweeps reuse one calibration and
+:meth:`CompiledProblem.with_faults` derivations (whose tensors are
+analytically inflated) calibrate their own.  The propagation carries
+those moments per task -- the discretized-distribution analogue of
+carrying S samples, with a 2-wide lane instead of an S-wide one.
 
 Algebra
 -------
@@ -205,8 +206,7 @@ def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
     axis, where ``np.quantile`` introselects around every one of the 2Q
     neighbour ranks in turn (10x the time at Q = 32).  An order
     statistic is the same number whichever algorithm ranked it, so the
-    grids are ``array_equal`` to that call and a calibration adopted
-    from another process matches one computed here.  The sort runs in
+    grids are ``array_equal`` to that call.  The sort runs in
     the tensor's own dtype; only the two gathered order statistics are
     upcast, so the grids are float64 and equal to those of
     ``tensor.astype(np.float64)``.
@@ -261,25 +261,23 @@ class AnalyticBackend(EvaluationBackend):
 
     def __init__(self, pool: ScratchPool | None = None):
         self.pool = pool if pool is not None else ScratchPool()
-        # sample_token -> ((K, N, Q) grids, (K*N,) means, (K*N,) variances)
-        self._calibrations: OrderedDict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray]
-        ] = OrderedDict()
+        # sample_token -> ((K*N,) means, (K*N,) variances)
+        self._calibrations: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
         #: Monotone work counters.
         self.counters = {"states_analytic": 0, "calibrations": 0}
 
     # Calibration ------------------------------------------------------
 
-    def _calibration(
-        self, problem: CompiledProblem
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-tensor quantile grids + derived moments, LRU-memoized.
+    def _calibration(self, problem: CompiledProblem) -> tuple[np.ndarray, np.ndarray]:
+        """Per-cell ``(means, variances)`` of the quantile grids, LRU-memoized.
 
         Keyed by ``sample_token`` like every evaluation cache:
         ``with_deadline`` derivations share one calibration, while
         ``with_faults`` tensors (already analytically inflated by
         :meth:`FaultModel.inflate`) calibrate their own -- fault
-        awareness flows into the analytic tier with no extra code.
+        awareness flows into the analytic tier with no extra code.  The
+        ``(K, N, Q)`` grids live only for the call: the propagation
+        reads their moments, nothing else.
         """
         token = problem.sample_token
         entry = self._calibrations.get(token)
@@ -289,37 +287,14 @@ class AnalyticBackend(EvaluationBackend):
         grids = _midpoint_quantile_grids(problem.tensor, self.QUANTILE_POINTS)
         means = np.ascontiguousarray(grids.mean(axis=2).reshape(-1))  # (K*N,)
         variances = np.ascontiguousarray(grids.var(axis=2).reshape(-1))
-        for arr in (grids, means, variances):
+        for arr in (means, variances):
             arr.setflags(write=False)
-        entry = (grids, means, variances)
+        entry = (means, variances)
         self._calibrations[token] = entry
         while len(self._calibrations) > self.MAX_CALIBRATIONS:
             self._calibrations.popitem(last=False)
         self.counters["calibrations"] += 1
         return entry
-
-    def adopt_calibration(
-        self,
-        token: int | None,
-        grids: np.ndarray,
-        means: np.ndarray,
-        variances: np.ndarray,
-    ) -> None:
-        """Install a precomputed calibration under ``token``.
-
-        The shared-memory tensor plane ships the parent's quantile grids
-        alongside the problem tensors; a worker adopting them skips its
-        own full-tensor quantile pass.  That pass is deterministic on
-        identical input bytes, so adopted and locally computed
-        calibrations are bit-identical -- adoption changes where the
-        work happens, never the numbers.
-        """
-        if token in self._calibrations:
-            self._calibrations.move_to_end(token)
-            return
-        self._calibrations[token] = (grids, means, variances)
-        while len(self._calibrations) > self.MAX_CALIBRATIONS:
-            self._calibrations.popitem(last=False)
 
     # Propagation ------------------------------------------------------
 
@@ -340,7 +315,7 @@ class AnalyticBackend(EvaluationBackend):
             return np.zeros(0), np.zeros(0)
         if n == 0:
             return np.zeros(b), np.zeros(b)
-        _, mean_rows, var_rows = self._calibration(problem)
+        mean_rows, var_rows = self._calibration(problem)
         assign = validated_assignments(problem, block)  # (B, N)
         sched = problem.levels
 

@@ -108,9 +108,9 @@ class MakespanCache:
     """
 
     #: Cap on cached rows.  An entry is its row plus its state key, 2
-    #: bytes per task: at 32768 entries, 150 Monte Carlo samples and a
-    #: 680-task workflow that is ~84 MB (1,200 B of row and 1,360 B of
-    #: key each), and ~45 MB of moment entries, almost all key -- sized
+    #: bytes per task: at 32768 entries, 150 float32 Monte Carlo samples
+    #: and a 680-task workflow that is ~64 MB (600 B of row and 1,360 B
+    #: of key each), and ~45 MB of moment entries, almost all key -- sized
     #: for sweep workloads, far above any single search's state count.
     MAX_ENTRIES = 32_768
 

@@ -21,8 +21,9 @@ what is structurally ~9 levels of independent work.  A
 
 A schedule keeps only index data a kernel reads: a level's gather is
 as wide as that level's fan-in, not the DAG's, so a Montage-8 layout
-holds tens of KB.  The shared-memory arena ships the parent lists
-themselves as CSR arrays (see ``repro.engine.compiler``).
+holds tens of KB.  It is never shipped: the shared-memory arena carries
+the parent lists as CSR arrays (see ``repro.engine.compiler``) and a
+shard worker rebuilds the schedule from them.
 
 :meth:`LevelSchedule.propagate_permuted` / :meth:`LevelSchedule.makespan` then
 advance one whole level per step with fused gather + ``max``
@@ -154,44 +155,6 @@ class LevelSchedule:
             num_tasks=n,
             order=order,
             level_bounds=tuple(bounds),
-            level_parents=tuple(level_parents),
-            level_columns=tuple(level_columns),
-            depth=depth,
-            rank=rank,
-            sink_slots=sink_slots,
-        )
-
-    @classmethod
-    def from_arrays(
-        cls,
-        *,
-        order: np.ndarray,
-        depth: np.ndarray,
-        rank: np.ndarray,
-        sink_slots: np.ndarray,
-        level_bounds: Sequence[Sequence[int]],
-        level_parents: Sequence[np.ndarray],
-    ) -> "LevelSchedule":
-        """Rebuild a schedule from its stored arrays (shared-memory attach).
-
-        The big arrays are used as given (zero-copy when they alias a
-        shared segment); only the small per-level ``level_columns``
-        are re-derived -- they are contiguous column copies of
-        ``level_parents``, so the rebuild is exact by construction.
-        """
-        level_columns: list[tuple[np.ndarray, ...] | None] = []
-        for gather in level_parents:
-            width = gather.shape[1]
-            if 0 < width <= _COLUMN_FANIN_MAX:
-                level_columns.append(
-                    tuple(np.ascontiguousarray(gather[:, j]) for j in range(width))
-                )
-            else:
-                level_columns.append(None)
-        return cls(
-            num_tasks=int(order.shape[0]),
-            order=order,
-            level_bounds=tuple((int(lo), int(hi)) for lo, hi in level_bounds),
             level_parents=tuple(level_parents),
             level_columns=tuple(level_columns),
             depth=depth,

@@ -53,13 +53,12 @@ class ShardPlane:
 
     Each of the ``workers`` shard processes rebuilds its resident engine
     from ``spec`` (:meth:`Deco.spec`) once; ``search`` is the owning
-    engine's :class:`GenericSearch`, whose tier-0 gate and calibration
-    decide what a published segment carries.  The pool and the arena are
+    engine's :class:`GenericSearch`.  The pool and the arena are
     created on first use and released by :meth:`close`; the plane stays
     usable afterwards and keeps its lifetime counters.
     """
 
-    #: Content fingerprints kept per ``(sample_token, calibrated)``.
+    #: Content fingerprints kept per ``sample_token``.
     _FINGERPRINT_MEMO = 8
 
     def __init__(self, workers: int, spec: Mapping[str, object], search: "GenericSearch"):
@@ -71,21 +70,8 @@ class ShardPlane:
         self.solves = 0
         #: Lifetime aggregate of the counter deltas every shard job reported.
         self.counters: dict[str, int] = {}
-        self._fingerprints: OrderedDict[tuple, str] = OrderedDict()
+        self._fingerprints: OrderedDict[int, str] = OrderedDict()
         self._warned = False
-
-    def calibration_shipped(self, problem: "CompiledProblem") -> bool:
-        """Whether the arena segment should carry tier-0 quantile grids.
-
-        Exactly when tier 0's static gate passes -- if the analytic tier
-        can run on any shard, ship the calibration so no worker pays the
-        ``np.quantile`` pass.  Shipping is a pure transfer optimization:
-        a worker that calibrates locally gets bit-identical grids
-        (``np.quantile`` over the same bytes).
-        """
-        return AnalyticTier.static_gate(
-            problem, self.search.analytic_min_tasks, self.search.backend
-        )
 
     def evaluator(self, problem: "CompiledProblem") -> "ShardedEvaluator | None":
         """This solve's sharded evaluator, or ``None`` to solve in-process.
@@ -97,7 +83,10 @@ class ShardPlane:
         broadcast entirely.  Workers map the segment read-only and
         rebuild the same :class:`CompiledProblem` over those bytes; a
         worker respawned after a crash replays the prologue before its
-        first job.
+        first job.  Each worker calibrates tier 0 itself, on its first
+        moments round; the parent only imports tier 0 (and its SciPy)
+        before the pool forks, when the tier can run on ``problem``, so
+        no worker pays that import inside a timed round.
 
         Without POSIX shared memory, or when publishing or installing
         fails, the plane warns once and returns ``None``: the solve runs
@@ -108,6 +97,9 @@ class ShardPlane:
                 raise arena.ArenaError("no POSIX shared memory")
             arena_key = self._publish(problem)
             ctx_key = f"{arena_key}:{problem.deadline!r}:{problem.required_probability!r}"
+            search = self.search
+            if AnalyticTier.static_gate(problem, search.analytic_min_tasks, search.backend):
+                search._analytic_evaluator()
             if self.pool is None:
                 self.pool = ShardPool(
                     self.workers, initializer=init_deco_worker, initargs=(self.spec,)
@@ -156,25 +148,20 @@ class ShardPlane:
         """
         from repro.engine.compiler import export_problem_arrays, problem_fingerprint
 
-        calibrated = self.calibration_shipped(problem)
-        memo_key = (problem.sample_token, calibrated)
-        key = self._fingerprints.get(memo_key)
+        token = problem.sample_token
+        key = self._fingerprints.get(token)
         if key is None:
-            key = problem_fingerprint(problem, calibrated=calibrated)
-            self._fingerprints[memo_key] = key
+            key = self._fingerprints[token] = problem_fingerprint(problem)
             while len(self._fingerprints) > self._FINGERPRINT_MEMO:
                 self._fingerprints.popitem(last=False)
         else:
-            self._fingerprints.move_to_end(memo_key)
+            self._fingerprints.move_to_end(token)
         if self.arena is None:
             self.arena = arena.TensorArena()
         if key in self.arena:
             self.arena.counters["hits"] += 1
             return key
-        calibration = None
-        if calibrated:
-            calibration = self.search._analytic_evaluator()._calibration(problem)
-        arrays, meta = export_problem_arrays(problem, calibration=calibration)
+        arrays, meta = export_problem_arrays(problem)
         if not self.arena.publish(key, arrays, meta):
             raise arena.ArenaError(f"could not publish segment {key[:12]}...")
         return key

@@ -7,11 +7,13 @@ Two makespan notions coexist in the paper:
   reference programs (rules r1-r3 of Example 1).
 * **Per-sample makespan**: with dynamic task times, each Monte Carlo
   realization can have a *different* critical path; the correct
-  distributional makespan is the per-sample DAG longest path.  The
-  vectorized evaluator ("GPU" backend) uses :func:`makespan_samples`,
-  which propagates an ``(S, N)`` sample matrix through the DAG in
-  topological order -- N small column operations instead of S×N Python
-  steps, exactly the arithmetic a CUDA kernel would do per thread.
+  distributional makespan is the per-sample DAG longest path.
+  :func:`makespan_samples` propagates an ``(S, N)`` sample matrix
+  through a workflow in topological order -- N small column operations
+  instead of S×N Python steps.  The "gpu" backend does not call it: its
+  kernel (:class:`~repro.solver.backends.VectorizedBackend`) advances a
+  whole :class:`~repro.solver.levels.LevelSchedule` level per step over
+  a compiled problem, with the same arithmetic per task.
 """
 
 from __future__ import annotations

@@ -11,8 +11,16 @@ what the memos are for -- a sweep's repeated request -- keeps working.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+
+import pytest
+
+from repro.engine.compiler import export_problem_arrays, problem_fingerprint
 from repro.engine.deco import Deco
 from repro.faults.model import FaultModel
+from repro.parallel import workers
+from repro.parallel.arena import TensorArena, arena_available
+from repro.solver.state import PlanState, StateBlock
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
 from repro.workflow.generators import cybershake, montage
@@ -98,6 +106,48 @@ class TestOnlyLiveTokensStay:
         deco.schedule(wf, "medium", faults=FaultModel(task_failure_rate=0.05))
         assert deco.last_result.exact_evals > 0
         assert_nothing_new(deco, before)
+
+
+@pytest.mark.skipif(not arena_available(), reason="POSIX shared memory unavailable")
+class TestShardWorkerForgetsEvictedSegments:
+    def test_only_live_segments_keep_tokens(self, catalog, monkeypatch):
+        """A shard worker, run in process: five published workflows through
+        the begin-solve prologue and one round of every job, while the
+        worker keeps four attachments.  Its memos hold exactly the tokens
+        of the attached segments' problems."""
+        monkeypatch.setattr(workers, "_DECO", None)
+        monkeypatch.setattr(workers, "_BEAM_PROBLEM", None)
+        monkeypatch.setattr(workers, "_BEAM_SEGMENTS", OrderedDict())
+        parent = Deco(catalog, **ENGINE)
+        workers.init_deco_worker(parent.spec())
+        worker = workers._DECO
+        arena = TensorArena()
+        try:
+            for i in range(5):
+                wf = montage(degrees=1.0, seed=200 + i)
+                problem = parent._compiled(wf)
+                key = problem_fingerprint(problem)
+                assert arena.publish(key, *export_problem_arrays(problem))
+                ctx = f"{key}:{i}"
+                workers.beam_begin_solve_arena(
+                    (ctx, key, parent.presets(wf).medium, 0.96, None, None, 0.0)
+                )
+                block = StateBlock.from_states(
+                    PlanState.uniform(len(wf), t) for t in range(problem.num_types)
+                )
+                for call in ("moments", "screen"):
+                    workers.beam_screen_job((ctx, block, call))
+                workers.beam_eval_job((ctx, block))
+            live = {base.sample_token for _, base in workers._BEAM_SEGMENTS.values()}
+            assert len(live) == workers._BEAM_SEGMENT_LIMIT
+            resident = resident_tokens(worker)
+            for memo in ("makespan", "calibrations", "screen"):
+                assert resident[memo] == live, memo
+            assert resident["moments"] <= live  # tier 0's memo lives in the parent
+        finally:
+            workers._BEAM_SEGMENTS.clear()
+            workers._BEAM_PROBLEM = None
+            arena.close()
 
 
 class TestReuseIsKept:

@@ -21,6 +21,7 @@ from repro.solver.analytic_backend import (
     ANALYTIC_PROB_ERROR_BOUND,
     AnalyticBackend,
     _clark_reduce,
+    _midpoint_quantile_grids,
     clark_max,
 )
 from repro.solver.backends import CompiledProblem, VectorizedBackend, get_backend
@@ -239,9 +240,10 @@ class TestBackendInterface:
 
 
 def quantile_calibration(tensor, q):
-    """``AnalyticBackend._calibration`` as it was before the single sort:
-    one ``np.quantile`` call over the sample axis.  Kept as the reference
-    the sort-based grids must reproduce bit for bit."""
+    """``AnalyticBackend``'s calibration as it was before the single sort:
+    one ``np.quantile`` call over the sample axis, ``(grids, means,
+    variances)``.  Kept as the reference the sort-based grids and the
+    moments tier 0 keeps must reproduce bit for bit."""
     levels = (np.arange(q) + 0.5) / q
     grids = np.quantile(tensor, levels, axis=1)  # (Q, K, N)
     grids = np.ascontiguousarray(grids.transpose(1, 2, 0))  # (K, N, Q)
@@ -250,9 +252,16 @@ def quantile_calibration(tensor, q):
     return grids, means, variances
 
 
+def assert_same_arrays(ours, refs):
+    for got, ref in zip(ours, refs, strict=True):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, ref)
+
+
 class TestCalibrationBitIdentity:
-    """Tier-0 decisions and adopted shard calibrations rest on the grids:
-    the one-sort formulation may not move a bit of them."""
+    """Tier-0 decisions rest on the grids' moments: the one-sort
+    formulation may not move a bit of the grids or of the moments."""
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -271,22 +280,33 @@ class TestCalibrationBitIdentity:
         elif shape == "constant-columns":
             tensor[:, :, ::2] = tensor[:, :1, ::2]
         problem = SimpleNamespace(sample_token=seed, tensor=tensor)
+        ref_grids, *ref_moments = quantile_calibration(tensor, q)
+        assert_same_arrays([_midpoint_quantile_grids(tensor, q)], [ref_grids])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AnalyticBackend, "QUANTILE_POINTS", q)
             backend = AnalyticBackend()
             got = backend._calibration(problem)
             assert backend._calibration(problem) is got  # memoised by token
-        for ours, ref in zip(got, quantile_calibration(tensor, q)):
-            assert ours.dtype == ref.dtype and ours.shape == ref.shape
-            assert ours.flags.c_contiguous and not ours.flags.writeable
-            assert np.array_equal(ours, ref)
+        assert_same_arrays(got, ref_moments)
+        assert not any(arr.flags.writeable for arr in got)
 
     @pytest.mark.parametrize("degrees", [1.0, 8.0])
     def test_equals_np_quantile_on_compiled_tensors(self, degrees):
         problem = compile_wf(montage(degrees=degrees, seed=3), num_samples=150, seed=7)
-        got = AnalyticBackend()._calibration(problem)
-        for ours, ref in zip(got, quantile_calibration(problem.tensor, 32)):
-            assert np.array_equal(ours, ref)
+        ref_grids, *ref_moments = quantile_calibration(problem.tensor, 32)
+        assert_same_arrays([_midpoint_quantile_grids(problem.tensor, 32)], [ref_grids])
+        assert_same_arrays(AnalyticBackend()._calibration(problem), ref_moments)
+
+    def test_montage8_calibration_keeps_two_moment_vectors(self):
+        """A calibration holds ``(means, variances)`` -- 2·K·N float64 --
+        not the (K, N, Q) grids they were read from."""
+        problem = compile_wf(montage(degrees=8.0, seed=3), num_samples=40)
+        backend = AnalyticBackend()
+        backend._calibration(problem)
+        stats = backend.cache_stats()["analytic"]
+        cells = problem.num_types * problem.num_tasks
+        assert stats["calibration_entries"] == 1
+        assert stats["calibration_nbytes"] == 2 * cells * np.dtype(np.float64).itemsize
 
 
 class TestDecoAnalytic:

@@ -33,6 +33,20 @@ def _random_parents(n: int, seed: int, max_fanin: int = 5):
     return tuple(parents)
 
 
+def _assert_same_value(got, want) -> None:
+    """Equal type, shape, dtype and contents, through nested tuples."""
+    assert type(got) is type(want)
+    if isinstance(want, tuple):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            _assert_same_value(a, b)
+    elif isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
 def _reference_finish(lanes: np.ndarray, parents) -> np.ndarray:
     """Straight-line finish-time recurrence, (M, N) lane-major."""
     finish = np.empty_like(lanes)
@@ -116,9 +130,17 @@ class TestIndexDataOnly:
             montage(degrees=1.0, seed=3), catalog, deadline=3600.0, num_samples=16
         )
         arrays, meta = export_problem_arrays(problem)
-        assert "parent_offsets" in arrays and "parent_edges" in arrays
+        # The tensors and the DAG: the schedule and tier 0's calibration derive from them.
+        assert set(arrays) == {
+            "tensor", "tensor_taskmajor", "mean_times", "prices",
+            "parent_offsets", "parent_edges",
+        }
         rebuilt = problem_from_segment(SimpleNamespace(arrays=arrays, meta=meta), catalog)
         assert rebuilt.parent_indices == problem.parent_indices
+        assert rebuilt.levels is not problem.levels
+        for field in dataclasses.fields(LevelSchedule):
+            _assert_same_value(getattr(rebuilt.levels, field.name),
+                               getattr(problem.levels, field.name))
         rng = np.random.default_rng(0)
         states = [PlanState(rng.integers(0, problem.num_types, problem.num_tasks))
                   for _ in range(5)]

@@ -153,6 +153,19 @@ class TestBitIdentityAnalyticTier:
         assert result.analytic_evals == ref_result.analytic_evals
         assert result.analytic_evals > 0  # the tier ran, sharded
 
+    @needs_shared_memory
+    def test_each_shard_calibrates_and_the_parent_does_not(self):
+        wf = montage(degrees=8.0, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with Deco(CATALOG, workers=2, seed=7, num_samples=40, max_evaluations=400) as deco:
+                deco.schedule(wf, "medium")
+                assert deco.last_result.workers == 2
+                stats = deco.cache_stats()
+        assert stats["analytic"]["calibration_entries"] == 0
+        assert stats["analytic"]["calibrations"] == 0
+        assert stats["distributed"]["calibrations"] == 2
+
 
 class TestWarmSweepMatchesSerial:
     """A warm sharded engine tracks a warm serial engine op for op.

@@ -265,11 +265,12 @@ class TestForkAndPickle:
         assert all(doc["equal"]) and doc["types"] and doc["median"]
         assert "scipy.stats" in doc["then"]  # the clone loads it when a quantile is asked
 
-    def test_forked_shard_resolves_tier0_in_the_prologue(self):
+    def test_forked_shard_loads_tier0_in_its_first_moments_round(self):
         """A shard worker forked while the parent has no SciPy imports
-        ``scipy.special`` when a tier-0-sized problem is installed (the
-        arena prologue adopts the shipped calibration), so its first
-        screening round is not the one that pays."""
+        ``scipy.special`` in the first moments round of a tier-0-sized
+        problem: the prologue ships tensors, not a calibration, and each
+        worker calibrates tier 0 itself.  That round is part of the same
+        solve, so the import moves within it and adds no wall time."""
         doc = run_fresh(
             """
             from repro.cloud import ec2_catalog
@@ -295,21 +296,30 @@ class TestForkAndPickle:
                     seen[str(key)] = evaluator.pool.gather(
                         [evaluator.pool.submit(s, probe, None) for s in range(2)]
                     )
-                block = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(4))
-                moments = 0 if serial else len(evaluator.moments(block)[0])
+                moments = 0
+                if not serial:
+                    block = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(4))
+                    moments = len(evaluator.moments(block)[0])
+                    seen["moments"] = evaluator.pool.gather(
+                        [evaluator.pool.submit(s, probe, None) for s in range(2)]
+                    )
+                    calibrations = deco._search.cache_stats()["analytic"]["calibrations"]
             finally:
                 plane.close()
-            report(serial=serial, seen=seen, parent=parent, moments=moments)
+            report(serial=serial, seen=seen, parent=parent, moments=moments,
+                   calibrations=None if serial else calibrations)
             """
         )
         if doc["serial"]:
             pytest.skip("no process pool or shared memory on this host: shards run in-process")
-        # The workers fork during Montage-1's prologue, before the parent
-        # calibrates Montage-8 (which loads tier 0's SciPy there too).
+        # The workers fork during Montage-1's prologue; the parent loads
+        # tier 0's SciPy at Montage-8's, before any fork that follows.
         assert doc["parent"] == [[], ["scipy", "scipy.special"]]
         assert doc["seen"]["1"] == [[], []]  # forked SciPy-free, Montage-1 keeps them so
-        assert doc["seen"]["2"] == [["scipy", "scipy.special"]] * 2
+        assert doc["seen"]["2"] == [[], []]  # the prologue attaches tensors only
+        assert doc["seen"]["moments"] == [["scipy", "scipy.special"]] * 2
         assert doc["moments"] == 4
+        assert doc["calibrations"] == 0  # the shards calibrated, not the parent
 
 
 @functools.cache
