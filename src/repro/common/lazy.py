@@ -1,13 +1,13 @@
 """Package-level names that import their module on first access (PEP 562).
 
 A package ``__init__`` that re-exports a heavy class makes every importer
-of any sibling module pay for it: ``import repro.solver.backends`` runs
-``repro/solver/__init__.py`` first, and with an eager
-``from repro.solver.analytic_backend import AnalyticBackend`` there that
-is ``scipy.special`` for a solve that never builds tier 0.  The packages
-keep their public names -- ``from repro.solver import AnalyticBackend``,
-``dir(repro.solver)`` and ``__all__`` are unchanged -- but the named
-module is imported by the first attribute access instead.
+of any sibling module pay for it: ``import repro.engine.deco`` runs
+``repro/engine/__init__.py`` first, and with an eager
+``from repro.engine.ensemble import EnsembleDriver`` there that is the
+simulator and the worker pools for a ``schedule()`` that needs neither.
+The packages keep their public names -- ``from repro.engine import
+EnsembleDriver``, ``dir(repro.engine)`` and ``__all__`` are unchanged --
+but the named module is imported by the first attribute access instead.
 
 Static tools see the same names through an ``if TYPE_CHECKING:`` import
 block next to each call.

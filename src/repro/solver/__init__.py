@@ -30,9 +30,6 @@
   ``Evaluator`` interface they draw their numbers from.
 """
 
-from typing import TYPE_CHECKING
-
-from repro.common.lazy import lazy_exports
 from repro.solver.state import PlanState, StateEval
 from repro.solver.backends import (
     CompiledProblem,
@@ -42,18 +39,10 @@ from repro.solver.backends import (
     get_backend,
     BACKEND_NAMES,
 )
+from repro.solver.analytic_backend import AnalyticBackend
 from repro.solver.cache import MakespanCache, ScratchPool
 from repro.solver.levels import LevelSchedule
 from repro.solver.search import GenericSearch, AStarSearch, SearchResult
-
-if TYPE_CHECKING:
-    from repro.solver.analytic_backend import AnalyticBackend
-
-# Tier 0 is the one module here that imports SciPy (`scipy.special`); a
-# solve below the analytic gate never builds it.
-__getattr__, __dir__ = lazy_exports(
-    __name__, {"AnalyticBackend": "repro.solver.analytic_backend"}
-)
 
 __all__ = [
     "PlanState",

@@ -51,11 +51,12 @@ the backend satisfies the common backend interface.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from repro.solver.backends import (
     CompiledProblem,
@@ -65,13 +66,103 @@ from repro.solver.backends import (
 from repro.solver.cache import ScratchPool
 from repro.solver.state import BatchEval, as_block
 
-__all__ = ["ANALYTIC_PROB_ERROR_BOUND", "AnalyticBackend", "clark_max"]
+__all__ = ["ANALYTIC_PROB_ERROR_BOUND", "AnalyticBackend", "clark_max", "norm_cdf", "norm_ppf"]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 #: Variance floor: keeps ``alpha = dm / sqrt(v1 + v2)`` finite for
-#: deterministic operands.  At this scale ``ndtr`` saturates to 0/1 and
+#: deterministic operands.  At this scale ``Phi`` saturates to 0/1 and
 #: the Clark formulas collapse to the exact deterministic max.
 _MIN_VAR = 1e-18
+_INTP = np.dtype(np.intp)
+
+#: :meth:`AnalyticBackend.makespan_moments` runs a batch in equal tiles
+#: of as many states as fit this many bytes of pooled scratch (at least
+#: one state), so tier 0's buffers do not grow with the batch: 101
+#: Montage-8 states (46 KB each), so a search-sized batch is one tile.
+_MOMENT_BYTES = 9 << 19
+
+#: The normal tail is ``Phi(-x) = phi(x) * M(x)`` for ``x >= 0``, with
+#: ``M`` the Mills ratio, read off a piecewise polynomial table on
+#: ``[0, _TAIL_X_MAX]``: :data:`_TAIL_STEPS` intervals per unit (a power
+#: of two, so ``x * _TAIL_STEPS`` and its floor are exact), each the
+#: degree-:data:`_TAIL_DEGREE` Taylor polynomial of ``M`` at its left
+#: end.  Past the table ``x`` is clamped: ``Phi(-8.5) < 1e-17`` bounds
+#: that error, and the 340 KB table stays in L2.
+_TAIL_X_MAX = 8.5
+_TAIL_STEPS = 1024
+_TAIL_DEGREE = 4
+_TAIL_R_MAX = _TAIL_X_MAX * _TAIL_STEPS
+
+
+@functools.cache
+def _mills_table() -> np.ndarray:
+    """``(_TAIL_DEGREE + 1, K)`` Horner coefficients of ``M``, highest power first.
+
+    Column ``i`` holds ``c[k] h**k`` of ``M(x_i + h t) = sum c[k] (h t)**k``
+    at the node ``x_i = i h``, ``h = 1 / _TAIL_STEPS``: ``M(x_i)`` from
+    ``math.erfc`` and ``math.exp``, the higher coefficients from
+    ``M' = x M - 1``, i.e. ``(k + 1) c[k + 1] = x c[k] + c[k - 1]``.
+    Truncation costs at most 2.4e-17 of ``Phi``, and ``Phi(0)`` is
+    exactly 1/2.  Built once per process, on the first call, in about
+    3 ms.
+    """
+    x = np.arange(int(_TAIL_R_MAX) + 1) / _TAIL_STEPS
+    sqrt_half, c = math.sqrt(0.5), math.sqrt(0.5 * math.pi)
+    taylor = [np.array([math.erfc(v * sqrt_half) * math.exp(0.5 * v * v) * c for v in x.tolist()])]
+    taylor.append(x * taylor[0] - 1.0)
+    for k in range(1, _TAIL_DEGREE):
+        taylor.append((x * taylor[k] + taylor[k - 1]) / (k + 1))
+    table = np.array([taylor[k] / _TAIL_STEPS**k for k in range(_TAIL_DEGREE, -1, -1)])
+    table.setflags(write=False)
+    return table
+
+
+def _tail_into(
+    x: np.ndarray, phi: np.ndarray, out: np.ndarray, t: np.ndarray, c: np.ndarray,
+    idx: np.ndarray,
+) -> None:
+    """``out = Phi(-x)`` for ``x >= 0`` (or NaN), given ``phi = phi(x)``.
+
+    ``t`` / ``c`` (float64) and ``idx`` (intp) are scratch of ``x``'s
+    shape.  NaN propagates through ``phi``; ``+inf`` gives 0.
+    """
+    table = _mills_table()
+    np.multiply(x, _TAIL_STEPS, t)
+    np.fmin(t, _TAIL_R_MAX, t)  # fmin: a NaN becomes a valid index
+    np.floor(t, c)
+    np.subtract(t, c, t)
+    np.copyto(idx, c, casting="unsafe")
+    # Indices are in range by construction: mode="clip" skips the check.
+    table[0].take(idx, 0, out, "clip")
+    for row in table[1:]:
+        np.multiply(out, t, out)
+        row.take(idx, 0, c, "clip")
+        np.add(out, c, out)
+    np.multiply(out, phi, out)
+
+
+def _tail(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """``Phi(-x)`` for ``x >= 0``, into fresh arrays (see :func:`_tail_into`)."""
+    out = np.empty_like(x)
+    _tail_into(x, phi, out, np.empty_like(x), np.empty_like(x), np.empty(x.shape, np.intp))
+    return out
+
+
+def norm_cdf(x) -> np.ndarray:
+    """``Phi(x)``, the standard normal CDF, elementwise (float64).
+
+    Absolute error below 4.5e-16 everywhere (``tests/solver/
+    test_normal.py``); NaN propagates.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    ax = np.abs(x)
+    y = _tail(ax, np.exp(ax * ax * -0.5) * _INV_SQRT_2PI)
+    return np.where(x < 0, y, 1.0 - y)
+
+
+def norm_ppf(p: float) -> float:
+    """``Phi^-1(p)`` for ``0 < p < 1``: the standard normal quantile."""
+    return NormalDist().inv_cdf(p)
 
 
 def clark_max(
@@ -79,71 +170,81 @@ def clark_max(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Clark's moment-matched ``max`` of independent normals, elementwise.
 
-    Returns the exact mean and variance of ``max(X1, X2)`` for
-    independent ``X1 ~ N(m1, v1)``, ``X2 ~ N(m2, v2)``.  Degenerate
-    operands need no branching: with both variances at the floor,
-    ``alpha`` saturates ``ndtr`` and the result is the deterministic
-    ``(max(m1, m2), 0)``.
+    Returns the mean and variance of ``max(X1, X2)`` for independent
+    ``X1 ~ N(m1, v1)``, ``X2 ~ N(m2, v2)``, in the symmetric form: with
+    ``a`` the sd of ``X1 - X2``, ``x = |m1 - m2| / a``, ``y = Phi(-x)``
+    and the loss ``L = phi(x) - x y``,
+
+    * mean ``= max(m1, m2) + a L``,
+    * variance ``= s (1/2 - L (x + L)) + (v_hi - v_lo) (1/2 - y)``,
+
+    ``s = v1 + v2`` and ``v_hi`` the variance of the operand with the
+    larger mean.  Nothing cancels: the variance is not a difference of
+    second moments.  Degenerate operands need no branching: with both
+    variances at the floor, ``x`` saturates and the result is the
+    deterministic ``(max(m1, m2), 0)``.  This is the reference
+    :func:`_clark_max_into` reproduces bit for bit.
     """
-    a = np.sqrt(np.maximum(v1 + v2, _MIN_VAR))
-    alpha = (m1 - m2) / a
-    t = ndtr(alpha)  # P(X1 >= X2) under the normal model
-    u = 1.0 - t
-    phi = np.exp(-0.5 * alpha * alpha) / _SQRT_2PI
-    mean = m1 * t + m2 * u + a * phi
-    second = (m1 * m1 + v1) * t + (m2 * m2 + v2) * u + (m1 + m2) * a * phi
-    var = second - mean * mean
-    np.maximum(var, 0.0, out=var)
-    return mean, var
+    s = v1 + v2
+    d = m1 - m2
+    a = np.sqrt(np.maximum(s, _MIN_VAR))
+    x = np.abs(d) / a
+    phi = np.exp(x * x * -0.5) * _INV_SQRT_2PI
+    y = _tail(x, phi)
+    loss = phi - x * y
+    mean = np.maximum(m1, m2) + a * loss
+    # (v_hi - v_lo) (1/2 - y) = (v1 - v2) sign(d) (1/2 - y), and 1/2 - y >= 0.
+    var = s * (0.5 - (x + loss) * loss) + (v1 - v2) * np.copysign(0.5 - y, d)
+    return mean, np.maximum(var, 0.0)
+
+
+#: Scratch arrays one :func:`_clark_max_into` call needs: six float64, one intp.
+_CLARK_SCRATCH = 7
 
 
 def _clark_max_into(
-    m1: np.ndarray,
-    v1: np.ndarray,
-    m2: np.ndarray,
-    v2: np.ndarray,
-    out_m: np.ndarray,
-    out_v: np.ndarray,
-    ws: tuple[np.ndarray, np.ndarray, np.ndarray],
+    m1: np.ndarray, v1: np.ndarray, m2: np.ndarray, v2: np.ndarray, ws: tuple[np.ndarray, ...]
 ) -> None:
-    """Allocation-free :func:`clark_max` into caller-owned buffers.
+    """:func:`clark_max` in place: the mean into ``m1``, the variance into ``v1``.
 
     The level kernel's hot loop runs one Clark step per parent column
-    per level; at search batch sizes the ufunc temporaries dominate the
-    kernel's runtime, so this variant threads every intermediate through
-    three scratch buffers (``ws``) from the shared pool.  Inputs are
-    read-only; results land in ``out_m`` / ``out_v`` (distinct from the
-    inputs).
+    per level; at search batch sizes ufunc temporaries would dominate
+    its runtime, so every intermediate lives in ``m2`` / ``v2`` (which
+    are clobbered) and the pooled scratch ``ws``: six float64 arrays and
+    one intp array, all of the operands' shape.  Same operations in
+    the same order as :func:`clark_max`, so the results are equal bit
+    for bit.  Most calls run on a few hundred elements (a tournament's
+    late rounds), where call overhead rivals the arithmetic: outputs go
+    positionally and gathers through ``ndarray.take``, which skip the
+    keyword parsing and ``np.take``'s wrapper.
     """
-    w0, w1, w2 = ws
-    np.add(v1, v2, out=out_v)
-    np.maximum(out_v, _MIN_VAR, out=out_v)
-    np.sqrt(out_v, out=out_v)  # a = sd of the difference
-    np.subtract(m1, m2, out=w0)
-    np.divide(w0, out_v, out=w0)  # alpha
-    ndtr(w0, out=w1)  # t = P(X1 >= X2)
-    np.multiply(w0, w0, out=w0)
-    np.multiply(w0, -0.5, out=w0)
-    np.exp(w0, out=w0)
-    np.multiply(w0, 1.0 / _SQRT_2PI, out=w0)  # phi(alpha)
-    np.multiply(w0, out_v, out=w0)  # a * phi
-    np.subtract(m1, m2, out=out_m)
-    np.multiply(out_m, w1, out=out_m)
-    np.add(out_m, m2, out=out_m)
-    np.add(out_m, w0, out=out_m)  # mean = m2 + (m1 - m2) t + a phi
-    np.multiply(m1, m1, out=out_v)
-    np.add(out_v, v1, out=out_v)  # E[X1^2]
-    np.multiply(m2, m2, out=w2)
-    np.add(w2, v2, out=w2)  # E[X2^2]
-    np.subtract(out_v, w2, out=out_v)
-    np.multiply(out_v, w1, out=out_v)
-    np.add(out_v, w2, out=out_v)  # E[X2^2] + (E[X1^2] - E[X2^2]) t
-    np.add(m1, m2, out=w2)
-    np.multiply(w2, w0, out=w2)
-    np.add(out_v, w2, out=out_v)  # second moment
-    np.multiply(out_m, out_m, out=w2)
-    np.subtract(out_v, w2, out=out_v)
-    np.maximum(out_v, 0.0, out=out_v)
+    w0, w1, w2, w3, w4, w5, idx = ws
+    np.add(v1, v2, w0)  # s
+    np.subtract(v1, v2, v1)
+    np.subtract(m1, m2, w5)  # d
+    np.maximum(m1, m2, out=m1)
+    np.maximum(w0, _MIN_VAR, out=v2)
+    np.sqrt(v2, v2)  # a
+    np.abs(w5, w1)
+    np.divide(w1, v2, w1)  # x = |alpha|
+    np.multiply(w1, w1, m2)
+    np.multiply(m2, -0.5, m2)
+    np.exp(m2, m2)
+    np.multiply(m2, _INV_SQRT_2PI, m2)  # phi
+    _tail_into(w1, m2, w2, w3, w4, idx)  # y
+    np.multiply(w1, w2, w3)
+    np.subtract(m2, w3, m2)  # L
+    np.multiply(v2, m2, w3)
+    np.add(m1, w3, m1)  # mean
+    np.add(w1, m2, w1)
+    np.multiply(w1, m2, w1)
+    np.subtract(0.5, w1, w1)
+    np.multiply(w0, w1, w0)
+    np.subtract(0.5, w2, w2)
+    np.copysign(w2, w5, w2)
+    np.multiply(v1, w2, v1)
+    np.add(w0, v1, v1)
+    np.maximum(v1, 0.0, out=v1)  # variance
 
 
 def _clark_reduce(
@@ -159,30 +260,21 @@ def _clark_reduce(
     relative -- the same argument the MC kernel's sentinel row relies
     on, checked by the accuracy tests).
 
-    ``m`` and ``v`` must be freshly gathered (writable, caller-owned):
-    each tournament round runs through pooled scratch and writes its
-    winners back into the stacks' leading columns, so the reduction
-    allocates nothing beyond the pool's grow-only backing.
+    ``m`` and ``v`` are caller-owned scratch and are clobbered: each
+    round writes its winners over the leading columns in place, with
+    the other half as Clark's scratch, so the reduction copies nothing
+    back and allocates nothing beyond the pool's grow-only backing.
     """
     n, p, b = m.shape
     if p <= 1:
         return m[:, 0], v[:, 0]
     # One take per buffer at the first round's (largest) width; later
     # rounds slice the same backing rather than re-entering the pool.
-    om_f = pool.take("an_red_m", (n, p // 2, b))
-    ov_f = pool.take("an_red_v", (n, p // 2, b))
-    w0_f = pool.take("an_red_w0", (n, p // 2, b))
-    w1_f = pool.take("an_red_w1", (n, p // 2, b))
-    w2_f = pool.take("an_red_w2", (n, p // 2, b))
+    ws = _clark_scratch(pool, (n, p // 2, b))
     while p > 1:
         half = p // 2
-        om = om_f[:, :half]
-        ov = ov_f[:, :half]
-        ws = (w0_f[:, :half], w1_f[:, :half], w2_f[:, :half])
         _clark_max_into(m[:, :half], v[:, :half], m[:, half : 2 * half], v[:, half : 2 * half],
-                        om, ov, ws)
-        m[:, :half] = om
-        v[:, :half] = ov
+                        tuple(w[:, :half] for w in ws))
         if p % 2:
             m[:, half] = m[:, p - 1]
             v[:, half] = v[:, p - 1]
@@ -190,6 +282,12 @@ def _clark_reduce(
         else:
             p = half
     return m[:, 0], v[:, 0]
+
+
+def _clark_scratch(pool: ScratchPool, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """The pooled ``ws`` of :func:`_clark_max_into` for operands of ``shape``."""
+    floats = tuple(pool.take(f"an_ws{i}", shape) for i in range(_CLARK_SCRATCH - 1))
+    return floats + (pool.take("an_idx", shape, _INTP),)
 
 
 def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
@@ -306,7 +404,9 @@ class AnalyticBackend(EvaluationBackend):
         The analytic counterpart of the MC backend's fused level kernel:
         identical gather structure (level-contiguous permutation, column
         takes for narrow fan-in, one 3-D gather for wide), but each lane
-        carries a (mean, variance) pair instead of S samples.
+        carries a (mean, variance) pair instead of S samples.  States are
+        independent, so the batch runs in equal tiles within
+        :data:`_MOMENT_BYTES` of scratch.
         """
         block = as_block(states)
         b = len(block)
@@ -315,13 +415,35 @@ class AnalyticBackend(EvaluationBackend):
             return np.zeros(0), np.zeros(0)
         if n == 0:
             return np.zeros(b), np.zeros(b)
-        mean_rows, var_rows = self._calibration(problem)
+        rows = self._calibration(problem)
         assign = validated_assignments(problem, block)  # (B, N)
         sched = problem.levels
+        widest = max([sched.max_width] + [
+            g.size for g, columns in zip(sched.level_parents, sched.level_columns)
+            if columns is None
+        ])
+        # The finish rows, then per state of the widest level: the four
+        # operand buffers and Clark's scratch.
+        state_bytes = 8 * (2 * (n + 1) + (4 + _CLARK_SCRATCH) * widest)
+        tiles = -(-b // max(1, _MOMENT_BYTES // state_bytes))
+        step = -(-b // tiles)
+        mean, var = np.empty(b), np.empty(b)
+        for c0 in range(0, b, step):
+            tile = slice(c0, c0 + step)
+            mean[tile], var[tile] = self._moments_tile(problem, rows, assign[tile])
+        self.counters["states_analytic"] += b
+        return mean, var
 
-        perm_assign = assign.T.take(sched.order, axis=0)  # (N, B)
-        idx = perm_assign * n + sched.order[:, None]  # (N, B) flat (type, task) ids
-        m_lanes = mean_rows[idx]  # (N, B)
+    def _moments_tile(
+        self, problem: CompiledProblem, rows: tuple[np.ndarray, np.ndarray], assign: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`makespan_moments` of one tile's validated ``(b, N)`` assignments."""
+        mean_rows, var_rows = rows
+        sched = problem.levels
+        n, b = problem.num_tasks, len(assign)
+        perm_assign = assign.T.take(sched.order, axis=0)  # (N, b)
+        idx = perm_assign * n + sched.order[:, None]  # (N, b) flat (type, task) ids
+        m_lanes = mean_rows[idx]  # (N, b)
         v_lanes = var_rows[idx]
         fm = self.pool.take("an_finish_m", (n + 1, b))
         fv = self.pool.take("an_finish_v", (n + 1, b))
@@ -333,15 +455,19 @@ class AnalyticBackend(EvaluationBackend):
             if gather.shape[1] == 0:
                 fm[lo:hi] = m_lanes[lo:hi]
                 fv[lo:hi] = v_lanes[lo:hi]
-            elif columns is not None:
+                continue
+            if columns is not None:
                 rm, rv = self._join_columns(fm, fv, columns, hi - lo)
-                np.add(rm, m_lanes[lo:hi], out=fm[lo:hi])
-                np.add(rv, v_lanes[lo:hi], out=fv[lo:hi])
             else:
                 # Big fan-in, few tasks: pairwise Clark tournament.
-                rm, rv = _clark_reduce(fm[gather], fv[gather], self.pool)
-                np.add(rm, m_lanes[lo:hi], out=fm[lo:hi])
-                np.add(rv, v_lanes[lo:hi], out=fv[lo:hi])
+                k, p = gather.shape
+                rm = self.pool.take("an_rm", (k, p, b))
+                rv = self.pool.take("an_rv", (k, p, b))
+                fm.take(gather.reshape(-1), 0, rm.reshape(k * p, b), "clip")
+                fv.take(gather.reshape(-1), 0, rv.reshape(k * p, b), "clip")
+                rm, rv = _clark_reduce(rm, rv, self.pool)
+            np.add(rm, m_lanes[lo:hi], out=fm[lo:hi])
+            np.add(rv, v_lanes[lo:hi], out=fv[lo:hi])
 
         # Sink reduction: with non-negative task times every inner task's
         # finish is dominated by some sink's, so the makespan is the max
@@ -351,7 +477,6 @@ class AnalyticBackend(EvaluationBackend):
         mv = fv[sinks[0]].copy()
         for t in sinks[1:]:
             mm, mv = clark_max(mm, mv, fm[t], fv[t])
-        self.counters["states_analytic"] += b
         return mm, mv
 
     def _join_columns(
@@ -363,45 +488,37 @@ class AnalyticBackend(EvaluationBackend):
         with >= 1 parent); later columns may pad with the sentinel row
         ``n``, where the ready moments pass through exactly instead of
         Clark-maxing against N(0, 0).  All the intermediates live in
-        pooled double buffers: the Clark steps here are the kernel's hot
-        loop, and letting each one churn ~10 ufunc temporaries would
-        dominate the per-state cost.
+        pooled buffers: the Clark steps here are the kernel's hot loop,
+        and letting each one churn ~30 ufunc temporaries would dominate
+        the per-state cost.
         """
         n, b = fm.shape[0] - 1, fm.shape[1]
         rm = self.pool.take("an_rm", (w, b))
         rv = self.pool.take("an_rv", (w, b))
-        cm = self.pool.take("an_cm", (w, b))
-        cv = self.pool.take("an_cv", (w, b))
         om = self.pool.take("an_om", (w, b))
         ov = self.pool.take("an_ov", (w, b))
-        ws = (
-            self.pool.take("an_ws0", (w, b)),
-            self.pool.take("an_ws1", (w, b)),
-            self.pool.take("an_ws2", (w, b)),
-        )
-        np.take(fm, columns[0], axis=0, mode="clip", out=rm)
-        np.take(fv, columns[0], axis=0, mode="clip", out=rv)
+        ws = _clark_scratch(self.pool, (w, b))
+        fm.take(columns[0], 0, rm, "clip")
+        fv.take(columns[0], 0, rv, "clip")
         for col in columns[1:]:
-            np.take(fm, col, axis=0, mode="clip", out=om)
-            np.take(fv, col, axis=0, mode="clip", out=ov)
-            _clark_max_into(rm, rv, om, ov, cm, cv, ws)
+            fm.take(col, 0, om, "clip")
+            fv.take(col, 0, ov, "clip")
             pad = col == n
-            if pad.any():
-                cm[pad] = rm[pad]
-                cv[pad] = rv[pad]
-            rm, cm = cm, rm
-            rv, cv = cv, rv
+            kept = (rm[pad], rv[pad]) if pad.any() else None
+            _clark_max_into(rm, rv, om, ov, ws)
+            if kept is not None:
+                rm[pad], rv[pad] = kept
         return rm, rv
 
     def deadline_probabilities(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B,)`` analytic P(makespan <= deadline): a closed-form CDF."""
-        return ndtr(self.deadline_z(problem, states))
+        return norm_cdf(self.deadline_z(problem, states))
 
     def deadline_z(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B,)`` standardized deadline slack ``(D - mean) / sd``.
 
         The screening cascade classifies in z-space rather than
-        probability space: near certainty ``ndtr`` saturates (every
+        probability space: near certainty ``Phi`` saturates (every
         comfortably feasible plan reads ``P = 1.0``), while z keeps
         discriminating -- a state at ``z = 4`` is far safer than one at
         ``z = 2`` even though both round to probability 1.  Margins on z
@@ -426,7 +543,7 @@ class AnalyticBackend(EvaluationBackend):
         if not len(mean):
             return np.zeros((0, self.QUANTILE_POINTS))
         q = self.QUANTILE_POINTS
-        z = ndtri((np.arange(q) + 0.5) / q)
+        z = np.array([norm_ppf((i + 0.5) / q) for i in range(q)])
         sd = np.sqrt(np.maximum(var, 0.0))
         return mean[:, None] + sd[:, None] * z[None, :]
 
@@ -437,7 +554,7 @@ class AnalyticBackend(EvaluationBackend):
             return BatchEval.empty(0)
         mean, var = self.makespan_moments(problem, block)
         sd = np.sqrt(np.maximum(var, _MIN_VAR))
-        return self._batch_eval(problem, block, ndtr((problem.deadline - mean) / sd), mean)
+        return self._batch_eval(problem, block, norm_cdf((problem.deadline - mean) / sd), mean)
 
     def screen_probabilities(
         self, problem: CompiledProblem, states, prefix: int

@@ -36,20 +36,17 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 import numpy as np
 
 from repro.common.errors import SolverError, ValidationError
+from repro.solver.analytic_backend import AnalyticBackend
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
 from repro.solver.cache import MakespanCache
 from repro.solver.expand import expand_batch
 from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.solver.tiers import AnalyticTier, Evaluator, MonteCarloTier, PrefixTier, Tier
-
-if TYPE_CHECKING:  # tier 0 loads SciPy; a solve below its gate never imports it
-    from repro.solver.analytic_backend import AnalyticBackend
-
 
 __all__ = ["SearchResult", "GenericSearch", "LocalEvaluator", "AStarSearch", "AStarResult"]
 
@@ -101,7 +98,7 @@ class SearchResult:
 class LocalEvaluator:
     """The in-process :class:`~repro.solver.tiers.Evaluator`.
 
-    Wraps ``search``'s backend and its lazily built tier-0
+    Wraps ``search``'s backend and its tier-0
     :class:`~repro.solver.analytic_backend.AnalyticBackend`, bound to
     one problem.  Shard workers run this same class on their chunk, so
     the sharded route computes every number the way the serial one
@@ -116,7 +113,7 @@ class LocalEvaluator:
         self._base = self._snapshot()
 
     def moments(self, block: StateBlock) -> tuple[np.ndarray, np.ndarray]:
-        return self.search._analytic_evaluator().makespan_moments(self.problem, block)
+        return self.search._analytic.makespan_moments(self.problem, block)
 
     def screen(self, block: StateBlock) -> np.ndarray:
         return self.search.backend.screen_probabilities(self.problem, block, PrefixTier.SAMPLES)
@@ -126,7 +123,7 @@ class LocalEvaluator:
 
     def _snapshot(self) -> dict[str, int]:
         snap = self.search.backend.counters_snapshot()
-        snap.update(self.search.analytic_stats() or {})
+        snap.update(self.search._analytic.analytic_stats())
         return snap
 
     def counters(self) -> dict[str, int]:
@@ -157,9 +154,9 @@ class GenericSearch:
 
     The search outlives its solves: :attr:`moment_memo` keeps tier 0's
     ``(mean, variance)`` rows per ``(sample_token, state key)`` next to
-    the lazily built tier-0 evaluator, so a warm engine's later solves
-    of the same sample tensor propagate only the states no earlier
-    solve classified.  :meth:`forget` releases one token's share of
+    tier 0's evaluator, so a warm engine's later solves of the same
+    sample tensor propagate only the states no earlier solve
+    classified.  :meth:`forget` releases one token's share of
     both and of the backend's memos, :meth:`clear_caches` all of it.
     """
 
@@ -190,7 +187,10 @@ class GenericSearch:
         self.backend = backend or VectorizedBackend()
         self.max_evaluations = max_evaluations
         self.analytic_min_tasks = int(analytic_min_tasks)
-        self._analytic: AnalyticBackend | None = None
+        #: Tier 0's evaluator; it shares the main backend's
+        #: :class:`~repro.solver.cache.ScratchPool` when it has one, so
+        #: the cascade's tiers do not pin duplicate large buffers.
+        self._analytic = AnalyticBackend(pool=self.backend.pool)
         self.moment_memo = MakespanCache()
 
     def evaluator(self, problem: CompiledProblem) -> LocalEvaluator:
@@ -388,47 +388,26 @@ class GenericSearch:
 
     # ------------------------------------------------------------------
 
-    def _analytic_evaluator(self) -> AnalyticBackend:
-        """The lazily built tier-0 analytic evaluator.
-
-        Shares the main backend's :class:`~repro.solver.cache.ScratchPool`
-        when it has one, so the cascade's tiers do not pin duplicate
-        large buffers.
-        """
-        if self._analytic is None:
-            from repro.solver.analytic_backend import AnalyticBackend
-
-            self._analytic = AnalyticBackend(pool=self.backend.pool)
-        return self._analytic
-
     def forget(self, token: int) -> None:
         """Drop every memo entry of sample token ``token``: the backend's,
         tier 0's calibration and the moment memo's rows."""
         self.moment_memo.forget(token)
         self.backend.forget(token)
-        if self._analytic is not None:
-            self._analytic.forget(token)
+        self._analytic.forget(token)
 
     def clear_caches(self) -> None:
         """Drop the backend's memos and buffers, tier 0's calibrations and moment memo."""
         self.moment_memo.clear()
         self.backend.release_buffers()
-        if self._analytic is not None:
-            self._analytic.release_buffers()
+        self._analytic.release_buffers()
 
     def cache_stats(self) -> dict[str, dict]:
         """``moments`` (the tier-0 memo's counters plus ``nbytes``) and,
         once tier 0 ran, ``analytic``: its work counters and calibrations."""
         stats = {"moments": {**self.moment_memo.counters(), "nbytes": self.moment_memo.nbytes()}}
-        if self._analytic is not None:
+        if self.moment_memo.hits or self.moment_memo.misses:  # tier 0 has run
             stats.update(self._analytic.cache_stats())
         return stats
-
-    def analytic_stats(self) -> dict | None:
-        """Tier-0 work counters, or ``None`` if the tier never ran."""
-        if self._analytic is None:
-            return None
-        return self._analytic.analytic_stats()
 
     @staticmethod
     def _rank(block: StateBlock, evals: BatchEval) -> np.ndarray:

@@ -39,7 +39,7 @@ from repro.parallel.workers import (
     init_deco_worker,
 )
 from repro.solver.state import BatchEval, StateBlock
-from repro.solver.tiers import AnalyticTier, Evaluator
+from repro.solver.tiers import Evaluator
 
 if TYPE_CHECKING:
     from repro.solver.backends import CompiledProblem
@@ -84,9 +84,7 @@ class ShardPlane:
         rebuild the same :class:`CompiledProblem` over those bytes; a
         worker respawned after a crash replays the prologue before its
         first job.  Each worker calibrates tier 0 itself, on its first
-        moments round; the parent only imports tier 0 (and its SciPy)
-        before the pool forks, when the tier can run on ``problem``, so
-        no worker pays that import inside a timed round.
+        moments round.
 
         Without POSIX shared memory, or when publishing or installing
         fails, the plane warns once and returns ``None``: the solve runs
@@ -97,9 +95,6 @@ class ShardPlane:
                 raise arena.ArenaError("no POSIX shared memory")
             arena_key = self._publish(problem)
             ctx_key = f"{arena_key}:{problem.deadline!r}:{problem.required_probability!r}"
-            search = self.search
-            if AnalyticTier.static_gate(problem, search.analytic_min_tasks, search.backend):
-                search._analytic_evaluator()
             if self.pool is None:
                 self.pool = ShardPool(
                     self.workers, initializer=init_deco_worker, initargs=(self.spec,)

@@ -19,6 +19,7 @@ from typing import TYPE_CHECKING, Protocol
 
 import numpy as np
 
+from repro.solver.analytic_backend import norm_cdf, norm_ppf
 from repro.solver.state import BatchEval, StateBlock
 
 if TYPE_CHECKING:
@@ -128,7 +129,7 @@ class AnalyticTier(_ScreenTier):
     Candidates get moment-propagated makespans
     (:class:`~repro.solver.analytic_backend.AnalyticBackend`) and are
     classified on the standardized slack ``z = (D - mean) / sd`` against
-    ``z_req = ndtri(required_probability)``: ``z <= z_req - MARGIN`` is
+    ``z_req = Phi^-1(required_probability)``: ``z <= z_req - MARGIN`` is
     *settled infeasible*, ``z >= z_req + ACCEPT_MARGIN`` *settled
     feasible*, anything between survives to the Monte Carlo tiers, which
     alone replicate sampling noise at the boundary.
@@ -181,30 +182,20 @@ class AnalyticTier(_ScreenTier):
             "analytic_screened_out": 0, "analytic_accepted": 0,
         }
 
-    @staticmethod
-    def static_gate(problem: CompiledProblem, min_tasks: int, backend: EvaluationBackend) -> bool:
-        """The gates that depend on the problem alone, not on the search.
-
-        At least ``min_tasks`` tasks (below the measured crossover full
+    def applies(self, problem: CompiledProblem) -> bool:
+        """At least ``min_tasks`` tasks (below the measured crossover full
         Monte Carlo is already so cheap the pass nets out negative:
         Montage-4/240 tasks ~0.9x, Montage-8/680 tasks 2-3x), a finite
         required quantile (a 100th-percentile deadline needs every sample
         to meet it, which no normal surrogate can certify), and a main
-        backend that is not itself analytic.
-        """
+        backend that is not itself analytic."""
         return (
-            problem.num_tasks >= min_tasks
+            problem.num_tasks >= self.min_tasks
             and 0.0 < problem.required_probability < 1.0
-            and backend.name != "analytic"
+            and self.backend.name != "analytic"
         )
 
-    def applies(self, problem: CompiledProblem) -> bool:
-        return self.static_gate(problem, self.min_tasks, self.backend)
-
     def _classify(self, problem: CompiledProblem, batch: StateBlock) -> Settled:
-        # SciPy loads with the tier: a solve below the size gate imports none of it.
-        from repro.solver.analytic_backend import ndtr, ndtri
-
         hits = self.memo.hits
         rows = self.memo.fetch(
             problem, batch, lambda _, missing: np.stack(self.evaluator.moments(missing), axis=1)
@@ -219,7 +210,7 @@ class AnalyticTier(_ScreenTier):
         np.maximum(sd, floor, out=sd)
         z = (problem.deadline - mean) / np.maximum(sd, 1e-9)
         self.counts["analytic_evals"] += len(batch)
-        z_req = float(ndtri(problem.required_probability))
+        z_req = norm_ppf(problem.required_probability)
         decided = (z <= z_req - self.MARGIN) | (z >= z_req + self.ACCEPT_MARGIN)
         if not decided.any():
             return _passed(batch)
@@ -230,7 +221,7 @@ class AnalyticTier(_ScreenTier):
         self.counts["analytic_screened_out"] += len(idx) - accepted
         evals = BatchEval(
             problem.expected_cost_batch(batch.assign[idx]),
-            ndtr(z[idx]),
+            norm_cdf(z[idx]),
             feasible,
             mean[idx],
             np.full(len(idx), "analytic"),

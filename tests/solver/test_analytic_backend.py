@@ -18,6 +18,7 @@ from repro.cloud.instance_types import ec2_catalog
 from repro.engine.deco import Deco
 from repro.engine.plan import deadline_presets
 from repro.solver.analytic_backend import (
+    _MOMENT_BYTES,
     ANALYTIC_PROB_ERROR_BOUND,
     AnalyticBackend,
     _clark_reduce,
@@ -307,6 +308,41 @@ class TestCalibrationBitIdentity:
         cells = problem.num_types * problem.num_tasks
         assert stats["calibration_entries"] == 1
         assert stats["calibration_nbytes"] == 2 * cells * np.dtype(np.float64).itemsize
+
+
+class TestScratchBudget:
+    """Tier 0 runs a batch in equal tiles within ``_MOMENT_BYTES`` of pooled
+    scratch: a search-sized Montage-8 batch is one tile, a batch four
+    times its size does not grow the pool, and tiling moves no number."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        return compile_wf(montage(degrees=8.0, seed=7), num_samples=40)
+
+    @staticmethod
+    def states(problem, count, seed):
+        rng = np.random.default_rng(seed)
+        return [PlanState(rng.integers(0, problem.num_types, problem.num_tasks).astype(np.int16))
+                for _ in range(count)]
+
+    def test_tiles_bound_the_pool_and_move_no_number(self, problem, monkeypatch):
+        tiles = []
+        tile = AnalyticBackend._moments_tile
+        monkeypatch.setattr(AnalyticBackend, "_moments_tile",
+                            lambda self, *args: tiles.append(len(args[-1])) or tile(self, *args))
+        backend = AnalyticBackend()
+        small = self.states(problem, 90, seed=1)
+        mean, var = backend.makespan_moments(problem, small)
+        held = backend.pool.nbytes()
+        assert tiles == [90] and held <= _MOMENT_BYTES
+        large = small + self.states(problem, 270, seed=2)
+        big_mean, big_var = backend.makespan_moments(problem, large)
+        assert tiles[1:] == [90] * 4 and backend.pool.nbytes() == held
+        assert_same_arrays([big_mean[:90], big_var[:90]], [mean, var])
+        fresh = AnalyticBackend().makespan_moments(problem, large[90:180])
+        assert_same_arrays([big_mean[90:180], big_var[90:180]], list(fresh))
+        backend.makespan_moments(problem, self.states(problem, 1000, seed=3))
+        assert backend.pool.nbytes() <= _MOMENT_BYTES
 
 
 class TestDecoAnalytic:

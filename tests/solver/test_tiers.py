@@ -105,41 +105,6 @@ def test_a_screening_tier_stands_down_after_two_dry_batches():
     assert tier.counts == {"screen_evals": 2 * len(batch), "screened_out": 0}
 
 
-def test_parent_builds_tier0_before_forking_exactly_when_static_gate_passes(monkeypatch):
-    """Shards fork with tier 0's SciPy loaded exactly when the tier can run
-    on the problem; the parent builds the evaluator but calibrates nothing."""
-    from repro.engine.deco import Deco
-    from repro.solver import shards
-
-    built_at_fork: list[bool] = []
-
-    class ForkProbe:
-        """A pool that records, when the plane creates it, whether tier 0 exists."""
-
-        is_serial = False
-
-        def __init__(self, workers, initializer, initargs):
-            built_at_fork.append(search._analytic is not None)
-
-        def broadcast(self, *args, **kwargs):
-            pass
-
-    monkeypatch.setattr(shards, "ShardPool", ForkProbe)
-    monkeypatch.setattr(shards.ShardPlane, "_publish", lambda self, problem: "key")
-    monkeypatch.setattr(shards.arena, "arena_available", lambda: True)
-    for degrees, percentile in ((1.0, 96.0), (8.0, 96.0), (8.0, 100.0)):
-        deco = Deco(CATALOG, num_samples=16)
-        search = deco._search
-        wf = montage(degrees=degrees, seed=0)
-        problem = CompiledProblem.compile(wf, CATALOG, deadline=1e4, percentile=percentile,
-                                          num_samples=16)
-        gate = AnalyticTier.static_gate(problem, 256, deco.backend)
-        assert shards.ShardPlane(2, deco.spec(), search).evaluator(problem) is not None
-        assert built_at_fork.pop() == gate
-        assert gate == (degrees == 8.0 and percentile < 100.0)
-        assert search.cache_stats().get("analytic", {}).get("calibrations", 0) == 0
-
-
 class CountingEvaluator(LocalEvaluator):
     """The in-process evaluator, counting the rows tier 0 asks moments for."""
 

@@ -1,10 +1,11 @@
 """What a cold process imports, checked in fresh interpreters (DESIGN.md §19).
 
 ``scipy.stats`` costs about a second and 50 MB and ``scipy.special``
-0.2 s; no ``schedule()``, compiled ``solve_program()``, ``repro lint`` or
-``repro analyze`` needs the first, and only tier 0 (>= 256 tasks) needs
-the second.  The suite itself preloads both (``tests/conftest.py``), so
-every check here runs ``python -c`` and reads ``sys.modules`` there.
+0.2 s and 23 MB; no ``schedule()``, compiled ``solve_program()``,
+``repro lint`` or ``repro analyze`` needs the first, and nothing on the
+solve path needs the second (tier 0's normal CDF is NumPy's).  The suite
+itself preloads both (``tests/conftest.py``), so every check here runs
+``python -c`` and reads ``sys.modules`` there.
 """
 
 import ast
@@ -70,7 +71,7 @@ class TestSolvePathImports:
             """
         )
         assert doc["after_import"] == [] and doc["after_small"] == []
-        assert doc["tier0"] and doc["after_large"] == ["scipy", "scipy.special"]
+        assert doc["tier0"] and doc["after_large"] == []
         assert doc["feasible"] == [True, True]
         assert doc["heavy"] == []  # a serial schedule() runs no simulator and no pool
 
@@ -174,7 +175,6 @@ def test_first_user_loads_scipy_stats_by_itself(label):
 
 
 LAZY_NAMES = [
-    ("repro.solver", "AnalyticBackend", "repro.solver.analytic_backend"),
     ("repro.cloud", "CloudSimulator", "repro.cloud.simulator"),
     ("repro.cloud", "ExecutionResult", "repro.cloud.simulator"),
     ("repro.cloud", "TaskRecord", "repro.cloud.simulator"),
@@ -219,7 +219,6 @@ class TestLazyPackageNames:
                 name in dir(sys.modules[pkg]) and name in sys.modules[pkg].__all__
                 for pkg, name, _ in %r
             )
-            from repro.solver import AnalyticBackend
             from repro.cloud import CloudSimulator, Calibrator
             from repro.engine import EnsembleDriver
             report(eager=eager, listed=listed,
@@ -229,10 +228,9 @@ class TestLazyPackageNames:
         )
         assert doc["eager"] == [] and doc["listed"]
         assert doc["now"] == [
-            "repro.cloud.calibration", "repro.cloud.simulator",
-            "repro.engine.ensemble", "repro.solver.analytic_backend",
+            "repro.cloud.calibration", "repro.cloud.simulator", "repro.engine.ensemble",
         ]
-        assert doc["scipy"] == ["scipy", "scipy.special"]  # tier 0's, not scipy.stats
+        assert doc["scipy"] == []
 
 
 class TestForkAndPickle:
@@ -265,61 +263,41 @@ class TestForkAndPickle:
         assert all(doc["equal"]) and doc["types"] and doc["median"]
         assert "scipy.stats" in doc["then"]  # the clone loads it when a quantile is asked
 
-    def test_forked_shard_loads_tier0_in_its_first_moments_round(self):
-        """A shard worker forked while the parent has no SciPy imports
-        ``scipy.special`` in the first moments round of a tier-0-sized
-        problem: the prologue ships tensors, not a calibration, and each
-        worker calibrates tier 0 itself.  That round is part of the same
-        solve, so the import moves within it and adds no wall time."""
+    def test_sharded_montage8_solve_loads_no_scipy_anywhere(self):
+        """A ``Deco(workers=2)`` Montage-8 solve runs tier 0 in both shard
+        workers, and neither they nor the parent import any SciPy."""
         doc = run_fresh(
             """
             from repro.cloud import ec2_catalog
             from repro.engine.deco import Deco
-            from repro.solver.shards import ShardPlane
-            from repro.solver.state import PlanState, StateBlock
             from repro.workflow.generators import montage
 
             def probe(_payload):
-                return scipy_loaded()
+                return sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 
-            deco = Deco(ec2_catalog(), seed=7, num_samples=50, max_evaluations=200)
-            plane = ShardPlane(2, deco.spec(), deco._search)
-            seen, parent = {}, []
+            deco = Deco(ec2_catalog(), seed=7, num_samples=150, max_evaluations=1500, workers=2)
             try:
-                for key, degrees in ((1, 1.0), (2, 8.0)):
-                    wf = montage(degrees, seed=1)
-                    evaluator = plane.evaluator(deco._compiled(wf).with_deadline(1e6))
-                    serial = evaluator is None or evaluator.pool.is_serial
-                    if serial:
-                        break
-                    parent.append(scipy_loaded())
-                    seen[str(key)] = evaluator.pool.gather(
-                        [evaluator.pool.submit(s, probe, None) for s in range(2)]
-                    )
-                moments = 0
-                if not serial:
-                    block = StateBlock.from_states(PlanState.uniform(len(wf), t) for t in range(4))
-                    moments = len(evaluator.moments(block)[0])
-                    seen["moments"] = evaluator.pool.gather(
-                        [evaluator.pool.submit(s, probe, None) for s in range(2)]
-                    )
-                    calibrations = deco._search.cache_stats()["analytic"]["calibrations"]
+                plan = deco.schedule(montage(8.0, seed=7), "medium", 96)
+                result = deco.last_result
+                pool = deco._shards.pool if deco._shards is not None else None
+                workers = (pool.gather([pool.submit(s, probe, None) for s in range(2)])
+                           if pool is not None and not pool.is_serial else None)
+                stats = deco.cache_stats()
             finally:
-                plane.close()
-            report(serial=serial, seen=seen, parent=parent, moments=moments,
-                   calibrations=None if serial else calibrations)
+                deco.close()
+            report(feasible=plan.feasible, workers=workers, sharded=result.workers,
+                   tier0=result.analytic_evals > 0,
+                   parent_calibrations=stats.get("analytic", {}).get("calibrations", 0),
+                   worker_calibrations=stats.get("distributed", {}).get("calibrations"),
+                   parent=sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
             """
         )
-        if doc["serial"]:
+        if doc["workers"] is None or doc["sharded"] != 2:
             pytest.skip("no process pool or shared memory on this host: shards run in-process")
-        # The workers fork during Montage-1's prologue; the parent loads
-        # tier 0's SciPy at Montage-8's, before any fork that follows.
-        assert doc["parent"] == [[], ["scipy", "scipy.special"]]
-        assert doc["seen"]["1"] == [[], []]  # forked SciPy-free, Montage-1 keeps them so
-        assert doc["seen"]["2"] == [[], []]  # the prologue attaches tensors only
-        assert doc["seen"]["moments"] == [["scipy", "scipy.special"]] * 2
-        assert doc["moments"] == 4
-        assert doc["calibrations"] == 0  # the shards calibrated, not the parent
+        assert doc["feasible"] and doc["tier0"]
+        assert doc["parent_calibrations"] == 0 and doc["worker_calibrations"] == 2
+        assert doc["parent"] == []
+        assert doc["workers"] == [[], []]
 
 
 @functools.cache
