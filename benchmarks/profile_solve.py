@@ -5,6 +5,7 @@
     python3 benchmarks/profile_solve.py --imports
     python3 benchmarks/profile_solve.py --wlog
     python3 benchmarks/profile_solve.py --resident montage-8 16
+    python3 benchmarks/profile_solve.py --decisions > decisions.txt
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
@@ -47,6 +48,16 @@ bytes and the scratch pool's buffers and bytes (:data:`RESIDENT`, from
 stop growing; the scratch pool is sized by the kernels' byte budgets,
 not by the largest batch.  No threshold.
 
+``--decisions`` prints what the engine decides, one line per request,
+and no time: the pools of ``cold-small-mc``, ``cold-mid-mc`` and
+``cold-large-cascade`` at medium/96, a fresh engine each, then the
+``sweep-large-warm`` requests on one engine (its warm-up, then
+:data:`DECISION_ROUNDS` rounds of its deadlines x percentiles).  Pools,
+inputs and engine knobs are read from ``benchmarks/e2e/workloads.py``.
+Each line carries the plan's expected cost, probability, feasibility,
+evaluation count and a digest of its assignment, so two checkouts
+decide alike exactly when ``diff`` finds their outputs equal.
+
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
 ``repro schedule`` on Montage-1 and ``repro lint --bundled`` (with
@@ -62,6 +73,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import hashlib
 import json
 import os
 import pstats
@@ -106,6 +118,9 @@ RESIDENT = {
     "screen": ("screen", "entries", "nbytes"),
     "scratch": ("scratch", "buffers", "nbytes"),
 }
+
+
+DECISION_ROUNDS = 2  # --decisions: rounds of the sweep after its warm-up
 
 
 def reuse_report(before: dict, after: dict) -> str:
@@ -368,6 +383,45 @@ def imports_report(repeats: int = 5, top: int = 10) -> int:
     return 1 if failures else 0
 
 
+def decision_line(label: str, plan) -> str:
+    """One request's decision: cost, probability, feasibility, evaluations and
+    a digest of the assignment."""
+    assignment = json.dumps(sorted(plan.assignment.items())).encode()
+    return (f"{label:<28} cost={plan.expected_cost!r} probability={plan.probability!r} "
+            f"feasible={plan.feasible} evaluations={plan.evaluations} "
+            f"assignment={hashlib.sha256(assignment).hexdigest()[:16]}")
+
+
+def decisions_report() -> int:
+    """``--decisions``: every cold-pool and sweep request's decision, one line each."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+    import workloads
+
+    def engine():
+        return Deco(ec2_catalog(), **workloads.ENGINE)
+
+    for cold in (workloads.ColdSmallMC(), workloads.ColdMidMC(), workloads.ColdLargeCascade()):
+        for family, seeds in cold.pool.items():
+            for seed in seeds:
+                plan = engine().schedule(cold.makers[family](seed), "medium", 96.0)
+                print(decision_line(f"{family}/s{seed} medium/96", plan))
+    sweep = workloads.SweepLargeWarm()
+    (key,) = sweep.warmup_keys()
+    family, _, seed = key.rpartition("/s")
+    workflow = sweep.makers[family](int(seed))
+    deco = engine()
+    requests = [("warm-up", "medium", 96.0)] + [
+        (f"round{r}", deadline, percentile)
+        for r in range(DECISION_ROUNDS)
+        for deadline in workloads.SWEEP_DEADLINES
+        for percentile in workloads.SWEEP_PERCENTILES
+    ]
+    for label, deadline, percentile in requests:
+        plan = deco.schedule(workflow, deadline, percentile)
+        print(decision_line(f"{key} {label} {deadline}/{percentile:g}", plan))
+    return 0
+
+
 def _vm_mb(field: str) -> float:
     """This process's ``VmRSS`` / ``VmHWM``, from ``/proc/self/status`` (NaN elsewhere)."""
     try:
@@ -419,8 +473,13 @@ def main() -> int:
     ap.add_argument("--resident", nargs=2, metavar=("FAMILY", "N"),
                     help="VmRSS, VmHWM, every token-keyed memo's and the scratch pool's size "
                          "after each of N distinct solves of FAMILY on one engine")
+    ap.add_argument("--decisions", action="store_true",
+                    help="one line per cold-pool and sweep request: cost, probability, "
+                         "feasibility and an assignment digest")
     args = ap.parse_args()
 
+    if args.decisions:
+        return decisions_report()
     if args.resident:
         family, count = args.resident
         if family not in WORKFLOWS or not count.isdigit() or int(count) < 1:
@@ -431,7 +490,7 @@ def main() -> int:
     if args.wlog:
         return wlog_report()
     if args.workflow is None:
-        ap.error("a workflow is required unless --imports or --wlog is given")
+        ap.error("a workflow is required unless --imports, --wlog or --decisions is given")
     if args.split:
         return split_report(args.workflow)
     workflow = WORKFLOWS[args.workflow](args.seed)

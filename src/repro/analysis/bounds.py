@@ -49,8 +49,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = [
     "support_bounds",
-    "parent_index_tuples",
-    "longest_path",
     "makespan_interval",
     "cost_interval",
     "check_bounds",
@@ -84,32 +82,7 @@ def support_bounds(
     return lo, hi
 
 
-def parent_index_tuples(workflow: "Workflow") -> tuple[tuple[int, ...], ...]:
-    """Dense parent indices in topological task order (compiler layout)."""
-    return tuple(
-        tuple(workflow.index_of(p) for p in workflow.parents(tid))
-        for tid in workflow.task_ids
-    )
-
-
-def longest_path(parent_indices: tuple[tuple[int, ...], ...], times: np.ndarray) -> float:
-    """Longest-path length (makespan) under per-task times."""
-    vals = times.tolist()
-    n = len(vals)
-    if not n:
-        return 0.0
-    finish = [0.0] * n
-    for i, parents in enumerate(parent_indices):
-        start = max((finish[p] for p in parents), default=0.0)
-        finish[i] = start + vals[i]
-    return max(finish)
-
-
-def makespan_interval(
-    parent_indices: tuple[tuple[int, ...], ...],
-    lo: np.ndarray,
-    hi: np.ndarray,
-) -> Interval:
+def makespan_interval(workflow: "Workflow", lo: np.ndarray, hi: np.ndarray) -> Interval:
     """Interval bracketing the makespan of *every* assignment and sample.
 
     Lower bound: the critical path when every task takes its
@@ -117,12 +90,18 @@ def makespan_interval(
     times makes this <= any realized makespan).  Upper bound: the
     critical path under max-over-types upper bounds -- note this is the
     *parallel* worst case, which is what the deadline constraint
-    measures (``maxtime`` is path time, not serialized time).
+    measures (``maxtime`` is path time, not serialized time).  Both come
+    out of one two-lane pass over the workflow's level schedule.
     """
-    return Interval(
-        longest_path(parent_indices, lo.min(axis=0)),
-        longest_path(parent_indices, hi.max(axis=0)),
-    )
+    if not len(workflow):
+        return Interval(0.0, 0.0)
+    # Imported here: importing repro.analysis (``repro lint``) does not load the solver.
+    from repro.solver.levels import workflow_layout
+
+    _, levels = workflow_layout(workflow)
+    lanes = np.stack([lo.min(axis=0), hi.max(axis=0)], axis=1)[levels.order]
+    low, high = levels.makespan(lanes).tolist()
+    return Interval(low, high)
 
 
 def cost_interval(mean_times: np.ndarray, prices: np.ndarray) -> Interval:
@@ -158,7 +137,7 @@ def check_bounds(ctx: "AnalysisContext") -> None:
     lo, hi = support_bounds(wf, catalog, model)
     mean_times = model.mean_matrix(wf)
     prices = np.asarray([catalog.price(name, ctx.region) for name in catalog.type_names])
-    mk = makespan_interval(parent_index_tuples(wf), lo, hi)
+    mk = makespan_interval(wf, lo, hi)
     cost = cost_interval(mean_times, prices)
     for spec in ctx.program.constraints:
         kind = spec.requirement_kind()

@@ -12,8 +12,9 @@ lowering for the *standard* problem family of Example 1:
 Programs matching the pattern (one imported workflow, one imported
 cloud, cost-minimization goal over ``totalcost``, one probabilistic
 deadline over ``maxtime``) compile to a
-:class:`~repro.solver.backends.CompiledProblem`; anything else returns
-``None`` and the caller falls back to the interpreter path.  The
+:class:`~repro.solver.backends.CompiledProblem`; for anything else
+:func:`try_compile` returns ``None`` and :func:`compile_or_raise` (what
+``Deco.solve_program`` calls) raises :class:`WLogError`.  The
 equivalence of the compiled evaluation with the interpreter's
 Algorithm-1 evaluation is asserted in the test suite.
 """
@@ -161,10 +162,10 @@ def _parent_csr(parent_indices) -> dict[str, np.ndarray]:
 
 def export_problem_arrays(problem: CompiledProblem) -> tuple[dict[str, np.ndarray], dict]:
     """Flatten a problem's immutable arrays into an arena payload: the
-    tensors, prices and the DAG's parent lists.  Everything else a worker
-    needs (the level schedule, tier 0's calibration) derives from these."""
+    task-major samples, mean times, prices and the DAG's parent lists.
+    Everything else a worker needs (the level schedule, tier 0's
+    calibration) derives from these."""
     arrays: dict[str, np.ndarray] = {
-        "tensor": problem.tensor,
         "tensor_taskmajor": problem.tensor_taskmajor,
         "mean_times": problem.mean_times,
         "prices": problem.prices,
@@ -178,8 +179,8 @@ def problem_fingerprint(problem: CompiledProblem) -> str:
     """Content key of a problem's sample-tensor generation.
 
     Hashes the arrays whose bytes determine every evaluation result
-    (the task-major copy and level gathers are deterministic functions
-    of these, so hashing them too would only slow the key down) plus
+    (the level gathers are a deterministic function of these, so
+    hashing them too would only slow the key down) plus
     the fault metadata that rides the derivation chain.  Problems with
     equal keys are interchangeable on the worker side.
     """
@@ -196,7 +197,7 @@ def problem_fingerprint(problem: CompiledProblem) -> str:
     )
     return content_key(
         {
-            "tensor": problem.tensor,
+            "tensor_taskmajor": problem.tensor_taskmajor,
             "mean_times": problem.mean_times,
             "prices": problem.prices,
             **_parent_csr(problem.parent_indices),
@@ -217,7 +218,7 @@ def problem_from_segment(
 ) -> CompiledProblem:
     """Rebuild a :class:`CompiledProblem` over an attached segment's arrays.
 
-    The tensors alias the shared mapping (zero-copy); per-solve scalars
+    The samples alias the shared mapping (zero-copy); per-solve scalars
     (deadline, fault metadata) come from the caller -- they ride the
     small broadcast delta, not the segment.  ``CompiledProblem`` builds
     the level schedule from the parent lists, and the problem gets a
@@ -232,12 +233,11 @@ def problem_from_segment(
         workflow=ArenaWorkflowStub(meta["workflow_name"], int(meta["num_tasks"])),
         catalog=catalog,
         mean_times=arrays["mean_times"],
-        tensor=arrays["tensor"],
+        tensor=arrays["tensor_taskmajor"].transpose(0, 2, 1),
         prices=arrays["prices"],
         parent_indices=parents,
         deadline=float(deadline),
         required_probability=float(required_probability),
-        tensor_taskmajor=arrays["tensor_taskmajor"],
         faults=faults,
         recovery=recovery,
         reliability_required=float(reliability_required),

@@ -190,8 +190,8 @@ class FaultModel:
         crashes during the task times the expected work lost per crash:
         half the task without checkpoints, half a checkpoint interval
         plus the restore cost with them).  Element-wise over any array
-        of task times -- the solver applies it to the whole ``(K, S, N)``
-        sample tensor.
+        of task times -- the solver applies it to a compiled problem's
+        one task-major ``(K, N, S)`` sample array and its mean times.
         """
         t = np.asarray(times, dtype=float)
         factor = recovery.expected_attempts(self.task_failure_rate)

@@ -290,26 +290,26 @@ def _clark_scratch(pool: ScratchPool, shape: tuple[int, ...]) -> tuple[np.ndarra
     return floats + (pool.take("an_idx", shape, _INTP),)
 
 
-def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
-    """``(K, N, Q)`` midpoint-quantile grids of a ``(K, S, N)`` sample tensor.
+def _midpoint_quantile_grids(taskmajor: np.ndarray, q: int) -> np.ndarray:
+    """``(K, N, Q)`` midpoint-quantile grids of a task-major ``(K, N, S)`` sample array.
 
     The levels ``(i + 0.5) / Q`` are the mass centers of Q
     equal-probability bins, so grid mean/variance estimate each row's
     moments without the 0/1 endpoint blow-up of extreme order statistics.
 
-    Element for element this is ``np.quantile(tensor, levels, axis=1)``
-    (``method="linear"``): the same virtual index ``(S - 1) * level``,
-    the same neighbours and the same two-sided lerp, one ufunc per step
-    as NumPy applies them -- but read off ONE full sort of the sample
-    axis, where ``np.quantile`` introselects around every one of the 2Q
-    neighbour ranks in turn (10x the time at Q = 32).  An order
-    statistic is the same number whichever algorithm ranked it, so the
-    grids are ``array_equal`` to that call.  The sort runs in
-    the tensor's own dtype; only the two gathered order statistics are
-    upcast, so the grids are float64 and equal to those of
-    ``tensor.astype(np.float64)``.
+    Element for element this is ``np.quantile(taskmajor, levels,
+    axis=2)`` (``method="linear"``, levels moved last): the same virtual
+    index ``(S - 1) * level``, the same neighbours and the same two-sided
+    lerp, one ufunc per step as NumPy applies them -- but read off ONE
+    full sort of each contiguous sample row, where ``np.quantile``
+    introselects around every one of the 2Q neighbour ranks in turn (10x
+    the time at Q = 32).  An order statistic is the same number whichever
+    algorithm ranked it, so the grids are ``array_equal`` to that call.
+    The sort runs in the samples' own dtype; only the two gathered order
+    statistics are upcast, so the grids are float64 and equal to those of
+    ``taskmajor.astype(np.float64)``.
     """
-    s = tensor.shape[1]
+    s = taskmajor.shape[2]
     virtual = (s - 1) * ((np.arange(q) + 0.5) / q)
     lower = np.floor(virtual)
     upper = lower + 1
@@ -317,14 +317,14 @@ def _midpoint_quantile_grids(tensor: np.ndarray, q: int) -> np.ndarray:
     lower[last] = upper[last] = -1
     lower = lower.astype(np.intp)
     upper = upper.astype(np.intp)
-    t = (virtual - lower)[None, :, None]
-    ranked = np.sort(tensor, axis=1)
-    a = ranked.take(lower, axis=1).astype(np.float64)  # (K, Q, N)
-    b = ranked.take(upper, axis=1).astype(np.float64)
+    t = virtual - lower
+    ranked = np.sort(taskmajor, axis=2)
+    a = ranked.take(lower, axis=2).astype(np.float64)  # (K, N, Q)
+    b = ranked.take(upper, axis=2).astype(np.float64)
     diff = b - a
     grids = a + diff * t
     np.subtract(b, diff * (1 - t), out=grids, where=t >= 0.5)
-    return np.ascontiguousarray(grids.transpose(0, 2, 1))
+    return grids
 
 
 #: Upper bound on the absolute deviation between the analytic deadline
@@ -382,7 +382,7 @@ class AnalyticBackend(EvaluationBackend):
         if entry is not None:
             self._calibrations.move_to_end(token)
             return entry
-        grids = _midpoint_quantile_grids(problem.tensor, self.QUANTILE_POINTS)
+        grids = _midpoint_quantile_grids(problem.tensor_taskmajor, self.QUANTILE_POINTS)
         means = np.ascontiguousarray(grids.mean(axis=2).reshape(-1))  # (K*N,)
         variances = np.ascontiguousarray(grids.var(axis=2).reshape(-1))
         for arr in (means, variances):

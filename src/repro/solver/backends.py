@@ -6,11 +6,11 @@ iteration, one thread block per state* (Section 5.2-5.3).  cupy/numba
 are unavailable in this environment, so the GPU role is played by a
 **vectorized NumPy backend** with the identical parallel decomposition:
 
-* the sampled task-time tensor ``(K types, S realizations, N tasks)``
-  plus a task-major copy ``(K, N, S)`` are precomputed once per problem
-  (the GPU's device-resident data); the task-major layout makes each
-  (type, task) row a contiguous S-sample run, so lane gathering is a
-  row ``take`` driven by an ``(N, B)`` index matrix (coalesced reads);
+* the sampled task times are stored once per problem, task-major
+  ``(K types, N tasks, S realizations)`` (the GPU's device-resident
+  data): each (type, task) row is a contiguous S-sample run, so lane
+  gathering is a row ``take`` driven by an ``(N, B)`` index matrix
+  (coalesced reads);
 * evaluating a batch of B states propagates finish times through the
   DAG in **level-parallel** order: :class:`~repro.solver.levels.LevelSchedule`
   precomputes the topological levels, each level's parent gather and
@@ -43,6 +43,7 @@ Algorithm-1 evaluation.
 from __future__ import annotations
 
 import abc
+import dataclasses
 import itertools
 import math
 from dataclasses import dataclass
@@ -109,16 +110,14 @@ class CompiledProblem:
     workflow: Workflow
     catalog: Catalog
     mean_times: np.ndarray     # (K, N) mean task time per type
-    tensor: np.ndarray         # (K, S, N) sampled task times, stored float32
+    #: (K, S, N) sampled task times.  Any array is accepted; the problem
+    #: keeps a read-only view of :attr:`tensor_taskmajor`.
+    tensor: np.ndarray
     prices: np.ndarray         # (K,) $/hour in the catalog's default region
     parent_indices: tuple[tuple[int, ...], ...]  # per task, topological order
     deadline: float            # seconds
     required_probability: float  # P(makespan <= deadline) must reach this
     levels: LevelSchedule | None = None  # level-parallel layout (built if absent)
-    #: (K, N, S) task-major copy of ``tensor``: row ``[k, i]`` holds task
-    #: i's samples contiguously, so the backend's lane gather is K*N
-    #: contiguous row copies instead of element-wise flat indexing.
-    tensor_taskmajor: np.ndarray | None = None
     #: Fault expansion (set by :meth:`with_faults`): the declared fault
     #: model + recovery policy whose analytic expectation inflated the
     #: tensor, and the minimum plan success probability (0.0 = no
@@ -128,29 +127,37 @@ class CompiledProblem:
     reliability_required: float = 0.0
     #: Sample-tensor generation token (see ``_SAMPLE_TOKENS``).  ``None``
     #: means "this tensor is fresh": ``__post_init__`` stamps the next
-    #: monotone value.  Derivations that share the tensor pass their own
-    #: token through; derivations that rewrite it leave it ``None``.
+    #: monotone value.  Derivations that share the tensor keep the token;
+    #: derivations that rewrite it pass ``None``.
     sample_token: int | None = None
+    #: The one stored copy of the samples: a read-only float32 ``(K, N, S)``
+    #: array whose row ``[k, i]`` holds task i's samples contiguously, so
+    #: the backend's lane gather is K*N contiguous row copies.
+    tensor_taskmajor: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        # The one place the samples' precision is decided.  Draws and
-        # fault inflation run in float64 and are rounded once here; every
-        # array of sampled times (task-major copy, kernel buffers, memo
-        # rows) follows ``tensor.dtype``, so the Monte Carlo kernel moves
-        # half the bytes.  Deadline comparisons, means, costs and tier 0's
-        # moments stay float64.
-        if self.tensor.dtype != np.float32 or self.tensor.flags.writeable:
-            tensor = self.tensor.astype(np.float32)
-            tensor.setflags(write=False)
-            object.__setattr__(self, "tensor", tensor)
+        # The one place the samples' precision and layout are decided.
+        # Draws and fault inflation run in float64 and are rounded once
+        # here, straight into the task-major layout; every array of
+        # sampled times (kernel buffers, memo rows) follows
+        # ``tensor.dtype``, so the Monte Carlo kernel moves half the
+        # bytes.  Deadline comparisons, means, costs and tier 0's moments
+        # stay float64.  A tensor that already is such a view (every
+        # derivation that keeps the samples) is kept as it is.
+        taskmajor = self.tensor.transpose(0, 2, 1)
+        if (
+            taskmajor.dtype != np.float32
+            or taskmajor.flags.writeable
+            or not taskmajor.flags.c_contiguous
+        ):
+            taskmajor = np.ascontiguousarray(taskmajor, dtype=np.float32)
+            taskmajor.setflags(write=False)
+            object.__setattr__(self, "tensor", taskmajor.transpose(0, 2, 1))
+        object.__setattr__(self, "tensor_taskmajor", taskmajor)
         if self.levels is None:
             object.__setattr__(
                 self, "levels", LevelSchedule.from_parent_indices(self.parent_indices)
             )
-        if self.tensor_taskmajor is None:
-            tm = np.ascontiguousarray(self.tensor.transpose(0, 2, 1))
-            tm.setflags(write=False)
-            object.__setattr__(self, "tensor_taskmajor", tm)
         if self.sample_token is None:
             object.__setattr__(self, "sample_token", next(_SAMPLE_TOKENS))
 
@@ -221,23 +228,12 @@ class CompiledProblem:
         deadline above 0 and a percentile in (0, 100].
         """
         _check_requirement(deadline, percentile)
-        return CompiledProblem(
-            workflow=self.workflow,
-            catalog=self.catalog,
-            mean_times=self.mean_times,
-            tensor=self.tensor,
-            prices=self.prices,
-            parent_indices=self.parent_indices,
+        return dataclasses.replace(
+            self,
             deadline=float(deadline),
             required_probability=(
                 self.required_probability if percentile is None else percentile / 100.0
             ),
-            levels=self.levels,
-            tensor_taskmajor=self.tensor_taskmajor,
-            faults=self.faults,
-            recovery=self.recovery,
-            reliability_required=self.reliability_required,
-            sample_token=self.sample_token,
         )
 
     def with_sample_prefix(self, prefix: int) -> "CompiledProblem":
@@ -257,22 +253,7 @@ class CompiledProblem:
             )
         if prefix == self.num_samples:
             return self
-        tensor = np.ascontiguousarray(self.tensor[:, :prefix, :])
-        tensor.setflags(write=False)
-        return CompiledProblem(
-            workflow=self.workflow,
-            catalog=self.catalog,
-            mean_times=self.mean_times,
-            tensor=tensor,
-            prices=self.prices,
-            parent_indices=self.parent_indices,
-            deadline=self.deadline,
-            required_probability=self.required_probability,
-            levels=self.levels,
-            faults=self.faults,
-            recovery=self.recovery,
-            reliability_required=self.reliability_required,
-        )
+        return dataclasses.replace(self, tensor=self.tensor[:, :prefix, :], sample_token=None)
 
     def with_faults(
         self,
@@ -300,21 +281,16 @@ class CompiledProblem:
             raise SolverError(
                 f"reliability percentile must be in (0, 100], got {reliability_percentile}"
             )
-        return CompiledProblem(
-            workflow=self.workflow,
-            catalog=self.catalog,
+        return dataclasses.replace(
+            self,
             mean_times=faults.inflate(self.mean_times, recovery),
-            tensor=faults.inflate(self.tensor, recovery),
-            prices=self.prices,
-            parent_indices=self.parent_indices,
-            deadline=self.deadline,
-            required_probability=self.required_probability,
-            levels=self.levels,
+            tensor=faults.inflate(self.tensor_taskmajor, recovery).transpose(0, 2, 1),
             faults=faults,
             recovery=recovery,
             reliability_required=(
                 0.0 if reliability_percentile is None else reliability_percentile / 100.0
             ),
+            sample_token=None,
         )
 
     @property

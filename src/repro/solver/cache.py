@@ -226,12 +226,11 @@ class EvalContext:
         return len(self._screen_problems)
 
     def stats(self) -> dict[str, int]:
-        """The screening problems held and the bytes of their prefix tensors."""
+        """The screening problems held and the bytes of their prefix samples."""
         return {
             "entries": len(self._screen_problems),
             "nbytes": sum(
-                derived.tensor.nbytes + derived.tensor_taskmajor.nbytes
-                for _, derived in self._screen_problems.values()
+                derived.tensor_taskmajor.nbytes for _, derived in self._screen_problems.values()
             ),
         }
 

@@ -208,10 +208,10 @@ class RuntimeModel:
         """``(K, S, N)`` tensor of sampled task times.
 
         ``tensor[k, s, i]`` is the time of the task with topological index
-        ``i`` on type ``k`` in Monte Carlo realization ``s``.  The solver
-        backends precompute this once per problem; evaluating a candidate
-        plan is then a pure gather + DAG propagation (the same memory
-        layout a GPU kernel would use: one realization per thread).
+        ``i`` on type ``k`` in Monte Carlo realization ``s``, in float64.
+        A compiled problem draws this once and stores it in float32,
+        task-major ``(K, N, S)``; evaluating a candidate plan is then a
+        pure gather + DAG propagation (one realization per GPU thread).
 
         Each (task, type) cell uses its own deterministic RNG stream, so
         the tensor is reproducible regardless of evaluation order.

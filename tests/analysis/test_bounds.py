@@ -8,14 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import analyze_semantics
-from repro.analysis.bounds import (
-    cost_interval,
-    longest_path,
-    makespan_interval,
-    parent_index_tuples,
-    support_bounds,
-)
+from repro.analysis.bounds import cost_interval, makespan_interval, support_bounds
 from repro.solver.backends import CompiledProblem
+from repro.solver.levels import workflow_layout
+from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import ligo, pipeline
 
 from tests.analysis.conftest import program_source
@@ -46,32 +42,39 @@ class TestSupportBounds:
         assert np.all(hi >= compiled.mean_times - 1e-9)
 
 
+def _path_length(workflow: Workflow, times: np.ndarray) -> float:
+    """The longest path under per-task ``times`` (topological order)."""
+    mk = makespan_interval(workflow, times[None], times[None])
+    assert mk.lo == mk.hi
+    return mk.lo
+
+
 class TestLongestPath:
     def test_chain_is_sum(self):
-        parents = ((), (0,), (1,))
-        times = np.array([1.0, 2.0, 3.0])
-        assert longest_path(parents, times) == pytest.approx(6.0)
+        wf = Workflow("chain", [Task(task_id=t) for t in "abc"], [("a", "b"), ("b", "c")])
+        assert workflow_layout(wf)[0] == ((), (0,), (1,))
+        assert _path_length(wf, np.array([1.0, 2.0, 3.0])) == pytest.approx(6.0)
 
     def test_diamond_takes_max_branch(self):
-        parents = ((), (0,), (0,), (1, 2))
-        times = np.array([1.0, 5.0, 2.0, 1.0])
-        assert longest_path(parents, times) == pytest.approx(7.0)
+        edges = [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")]
+        wf = Workflow("diamond", [Task(task_id=t) for t in "abcd"], edges)
+        assert workflow_layout(wf)[0] == ((), (0,), (0,), (1, 2))
+        assert _path_length(wf, np.array([1.0, 5.0, 2.0, 1.0])) == pytest.approx(7.0)
 
     def test_empty(self):
-        assert longest_path((), np.array([])) == 0.0
+        assert _path_length(Workflow("empty", []), np.array([])) == 0.0
 
 
 class TestMakespanInterval:
     def test_brackets_all_assignments(self, compiled, catalog):
         """mk interval holds the mean makespan of any type assignment."""
         lo, hi = support_bounds(compiled.workflow, catalog)
-        parents = parent_index_tuples(compiled.workflow)
-        mk = makespan_interval(parents, lo, hi)
+        mk = makespan_interval(compiled.workflow, lo, hi)
         rng = np.random.default_rng(0)
         k, n = compiled.mean_times.shape
         for _ in range(20):
             a = rng.integers(0, k, size=n)
-            mean_mk = longest_path(parents, compiled.mean_times[a, np.arange(n)])
+            mean_mk = _path_length(compiled.workflow, compiled.mean_times[a, np.arange(n)])
             assert mk.lo <= mean_mk <= mk.hi
 
     @settings(max_examples=25, deadline=None)
@@ -82,9 +85,8 @@ class TestMakespanInterval:
         the interval -- the property the E401 proof rests on."""
         wf = pipeline(num_tasks=num_tasks, seed=seed)
         lo, hi = support_bounds(wf, catalog)
-        parents = parent_index_tuples(wf)
-        assert all(len(p) <= 1 for p in parents)  # really a chain
-        mk = makespan_interval(parents, lo, hi)
+        assert all(len(p) <= 1 for p in workflow_layout(wf)[0])  # really a chain
+        mk = makespan_interval(wf, lo, hi)
         from repro.workflow.runtime_model import RuntimeModel
 
         mean = RuntimeModel(catalog).mean_matrix(wf)

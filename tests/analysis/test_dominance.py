@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.bounds import parent_index_tuples
 from repro.analysis.dominance import OpMask, _structural_disabled, compute_op_mask
 from repro.engine.plan import deadline_presets
 from repro.solver.backends import CompiledProblem
+from repro.solver.levels import workflow_layout
 from repro.workflow.generators import montage, pipeline
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -38,7 +38,7 @@ class TestOpMaskConstruction:
 
     def test_chain_disables_consolidation_family(self, catalog):
         wf = pipeline(num_tasks=5, seed=0)
-        assert _structural_disabled(parent_index_tuples(wf), len(catalog.type_names)) == {
+        assert _structural_disabled(workflow_layout(wf)[0], len(catalog.type_names)) == {
             "merge", "co_schedule"
         }
         mask = compute_op_mask(_compile(wf, catalog, 0))

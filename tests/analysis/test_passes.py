@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 
 from repro.analysis import analyze_semantics, makespan_interval, support_bounds
-from repro.analysis.bounds import parent_index_tuples
 from repro.analysis.passes import AnalysisContext
 from repro.wlog.program import WLogProgram
 
@@ -27,7 +26,7 @@ class TestAnalyzeSemantics:
         # The deadline sits strictly inside the makespan interval the
         # bounds helpers derive, so neither E401 nor W401 fires.
         lo, hi = support_bounds(small_workflow, catalog, registry.runtime_model_for(catalog))
-        mk = makespan_interval(parent_index_tuples(small_workflow), lo, hi)
+        mk = makespan_interval(small_workflow, lo, hi)
         assert mk.lo < 36_000.0 < mk.hi
 
     def test_infeasible_deadline_is_e401(self, registry):

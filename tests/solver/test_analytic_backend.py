@@ -280,9 +280,10 @@ class TestCalibrationBitIdentity:
             tensor = np.round(tensor, -2)  # a handful of distinct values per cell
         elif shape == "constant-columns":
             tensor[:, :, ::2] = tensor[:, :1, ::2]
-        problem = SimpleNamespace(sample_token=seed, tensor=tensor)
+        taskmajor = tensor.transpose(0, 2, 1)
+        problem = SimpleNamespace(sample_token=seed, tensor_taskmajor=taskmajor)
         ref_grids, *ref_moments = quantile_calibration(tensor, q)
-        assert_same_arrays([_midpoint_quantile_grids(tensor, q)], [ref_grids])
+        assert_same_arrays([_midpoint_quantile_grids(taskmajor, q)], [ref_grids])
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(AnalyticBackend, "QUANTILE_POINTS", q)
             backend = AnalyticBackend()
@@ -295,7 +296,7 @@ class TestCalibrationBitIdentity:
     def test_equals_np_quantile_on_compiled_tensors(self, degrees):
         problem = compile_wf(montage(degrees=degrees, seed=3), num_samples=150, seed=7)
         ref_grids, *ref_moments = quantile_calibration(problem.tensor, 32)
-        assert_same_arrays([_midpoint_quantile_grids(problem.tensor, 32)], [ref_grids])
+        assert_same_arrays([_midpoint_quantile_grids(problem.tensor_taskmajor, 32)], [ref_grids])
         assert_same_arrays(AnalyticBackend()._calibration(problem), ref_moments)
 
     def test_montage8_calibration_keeps_two_moment_vectors(self):

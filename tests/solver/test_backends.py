@@ -1,10 +1,15 @@
 """Tests for the compiled problem and evaluation backends."""
 
+import dataclasses
+import uuid
+
 import numpy as np
 import pytest
 
 from repro.common.errors import SolverError
+from repro.engine.compiler import export_problem_arrays, problem_from_segment
 from repro.faults.model import FaultModel
+from repro.parallel.arena import arena_available, attach_segment, publish_segment, unlink_segment
 from repro.solver import backends as backends_module
 from repro.solver.backends import (
     CompiledProblem,
@@ -197,6 +202,66 @@ class TestSamplePrecision:
         assert ev.mean_makespan.dtype == np.float64
         ((row,),) = (rows.values() for rows in backend.cache._rows.values())
         assert row.dtype == np.float32
+
+
+#: Each derivation and the fields it sets; it carries every other field.
+DERIVATIONS = {
+    "with_deadline": (
+        lambda p: p.with_deadline(999.0, 90.0), {"deadline", "required_probability"},
+    ),
+    "with_sample_prefix": (
+        lambda p: p.with_sample_prefix(16), {"tensor", "tensor_taskmajor", "sample_token"},
+    ),
+    "with_faults": (
+        lambda p: p.with_faults(FaultModel(task_failure_rate=0.1), reliability_percentile=90.0),
+        {"mean_times", "tensor", "tensor_taskmajor", "faults", "recovery",
+         "reliability_required", "sample_token"},
+    ),
+}
+
+
+class TestOneSampleArray:
+    """Every construction route stores the samples once: ``tensor`` is a
+    read-only ``(K, S, N)`` view of the float32 task-major array."""
+
+    @staticmethod
+    def assert_one_array(problem):
+        tm, tensor = problem.tensor_taskmajor, problem.tensor
+        k, s, n = tensor.shape
+        assert tm.shape == (k, n, s) and tm.dtype == np.float32 and tm.flags.c_contiguous
+        assert np.shares_memory(tensor, tm)
+        assert not tensor.flags.writeable and not tm.flags.writeable
+
+    def test_compile(self, problem):
+        self.assert_one_array(problem)
+
+    @pytest.mark.parametrize("name", DERIVATIONS)
+    def test_derivation_sets_its_fields_and_carries_the_rest(self, problem, name):
+        derive, sets = DERIVATIONS[name]
+        derived = derive(problem)
+        self.assert_one_array(derived)
+        for field in dataclasses.fields(CompiledProblem):
+            if field.name in sets:
+                continue
+            got, want = getattr(derived, field.name), getattr(problem, field.name)
+            if isinstance(want, np.ndarray):  # the same view of the same memory
+                assert got.__array_interface__ == want.__array_interface__, field.name
+            else:
+                assert got is want, field.name
+        assert (derived.sample_token == problem.sample_token) == ("sample_token" not in sets)
+
+    @pytest.mark.skipif(not arena_available(), reason="POSIX shared memory unavailable")
+    def test_segment_aliases_the_shared_array(self, problem, catalog):
+        key = uuid.uuid4().hex * 2
+        publish_segment(key, *export_problem_arrays(problem))
+        try:
+            segment = attach_segment(key)
+        finally:
+            unlink_segment(key)  # the mapping lives on until its views are gone
+        rebuilt = problem_from_segment(segment, catalog)
+        self.assert_one_array(rebuilt)
+        assert np.shares_memory(rebuilt.tensor_taskmajor, segment.arrays["tensor_taskmajor"])
+        np.testing.assert_array_equal(rebuilt.tensor, problem.tensor)
 
 
 def _one_task_problem(catalog, seconds: float, deadline: float) -> CompiledProblem:

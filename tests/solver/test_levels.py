@@ -130,10 +130,9 @@ class TestIndexDataOnly:
             montage(degrees=1.0, seed=3), catalog, deadline=3600.0, num_samples=16
         )
         arrays, meta = export_problem_arrays(problem)
-        # The tensors and the DAG: the schedule and tier 0's calibration derive from them.
+        # The samples and the DAG: the schedule and tier 0's calibration derive from them.
         assert set(arrays) == {
-            "tensor", "tensor_taskmajor", "mean_times", "prices",
-            "parent_offsets", "parent_edges",
+            "tensor_taskmajor", "mean_times", "prices", "parent_offsets", "parent_edges",
         }
         rebuilt = problem_from_segment(SimpleNamespace(arrays=arrays, meta=meta), catalog)
         assert rebuilt.parent_indices == problem.parent_indices
