@@ -139,7 +139,7 @@ def reuse_report(before: dict, after: dict) -> str:
 #: as the *calling* module binds it.
 SPLIT = (
     ("kernels", "repro.solver.backends:VectorizedBackend", "_makespan_full"),
-    ("kernels", "repro.solver.levels:LevelSchedule", "propagate_permuted"),
+    ("kernels", "repro.solver.levels:LevelSchedule", "propagate"),
     ("kernels", "repro.solver.expand", "critical_paths"),
     ("kernels", "repro.solver.analytic_backend:AnalyticBackend", "makespan_moments"),
     ("kernels", "repro.solver.backends:CompiledProblem", "expected_cost_batch"),

@@ -99,8 +99,7 @@ def makespan_interval(workflow: "Workflow", lo: np.ndarray, hi: np.ndarray) -> I
     from repro.solver.levels import workflow_layout
 
     _, levels = workflow_layout(workflow)
-    lanes = np.stack([lo.min(axis=0), hi.max(axis=0)], axis=1)[levels.order]
-    low, high = levels.makespan(lanes).tolist()
+    low, high = levels.makespan(np.stack([lo.min(axis=0), hi.max(axis=0)], axis=1)).tolist()
     return Interval(low, high)
 
 

@@ -143,8 +143,7 @@ def deadline_presets(
         return DeadlinePresets(dmin=0.0, dmax=0.0)
     rows = [catalog.index_of(catalog.fastest().name), catalog.index_of(catalog.cheapest().name)]
     _, levels = workflow_layout(workflow)
-    lanes = model.mean_matrix(workflow)[rows].T[levels.order]
-    dmin, dmax = levels.makespan(lanes).tolist()
+    dmin, dmax = levels.makespan(model.mean_matrix(workflow)[rows].T).tolist()
     if dmin > dmax:  # catalog where the "fastest" type loses on I/O-bound work
         dmin, dmax = dmax, dmin
     return DeadlinePresets(dmin=dmin, dmax=dmax)

@@ -15,13 +15,13 @@ are unavailable in this environment, so the GPU role is played by a
   DAG in **level-parallel** order: :class:`~repro.solver.levels.LevelSchedule`
   precomputes the topological levels, each level's parent gather and
   a level-contiguous task permutation at compile time; the backend's
-  fused kernel then, per level, gathers the lane block, advances
-  finish times with gather + ``max`` reductions over the lanes of a
-  chunk of states -- D (depth) Python iterations instead of N (tasks),
-  exactly the wavefront a CUDA kernel would launch per level -- and
-  reduces the makespan over the sink rows alone.  Like a thread
-  block's, a chunk's working set is fixed (:data:`_FULL_BYTES`),
-  whatever the batch size;
+  kernel gathers a chunk of states' lanes into the finish matrix in
+  one ``take``, and :meth:`~repro.solver.levels.LevelSchedule.propagate`
+  advances it with gather + ``max`` reductions -- D (depth) Python
+  iterations instead of N (tasks), exactly the wavefront a CUDA kernel
+  would launch per level -- before the makespan is reduced over the
+  sink rows alone.  Like a thread block's, a chunk's working set is
+  fixed (:data:`_FULL_BYTES`), whatever the batch size;
 * the deadline probability is a mean over the S axis (a block-level
   reduction in the CUDA version).
 
@@ -81,16 +81,9 @@ __all__ = [
 _SAMPLE_TOKENS = itertools.count()
 
 
-#: A wide-fan-in level is gathered in tiles of about this many bytes,
-#: as many tasks at a time as fit (at least one): a 402-parent task of
-#: Montage-8 is 0.5 MB at S = 150, and the measured kernel is
-#: insensitive from one task per tile upwards.  It bounds the kernel's
-#: pooled ``wide`` buffer whatever the batch size.
-_TILE_BYTES = 512 << 10
-
 #: The full kernel runs a batch in chunks of as many states as fit one
 #: ``(N+1, chunk*S)`` finish matrix of this many bytes, so its pooled
-#: buffers (finish, lanes, scratch) do not grow with the batch: two
+#: buffers (finish, scratch) do not grow with the batch: two
 #: states per chunk on Montage-8 at S = 150, twelve at tier 1's S = 32.
 #: Measured on 65-state Montage-8 batches: 24 ms (S = 150) and 4.7 ms
 #: (S = 32) per batch against 35 and 5.6 ms unchunked; 512 KB chunks
@@ -442,11 +435,12 @@ def validated_assignments(problem: CompiledProblem, states) -> np.ndarray:
 class VectorizedBackend(EvaluationBackend):
     """The "GPU" backend: batched array evaluation (see module docstring).
 
-    The kernel works in *permuted task-major* layout: per level, one
-    flat-index ``take`` gathers a chunk's lane block with tasks already
-    in level-contiguous order, and gather + ``max`` advances its finish
-    times.  Large intermediates (lane block, finish matrix, level
-    scratch) come from a small per-backend buffer pool, sized by the
+    The kernel works in *permuted task-major* layout: one flat-index
+    ``take`` gathers a chunk's lanes into its finish matrix with tasks
+    already in level-contiguous order, and the schedule's
+    :meth:`~repro.solver.levels.LevelSchedule.propagate` advances it in
+    place.  Large intermediates (finish matrix, level scratch) come
+    from a small per-backend buffer pool, sized by the
     kernel's byte budgets rather than the batch -- reallocating
     multi-hundred-KB arrays every evaluation costs page faults that
     dominate the kernel at search-sized batches.  The pool makes the
@@ -469,10 +463,6 @@ class VectorizedBackend(EvaluationBackend):
         #: screening tier reuses the same pool during a search.
         self.pool = ScratchPool()
 
-    def _buf(self, name: str, shape: tuple[int, ...], dtype: np.dtype) -> np.ndarray:
-        """A pooled scratch view (contents undefined; see ScratchPool)."""
-        return self.pool.take(name, shape, dtype)
-
     def makespan_samples(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B, S)`` makespans of ``states`` from the fused kernel (no memo involved)."""
         return self._makespan_full(problem, validated_assignments(problem, states))
@@ -482,7 +472,7 @@ class VectorizedBackend(EvaluationBackend):
         return self.cache.fetch(problem, block, self.makespan_samples)
 
     def _makespan_full(self, problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
-        """The fused level kernel (every level, every row) on a validated
+        """The level kernel (every level, every row) on a validated
         ``(B, N)`` assignment matrix.
 
         States are independent, so the batch runs in chunks of as many
@@ -507,64 +497,19 @@ class VectorizedBackend(EvaluationBackend):
         """One chunk of :meth:`_makespan_full`: ``(c, S)`` makespans into ``out``."""
         sched = problem.levels
         n, s = problem.num_tasks, problem.num_samples
-        b, dtype = len(assign), out.dtype
-
-        # Fused level kernel over the task-major tensor copy: per level,
-        # gather the lane block as contiguous row takes and propagate
-        # finish times.  lanes[r, b*S + s'] =
-        # tensor[assign[b, order[r]], s', order[r]], tasks level-permuted.
-        # (LevelSchedule.propagate_permuted is the unfused reference; the
-        # test suite asserts both agree bit-for-bit with ScalarBackend.)
+        b = len(assign)
         m = b * s
+        # One gather of every lane into the finish matrix, tasks
+        # level-permuted: finish[r, b*S + s'] =
+        # tensor[assign[b, order[r]], s', order[r]].
         rows = problem.tensor_taskmajor.reshape(problem.num_types * n, s)
-        perm_assign = assign.T.take(sched.order, axis=0)  # (N, B)
-        idx = perm_assign * n + sched.order[:, None]  # (N, B) row ids
-        w = sched.max_width
-        finish = self._buf("finish", (n + 1, m), dtype)
-        finish[n] = 0.0  # the sentinel row every padded parent slot reads
-        lanes = self._buf("lanes", (w, m), dtype)
-        buf_a = self._buf("scratch_a", (w, m), dtype)
-        buf_b = self._buf("scratch_b", (w, m), dtype)
-        for (lo, hi), gather, columns in zip(
-            sched.level_bounds, sched.level_parents, sched.level_columns
-        ):
-            k = hi - lo
-            ln = lanes[:k]
-            # Indices come from validated assignments; skip bounds checks.
-            np.take(
-                rows, idx[lo:hi].reshape(k * b), axis=0,
-                out=ln.reshape(k * b, s), mode="clip",
-            )
-            dst = finish[lo:hi]
-            ready = buf_a[:k]
-            if gather.shape[1] == 0:
-                dst[...] = ln
-            elif columns is not None:
-                np.take(finish, columns[0], axis=0, out=ready, mode="clip")
-                for col in columns[1:]:
-                    other = buf_b[:k]
-                    np.take(finish, col, axis=0, out=other, mode="clip")
-                    np.maximum(ready, other, out=ready)
-                np.add(ready, ln, out=dst)
-            else:
-                # Big fan-in, few tasks: a 3-D gather + max reduction, as
-                # many tasks at a time as fit one tile.
-                p = gather.shape[1]
-                step = max(1, _TILE_BYTES // (p * m * dtype.itemsize))
-                for t0 in range(0, k, step):
-                    part = gather[t0 : t0 + step]
-                    wide = self._buf("wide", (part.size, m), dtype)
-                    np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
-                    np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
-                np.add(ready, ln, out=dst)
-        # Sink reduction: task times are non-negative, so a finish time
-        # never decreases along an edge and every task's is dominated by
-        # some sink's; ``max`` is exact, so this equals the max over all rows.
-        makespan = out.reshape(m)
-        sinks = sched.sink_slots.tolist()
-        makespan[...] = finish[sinks[0]]
-        for t in sinks[1:]:
-            np.maximum(makespan, finish[t], out=makespan)
+        idx = assign.T.take(sched.order, axis=0) * n + sched.order[:, None]  # (N, B) row ids
+        finish = self.pool.take("finish", (n + 1, m), out.dtype)
+        # Indices come from validated assignments; skip bounds checks.
+        np.take(rows, idx.reshape(n * b), axis=0, out=finish[:n].reshape(n * b, s), mode="clip")
+        finish[n] = 0.0
+        sched.propagate(finish, self.pool)
+        sched.sink_max(finish, out.reshape(m))
 
     def ensure_frontier(self, problem: CompiledProblem, *states) -> None:
         """A no-op: every state is propagated in full, so there is nothing

@@ -25,14 +25,18 @@ holds tens of KB.  It is never shipped: the shared-memory arena carries
 the parent lists as CSR arrays (see ``repro.engine.compiler``) and a
 shard worker rebuilds the schedule from them.
 
-:meth:`LevelSchedule.propagate_permuted` / :meth:`LevelSchedule.makespan` then
-advance one whole level per step with fused gather + ``max``
-reductions over every Monte Carlo lane at once, dropping the
-Python-loop trip count from N (tasks) to D (depth).  The arithmetic
-per task is identical to the per-task loop -- each finish time is
-``max(parent finishes, 0) + task time`` over the same operands,
-and ``max`` is exact -- so results are bit-identical to the scalar
-reference backend, which the test suite asserts.
+:meth:`LevelSchedule.propagate` is the one max-plus pass: it advances
+a finish matrix, in place, one whole level per step with fused gather +
+``max`` reductions over every lane at once, dropping the Python-loop
+trip count from N (tasks) to D (depth).  The Monte Carlo kernel
+(:class:`~repro.solver.backends.VectorizedBackend`, one lane per sample
+of each state), the deadline presets and the E401/W401 makespan bounds
+(a lane per bound) all run it; :meth:`LevelSchedule.sink_max` is the
+one makespan reduction.  The arithmetic per task is identical to the
+per-task loop -- each finish time is ``max(parent finishes, 0) + task
+time`` over the same operands, and ``max`` is exact -- so results are
+bit-identical to the scalar reference backend, which the test suite
+asserts.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from repro.common.errors import SolverError
+from repro.solver.cache import ScratchPool
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workflow.dag import Workflow
@@ -53,6 +58,13 @@ __all__ = ["LevelSchedule", "workflow_layout"]
 # Fan-in at or below this uses per-parent-slot column takes; above it,
 # a single 3-D gather + max reduction (big fan-in, few tasks).
 _COLUMN_FANIN_MAX = 4
+
+#: A wide-fan-in level is gathered in tiles of about this many bytes,
+#: as many tasks at a time as fit (at least one): a 402-parent task of
+#: Montage-8 is 0.5 MB at S = 150, and the measured kernel is
+#: insensitive from one task per tile upwards.  It bounds the pooled
+#: ``wide`` buffer whatever the batch size.
+_TILE_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,8 @@ class LevelSchedule:
     level_parents:
         Per level, an ``(n_L, P_L)`` int64 matrix of parent *slots*
         (permuted coordinates).  Padding entries are ``num_tasks``: they
-        index the always-zero row the propagation appends, so a padded
-        gather behaves like "no parent" without branching.
+        index the finish matrix's always-zero row N, so a padded gather
+        behaves like "no parent" without branching.
     level_columns:
         Per level: for fan-in <= 4, a tuple of P contiguous ``(n_L,)``
         parent-slot columns (the fast row-``take`` path); ``None`` for
@@ -172,48 +184,71 @@ class LevelSchedule:
         """Widest level -- the amount of per-iteration parallelism."""
         return max((hi - lo for lo, hi in self.level_bounds), default=0)
 
-    def propagate_permuted(self, lanes_permuted: np.ndarray) -> np.ndarray:
-        """Finish times for a task-major ``(N, M)`` permuted lane matrix.
+    def propagate(self, finish: np.ndarray, pool: ScratchPool) -> None:
+        """Advance an ``(N+1, M)`` finish matrix through every level, in place.
 
-        ``lanes_permuted[r, l]`` is the execution time, in lane ``l``,
-        of the task in permuted slot ``r`` (i.e. task ``order[r]``).
-        Returns the ``(N+1, M)`` finish matrix in permuted coordinates
-        (row N is the zero sentinel row).  The unfused reference of
-        :class:`~repro.solver.backends.VectorizedBackend`'s kernel.
+        On entry, row ``r < N`` holds the own time, in each of M lanes,
+        of the task in permuted slot ``r`` (task ``order[r]``) and row N
+        is zero (the sentinel every padded parent slot reads).  On
+        return, row ``r`` holds that task's finish time.  Per level,
+        ``ready`` is the max over the parents' finish rows (column takes
+        + ``maximum`` for narrow fan-in, a 3-D gather + ``max`` in
+        :data:`_TILE_BYTES` tiles for wide fan-in), added to the level's
+        rows in place.  Scratch comes from ``pool`` under ``scratch_a``,
+        ``scratch_b`` and ``wide``.
         """
-        n = self.num_tasks
-        num_lanes = lanes_permuted.shape[1]
-        if lanes_permuted.shape[0] != n:
-            raise SolverError(
-                f"lanes have {lanes_permuted.shape[0]} tasks, schedule has {n}"
-            )
-        finish = np.empty((n + 1, num_lanes), dtype=lanes_permuted.dtype)
-        finish[n] = 0.0  # the sentinel row every padded parent slot reads
+        m, dtype = finish.shape[1], finish.dtype
         w = self.max_width
-        buf_a = np.empty((w, num_lanes), dtype=lanes_permuted.dtype)
-        buf_b = np.empty((w, num_lanes), dtype=lanes_permuted.dtype)
+        buf_a = pool.take("scratch_a", (w, m), dtype)
+        buf_b = pool.take("scratch_b", (w, m), dtype)
         for (lo, hi), gather, columns in zip(
             self.level_bounds, self.level_parents, self.level_columns
         ):
-            if gather.shape[1] == 0:
-                finish[lo:hi] = lanes_permuted[lo:hi]
-            elif columns is not None:
-                ready = buf_a[: hi - lo]
+            p = gather.shape[1]
+            if p == 0:
+                continue  # roots: the finish time is the own time
+            k = hi - lo
+            ready = buf_a[:k]
+            # Gather indices are slots of ``finish``; skip bounds checks.
+            if columns is not None:
                 np.take(finish, columns[0], axis=0, out=ready, mode="clip")
                 for col in columns[1:]:
-                    other = buf_b[: hi - lo]
+                    other = buf_b[:k]
                     np.take(finish, col, axis=0, out=other, mode="clip")
                     np.maximum(ready, other, out=ready)
-                np.add(ready, lanes_permuted[lo:hi], out=finish[lo:hi])
             else:
-                # Big fan-in, few tasks: one 3-D gather + max reduction.
-                finish[lo:hi] = finish[gather].max(axis=1) + lanes_permuted[lo:hi]
-        return finish
+                # Big fan-in, few tasks: as many tasks at a time as fit one tile.
+                step = max(1, _TILE_BYTES // (p * m * dtype.itemsize))
+                for t0 in range(0, k, step):
+                    part = gather[t0 : t0 + step]
+                    wide = pool.take("wide", (part.size, m), dtype)
+                    np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
+                    np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
+            np.add(ready, finish[lo:hi], out=finish[lo:hi])
 
-    def makespan(self, lanes_permuted: np.ndarray) -> np.ndarray:
-        """Per-lane makespans ``(M,)`` for a permuted task-major matrix."""
-        finish = self.propagate_permuted(lanes_permuted)
-        return finish[: self.num_tasks].max(axis=0)
+    def sink_max(self, finish: np.ndarray, out: np.ndarray) -> None:
+        """Per-lane makespans of a propagated finish matrix into ``(M,)`` ``out``.
+
+        Task times are non-negative, so a finish time never decreases
+        along an edge and every task's is dominated by some sink's;
+        ``max`` is exact, so this equals the max over all rows.
+        """
+        sinks = self.sink_slots.tolist()
+        out[...] = finish[sinks[0]] if sinks else 0.0
+        for t in sinks[1:]:
+            np.maximum(out, finish[t], out=out)
+
+    def makespan(self, times: np.ndarray) -> np.ndarray:
+        """Per-lane makespans ``(M,)`` of ``(N, M)`` task times in topological task order."""
+        n = self.num_tasks
+        if times.shape[0] != n:
+            raise SolverError(f"times have {times.shape[0]} tasks, schedule has {n}")
+        finish = np.zeros((n + 1, times.shape[1]), dtype=times.dtype)
+        np.take(times, self.order, axis=0, out=finish[:n])
+        self.propagate(finish, ScratchPool())
+        out = np.empty(times.shape[1], dtype=times.dtype)
+        self.sink_max(finish, out)
+        return out
 
 
 #: Workflow -> (parent index tuples, schedule).  Weak-keyed: an entry

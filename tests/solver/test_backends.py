@@ -11,6 +11,7 @@ from repro.engine.compiler import export_problem_arrays, problem_from_segment
 from repro.faults.model import FaultModel
 from repro.parallel.arena import arena_available, attach_segment, publish_segment, unlink_segment
 from repro.solver import backends as backends_module
+from repro.solver import levels as levels_module
 from repro.solver.backends import (
     CompiledProblem,
     ScalarBackend,
@@ -311,11 +312,12 @@ class TestDeadlineComparedInFloat64:
         assert backend().screen_probabilities(problem, states, prefix=2)[0] == 0.0
 
 
-def _level_reference(problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
-    """``(B, S)`` makespans, one state at a time through ``problem.levels.makespan``."""
-    order = problem.levels.order
+def _task_loop_reference(problem: CompiledProblem, assign: np.ndarray) -> np.ndarray:
+    """``(B, S)`` makespans, one state at a time through the per-task column
+    loop of ``critical_path.makespan_samples`` (no code shared with the kernel)."""
     tm = problem.tensor_taskmajor
-    return np.stack([problem.levels.makespan(tm[row[order], order]) for row in assign])
+    tasks = np.arange(problem.num_tasks)
+    return np.stack([makespan_samples(problem.workflow, tm[row, tasks].T) for row in assign])
 
 
 class TestFullKernelScratchIsBounded:
@@ -323,14 +325,14 @@ class TestFullKernelScratchIsBounded:
     budget, so the scratch pool it leaves does not grow with the batch.
 
     The bound: a chunk's finish matrix is at most ``_FULL_BYTES`` once one
-    state fits in it; its lane block and two scratch blocks are no larger
-    (a level is at most N rows), and the wide-fan-in gather is one tile or
-    one task.  So the pool stays under ``4 * _FULL_BYTES + _TILE_BYTES``
-    (4.5 MB) whatever B is; a kernel sized by the whole batch leaves 72 MB
-    after 64 Montage-8 states.
+    state fits in it; its two scratch blocks are no larger (a level is at
+    most N rows), and the wide-fan-in gather is one tile or one task.  The
+    lanes are gathered straight into the finish matrix, so the pool stays
+    under ``3 * _FULL_BYTES + _TILE_BYTES`` (3.5 MB) whatever B is; a
+    kernel sized by the whole batch leaves 72 MB after 64 Montage-8 states.
     """
 
-    BOUND = 4 * backends_module._FULL_BYTES + backends_module._TILE_BYTES
+    BOUND = 3 * backends_module._FULL_BYTES + levels_module._TILE_BYTES
 
     @staticmethod
     def _block(problem, b, seed=0):
@@ -347,14 +349,18 @@ class TestFullKernelScratchIsBounded:
         small = backend.pool.nbytes()
         rows = backend.makespan_samples(problem, block)
         assert backend.pool.nbytes() == small <= self.BOUND
-        reference = _level_reference(problem, block.assign)
+        assert {name for name, _ in backend.pool._bufs} == {
+            "finish", "scratch_a", "scratch_b", "wide",
+        }
+        reference = _task_loop_reference(problem, block.assign)
         assert np.array_equal(first, reference[:4])
         assert np.array_equal(rows, reference)
 
         probs = backend.screen_probabilities(problem, block, 32)
         assert backend.pool.nbytes() <= self.BOUND
         sp = problem.with_sample_prefix(32)
-        expected = np.mean(_level_reference(sp, block.assign) <= np.float64(sp.deadline), axis=1)
+        reference = _task_loop_reference(sp, block.assign)
+        expected = np.mean(reference <= np.float64(sp.deadline), axis=1)
         assert np.array_equal(probs, expected)
 
     def test_montage1_chunks_match_scalar(self, catalog):
@@ -367,5 +373,5 @@ class TestFullKernelScratchIsBounded:
         backend = VectorizedBackend()
         block = self._block(problem, 64, seed=1)
         rows = backend.makespan_samples(problem, block)
-        assert np.array_equal(rows, _level_reference(problem, block.assign))
+        assert np.array_equal(rows, _task_loop_reference(problem, block.assign))
         assert np.array_equal(rows, ScalarBackend().makespan_samples(problem, block))

@@ -2,7 +2,7 @@
 
 Every state is propagated in full, a batch in chunks of one finish-matrix
 byte budget (``backends._FULL_BYTES``) and a wide-fan-in level in tiles
-(``backends._TILE_BYTES``), and the makespan is reduced over the sink
+(``levels._TILE_BYTES``), and the makespan is reduced over the sink
 rows alone.  Whatever the DAG, the batch and the budgets, the rows must
 be ``np.array_equal`` to ``ScalarBackend``'s, which takes the max over
 every task.
@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from repro.cloud.instance_types import ec2_catalog
 from repro.faults import FaultModel
 from repro.solver import backends as backends_module
+from repro.solver import levels as levels_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.levels import workflow_layout
 from repro.solver.state import PlanState, StateBlock
+from repro.workflow.critical_path import makespan_samples
 from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import cybershake, epigenomics, ligo, montage, pipeline, random_dag
 
@@ -80,9 +82,9 @@ def random_block(problem: CompiledProblem, size: int, seed: int) -> StateBlock:
 def assert_equals_scalar(problem: CompiledProblem, block: StateBlock, small: bool) -> None:
     """The kernel's rows equal ``ScalarBackend``'s, under the real byte
     budgets or with one state per chunk and one task per wide tile."""
-    budgets = (0, 0) if small else (backends_module._FULL_BYTES, backends_module._TILE_BYTES)
+    budgets = (0, 0) if small else (backends_module._FULL_BYTES, levels_module._TILE_BYTES)
     with mock.patch.object(backends_module, "_FULL_BYTES", budgets[0]), \
-            mock.patch.object(backends_module, "_TILE_BYTES", budgets[1]):
+            mock.patch.object(levels_module, "_TILE_BYTES", budgets[1]):
         got = VectorizedBackend().makespan_samples(problem, block)
     want = ScalarBackend().makespan_samples(problem, block)
     assert got.dtype == want.dtype == problem.tensor.dtype
@@ -117,9 +119,11 @@ class TestFullKernelIdentity:
         block = random_block(problem, 6, seed=3)
         assert_equals_scalar(problem, block, small)
         # Every task's finish, not the sinks' alone: the same rows.
-        order = sched.order
         tm = problem.tensor_taskmajor
-        every_row = np.stack([sched.makespan(tm[row[order], order]) for row in block.assign])
+        tasks = np.arange(problem.num_tasks)
+        every_row = np.stack(
+            [makespan_samples(workflow, tm[row, tasks].T) for row in block.assign]
+        )
         got = VectorizedBackend().makespan_samples(problem, block)
         np.testing.assert_array_equal(got, every_row)
 
@@ -253,6 +257,6 @@ class TestBudgetsCutAnywhere:
         problem = synthetic_problem(workflow, seed=per_tile)
         block = random_block(problem, 4, seed=per_tile)
         tile = 6 * len(block) * problem.num_samples * problem.tensor.dtype.itemsize
-        with mock.patch.object(backends_module, "_TILE_BYTES", per_tile * tile):
+        with mock.patch.object(levels_module, "_TILE_BYTES", per_tile * tile):
             got = VectorizedBackend().makespan_samples(problem, block)
         np.testing.assert_array_equal(got, ScalarBackend().makespan_samples(problem, block))

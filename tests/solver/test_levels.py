@@ -18,8 +18,11 @@ from repro.engine.compiler import (
     problem_from_segment,
 )
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
+from repro.solver.cache import ScratchPool
 from repro.solver.levels import LevelSchedule, workflow_layout
 from repro.solver.state import PlanState
+from repro.workflow.critical_path import static_makespan
+from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import montage, random_dag
 
 
@@ -63,12 +66,13 @@ def _propagate(sched: LevelSchedule, lanes: np.ndarray) -> np.ndarray:
 
     ``lanes[l, i]`` is the execution time of task ``i`` in lane ``l``;
     returns the ``(M, N)`` finish-time matrix in the same layout, through
-    :meth:`LevelSchedule.propagate_permuted`.
+    :meth:`LevelSchedule.propagate`.
     """
     lanes = np.asarray(lanes)
-    permuted = np.ascontiguousarray(lanes.T).take(sched.order, axis=0)
-    finish = sched.propagate_permuted(permuted)
     n = sched.num_tasks
+    finish = np.zeros((n + 1, lanes.shape[0]), dtype=lanes.dtype)
+    finish[:n] = lanes.T[sched.order]
+    sched.propagate(finish, ScratchPool())
     out = np.empty((n, lanes.shape[0]), dtype=finish.dtype)
     out[sched.order] = finish[:n]
     return np.ascontiguousarray(out.T)
@@ -195,15 +199,34 @@ class TestPropagation:
         sched = LevelSchedule.from_parent_indices(parents)
         rng = np.random.default_rng(3)
         lanes = rng.uniform(1.0, 10.0, size=(4, 15))
-        permuted = np.ascontiguousarray(lanes.T).take(sched.order, axis=0)
         np.testing.assert_array_equal(
-            sched.makespan(permuted), _propagate(sched, lanes).max(axis=1)
+            sched.makespan(lanes.T), _propagate(sched, lanes).max(axis=1)
         )
+
+    @pytest.mark.parametrize(
+        "edges", [[("a", "b"), ("a", "c"), ("b", "d"), ("c", "d")], None], ids=["diamond", "empty"]
+    )
+    def test_makespan_takes_task_order_lanes(self, edges):
+        """``(N, M)`` times in topological task order, one lane per time
+        map: each lane's makespan is the critical path of its times, on a
+        diamond and on the empty workflow."""
+        if edges is None:
+            workflow = Workflow("empty", [], [])
+        else:
+            workflow = Workflow("diamond", [Task(task_id=t) for t in "abcd"], edges)
+        _, sched = workflow_layout(workflow)
+        times = np.random.default_rng(5).uniform(0.0, 20.0, size=(len(workflow), 3))
+        times[:, 2] = 0.0
+        want = [
+            static_makespan(workflow, dict(zip(workflow.task_ids, times[:, lane].tolist())))
+            for lane in range(3)
+        ]
+        assert sched.makespan(times).tolist() == want
 
     def test_shape_mismatch_rejected(self):
         sched = LevelSchedule.from_parent_indices(((), (0,)))
         with pytest.raises(SolverError):
-            sched.propagate_permuted(np.zeros((3, 5)))
+            sched.makespan(np.zeros((3, 5)))
 
 
 class TestBackendEquivalence:

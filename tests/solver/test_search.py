@@ -12,6 +12,7 @@ from repro.engine.deco import Deco
 from repro.engine.plan import deadline_presets
 from repro.parallel.arena import arena_available
 from repro.solver import backends as backends_module
+from repro.solver import levels as levels_module
 from repro.solver import search as search_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.search import AStarSearch, GenericSearch
@@ -260,7 +261,7 @@ class TestKernelBudgetsLeavePlansAlone:
         )
         default = GenericSearch(VectorizedBackend(), max_evaluations=200).solve(problem)
         monkeypatch.setattr(backends_module, "_FULL_BYTES", 0)
-        monkeypatch.setattr(backends_module, "_TILE_BYTES", 0)
+        monkeypatch.setattr(levels_module, "_TILE_BYTES", 0)
         cut = GenericSearch(VectorizedBackend(), max_evaluations=200).solve(problem)
         np.testing.assert_array_equal(
             default.best_state.assignment, cut.best_state.assignment
