@@ -6,6 +6,7 @@
     python3 benchmarks/profile_solve.py --wlog
     python3 benchmarks/profile_solve.py --resident montage-8 16
     python3 benchmarks/profile_solve.py --decisions > decisions.txt
+    python3 benchmarks/profile_solve.py --kernel
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
@@ -57,6 +58,14 @@ inputs and engine knobs are read from ``benchmarks/e2e/workloads.py``.
 Each line carries the plan's expected cost, probability, feasibility,
 evaluation count and a digest of its assignment, so two checkouts
 decide alike exactly when ``diff`` finds their outputs equal.
+
+``--kernel`` times the Monte Carlo kernel alone:
+``VectorizedBackend.makespan_samples`` on one fixed seeded batch of
+:data:`KERNEL_STATES` random states per workflow of :data:`KERNEL`
+(S = 150, no memo), the median ms of :data:`KERNEL_CALLS` calls taken
+in rounds over the workflows, and a SHA-256 of the rows.  Two checkouts
+compute the same rows exactly when the digest columns are equal
+(``awk '{print $1, $NF}'`` of each, then ``diff``).  No threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -121,6 +130,21 @@ RESIDENT = {
 
 
 DECISION_ROUNDS = 2  # --decisions: rounds of the sweep after its warm-up
+
+#: --kernel: the workflows, one per DAG shape the max-plus pass reads
+#: differently (Montage's block joins, Epigenomics' chains, LIGO's
+#: several sinks, CyberShake's one wide sink, a pure chain).
+KERNEL = {
+    "montage-1": WORKFLOWS["montage-1"],
+    "montage-4": WORKFLOWS["montage-4"],
+    "montage-8": WORKFLOWS["montage-8"],
+    "epigenomics-100": WORKFLOWS["epigenomics-100"],
+    "ligo-300": lambda seed: generators.ligo(300, seed=seed),
+    "cybershake-300": lambda seed: generators.cybershake(300, seed=seed),
+    "pipeline-50": lambda seed: generators.pipeline(50, seed=seed),
+}
+KERNEL_STATES = 64  # --kernel: states per batch
+KERNEL_CALLS = 30  # --kernel: timed calls per workflow
 
 
 def reuse_report(before: dict, after: dict) -> str:
@@ -422,6 +446,40 @@ def decisions_report() -> int:
     return 0
 
 
+def kernel_report() -> int:
+    """``--kernel``: median ms and a row digest of ``makespan_samples`` per workflow."""
+    import numpy as np
+
+    from repro.solver.backends import CompiledProblem, VectorizedBackend
+    from repro.solver.state import StateBlock
+
+    catalog = ec2_catalog()
+    cases = []
+    for name, make in KERNEL.items():
+        problem = CompiledProblem.compile(
+            make(ENGINE["seed"]), catalog, deadline=1e9,
+            num_samples=ENGINE["num_samples"], seed=ENGINE["seed"],
+        )
+        rng = np.random.default_rng(ENGINE["seed"])
+        block = StateBlock(rng.integers(0, problem.num_types, (KERNEL_STATES, problem.num_tasks)))
+        backend = VectorizedBackend()
+        rows = backend.makespan_samples(problem, block)  # also sizes the pool
+        cases.append((name, problem, block, backend, rows, []))
+    for _ in range(KERNEL_CALLS):
+        for _, problem, block, backend, _, times in cases:
+            t0 = time.perf_counter()
+            backend.makespan_samples(problem, block)
+            times.append(time.perf_counter() - t0)
+    print(f"makespan_samples: {KERNEL_STATES} states, S = {ENGINE['num_samples']}, "
+          f"median of {KERNEL_CALLS} calls")
+    print(f"{'workflow':<16} {'tasks':>5} {'levels':>6} {'ms':>8}  rows sha256")
+    for name, problem, _, _, rows, times in cases:
+        digest = hashlib.sha256(rows.tobytes()).hexdigest()
+        print(f"{name:<16} {problem.num_tasks:>5} {problem.levels.num_levels:>6} "
+              f"{statistics.median(times) * 1e3:>8.3f}  {digest}")
+    return 0
+
+
 def _vm_mb(field: str) -> float:
     """This process's ``VmRSS`` / ``VmHWM``, from ``/proc/self/status`` (NaN elsewhere)."""
     try:
@@ -476,8 +534,13 @@ def main() -> int:
     ap.add_argument("--decisions", action="store_true",
                     help="one line per cold-pool and sweep request: cost, probability, "
                          "feasibility and an assignment digest")
+    ap.add_argument("--kernel", action="store_true",
+                    help="median ms and a row digest of makespan_samples on a fixed "
+                         "64-state batch per workflow shape")
     args = ap.parse_args()
 
+    if args.kernel:
+        return kernel_report()
     if args.decisions:
         return decisions_report()
     if args.resident:
@@ -490,7 +553,8 @@ def main() -> int:
     if args.wlog:
         return wlog_report()
     if args.workflow is None:
-        ap.error("a workflow is required unless --imports, --wlog or --decisions is given")
+        ap.error("a workflow is required unless --imports, --wlog, --decisions or --kernel "
+                 "is given")
     if args.split:
         return split_report(args.workflow)
     workflow = WORKFLOWS[args.workflow](args.seed)

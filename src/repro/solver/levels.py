@@ -13,11 +13,15 @@ what is structurally ~9 levels of independent work.  A
   fancy assignments;
 * per level, the parent row-gather indices in permuted coordinates.
   Narrow fan-in levels (``P <= 4``, the common wide-workflow case)
-  store one contiguous index column per parent slot so propagation is
-  P row-``take``s + running ``maximum``; big fan-in levels (reduction
-  tasks like Montage's ``mConcatFit``) use one 3-D gather + ``max``.
-  Padding slots point at a dedicated always-zero row, so "no parent"
-  needs no branching.
+  store one contiguous index column per parent slot; big fan-in levels
+  (reduction tasks like Montage's ``mConcatFit``) one ``(n, P)`` gather
+  matrix.  Padding slots point at a dedicated always-zero row, so "no
+  parent" needs no branching;
+* per level, how :meth:`LevelSchedule.propagate` reads those parents
+  (``level_reads``): a parent read that is a slot range -- a chain
+  link's column, a join whose parents are one level block -- is a
+  ``slice``, i.e. a view of the finish matrix, and only scattered
+  parents are gathered.
 
 A schedule keeps only index data a kernel reads: a level's gather is
 as wide as that level's fan-in, not the DAG's, so a Montage-8 layout
@@ -26,17 +30,18 @@ the parent lists as CSR arrays (see ``repro.engine.compiler``) and a
 shard worker rebuilds the schedule from them.
 
 :meth:`LevelSchedule.propagate` is the one max-plus pass: it advances
-a finish matrix, in place, one whole level per step with fused gather +
-``max`` reductions over every lane at once, dropping the Python-loop
-trip count from N (tasks) to D (depth).  The Monte Carlo kernel
+a finish matrix, in place, one whole level per step with ``max``
+reductions over every lane at once, dropping the Python-loop trip count
+from N (tasks) to D (depth).  The Monte Carlo kernel
 (:class:`~repro.solver.backends.VectorizedBackend`, one lane per sample
 of each state), the deadline presets and the E401/W401 makespan bounds
 (a lane per bound) all run it; :meth:`LevelSchedule.sink_max` is the
 one makespan reduction.  The arithmetic per task is identical to the
 per-task loop -- each finish time is ``max(parent finishes, 0) + task
-time`` over the same operands, and ``max`` is exact -- so results are
-bit-identical to the scalar reference backend, which the test suite
-asserts.
+time`` over the same operands, and ``max`` is exact and commutative
+(reading a parent set in slot order rather than parent-list order moves
+no bit) -- so results are bit-identical to the scalar reference backend,
+which the test suite asserts.
 """
 
 from __future__ import annotations
@@ -90,6 +95,16 @@ class LevelSchedule:
         Per level: for fan-in <= 4, a tuple of P contiguous ``(n_L,)``
         parent-slot columns (the fast row-``take`` path); ``None`` for
         big fan-in levels, which use ``level_parents`` directly.
+    level_reads:
+        Per level, how :meth:`propagate` reads the parents: ``None`` for
+        roots; for fan-in <= 4, a tuple with one entry per column, the
+        ``slice(a, a + n_L)`` when the column is exactly those slots in
+        order, else the column itself; for big fan-in, the
+        ``slice(a, a + n_L * P)`` when task t's parents are the slots
+        ``a + t*P`` to ``a + (t+1)*P - 1`` (as a set, no padding), else
+        the gather matrix.
+    max_width:
+        The widest level -- the rows of the level scratch.
     depth:
         ``(N,)`` int64; ``depth[i]`` is task i's topological level in the
         *original* numbering.
@@ -101,6 +116,9 @@ class LevelSchedule:
         finish time is >= each parent's (task times are non-negative),
         the makespan equals the max over sink finishes alone -- the
         kernels' final reduction.
+    sink_range:
+        The sink slots as a ``slice`` when they are one slot range, else
+        ``None``.
     """
 
     num_tasks: int
@@ -108,9 +126,12 @@ class LevelSchedule:
     level_bounds: tuple[tuple[int, int], ...]
     level_parents: tuple[np.ndarray, ...]
     level_columns: tuple[tuple[np.ndarray, ...] | None, ...]
+    level_reads: tuple
+    max_width: int
     depth: np.ndarray
     rank: np.ndarray
     sink_slots: np.ndarray
+    sink_range: slice | None
 
     @classmethod
     def from_parent_indices(
@@ -136,6 +157,7 @@ class LevelSchedule:
         bounds: list[tuple[int, int]] = []
         level_parents: list[np.ndarray] = []
         level_columns: list[tuple[np.ndarray, ...] | None] = []
+        level_reads: list = []
         lo = 0
         for lv in range(num_levels):
             tasks = order[lo : lo + int((depth == lv).sum())]
@@ -147,12 +169,14 @@ class LevelSchedule:
                     gather[row, j] = rank[p]
             bounds.append((lo, hi))
             level_parents.append(gather)
+            columns = read = None
             if 0 < width <= _COLUMN_FANIN_MAX:
-                level_columns.append(
-                    tuple(np.ascontiguousarray(gather[:, j]) for j in range(width))
-                )
-            else:
-                level_columns.append(None)
+                columns = tuple(np.ascontiguousarray(gather[:, j]) for j in range(width))
+                read = tuple(_slot_range(c, n) or c for c in columns)
+            elif width:
+                read = _slot_range(np.sort(gather, axis=1), n) or gather
+            level_columns.append(columns)
+            level_reads.append(read)
             lo = hi
 
         is_parent = np.zeros(n, dtype=bool)
@@ -169,20 +193,18 @@ class LevelSchedule:
             level_bounds=tuple(bounds),
             level_parents=tuple(level_parents),
             level_columns=tuple(level_columns),
+            level_reads=tuple(level_reads),
+            max_width=max((hi - lo for lo, hi in bounds), default=0),
             depth=depth,
             rank=rank,
             sink_slots=sink_slots,
+            sink_range=_slot_range(np.sort(sink_slots), n),
         )
 
     @property
     def num_levels(self) -> int:
         """D, the DAG depth (Python-loop trip count of the propagation)."""
         return len(self.level_bounds)
-
-    @property
-    def max_width(self) -> int:
-        """Widest level -- the amount of per-iteration parallelism."""
-        return max((hi - lo for lo, hi in self.level_bounds), default=0)
 
     def propagate(self, finish: np.ndarray, pool: ScratchPool) -> None:
         """Advance an ``(N+1, M)`` finish matrix through every level, in place.
@@ -191,39 +213,52 @@ class LevelSchedule:
         of the task in permuted slot ``r`` (task ``order[r]``) and row N
         is zero (the sentinel every padded parent slot reads).  On
         return, row ``r`` holds that task's finish time.  Per level,
-        ``ready`` is the max over the parents' finish rows (column takes
-        + ``maximum`` for narrow fan-in, a 3-D gather + ``max`` in
-        :data:`_TILE_BYTES` tiles for wide fan-in), added to the level's
-        rows in place.  Scratch comes from ``pool`` under ``scratch_a``,
-        ``scratch_b`` and ``wide``.
+        ``ready`` is the max over the parents' finish rows, added to the
+        level's rows in place, and the parents are read as
+        ``level_reads`` says: a slot range is a view of ``finish`` (a
+        level of one such column adds it straight in; a wide block is
+        one ``max`` over its ``(n, P, M)`` view), and scattered parents
+        are row-``take``s -- a column into ``scratch_b``, a wide level
+        in :data:`_TILE_BYTES` tiles through ``wide``.  Parents sit on
+        earlier levels, so a view never overlaps the rows written.
+        Scratch comes from ``pool`` under ``scratch_a``, ``scratch_b``
+        and ``wide``.
         """
         m, dtype = finish.shape[1], finish.dtype
-        w = self.max_width
-        buf_a = pool.take("scratch_a", (w, m), dtype)
-        buf_b = pool.take("scratch_b", (w, m), dtype)
-        for (lo, hi), gather, columns in zip(
-            self.level_bounds, self.level_parents, self.level_columns
-        ):
-            p = gather.shape[1]
-            if p == 0:
+        buf_a = pool.take("scratch_a", (self.max_width, m), dtype)
+        buf_b = pool.take("scratch_b", (self.max_width, m), dtype)
+        for (lo, hi), read in zip(self.level_bounds, self.level_reads):
+            if read is None:
                 continue  # roots: the finish time is the own time
             k = hi - lo
             ready = buf_a[:k]
-            # Gather indices are slots of ``finish``; skip bounds checks.
-            if columns is not None:
-                np.take(finish, columns[0], axis=0, out=ready, mode="clip")
-                for col in columns[1:]:
-                    other = buf_b[:k]
-                    np.take(finish, col, axis=0, out=other, mode="clip")
-                    np.maximum(ready, other, out=ready)
-            else:
-                # Big fan-in, few tasks: as many tasks at a time as fit one tile.
+            # Every ``take`` reads slots of ``finish``: skip bounds checks.
+            if isinstance(read, slice):
+                # Wide fan-in over one block of slots: a view, no gather.
+                np.max(finish[read].reshape(k, -1, m), axis=1, out=ready)
+            elif isinstance(read, np.ndarray):
+                # Scattered wide fan-in: as many tasks at a time as fit one tile.
+                p = read.shape[1]
                 step = max(1, _TILE_BYTES // (p * m * dtype.itemsize))
                 for t0 in range(0, k, step):
-                    part = gather[t0 : t0 + step]
+                    part = read[t0 : t0 + step]
                     wide = pool.take("wide", (part.size, m), dtype)
                     np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
                     np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
+            elif len(read) == 1 and isinstance(read[0], slice):
+                np.add(finish[read[0]], finish[lo:hi], out=finish[lo:hi])
+                continue
+            else:
+                for j, col in enumerate(read):
+                    if isinstance(col, slice):
+                        other = finish[col]
+                    else:
+                        other = buf_b[:k] if j else ready
+                        np.take(finish, col, axis=0, out=other, mode="clip")
+                    if j:
+                        np.maximum(ready, other, out=ready)
+                    elif other is not ready:
+                        np.copyto(ready, other)
             np.add(ready, finish[lo:hi], out=finish[lo:hi])
 
     def sink_max(self, finish: np.ndarray, out: np.ndarray) -> None:
@@ -233,6 +268,9 @@ class LevelSchedule:
         along an edge and every task's is dominated by some sink's;
         ``max`` is exact, so this equals the max over all rows.
         """
+        if self.sink_range is not None:
+            np.max(finish[self.sink_range], axis=0, out=out)
+            return
         sinks = self.sink_slots.tolist()
         out[...] = finish[sinks[0]] if sinks else 0.0
         for t in sinks[1:]:
@@ -249,6 +287,17 @@ class LevelSchedule:
         out = np.empty(times.shape[1], dtype=times.dtype)
         self.sink_max(finish, out)
         return out
+
+
+def _slot_range(slots: np.ndarray, n: int) -> slice | None:
+    """``slots``, flattened, as a ``slice`` when they are the consecutive
+    slots ``a, a+1, ...`` below the sentinel row ``n``; else ``None``."""
+    flat = slots.reshape(-1)
+    if flat.size and flat[0] + flat.size <= n:
+        a = int(flat[0])
+        if np.array_equal(flat, np.arange(a, a + flat.size)):
+            return slice(a, a + flat.size)
+    return None
 
 
 #: Workflow -> (parent index tuples, schedule).  Weak-keyed: an entry

@@ -11,7 +11,6 @@ from repro.engine.compiler import export_problem_arrays, problem_from_segment
 from repro.faults.model import FaultModel
 from repro.parallel.arena import arena_available, attach_segment, publish_segment, unlink_segment
 from repro.solver import backends as backends_module
-from repro.solver import levels as levels_module
 from repro.solver.backends import (
     CompiledProblem,
     ScalarBackend,
@@ -325,14 +324,16 @@ class TestFullKernelScratchIsBounded:
     budget, so the scratch pool it leaves does not grow with the batch.
 
     The bound: a chunk's finish matrix is at most ``_FULL_BYTES`` once one
-    state fits in it; its two scratch blocks are no larger (a level is at
-    most N rows), and the wide-fan-in gather is one tile or one task.  The
-    lanes are gathered straight into the finish matrix, so the pool stays
-    under ``3 * _FULL_BYTES + _TILE_BYTES`` (3.5 MB) whatever B is; a
-    kernel sized by the whole batch leaves 72 MB after 64 Montage-8 states.
+    state fits in it, and its two scratch blocks are no larger (a level is
+    at most N rows).  Every Montage-8 join reads its parents as one block
+    of slots, a view of the finish matrix, so no wide-fan-in gather buffer
+    is taken at all, and the lanes are gathered straight into the finish
+    matrix: the pool is ``finish``, ``scratch_a`` and ``scratch_b``, under
+    ``3 * _FULL_BYTES`` (3 MB) whatever B is; a kernel sized by the whole
+    batch leaves 72 MB after 64 Montage-8 states.
     """
 
-    BOUND = 3 * backends_module._FULL_BYTES + levels_module._TILE_BYTES
+    BOUND = 3 * backends_module._FULL_BYTES
 
     @staticmethod
     def _block(problem, b, seed=0):
@@ -349,9 +350,7 @@ class TestFullKernelScratchIsBounded:
         small = backend.pool.nbytes()
         rows = backend.makespan_samples(problem, block)
         assert backend.pool.nbytes() == small <= self.BOUND
-        assert {name for name, _ in backend.pool._bufs} == {
-            "finish", "scratch_a", "scratch_b", "wide",
-        }
+        assert {name for name, _ in backend.pool._bufs} == {"finish", "scratch_a", "scratch_b"}
         reference = _task_loop_reference(problem, block.assign)
         assert np.array_equal(first, reference[:4])
         assert np.array_equal(rows, reference)

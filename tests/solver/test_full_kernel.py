@@ -1,7 +1,8 @@
 """The one Monte Carlo kernel: ``VectorizedBackend._makespan_full``.
 
 Every state is propagated in full, a batch in chunks of one finish-matrix
-byte budget (``backends._FULL_BYTES``) and a wide-fan-in level in tiles
+byte budget (``backends._FULL_BYTES``); parents that are one slot range
+are read in place and a scattered wide-fan-in level is gathered in tiles
 (``levels._TILE_BYTES``), and the makespan is reduced over the sink
 rows alone.  Whatever the DAG, the batch and the budgets, the rows must
 be ``np.array_equal`` to ``ScalarBackend``'s, which takes the max over
@@ -10,6 +11,7 @@ every task.
 
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -247,7 +249,8 @@ class TestBudgetsCutAnywhere:
     @pytest.mark.parametrize("per_tile", [1, 2, 4, 9])
     def test_tasks_per_wide_tile(self, per_tile):
         """Three joins of a fan-in of 6 on one level, cut into tiles of
-        ``per_tile`` joins."""
+        ``per_tile`` joins.  The joins share their roots, so the level is
+        a gather and the tile budget reaches it."""
         roots = [f"r{i}" for i in range(6)]
         joins = ["j0", "j1", "j2"]
         workflow = Workflow(
@@ -255,8 +258,68 @@ class TestBudgetsCutAnywhere:
             [(r, j) for j in joins for r in roots],
         )
         problem = synthetic_problem(workflow, seed=per_tile)
+        assert isinstance(problem.levels.level_reads[1], np.ndarray)
         block = random_block(problem, 4, seed=per_tile)
         tile = 6 * len(block) * problem.num_samples * problem.tensor.dtype.itemsize
         with mock.patch.object(levels_module, "_TILE_BYTES", per_tile * tile):
             got = VectorizedBackend().makespan_samples(problem, block)
         np.testing.assert_array_equal(got, ScalarBackend().makespan_samples(problem, block))
+
+
+
+def problem_of(parents: tuple, seed: int) -> CompiledProblem:
+    """A synthetic problem over raw topological parent lists, in that
+    numbering (which a ``Workflow``'s own topological order may not give)."""
+    isolated = Workflow("raw", [Task(task_id=f"t{i:02d}") for i in range(len(parents))])
+    return dataclasses.replace(
+        synthetic_problem(isolated, seed), parent_indices=parents, levels=None
+    )
+
+
+def read_kinds(problem: CompiledProblem) -> list:
+    """Per level, how the max-plus pass reads the parents: ``None`` (roots),
+    ``"block"`` / ``"gather"`` (wide fan-in), or a tuple of ``"slice"`` /
+    ``"take"`` per column."""
+    kinds = []
+    for read in problem.levels.level_reads:
+        if isinstance(read, tuple):
+            kinds.append(tuple("slice" if isinstance(c, slice) else "take" for c in read))
+        else:
+            kinds.append(None if read is None else
+                         "block" if isinstance(read, slice) else "gather")
+    return kinds
+
+
+ROOTS = ((),) * 10
+
+#: Parent lists -> the read kinds the schedule must pick for them.
+READ_PATHS = {
+    # Joins that share their roots: each reads 0-5, no block per join.
+    "shared-roots": (ROOTS[:6] + (tuple(range(6)),) * 3, [None, "gather"]),
+    # Unequal fan-in on one wide level: the 4-parent join is padded.
+    "padded": (ROOTS + ((0, 1, 2, 3, 4, 5), (6, 7, 8, 9)), [None, "gather"]),
+    # Each join reads one block of slots, but the first join the second block.
+    "blocks-out-of-order": (ROOTS + ((5, 6, 7, 8, 9), (0, 1, 2, 3, 4)), [None, "gather"]),
+    # Blocks in slot order, each listed backwards: as a set, a block.
+    "blocks-listed-backwards": (ROOTS + ((4, 3, 2, 1, 0), (9, 8, 7, 6, 5)), [None, "block"]),
+    # Narrow fan-in: column 0 a slot range and column 1 scattered, then
+    # the other way round one level down.
+    "mixed-columns": (
+        ROOTS[:6] + ((0, 5), (1, 3), (2, 4)) + ((1, 6), (0, 7), (2, 8)),
+        [None, ("slice", "take"), ("take", "slice")],
+    ),
+}
+
+
+class TestReadPaths:
+    """Each way the max-plus pass reads parents -- a view of a slot range
+    or a gather -- gives ``ScalarBackend``'s rows, which read every parent
+    list in its own order and share no code with it."""
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("name", sorted(READ_PATHS))
+    def test_equals_scalar(self, name, small):
+        parents, kinds = READ_PATHS[name]
+        problem = problem_of(parents, seed=len(name))
+        assert read_kinds(problem) == kinds
+        assert_equals_scalar(problem, random_block(problem, 5, seed=len(name)), small)

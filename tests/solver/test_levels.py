@@ -23,7 +23,7 @@ from repro.solver.levels import LevelSchedule, workflow_layout
 from repro.solver.state import PlanState
 from repro.workflow.critical_path import static_makespan
 from repro.workflow.dag import Task, Workflow
-from repro.workflow.generators import montage, random_dag
+from repro.workflow.generators import cybershake, epigenomics, ligo, montage, random_dag
 
 
 def _random_parents(n: int, seed: int, max_fanin: int = 5):
@@ -109,6 +109,50 @@ class TestConstruction:
         sched = LevelSchedule.from_parent_indices(parents)
         assert sched.level_columns[-1] is None  # fan-in 9 > column cutoff
         assert sched.level_parents[-1].shape == (1, n - 1)
+
+
+class TestReadPlan:
+    """``level_reads``: the shipped generators' joins and chain links read
+    their parents as slot ranges (views of the finish matrix), not gathers."""
+
+    @pytest.mark.parametrize(
+        "workflow", [montage(degrees=8.0, seed=3), cybershake(300, seed=0)],
+        ids=["montage-8", "cybershake-300"],
+    )
+    def test_wide_levels_are_blocks(self, workflow):
+        _, sched = workflow_layout(workflow)
+        wide = [lv for lv, cols in enumerate(sched.level_columns)
+                if cols is None and sched.level_parents[lv].shape[1]]
+        assert wide
+        for lv in wide:
+            (lo, hi), read = sched.level_bounds[lv], sched.level_reads[lv]
+            assert isinstance(read, slice)
+            assert read.stop - read.start == sched.level_parents[lv].size
+            # Task t's parents, as a set, are the t-th block of the slice.
+            p = sched.level_parents[lv].shape[1]
+            blocks = np.arange(read.start, read.stop).reshape(hi - lo, p)
+            assert np.array_equal(np.sort(sched.level_parents[lv], axis=1), blocks)
+
+    def test_epigenomics_chain_links_are_column_slices(self):
+        _, sched = workflow_layout(epigenomics(100, seed=0))
+        for lv in (2, 3, 4):
+            (lo, hi), (read,) = sched.level_bounds[lv], sched.level_reads[lv]
+            assert isinstance(read, slice)
+            assert np.array_equal(np.arange(read.start, read.stop),
+                                  sched.level_columns[lv][0])
+
+    def test_roots_read_nothing_and_scattered_columns_are_taken(self):
+        sched = LevelSchedule.from_parent_indices(((), (), (1,), (0,)))
+        assert sched.level_reads[0] is None
+        (read,) = sched.level_reads[1]
+        assert np.array_equal(read, [1, 0])
+
+    def test_sinks_in_one_range_are_a_slice(self):
+        _, sched = workflow_layout(ligo(300, seed=0))
+        assert sched.sink_range == slice(294, 308)
+        assert sorted(sched.sink_slots.tolist()) == list(range(294, 308))
+        scattered = LevelSchedule.from_parent_indices(((), (0,), (1,), ()))  # slots 3, 1
+        assert scattered.sink_range is None
 
 
 class TestIndexDataOnly:

@@ -252,8 +252,12 @@ class TestKernelBudgetsLeavePlansAlone:
         self, catalog, runtime_model, degrees, seed, monkeypatch
     ):
         """The full kernel's byte budgets decide how a batch is cut, never
-        what a solve sees: at one state per chunk and one task per wide
-        tile, the solve takes the same steps to the same plan."""
+        what a solve sees: at one state per chunk the solve takes the same
+        steps to the same plan.  The chunk budget is the one this cuts:
+        every Montage join reads its parents in place as one block of
+        slots, so the wide-tile budget, patched to one task too, reaches
+        no level here (``test_full_kernel.py::TestBudgetsCutAnywhere::
+        test_tasks_per_wide_tile`` cuts a gathered level instead)."""
         wf = montage(degrees=degrees, seed=seed)
         problem = CompiledProblem.compile(
             wf, catalog, deadline=deadline_presets(wf, catalog, runtime_model).medium,
