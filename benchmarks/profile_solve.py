@@ -22,9 +22,11 @@ in DESIGN.md §17.
 wall time (its own time minus that of the wrapped functions it calls)
 is summed over cold solves of the family's generator seeds
 :data:`SPLIT_SEEDS` -- the request of the ``cold-small-mc`` /
-``cold-mid-mc`` workloads, a fresh engine each.  It prints ms per solve and the share of the ``schedule``
-call, grouped into array *kernels*, per-candidate *bookkeeping* and the
-*engine* work around the search (compile, warm-start ladder).  A wrapper
+``cold-mid-mc`` / ``cold-large-cascade`` workloads, a fresh engine each.
+It prints ms per solve and the share of the ``schedule`` call, grouped
+into array *kernels*, per-candidate *bookkeeping* and the *engine* work
+around the search (compile, its sample draws, tier 0's quantile
+calibration, warm-start ladder).  A wrapper
 costs well under a microsecond.  A name in :data:`SPLIT` that the tree
 does not have is an error, so a rename cannot silently move time out of
 a group.  No timing threshold.
@@ -183,6 +185,8 @@ SPLIT = (
     ("bookkeeping", "repro.solver.backends", "validated_assignments"),
     ("engine", "repro.engine.deco:Deco", "schedule"),
     ("engine", "repro.solver.backends:CompiledProblem", "compile"),
+    ("engine", "repro.workflow.runtime_model:RuntimeModel", "sample_tensor"),
+    ("engine", "repro.solver.analytic_backend:AnalyticBackend", "_calibration"),
     ("engine", "repro.baselines.autoscaling", "autoscaling_plan"),
 )
 

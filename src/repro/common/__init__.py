@@ -11,6 +11,7 @@ so that any module can import it without creating cycles.  It provides:
   paper mixes seconds (task runtimes), hours (billing) and dollars;
   keeping conversions in one place avoids the classic factor-3600 bug.
 * :mod:`repro.common.errors` -- the exception hierarchy.
+* :mod:`repro.common.host` -- the CPUs this process may run on.
 """
 
 from repro.common.errors import (

@@ -41,6 +41,16 @@ class Distribution(abc.ABC):
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw ``size`` i.i.d. samples (a float when ``size is None``)."""
 
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        """Fill the float64 array ``out`` with i.i.d. samples, in place.
+
+        Contract: bit for bit what ``sample(rng, out.shape)`` returns,
+        consuming ``rng`` alike.  This default is that call and a copy;
+        families with an ``out=`` draw override it, so a caller that
+        reuses one buffer per stream allocates nothing per draw.
+        """
+        out[...] = self.sample(rng, out.shape)
+
     @abc.abstractmethod
     def mean(self) -> float:
         """The expectation E[X]."""

@@ -66,6 +66,12 @@ class NormalDistribution(Distribution):
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.normal(self.mu, self.sigma, size=size)
 
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # ``normal(mu, sigma)`` is ``mu + sigma * z`` per element.
+        rng.standard_normal(out=out)
+        out *= self.sigma
+        np.add(self.mu, out, out=out)
+
     def mean(self) -> float:
         return float(self.mu)
 
@@ -158,6 +164,11 @@ class GammaDistribution(Distribution):
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         return rng.gamma(self.k, self.theta, size=size)
+
+    def sample_into(self, rng: np.random.Generator, out: np.ndarray) -> None:
+        # ``gamma(k, theta)`` is ``theta * standard_gamma(k)`` per element.
+        rng.standard_gamma(self.k, out=out)
+        out *= self.theta
 
     def mean(self) -> float:
         return float(self.k * self.theta)

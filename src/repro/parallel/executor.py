@@ -33,6 +33,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Sequence, TypeVar
 
 from repro.common.errors import ValidationError
+from repro.common.host import host_cpu_count
 
 __all__ = [
     "ENV_WORKERS",
@@ -60,13 +61,6 @@ _warned_oversubscription = False
 #: How long :meth:`ShardPool.close` waits for its workers to leave on
 #: their own before it terminates them.
 _CLOSE_GRACE_S = 2.0
-
-
-def host_cpu_count() -> int:
-    """CPUs usable by this process (affinity-aware where supported)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def workers_from_env() -> int:

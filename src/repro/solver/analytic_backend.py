@@ -300,11 +300,11 @@ def _midpoint_quantile_grids(taskmajor: np.ndarray, q: int) -> np.ndarray:
     Element for element this is ``np.quantile(taskmajor, levels,
     axis=2)`` (``method="linear"``, levels moved last): the same virtual
     index ``(S - 1) * level``, the same neighbours and the same two-sided
-    lerp, one ufunc per step as NumPy applies them -- but read off ONE
-    full sort of each contiguous sample row, where ``np.quantile``
-    introselects around every one of the 2Q neighbour ranks in turn (10x
-    the time at Q = 32).  An order statistic is the same number whichever
-    algorithm ranked it, so the grids are ``array_equal`` to that call.
+    lerp, bit for bit -- but read off ONE full sort of each contiguous
+    sample row, where ``np.quantile`` introselects around every one of
+    the 2Q neighbour ranks in turn (10x the time at Q = 32).  An order
+    statistic is the same number whichever algorithm ranked it, so the
+    grids are ``array_equal`` to that call.
     The sort runs in the samples' own dtype; only the two gathered order
     statistics are upcast, so the grids are float64 and equal to those of
     ``taskmajor.astype(np.float64)``.
@@ -318,13 +318,19 @@ def _midpoint_quantile_grids(taskmajor: np.ndarray, q: int) -> np.ndarray:
     lower = lower.astype(np.intp)
     upper = upper.astype(np.intp)
     t = virtual - lower
+    # NumPy's lerp is a + (b - a) * t, or b - (b - a) * (1 - t) where
+    # t >= 0.5.  Written from the nearer neighbour ``base`` towards the
+    # other one it is one formula for every column, the same numbers
+    # bit for bit (IEEE negation is exact: b - (b - a) * (1 - t) is
+    # b + (a - b) * (1 - t)), and three in-place ufuncs.
+    high = t >= 0.5
     ranked = np.sort(taskmajor, axis=2)
-    a = ranked.take(lower, axis=2).astype(np.float64)  # (K, N, Q)
-    b = ranked.take(upper, axis=2).astype(np.float64)
-    diff = b - a
-    grids = a + diff * t
-    np.subtract(b, diff * (1 - t), out=grids, where=t >= 0.5)
-    return grids
+    base = ranked.take(np.where(high, upper, lower), axis=2).astype(np.float64)  # (K, N, Q)
+    other = ranked.take(np.where(high, lower, upper), axis=2).astype(np.float64)
+    np.subtract(other, base, out=other)
+    np.multiply(other, np.where(high, 1 - t, t), out=other)
+    np.add(base, other, out=base)
+    return base
 
 
 #: Upper bound on the absolute deviation between the analytic deadline

@@ -129,14 +129,15 @@ class CompiledProblem:
     tensor_taskmajor: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        # The one place the samples' precision and layout are decided.
-        # Draws and fault inflation run in float64 and are rounded once
-        # here, straight into the task-major layout; every array of
-        # sampled times (kernel buffers, memo rows) follows
-        # ``tensor.dtype``, so the Monte Carlo kernel moves half the
-        # bytes.  Deadline comparisons, means, costs and tier 0's moments
-        # stay float64.  A tensor that already is such a view (every
-        # derivation that keeps the samples) is kept as it is.
+        # The samples' stored precision and layout: float32, task-major,
+        # read-only.  Fresh draws arrive in that form (``sample_tensor``
+        # rounds its float64 draws into it) and so does every derivation
+        # that keeps the samples; they are kept as they are.  Fault
+        # inflation and hand-built tensors run in float64 and are
+        # rounded once here.  Every array of sampled times (kernel
+        # buffers, memo rows) follows ``tensor.dtype``, so the Monte
+        # Carlo kernel moves half the bytes.  Deadline comparisons,
+        # means, costs and tier 0's moments stay float64.
         taskmajor = self.tensor.transpose(0, 2, 1)
         if (
             taskmajor.dtype != np.float32

@@ -20,13 +20,15 @@ vectorized samples (for the Monte Carlo evaluator) and as a histogram
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.common.errors import ValidationError
+from repro.common.host import host_cpu_count
 from repro.common.rng import spawn_rng
 from repro.distributions.histogram import Histogram
 from repro.cloud.instance_types import Catalog
@@ -35,6 +37,42 @@ from repro.workflow.dag import Task, Workflow
 __all__ = ["TaskComponents", "RuntimeModel"]
 
 _MIN_BANDWIDTH = 1e3  # bytes/s floor so sampled times stay finite
+
+#: Samples per instance type (N * S) from which :meth:`RuntimeModel.
+#: sample_tensor` draws the types on threads.  Montage-4 and Montage-8
+#: at S = 150 are above it; Montage-1, Epigenomics-100 and 1-task
+#: pipelines run inline.  Two threads broke even near 5,000 on a 2-vCPU
+#: host; the margin keeps small requests, which service workers run
+#: side by side, on one core each.
+_THREADED_CELLS = 1 << 15
+
+
+def _on_threads(fn: Callable[[int], None], workers: int) -> None:
+    """``fn(0)`` in the calling thread and ``fn(1)`` ... ``fn(workers - 1)``
+    on fresh threads, all joined before the return; the first error any
+    of them raised is re-raised here.
+
+    No pool outlives the call: a pool's threads do not survive a
+    ``fork``, so a forked shard or service worker would hang on it.
+    """
+    errors: list[BaseException] = []
+
+    def guarded(worker: int) -> None:
+        try:
+            fn(worker)
+        except BaseException as exc:  # re-raised in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(w,)) for w in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    try:
+        fn(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -205,38 +243,57 @@ class RuntimeModel:
         seed: int = 0,
         type_names: Sequence[str] | None = None,
     ) -> np.ndarray:
-        """``(K, S, N)`` tensor of sampled task times.
+        """``(K, S, N)`` tensor of sampled task times, in the stored form.
 
         ``tensor[k, s, i]`` is the time of the task with topological index
-        ``i`` on type ``k`` in Monte Carlo realization ``s``, in float64.
-        A compiled problem draws this once and stores it in float32,
-        task-major ``(K, N, S)``; evaluating a candidate plan is then a
-        pure gather + DAG propagation (one realization per GPU thread).
+        ``i`` on type ``k`` in Monte Carlo realization ``s``.  The result
+        is the zero-copy ``(K, S, N)`` view of a read-only float32
+        task-major ``(K, N, S)`` array -- what a compiled problem keeps
+        as is; evaluating a candidate plan is then a pure gather + DAG
+        propagation (one realization per GPU thread).
 
-        Each (task, type) cell uses its own deterministic RNG stream, so
-        the tensor is reproducible regardless of evaluation order.
+        Each type draws from its own deterministic RNG stream in float64
+        (the same draws, divisions and additions as one ``components()``
+        call per task) and is rounded once, into its rows of the result.
+        From :data:`_THREADED_CELLS` samples per type on, the types are
+        drawn on up to one thread per usable CPU: NumPy's draws and
+        ufuncs release the GIL, and no stream is shared, so the bytes do
+        not depend on the thread count or timing.  Every buffer is
+        allocated here, and every thread is joined before the return.
         """
         if num_samples < 1:
             raise ValidationError(f"num_samples must be >= 1, got {num_samples}")
         names = tuple(type_names or self.catalog.type_names)
         n = len(workflow)
         ref, data, _ = self._task_arrays(workflow)
-        tensor = np.empty((len(names), num_samples, n), dtype=float)
-        for k, type_name in enumerate(names):
-            itype = self.catalog.type(type_name)
-            rng = spawn_rng(seed, f"runtime-model/{workflow.name}/{type_name}")
-            io_bw = np.maximum(
-                np.asarray(itype.seq_io.sample(rng, (num_samples, n)), dtype=float),
-                _MIN_BANDWIDTH,
-            )
-            net_bw = np.maximum(
-                np.asarray(itype.network.sample(rng, (num_samples, n)), dtype=float),
-                _MIN_BANDWIDTH,
-            )
-            cpu = ref / itype.cpu_speed
-            # `data` is both io_bytes and net_bytes under the staging model.
-            tensor[k] = cpu[None, :] + data[None, :] / io_bw + data[None, :] / net_bw
-        return tensor
+        streams = [spawn_rng(seed, f"runtime-model/{workflow.name}/{name}") for name in names]
+        cpus = [ref / self.catalog.type(name).cpu_speed for name in names]
+        taskmajor = np.empty((len(names), n, num_samples), dtype=np.float32)
+        workers = 1
+        if n * num_samples >= _THREADED_CELLS:
+            workers = min(len(names), host_cpu_count())
+        # One (io, net) pair of float64 draw buffers per worker.
+        scratch = [(np.empty((num_samples, n)), np.empty((num_samples, n))) for _ in range(workers)]
+
+        def fill(worker: int) -> None:
+            io, net = scratch[worker]
+            for k in range(worker, len(names), workers):
+                itype = self.catalog.type(names[k])
+                itype.seq_io.sample_into(streams[k], io)
+                itype.network.sample_into(streams[k], net)
+                np.maximum(io, _MIN_BANDWIDTH, out=io)
+                np.maximum(net, _MIN_BANDWIDTH, out=net)
+                # cpu + data/io + data/net, left to right; `data` is both
+                # io_bytes and net_bytes under the staging model.
+                np.divide(data, io, out=io)
+                np.add(cpus[k], io, out=io)
+                np.divide(data, net, out=net)
+                np.add(io, net, out=io)
+                taskmajor[k] = io.T
+
+        _on_threads(fill, workers)
+        taskmajor.setflags(write=False)
+        return taskmajor.transpose(0, 2, 1)
 
     def percentile(self, task: Task, type_name: str, q: float) -> float:
         """The q-th percentile of the task-time distribution (histogram)."""

@@ -153,3 +153,33 @@ class TestEmpirical:
     def test_percentile(self):
         d = Empirical(list(range(101)))
         assert d.percentile(50) == pytest.approx(50.0)
+
+
+class TestSampleInto:
+    """``sample_into`` fills a buffer with exactly the draws of ``sample``."""
+
+    @pytest.mark.parametrize("type_name", ["m1.small", "m1.medium", "m1.large", "m1.xlarge"])
+    @pytest.mark.parametrize("which", ["seq_io", "network"])
+    def test_ec2_families_are_bit_equal_to_sample(self, catalog, type_name, which):
+        dist = getattr(catalog.type(type_name), which)
+        for shape in [(150, 680), (7,), (1, 1)]:
+            want = dist.sample(np.random.default_rng(5), shape)
+            out = np.empty(shape)
+            dist.sample_into(np.random.default_rng(5), out)
+            assert out.tobytes() == want.tobytes()
+
+    def test_default_path_is_bit_equal_to_sample(self):
+        dist = UniformDistribution(2.0, 9.0)
+        assert type(dist).sample_into is not GammaDistribution.sample_into
+        want = dist.sample(np.random.default_rng(5), (40, 3))
+        out = np.empty((40, 3))
+        dist.sample_into(np.random.default_rng(5), out)
+        assert out.tobytes() == want.tobytes()
+
+    def test_stream_advances_alike(self):
+        """A second draw after ``sample_into`` matches one after ``sample``."""
+        dist = GammaDistribution(129.3, 0.79)
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        dist.sample(a, 100)
+        dist.sample_into(b, np.empty(100))
+        assert a.random() == b.random()

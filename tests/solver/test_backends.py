@@ -22,6 +22,7 @@ from repro.solver.state import PlanState, StateBlock
 from repro.workflow.critical_path import makespan_samples
 from repro.workflow.dag import Task, Workflow
 from repro.workflow.generators import montage, random_dag
+from repro.workflow.runtime_model import RuntimeModel
 
 
 @pytest.fixture(scope="module")
@@ -234,6 +235,17 @@ class TestOneSampleArray:
 
     def test_compile(self, problem):
         self.assert_one_array(problem)
+
+    def test_compile_keeps_the_drawn_array(self, problem, catalog):
+        """``sample_tensor`` returns the stored form; compiling copies nothing."""
+        model = RuntimeModel(catalog)
+        drawn = model.sample_tensor(problem.workflow, 64, seed=5)
+        compiled = CompiledProblem.compile(
+            problem.workflow, catalog, 2000.0, num_samples=64, seed=5, runtime_model=model
+        )
+        kept = dataclasses.replace(compiled, tensor=drawn, sample_token=None)
+        assert kept.tensor is drawn and kept.tensor_taskmajor.base is drawn.base
+        assert compiled.tensor_taskmajor.tobytes() == drawn.base.tobytes()
 
     @pytest.mark.parametrize("name", DERIVATIONS)
     def test_derivation_sets_its_fields_and_carries_the_rest(self, problem, name):

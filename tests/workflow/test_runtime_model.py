@@ -1,5 +1,10 @@
 """Tests for the task runtime model (CPU + I/O + network)."""
 
+import hashlib
+import multiprocessing
+import os
+import threading
+
 import numpy as np
 import pytest
 
@@ -53,6 +58,15 @@ def components_sample_tensor(model, workflow, num_samples, seed, type_names=None
             data[i] = comp.io_bytes
         tensor[k] = cpu[None, :] + data[None, :] / io_bw + data[None, :] / net_bw
     return tensor
+
+
+def _tensor_digest(workflow):
+    """SHA-256 of a cold Montage-sized compile's stored samples."""
+    from repro.cloud import ec2_catalog
+    from repro.solver.backends import CompiledProblem
+
+    problem = CompiledProblem.compile(workflow, ec2_catalog(), 1e4, num_samples=150, seed=7)
+    return hashlib.sha256(problem.tensor_taskmajor.tobytes()).hexdigest()
 
 
 class TestComponents:
@@ -184,20 +198,82 @@ class TestTensors:
         assert matrix.tolist() == want
 
     @pytest.mark.parametrize(
-        "workflow, type_names",
+        "workflow, num_samples, type_names",
         [
-            (montage(degrees=1.0, seed=2), None),
-            (montage(degrees=8.0, seed=2), None),
-            (epigenomics(100, seed=2), None),
-            (montage(degrees=1.0, seed=2), ("m1.large", "m1.small")),
-            (pipeline(1, seed=2), None),
+            (montage(degrees=1.0, seed=2), 20, None),
+            (montage(degrees=8.0, seed=2), 20, None),
+            (montage(degrees=8.0, seed=2), 150, None),
+            (epigenomics(100, seed=2), 20, None),
+            (montage(degrees=1.0, seed=2), 20, ("m1.large", "m1.small")),
+            (pipeline(1, seed=2), 20, None),
         ],
-        ids=["montage-1", "montage-8", "epigenomics-100", "type-subset", "pipeline-1"],
+        ids=["montage-1", "montage-8", "montage-8-threaded", "epigenomics-100", "type-subset",
+             "pipeline-1"],
     )
-    def test_sample_tensor_is_bit_equal_to_per_task_components(self, catalog, workflow, type_names):
-        got = RuntimeModel(catalog).sample_tensor(workflow, 20, seed=11, type_names=type_names)
-        want = components_sample_tensor(RuntimeModel(catalog), workflow, 20, 11, type_names)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["two-cpus", "one-cpu"])
+    def test_sample_tensor_is_bit_equal_to_per_task_components(
+        self, catalog, workflow, num_samples, type_names, cpus, monkeypatch
+    ):
+        """The stored form -- read-only float32, task-major -- of the per-task
+        reference, whether the types are drawn on threads or inline."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        threads = threading.active_count()
+        got = RuntimeModel(catalog).sample_tensor(
+            workflow, num_samples, seed=11, type_names=type_names
+        )
+        assert threading.active_count() == threads
+        want = components_sample_tensor(RuntimeModel(catalog), workflow, num_samples, 11, type_names)
+        taskmajor = got.transpose(0, 2, 1)
+        assert got.dtype == np.float32 and not got.flags.writeable
+        assert taskmajor.flags.c_contiguous
+        assert np.array_equal(taskmajor, want.transpose(0, 2, 1).astype(np.float32))
+
+    def test_threaded_draws_run_above_the_gate_only(self, catalog, monkeypatch):
+        """Montage-8 at S = 150 starts one thread per extra CPU (joined
+        before the return); a 1-task pipeline starts none."""
+        from repro.workflow import runtime_model
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        started = []
+        real = runtime_model.threading.Thread
+
+        class Counted(real):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(runtime_model.threading, "Thread", Counted)
+        model = RuntimeModel(catalog)
+        model.sample_tensor(pipeline(1, seed=2), 150, seed=1)
+        assert started == []
+        model.sample_tensor(montage(degrees=8.0, seed=2), 150, seed=1)
+        assert len(started) == 1 and not started[0].is_alive()
+
+    def test_worker_errors_reach_the_caller(self, catalog, monkeypatch):
+        """A draw that fails on a worker thread raises in the caller."""
+        from repro.distributions.parametric import NormalDistribution
+
+        def broken(self, rng, out):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("draw failed")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(NormalDistribution, "sample_into", broken)
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            RuntimeModel(catalog).sample_tensor(montage(degrees=8.0, seed=2), 150, seed=1)
+        assert threading.active_count() == threads
+
+    def test_forked_child_compiles_after_threaded_compile(self, monkeypatch):
+        """No sampler thread or pool survives into a ``fork``: a child forked
+        after a threaded Montage-8 compile compiles the same bytes."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        wf = montage(degrees=8.0, seed=2)
+        parent = _tensor_digest(wf)
+        ctx = multiprocessing.get_context("fork")
+        with ctx.Pool(1) as pool:
+            child = pool.apply_async(_tensor_digest, (wf,)).get(timeout=60)
+        assert child == parent
 
     def test_mean_matrix_is_memoised_per_workflow_object(self, catalog):
         model = RuntimeModel(catalog)
