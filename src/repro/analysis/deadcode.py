@@ -23,9 +23,11 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+from repro.common.errors import WLogRuntimeError
 from repro.wlog.analysis import pragma_assumes
-from repro.wlog.builtins import _ARITH_BINOPS, _ARITH_UNOPS
-from repro.wlog.terms import Num, Rule, Struct, Term
+from repro.wlog.builtins import COMPARISONS, evaluate_arith
+from repro.wlog.terms import Rule, Struct, Term
+from repro.wlog.unify import Bindings
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.passes import AnalysisContext
@@ -38,48 +40,25 @@ __all__ = [
     "check_shadowed_facts",
 ]
 
-_COMPARE = {
-    "=:=": lambda a, b: a == b,
-    "=\\=": lambda a, b: a != b,
-    "<": lambda a, b: a < b,
-    ">": lambda a, b: a > b,
-    "=<": lambda a, b: a <= b,
-    ">=": lambda a, b: a >= b,
-}
-
 
 def fold_term(term: Term) -> float | None:
-    """Evaluate a ground arithmetic expression; None when not foldable."""
-    if isinstance(term, Num):
-        return float(term.value)
-    if isinstance(term, Struct):
-        if len(term.args) == 2 and term.functor in _ARITH_BINOPS:
-            a, b = fold_term(term.args[0]), fold_term(term.args[1])
-            if a is None or b is None:
-                return None
-            try:
-                return float(_ARITH_BINOPS[term.functor](a, b))
-            except (ArithmeticError, ValueError):
-                return None
-        if len(term.args) == 1 and term.functor in _ARITH_UNOPS:
-            a = fold_term(term.args[0])
-            if a is None:
-                return None
-            try:
-                return float(_ARITH_UNOPS[term.functor](a))
-            except (ArithmeticError, ValueError):
-                return None
-    return None
+    """Evaluate a ground arithmetic expression with the interpreter's own
+    :func:`~repro.wlog.builtins.evaluate_arith`; None when not foldable
+    (a variable, a non-arithmetic term, an undefined or non-real result)."""
+    try:
+        return evaluate_arith(term, Bindings())
+    except WLogRuntimeError:
+        return None
 
 
 def fold_comparison(goal: Term) -> bool | None:
     """Statically decide a ground comparison literal; None if undecidable."""
-    if not isinstance(goal, Struct) or goal.arity != 2 or goal.functor not in _COMPARE:
+    if not isinstance(goal, Struct) or goal.arity != 2 or goal.functor not in COMPARISONS:
         return None
     a, b = fold_term(goal.args[0]), fold_term(goal.args[1])
     if a is None or b is None:
         return None
-    return bool(_COMPARE[goal.functor](a, b))
+    return bool(COMPARISONS[goal.functor](a, b))
 
 
 def _is_foldable_is(goal: Term) -> bool:

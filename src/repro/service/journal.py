@@ -3,9 +3,11 @@
 The journal is the service's only durable state: one JSONL file, one
 event per line, appended with ``write + flush + fsync`` so an event
 acknowledged to a client survives a process crash.  Recovery is pure
-replay -- fold the events in order and the final per-job states fall
-out.  There is no compaction or in-place mutation; a fresh service
-pointed at an old journal reconstructs every job it ever accepted.
+replay -- fold the events in order through :func:`apply_event`, the
+transition function the live queue runs on every append, and the final
+per-job states fall out.  There is no compaction or in-place mutation;
+a fresh service pointed at an old journal reconstructs every job it
+ever accepted.
 
 Event shape::
 
@@ -14,7 +16,7 @@ Event shape::
      "ts": <wall clock>, "job": {...full JobRecord...}}       # submitted
     {"event": ..., "ts": ..., "job_id": ..., ...delta fields}  # the rest
 
-Crash tolerance contract (enforced by :func:`replay`):
+Crash tolerance contract (enforced by :func:`replay_events`):
 
 * a **torn final line** (no trailing newline, or undecodable JSON) is
   what a crash mid-append leaves behind -- it is dropped with a
@@ -39,18 +41,9 @@ from repro.common.errors import JournalCorrupt, ValidationError
 
 from .jobs import TERMINAL_STATES, JobRecord
 
-__all__ = ["JobJournal", "replay_events", "fold_events"]
+__all__ = ["JobJournal", "replay_events", "apply_event", "requeue_inflight", "fold_events"]
 
-#: Events that carry a full job record (vs. a job_id + delta).
-_FULL_RECORD_EVENTS = frozenset({"submitted"})
-
-_EVENTS = frozenset(
-    {"submitted", "started", "requeued", "completed", "degraded", "dead_lettered"}
-)
-
-#: event name -> terminal job state it commits (identity mapping today,
-#: kept explicit so the exactly-once check reads off the journal alone).
-TERMINAL_EVENTS = {state: state for state in TERMINAL_STATES}
+_EVENTS = frozenset({"submitted", "started", "requeued"}) | TERMINAL_STATES
 
 
 def _close_quiet(fh) -> None:
@@ -118,12 +111,6 @@ class JobJournal:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- replay ------------------------------------------------------------
-
-    def replay(self) -> dict[str, JobRecord]:
-        """Reconstruct per-job state from the journal (see :func:`fold_events`)."""
-        return fold_events(replay_events(self.path))
-
 
 def replay_events(path: str | os.PathLike) -> Iterator[dict]:
     """Yield journal events in append order, tolerating only a torn tail."""
@@ -165,53 +152,71 @@ def replay_events(path: str | os.PathLike) -> Iterator[dict]:
         yield record
 
 
-def fold_events(events: Iterator[dict]) -> dict[str, JobRecord]:
-    """Fold an event stream into final job states.
+def apply_event(jobs: dict[str, JobRecord], record: dict) -> JobRecord:
+    """Apply one journal event to ``jobs`` and return the job it changed.
 
-    Enforces the exactly-once terminal invariant structurally: a second
-    terminal event for the same job id raises :class:`JournalCorrupt`,
-    because a correct service can never write one.  Jobs whose last
-    event leaves them ``running`` were in flight when the process died;
-    the fold re-queues them so replay never strands an accepted job.
+    The one place a job's lifecycle fields change: the live queue runs
+    it on every record it appends, replay on every record it reads.  An
+    event for an unknown job, a second ``submitted`` for a known one,
+    and any event after a terminal one raise :class:`JournalCorrupt`,
+    because a correct service can never write them.
     """
+    event = record["event"]
+    if event == "submitted":
+        try:
+            job = JobRecord.from_dict(record["job"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise JournalCorrupt(f"journal 'submitted' record has no valid job: {exc!r}") from exc
+        if job.job_id in jobs or job.state != "queued":
+            raise JournalCorrupt(f"job {job.job_id} submitted twice or not queued ({job.state!r})")
+        jobs[job.job_id] = job
+        return job
+    job_id = record.get("job_id", "")
+    job = jobs.get(job_id)
+    if job is None:
+        raise JournalCorrupt(
+            f"journal event {event!r} references unknown job {job_id!r} "
+            "(no prior 'submitted' record)"
+        )
+    if job.terminal:
+        raise JournalCorrupt(
+            f"job {job_id} received {event!r} after already reaching "
+            f"terminal state {job.state!r} -- exactly-once violated"
+        )
+    if event == "started":
+        job.state = "running"
+        job.started_at = record.get("ts", 0.0)
+        job.attempts = record.get("attempts", job.attempts + 1)
+    elif event == "requeued":
+        job.state = "queued"
+    elif event in TERMINAL_STATES:
+        job.state = event
+        job.finished_at = record.get("ts", 0.0)
+        job.degraded = record.get("degraded", job.degraded)
+        job.degrade_reason = record.get("degrade_reason", job.degrade_reason)
+        job.cache_hit = record.get("cache_hit", job.cache_hit)
+        job.result = record.get("result", job.result)
+        job.error = record.get("error", job.error)
+    else:
+        raise JournalCorrupt(f"unknown journal event {event!r} for job {job_id}")
+    return job
+
+
+def requeue_inflight(jobs: dict[str, JobRecord]) -> int:
+    """Re-queue the jobs left ``running`` (in flight when the process
+    died; the dead attempt still counts); returns how many."""
+    inflight = [job.job_id for job in jobs.values() if job.state == "running"]
+    for job_id in inflight:
+        apply_event(jobs, {"event": "requeued", "job_id": job_id})
+    return len(inflight)
+
+
+def fold_events(events: Iterator[dict]) -> dict[str, JobRecord]:
+    """Fold an event stream into final job states (:func:`apply_event`
+    per record, then :func:`requeue_inflight`), so replay never strands
+    an accepted job."""
     jobs: dict[str, JobRecord] = {}
     for record in events:
-        event = record["event"]
-        if event in _FULL_RECORD_EVENTS:
-            job = JobRecord.from_dict(record["job"])
-            jobs[job.job_id] = job
-            continue
-        job_id = record.get("job_id", "")
-        job = jobs.get(job_id)
-        if job is None:
-            raise JournalCorrupt(
-                f"journal event {event!r} references unknown job {job_id!r} "
-                "(no prior 'submitted' record)"
-            )
-        if job.terminal:
-            raise JournalCorrupt(
-                f"job {job_id} received {event!r} after already reaching "
-                f"terminal state {job.state!r} -- exactly-once violated"
-            )
-        if event == "started":
-            job.state = "running"
-            job.started_at = record.get("ts", 0.0)
-            job.attempts = record.get("attempts", job.attempts + 1)
-        elif event == "requeued":
-            job.state = "queued"
-        elif event in TERMINAL_EVENTS:
-            job.state = TERMINAL_EVENTS[event]
-            job.finished_at = record.get("ts", 0.0)
-            job.degraded = record.get("degraded", job.degraded)
-            job.degrade_reason = record.get("degrade_reason", job.degrade_reason)
-            job.cache_hit = record.get("cache_hit", job.cache_hit)
-            if "result" in record:
-                job.result = record["result"]
-            if "error" in record:
-                job.error = record["error"]
-    for job in jobs.values():
-        if job.state == "running":
-            # In flight at crash time: give it back to the queue.  The
-            # attempt that died still counts against the budget.
-            job.state = "queued"
+        apply_event(jobs, record)
+    requeue_inflight(jobs)
     return jobs

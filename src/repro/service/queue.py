@@ -2,9 +2,11 @@
 
 :class:`DurableQueue` pairs the in-memory dispatch structures (priority
 heaps, backoff timers) with the write-ahead :class:`~.journal.JobJournal`:
-every state transition is journaled *before* it takes effect in memory,
-so a crash at any instant leaves a journal whose replay reconstructs a
-queue that owes clients exactly what the dead process owed them.
+every transition is journaled, then applied in memory by the same
+:func:`~.journal.apply_event` replay folds, so live state is replayed
+state by construction and a crash at any instant leaves a journal whose
+replay reconstructs a queue that owes clients exactly what the dead
+process owed them.
 
 Admission control lives here too:
 
@@ -26,12 +28,13 @@ from __future__ import annotations
 import heapq
 import threading
 import time
+from collections import Counter
 from typing import Any, Callable
 
 from repro.common.errors import AdmissionError, JobNotFound, ServiceError, ValidationError
 
-from .jobs import JobRecord, new_job_id, validate_payload
-from .journal import JobJournal
+from .jobs import TERMINAL_STATES, JobRecord, new_job_id, validate_payload
+from .journal import JobJournal, apply_event, replay_events, requeue_inflight
 
 __all__ = ["TokenBucket", "DurableQueue"]
 
@@ -82,6 +85,10 @@ class DurableQueue:
         self.workers = int(workers)
         self._lock = threading.RLock()
         self._jobs: dict[str, JobRecord] = {}
+        # Unfinished (queued + running) jobs, in total and per tenant:
+        # kept by _apply so admission never scans the job history.
+        self._unfinished = 0
+        self._tenant_unfinished: dict[str, int] = {}
         # (priority_rank, sequence, job_id); sequence keeps FIFO within a class.
         self._heap: list[tuple[int, int, str]] = []
         self._seq = 0
@@ -97,15 +104,32 @@ class DurableQueue:
     def _recover(self) -> None:
         """Replay the journal: terminal jobs keep their results, non-terminal
         jobs (queued, or running when the process died) re-enter the heap."""
-        self.recovered_inflight = 0
-        for job in self.journal.replay().values():
-            self._jobs[job.job_id] = job
+        for record in replay_events(self.journal.path):
+            self._apply(record)
+        self.recovered_inflight = requeue_inflight(self._jobs)
+        for job in self._jobs.values():
             if not job.terminal:
-                if job.attempts:
-                    self.recovered_inflight += 1
                 self._push(job)
 
     # -- internals ---------------------------------------------------------
+
+    def _apply(self, record: dict) -> JobRecord:
+        """:func:`apply_event` plus the unfinished-job counts."""
+        job = apply_event(self._jobs, record)
+        step = 1 if record["event"] == "submitted" else -1 if job.terminal else 0
+        if step:
+            self._unfinished += step
+            self._tenant_unfinished[job.tenant] = self._tenant_unfinished.get(job.tenant, 0) + step
+        return job
+
+    def _commit(self, event: str, **fields: Any) -> JobRecord:
+        """Journal one transition, then apply it: the only way a live job
+        changes.  A job left queued goes (back) onto the dispatch heap."""
+        fields.setdefault("ts", time.time())
+        job = self._apply(self.journal.append(event, **fields))
+        if job.state == "queued":
+            self._push(job)
+        return job
 
     def _push(self, job: JobRecord) -> None:
         self._seq += 1
@@ -123,7 +147,7 @@ class DurableQueue:
     def depth(self) -> int:
         """Jobs accepted but not yet terminal (queued + running)."""
         with self._lock:
-            return sum(1 for j in self._jobs.values() if not j.terminal)
+            return self._unfinished
 
     def admit(self, tenant: str) -> None:
         """Raise :class:`AdmissionError` if this submission must be refused.
@@ -148,10 +172,7 @@ class DurableQueue:
                     reason="queue_full",
                     retry_after_s=5.0,
                 )
-            in_flight = sum(
-                1 for j in self._jobs.values() if j.tenant == tenant and not j.terminal
-            )
-            if in_flight < self.workers:
+            if self._tenant_unfinished.get(tenant, 0) < self.workers:
                 return
             wait = self._bucket(tenant).try_take()
             if wait > 0.0:
@@ -189,21 +210,21 @@ class DurableQueue:
         with self._lock:
             if result is None:
                 self.admit(tenant)
+            now = time.time()
             job = JobRecord(
                 job_id=new_job_id(),
                 tenant=tenant,
                 priority=priority,
                 payload=payload,
-                submitted_at=time.time(),
+                submitted_at=now,
                 degraded=degraded,
                 degrade_reason=degrade_reason,
             )
-            self.journal.append("submitted", ts=job.submitted_at, job=job.to_dict())
-            self._jobs[job.job_id] = job
-            if result is not None:
-                return self.finish(job.job_id, "completed", result=result, cache_hit=True)
-            self._push(job)
-            return job
+            if result is None:
+                return self._commit("submitted", ts=now, job=job.to_dict())
+            # Born finished: applied, never pushed, then completed.
+            self._apply(self.journal.append("submitted", ts=now, job=job.to_dict()))
+            return self.finish(job.job_id, "completed", result=result, cache_hit=True)
 
     # -- dispatch ----------------------------------------------------------
 
@@ -222,7 +243,7 @@ class DurableQueue:
                 rank, seq, job_id = heapq.heappop(self._heap)
                 job = self._jobs.get(job_id)
                 if job is None or job.state != "queued":
-                    continue  # stale heap entry (job finished via cache, etc.)
+                    continue  # stale heap entry (job finished meanwhile)
                 if self._not_before.get(job_id, 0.0) > now:
                     deferred.append((rank, seq, job_id))
                     continue
@@ -232,13 +253,7 @@ class DurableQueue:
                 heapq.heappush(self._heap, entry)
             if claimed is None:
                 return None
-            claimed.attempts += 1
-            claimed.started_at = time.time()
-            claimed.state = "running"
-            self.journal.append(
-                "started", ts=claimed.started_at, job_id=claimed.job_id, attempts=claimed.attempts
-            )
-            return claimed
+            return self._commit("started", job_id=claimed.job_id, attempts=claimed.attempts + 1)
 
     def requeue(self, job_id: str, *, backoff_s: float = 0.0) -> None:
         """Return a crashed job to the queue, optionally after a delay."""
@@ -248,11 +263,9 @@ class DurableQueue:
                 raise ServiceError(
                     f"cannot requeue job {job_id}: already terminal ({job.state})"
                 )
-            self.journal.append("requeued", ts=time.time(), job_id=job_id, backoff_s=backoff_s)
-            job.state = "queued"
+            self._commit("requeued", job_id=job_id, backoff_s=backoff_s)
             if backoff_s > 0.0:
                 self._not_before[job_id] = time.monotonic() + backoff_s
-            self._push(job)
 
     def next_ready_in(self) -> float | None:
         """Seconds until the next backoff-deferred job becomes claimable,
@@ -279,10 +292,13 @@ class DurableQueue:
     ) -> JobRecord:
         """Commit a job's single terminal transition.
 
-        Raises :class:`ServiceError` on a second terminal attempt -- the
-        in-memory guard mirrors the journal-replay invariant so the bug
-        is caught at the source, not at the next restart.
+        Raises :class:`ValidationError` for a ``state`` that is not
+        terminal and :class:`ServiceError` on a second terminal attempt,
+        both before anything is journaled: a journal that replay would
+        refuse is never written.
         """
+        if state not in TERMINAL_STATES:
+            raise ValidationError(f"finish needs a terminal state, got {state!r}")
         with self._lock:
             job = self._require(job_id)
             if job.terminal:
@@ -290,26 +306,10 @@ class DurableQueue:
                     f"job {job_id} already terminal ({job.state}); "
                     f"refusing second terminal transition to {state!r}"
                 )
-            extra: dict[str, Any] = {}
-            if degraded is not None:
-                job.degraded = degraded
-                extra["degraded"] = degraded
-            if degrade_reason is not None:
-                job.degrade_reason = degrade_reason
-                extra["degrade_reason"] = degrade_reason
-            if cache_hit:
-                job.cache_hit = True
-                extra["cache_hit"] = True
-            if result is not None:
-                extra["result"] = result
-            if error is not None:
-                extra["error"] = error
-            ts = time.time()
-            self.journal.append(state, ts=ts, job_id=job_id, **extra)
-            job.state = state  # validated by the journal event whitelist
-            job.finished_at = ts
-            job.result = result
-            job.error = error
+            given = dict(degraded=degraded, degrade_reason=degrade_reason,
+                         cache_hit=cache_hit or None, result=result, error=error)
+            extra = {key: value for key, value in given.items() if value is not None}
+            job = self._commit(state, job_id=job_id, **extra)
             self._not_before.pop(job_id, None)
             return job
 
@@ -331,7 +331,4 @@ class DurableQueue:
 
     def counts(self) -> dict[str, int]:
         with self._lock:
-            out: dict[str, int] = {}
-            for job in self._jobs.values():
-                out[job.state] = out.get(job.state, 0) + 1
-            return out
+            return dict(Counter(job.state for job in self._jobs.values()))

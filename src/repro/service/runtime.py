@@ -196,7 +196,6 @@ class DecoService:
             degraded=degraded,
             degrade_reason=reason,
         )
-        job._cache_key = key  # type: ignore[attr-defined]
         self._wake.set()
         return job
 
@@ -254,10 +253,7 @@ class DecoService:
             return
         self.queue.finish(job_id, "completed", result=envelope)
         # Only full-fidelity, converged results are worth replaying.
-        key = getattr(job, "_cache_key", None) or canonical_key(
-            job.payload, engine_config=self.config.engine
-        )
-        self.cache.put(key, envelope)
+        self.cache.put(canonical_key(job.payload, engine_config=self.config.engine), envelope)
 
     def _dead_letter(self, job_id: str, exc: BaseException, *, retryable: bool) -> None:
         job = self.queue.get(job_id)

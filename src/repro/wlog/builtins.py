@@ -29,7 +29,7 @@ from repro.wlog.unify import Bindings, resolve, unify
 if TYPE_CHECKING:  # pragma: no cover
     from repro.wlog.engine import Engine
 
-__all__ = ["BUILTINS", "builtin_arities", "evaluate_arith", "term_key"]
+__all__ = ["BUILTINS", "COMPARISONS", "builtin_arities", "evaluate_arith", "term_key"]
 
 BuiltinFn = Callable[["Engine", tuple[Term, ...], Bindings, int], Iterator[bool]]
 
@@ -89,10 +89,23 @@ def evaluate_arith(term: Term, bindings: Bindings) -> float:
             b = evaluate_arith(term.args[1], bindings)
             if term.functor == "/" and b == 0:
                 raise WLogRuntimeError("division by zero")
-            return float(_ARITH_BINOPS[term.functor](a, b))
+            return _real(term, _ARITH_BINOPS[term.functor], a, b)
         if len(term.args) == 1 and term.functor in _ARITH_UNOPS:
-            return float(_ARITH_UNOPS[term.functor](evaluate_arith(term.args[0], bindings)))
+            return _real(term, _ARITH_UNOPS[term.functor], evaluate_arith(term.args[0], bindings))
     raise WLogRuntimeError(f"not an arithmetic expression: {term!r}")
+
+
+def _real(term: Term, op: Callable[..., float | complex], *operands: float) -> float:
+    """``op(*operands)`` as a float; an undefined or non-real result
+    (``mod`` by zero, ``sqrt`` of a negative, ``pow(-8, 0.5)``) is a
+    :class:`WLogRuntimeError`."""
+    try:
+        value = op(*operands)
+    except (ArithmeticError, ValueError) as exc:
+        raise WLogRuntimeError(f"{term!r} is undefined: {exc}") from exc
+    if isinstance(value, complex):
+        raise WLogRuntimeError(f"{term!r} is not a real number")
+    return float(value)
 
 
 @_builtin("is", 2)
@@ -102,16 +115,19 @@ def _is(engine, args, bindings, depth):
         yield True
 
 
+#: Arithmetic comparison -> its test on two evaluated operands.
+COMPARISONS = {
+    "=:=": lambda a, b: a == b,
+    "=\\=": lambda a, b: a != b,
+    "<": lambda a, b: a < b,
+    ">": lambda a, b: a > b,
+    "=<": lambda a, b: a <= b,
+    ">=": lambda a, b: a >= b,
+}
+
+
 def _compare(op: str):
-    checks = {
-        "=:=": lambda a, b: a == b,
-        "=\\=": lambda a, b: a != b,
-        "<": lambda a, b: a < b,
-        ">": lambda a, b: a > b,
-        "=<": lambda a, b: a <= b,
-        ">=": lambda a, b: a >= b,
-    }
-    check = checks[op]
+    check = COMPARISONS[op]
 
     def fn(engine, args, bindings, depth):
         if check(evaluate_arith(args[0], bindings), evaluate_arith(args[1], bindings)):
@@ -120,7 +136,7 @@ def _compare(op: str):
     return fn
 
 
-for _op in ("=:=", "=\\=", "<", ">", "=<", ">="):
+for _op in COMPARISONS:
     BUILTINS[(_op, 2)] = _compare(_op)
 
 

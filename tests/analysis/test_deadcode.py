@@ -28,6 +28,13 @@ class TestFoldTerm:
     def test_division_by_zero_is_not_foldable(self):
         assert fold_term(struct("/", Num(1), Num(0))) is None
 
+    def test_non_real_and_undefined_results_are_not_foldable(self):
+        minus_eight = struct("-", Num(0), Num(8))
+        assert fold_term(struct("pow", minus_eight, Num(0.5))) is None
+        assert fold_term(struct("sqrt", Num(-1))) is None
+        assert fold_term(struct("mod", Num(1), Num(0))) is None
+        assert fold_comparison(struct("<", Num(1), struct("pow", minus_eight, Num(0.5)))) is None
+
 
 class TestFoldComparison:
     def test_true_and_false(self):

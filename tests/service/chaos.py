@@ -13,6 +13,10 @@ accepted job reaches a terminal state exactly once**:
 * **queue latency** -- injected dispatch delay, which widens every
   race window the dispatcher has.
 
+Before the service closes, every live job must also equal, field by
+field, the same job in the fold of the journal
+(:func:`live_state_mismatches`).
+
 Each scenario runs under one of two drivers: ``service.step()`` called
 synchronously from the harness loop, or the dispatcher thread
 ``service.start()`` runs (``threaded=True``), whose wake-ups on worker
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import os
 import signal
@@ -131,6 +136,26 @@ def _check_exactly_once(journal_path: str, accepted_ids: set, report: ChaosRepor
             report.violations.append(
                 f"job {job.job_id} not terminal after run: {job.state}"
             )
+
+
+def live_state_mismatches(jobs, journal_path: str) -> list[str]:
+    """Where the live jobs differ from the fold of the journal.
+
+    Every field must be equal; the one exception is a running job, which
+    the fold re-queues with the same ``attempts``.
+    """
+    replayed = fold_events(replay_events(journal_path))
+    live = {job.job_id: job for job in jobs}
+    out = []
+    if set(live) != set(replayed):
+        out.append(f"live and replayed job ids differ: {sorted(set(live) ^ set(replayed))}")
+    for job_id in live.keys() & replayed.keys():
+        want = live[job_id]
+        if want.state == "running":
+            want = dataclasses.replace(want, state="queued")
+        if want != replayed[job_id]:
+            out.append(f"job {job_id}: live {want} != replayed {replayed[job_id]}")
+    return out
 
 
 def _check_truncations(journal_path: str, report: ChaosReport) -> None:
@@ -291,6 +316,7 @@ def run_chaos(
                     # soon as everything is terminal, so "now" is a tight
                     # upper bound on the killed job's recovery.
                     report.recovery_s = round(time.monotonic() - first_kill_at, 3)
+            report.violations.extend(live_state_mismatches(service.queue.jobs(), journal_path))
     _check_exactly_once(journal_path, set(submitted), report)
     _check_truncations(journal_path, report)
     report.duration_s = time.monotonic() - t0

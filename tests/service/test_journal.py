@@ -22,7 +22,7 @@ class TestAppend:
             _submit_event(journal, "a")
             journal.append("started", ts=2.0, job_id="a", attempts=1)
             journal.append("completed", ts=3.0, job_id="a", result={"plan": {}})
-            jobs = journal.replay()
+            jobs = fold_events(replay_events(journal.path))
         assert jobs["a"].state == "completed"
         assert jobs["a"].result == {"plan": {}}
         assert jobs["a"].finished_at == 3.0
@@ -101,7 +101,7 @@ class TestFold:
         with JobJournal(tmp_path / "j.jsonl") as journal:
             _submit_event(journal, "a")
             journal.append("started", ts=2.0, job_id="a", attempts=1)
-            jobs = journal.replay()
+            jobs = fold_events(replay_events(journal.path))
         assert jobs["a"].state == "queued"
         assert jobs["a"].attempts == 1  # the dead attempt still counts
 
@@ -112,13 +112,13 @@ class TestFold:
             journal.append("completed", ts=3.0, job_id="a")
             journal.append("degraded", ts=4.0, job_id="a")
             with pytest.raises(JournalCorrupt, match="exactly-once"):
-                journal.replay()
+                fold_events(replay_events(journal.path))
 
     def test_event_for_unknown_job_is_corruption(self, tmp_path):
         with JobJournal(tmp_path / "j.jsonl") as journal:
             journal.append("started", ts=2.0, job_id="ghost", attempts=1)
             with pytest.raises(JournalCorrupt, match="unknown job"):
-                journal.replay()
+                fold_events(replay_events(journal.path))
 
     def test_requeue_then_finish_replays_terminal(self, tmp_path):
         with JobJournal(tmp_path / "j.jsonl") as journal:
@@ -130,7 +130,36 @@ class TestFold:
                 "dead_lettered", ts=5.0, job_id="a",
                 error={"type": "BrokenProcessPool", "message": "x", "attempts": 2},
             )
-            jobs = journal.replay()
+            jobs = fold_events(replay_events(journal.path))
         assert jobs["a"].state == "dead_lettered"
         assert jobs["a"].attempts == 2
         assert jobs["a"].error["type"] == "BrokenProcessPool"
+
+
+class TestBootInputIsValidated:
+    """The journal is outside input at boot: a record a correct service
+    never writes is :class:`JournalCorrupt`, never a bare KeyError/TypeError."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"event": "submitted", "ts": 1.0},
+            {"event": "submitted", "ts": 1.0, "job": "a"},
+            {"event": "submitted", "ts": 1.0, "job": 7},
+            {"event": "submitted", "ts": 1.0, "job": {"tenant": "x"}},
+            {"event": "submitted", "ts": 1.0, "job": {"job_id": "b", "priority": "urgent"}},
+            {"event": "submitted", "ts": 1.0, "job": {"job_id": "b", "state": "exploded"}},
+            {"event": "submitted", "ts": 1.0, "job": {"job_id": "b", "state": "running"}},
+            {"event": "submitted", "ts": 1.0, "job": {"job_id": "a"}},
+            {"event": "exploded", "ts": 2.0, "job_id": "a"},
+        ],
+    )
+    def test_malformed_record_is_corruption(self, tmp_path, record):
+        path = tmp_path / "j.jsonl"
+        with JobJournal(path) as journal:
+            _submit_event(journal, "a")
+        with open(path, "a") as fh:
+            fh.write(json.dumps(record) + "\n")
+        with pytest.raises(JournalCorrupt):
+            fold_events(replay_events(path))
+

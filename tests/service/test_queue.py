@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import (
     AdmissionError,
@@ -10,9 +15,18 @@ from repro.common.errors import (
     ServiceError,
     ValidationError,
 )
-from repro.service import DurableQueue, JobJournal, TokenBucket
+from repro.service import (
+    PRIORITY_CLASSES,
+    TERMINAL_STATES,
+    DurableQueue,
+    JobJournal,
+    JobRecord,
+    TokenBucket,
+)
 from repro.service.jobs import validate_payload
-from repro.service.journal import replay_events
+from repro.service.journal import fold_events, replay_events
+
+from .chaos import live_state_mismatches
 
 pytestmark = pytest.mark.usefixtures("fast_service")
 
@@ -202,6 +216,39 @@ class TestAdmission:
         queue.finish(job.job_id, "completed", result={})
         queue.submit(_payload(2))  # depth freed: no AdmissionError
 
+    def test_submit_does_not_scan_the_job_history(self, queue):
+        history = _ScanCountingJobs(
+            (f"old-{i}", JobRecord(job_id=f"old-{i}", state="completed"))
+            for i in range(50_000)
+        )
+        queue._jobs = history
+        for i in range(3):
+            queue.submit(_payload(i), tenant="alice")
+        assert queue.depth == 3
+        assert history.scans == 0
+
+
+class _ScanCountingJobs(dict):
+    """A job table that counts every walk over its entries."""
+
+    scans = 0
+
+    def _scan(self, walk):
+        self.scans += 1
+        return walk()
+
+    def __iter__(self):
+        return self._scan(super().__iter__)
+
+    def keys(self):
+        return self._scan(super().keys)
+
+    def values(self):
+        return self._scan(super().values)
+
+    def items(self):
+        return self._scan(super().items)
+
 
 class TestTerminalExactlyOnce:
     def test_second_finish_raises(self, queue):
@@ -210,6 +257,16 @@ class TestTerminalExactlyOnce:
         queue.finish(job.job_id, "completed", result={})
         with pytest.raises(ServiceError, match="already terminal"):
             queue.finish(job.job_id, "degraded")
+
+    @pytest.mark.parametrize("state", ["submitted", "started", "requeued", "queued", "running"])
+    def test_finish_refuses_a_non_terminal_state_before_journaling(self, queue, state):
+        job = queue.submit(_payload())
+        queue.claim()
+        with pytest.raises(ValidationError, match="terminal state"):
+            queue.finish(job.job_id, state)
+        assert queue.journal.appends == 2  # submitted + started, nothing more
+        assert queue.get(job.job_id).state == "running"
+        assert fold_events(replay_events(queue.journal.path))[job.job_id].state == "queued"
 
     def test_requeue_after_terminal_raises(self, queue):
         job = queue.submit(_payload())
@@ -253,6 +310,20 @@ class TestBackoffAndRecovery:
         claimable = {restarted.claim().job_id, restarted.claim().job_id}
         assert claimable == {inflight.job_id, queued.job_id}
 
+    def test_restart_does_not_count_a_backoff_wait_as_inflight(self, tmp_path):
+        path = tmp_path / "q.jsonl"
+        journal = JobJournal(path)
+        queue = DurableQueue(journal)
+        job = queue.submit(_payload(1))
+        queue.claim()
+        queue.requeue(job.job_id, backoff_s=60.0)  # waiting out a crash backoff
+        journal.close()
+
+        restarted = DurableQueue(JobJournal(path))
+        assert restarted.recovered_inflight == 0
+        assert restarted.get(job.job_id).state == "queued"
+        assert restarted.get(job.job_id).attempts == 1
+
     def test_next_ready_in_reports_backoff_due_time(self, queue):
         assert queue.next_ready_in() is None
         job = queue.submit(_payload(1))
@@ -260,3 +331,59 @@ class TestBackoffAndRecovery:
         queue.requeue(job.job_id, backoff_s=60.0)
         assert 59.0 < queue.next_ready_in() <= 60.0
         assert queue.claim() is None
+
+
+#: One queue operation per draw; a terminal state finishes a job.
+_OPERATIONS = ["submit", "cache_hit", "claim", "requeue", "requeue_backoff", "restart",
+               *sorted(TERMINAL_STATES)]
+
+
+class TestLiveStateIsReplayedState:
+    """After every operation, each live job equals the same job in the
+    fold of the journal (a running one re-queued with the same attempts)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_every_operation_matches_the_fold(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "q.jsonl")
+            queue = DurableQueue(JobJournal(path), reject_depth=1000)
+            try:
+                for step in range(data.draw(st.integers(1, 24))):
+                    queue = self._operate(queue, path, step, data)
+                    assert live_state_mismatches(queue.jobs(), path) == []
+            finally:
+                queue.journal.close()
+
+    @staticmethod
+    def _operate(queue: DurableQueue, path: str, step: int, data) -> DurableQueue:
+        op = data.draw(st.sampled_from(_OPERATIONS))
+        running = [job.job_id for job in queue.jobs() if job.state == "running"]
+        unfinished = [job.job_id for job in queue.jobs() if not job.terminal]
+        if op == "submit":
+            queue.submit(
+                _payload(step),
+                tenant=data.draw(st.sampled_from(["alice", "bob"])),
+                priority=data.draw(st.sampled_from(sorted(PRIORITY_CLASSES))),
+                degraded=data.draw(st.booleans()),
+                degrade_reason="load_shed",
+            )
+        elif op == "cache_hit":
+            queue.submit(_payload(step), result={"plan": step, "cache_hit": True})
+        elif op == "claim":
+            queue.claim()
+        elif op.startswith("requeue") and running:
+            backoff = 60.0 if op == "requeue_backoff" else 0.0
+            queue.requeue(data.draw(st.sampled_from(running)), backoff_s=backoff)
+        elif op == "restart":
+            queue.journal.close()
+            queue = DurableQueue(JobJournal(path), reject_depth=1000)
+        elif op in TERMINAL_STATES and unfinished:
+            job_id = data.draw(st.sampled_from(unfinished))
+            if op == "dead_lettered":
+                queue.finish(job_id, op, error={"type": "X", "attempts": step})
+            else:
+                queue.finish(job_id, op, result={"plan": step},
+                             degraded=op == "degraded" or None,
+                             degrade_reason="solve_timeout" if op == "degraded" else None)
+        return queue

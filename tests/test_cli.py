@@ -426,6 +426,13 @@ class TestAnalyze:
         assert code == 1
         assert "E101" in text
 
+    def test_non_real_constant_condition_is_not_folded(self, tmp_path):
+        prog = tmp_path / "complex.wlog"
+        prog.write_text("goal minimize C in c(C).\nc(1.0) :- 1 < pow(0 - 8, 0.5).\n")
+        code, text = run_cli(["analyze", str(prog)])
+        assert code == 0
+        assert "Traceback" not in text and "W403" not in text and "W404" not in text
+
     def test_missing_file(self):
         code, text = run_cli(["analyze", "/no/such/prog.wlog"])
         assert code == 2

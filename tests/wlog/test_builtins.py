@@ -33,6 +33,13 @@ class TestArithmetic:
             e.ask("X is Y + 1")
 
     @pytest.mark.parametrize(
+        "expr", ["pow(0 - 8, 0.5)", "sqrt(0 - 1)", "log(0)", "mod(1, 0)", "exp(1000)"]
+    )
+    def test_undefined_or_non_real_result_raises(self, expr):
+        with pytest.raises(WLogRuntimeError):
+            engine_from().ask(f"X is {expr}")
+
+    @pytest.mark.parametrize(
         "query,expected",
         [("1 < 2", True), ("2 < 1", False), ("2 =< 2", True), ("3 >= 4", False),
          ("1 =:= 1.0", True), ("1 =\\= 2", True)],
