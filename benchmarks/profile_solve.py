@@ -2,6 +2,7 @@
 
     python3 benchmarks/profile_solve.py montage-8 --deadline tight --percentile 90 --warm
     python3 benchmarks/profile_solve.py montage-1 --split
+    python3 benchmarks/profile_solve.py montage-8 --split --warm
     python3 benchmarks/profile_solve.py --imports
     python3 benchmarks/profile_solve.py --wlog
     python3 benchmarks/profile_solve.py --resident montage-8 16
@@ -11,9 +12,9 @@
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
 hits and misses that request added to each evaluation cache of
-``Deco.cache_stats()`` -- makespan rows and tier-0 moments -- so a
-warm profile says how much of it was lookups; without it the
-engine is fresh.  Self time is what tells interpreter loops apart from
+``Deco.cache_stats()`` -- makespan rows, tier 1's prefix rows and tier-0
+moments -- so a warm profile says how much of it was lookups; without it
+the engine is fresh.  Self time is what tells interpreter loops apart from
 the array kernels they call -- this is the tool behind the shares quoted
 in DESIGN.md §17.
 
@@ -29,7 +30,13 @@ around the search (compile, its sample draws, tier 0's quantile
 calibration, warm-start ladder).  A wrapper
 costs well under a microsecond.  A name in :data:`SPLIT` that the tree
 does not have is an error, so a rename cannot silently move time out of
-a group.  No timing threshold.
+a group.  No timing threshold.  ``--split --warm`` splits the
+``sweep-large-warm`` op list instead: one engine, its warm-up at
+medium/96 untimed, then :data:`DECISION_ROUNDS` rounds of the
+workload's deadlines x percentiles, one table per round (the family's
+generator seed is ``--seed``; ``montage-8`` with the default 7 is the
+workload's request).  In a later round every state has been seen, so
+what is left is what a memo-hit solve costs.
 
 ``--wlog`` splits the ``wlog-declarative`` request instead: a fresh
 engine and registry per request, ``Deco.solve_program`` on the bundled
@@ -47,9 +54,10 @@ does, and after each solve prints the process's ``VmRSS`` and ``VmHWM``
 (its high-water mark, what the benchmark's ``peak_rss_mb`` reads), the
 compiled problems the engine holds, each token-keyed memo's entries and
 bytes and the scratch pool's buffers and bytes (:data:`RESIDENT`, from
-``Deco.cache_stats()``).  Once the problem memo is full the memos should
-stop growing; the scratch pool is sized by the kernels' byte budgets,
-not by the largest batch.  No threshold.
+``Deco.cache_stats()``; ``prefix`` is tier 1's prefix rows).  Once the
+problem memo is full the memos should stop growing; the scratch pool is
+sized by the kernels' byte budgets, not by the largest batch.  No
+threshold.
 
 ``--decisions`` prints what the engine decides, one line per request,
 and no time: the pools of ``cold-small-mc``, ``cold-mid-mc`` and
@@ -119,7 +127,9 @@ SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarative
 WLOG_ROUNDS = 40  # --wlog: requests per seed
 
-REUSED = ("makespan", "moments")  # --warm: the caches whose reuse is printed
+#: --warm: cache -> (``Deco.cache_stats()`` section, key prefix) whose reuse is printed.
+REUSED = {"makespan": ("makespan", ""), "prefix": ("makespan", "prefix_"),
+          "moments": ("moments", "")}
 
 #: --resident: column -> (``Deco.cache_stats()`` section, entries key, bytes key).
 RESIDENT = {
@@ -127,6 +137,7 @@ RESIDENT = {
     "moments": ("moments", "entries", "nbytes"),
     "calibrations": ("analytic", "calibration_entries", "calibration_nbytes"),
     "screen": ("screen", "entries", "nbytes"),
+    "prefix": ("makespan", "prefix_entries", "prefix_nbytes"),
     "scratch": ("scratch", "buffers", "nbytes"),
 }
 
@@ -152,9 +163,9 @@ KERNEL_CALLS = 30  # --kernel: timed calls per workflow
 def reuse_report(before: dict, after: dict) -> str:
     """The hits and misses one request added to each cache in :data:`REUSED`."""
     parts = []
-    for name in REUSED:
-        hits = after[name]["hits"] - before[name]["hits"]
-        misses = after[name]["misses"] - before[name]["misses"]
+    for name, (section, key) in REUSED.items():
+        hits = after[section][f"{key}hits"] - before[section][f"{key}hits"]
+        misses = after[section][f"{key}misses"] - before[section][f"{key}misses"]
         share = hits / (hits + misses) if hits + misses else 0.0
         parts.append(f"{name} {hits} hits / {misses} misses ({share:.0%})")
     return "reused: " + ", ".join(parts)
@@ -187,7 +198,8 @@ SPLIT = (
     ("engine", "repro.solver.backends:CompiledProblem", "compile"),
     ("engine", "repro.workflow.runtime_model:RuntimeModel", "sample_tensor"),
     ("engine", "repro.solver.analytic_backend:AnalyticBackend", "_calibration"),
-    ("engine", "repro.baselines.autoscaling", "autoscaling_plan"),
+    ("engine", "repro.engine.deco:Deco", "_warm_starts"),
+    ("engine", "repro.baselines.autoscaling", "autoscaling_choice"),
 )
 
 
@@ -240,25 +252,8 @@ def _install_split(table):
     return totals, restore
 
 
-def split_report(family: str) -> int:
-    """Exclusive wall time per solver function over cold solves of one family."""
-    seeds = SPLIT_SEEDS
-    solves = len(seeds)
-    workflows = [WORKFLOWS[family](seed) for seed in seeds]
-    Deco(ec2_catalog(), **ENGINE).schedule(WORKFLOWS[family](99), "medium", 96.0)  # imports
-    totals, restore = _install_split(SPLIT)
-    ops = []
-    try:
-        for workflow in workflows:
-            t0 = time.perf_counter()
-            Deco(ec2_catalog(), **ENGINE).schedule(workflow, "medium", 96.0)
-            ops.append(time.perf_counter() - t0)
-    finally:
-        restore()
-    op_s = sum(ops)
-    print(f"{family}: {solves} cold solves (generator seeds {seeds.start}-{seeds.stop - 1}), "
-          f"{len(workflows[0])} tasks, median op {statistics.median(ops) * 1e3:.1f} ms "
-          f"(timers on)")
+def _print_split(totals: dict, solves: int, op_s: float) -> None:
+    """The ``--split`` table: ms per solve and share of the ops, by group."""
     print(f"  {'group':<12} {'function':<44} {'calls':>7} {'ms/solve':>9} {'share':>6}")
     for group in ("kernels", "bookkeeping", "engine"):
         rows = sorted(
@@ -274,6 +269,53 @@ def split_report(family: str) -> int:
                   f"{sec / solves * 1e3:9.2f} {sec / op_s:6.3f}")
         sec = sum(row[2] for row in rows)
         print(f"  {group:<12} {'total':<44} {'':>7} {sec / solves * 1e3:9.2f} {sec / op_s:6.3f}")
+
+
+def split_report(family: str) -> int:
+    """Exclusive wall time per solver function over cold solves of one family."""
+    seeds = SPLIT_SEEDS
+    solves = len(seeds)
+    workflows = [WORKFLOWS[family](seed) for seed in seeds]
+    Deco(ec2_catalog(), **ENGINE).schedule(WORKFLOWS[family](99), "medium", 96.0)  # imports
+    totals, restore = _install_split(SPLIT)
+    ops = []
+    try:
+        for workflow in workflows:
+            t0 = time.perf_counter()
+            Deco(ec2_catalog(), **ENGINE).schedule(workflow, "medium", 96.0)
+            ops.append(time.perf_counter() - t0)
+    finally:
+        restore()
+    print(f"{family}: {solves} cold solves (generator seeds {seeds.start}-{seeds.stop - 1}), "
+          f"{len(workflows[0])} tasks, median op {statistics.median(ops) * 1e3:.1f} ms "
+          f"(timers on)")
+    _print_split(totals, solves, sum(ops))
+    return 0
+
+
+def split_warm_report(family: str, seed: int) -> int:
+    """``--split --warm``: the split of each round of the ``sweep-large-warm`` op list."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent / "e2e"))
+    import workloads
+
+    workflow = WORKFLOWS[family](seed)
+    deco = Deco(ec2_catalog(), **workloads.ENGINE)
+    deco.schedule(workflow, "medium", 96.0)  # the warm-up, untimed
+    requests = [(d, p) for d in workloads.SWEEP_DEADLINES for p in workloads.SWEEP_PERCENTILES]
+    for r in range(DECISION_ROUNDS):
+        totals, restore = _install_split(SPLIT)
+        ops = []
+        try:
+            for deadline, percentile in requests:
+                t0 = time.perf_counter()
+                deco.schedule(workflow, deadline, percentile)
+                ops.append(time.perf_counter() - t0)
+        finally:
+            restore()
+        print(f"{family}/s{seed} round {r}: {len(ops)} warm ops (deadlines x percentiles), "
+              f"{sum(ops) * 1e3:.1f} ms, median op {statistics.median(ops) * 1e3:.1f} ms "
+              f"(timers on)")
+        _print_split(totals, len(ops), sum(ops))
     return 0
 
 
@@ -559,6 +601,8 @@ def main() -> int:
     if args.workflow is None:
         ap.error("a workflow is required unless --imports, --wlog, --decisions or --kernel "
                  "is given")
+    if args.split and args.warm:
+        return split_warm_report(args.workflow, args.seed)
     if args.split:
         return split_report(args.workflow)
     workflow = WORKFLOWS[args.workflow](args.seed)

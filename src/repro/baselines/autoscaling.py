@@ -31,7 +31,7 @@ from repro.solver.levels import workflow_layout
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
 
-__all__ = ["autoscaling_plan"]
+__all__ = ["autoscaling_choice", "autoscaling_plan"]
 
 
 def _check_deadline(deadline: float) -> None:
@@ -40,28 +40,30 @@ def _check_deadline(deadline: float) -> None:
         raise ValidationError(f"deadline must be a finite number > 0, got {deadline}")
 
 
-def autoscaling_plan(
+def autoscaling_choice(
     workflow: Workflow,
     catalog: Catalog,
     deadline: float,
     runtime_model: RuntimeModel | None = None,
-) -> dict[str, str]:
-    """Compute the Auto-scaling instance assignment.
+) -> np.ndarray:
+    """The Auto-scaling assignment as catalog type indices.
 
-    Returns task id -> instance type name.  ``deadline`` is the
-    deterministic deadline; for a probabilistic requirement of p%, the
-    paper sets this to the same D the probabilistic constraint uses.
+    Returns an ``(N,)`` integer array in ``workflow.task_ids`` order (the
+    dense task indices a :class:`~repro.solver.state.PlanState` uses).
+    ``deadline`` is the deterministic deadline; for a probabilistic
+    requirement of p%, the paper sets this to the same D the
+    probabilistic constraint uses.
 
     Everything that does not depend on the deadline -- the ``(K, N)``
     mean matrix and the level index -- is memoised per workflow (on the
     model and in :func:`~repro.solver.levels.workflow_layout`), so a
     call is a handful of array operations; Deco's warm-start ladder
-    makes eight per solve.
+    makes eight per solve and builds its states from these arrays.
     """
     _check_deadline(deadline)
     model = runtime_model or RuntimeModel(catalog)
     if not len(workflow):
-        return {}
+        return np.zeros(0, dtype=np.intp)
     mean = model.mean_matrix(workflow)
     _, levels = workflow_layout(workflow)
     fastest = catalog.index_of(catalog.fastest().name)
@@ -78,7 +80,20 @@ def autoscaling_plan(
     # Step 2: cheapest type fitting each task's level deadline (types
     # are ordered cheapest -> priciest), else the fastest.
     fits = mean <= np.array(level_deadline)[levels.depth]
-    choice = np.where(fits.any(axis=0), fits.argmax(axis=0), fastest)
+    return np.where(fits.any(axis=0), fits.argmax(axis=0), fastest)
+
+
+def autoscaling_plan(
+    workflow: Workflow,
+    catalog: Catalog,
+    deadline: float,
+    runtime_model: RuntimeModel | None = None,
+) -> dict[str, str]:
+    """Compute the Auto-scaling instance assignment: task id -> type name.
+
+    The names of :func:`autoscaling_choice`'s type indices.
+    """
+    choice = autoscaling_choice(workflow, catalog, deadline, runtime_model)
     names = np.array(catalog.type_names, dtype=object)[choice].tolist()
     return dict(zip(workflow.task_ids, names))
 

@@ -106,12 +106,15 @@ class Deco:
     A Deco instance memoizes the compiled problem per workflow
     (deadline/percentile changes derive via
     :meth:`CompiledProblem.with_deadline`, sharing the sample tensor);
-    its backend memoizes the per-state makespan samples and tier 1's
-    screening problems (``backend.cache`` / ``backend.eval_context`` on
-    ``"gpu"``), and the search's moment memo tier 0's analytic ``(mean,
-    variance)`` rows -- so deadline/percentile sweeps over the same
-    workflow reuse every Monte Carlo and moment propagation the search
-    has already paid for.  That state is keyed by sample token and ends with its
+    its backend memoizes the per-state makespan samples, tier 1's
+    screening problems and their 32-sample prefix rows
+    (``backend.cache`` / ``backend.eval_context`` on ``"gpu"``), and the
+    search's moment memo tier 0's analytic ``(mean, variance)`` rows --
+    none of them depends on the deadline, so deadline/percentile sweeps
+    over the same workflow reuse every Monte Carlo and moment
+    propagation the search has already paid for, at every tier (on a
+    sharded engine the Monte Carlo rows stay in the worker that computed
+    them).  That state is keyed by sample token and ends with its
     problem: evicting a compiled problem, or finishing a solve whose
     problem is not memoized (:meth:`solve_program`, a fault-aware
     :meth:`schedule`), forgets the token (``GenericSearch.forget``), so
@@ -229,7 +232,7 @@ class Deco:
 
         Long-running services call this between tenants/workloads to
         bound memory: the compiled problem memo, the backend's memos
-        (makespan rows and the screening-problem memo) and pooled
+        (makespan rows, tier 1's screening problems and prefix rows) and pooled
         scratch buffers, and tier 0's calibrations and
         moment memo all reset to cold.  Subsequent solves are slower but
         bit-identical -- every cache is a pure memo.
@@ -242,7 +245,8 @@ class Deco:
         """One-stop memory/hit-rate report across all evaluation caches.
 
         Keys: the backend's (on ``"gpu"``: ``makespan`` -- hit/miss/entry
-        counters plus ``nbytes`` -- and ``screen``, tier 1's screening
+        counters plus ``nbytes``, and as ``prefix_*`` the same four of
+        tier 1's prefix rows -- and ``screen``, tier 1's screening
         problems as ``entries`` and ``nbytes``; on ``"analytic"``:
         ``analytic``), the search's (``moments``, tier 0's moment memo,
         and ``analytic``, its work counters, once tier 0 has run),
@@ -403,7 +407,7 @@ class Deco:
         choice to the transformation framework; we seed the search with the
         deadline-assignment heuristic at a few deadline tightenings so the
         transformation operations start from a competitive plan)."""
-        from repro.baselines.autoscaling import autoscaling_plan
+        from repro.baselines.autoscaling import autoscaling_choice
 
         # The ladder is built for the catalog the problem was compiled
         # from (a WLog program may import a cloud that is not this
@@ -413,9 +417,10 @@ class Deco:
         # Deadline-assignment plans at several tightenings; evaluating the
         # whole ladder lets the search start from the cheapest feasible
         # heuristic plan and improve it with transformation operations.
+        # Each rung's type indices are its state: no task names in between.
         return tuple(
-            problem.state_from_assignment(
-                autoscaling_plan(problem.workflow, catalog, problem.deadline * factor, model)
+            PlanState(
+                autoscaling_choice(problem.workflow, catalog, problem.deadline * factor, model)
             )
             for factor in (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4)
         )

@@ -253,7 +253,13 @@ class DurableQueue:
                 heapq.heappush(self._heap, entry)
             if claimed is None:
                 return None
-            return self._commit("started", job_id=claimed.job_id, attempts=claimed.attempts + 1)
+            try:
+                return self._commit("started", job_id=job_id, attempts=claimed.attempts + 1)
+            except BaseException:
+                # A failed append applied nothing: the job is still queued,
+                # so its entry goes back for a later claim.
+                heapq.heappush(self._heap, (rank, seq, job_id))
+                raise
 
     def requeue(self, job_id: str, *, backoff_s: float = 0.0) -> None:
         """Return a crashed job to the queue, optionally after a delay."""

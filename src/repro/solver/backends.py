@@ -30,8 +30,10 @@ owns its device buffers: a :class:`~repro.solver.cache.MakespanCache`
 that memoizes per-state makespan rows keyed by ``(sample_token, state
 key)``, so deadline sweeps over :meth:`CompiledProblem.with_deadline`
 derivations (same tensor, different feasibility test) reuse samples
-instead of recomputing them.  As on the paper's GPU, one launch takes
-all the states of a search iteration, each propagated in full.
+instead of recomputing them; tier 1's prefix rows are memoized the same
+way (:class:`~repro.solver.cache.EvalContext`).  As on the paper's GPU,
+one launch takes all the states of a search iteration, each propagated
+in full.
 
 The **scalar backend** computes the same quantities with pure-Python
 loops -- the single-thread CPU baseline of the paper's speedup numbers.
@@ -46,7 +48,7 @@ import abc
 import dataclasses
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -127,8 +129,15 @@ class CompiledProblem:
     #: array whose row ``[k, i]`` holds task i's samples contiguously, so
     #: the backend's lane gather is K*N contiguous row copies.
     tensor_taskmajor: np.ndarray = dataclasses.field(init=False, repr=False)
+    #: ``(K, N)`` Eq.-1 cost rates, ``mean_times * prices[:, None]``: one
+    #: gather prices an assignment.  Not a field: ``__post_init__`` builds
+    #: it when none is passed and stores it on the instance, where
+    #: ``dataclasses.replace`` reads an init-only value back -- so a
+    #: derivation that keeps ``mean_times`` and ``prices`` carries the
+    #: same array, and one that rewrites them passes ``cost_rates=None``.
+    cost_rates: InitVar[np.ndarray | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, cost_rates):
         # The samples' stored precision and layout: float32, task-major,
         # read-only.  Fresh draws arrive in that form (``sample_tensor``
         # rounds its float64 draws into it) and so does every derivation
@@ -154,6 +163,10 @@ class CompiledProblem:
             )
         if self.sample_token is None:
             object.__setattr__(self, "sample_token", next(_SAMPLE_TOKENS))
+        if cost_rates is None:
+            cost_rates = self.mean_times * self.prices[:, None]
+            cost_rates.setflags(write=False)
+        object.__setattr__(self, "cost_rates", cost_rates)
 
     @classmethod
     def compile(
@@ -201,10 +214,10 @@ class CompiledProblem:
         return float(self.expected_cost_batch(np.asarray(assignment)[None, :])[0])
 
     def expected_cost_batch(self, assignments: np.ndarray) -> np.ndarray:
-        """Eq. 1 cost for a ``(B, N)`` assignment matrix, one pass."""
-        a = np.asarray(assignments, dtype=np.int64)
-        idx = np.arange(self.num_tasks)
-        per_task = self.mean_times[a, idx] * self.prices[a]
+        """Eq. 1 cost for a ``(B, N)`` assignment matrix: one gather of
+        :attr:`cost_rates`, indexed by the matrix as it comes (a widening
+        copy of an int16 beam costs as much as the gather)."""
+        per_task = self.cost_rates[np.asarray(assignments), np.arange(self.num_tasks)]
         return per_task.sum(axis=-1) / SECONDS_PER_HOUR
 
     def state_from_assignment(self, assignment) -> PlanState:
@@ -278,6 +291,7 @@ class CompiledProblem:
         return dataclasses.replace(
             self,
             mean_times=faults.inflate(self.mean_times, recovery),
+            cost_rates=None,
             tensor=faults.inflate(self.tensor_taskmajor, recovery).transpose(0, 2, 1),
             faults=faults,
             recovery=recovery,
@@ -404,10 +418,9 @@ class EvaluationBackend(abc.ABC):
         """``(B,)`` deadline probabilities from the first ``prefix`` samples.
 
         The cheap first stage of two-stage fidelity screening: same
-        draws for every state (a strict prefix of the full tensor), no
-        makespan-cache involvement -- prefix rows are not memoized, so a
-        state screened again (a warm sweep's later solves) is
-        re-propagated.
+        draws for every state (a strict prefix of the full tensor).  The
+        base class memoizes nothing; :class:`VectorizedBackend` keeps the
+        prefix rows.
         """
         sp = problem.with_sample_prefix(prefix)
         makespans = self.makespan_samples(sp, as_block(states))
@@ -450,8 +463,8 @@ class VectorizedBackend(EvaluationBackend):
 
     The backend owns its memos: ``cache`` (the makespan rows
     :meth:`evaluate_batch` reduces) and ``eval_context`` (tier 1's
-    screening-problem memo) are built here unless the caller passes a
-    context to share.
+    screening problems and their prefix rows) are built here unless the
+    caller passes a context to share.
     """
 
     name = "gpu"
@@ -521,18 +534,25 @@ class VectorizedBackend(EvaluationBackend):
         return {"makespan_hits": self.cache.hits, "makespan_misses": self.cache.misses}
 
     def cache_stats(self) -> dict[str, dict]:
-        """``makespan`` (hit/miss/entry counters plus ``nbytes``) and
-        ``screen`` (tier 1's screening problems: ``entries``, ``nbytes``)."""
-        makespan = {**self.cache.counters(), "nbytes": self.cache.nbytes()}
+        """``makespan`` (hit/miss/entry counters plus ``nbytes``, and the
+        same four of tier 1's prefix rows as ``prefix_*``) and ``screen``
+        (tier 1's screening problems: ``entries``, ``nbytes``)."""
+        prefix = self.eval_context.rows
+        makespan = {
+            **self.cache.counters(),
+            "nbytes": self.cache.nbytes(),
+            **{f"prefix_{key}": value for key, value in prefix.counters().items()},
+            "prefix_nbytes": prefix.nbytes(),
+        }
         return {"makespan": makespan, "screen": self.eval_context.stats()}
 
     def forget(self, token: int) -> None:
-        """Drop ``token``'s makespan rows and screening problem."""
+        """Drop ``token``'s makespan rows, screening problem and prefix rows."""
         self.cache.forget(token)
         self.eval_context.forget(token)
 
     def release_buffers(self) -> None:
-        """Drop the makespan memo, the screening problems and the pooled scratch arrays."""
+        """Drop the makespan memo, tier 1's memos and the pooled scratch arrays."""
         self.cache.clear()
         self.eval_context.clear()
         self.pool.clear()
@@ -540,9 +560,17 @@ class VectorizedBackend(EvaluationBackend):
     def screen_probabilities(
         self, problem: CompiledProblem, states, prefix: int
     ) -> np.ndarray:
-        """Prefix-fidelity probabilities from the memoized screening problem."""
+        """Prefix-fidelity probabilities from the memoized screening problem.
+
+        Its rows come through ``eval_context.rows``, keyed by
+        ``problem``'s own token; the misses are one kernel launch on the
+        screening problem, and the probability is taken against its
+        deadline.
+        """
         sp = self.eval_context.screen_problem(problem, prefix)
-        makespans = self.makespan_samples(sp, states)
+        makespans = self.eval_context.rows.fetch(
+            problem, states, lambda _, missing: self.makespan_samples(sp, missing)
+        )
         return np.mean(makespans <= np.float64(sp.deadline), axis=1)
 
 

@@ -20,7 +20,7 @@ live problems (ids recycle when the allocator reuses row space) and
 need no object-pinning side channel to stay correct.
 
 :class:`EvalContext` memoizes tier 1's sample-prefix screening
-problems, one per base sample token.
+problems, one per base sample token, and their prefix makespan rows.
 
 Every memo here groups or indexes its entries by token, so
 ``forget(token)`` drops one sample tensor's entries at a cost
@@ -183,7 +183,7 @@ class MakespanCache:
         # Owned row copies: a view would keep the whole computed batch
         # alive behind one surviving row, and would change under the
         # cache if ``compute`` reuses its output buffer.
-        owned = [row.copy() for row in fresh]
+        owned = list(map(np.ndarray.copy, fresh))
         for row in owned:
             row.setflags(write=False)
         if rows is None:
@@ -210,17 +210,24 @@ class MakespanCache:
 
 
 class EvalContext:
-    """The sample-prefix *screening problems* of tier 1, one per base token.
+    """Tier 1's memos: the sample-prefix *screening problems* and their rows.
 
     One tiny derived :class:`CompiledProblem` per base sample token, so
     the two-stage fidelity screen does not re-slice the tensor every
     iteration.  A token's screening problem lives until :meth:`forget`:
     tier 1 keeps the deadline it was first built with.
+
+    :attr:`rows` memoizes the screening problems' prefix makespan rows
+    under the *base* token: they do not depend on the deadline, so a
+    state screened by any earlier solve of the tensor is a lookup.  They
+    go with their screening problem -- :meth:`forget`, :meth:`clear`, or
+    a rebuild for another prefix length.
     """
 
     def __init__(self):
         # base sample_token -> (prefix length, derived problem)
         self._screen_problems: dict[int, tuple[int, object]] = {}
+        self.rows = MakespanCache()
 
     def __len__(self) -> int:
         return len(self._screen_problems)
@@ -236,10 +243,12 @@ class EvalContext:
 
     def clear(self) -> None:
         self._screen_problems.clear()
+        self.rows.clear()
 
     def forget(self, token: int) -> None:
-        """Drop ``token``'s screening problem."""
+        """Drop ``token``'s screening problem and its prefix rows."""
         self._screen_problems.pop(token, None)
+        self.rows.forget(token)
 
     def screen_problem(self, problem, prefix: int):
         """The memoized sample-prefix derivation of ``problem``.
@@ -252,5 +261,6 @@ class EvalContext:
         if entry is not None and entry[0] == prefix:
             return entry[1]
         derived = problem.with_sample_prefix(prefix)
+        self.rows.forget(problem.sample_token)  # rows of another prefix length
         self._screen_problems[problem.sample_token] = (prefix, derived)
         return derived

@@ -149,12 +149,9 @@ def expand_batch(
 
     key = mean_now
     if feasible.any():
-        below = np.maximum(assign - 1, 0)
+        rates = problem.cost_rates
         saving = np.where(
-            assign > 0,
-            mean_now * problem.prices[assign]
-            - problem.mean_times[below, cols] * problem.prices[below],
-            -np.inf,
+            assign > 0, rates[assign, cols] - rates[np.maximum(assign - 1, 0), cols], -np.inf
         )
         key = np.where(demote, saving, mean_now)
     order = np.argsort(-key, axis=1, kind="stable")

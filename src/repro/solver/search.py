@@ -89,10 +89,13 @@ class SearchResult:
     timed_out: bool = False
 
     def assignment_names(self, problem: CompiledProblem) -> dict[str, str]:
-        """task id -> instance type name for the best state."""
-        names = problem.catalog.type_names
-        wf = problem.workflow
-        return {tid: names[int(self.best_state.assignment[wf.index_of(tid)])] for tid in wf.task_ids}
+        """task id -> instance type name for the best state.
+
+        The assignment follows ``task_ids`` order (the dense indices), so
+        one array index names every task.
+        """
+        names = np.array(problem.catalog.type_names, dtype=object)[self.best_state.assignment]
+        return dict(zip(problem.workflow.task_ids, names.tolist()))
 
 
 class LocalEvaluator:

@@ -15,7 +15,7 @@ from repro.solver.shards import ShardedEvaluator
 from repro.wlog.analysis import check_program, reject_fatal
 from repro.wlog.imports import ImportRegistry
 from repro.wlog.library import scheduling_program
-from repro.workflow.generators import epigenomics, montage
+from repro.workflow.generators import cybershake, epigenomics, montage
 
 
 @pytest.fixture(scope="module")
@@ -438,3 +438,76 @@ class TestCandidateGenerationCost:
         # One call per beam iteration, each carrying a whole batch -- not
         # one per expanded state.
         assert len(sizes) <= -(-result.expansions // per_iter) + 2
+
+
+LADDER = (1.0, 0.92, 0.85, 0.78, 0.7, 0.6, 0.5, 0.4)
+
+
+def names_ladder(deco: Deco, problem: CompiledProblem) -> list[bytes]:
+    """The warm-start ladder through task names: ``autoscaling_plan``'s
+    dicts read back by ``state_from_assignment``."""
+    from repro.baselines.autoscaling import autoscaling_plan
+    from repro.workflow.runtime_model import RuntimeModel
+
+    catalog = problem.catalog
+    model = deco.runtime_model if catalog is deco.catalog else RuntimeModel(catalog)
+    return [
+        problem.state_from_assignment(
+            autoscaling_plan(problem.workflow, catalog, problem.deadline * factor, model)
+        ).key
+        for factor in LADDER
+    ]
+
+
+class TestIndexLadder:
+    """``Deco._warm_starts`` builds its states from type indices; they are
+    the states the names route builds, rung for rung."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: montage(degrees=1.0, seed=4),
+            lambda: montage(degrees=4.0, seed=4),
+            lambda: montage(degrees=8.0, seed=4),
+            lambda: epigenomics(100, seed=4),
+            lambda: cybershake(300, seed=4),
+        ],
+        ids=["montage-1", "montage-4", "montage-8", "epigenomics-100", "cybershake-300"],
+    )
+    def test_equals_the_names_route(self, catalog, make):
+        workflow = make()
+        deco = Deco(catalog, seed=3, num_samples=8)
+        presets = deco.presets(workflow)
+        for deadline in (presets.tight, presets.medium, presets.loose):
+            problem = deco._compiled(workflow).with_deadline(deadline)
+            got = [state.key for state in deco._warm_starts(problem)]
+            assert got == names_ladder(deco, problem)
+
+    def test_equals_the_names_route_on_a_foreign_catalog(self, catalog, wf):
+        """A WLog program's cloud that is not the engine's: the ladder
+        indexes the problem's catalog, with that catalog's mean times."""
+        from repro.cloud.instance_types import Catalog, Region
+        from repro.engine.compiler import compile_or_raise
+        from repro.wlog.probir import translate
+        from repro.wlog.program import WLogProgram
+
+        types = [
+            dataclasses.replace(t, name=f"mycloud.{t.name.split('.')[1]}")
+            for t in list(catalog)[:3]
+        ]
+        prices = {t.name: 0.05 * 2**i for i, t in enumerate(types)}
+        mycloud = Catalog(types, [Region("home", prices)], "home")
+        reg = ImportRegistry()
+        reg.register_cloud("mycloud", mycloud)
+        reg.register_workflow("wf", wf)
+        deco = Deco(catalog, seed=1, num_samples=8)
+        src = scheduling_program(
+            cloud="mycloud", workflow="wf", percentile=96.0,
+            deadline_seconds=Deco(mycloud).presets(wf).tight,
+        )
+        ir = translate(WLogProgram.from_source(src), reg)
+        problem = compile_or_raise(ir, num_samples=8, seed=1)
+        assert problem.catalog is not deco.catalog
+        got = [state.key for state in deco._warm_starts(problem)]
+        assert got == names_ladder(deco, problem)
+        assert len(set(got)) > 1  # the rungs differ: the comparison has teeth

@@ -169,3 +169,23 @@ class TestReuseIsKept:
 #: ``cache_hits`` of each request of the sweep above (forgetting a
 #: token's evaluation state with its problem moves none of them).
 RECORDED_SWEEP_HITS = [0, 187, 42, 62, 47, 66, 263]
+
+
+class TestPrefixRowsGoWithTheirToken:
+    """Tier 1's prefix rows (``EvalContext.rows``) are token-keyed too."""
+
+    def test_nine_workflows_then_clear(self, catalog):
+        deco = Deco(catalog, **ENGINE)
+        rows = deco.backend.eval_context.rows
+        tokens = []
+        for i in range(Deco._PROBLEM_CACHE_SIZE + 1):
+            deco.schedule(montage(degrees=1.0, seed=200 + i), "medium")
+            tokens.append(deco._problems[next(reversed(deco._problems))][1].sample_token)
+            assert deco.last_result.screen_evals > 0
+            assert set(rows._rows) <= live_tokens(deco)
+        assert tokens[0] not in live_tokens(deco) and tokens[0] not in rows._rows
+        assert set(rows._rows) == set(tokens[1:])
+        deco.clear_caches()
+        assert len(rows) == 0 and not rows._rows
+        stats = deco.cache_stats()["makespan"]
+        assert stats["prefix_entries"] == stats["prefix_nbytes"] == 0

@@ -268,6 +268,24 @@ class TestTerminalExactlyOnce:
         assert queue.get(job.job_id).state == "running"
         assert fold_events(replay_events(queue.journal.path))[job.job_id].state == "queued"
 
+    def test_a_failed_started_append_leaves_the_job_claimable(self, queue, monkeypatch):
+        """A ``started`` append that raises (a full disk) changes nothing:
+        the job stays queued, in the heap, and the next claim takes it."""
+        job = queue.submit(_payload())
+        append = queue.journal.append
+
+        def disk_full_once(event, **fields):
+            monkeypatch.setattr(queue.journal, "append", append)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(queue.journal, "append", disk_full_once)
+        with pytest.raises(OSError):
+            queue.claim()
+        assert queue.get(job.job_id).state == "queued" and queue.depth == 1
+        claimed = queue.claim()
+        assert claimed.job_id == job.job_id and claimed.state == "running"
+        assert live_state_mismatches(queue.jobs(), queue.journal.path) == []
+
     def test_requeue_after_terminal_raises(self, queue):
         job = queue.submit(_payload())
         queue.claim()

@@ -156,3 +156,56 @@ class TestDecoCacheSurface:
         assert len(backend.cache) == len(backend.eval_context) == len(backend.pool) == 0
         assert deco.cache_stats()["scratch"] == {"buffers": 0, "nbytes": 0}
         assert deco.schedule(large, "medium").decision_dict() == first
+
+
+# Tier 1's prefix rows ------------------------------------------------------
+
+
+class TestPrefixRows:
+    """Screening rows come through ``EvalContext.rows`` under the base token."""
+
+    def test_rows_are_keyed_by_the_base_token(self, problem):
+        backend = VectorizedBackend()
+        states = [PlanState.uniform(problem.num_tasks, t % 4) for t in range(6)]
+        first = backend.screen_probabilities(problem, states, prefix=16)
+        rows = backend.eval_context.rows
+        assert set(rows._rows) == {problem.sample_token} and len(rows) == 4
+        # Another deadline, same tensor: every row is a hit, and the
+        # probability is the screening problem's, as before.
+        again = backend.screen_probabilities(problem.with_deadline(123.0), states, prefix=16)
+        assert rows.misses == rows.hits == 6
+        np.testing.assert_array_equal(again, first)
+        assert len(backend.cache) == 0  # tier 2's memo and counters untouched
+        assert (backend.cache.hits, backend.cache.misses) == (0, 0)
+
+    def test_a_new_prefix_length_drops_the_rows(self, problem):
+        backend = VectorizedBackend()
+        states = [PlanState.uniform(problem.num_tasks, t) for t in range(3)]
+        backend.screen_probabilities(problem, states, prefix=16)
+        probs = backend.screen_probabilities(problem, states, prefix=8)
+        rows = backend.eval_context.rows
+        assert rows.misses == 6 and len(rows) == 3
+        mk = VectorizedBackend().makespan_samples(problem.with_sample_prefix(8), states)
+        np.testing.assert_array_equal(probs, (mk <= np.float64(problem.deadline)).mean(axis=1))
+
+    def test_forget_and_clear_drop_the_rows(self, problem):
+        backend = VectorizedBackend()
+        states = [PlanState.uniform(problem.num_tasks, 1)]
+        backend.screen_probabilities(problem, states, prefix=16)
+        backend.forget(problem.sample_token)
+        assert len(backend.eval_context.rows) == 0
+        backend.screen_probabilities(problem, states, prefix=16)
+        backend.release_buffers()
+        assert len(backend.eval_context.rows) == 0
+
+    def test_a_repeated_request_computes_no_prefix_row(self, catalog):
+        deco = Deco(catalog, seed=3, num_samples=64, max_evaluations=300)
+        wf = montage(degrees=1.0, seed=3)
+        first = deco.schedule(wf, "medium", deadline_percentile=90.0).decision_dict()
+        before = deco.cache_stats()["makespan"]
+        again = deco.schedule(wf, "medium", deadline_percentile=90.0).decision_dict()
+        after = deco.cache_stats()["makespan"]
+        assert again == first and deco.last_result.screen_evals > 0
+        assert after["prefix_misses"] == before["prefix_misses"]
+        assert after["prefix_hits"] - before["prefix_hits"] == deco.last_result.screen_evals
+        assert after["prefix_entries"] > 0 and after["prefix_nbytes"] > 0

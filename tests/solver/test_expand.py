@@ -426,3 +426,69 @@ class TestLadder:
         got = autoscaling_plan(diamond, catalog, 1e-6)
         assert set(got.values()) == {catalog.fastest().name}
         assert got == autoscaling_ref(diamond, catalog, 1e-6, RuntimeModel(catalog))
+
+
+# ---------------------------------------------------------------------------
+# Eq.-1 cost rates
+# ---------------------------------------------------------------------------
+
+
+def _problems(catalog):
+    """A compiled problem and its fault-aware derivation."""
+    from repro.faults import FaultModel
+
+    workflow = montage(degrees=1.0, seed=3)
+    problem = CompiledProblem.compile(
+        workflow, catalog, deadline=deadline_presets(workflow, catalog).medium,
+        num_samples=8, seed=5,
+    )
+    return {"base": problem, "faults": problem.with_faults(FaultModel(task_failure_rate=0.1))}
+
+
+class TestCostRates:
+    """``cost_rates`` prices an assignment with one gather; every sum and
+    saving equals the two-gather ``mean_times[a, i] * prices[a]`` form bit
+    for bit."""
+
+    @pytest.mark.parametrize("name", ["base", "faults"])
+    @pytest.mark.parametrize("dtype", [np.int16, np.int64])
+    def test_expected_cost_batch_equals_two_gathers(self, catalog, rng, name, dtype):
+        problem = _problems(catalog)[name]
+        a = rng.integers(0, problem.num_types, (40, problem.num_tasks)).astype(dtype)
+        idx = np.arange(problem.num_tasks)
+        want = (problem.mean_times[a, idx] * problem.prices[a]).sum(axis=-1) / 3600.0
+        assert np.array_equal(problem.expected_cost_batch(a), want)
+        assert problem.expected_cost(a[0]) == want[0]
+
+    @pytest.mark.parametrize("name", ["base", "faults"])
+    def test_demote_savings_equal_two_gathers(self, catalog, rng, name):
+        problem = _problems(catalog)[name]
+        a = rng.integers(0, problem.num_types, (40, problem.num_tasks))
+        cols = np.arange(problem.num_tasks)
+        below = np.maximum(a - 1, 0)
+        want = (
+            problem.mean_times[a, cols] * problem.prices[a]
+            - problem.mean_times[below, cols] * problem.prices[below]
+        )
+        rates = problem.cost_rates
+        assert np.array_equal(rates[a, cols] - rates[below, cols], want)
+
+    @pytest.mark.parametrize("incumbent", [False, True])
+    def test_fault_aware_children_match_scalar(self, catalog, rng, incumbent):
+        """Demote ranks on the inflated problem's own rates."""
+        problem = _problems(catalog)["faults"]
+        n, k = problem.num_tasks, problem.num_types
+        states = [PlanState(rng.integers(0, k, n)) for _ in range(6)]
+        states.append(PlanState.uniform(n, k - 1))
+        parents = [(s, _eval(i % 3 != 0)) for i, s in enumerate(states)]
+        _assert_children_match(problem, parents, incumbent)
+
+    def test_derivations_carry_or_rebuild_the_matrix(self, catalog):
+        problems = _problems(catalog)
+        base, faulty = problems["base"], problems["faults"]
+        assert np.array_equal(base.cost_rates, base.mean_times * base.prices[:, None])
+        assert not base.cost_rates.flags.writeable
+        assert base.with_deadline(1.0, 50.0).cost_rates is base.cost_rates
+        assert base.with_sample_prefix(4).cost_rates is base.cost_rates
+        assert np.array_equal(faulty.cost_rates, faulty.mean_times * faulty.prices[:, None])
+        assert not np.array_equal(faulty.cost_rates, base.cost_rates)
