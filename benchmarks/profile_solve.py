@@ -13,7 +13,8 @@
 served one (what a sweep or a service worker pays), and prints the
 hits and misses that request added to each evaluation cache of
 ``Deco.cache_stats()`` -- makespan rows, tier 1's prefix rows and tier-0
-moments -- so a warm profile says how much of it was lookups; without it
+moments -- and to the search's edit memo (expanded parents), so a warm
+profile says how much of it was lookups; without it
 the engine is fresh.  Self time is what tells interpreter loops apart from
 the array kernels they call -- this is the tool behind the shares quoted
 in DESIGN.md §17.
@@ -33,7 +34,8 @@ does not have is an error, so a rename cannot silently move time out of
 a group.  No timing threshold.  ``--split --warm`` splits the
 ``sweep-large-warm`` op list instead: one engine, its warm-up at
 medium/96 untimed, then :data:`DECISION_ROUNDS` rounds of the
-workload's deadlines x percentiles, one table per round (the family's
+workload's deadlines x percentiles, one table per round after the
+round's ``reused:`` line, as ``--warm`` prints it (the family's
 generator seed is ``--seed``; ``montage-8`` with the default 7 is the
 workload's request).  In a later round every state has been seen, so
 what is left is what a memo-hit solve costs.
@@ -54,7 +56,8 @@ does, and after each solve prints the process's ``VmRSS`` and ``VmHWM``
 (its high-water mark, what the benchmark's ``peak_rss_mb`` reads), the
 compiled problems the engine holds, each token-keyed memo's entries and
 bytes and the scratch pool's buffers and bytes (:data:`RESIDENT`, from
-``Deco.cache_stats()``; ``prefix`` is tier 1's prefix rows).  Once the
+:func:`memo_stats`; ``prefix`` is tier 1's prefix rows, ``expansions``
+the search's edit memo).  Once the
 problem memo is full the memos should stop growing; the scratch pool is
 sized by the kernels' byte budgets, not by the largest batch.  No
 threshold.
@@ -127,14 +130,15 @@ SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarative
 WLOG_ROUNDS = 40  # --wlog: requests per seed
 
-#: --warm: cache -> (``Deco.cache_stats()`` section, key prefix) whose reuse is printed.
+#: --warm: cache -> (:func:`memo_stats` section, key prefix) whose reuse is printed.
 REUSED = {"makespan": ("makespan", ""), "prefix": ("makespan", "prefix_"),
-          "moments": ("moments", "")}
+          "moments": ("moments", ""), "expansions": ("expansions", "")}
 
-#: --resident: column -> (``Deco.cache_stats()`` section, entries key, bytes key).
+#: --resident: column -> (:func:`memo_stats` section, entries key, bytes key).
 RESIDENT = {
     "makespan": ("makespan", "entries", "nbytes"),
     "moments": ("moments", "entries", "nbytes"),
+    "expansions": ("expansions", "entries", "nbytes"),
     "calibrations": ("analytic", "calibration_entries", "calibration_nbytes"),
     "screen": ("screen", "entries", "nbytes"),
     "prefix": ("makespan", "prefix_entries", "prefix_nbytes"),
@@ -158,6 +162,12 @@ KERNEL = {
 }
 KERNEL_STATES = 64  # --kernel: states per batch
 KERNEL_CALLS = 30  # --kernel: timed calls per workflow
+
+
+def memo_stats(deco: Deco) -> dict:
+    """``Deco.cache_stats()`` plus the search's edit memo as ``expansions``
+    (the engine's report covers its evaluation caches only)."""
+    return {**deco.cache_stats(), "expansions": deco._search.cache_stats()["expansions"]}
 
 
 def reuse_report(before: dict, after: dict) -> str:
@@ -303,6 +313,7 @@ def split_warm_report(family: str, seed: int) -> int:
     deco.schedule(workflow, "medium", 96.0)  # the warm-up, untimed
     requests = [(d, p) for d in workloads.SWEEP_DEADLINES for p in workloads.SWEEP_PERCENTILES]
     for r in range(DECISION_ROUNDS):
+        before = memo_stats(deco)
         totals, restore = _install_split(SPLIT)
         ops = []
         try:
@@ -315,6 +326,7 @@ def split_warm_report(family: str, seed: int) -> int:
         print(f"{family}/s{seed} round {r}: {len(ops)} warm ops (deadlines x percentiles), "
               f"{sum(ops) * 1e3:.1f} ms, median op {statistics.median(ops) * 1e3:.1f} ms "
               f"(timers on)")
+        print(reuse_report(before, memo_stats(deco)))
         _print_split(totals, len(ops), sum(ops))
     return 0
 
@@ -547,7 +559,7 @@ def resident_report(family: str, count: int, seed: int) -> int:
           + " ".join(f"{name:>17}" for name in RESIDENT))
     for i in range(count):
         deco.schedule(WORKFLOWS[family](seed + i), "medium", deadline_percentile=96.0)
-        stats = deco.cache_stats()
+        stats = memo_stats(deco)
         cells = []
         for section, entries, nbytes in RESIDENT.values():
             memo = stats.get(section, {})
@@ -610,13 +622,13 @@ def main() -> int:
     deco = Deco(ec2_catalog(), **ENGINE)
     if args.warm:
         deco.schedule(workflow, "medium", deadline_percentile=96.0)
-    before = deco.cache_stats()
+    before = memo_stats(deco)
     profile = cProfile.Profile()
     plan = profile.runcall(deco.schedule, workflow, deadline, deadline_percentile=args.percentile)
     print(f"{args.workflow}: {len(workflow)} tasks, {plan.evaluations} evaluations, "
           f"{plan.solve_seconds * 1e3:.1f} ms in the search (profiled)")
     if args.warm:
-        print(reuse_report(before, deco.cache_stats()))
+        print(reuse_report(before, memo_stats(deco)))
     pstats.Stats(profile).sort_stats("tottime").print_stats(args.top)
     return 0
 

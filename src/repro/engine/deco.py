@@ -108,19 +108,22 @@ class Deco:
     :meth:`CompiledProblem.with_deadline`, sharing the sample tensor);
     its backend memoizes the per-state makespan samples, tier 1's
     screening problems and their 32-sample prefix rows
-    (``backend.cache`` / ``backend.eval_context`` on ``"gpu"``), and the
-    search's moment memo tier 0's analytic ``(mean, variance)`` rows --
+    (``backend.cache`` / ``backend.eval_context`` on ``"gpu"``), the
+    search's moment memo tier 0's analytic ``(mean, variance)`` rows and
+    its edit memo every expanded parent's Promote/Demote edits --
     none of them depends on the deadline, so deadline/percentile sweeps
     over the same workflow reuse every Monte Carlo and moment
-    propagation the search has already paid for, at every tier (on a
-    sharded engine the Monte Carlo rows stay in the worker that computed
-    them).  That state is keyed by sample token and ends with its
+    propagation and every expansion the search has already paid for, at
+    every tier (on a sharded engine the Monte Carlo rows stay in the
+    worker that computed them; shards do not expand, so the edit memo
+    is the parent's).  That state is keyed by sample token and ends with its
     problem: evicting a compiled problem, or finishing a solve whose
     problem is not memoized (:meth:`solve_program`, a fault-aware
     :meth:`schedule`), forgets the token (``GenericSearch.forget``), so
     a warm engine holds the state of at most ``_PROBLEM_CACHE_SIZE``
-    tensors.  :meth:`clear_caches` / :meth:`cache_stats` drop and
-    report all of it from one place.
+    tensors.  :meth:`clear_caches` drops all of it from one place;
+    :meth:`cache_stats` reports the evaluation memos, and the search's
+    own report (``GenericSearch.cache_stats``) the edit memo too.
     """
 
     #: How many compiled problems (one per workflow) to keep alive.
@@ -259,7 +262,9 @@ class Deco:
         engines report the work their workers did instead of near-empty
         parent caches.
         """
-        stats: dict = {**self._search.cache_stats(), **self.backend.cache_stats()}
+        search = self._search.cache_stats()
+        del search["expansions"]  # the search's edit memo is no evaluation cache
+        stats: dict = {**search, **self.backend.cache_stats()}
         pool = self.backend.pool
         stats["scratch"] = {"buffers": len(pool), "nbytes": pool.nbytes()}
         stats["compiled_problems"] = len(self._problems)

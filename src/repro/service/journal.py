@@ -30,12 +30,14 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import threading
 import warnings
 import weakref
+from collections.abc import Mapping
 from pathlib import Path
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from repro.common.errors import JournalCorrupt, ValidationError
 
@@ -152,14 +154,47 @@ def replay_events(path: str | os.PathLike) -> Iterator[dict]:
         yield record
 
 
+#: Each delta field :func:`apply_event` reads: what it must be, and the
+#: test -- the type :class:`JobRecord` declares for it.
+_FIELDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "ts": (
+        "a finite number",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+    ),
+    "attempts": (
+        "an int >= 1", lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1
+    ),
+    "result": ("an object or null", lambda v: v is None or isinstance(v, Mapping)),
+    "error": ("an object or null", lambda v: v is None or isinstance(v, Mapping)),
+    "degraded": ("a bool", lambda v: isinstance(v, bool)),
+    "cache_hit": ("a bool", lambda v: isinstance(v, bool)),
+    "degrade_reason": ("a string", lambda v: isinstance(v, str)),
+}
+
+
+def _field(record: dict, name: str, default: Any) -> Any:
+    """``record[name]``, checked against :data:`_FIELDS`; ``default`` when absent."""
+    if name not in record:
+        return default
+    value = record[name]
+    what, valid = _FIELDS[name]
+    if not valid(value):
+        raise JournalCorrupt(
+            f"journal {record['event']!r} record for job {record.get('job_id')!r} has "
+            f"{name}={value!r}, not {what}"
+        )
+    return value
+
+
 def apply_event(jobs: dict[str, JobRecord], record: dict) -> JobRecord:
     """Apply one journal event to ``jobs`` and return the job it changed.
 
     The one place a job's lifecycle fields change: the live queue runs
     it on every record it appends, replay on every record it reads.  An
     event for an unknown job, a second ``submitted`` for a known one,
-    and any event after a terminal one raise :class:`JournalCorrupt`,
-    because a correct service can never write them.
+    any event after a terminal one and a field that is not of the type
+    :class:`JobRecord` declares raise :class:`JournalCorrupt`, because a
+    correct service can never write them.
     """
     event = record["event"]
     if event == "submitted":
@@ -184,19 +219,20 @@ def apply_event(jobs: dict[str, JobRecord], record: dict) -> JobRecord:
             f"terminal state {job.state!r} -- exactly-once violated"
         )
     if event == "started":
-        job.state = "running"
-        job.started_at = record.get("ts", 0.0)
-        job.attempts = record.get("attempts", job.attempts + 1)
+        started_at = _field(record, "ts", 0.0)
+        attempts = _field(record, "attempts", job.attempts + 1)
+        job.state, job.started_at, job.attempts = "running", started_at, attempts
     elif event == "requeued":
         job.state = "queued"
     elif event in TERMINAL_STATES:
-        job.state = event
-        job.finished_at = record.get("ts", 0.0)
-        job.degraded = record.get("degraded", job.degraded)
-        job.degrade_reason = record.get("degrade_reason", job.degrade_reason)
-        job.cache_hit = record.get("cache_hit", job.cache_hit)
-        job.result = record.get("result", job.result)
-        job.error = record.get("error", job.error)
+        fields = {
+            name: _field(record, name, getattr(job, name))
+            for name in ("degraded", "degrade_reason", "cache_hit", "result", "error")
+        }
+        finished_at = _field(record, "ts", 0.0)
+        for name, value in fields.items():
+            setattr(job, name, value)
+        job.state, job.finished_at = event, finished_at
     else:
         raise JournalCorrupt(f"unknown journal event {event!r} for job {job_id}")
     return job

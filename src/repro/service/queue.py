@@ -222,9 +222,17 @@ class DurableQueue:
             )
             if result is None:
                 return self._commit("submitted", ts=now, job=job.to_dict())
-            # Born finished: applied, never pushed, then completed.
-            self._apply(self.journal.append("submitted", ts=now, job=job.to_dict()))
-            return self.finish(job.job_id, "completed", result=result, cache_hit=True)
+            # Born finished: applied, never pushed, then completed.  When
+            # the ``completed`` append fails, the durable ``submitted``
+            # record is a queued job on replay, so it becomes one live too:
+            # claimable, like any other.
+            job = self._apply(self.journal.append("submitted", ts=now, job=job.to_dict()))
+            try:
+                return self.finish(job.job_id, "completed", result=result, cache_hit=True)
+            except BaseException:
+                if job.state == "queued":
+                    self._push(job)
+                raise
 
     # -- dispatch ----------------------------------------------------------
 

@@ -144,6 +144,46 @@ class MakespanCache:
 
     # ------------------------------------------------------------------
 
+    def lookup(self, token: int, keys: list) -> tuple[list, list[int]]:
+        """The held row of every key of ``token`` (None where there is
+        none) and the positions of the missing ones, counted as hits and
+        misses; a hit becomes most recent."""
+        rows = self._rows.get(token)
+        if rows is None:
+            found = [None] * len(keys)
+            missing = list(range(len(keys)))
+        else:
+            self._rows.move_to_end(token)
+            found = [rows.get(key) for key in keys]
+            missing = [i for i, row in enumerate(found) if row is None]
+            if len(missing) < len(keys):
+                for key, row in zip(keys, found):
+                    if row is not None:
+                        rows.move_to_end(key)
+        self.hits += len(keys) - len(missing)
+        self.misses += len(missing)
+        return found, missing
+
+    def store(self, token: int, keys: list, values: list) -> None:
+        """Hold ``values[i]`` under ``keys[i]`` of ``token``, most recent
+        last; past :attr:`MAX_ENTRIES` the least recently used go."""
+        rows = self._rows.get(token)
+        if rows is None:
+            rows = self._rows[token] = OrderedDict()
+        held = len(rows)
+        rows.update(zip(keys, values))
+        self._entries += len(rows) - held
+        if len(rows) - held < len(keys):
+            # A key the batch repeats is most recent at its last occurrence.
+            for key in keys:
+                rows.move_to_end(key)
+        while self._entries > self.MAX_ENTRIES:
+            oldest, lru = next(iter(self._rows.items()))
+            lru.popitem(last=False)
+            self._entries -= 1
+            if not lru:
+                del self._rows[oldest]
+
     def fetch(
         self,
         problem,
@@ -161,20 +201,8 @@ class MakespanCache:
         reassembled in input order.
         """
         block = as_block(block)
-        token = problem.sample_token
         keys = block.keys
-        rows = self._rows.get(token)
-        if rows is None:
-            found = [None] * len(keys)
-        else:
-            self._rows.move_to_end(token)
-            found = [rows.get(key) for key in keys]
-        missing = [i for i, row in enumerate(found) if row is None]
-        self.hits += len(keys) - len(missing)
-        self.misses += len(missing)
-        for key, row in zip(keys, found):
-            if row is not None:
-                rows.move_to_end(key)
+        found, missing = self.lookup(problem.sample_token, keys)
         if not missing:
             return np.stack(found)
 
@@ -186,22 +214,7 @@ class MakespanCache:
         owned = list(map(np.ndarray.copy, fresh))
         for row in owned:
             row.setflags(write=False)
-        if rows is None:
-            rows = self._rows[token] = OrderedDict()
-        missing_keys = [keys[i] for i in missing]
-        held = len(rows)
-        rows.update(zip(missing_keys, owned))
-        self._entries += len(rows) - held
-        if len(rows) - held < len(missing_keys):
-            # A key the block repeats is most recent at its last occurrence.
-            for key in missing_keys:
-                rows.move_to_end(key)
-        while self._entries > self.MAX_ENTRIES:
-            oldest, lru = next(iter(self._rows.items()))
-            lru.popitem(last=False)
-            self._entries -= 1
-            if not lru:
-                del self._rows[oldest]
+        self.store(problem.sample_token, [keys[i] for i in missing], owned)
         if whole:
             return fresh.copy()
         for i, row in zip(missing, owned):

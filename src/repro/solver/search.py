@@ -44,7 +44,7 @@ from repro.common.errors import SolverError, ValidationError
 from repro.solver.analytic_backend import AnalyticBackend
 from repro.solver.backends import CompiledProblem, EvaluationBackend, VectorizedBackend
 from repro.solver.cache import MakespanCache
-from repro.solver.expand import expand_batch
+from repro.solver.expand import EditMemo, expand_batch
 from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval
 from repro.solver.tiers import AnalyticTier, Evaluator, MonteCarloTier, PrefixTier, Tier
 
@@ -159,8 +159,11 @@ class GenericSearch:
     ``(mean, variance)`` rows per ``(sample_token, state key)`` next to
     tier 0's evaluator, so a warm engine's later solves of the same
     sample tensor propagate only the states no earlier solve
-    classified.  :meth:`forget` releases one token's share of
-    both and of the backend's memos, :meth:`clear_caches` all of it.
+    classified; :attr:`edit_memo` keeps every expanded parent's
+    Promote/Demote edits the same way (:class:`~repro.solver.expand.EditMemo`),
+    so they expand without a critical-path walk or a ranking.
+    :meth:`forget` releases one token's share of these and of the
+    backend's memos, :meth:`clear_caches` all of it.
     """
 
     #: Cap on transformation children generated per expansion; children
@@ -195,6 +198,7 @@ class GenericSearch:
         #: the cascade's tiers do not pin duplicate large buffers.
         self._analytic = AnalyticBackend(pool=self.backend.pool)
         self.moment_memo = MakespanCache()
+        self.edit_memo = EditMemo()
 
     def evaluator(self, problem: CompiledProblem) -> LocalEvaluator:
         """A fresh in-process evaluator of ``problem`` (one per solve)."""
@@ -257,6 +261,7 @@ class GenericSearch:
             children = expand_batch(
                 problem, parents, evals.feasible[top], incumbent_feasible,
                 self.CHILDREN_PER_STATE, seen, self.max_evaluations - evaluations,
+                self.edit_memo,
             )
             evaluations += len(children)
             frontier, evals = frontier.take(rest), evals.take(rest)
@@ -393,21 +398,28 @@ class GenericSearch:
 
     def forget(self, token: int) -> None:
         """Drop every memo entry of sample token ``token``: the backend's,
-        tier 0's calibration and the moment memo's rows."""
+        tier 0's calibration, the moment memo's rows and the edit memo's."""
         self.moment_memo.forget(token)
+        self.edit_memo.forget(token)
         self.backend.forget(token)
         self._analytic.forget(token)
 
     def clear_caches(self) -> None:
-        """Drop the backend's memos and buffers, tier 0's calibrations and moment memo."""
+        """Drop the backend's memos and buffers, tier 0's calibrations, the
+        moment memo and the edit memo."""
         self.moment_memo.clear()
+        self.edit_memo.clear()
         self.backend.release_buffers()
         self._analytic.release_buffers()
 
     def cache_stats(self) -> dict[str, dict]:
-        """``moments`` (the tier-0 memo's counters plus ``nbytes``) and,
-        once tier 0 ran, ``analytic``: its work counters and calibrations."""
-        stats = {"moments": {**self.moment_memo.counters(), "nbytes": self.moment_memo.nbytes()}}
+        """``moments`` and ``expansions`` (the tier-0 memo's and the edit
+        memo's counters plus ``nbytes``) and, once tier 0 ran,
+        ``analytic``: its work counters and calibrations."""
+        stats = {
+            name: {**memo.counters(), "nbytes": memo.nbytes()}
+            for name, memo in (("moments", self.moment_memo), ("expansions", self.edit_memo))
+        }
         if self.moment_memo.hits or self.moment_memo.misses:  # tier 0 has run
             stats.update(self._analytic.cache_stats())
         return stats

@@ -189,3 +189,35 @@ class TestPrefixRowsGoWithTheirToken:
         assert len(rows) == 0 and not rows._rows
         stats = deco.cache_stats()["makespan"]
         assert stats["prefix_entries"] == stats["prefix_nbytes"] == 0
+
+
+class TestEditsGoWithTheirToken:
+    """The search's edit memo (``GenericSearch.edit_memo``) is token-keyed too."""
+
+    def test_nine_workflows_then_clear(self, catalog):
+        deco = Deco(catalog, **ENGINE)
+        edits = deco._search.edit_memo
+        tokens = []
+        for i in range(Deco._PROBLEM_CACHE_SIZE + 1):
+            deco.schedule(montage(degrees=1.0, seed=300 + i), "medium")
+            tokens.append(deco._problems[next(reversed(deco._problems))][1].sample_token)
+            assert deco.last_result.expansions > 0
+            assert set(edits._rows) <= live_tokens(deco)
+        assert tokens[0] not in live_tokens(deco) and tokens[0] not in edits._rows
+        assert set(edits._rows) == set(tokens[1:])
+        deco.clear_caches()
+        assert len(edits) == 0 and not edits._rows
+        stats = deco._search.cache_stats()["expansions"]
+        assert stats["entries"] == stats["nbytes"] == 0
+
+    def test_a_fault_aware_solve_shares_no_entry_and_leaves_none(self, catalog):
+        deco = Deco(catalog, **ENGINE)
+        wf = montage(degrees=1.0, seed=3)
+        deco.schedule(wf, "medium")
+        edits = deco._search.edit_memo
+        before = {token: set(rows) for token, rows in edits._rows.items()}
+        hits = edits.hits
+        deco.schedule(wf, "medium", faults=FaultModel(task_failure_rate=0.05))
+        assert deco.last_result.expansions > 0
+        assert edits.hits == hits  # nothing read from the base tensor's entries
+        assert {token: set(rows) for token, rows in edits._rows.items()} == before

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.common.errors import JournalCorrupt, ValidationError
-from repro.service import JobJournal, JobRecord, fold_events, replay_events
+from repro.service import DurableQueue, JobJournal, JobRecord, fold_events, replay_events
 
 
 def _submit_event(journal: JobJournal, job_id: str, **over) -> JobRecord:
@@ -163,3 +163,73 @@ class TestBootInputIsValidated:
         with pytest.raises(JournalCorrupt):
             fold_events(replay_events(path))
 
+
+
+class TestRecordFieldsAreTyped:
+    """Every delta field ``apply_event`` reads must have the type
+    ``JobRecord`` declares; anything else is :class:`JournalCorrupt` at boot,
+    never a bad value the first ``claim`` trips over."""
+
+    @staticmethod
+    def _boot(tmp_path, *records):
+        path = tmp_path / "j.jsonl"
+        with JobJournal(path) as journal:
+            _submit_event(journal, "a")
+        with open(path, "a") as fh:
+            for record in records:
+                fh.write(json.dumps(record) + "\n")
+        return fold_events(replay_events(path))
+
+    STARTED = {"event": "started", "ts": 2.0, "job_id": "a", "attempts": 1}
+    DONE = {"event": "completed", "ts": 3.0, "job_id": "a"}
+
+    def test_well_typed_records_boot(self, tmp_path):
+        done = {**self.DONE, "result": {"plan": {}}, "error": None, "degraded": True,
+                "degrade_reason": "load_shed", "cache_hit": False, "ts": 3}
+        job = self._boot(tmp_path, self.STARTED, done)["a"]
+        assert (job.state, job.attempts, job.finished_at, job.degraded) == ("completed", 1, 3, True)
+
+    @pytest.mark.parametrize(
+        "value", [None, "2.0", True, float("nan"), float("inf"), [2.0]],
+        ids=["null", "string", "bool", "nan", "inf", "list"],
+    )
+    @pytest.mark.parametrize("event", ["started", "completed"])
+    def test_ts(self, tmp_path, event, value):
+        records = [{**self.STARTED, "ts": value}] if event == "started" else [
+            self.STARTED, {**self.DONE, "ts": value}]
+        with pytest.raises(JournalCorrupt, match="ts="):
+            self._boot(tmp_path, *records)
+
+    @pytest.mark.parametrize(
+        "value", ["x", 0, -1, 1.0, True, None], ids=["string", "zero", "negative", "float",
+                                                    "bool", "null"],
+    )
+    def test_attempts(self, tmp_path, value):
+        with pytest.raises(JournalCorrupt, match="attempts="):
+            self._boot(tmp_path, {**self.STARTED, "attempts": value})
+
+    @pytest.mark.parametrize("name", ["result", "error"])
+    @pytest.mark.parametrize("value", ["plan", 1, [1], True], ids=["string", "int", "list", "bool"])
+    def test_result_and_error(self, tmp_path, name, value):
+        with pytest.raises(JournalCorrupt, match=f"{name}="):
+            self._boot(tmp_path, self.STARTED, {**self.DONE, name: value})
+
+    @pytest.mark.parametrize("name", ["degraded", "cache_hit"])
+    @pytest.mark.parametrize("value", [1, 0, "true", None], ids=["one", "zero", "string", "null"])
+    def test_flags(self, tmp_path, name, value):
+        with pytest.raises(JournalCorrupt, match=f"{name}="):
+            self._boot(tmp_path, self.STARTED, {**self.DONE, name: value})
+
+    @pytest.mark.parametrize("value", [None, 1, ["load_shed"]], ids=["null", "int", "list"])
+    def test_degrade_reason(self, tmp_path, value):
+        with pytest.raises(JournalCorrupt, match="degrade_reason="):
+            self._boot(tmp_path, {**self.DONE, "event": "degraded", "degrade_reason": value})
+
+    def test_a_queue_refuses_to_boot(self, tmp_path):
+        """The reported case: a ``started`` record whose attempts is a string."""
+        path = tmp_path / "j.jsonl"
+        with JobJournal(path) as journal:
+            _submit_event(journal, "a")
+            journal.append("started", ts=2.0, job_id="a", attempts="x")
+        with JobJournal(path) as journal, pytest.raises(JournalCorrupt):
+            DurableQueue(journal)

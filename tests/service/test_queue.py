@@ -405,3 +405,46 @@ class TestLiveStateIsReplayedState:
                              degraded=op == "degraded" or None,
                              degrade_reason="solve_timeout" if op == "degraded" else None)
         return queue
+
+
+def _fail_once(monkeypatch, queue, event: str) -> None:
+    """Make the next ``event`` append raise as a full disk does."""
+    append = queue.journal.append
+
+    def disk_full(name, **fields):
+        if name != event:
+            return append(name, **fields)
+        monkeypatch.setattr(queue.journal, "append", append)
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(queue.journal, "append", disk_full)
+
+
+class TestFailedAppends:
+    """An append that raises leaves every live job equal to the fold of
+    what reached the journal."""
+
+    def test_a_failed_cache_hit_completion_leaves_a_claimable_job(self, queue, monkeypatch):
+        _fail_once(monkeypatch, queue, "completed")
+        with pytest.raises(OSError):
+            queue.submit(_payload(), result={"plan": {}})
+        (job,) = queue.jobs()
+        assert job.state == "queued" and queue.depth == 1
+        assert live_state_mismatches(queue.jobs(), queue.journal.path) == []
+        claimed = queue.claim()
+        assert claimed is not None and claimed.job_id == job.job_id
+        queue.finish(job.job_id, "completed", result={"plan": {}})
+        assert queue.depth == 0
+        assert live_state_mismatches(queue.jobs(), queue.journal.path) == []
+
+    def test_a_failed_requeue_leaves_the_job_running_without_backoff(self, queue, monkeypatch):
+        job = queue.submit(_payload())
+        queue.claim()
+        _fail_once(monkeypatch, queue, "requeued")
+        with pytest.raises(OSError):
+            queue.requeue(job.job_id, backoff_s=60.0)
+        assert queue.get(job.job_id).state == "running" and queue.depth == 1
+        assert queue.next_ready_in() is None and job.job_id not in queue._not_before
+        assert live_state_mismatches(queue.jobs(), queue.journal.path) == []
+        queue.requeue(job.job_id)
+        assert queue.claim().job_id == job.job_id

@@ -209,3 +209,47 @@ class TestPrefixRows:
         assert after["prefix_misses"] == before["prefix_misses"]
         assert after["prefix_hits"] - before["prefix_hits"] == deco.last_result.screen_evals
         assert after["prefix_entries"] > 0 and after["prefix_nbytes"] > 0
+
+
+# The search's edit memo ----------------------------------------------------
+
+
+class TestExpansionReuse:
+    """A warm engine expands the parents an earlier solve of the tensor
+    expanded from ``GenericSearch.edit_memo``."""
+
+    def test_a_repeated_request_expands_no_parent_anew(self, catalog):
+        deco = Deco(catalog, seed=3, num_samples=64, max_evaluations=300)
+        wf = montage(degrees=1.0, seed=3)
+        first = deco.schedule(wf, "medium", deadline_percentile=90.0).decision_dict()
+        before = deco._search.cache_stats()["expansions"]
+        again = deco.schedule(wf, "medium", deadline_percentile=90.0).decision_dict()
+        after = deco._search.cache_stats()["expansions"]
+        assert again == first and deco.last_result.expansions > 0
+        assert after["misses"] == before["misses"] == before["entries"]
+        assert after["hits"] - before["hits"] == deco.last_result.expansions
+        assert after["entries"] == before["entries"] > 0 and after["nbytes"] > 0
+
+    def test_a_sweep_plans_as_without_the_memo(self, catalog):
+        """A warm sweep decides as its twin whose edit memo is emptied
+        before every request (a warm engine need not plan as a cold one:
+        tier 1 keeps the deadline its screening problem was built with)."""
+        deco, twin = (Deco(catalog, seed=3, num_samples=64, max_evaluations=300) for _ in range(2))
+        wf = montage(degrees=1.0, seed=4)
+        for deadline in ("tight", "medium", "loose"):
+            for percentile in (96.0, 90.0):
+                warm = deco.schedule(wf, deadline, deadline_percentile=percentile)
+                twin._search.edit_memo.clear()
+                again = twin.schedule(wf, deadline, deadline_percentile=percentile)
+                assert again.decision_dict() == warm.decision_dict()
+        assert deco._search.cache_stats()["expansions"]["hits"] > 0
+        assert twin._search.cache_stats()["expansions"]["hits"] == 0
+
+    def test_the_search_reports_the_memo_and_clears_it(self, catalog):
+        deco = Deco(catalog, seed=3, num_samples=32, max_evaluations=80)
+        deco.schedule(montage(degrees=1.0, seed=3), "medium")
+        stats = deco._search.cache_stats()
+        assert set(stats["expansions"]) == {"hits", "misses", "entries", "nbytes"}
+        deco.clear_caches()
+        assert deco._search.cache_stats()["expansions"]["entries"] == 0
+        assert deco._search.cache_stats()["expansions"]["nbytes"] == 0

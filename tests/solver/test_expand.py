@@ -19,7 +19,7 @@ from repro.baselines.autoscaling import autoscaling_plan
 from repro.common.errors import ValidationError
 from repro.engine.plan import deadline_presets
 from repro.solver.backends import CompiledProblem
-from repro.solver.expand import critical_paths, expand_batch
+from repro.solver.expand import EditMemo, critical_paths, expand_batch
 from repro.solver.levels import workflow_layout
 from repro.solver.state import PlanState, StateBlock, StateEval
 from repro.workflow.critical_path import critical_path, task_levels
@@ -492,3 +492,103 @@ class TestCostRates:
         assert base.with_sample_prefix(4).cost_rates is base.cost_rates
         assert np.array_equal(faulty.cost_rates, faulty.mean_times * faulty.prices[:, None])
         assert not np.array_equal(faulty.cost_rates, base.cost_rates)
+
+
+# ---------------------------------------------------------------------------
+# The edit memo
+# ---------------------------------------------------------------------------
+
+
+def _both_ways(problem, block, feasible, incumbent, cps, visited=(), limit=None, memo=None):
+    """``expand_batch`` without and with ``memo``: both blocks must be one.
+
+    Each call gets its own copy of ``visited`` as its ``seen`` set; the
+    sets they leave must be equal too.
+    """
+    seen_want, seen_got = set(visited), set(visited)
+    want = expand_batch(problem, block, feasible, incumbent, cps, seen_want, limit)
+    got = expand_batch(problem, block, feasible, incumbent, cps, seen_got, limit, memo)
+    assert np.array_equal(got.assign, want.assign) and got.assign.dtype == want.assign.dtype
+    assert got.keys == want.keys and seen_got == seen_want
+    return got
+
+
+class TestEditMemo:
+    """Through an :class:`EditMemo`, ``expand_batch`` returns the block the
+    memo-less call returns, whichever of its parents the memo holds."""
+
+    @given(dags(max_tasks=10), st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_memo_returns_the_memo_less_block(self, catalog, workflow, seed, data):
+        problem, parents, rng = _drawn_parents(catalog, workflow, seed)
+        block = StateBlock.from_states(s for s, _ in parents)
+        cps = int(rng.integers(1, 13))
+        memo = EditMemo()
+        # Later rounds draw parents the earlier ones expanded, in the same
+        # or another direction: batches mix hits and misses.
+        for _ in range(4):
+            rows = data.draw(st.lists(st.integers(0, len(block) - 1), min_size=1, max_size=12))
+            sub = block.take(rows)
+            feasible = np.array(
+                data.draw(st.lists(st.booleans(), min_size=len(rows), max_size=len(rows)))
+            )
+            incumbent = data.draw(st.booleans())
+            everything = expand_batch(problem, sub, feasible, incumbent, cps)
+            step = data.draw(st.integers(0, 3))  # pre-visit every step-th child, 0: none
+            visited = {key for i, key in enumerate(everything.keys) if step and i % step == 0}
+            visited |= set(sub.keys)
+            limit = data.draw(st.none() | st.integers(0, len(everything) + 2))
+            _both_ways(problem, sub, feasible, incumbent, cps, visited, limit, memo)
+            _both_ways(problem, sub, feasible, incumbent, cps, memo=memo)
+
+    def test_a_repeated_batch_is_all_hits(self, catalog, rng):
+        problem, parents, _ = _drawn_parents(catalog, _fan_in(6), 11)
+        block = StateBlock.from_states(s for s, _ in parents[:5])
+        feasible = np.array([True, False, True, False, False])
+        memo = EditMemo()
+        _both_ways(problem, block, feasible, False, 12, memo=memo)
+        assert (memo.hits, memo.misses, len(memo)) == (0, 5, 5)
+        _both_ways(problem, block, feasible, False, 12, memo=memo)
+        assert (memo.hits, memo.misses) == (5, 5)
+        # A feasible parent's edits differ with the incumbent's feasibility
+        # (the kept-alive promote): its other direction is a miss.
+        _both_ways(problem, block, feasible, True, 12, memo=memo)
+        assert (memo.hits, memo.misses, len(memo)) == (8, 7, 7)
+        for rows in memo._rows.values():
+            for edits in rows.values():
+                assert edits.shape[0] == 2 and not edits.flags.writeable
+
+    def test_another_deadline_hits_another_tensor_misses(self, catalog, rng):
+        """``with_deadline`` keeps the token, so its parents are hits; a
+        fault-aware derivation has its own token and shares no entry."""
+        from repro.faults import FaultModel
+
+        base = _problems(catalog)["base"]
+        n, k = base.num_tasks, base.num_types
+        block = StateBlock.from_states(PlanState(rng.integers(0, k, n)) for _ in range(6))
+        feasible = np.arange(6) % 2 == 0
+        memo = EditMemo()
+        _both_ways(base, block, feasible, False, 12, memo=memo)
+        _both_ways(base.with_deadline(base.deadline / 2, 50.0), block, feasible, False, 12,
+                   memo=memo)
+        assert (memo.hits, memo.misses) == (6, 6)
+        faulty = base.with_faults(FaultModel(task_failure_rate=0.1))
+        _both_ways(faulty, block, feasible, False, 12, memo=memo)
+        assert (memo.hits, memo.misses) == (6, 12)
+        assert set(memo._rows) == {base.sample_token, faulty.sample_token}
+        memo.forget(faulty.sample_token)
+        assert set(memo._rows) == {base.sample_token} and len(memo) == 6
+        assert memo.nbytes() >= 6 * 2 * n
+
+    def test_lru_backstop(self, catalog, rng, monkeypatch):
+        monkeypatch.setattr(EditMemo, "MAX_ENTRIES", 4)
+        problem = _problems(catalog)["base"]
+        n, k = problem.num_tasks, problem.num_types
+        states = [PlanState(rng.integers(0, k, n)) for _ in range(6)]
+        memo = EditMemo()
+        for state in states:
+            _both_ways(problem, StateBlock.from_states([state]), np.ones(1, bool), True, 12,
+                       memo=memo)
+        assert len(memo) == 4
+        held = set(memo._rows[problem.sample_token])
+        assert held == {(s.key, 1, 12) for s in states[2:]}
