@@ -11,9 +11,9 @@
 
 ``--warm`` profiles a second request on an engine that has already
 served one (what a sweep or a service worker pays), and prints the
-hits and misses that request added to each evaluation cache of
-``Deco.cache_stats()`` -- makespan rows, tier 1's prefix rows and tier-0
-moments -- and to the search's edit memo (expanded parents), so a warm
+hits and misses that request added to each memo of
+``Deco.cache_stats()`` -- makespan rows, tier 1's prefix rows, tier-0
+moments and the search's edit memo (expanded parents) -- so a warm
 profile says how much of it was lookups; without it
 the engine is fresh.  Self time is what tells interpreter loops apart from
 the array kernels they call -- this is the tool behind the shares quoted
@@ -56,7 +56,7 @@ does, and after each solve prints the process's ``VmRSS`` and ``VmHWM``
 (its high-water mark, what the benchmark's ``peak_rss_mb`` reads), the
 compiled problems the engine holds, each token-keyed memo's entries and
 bytes and the scratch pool's buffers and bytes (:data:`RESIDENT`, from
-:func:`memo_stats`; ``prefix`` is tier 1's prefix rows, ``expansions``
+``Deco.cache_stats()``; ``prefix`` is tier 1's prefix rows, ``expansions``
 the search's edit memo).  Once the
 problem memo is full the memos should stop growing; the scratch pool is
 sized by the kernels' byte budgets, not by the largest batch.  No
@@ -76,9 +76,14 @@ decide alike exactly when ``diff`` finds their outputs equal.
 ``VectorizedBackend.makespan_samples`` on one fixed seeded batch of
 :data:`KERNEL_STATES` random states per workflow of :data:`KERNEL`
 (S = 150, no memo), the median ms of :data:`KERNEL_CALLS` calls taken
-in rounds over the workflows, and a SHA-256 of the rows.  Two checkouts
-compute the same rows exactly when the digest columns are equal
-(``awk '{print $1, $NF}'`` of each, then ``diff``).  No threshold.
+in rounds over the workflows, and a SHA-256 of the rows.  Beside it are
+SHA-256s of the other two passes of the level schedule on the same
+batch: tier 0's ``AnalyticBackend.makespan_moments`` (the bytes of the
+means, then of the variances) and ``expand.critical_paths`` over the
+states' mean task times (the paths, then the lengths).  Two checkouts
+compute the same numbers exactly when the digest columns are equal
+(``awk '{print $1, $(NF-2), $(NF-1), $NF}'`` of each, then ``diff``).
+No threshold.
 
 ``--imports`` looks at the cold path instead (DESIGN.md §19): the median
 of five fresh-interpreter wall times of ``import repro.engine.deco``,
@@ -130,11 +135,11 @@ SPLIT_SEEDS = range(6)  # --split: the generator seeds of the cold solves
 WLOG_SEEDS = range(5)  # --wlog: the pipeline generator seeds of wlog-declarative
 WLOG_ROUNDS = 40  # --wlog: requests per seed
 
-#: --warm: cache -> (:func:`memo_stats` section, key prefix) whose reuse is printed.
+#: --warm: cache -> (``Deco.cache_stats()`` section, key prefix) whose reuse is printed.
 REUSED = {"makespan": ("makespan", ""), "prefix": ("makespan", "prefix_"),
           "moments": ("moments", ""), "expansions": ("expansions", "")}
 
-#: --resident: column -> (:func:`memo_stats` section, entries key, bytes key).
+#: --resident: column -> (``Deco.cache_stats()`` section, entries key, bytes key).
 RESIDENT = {
     "makespan": ("makespan", "entries", "nbytes"),
     "moments": ("moments", "entries", "nbytes"),
@@ -162,12 +167,6 @@ KERNEL = {
 }
 KERNEL_STATES = 64  # --kernel: states per batch
 KERNEL_CALLS = 30  # --kernel: timed calls per workflow
-
-
-def memo_stats(deco: Deco) -> dict:
-    """``Deco.cache_stats()`` plus the search's edit memo as ``expansions``
-    (the engine's report covers its evaluation caches only)."""
-    return {**deco.cache_stats(), "expansions": deco._search.cache_stats()["expansions"]}
 
 
 def reuse_report(before: dict, after: dict) -> str:
@@ -313,7 +312,7 @@ def split_warm_report(family: str, seed: int) -> int:
     deco.schedule(workflow, "medium", 96.0)  # the warm-up, untimed
     requests = [(d, p) for d in workloads.SWEEP_DEADLINES for p in workloads.SWEEP_PERCENTILES]
     for r in range(DECISION_ROUNDS):
-        before = memo_stats(deco)
+        before = deco.cache_stats()
         totals, restore = _install_split(SPLIT)
         ops = []
         try:
@@ -326,7 +325,7 @@ def split_warm_report(family: str, seed: int) -> int:
         print(f"{family}/s{seed} round {r}: {len(ops)} warm ops (deadlines x percentiles), "
               f"{sum(ops) * 1e3:.1f} ms, median op {statistics.median(ops) * 1e3:.1f} ms "
               f"(timers on)")
-        print(reuse_report(before, memo_stats(deco)))
+        print(reuse_report(before, deco.cache_stats()))
         _print_split(totals, len(ops), sum(ops))
     return 0
 
@@ -505,11 +504,17 @@ def decisions_report() -> int:
 
 
 def kernel_report() -> int:
-    """``--kernel``: median ms and a row digest of ``makespan_samples`` per workflow."""
+    """``--kernel``: median ms and a row digest of ``makespan_samples`` per
+    workflow, beside digests of the moment and critical-path passes."""
     import numpy as np
 
+    from repro.solver.analytic_backend import AnalyticBackend
     from repro.solver.backends import CompiledProblem, VectorizedBackend
+    from repro.solver.expand import critical_paths
     from repro.solver.state import StateBlock
+
+    def digest(*arrays) -> str:
+        return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
 
     catalog = ec2_catalog()
     cases = []
@@ -522,7 +527,10 @@ def kernel_report() -> int:
         block = StateBlock(rng.integers(0, problem.num_types, (KERNEL_STATES, problem.num_tasks)))
         backend = VectorizedBackend()
         rows = backend.makespan_samples(problem, block)  # also sizes the pool
-        cases.append((name, problem, block, backend, rows, []))
+        means = problem.mean_times[block.assign, np.arange(problem.num_tasks)]
+        digests = (digest(rows), digest(*AnalyticBackend().makespan_moments(problem, block)),
+                   digest(*critical_paths(problem.levels, means)))
+        cases.append((name, problem, block, backend, digests, []))
     for _ in range(KERNEL_CALLS):
         for _, problem, block, backend, _, times in cases:
             t0 = time.perf_counter()
@@ -530,11 +538,11 @@ def kernel_report() -> int:
             times.append(time.perf_counter() - t0)
     print(f"makespan_samples: {KERNEL_STATES} states, S = {ENGINE['num_samples']}, "
           f"median of {KERNEL_CALLS} calls")
-    print(f"{'workflow':<16} {'tasks':>5} {'levels':>6} {'ms':>8}  rows sha256")
-    for name, problem, _, _, rows, times in cases:
-        digest = hashlib.sha256(rows.tobytes()).hexdigest()
+    print(f"{'workflow':<16} {'tasks':>5} {'levels':>6} {'ms':>8}  "
+          "rows sha256, moments sha256, critical paths sha256")
+    for name, problem, _, _, digests, times in cases:
         print(f"{name:<16} {problem.num_tasks:>5} {problem.levels.num_levels:>6} "
-              f"{statistics.median(times) * 1e3:>8.3f}  {digest}")
+              f"{statistics.median(times) * 1e3:>8.3f}  {' '.join(digests)}")
     return 0
 
 
@@ -559,7 +567,7 @@ def resident_report(family: str, count: int, seed: int) -> int:
           + " ".join(f"{name:>17}" for name in RESIDENT))
     for i in range(count):
         deco.schedule(WORKFLOWS[family](seed + i), "medium", deadline_percentile=96.0)
-        stats = memo_stats(deco)
+        stats = deco.cache_stats()
         cells = []
         for section, entries, nbytes in RESIDENT.values():
             memo = stats.get(section, {})
@@ -622,13 +630,13 @@ def main() -> int:
     deco = Deco(ec2_catalog(), **ENGINE)
     if args.warm:
         deco.schedule(workflow, "medium", deadline_percentile=96.0)
-    before = memo_stats(deco)
+    before = deco.cache_stats()
     profile = cProfile.Profile()
     plan = profile.runcall(deco.schedule, workflow, deadline, deadline_percentile=args.percentile)
     print(f"{args.workflow}: {len(workflow)} tasks, {plan.evaluations} evaluations, "
           f"{plan.solve_seconds * 1e3:.1f} ms in the search (profiled)")
     if args.warm:
-        print(reuse_report(before, memo_stats(deco)))
+        print(reuse_report(before, deco.cache_stats()))
     pstats.Stats(profile).sort_stats("tottime").print_stats(args.top)
     return 0
 

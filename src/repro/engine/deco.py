@@ -122,8 +122,7 @@ class Deco:
     :meth:`schedule`), forgets the token (``GenericSearch.forget``), so
     a warm engine holds the state of at most ``_PROBLEM_CACHE_SIZE``
     tensors.  :meth:`clear_caches` drops all of it from one place;
-    :meth:`cache_stats` reports the evaluation memos, and the search's
-    own report (``GenericSearch.cache_stats``) the edit memo too.
+    :meth:`cache_stats` reports every memo, the search's edit memo included.
     """
 
     #: How many compiled problems (one per workflow) to keep alive.
@@ -251,8 +250,9 @@ class Deco:
         counters plus ``nbytes``, and as ``prefix_*`` the same four of
         tier 1's prefix rows -- and ``screen``, tier 1's screening
         problems as ``entries`` and ``nbytes``; on ``"analytic"``:
-        ``analytic``), the search's (``moments``, tier 0's moment memo,
-        and ``analytic``, its work counters, once tier 0 has run),
+        ``analytic``), the search's (``moments``, tier 0's moment memo;
+        ``expansions``, the edit memo of expanded parents; and
+        ``analytic``, tier 0's work counters, once tier 0 has run),
         ``scratch`` (``buffers`` and ``nbytes`` of the backend's scratch
         pool, which tier 0 shares), ``compiled_problems`` (memoized
         problem count), and -- on a
@@ -262,9 +262,7 @@ class Deco:
         engines report the work their workers did instead of near-empty
         parent caches.
         """
-        search = self._search.cache_stats()
-        del search["expansions"]  # the search's edit memo is no evaluation cache
-        stats: dict = {**search, **self.backend.cache_stats()}
+        stats: dict = {**self._search.cache_stats(), **self.backend.cache_stats()}
         pool = self.backend.pool
         stats["scratch"] = {"buffers": len(pool), "nbytes": pool.nbytes()}
         stats["compiled_problems"] = len(self._problems)

@@ -141,6 +141,8 @@ class DecoService:
         # an accepted job, a worker future resolving, stop().
         self._wake = threading.Event()
         self._thread: threading.Thread | None = None
+        # job_id -> a finished worker's (status, value), until journaled.
+        self._outcomes: dict[str, tuple[str, Any]] = {}
         # Replayed in-flight jobs (accepted before a crash) count as
         # recoveries; they are already back in the queue.
         self.recoveries = self.queue.recovered_inflight
@@ -211,15 +213,19 @@ class DecoService:
         transitions = 0
         for active in self.pool.active():
             status, value = self.pool.poll(active)
-            if status == "pending":
-                continue
-            transitions += 1
+            if status != "pending":
+                self._outcomes[active.job_id] = (status, value)
+        # A harvested outcome leaves only once its transition is journaled:
+        # when the append raises, the next turn commits it again.
+        for job_id, (status, value) in list(self._outcomes.items()):
             if status == "done":
-                self._finish_solved(active.job_id, value)
+                self._finish_solved(job_id, value)
             elif status == "failed":
-                self._dead_letter(active.job_id, value, retryable=False)
+                self._dead_letter(job_id, value, retryable=False)
             else:  # crashed
-                self._handle_crash(active.job_id, value)
+                self._handle_crash(job_id, value)
+            del self._outcomes[job_id]
+            transitions += 1
         for slot in self.pool.idle_slots():
             job = self.queue.claim()
             if job is None:
@@ -270,12 +276,11 @@ class DecoService:
 
     def _handle_crash(self, job_id: str, exc: BaseException) -> None:
         job = self.queue.get(job_id)
-        self.recoveries += 1
         if job.attempts >= self.config.max_attempts:
             self._dead_letter(job_id, exc, retryable=True)
-            return
-        backoff = self.BACKOFF_BASE_S * (2 ** (job.attempts - 1))
-        self.queue.requeue(job_id, backoff_s=backoff)
+        else:
+            self.queue.requeue(job_id, backoff_s=self.BACKOFF_BASE_S * (2 ** (job.attempts - 1)))
+        self.recoveries += 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -295,8 +300,14 @@ class DecoService:
                     f"({self.queue.depth} jobs still in flight)"
                 )
             self._wake.clear()
-            if self.step() == 0:
-                self._sleep_until_event(remaining)
+            try:
+                if self.step() == 0:
+                    self._sleep_until_event(remaining)
+            except OSError as exc:
+                # A failed journal append is counted, as on the
+                # dispatcher thread, and the turn retried shortly.
+                self._record_dispatcher_error(exc)
+                time.sleep(min(0.2, remaining))
 
     def _sleep_until_event(self, limit_s: float | None = None) -> None:
         """Block after an idle turn until a turn can make a transition.

@@ -21,8 +21,10 @@ carrying S samples, with a 2-wide lane instead of an S-wide one.
 
 Algebra
 -------
-Per level the kernel applies, to ``(n_L, B)`` moment blocks, the same
-gather pattern as the Monte Carlo level kernel:
+The propagation is the Monte Carlo kernel's level pass,
+:meth:`~repro.solver.levels.LevelSchedule.propagate`, over ``(2, N+1,
+b)`` mean/variance blocks, with Clark's max as its join (read in
+parent-list order, which Clark's tournament depends on):
 
 * ``+`` (a task after its ready time) adds means and -- assuming the
   task's own time independent of its ready time, which is exact under
@@ -64,6 +66,7 @@ from repro.solver.backends import (
     validated_assignments,
 )
 from repro.solver.cache import ScratchPool
+from repro.solver.levels import copy_rows
 from repro.solver.state import BatchEval, as_block
 
 __all__ = ["ANALYTIC_PROB_ERROR_BOUND", "AnalyticBackend", "clark_max", "norm_cdf", "norm_ppf"]
@@ -290,6 +293,45 @@ def _clark_scratch(pool: ScratchPool, shape: tuple[int, ...]) -> tuple[np.ndarra
     return floats + (pool.take("an_idx", shape, _INTP),)
 
 
+class _ClarkJoin:
+    """Tier 0's join: Clark's moment max, in place, over pooled scratch.
+
+    Finish rows are ``(2, N+1, b)`` (means, variances), so every Clark
+    operand is a contiguous block.  Clark's tournament depends on
+    operand order: a narrow level folds its columns left to right, a
+    wide one runs :func:`_clark_reduce` over its parent-list gather,
+    never the slot-order block.  :func:`_clark_max_into` clobbers its
+    second operand, so a viewed column is copied first; a padded slot
+    (row N) keeps the ready moments instead of Clark-maxing with N(0, 0).
+    """
+
+    def __init__(self, pool: ScratchPool, lanes: int):
+        self.pool, self.b = pool, lanes
+
+    def narrow(self, finish: np.ndarray, columns: tuple, lo: int, hi: int) -> np.ndarray:
+        if len(columns) == 1 and isinstance(columns[0], slice):
+            return finish[:, columns[0]]
+        k, n = hi - lo, finish.shape[1] - 1
+        ready = copy_rows(finish, columns[0], self.pool.take("an_r", (2, k, self.b)))
+        other = self.pool.take("an_o", (2, k, self.b))
+        ws = _clark_scratch(self.pool, (k, self.b))
+        for col in columns[1:]:
+            copy_rows(finish, col, other)
+            pad = None if isinstance(col, slice) else col == n
+            kept = ready[:, pad] if pad is not None and pad.any() else None
+            _clark_max_into(ready[0], ready[1], other[0], other[1], ws)
+            if kept is not None:
+                ready[:, pad] = kept
+        return ready
+
+    def wide(self, finish: np.ndarray, read, lo: int, hi: int) -> np.ndarray:
+        k, p = read.gather.shape
+        stack = self.pool.take("an_r", (2, k, p, self.b))
+        finish.take(read.gather.reshape(-1), 1, stack.reshape(2, k * p, self.b), "clip")
+        _clark_reduce(stack[0], stack[1], self.pool)
+        return stack[:, :, 0]
+
+
 def _midpoint_quantile_grids(taskmajor: np.ndarray, q: int) -> np.ndarray:
     """``(K, N, Q)`` midpoint-quantile grids of a task-major ``(K, N, S)`` sample array.
 
@@ -407,12 +449,14 @@ class AnalyticBackend(EvaluationBackend):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(B,)`` mean and variance of the makespan for B states.
 
-        The analytic counterpart of the MC backend's fused level kernel:
-        identical gather structure (level-contiguous permutation, column
-        takes for narrow fan-in, one 3-D gather for wide), but each lane
-        carries a (mean, variance) pair instead of S samples.  States are
-        independent, so the batch runs in equal tiles within
-        :data:`_MOMENT_BYTES` of scratch.
+        The Monte Carlo kernel's level pass with a 2-wide lane per state
+        instead of an S-wide one: each tile's ``(2, N+1, b)`` finish
+        array holds the b states' means, then their variances, starts at
+        the calibrated own moments, and runs
+        :meth:`~repro.solver.levels.LevelSchedule.propagate` with Clark's
+        join; the makespan is Clark's max over the sinks, folded in
+        ``sink_slots`` order.  States are independent, so the batch runs
+        in equal tiles within :data:`_MOMENT_BYTES` of scratch.
         """
         block = as_block(states)
         b = len(block)
@@ -421,100 +465,34 @@ class AnalyticBackend(EvaluationBackend):
             return np.zeros(0), np.zeros(0)
         if n == 0:
             return np.zeros(b), np.zeros(b)
-        rows = self._calibration(problem)
-        assign = validated_assignments(problem, block)  # (B, N)
+        mean_rows, var_rows = self._calibration(problem)
         sched = problem.levels
-        widest = max([sched.max_width] + [
-            g.size for g, columns in zip(sched.level_parents, sched.level_columns)
-            if columns is None
-        ])
-        # The finish rows, then per state of the widest level: the four
+        # (N, B) flat (type, task) ids of the level-permuted tasks.
+        idx = validated_assignments(problem, block).T.take(sched.order, axis=0) * n
+        idx += sched.order[:, None]
+        # The finish rows, then per state of the widest read: the four
         # operand buffers and Clark's scratch.
-        state_bytes = 8 * (2 * (n + 1) + (4 + _CLARK_SCRATCH) * widest)
+        state_bytes = 8 * (2 * (n + 1) + (4 + _CLARK_SCRATCH) * sched.max_read)
         tiles = -(-b // max(1, _MOMENT_BYTES // state_bytes))
         step = -(-b // tiles)
         mean, var = np.empty(b), np.empty(b)
+        sinks = sched.sink_slots.tolist()
         for c0 in range(0, b, step):
-            tile = slice(c0, c0 + step)
-            mean[tile], var[tile] = self._moments_tile(problem, rows, assign[tile])
+            ids = idx[:, c0 : c0 + step]
+            k = ids.shape[1]
+            finish = self.pool.take("an_finish", (2, n + 1, k))
+            mean_rows.take(ids, 0, finish[0, :n], "clip")
+            var_rows.take(ids, 0, finish[1, :n], "clip")
+            finish[:, n] = 0.0  # the sentinel moments every padded parent slot reads
+            sched.propagate(finish, _ClarkJoin(self.pool, k))
+            # With non-negative task times every inner task's finish is
+            # dominated by some sink's (as in the Monte Carlo kernel).
+            mm, mv = finish[:, sinks[0]].copy()
+            for t in sinks[1:]:
+                mm, mv = clark_max(mm, mv, finish[0, t], finish[1, t])
+            mean[c0 : c0 + k], var[c0 : c0 + k] = mm, mv
         self.counters["states_analytic"] += b
         return mean, var
-
-    def _moments_tile(
-        self, problem: CompiledProblem, rows: tuple[np.ndarray, np.ndarray], assign: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`makespan_moments` of one tile's validated ``(b, N)`` assignments."""
-        mean_rows, var_rows = rows
-        sched = problem.levels
-        n, b = problem.num_tasks, len(assign)
-        perm_assign = assign.T.take(sched.order, axis=0)  # (N, b)
-        idx = perm_assign * n + sched.order[:, None]  # (N, b) flat (type, task) ids
-        m_lanes = mean_rows[idx]  # (N, b)
-        v_lanes = var_rows[idx]
-        fm = self.pool.take("an_finish_m", (n + 1, b))
-        fv = self.pool.take("an_finish_v", (n + 1, b))
-        fm[n] = 0.0  # the sentinel moments every padded parent slot reads
-        fv[n] = 0.0
-        for (lo, hi), gather, columns in zip(
-            sched.level_bounds, sched.level_parents, sched.level_columns
-        ):
-            if gather.shape[1] == 0:
-                fm[lo:hi] = m_lanes[lo:hi]
-                fv[lo:hi] = v_lanes[lo:hi]
-                continue
-            if columns is not None:
-                rm, rv = self._join_columns(fm, fv, columns, hi - lo)
-            else:
-                # Big fan-in, few tasks: pairwise Clark tournament.
-                k, p = gather.shape
-                rm = self.pool.take("an_rm", (k, p, b))
-                rv = self.pool.take("an_rv", (k, p, b))
-                fm.take(gather.reshape(-1), 0, rm.reshape(k * p, b), "clip")
-                fv.take(gather.reshape(-1), 0, rv.reshape(k * p, b), "clip")
-                rm, rv = _clark_reduce(rm, rv, self.pool)
-            np.add(rm, m_lanes[lo:hi], out=fm[lo:hi])
-            np.add(rv, v_lanes[lo:hi], out=fv[lo:hi])
-
-        # Sink reduction: with non-negative task times every inner task's
-        # finish is dominated by some sink's, so the makespan is the max
-        # over sink rows alone (as in the Monte Carlo kernel).
-        sinks = sched.sink_slots
-        mm = fm[sinks[0]].copy()
-        mv = fv[sinks[0]].copy()
-        for t in sinks[1:]:
-            mm, mv = clark_max(mm, mv, fm[t], fv[t])
-        return mm, mv
-
-    def _join_columns(
-        self, fm: np.ndarray, fv: np.ndarray, columns, w: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Clark-max of a narrow fan-in level's parent columns: ``(w, B)`` moments.
-
-        Column 0 is always a real parent (levels > 0 hold only tasks
-        with >= 1 parent); later columns may pad with the sentinel row
-        ``n``, where the ready moments pass through exactly instead of
-        Clark-maxing against N(0, 0).  All the intermediates live in
-        pooled buffers: the Clark steps here are the kernel's hot loop,
-        and letting each one churn ~30 ufunc temporaries would dominate
-        the per-state cost.
-        """
-        n, b = fm.shape[0] - 1, fm.shape[1]
-        rm = self.pool.take("an_rm", (w, b))
-        rv = self.pool.take("an_rv", (w, b))
-        om = self.pool.take("an_om", (w, b))
-        ov = self.pool.take("an_ov", (w, b))
-        ws = _clark_scratch(self.pool, (w, b))
-        fm.take(columns[0], 0, rm, "clip")
-        fv.take(columns[0], 0, rv, "clip")
-        for col in columns[1:]:
-            fm.take(col, 0, om, "clip")
-            fv.take(col, 0, ov, "clip")
-            pad = col == n
-            kept = (rm[pad], rv[pad]) if pad.any() else None
-            _clark_max_into(rm, rv, om, ov, ws)
-            if kept is not None:
-                rm[pad], rv[pad] = kept
-        return rm, rv
 
     def deadline_probabilities(self, problem: CompiledProblem, states) -> np.ndarray:
         """``(B,)`` analytic P(makespan <= deadline): a closed-form CDF."""

@@ -58,7 +58,7 @@ from repro.cloud.instance_types import Catalog
 from repro.faults.model import FaultModel
 from repro.faults.recovery import RecoveryPolicy
 from repro.solver.cache import EvalContext, MakespanCache, ScratchPool
-from repro.solver.levels import LevelSchedule, workflow_layout
+from repro.solver.levels import LevelSchedule, MaxJoin, workflow_layout
 from repro.solver.state import BatchEval, PlanState, StateBlock, StateEval, as_block
 from repro.workflow.dag import Workflow
 from repro.workflow.runtime_model import RuntimeModel
@@ -522,7 +522,7 @@ class VectorizedBackend(EvaluationBackend):
         # Indices come from validated assignments; skip bounds checks.
         np.take(rows, idx.reshape(n * b), axis=0, out=finish[:n].reshape(n * b, s), mode="clip")
         finish[n] = 0.0
-        sched.propagate(finish, self.pool)
+        sched.propagate(finish, MaxJoin(self.pool, finish, sched.max_width))
         sched.sink_max(finish, out.reshape(m))
 
     def ensure_frontier(self, problem: CompiledProblem, *states) -> None:

@@ -6,7 +6,9 @@ transformation children -- the mean-time critical path of every parent,
 the Promote / Demote rankings and the demote savings -- is computed
 here for the **whole batch at once** on its ``(B, N)`` assignment
 matrix, one NumPy pass per DAG *level* instead of one interpreter
-iteration per *task* per *state*.
+iteration per *task* per *state*: the critical paths are the level
+pass of :class:`~repro.solver.levels.LevelSchedule` with a
+first-winner join.
 The children come out the same way: one ``(C, N)`` child matrix (each
 row its parent's with one task edited), their keys cut from one
 ``tobytes`` and deduped against the visited set in emission order -- a
@@ -83,57 +85,67 @@ def critical_paths(levels: LevelSchedule, times: np.ndarray) -> tuple[np.ndarray
     lane ``b``'s longest path from entry to exit, left-padded with
     ``-1`` to the DAG depth; ``lengths[b]`` is its length.
 
-    Same path as :func:`repro.workflow.critical_path.critical_path`, tie
-    for tie.  That function keeps the *first* parent with the largest
-    finish (``max(parents, key=finish)``, i.e. a strict ``>`` scan) and
-    ends on the first maximum in topological order.  Here a level's
-    parent slots follow ``parent_indices`` order with the padding -- an
-    always-zero row -- *after* the real parents, so it can tie but never
-    win: narrow levels scan their slot columns with the same strict
-    ``>``, wide ones take ``argmax``, which returns the first maximum;
-    the end task is an ``argmax`` over finishes in task order.
+    One level pass with :class:`_FirstWinnerJoin`, then a walk back from
+    the end task, all lanes at once.  Same path as
+    :func:`repro.workflow.critical_path.critical_path`, tie for tie: the
+    first parent with the largest finish, and the end task the first
+    maximum in topological order (an ``argmax`` over task order).
     """
     times = np.asarray(times, dtype=float)
     lanes, n = times.shape
-    depth = levels.num_levels
     if not n:
         return np.empty((lanes, 0), dtype=np.intp), np.zeros(lanes)
-    t = times.T[levels.order]
     finish = np.empty((n + 1, lanes))
+    finish[:n] = times.T[levels.order]
     finish[n] = 0.0
-    # Arg-max parent slot per (task slot, lane); ``n`` means "no parent"
-    # and maps to itself, so a finished walk stays parked there.
-    best = np.full((n + 1, lanes), n, dtype=np.intp)
-    for (lo, hi), gather, columns in zip(
-        levels.level_bounds, levels.level_parents, levels.level_columns
-    ):
-        if not gather.shape[1]:
-            finish[lo:hi] = t[lo:hi]
-            continue
-        if columns is not None:
-            ready = finish[columns[0]]
-            who = best[lo:hi]
-            who[:] = columns[0][:, None]
-            for col in columns[1:]:
-                other = finish[col]
-                later = other > ready
-                np.copyto(ready, other, where=later)
-                np.copyto(who, col[:, None], where=later)
-        else:
-            among = finish[gather]  # (tasks, parents, lanes)
-            ready = among.max(axis=1)
-            best[lo:hi] = gather[np.arange(hi - lo)[:, None], among.argmax(axis=1)]
-        np.add(ready, t[lo:hi], out=finish[lo:hi])
+    join = _FirstWinnerJoin(n, lanes)
+    levels.propagate(finish, join)
 
     by_task = finish[levels.rank]
     end = by_task.argmax(axis=0)
     lane_ids = np.arange(lanes)
-    steps = np.empty((depth, lanes), dtype=np.intp)
+    steps = np.empty((levels.num_levels, lanes), dtype=np.intp)
     cur = levels.rank[end]
-    for d in range(depth - 1, -1, -1):
+    for d in range(levels.num_levels - 1, -1, -1):
         steps[d] = cur
-        cur = best[cur, lane_ids]
+        cur = join.best[cur, lane_ids]
     return np.append(levels.order, -1)[steps].T, by_task[end, lane_ids]
+
+
+class _FirstWinnerJoin:
+    """The critical paths' join: max with a first-winner witness.
+
+    ``best[r, lane]`` is the parent slot that slot ``r`` took its ready
+    time from (N: none, which maps to itself).  Parents are read in
+    parent-list order with the zero padding last, where it can tie but
+    never win: a strict ``>`` scan of the columns, ``argmax`` (the first
+    maximum) over a wide level's gather."""
+
+    def __init__(self, n: int, lanes: int):
+        self.best = np.full((n + 1, lanes), n, dtype=np.intp)
+
+    def narrow(self, finish: np.ndarray, columns: tuple, lo: int, hi: int) -> np.ndarray:
+        who = self.best[lo:hi]
+        who[:] = _slots(columns[0])[:, None]
+        ready = finish[columns[0]]
+        if len(columns) > 1:
+            ready = ready.copy()  # a slot range reads a view
+        for col in columns[1:]:
+            other = finish[col]
+            later = other > ready
+            np.copyto(ready, other, where=later)
+            np.copyto(who, _slots(col)[:, None], where=later)
+        return ready
+
+    def wide(self, finish: np.ndarray, read, lo: int, hi: int) -> np.ndarray:
+        among = finish[read.gather]  # (tasks, parents, lanes)
+        self.best[lo:hi] = read.gather[np.arange(hi - lo)[:, None], among.argmax(axis=1)]
+        return among.max(axis=1)
+
+
+def _slots(column) -> np.ndarray:
+    """A parent column's slots, also when it is a slot range."""
+    return np.arange(column.start, column.stop) if isinstance(column, slice) else column
 
 
 def _first(flags: np.ndarray, count: np.ndarray) -> np.ndarray:

@@ -1,54 +1,41 @@
-"""Topological level schedule: the level-parallel DAG layout.
+"""Topological level schedule: the level-parallel DAG layout and the one level pass.
 
-The per-task propagation loop in the vectorized backend costs one
-Python iteration (and a handful of NumPy calls) per *task*; for wide
-DAGs like Montage that is hundreds of interpreter round-trips to do
-what is structurally ~9 levels of independent work.  A
-:class:`LevelSchedule` precomputes, once per compiled problem:
+A :class:`LevelSchedule` precomputes, once per compiled problem:
 
 * a **level-contiguous permutation** of the task axis: tasks sorted by
   topological level (stably, so topological order is preserved inside a
-  level), which turns every level's finish-time block into a contiguous
-  row slice -- level updates become slice writes instead of scattered
-  fancy assignments;
-* per level, the parent row-gather indices in permuted coordinates.
-  Narrow fan-in levels (``P <= 4``, the common wide-workflow case)
-  store one contiguous index column per parent slot; big fan-in levels
-  (reduction tasks like Montage's ``mConcatFit``) one ``(n, P)`` gather
-  matrix.  Padding slots point at a dedicated always-zero row, so "no
-  parent" needs no branching;
-* per level, how :meth:`LevelSchedule.propagate` reads those parents
-  (``level_reads``): a parent read that is a slot range -- a chain
-  link's column, a join whose parents are one level block -- is a
-  ``slice``, i.e. a view of the finish matrix, and only scattered
-  parents are gathered.
+  level), so every level's finish rows are one contiguous row slice;
+* per level, how the pass reads the parents (``level_reads``): a
+  narrow level (fan-in <= 4) has one parent-slot column per parent
+  position -- a ``slice``, i.e. a view of the finish matrix, when the
+  column is a slot range (a chain link, a join over one level block),
+  else the column to ``take``; a wide level (Montage's ``mConcatFit``)
+  is a :class:`WideRead`.  Padding slots point at a dedicated
+  always-zero row, so "no parent" needs no branching.
 
-A schedule keeps only index data a kernel reads: a level's gather is
-as wide as that level's fan-in, not the DAG's, so a Montage-8 layout
-holds tens of KB.  It is never shipped: the shared-memory arena carries
-the parent lists as CSR arrays (see ``repro.engine.compiler``) and a
-shard worker rebuilds the schedule from them.
+A schedule keeps only index data (tens of KB on Montage-8) and is never
+shipped: the shared-memory arena carries the parent lists as CSR arrays
+(see ``repro.engine.compiler``) and a shard worker rebuilds it.
 
-:meth:`LevelSchedule.propagate` is the one max-plus pass: it advances
-a finish matrix, in place, one whole level per step with ``max``
-reductions over every lane at once, dropping the Python-loop trip count
-from N (tasks) to D (depth).  The Monte Carlo kernel
-(:class:`~repro.solver.backends.VectorizedBackend`, one lane per sample
-of each state), the deadline presets and the E401/W401 makespan bounds
-(a lane per bound) all run it; :meth:`LevelSchedule.sink_max` is the
-one makespan reduction.  The arithmetic per task is identical to the
-per-task loop -- each finish time is ``max(parent finishes, 0) + task
-time`` over the same operands, and ``max`` is exact and commutative
-(reading a parent set in slot order rather than parent-list order moves
-no bit) -- so results are bit-identical to the scalar reference backend,
-which the test suite asserts.
+:meth:`LevelSchedule.propagate` is the one level pass, D (depth) Python
+iterations instead of N (tasks): per level a join folds the parents'
+rows into ``ready``, which is added in place to the level's own rows.
+The join is the part that varies.  :class:`MaxJoin`, exact and
+commutative, serves the Monte Carlo kernel (one lane per sample of each
+state), the deadline presets and the E401/W401 makespan bounds, and
+reads a wide level's slot-order block view.  Tier 0's Clark join
+(:mod:`repro.solver.analytic_backend`) and the critical paths'
+first-winner join (:mod:`repro.solver.expand`) depend on operand order,
+so they read a wide level's gather, in parent-list order.  Each finish
+is one ``ready + own`` add over the per-task loop's operands, so the
+Monte Carlo results are bit-identical to the scalar reference backend.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,10 +45,10 @@ from repro.solver.cache import ScratchPool
 if TYPE_CHECKING:  # pragma: no cover
     from repro.workflow.dag import Workflow
 
-__all__ = ["LevelSchedule", "workflow_layout"]
+__all__ = ["LevelSchedule", "MaxJoin", "WideRead", "copy_rows", "workflow_layout"]
 
-# Fan-in at or below this uses per-parent-slot column takes; above it,
-# a single 3-D gather + max reduction (big fan-in, few tasks).
+# Fan-in at or below this reads one parent-slot column per parent
+# position; above it, one gather per level (big fan-in, few tasks).
 _COLUMN_FANIN_MAX = 4
 
 #: A wide-fan-in level is gathered in tiles of about this many bytes,
@@ -70,6 +57,16 @@ _COLUMN_FANIN_MAX = 4
 #: insensitive from one task per tile upwards.  It bounds the pooled
 #: ``wide`` buffer whatever the batch size.
 _TILE_BYTES = 512 << 10
+
+
+class WideRead(NamedTuple):
+    """A wide level's parents (fan-in above 4): ``gather``, the ``(n_L,
+    P_L)`` parent slots in parent-list order, padded with the sentinel
+    slot N; ``block``, ``slice(a, a + n_L * P_L)`` when task t's
+    parents, as a set, are the t-th block of P_L slots, else ``None``."""
+
+    gather: np.ndarray
+    block: slice | None
 
 
 @dataclass(frozen=True)
@@ -86,25 +83,15 @@ class LevelSchedule:
         each level occupies one contiguous slot range.
     level_bounds:
         Per level, the ``(lo, hi)`` permuted slot range.
-    level_parents:
-        Per level, an ``(n_L, P_L)`` int64 matrix of parent *slots*
-        (permuted coordinates).  Padding entries are ``num_tasks``: they
-        index the finish matrix's always-zero row N, so a padded gather
-        behaves like "no parent" without branching.
-    level_columns:
-        Per level: for fan-in <= 4, a tuple of P contiguous ``(n_L,)``
-        parent-slot columns (the fast row-``take`` path); ``None`` for
-        big fan-in levels, which use ``level_parents`` directly.
     level_reads:
         Per level, how :meth:`propagate` reads the parents: ``None`` for
-        roots; for fan-in <= 4, a tuple with one entry per column, the
-        ``slice(a, a + n_L)`` when the column is exactly those slots in
-        order, else the column itself; for big fan-in, the
-        ``slice(a, a + n_L * P)`` when task t's parents are the slots
-        ``a + t*P`` to ``a + (t+1)*P - 1`` (as a set, no padding), else
-        the gather matrix.
+        roots; for fan-in <= 4, per parent position j a ``slice`` when
+        the tasks' j-th parents (or the sentinel N) are consecutive
+        slots, else that ``(n_L,)`` slot column; else a :class:`WideRead`.
     max_width:
         The widest level -- the rows of the level scratch.
+    max_read:
+        The most parent rows one level reads (tier 0's scratch rows).
     depth:
         ``(N,)`` int64; ``depth[i]`` is task i's topological level in the
         *original* numbering.
@@ -112,10 +99,10 @@ class LevelSchedule:
         ``(N,)`` int64; ``rank[i]`` is task i's permuted slot (inverse of
         ``order``).
     sink_slots:
-        Permuted slots of tasks with no children.  Because every child's
-        finish time is >= each parent's (task times are non-negative),
-        the makespan equals the max over sink finishes alone -- the
-        kernels' final reduction.
+        Permuted slots of tasks with no children, in task order.
+        Because every child's finish time is >= each parent's (task
+        times are non-negative), the makespan equals the max over sink
+        finishes alone -- the kernels' final reduction.
     sink_range:
         The sink slots as a ``slice`` when they are one slot range, else
         ``None``.
@@ -124,10 +111,9 @@ class LevelSchedule:
     num_tasks: int
     order: np.ndarray
     level_bounds: tuple[tuple[int, int], ...]
-    level_parents: tuple[np.ndarray, ...]
-    level_columns: tuple[tuple[np.ndarray, ...] | None, ...]
     level_reads: tuple
     max_width: int
+    max_read: int
     depth: np.ndarray
     rank: np.ndarray
     sink_slots: np.ndarray
@@ -155,10 +141,8 @@ class LevelSchedule:
 
         num_levels = int(depth.max()) + 1 if n else 0
         bounds: list[tuple[int, int]] = []
-        level_parents: list[np.ndarray] = []
-        level_columns: list[tuple[np.ndarray, ...] | None] = []
         level_reads: list = []
-        lo = 0
+        lo = max_gather = 0
         for lv in range(num_levels):
             tasks = order[lo : lo + int((depth == lv).sum())]
             hi = lo + tasks.size
@@ -167,15 +151,15 @@ class LevelSchedule:
             for row, i in enumerate(tasks):
                 for j, p in enumerate(parent_indices[i]):
                     gather[row, j] = rank[p]
+            gather.setflags(write=False)
             bounds.append((lo, hi))
-            level_parents.append(gather)
-            columns = read = None
+            read = None
             if 0 < width <= _COLUMN_FANIN_MAX:
-                columns = tuple(np.ascontiguousarray(gather[:, j]) for j in range(width))
+                columns = (np.ascontiguousarray(gather[:, j]) for j in range(width))
                 read = tuple(_slot_range(c, n) or c for c in columns)
             elif width:
-                read = _slot_range(np.sort(gather, axis=1), n) or gather
-            level_columns.append(columns)
+                read = WideRead(gather, _slot_range(np.sort(gather, axis=1), n))
+                max_gather = max(max_gather, gather.size)
             level_reads.append(read)
             lo = hi
 
@@ -185,16 +169,16 @@ class LevelSchedule:
                 is_parent[p] = True
         sink_slots = np.ascontiguousarray(rank[~is_parent])
 
-        for arr in (order, rank, depth, sink_slots, *level_parents):
+        for arr in (order, rank, depth, sink_slots):
             arr.setflags(write=False)
+        max_width = max((hi - lo for lo, hi in bounds), default=0)
         return cls(
             num_tasks=n,
             order=order,
             level_bounds=tuple(bounds),
-            level_parents=tuple(level_parents),
-            level_columns=tuple(level_columns),
             level_reads=tuple(level_reads),
-            max_width=max((hi - lo for lo, hi in bounds), default=0),
+            max_width=max_width,
+            max_read=max(max_width, max_gather),
             depth=depth,
             rank=rank,
             sink_slots=sink_slots,
@@ -206,60 +190,26 @@ class LevelSchedule:
         """D, the DAG depth (Python-loop trip count of the propagation)."""
         return len(self.level_bounds)
 
-    def propagate(self, finish: np.ndarray, pool: ScratchPool) -> None:
-        """Advance an ``(N+1, M)`` finish matrix through every level, in place.
+    def propagate(self, finish: np.ndarray, join) -> None:
+        """Advance a ``(..., N+1, M)`` finish array through every level, in place.
 
-        On entry, row ``r < N`` holds the own time, in each of M lanes,
-        of the task in permuted slot ``r`` (task ``order[r]``) and row N
-        is zero (the sentinel every padded parent slot reads).  On
-        return, row ``r`` holds that task's finish time.  Per level,
-        ``ready`` is the max over the parents' finish rows, added to the
-        level's rows in place, and the parents are read as
-        ``level_reads`` says: a slot range is a view of ``finish`` (a
-        level of one such column adds it straight in; a wide block is
-        one ``max`` over its ``(n, P, M)`` view), and scattered parents
-        are row-``take``s -- a column into ``scratch_b``, a wide level
-        in :data:`_TILE_BYTES` tiles through ``wide``.  Parents sit on
-        earlier levels, so a view never overlaps the rows written.
-        Scratch comes from ``pool`` under ``scratch_a``, ``scratch_b``
-        and ``wide``.
+        Rows are the second-to-last axis (tier 0 holds a ``(2, N+1, b)``
+        mean/variance pair).  On entry, row ``r < N`` holds the own time
+        of the task in permuted slot ``r`` (task ``order[r]``) in each of
+        M lanes and row N is zero; on return, row ``r`` holds its finish
+        time.  Per level, ``join.narrow(finish, columns, lo, hi)`` or
+        ``join.wide(finish, read, lo, hi)`` returns ``ready``, which may
+        be a view of earlier levels' rows, and it is added in place.
         """
-        m, dtype = finish.shape[1], finish.dtype
-        buf_a = pool.take("scratch_a", (self.max_width, m), dtype)
-        buf_b = pool.take("scratch_b", (self.max_width, m), dtype)
         for (lo, hi), read in zip(self.level_bounds, self.level_reads):
             if read is None:
                 continue  # roots: the finish time is the own time
-            k = hi - lo
-            ready = buf_a[:k]
-            # Every ``take`` reads slots of ``finish``: skip bounds checks.
-            if isinstance(read, slice):
-                # Wide fan-in over one block of slots: a view, no gather.
-                np.max(finish[read].reshape(k, -1, m), axis=1, out=ready)
-            elif isinstance(read, np.ndarray):
-                # Scattered wide fan-in: as many tasks at a time as fit one tile.
-                p = read.shape[1]
-                step = max(1, _TILE_BYTES // (p * m * dtype.itemsize))
-                for t0 in range(0, k, step):
-                    part = read[t0 : t0 + step]
-                    wide = pool.take("wide", (part.size, m), dtype)
-                    np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
-                    np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
-            elif len(read) == 1 and isinstance(read[0], slice):
-                np.add(finish[read[0]], finish[lo:hi], out=finish[lo:hi])
-                continue
+            if isinstance(read, WideRead):
+                ready = join.wide(finish, read, lo, hi)
             else:
-                for j, col in enumerate(read):
-                    if isinstance(col, slice):
-                        other = finish[col]
-                    else:
-                        other = buf_b[:k] if j else ready
-                        np.take(finish, col, axis=0, out=other, mode="clip")
-                    if j:
-                        np.maximum(ready, other, out=ready)
-                    elif other is not ready:
-                        np.copyto(ready, other)
-            np.add(ready, finish[lo:hi], out=finish[lo:hi])
+                ready = join.narrow(finish, read, lo, hi)
+            rows = finish[..., lo:hi, :]
+            np.add(ready, rows, out=rows)
 
     def sink_max(self, finish: np.ndarray, out: np.ndarray) -> None:
         """Per-lane makespans of a propagated finish matrix into ``(M,)`` ``out``.
@@ -283,10 +233,63 @@ class LevelSchedule:
             raise SolverError(f"times have {times.shape[0]} tasks, schedule has {n}")
         finish = np.zeros((n + 1, times.shape[1]), dtype=times.dtype)
         np.take(times, self.order, axis=0, out=finish[:n])
-        self.propagate(finish, ScratchPool())
+        self.propagate(finish, MaxJoin(ScratchPool(), finish, self.max_width))
         out = np.empty(times.shape[1], dtype=times.dtype)
         self.sink_max(finish, out)
         return out
+
+
+def _read_rows(finish: np.ndarray, column, out: np.ndarray) -> np.ndarray:
+    """The finish rows (second-to-last axis) of one parent column: a view
+    of ``finish`` for a slot range, else a row ``take`` into ``out``."""
+    if isinstance(column, slice):
+        return finish[..., column, :]
+    # Every column holds slots of ``finish``: skip the bounds checks.
+    return np.take(finish, column, axis=-2, out=out, mode="clip")
+
+
+def copy_rows(finish: np.ndarray, column, out: np.ndarray) -> np.ndarray:
+    """:func:`_read_rows` into ``out`` also for a slot range."""
+    rows = _read_rows(finish, column, out)
+    if rows is not out:
+        np.copyto(out, rows)
+    return out
+
+
+class MaxJoin:
+    """The max-plus join.  ``max`` is exact and commutative, so a wide
+    level reads its block view when it has one, else its gather in
+    :data:`_TILE_BYTES` tiles; a chain link of one slot range is its
+    parents' rows.  Scratch is ``rows`` x M blocks of ``pool``."""
+
+    def __init__(self, pool: ScratchPool, finish: np.ndarray, rows: int):
+        self.pool = pool
+        m, dtype = finish.shape[1], finish.dtype
+        self.a = pool.take("scratch_a", (rows, m), dtype)
+        self.b = pool.take("scratch_b", (rows, m), dtype)
+
+    def narrow(self, finish: np.ndarray, columns: tuple, lo: int, hi: int) -> np.ndarray:
+        if len(columns) == 1 and isinstance(columns[0], slice):
+            return finish[columns[0]]
+        ready = copy_rows(finish, columns[0], self.a[: hi - lo])
+        for col in columns[1:]:
+            np.maximum(ready, _read_rows(finish, col, self.b[: hi - lo]), out=ready)
+        return ready
+
+    def wide(self, finish: np.ndarray, read: WideRead, lo: int, hi: int) -> np.ndarray:
+        k, m = hi - lo, finish.shape[1]
+        ready = self.a[:k]
+        if read.block is not None:
+            np.max(finish[read.block].reshape(k, -1, m), axis=1, out=ready)
+            return ready
+        p = read.gather.shape[1]
+        step = max(1, _TILE_BYTES // (p * m * finish.dtype.itemsize))
+        for t0 in range(0, k, step):
+            part = read.gather[t0 : t0 + step]
+            wide = self.pool.take("wide", (part.size, m), finish.dtype)
+            np.take(finish, part.reshape(-1), axis=0, out=wide, mode="clip")
+            np.max(wide.reshape(len(part), p, m), axis=1, out=ready[t0 : t0 + len(part)])
+        return ready
 
 
 def _slot_range(slots: np.ndarray, n: int) -> slice | None:

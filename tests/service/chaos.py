@@ -11,7 +11,10 @@ accepted job reaches a terminal state exactly once**:
   cut mid-record, as a crash during an append would leave it, and check
   no accepted job is lost and no terminal state is doubled;
 * **queue latency** -- injected dispatch delay, which widens every
-  race window the dispatcher has.
+  race window the dispatcher has;
+* **failed appends** -- the journal's first append of each event kind
+  raises ``OSError(28)``, as a full disk does
+  (:func:`run_append_faults`): ``run_until_idle`` must still return.
 
 Before the service closes, every live job must also equal, field by
 field, the same job in the fold of the journal
@@ -26,6 +29,8 @@ Usable two ways: pytest (``test_chaos.py``) and standalone for CI, which
 runs the scenario under both drivers::
 
     PYTHONPATH=src:tests python -m service.chaos --quick
+
+which also runs the failed-append scenario under ``run_until_idle``.
 """
 
 from __future__ import annotations
@@ -44,7 +49,7 @@ from dataclasses import dataclass, field
 from unittest import mock
 
 from repro.service import DecoService, DurableQueue, ServiceConfig
-from repro.service.journal import fold_events, replay_events
+from repro.service.journal import _EVENTS, fold_events, replay_events
 
 #: Engine small enough that a chaos run with retries stays under a minute.
 CHAOS_ENGINE = {
@@ -323,6 +328,65 @@ def run_chaos(
     return report
 
 
+def run_append_faults(workdir: str | None = None, *, timeout_s: float = 300.0) -> ChaosReport:
+    """Every event kind's first journal append raises ``OSError(28)``, once.
+
+    Jobs of every outcome -- completed, load-shed to ``degraded``, a
+    worker crash that is ``requeued`` and then ``dead_lettered``, a
+    raise that dead-letters at once -- go through one service driven by
+    ``run_until_idle``, which must return.  A submission refused by a
+    failed ``submitted`` append was never accepted and is retried; the
+    accepted jobs are those the journal holds.  Afterwards every accepted
+    job is terminal exactly once, every live job equals the fold of the
+    journal, and every kind's fault has fired.
+    """
+    workdir = workdir or tempfile.mkdtemp(prefix="deco-chaos-")
+    journal_path = os.path.join(workdir, "append-faults.jsonl")
+    report = ChaosReport()
+    config = ServiceConfig(
+        journal_path=journal_path, workers=2, max_attempts=2,
+        degrade_depth=3, reject_depth=16, engine=dict(CHAOS_ENGINE),
+    )
+    armed = set(_EVENTS)
+    t0 = time.monotonic()
+    with warnings.catch_warnings(), _chaos_limits():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with DecoService(config) as service:
+            append = service.journal.append
+
+            def disk_full_once(event, **fields):
+                if event in armed:
+                    armed.discard(event)
+                    raise OSError(28, "No space left on device")
+                return append(event, **fields)
+
+            service.journal.append = disk_full_once  # type: ignore[method-assign]
+            payloads = [_payload(seed=i) for i in range(4)]
+            payloads += [_payload(seed=100, inject="exit"), _payload(seed=101, inject="raise")]
+            for payload in payloads:
+                for _ in range(2):  # a failed ``submitted`` append refuses the job
+                    try:
+                        service.submit(payload)
+                        break
+                    except OSError:
+                        continue
+            try:
+                service.run_until_idle(timeout_s=timeout_s)
+            except Exception as exc:
+                report.violations.append(f"run_until_idle raised {exc!r}")
+            jobs = service.queue.jobs()
+            report.accepted = len(jobs)
+            for job in jobs:
+                report.terminal_counts[job.state] = report.terminal_counts.get(job.state, 0) + 1
+            report.worker_respawns = service.pool.respawns
+            report.violations.extend(live_state_mismatches(jobs, journal_path))
+    if armed:
+        report.violations.append(f"no append of {sorted(armed)} was attempted")
+    _check_exactly_once(journal_path, {job.job_id for job in jobs}, report)
+    report.duration_s = time.monotonic() - t0
+    return report
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Deco service chaos harness")
     parser.add_argument("--quick", action="store_true",
@@ -343,6 +407,7 @@ def main(argv=None) -> int:
         )
         for driver in ("step", "thread")
     }
+    reports["append_faults"] = run_append_faults()
     print(json.dumps({d: r.to_dict() for d, r in reports.items()}, indent=2))
     return 0 if all(r.ok for r in reports.values()) else 1
 

@@ -7,7 +7,7 @@ additionally widens every dispatcher race window.
 
 from __future__ import annotations
 
-from .chaos import run_chaos
+from .chaos import run_append_faults, run_chaos
 
 
 class TestChaosQuickProfile:
@@ -54,3 +54,13 @@ class TestChaosWithQueueLatency:
         )
         assert report.violations == []
         assert sum(report.terminal_counts.values()) == report.accepted
+
+
+class TestChaosFailedAppends:
+    def test_each_event_kinds_failed_append_leaves_no_job_behind(self, tmp_path):
+        report = run_append_faults(str(tmp_path), timeout_s=300.0)
+        assert report.violations == []
+        assert report.accepted == 6
+        assert sum(report.terminal_counts.values()) == report.accepted
+        assert report.terminal_counts.get("dead_lettered", 0) == 2
+        assert report.terminal_counts.get("degraded", 0) >= 1

@@ -27,8 +27,10 @@ from repro.solver.analytic_backend import (
 )
 from repro.solver.backends import CompiledProblem, VectorizedBackend, get_backend
 from repro.solver.cache import ScratchPool
+from repro.solver.levels import LevelSchedule
 from repro.solver.search import GenericSearch
 from repro.solver.state import PlanState
+from repro.workflow.dag import FileSpec, Task, Workflow
 from repro.workflow.generators import montage, pipeline, random_dag
 from repro.workflow.runtime_model import RuntimeModel
 
@@ -311,6 +313,100 @@ class TestCalibrationBitIdentity:
         assert stats["calibration_nbytes"] == 2 * cells * np.dtype(np.float64).itemsize
 
 
+def reference_moments(problem, states) -> tuple[np.ndarray, np.ndarray]:
+    """Tier 0's makespan moments, propagated task by task.
+
+    Each task reads its parents in parent-list order.  A task on a level
+    whose widest fan-in is at most 4 folds them with ``clark_max``, one
+    parent after another; on a wider level it runs ``_clark_reduce``'s
+    tournament over the level's width, its missing parents padded with
+    zero moments.  The sinks fold one after another in task order.
+    """
+    parents, n = problem.parent_indices, problem.num_tasks
+    assign = np.array([st.assignment for st in states]).T  # (N, B)
+    cal_m, cal_v = AnalyticBackend()._calibration(problem)
+    own_m = cal_m[assign * n + np.arange(n)[:, None]]
+    own_v = cal_v[assign * n + np.arange(n)[:, None]]
+    depth = [0] * n
+    for i, ps in enumerate(parents):
+        depth[i] = 1 + max((depth[p] for p in ps), default=-1)
+    width = {}
+    for i, ps in enumerate(parents):
+        width[depth[i]] = max(width.get(depth[i], 0), len(ps))
+    fm, fv = np.empty_like(own_m), np.empty_like(own_v)
+    for i, ps in enumerate(parents):
+        if not ps:
+            fm[i], fv[i] = own_m[i], own_v[i]
+            continue
+        if width[depth[i]] <= 4:
+            rm, rv = fm[ps[0]], fv[ps[0]]
+            for p in ps[1:]:
+                rm, rv = clark_max(rm, rv, fm[p], fv[p])
+        else:
+            stack = np.zeros((2, 1, width[depth[i]], len(states)))
+            stack[0, 0, : len(ps)], stack[1, 0, : len(ps)] = fm[list(ps)], fv[list(ps)]
+            rm, rv = (r[0] for r in _clark_reduce(stack[0], stack[1], ScratchPool()))
+        fm[i], fv[i] = rm + own_m[i], rv + own_v[i]
+    sinks = sorted(set(range(n)) - {p for ps in parents for p in ps})
+    mm, mv = fm[sinks[0]], fv[sinks[0]]
+    for t in sinks[1:]:
+        mm, mv = clark_max(mm, mv, fm[t], fv[t])
+    return mm, mv
+
+
+def hexes(arr) -> list[str]:
+    return [float(x).hex() for x in arr.tolist()]
+
+
+@st.composite
+def shuffled_dags(draw, max_tasks: int = 18):
+    """A workflow whose edges arrive in a drawn order (parent lists are
+    not sorted by index), with fan-in up to 8 -- levels on both sides of
+    the narrow/wide cut at 4 -- and close but unequal task times, so a
+    join's moments depend on the order its operands pair up in."""
+    n = draw(st.integers(1, max_tasks))
+    edges = [
+        (f"t{i:02d}", f"t{j:02d}")
+        for j in range(1, n)
+        for i in draw(st.sets(st.integers(0, j - 1), max_size=8))
+    ]
+    edges = draw(st.permutations(edges))
+    refs = draw(st.lists(st.integers(40, 44), min_size=n, max_size=n))
+    tasks = [Task(task_id=f"t{i:02d}", runtime_ref=float(r),
+                  inputs=(FileSpec(f"in{i:02d}", 200_000_000),))  # transfers vary per draw
+             for i, r in enumerate(refs)]
+    return Workflow("drawn", tasks, edges)
+
+
+class TestMomentsMatchTaskByTaskReference:
+    """The level pass's moments equal, ``float.hex`` for ``float.hex``, a
+    propagation that reads every task's parents in parent-list order: the
+    pass may view parents in slot order only where that order is the
+    parent list's."""
+
+    @given(shuffled_dags(), st.integers(1, 5), st.integers(0, 2**16))
+    @settings(max_examples=80, deadline=None)
+    def test_drawn_dags(self, workflow, batch, seed):
+        problem = compile_wf(workflow, num_samples=8, seed=seed % 7)
+        rng = np.random.default_rng(seed)
+        # The two slowest types: sibling finishes overlap, so pairing order shows.
+        states = [PlanState(rng.integers(0, 2, problem.num_tasks)) for _ in range(batch)]
+        mean, var = AnalyticBackend().makespan_moments(problem, states)
+        want_mean, want_var = reference_moments(problem, states)
+        assert hexes(mean) == hexes(want_mean)
+        assert hexes(var) == hexes(want_var)
+
+    def test_montage4(self):
+        problem = compile_wf(montage(degrees=4.0, seed=3), num_samples=40)
+        rng = np.random.default_rng(4)
+        states = [PlanState(rng.integers(0, problem.num_types, problem.num_tasks))
+                  for _ in range(16)]
+        mean, var = AnalyticBackend().makespan_moments(problem, states)
+        want_mean, want_var = reference_moments(problem, states)
+        assert hexes(mean) == hexes(want_mean)
+        assert hexes(var) == hexes(want_var)
+
+
 class TestScratchBudget:
     """Tier 0 runs a batch in equal tiles within ``_MOMENT_BYTES`` of pooled
     scratch: a search-sized Montage-8 batch is one tile, a batch four
@@ -327,10 +423,10 @@ class TestScratchBudget:
                 for _ in range(count)]
 
     def test_tiles_bound_the_pool_and_move_no_number(self, problem, monkeypatch):
-        tiles = []
-        tile = AnalyticBackend._moments_tile
-        monkeypatch.setattr(AnalyticBackend, "_moments_tile",
-                            lambda self, *args: tiles.append(len(args[-1])) or tile(self, *args))
+        tiles = []  # states per level pass: the lanes of its finish array
+        propagate = LevelSchedule.propagate
+        monkeypatch.setattr(LevelSchedule, "propagate", lambda self, finish, join: (
+            tiles.append(finish.shape[-1]) or propagate(self, finish, join)))
         backend = AnalyticBackend()
         small = self.states(problem, 90, seed=1)
         mean, var = backend.makespan_moments(problem, small)

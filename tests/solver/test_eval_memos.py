@@ -143,12 +143,13 @@ class TestDecoCacheSurface:
         small, large = montage(degrees=1.0, seed=3), cybershake(300, seed=3)
         deco.schedule(small, "medium")
         assert set(deco.cache_stats()) == {
-            "makespan", "screen", "moments", "scratch", "compiled_problems",
+            "makespan", "screen", "moments", "expansions", "scratch", "compiled_problems",
         }
         first = deco.schedule(large, "medium").decision_dict()
         assert deco.last_result.analytic_evals > 0
         assert set(deco.cache_stats()) == {
-            "makespan", "screen", "moments", "scratch", "compiled_problems", "analytic",
+            "makespan", "screen", "moments", "expansions", "scratch", "compiled_problems",
+            "analytic",
         }
         assert deco.cache_stats()["scratch"]["nbytes"] == deco.backend.pool.nbytes() > 0
         deco.clear_caches()

@@ -24,7 +24,7 @@ from repro.faults import FaultModel
 from repro.solver import backends as backends_module
 from repro.solver import levels as levels_module
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
-from repro.solver.levels import workflow_layout
+from repro.solver.levels import WideRead, workflow_layout
 from repro.solver.state import PlanState, StateBlock
 from repro.workflow.critical_path import makespan_samples
 from repro.workflow.dag import Task, Workflow
@@ -258,7 +258,7 @@ class TestBudgetsCutAnywhere:
             [(r, j) for j in joins for r in roots],
         )
         problem = synthetic_problem(workflow, seed=per_tile)
-        assert isinstance(problem.levels.level_reads[1], np.ndarray)
+        assert problem.levels.level_reads[1].block is None
         block = random_block(problem, 4, seed=per_tile)
         tile = 6 * len(block) * problem.num_samples * problem.tensor.dtype.itemsize
         with mock.patch.object(levels_module, "_TILE_BYTES", per_tile * tile):
@@ -282,11 +282,11 @@ def read_kinds(problem: CompiledProblem) -> list:
     ``"take"`` per column."""
     kinds = []
     for read in problem.levels.level_reads:
-        if isinstance(read, tuple):
-            kinds.append(tuple("slice" if isinstance(c, slice) else "take" for c in read))
+        if isinstance(read, WideRead):
+            kinds.append("gather" if read.block is None else "block")
         else:
             kinds.append(None if read is None else
-                         "block" if isinstance(read, slice) else "gather")
+                         tuple("slice" if isinstance(c, slice) else "take" for c in read))
     return kinds
 
 

@@ -19,7 +19,7 @@ from repro.engine.compiler import (
 )
 from repro.solver.backends import CompiledProblem, ScalarBackend, VectorizedBackend
 from repro.solver.cache import ScratchPool
-from repro.solver.levels import LevelSchedule, workflow_layout
+from repro.solver.levels import LevelSchedule, MaxJoin, WideRead, workflow_layout
 from repro.solver.state import PlanState
 from repro.workflow.critical_path import static_makespan
 from repro.workflow.dag import Task, Workflow
@@ -72,7 +72,7 @@ def _propagate(sched: LevelSchedule, lanes: np.ndarray) -> np.ndarray:
     n = sched.num_tasks
     finish = np.zeros((n + 1, lanes.shape[0]), dtype=lanes.dtype)
     finish[:n] = lanes.T[sched.order]
-    sched.propagate(finish, ScratchPool())
+    sched.propagate(finish, MaxJoin(ScratchPool(), finish, sched.max_width))
     out = np.empty((n, lanes.shape[0]), dtype=finish.dtype)
     out[sched.order] = finish[:n]
     return np.ascontiguousarray(out.T)
@@ -107,8 +107,9 @@ class TestConstruction:
         n = 10
         parents = tuple(() for _ in range(n - 1)) + (tuple(range(n - 1)),)
         sched = LevelSchedule.from_parent_indices(parents)
-        assert sched.level_columns[-1] is None  # fan-in 9 > column cutoff
-        assert sched.level_parents[-1].shape == (1, n - 1)
+        read = sched.level_reads[-1]
+        assert isinstance(read, WideRead)  # fan-in 9 > column cutoff
+        assert read.gather.shape == (1, n - 1)
 
 
 class TestReadPlan:
@@ -121,25 +122,25 @@ class TestReadPlan:
     )
     def test_wide_levels_are_blocks(self, workflow):
         _, sched = workflow_layout(workflow)
-        wide = [lv for lv, cols in enumerate(sched.level_columns)
-                if cols is None and sched.level_parents[lv].shape[1]]
+        wide = [lv for lv, read in enumerate(sched.level_reads) if isinstance(read, WideRead)]
         assert wide
         for lv in wide:
-            (lo, hi), read = sched.level_bounds[lv], sched.level_reads[lv]
-            assert isinstance(read, slice)
-            assert read.stop - read.start == sched.level_parents[lv].size
+            (lo, hi), (gather, block) = sched.level_bounds[lv], sched.level_reads[lv]
+            assert isinstance(block, slice)
+            assert block.stop - block.start == gather.size
             # Task t's parents, as a set, are the t-th block of the slice.
-            p = sched.level_parents[lv].shape[1]
-            blocks = np.arange(read.start, read.stop).reshape(hi - lo, p)
-            assert np.array_equal(np.sort(sched.level_parents[lv], axis=1), blocks)
+            blocks = np.arange(block.start, block.stop).reshape(hi - lo, gather.shape[1])
+            assert np.array_equal(np.sort(gather, axis=1), blocks)
 
     def test_epigenomics_chain_links_are_column_slices(self):
-        _, sched = workflow_layout(epigenomics(100, seed=0))
+        parents, sched = workflow_layout(epigenomics(100, seed=0))
         for lv in (2, 3, 4):
             (lo, hi), (read,) = sched.level_bounds[lv], sched.level_reads[lv]
             assert isinstance(read, slice)
-            assert np.array_equal(np.arange(read.start, read.stop),
-                                  sched.level_columns[lv][0])
+            # The column is each task's one parent, in permuted slots.
+            column = [sched.rank[parents[i][0]] for i in sched.order[lo:hi]]
+            assert all(len(parents[i]) == 1 for i in sched.order[lo:hi])
+            assert np.array_equal(np.arange(read.start, read.stop), column)
 
     def test_roots_read_nothing_and_scattered_columns_are_taken(self):
         sched = LevelSchedule.from_parent_indices(((), (), (1,), (0,)))
